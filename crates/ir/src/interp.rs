@@ -95,16 +95,6 @@ impl RegFile {
         RegFile::new(f.reg_counts())
     }
 
-    /// Zero every register in place, keeping the bank allocations.
-    /// Equivalent to replacing the file with [`RegFile::new`] of the same
-    /// counts (the simulator's machine pool reuses files across runs).
-    pub fn reset(&mut self) {
-        self.gpr.iter_mut().for_each(|r| *r = 0);
-        self.fpr.iter_mut().for_each(|r| *r = 0.0);
-        self.pred.iter_mut().for_each(|r| *r = false);
-        self.btr.iter_mut().for_each(|r| *r = BlockId(0));
-    }
-
     /// Read a register.
     ///
     /// # Panics
@@ -404,15 +394,13 @@ pub fn exec_inst(
             let v = if p { get(1, regs)? } else { get(2, regs)? };
             regs.write(inst.dst.expect("fsel dst"), Value::Float(v.as_float()));
         }
-        PAnd => {
+        PAnd | POr => {
             let a = get(0, regs)?.as_pred();
             let b = get(1, regs)?.as_pred();
-            regs.write(inst.dst.expect("pand dst"), Value::Pred(a && b));
-        }
-        POr => {
-            let a = get(0, regs)?.as_pred();
-            let b = get(1, regs)?.as_pred();
-            regs.write(inst.dst.expect("por dst"), Value::Pred(a || b));
+            regs.write(
+                inst.dst.expect("pred dst"),
+                Value::Pred(semantics::pred_binop(inst.op, a, b)),
+            );
         }
         PNot => {
             let a = get(0, regs)?.as_pred();
@@ -420,11 +408,17 @@ pub fn exec_inst(
         }
         ItoF => {
             let a = get(0, regs)?.as_int();
-            regs.write(inst.dst.expect("itof dst"), Value::Float(a as f64));
+            regs.write(
+                inst.dst.expect("itof dst"),
+                Value::Float(semantics::int_to_float(a)),
+            );
         }
         FtoI => {
             let a = get(0, regs)?.as_float();
-            regs.write(inst.dst.expect("ftoi dst"), Value::Int(a as i64));
+            regs.write(
+                inst.dst.expect("ftoi dst"),
+                Value::Int(semantics::float_to_int(a)),
+            );
         }
         PtoG => {
             let a = get(0, regs)?.as_pred();
@@ -432,7 +426,10 @@ pub fn exec_inst(
         }
         GtoP => {
             let a = get(0, regs)?.as_int();
-            regs.write(inst.dst.expect("gtop dst"), Value::Pred(a != 0));
+            regs.write(
+                inst.dst.expect("gtop dst"),
+                Value::Pred(semantics::int_to_pred(a)),
+            );
         }
         Load(w, s) => {
             let base = get(0, regs)?.as_int() as u64;
@@ -477,16 +474,16 @@ pub fn exec_inst(
             let raw = memory.load_uint(addr, 4)? as u32;
             regs.write(
                 inst.dst.expect("fload4 dst"),
-                Value::Float(f64::from(f32::from_bits(raw))),
+                Value::Float(semantics::widen_f32(raw)),
             );
         }
         Fstore4 => {
             let base = get(0, regs)?.as_int() as u64;
             let off = get(1, regs)?.as_int();
-            let v = get(2, regs)?.as_float() as f32;
+            let v = get(2, regs)?.as_float();
             let addr = base.wrapping_add(off as u64);
             obs.on_store(at, addr, 4);
-            memory.store_uint(addr, 4, u64::from(v.to_bits()))?;
+            memory.store_uint(addr, 4, u64::from(semantics::narrow_f32(v)))?;
         }
         Pbr => {
             let t = match inst.srcs[0] {

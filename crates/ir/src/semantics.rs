@@ -103,6 +103,44 @@ pub fn float_cmp(cc: CmpCc, a: f64, b: f64) -> bool {
     }
 }
 
+/// Evaluate a two-operand predicate operation ([`Opcode::PAnd`],
+/// [`Opcode::POr`]).
+///
+/// # Panics
+/// Panics if `op` is not a binary predicate opcode.
+pub fn pred_binop(op: Opcode, a: bool, b: bool) -> bool {
+    match op {
+        Opcode::PAnd => a && b,
+        Opcode::POr => a || b,
+        other => panic!("not a predicate binop: {other:?}"),
+    }
+}
+
+/// [`Opcode::ItoF`]: nearest-representable conversion.
+pub fn int_to_float(a: i64) -> f64 {
+    a as f64
+}
+
+/// [`Opcode::FtoI`]: truncating, saturating conversion (NaN yields 0).
+pub fn float_to_int(a: f64) -> i64 {
+    a as i64
+}
+
+/// [`Opcode::GtoP`]: nonzero is true.
+pub fn int_to_pred(a: i64) -> bool {
+    a != 0
+}
+
+/// Widen the raw bits an [`Opcode::Fload4`] read to the f64 it produces.
+pub fn widen_f32(raw: u32) -> f64 {
+    f64::from(f32::from_bits(raw))
+}
+
+/// Narrow an f64 to the raw f32 bits an [`Opcode::Fstore4`] writes.
+pub fn narrow_f32(v: f64) -> u32 {
+    (v as f32).to_bits()
+}
+
 /// Extend a loaded raw little-endian value per width and signedness.
 pub fn extend_load(raw: u64, bytes: u64, sign: Signedness) -> i64 {
     match (bytes, sign) {
@@ -159,5 +197,16 @@ mod tests {
         assert_eq!(float_unop(Opcode::Fneg, 3.0), -3.0);
         assert!(float_cmp(CmpCc::Lt, 1.0, 2.0));
         assert!(!float_cmp(CmpCc::Lt, f64::NAN, 2.0));
+    }
+
+    #[test]
+    fn conversions_and_predicates() {
+        assert!(pred_binop(Opcode::POr, false, true));
+        assert!(!pred_binop(Opcode::PAnd, false, true));
+        assert_eq!(float_to_int(-2.9), -2);
+        assert_eq!(float_to_int(f64::NAN), 0);
+        assert_eq!(int_to_float(3), 3.0);
+        assert!(int_to_pred(-1) && !int_to_pred(0));
+        assert_eq!(widen_f32(narrow_f32(2.5)), 2.5);
     }
 }

@@ -39,6 +39,7 @@
 
 pub mod cache;
 pub mod config;
+pub mod decode;
 pub mod fault;
 pub mod machine;
 pub mod mcode;

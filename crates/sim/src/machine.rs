@@ -9,6 +9,9 @@
 //! independently.
 
 use crate::config::MachineConfig;
+use crate::decode::{
+    bits_value, value_bits, BrTarget, DInst, DOp, DecodedCore, DecodedProgram, IssueClass,
+};
 use crate::fault::{FaultBudgetReport, FaultKind, FaultSite, FaultStats, SiteInjector};
 use crate::mcode::{MachineProgram, RegionId, REGION_OUTSIDE};
 use crate::memsys::{Completion, LoadOutcome, MemSys};
@@ -20,11 +23,7 @@ use crate::trace::{TraceEvent, Tracer};
 use crate::validate::ValidateError;
 use std::fmt;
 use std::sync::Arc;
-use voltron_ir::interp::{eval_operand, RegFile};
-use voltron_ir::{
-    semantics, BlockId, Dir, ExecMode, Inst, MemError, Memory, Opcode, Operand, Reg, RegClass,
-    Value,
-};
+use voltron_ir::{BlockId, Dir, ExecMode, MemError, Memory, Reg, RegClass, Value};
 
 /// What a blocked core is waiting on: one edge annotation of the
 /// wait-for graph built when the machine wedges.
@@ -311,9 +310,10 @@ pub struct RunOutcome {
     pub probes: Option<ProbeSeries>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum CoreState {
     Running,
+    #[default]
     Idle,
     Halted,
     AtSwitch(ExecMode),
@@ -322,67 +322,63 @@ enum CoreState {
 
 #[derive(Debug, Clone)]
 struct Snapshot {
-    regs: RegFile,
-    pc: (usize, usize),
+    /// The architectural registers (the constant pool never changes).
+    regs: Vec<u64>,
+    pc: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Core {
     state: CoreState,
-    pc: (usize, usize),
-    regs: RegFile,
-    /// Cycle at which each register's value is available; `u64::MAX`
-    /// marks a pending (in-flight load) result.
-    ready: [Vec<u64>; 4],
+    /// Flat index into the core's decoded image (`crate::decode`).
+    pc: u32,
+    /// Register bits by decoded slot: every class back to back, then the
+    /// image's constant pool. Empty until the image is decoded.
+    regs: Vec<u64>,
+    /// Cycle at which each slot's value is available; `u64::MAX` marks a
+    /// pending (in-flight load) result. Constant slots stay 0.
+    ready: Vec<u64>,
     epoch: u64,
     pending_load: bool,
     snapshot: Option<Snapshot>,
 }
 
 impl Core {
-    fn new(counts: [u32; 4]) -> Core {
-        Core {
-            state: CoreState::Idle,
-            pc: (0, 0),
-            regs: RegFile::new(counts),
-            ready: [
-                vec![0; counts[0] as usize],
-                vec![0; counts[1] as usize],
-                vec![0; counts[2] as usize],
-                vec![0; counts[3] as usize],
-            ],
-            epoch: 0,
-            pending_load: false,
-            snapshot: None,
-        }
-    }
-
-    fn ready_at(&self, r: Reg) -> u64 {
-        self.ready[r.class.index()][r.index as usize]
-    }
-
-    fn set_ready(&mut self, r: Reg, at: u64) {
-        self.ready[r.class.index()][r.index as usize] = at;
+    /// Size the register file and scoreboard for a freshly decoded image.
+    fn load_image(&mut self, image: &DecodedCore) {
+        self.regs.clear();
+        self.regs.resize(image.n_regs(), 0);
+        self.regs.extend_from_slice(&image.consts);
+        self.ready.clear();
+        self.ready.resize(self.regs.len(), 0);
     }
 
     fn clear_scoreboard(&mut self) {
-        for bank in &mut self.ready {
-            bank.iter_mut().for_each(|t| *t = 0);
-        }
+        self.ready.iter_mut().for_each(|t| *t = 0);
     }
 
-    /// Return the core to its just-built state for `counts`, reusing the
-    /// register-file and scoreboard allocations when the counts match.
-    fn reset(&mut self, counts: [u32; 4]) {
-        let same = (0..4).all(|i| self.ready[i].len() == counts[i] as usize);
-        if !same {
-            *self = Core::new(counts);
-            return;
+    /// The cycle at which `d`'s sources, guard and destination are all
+    /// available (`u64::MAX` while a load result is pending).
+    fn operands_ready_at(&self, d: &DInst) -> u64 {
+        d.sb.iter().fold(0, |t, &s| t.max(self.ready[s as usize]))
+    }
+
+    /// Return the core to its just-built state. When the same decoded
+    /// `image` runs again the register file keeps its size and constant
+    /// pool; otherwise it is emptied for the next decode to size.
+    fn reset(&mut self, image: Option<&DecodedCore>) {
+        match image {
+            Some(image) => {
+                self.regs[..image.n_regs()].fill(0);
+                self.clear_scoreboard();
+            }
+            None => {
+                self.regs.clear();
+                self.ready.clear();
+            }
         }
         self.state = CoreState::Idle;
-        self.pc = (0, 0);
-        self.regs.reset();
-        self.clear_scoreboard();
+        self.pc = 0;
         self.epoch = 0;
         self.pending_load = false;
         self.snapshot = None;
@@ -401,7 +397,11 @@ enum Decision {
 pub struct Machine {
     cfg: MachineConfig,
     program: Arc<MachineProgram>,
-    offsets: Vec<Vec<u64>>,
+    /// `program` lowered for the cycle loop. Built by the first
+    /// [`Machine::tick`] (machines that are booted but never run pay
+    /// nothing) and kept across [`Machine::reset`] onto the same image;
+    /// empty until then.
+    decoded: DecodedProgram,
     cores: Vec<Core>,
     memsys: MemSys,
     net: OperandNetwork,
@@ -432,6 +432,8 @@ pub struct Machine {
     /// Per-core issue decisions, reused across ticks to keep the cycle
     /// loop allocation-free.
     decisions: Vec<Decision>,
+    /// Memory-system completions of the current tick, reused likewise.
+    completions: Vec<Completion>,
     /// Cycles actually executed by [`Machine::tick`].
     ticked: u64,
     /// Set by [`Machine::tick`] when the cycle it just executed made no
@@ -514,24 +516,10 @@ impl Machine {
         program.validate(cfg)?;
         cfg.watchdogs.validate().map_err(SimError::Malformed)?;
         let memory = Memory::from_data(&program.data);
-        let offsets: Vec<Vec<u64>> = program.cores.iter().map(|c| c.block_offsets()).collect();
-        let mut cores: Vec<Core> = program
-            .cores
-            .iter()
-            .map(|c| Core::new(c.reg_counts()))
-            .collect();
-        cores[0].state = CoreState::Running;
         let n = cfg.cores;
-        // Region attribution follows the master core, so only its region
-        // ids need slots (+1 for the REGION_OUTSIDE sentinel at the end).
-        let region_slots = program.cores[0]
-            .blocks
-            .iter()
-            .map(|b| b.region)
-            .filter(|&r| r != REGION_OUTSIDE)
-            .max()
-            .map_or(0, |r| r as usize + 1)
-            + 1;
+        let mut cores: Vec<Core> = (0..n).map(|_| Core::default()).collect();
+        cores[0].state = CoreState::Running;
+        let region_slots = region_slots(&program);
         // The "zero TM conflict aborts" idealization swaps the conflict
         // predicate for value-based detection (crate::tm), which spares
         // false sharing while still aborting true dependences — final
@@ -540,7 +528,7 @@ impl Machine {
         tm.set_value_conflicts(cfg.ideal.zero_tm_conflicts);
         Ok(Machine {
             program,
-            offsets,
+            decoded: DecodedProgram::default(),
             cores,
             memsys: MemSys::new(cfg),
             net: OperandNetwork::new(cfg),
@@ -560,6 +548,7 @@ impl Machine {
             dynamic_insts: 0,
             tracer: None,
             decisions: Vec::with_capacity(n),
+            completions: Vec::new(),
             ticked: 0,
             ff_eligible: false,
             probes: cfg
@@ -613,27 +602,19 @@ impl Machine {
         }
         self.memory = Memory::from_data(&program.data);
         if !same_program {
-            self.offsets.clear();
-            self.offsets
-                .extend(program.cores.iter().map(|c| c.block_offsets()));
+            self.decoded = DecodedProgram::default();
         }
         let n = cfg.cores;
-        self.cores.truncate(n);
-        for (i, image) in program.cores.iter().enumerate() {
-            match self.cores.get_mut(i) {
-                Some(c) => c.reset(image.reg_counts()),
-                None => self.cores.push(Core::new(image.reg_counts())),
-            }
+        self.cores.resize_with(n, Core::default);
+        for (i, c) in self.cores.iter_mut().enumerate() {
+            c.reset(self.decoded.cores.get(i));
         }
         self.cores[0].state = CoreState::Running;
-        let region_slots = program.cores[0]
-            .blocks
-            .iter()
-            .map(|b| b.region)
-            .filter(|&r| r != REGION_OUTSIDE)
-            .max()
-            .map_or(0, |r| r as usize + 1)
-            + 1;
+        let region_slots = if same_program {
+            self.region_table.len()
+        } else {
+            region_slots(&program)
+        };
         self.memsys.reset(cfg);
         self.net.reset(cfg);
         self.tm.reset(n, cfg.line_size);
@@ -655,6 +636,7 @@ impl Machine {
         self.dynamic_insts = 0;
         self.tracer = None;
         self.decisions.clear();
+        self.completions.clear();
         self.ticked = 0;
         self.ff_eligible = false;
         self.probes = cfg
@@ -678,6 +660,13 @@ impl Machine {
         self.program = program;
         self.cfg = cfg.clone();
         Ok(())
+    }
+
+    /// The image as lowered for the cycle loop (see [`crate::decode`]):
+    /// empty until the first [`Machine::tick`], kept by a
+    /// [`Machine::reset`] onto the same image, dropped by one onto another.
+    pub fn decoded(&self) -> &DecodedProgram {
+        &self.decoded
     }
 
     /// Install an execution tracer (see [`crate::trace`]).
@@ -823,49 +812,44 @@ impl Machine {
         })
     }
 
-    fn inst_addr(&self, core: usize) -> u64 {
-        let (b, s) = self.cores[core].pc;
-        crate::mcode::CoreImage::base(core) + (self.offsets[core][b] + s as u64) * 4
+    /// Lower the image for the cycle loop and size each core's register
+    /// file for it (first tick of a fresh or re-imaged machine).
+    fn decode_image(&mut self) {
+        self.decoded = DecodedProgram::new(&self.program);
+        for (core, image) in self.cores.iter_mut().zip(&self.decoded.cores) {
+            core.load_image(image);
+        }
     }
 
-    /// Normalize `pc` so it points at a real instruction (skipping empty
-    /// blocks, which a branch may legally target).
-    fn normalize_pc(&mut self, core: usize) -> Result<(), SimError> {
-        let image = &self.program.cores[core];
-        let (mut b, mut s) = self.cores[core].pc;
-        while b < image.blocks.len() && s >= image.blocks[b].insts.len() {
-            b += 1;
-            s = 0;
+    /// The decoded instruction core `i` sits on (`None` off the end).
+    fn current(&self, i: usize) -> Option<&DInst> {
+        self.decoded.cores[i].insts.get(self.cores[i].pc as usize)
+    }
+
+    /// Step core `i` to the next instruction in image order.
+    fn advance_pc(&mut self, i: usize) -> Result<(), SimError> {
+        // Fallthrough beyond a block that ends unconditionally is a
+        // malformed image; `MachineProgram::check` prevented targets out
+        // of range, and blocks that end a region end with jump/halt/sleep
+        // which never reach here.
+        let core = &mut self.cores[i];
+        core.pc += 1;
+        if core.pc == self.decoded.cores[i].off_end() {
+            return Err(ran_off_end(i));
         }
-        if b >= image.blocks.len() {
-            return Err(SimError::Malformed(format!(
-                "core {core} ran off the end of its image"
-            )));
-        }
-        self.cores[core].pc = (b, s);
         Ok(())
     }
 
-    /// Normalize `pc` to the next instruction, skipping empty blocks.
-    fn advance_pc(&mut self, core: usize) -> Result<(), SimError> {
-        let image = &self.program.cores[core];
-        let (mut b, mut s) = self.cores[core].pc;
-        s += 1;
-        while b < image.blocks.len() && s >= image.blocks[b].insts.len() {
-            // Fallthrough beyond a block that ends unconditionally is a
-            // malformed image; `MachineProgram::check` prevented targets
-            // out of range, and blocks that end a region end with
-            // jump/halt/sleep which never reach here.
-            b += 1;
-            s = 0;
-        }
-        if b >= image.blocks.len() {
-            return Err(SimError::Malformed(format!(
-                "core {core} ran off the end of its image"
-            )));
-        }
-        self.cores[core].pc = (b, s);
-        Ok(())
+    /// Region-table slot of the region the master core occupies (region
+    /// attribution follows the master).
+    fn master_region(&self) -> (RegionId, usize) {
+        let region = self.current(0).map_or(REGION_OUTSIDE, |d| d.region);
+        let slot = if region == REGION_OUTSIDE {
+            self.region_table.len() - 1
+        } else {
+            region as usize
+        };
+        (region, slot)
     }
 
     fn dump(&self) -> String {
@@ -873,24 +857,16 @@ impl Machine {
         let mut s = String::new();
         let _ = writeln!(s, "mode: {}", self.mode);
         for (i, c) in self.cores.iter().enumerate() {
-            let (b, sl) = c.pc;
-            let name = self.program.cores[i]
-                .blocks
-                .get(b)
-                .map(|blk| blk.name.as_str())
-                .unwrap_or("?");
-            let inst = self.program.cores[i]
-                .blocks
-                .get(b)
-                .and_then(|blk| blk.insts.get(sl))
-                .map(|x| x.to_string())
-                .unwrap_or_else(|| "?".into());
-            let _ = writeln!(
-                s,
-                "  core {i}: {:?} at bb{b}[{sl}] <{name}> next `{inst}` txn={}",
-                c.state,
-                self.tm.active(i)
-            );
+            let _ = write!(s, "  core {i}: {:?} at ", c.state);
+            let _ = match self.current(i) {
+                Some(d) => {
+                    let blk = &self.program.cores[i].blocks[d.block as usize];
+                    let inst = &blk.insts[d.slot as usize];
+                    write!(s, "bb{}[{}] <{}> next `{inst}`", d.block, d.slot, blk.name)
+                }
+                None => write!(s, "the end of its image"),
+            };
+            let _ = writeln!(s, " txn={}", self.tm.active(i));
         }
         s
     }
@@ -924,46 +900,40 @@ impl Machine {
                     }
                     _ => return None,
                 };
-                let (b, s) = self.cores[i].pc;
-                let inst = &self.program.cores[i].blocks[b].insts[s];
+                // A running core that stalled was checked, so it sits on
+                // an instruction.
+                let class = self.current(i).map(|d| d.class);
                 let cause = match reason {
                     StallReason::IFetch | StallReason::DMiss | StallReason::StoreBuf => {
                         WaitCause::Memory
                     }
                     StallReason::Interlock => WaitCause::Other(reason),
-                    _ => match inst.op {
-                        Opcode::Recv => {
-                            let from = inst.srcs[0].as_core().unwrap_or(0) as usize;
-                            let tag = recv_tag(inst);
+                    _ => match class {
+                        Some(IssueClass::Recv { from, tag, .. }) => {
+                            let from = from as usize;
                             WaitCause::Recv {
                                 from,
                                 tag,
                                 buffered: self.net.buffered_from(i, from, tag),
                             }
                         }
-                        Opcode::Get => match inst.srcs[0] {
-                            Operand::Dir(d) => match self.cfg.neighbor(i, d) {
-                                Some(from) => WaitCause::GetLatch { from, dir: d },
-                                None => WaitCause::Other(reason),
-                            },
-                            _ => WaitCause::Other(reason),
+                        Some(IssueClass::Get(dir)) => match self.cfg.neighbor(i, dir) {
+                            Some(from) => WaitCause::GetLatch { from, dir },
+                            None => WaitCause::Other(reason),
                         },
-                        Opcode::Put => match inst.srcs[1] {
-                            Operand::Dir(d) => match self.cfg.neighbor(i, d) {
-                                Some(to) => WaitCause::PutLatch { to, dir: d },
-                                None => WaitCause::Other(reason),
-                            },
-                            _ => WaitCause::Other(reason),
+                        Some(IssueClass::Put(dir)) => match self.cfg.neighbor(i, dir) {
+                            Some(to) => WaitCause::PutLatch { to, dir },
+                            None => WaitCause::Other(reason),
                         },
-                        Opcode::Bcast => WaitCause::Bcast {
+                        Some(IssueClass::Bcast) => WaitCause::Bcast {
                             blockers: self.net.bcast_blockers(i),
                         },
-                        Opcode::GetB => WaitCause::GetBcast,
-                        Opcode::Send | Opcode::Spawn => {
+                        Some(IssueClass::GetB) => WaitCause::GetBcast,
+                        Some(IssueClass::SendLike) => {
                             let (to, queued) = self.net.send_queue(i);
                             WaitCause::SendQueue { to, queued }
                         }
-                        Opcode::Xcommit => {
+                        Some(IssueClass::Xcommit) => {
                             let expected = self.tm.expected();
                             WaitCause::CommitToken {
                                 order: self.tm.order_of(i),
@@ -985,17 +955,19 @@ impl Machine {
         let mut waits = Vec::new();
         for i in 0..self.cores.len() {
             if let Some(cause) = self.wait_cause(i) {
-                let (b, s) = self.cores[i].pc;
+                // A waiting core sits on the instruction it waits at.
+                let (block, pc) = self
+                    .current(i)
+                    .map_or((0, 0), |d| (d.block as usize, d.slot as usize));
                 let block_name = self.program.cores[i]
                     .blocks
-                    .get(b)
-                    .map(|blk| blk.name.clone())
-                    .unwrap_or_else(|| "?".into());
+                    .get(block)
+                    .map_or_else(|| "?".into(), |blk| blk.name.clone());
                 waits.push(CoreWait {
                     core: i,
-                    block: b,
+                    block,
                     block_name,
-                    pc: s,
+                    pc,
                     cause,
                 });
             }
@@ -1036,9 +1008,13 @@ impl Machine {
         Ok(())
     }
 
-    fn check_core(&mut self, i: usize) -> Decision {
+    /// Decide what core `i` does this cycle. The only error is a running
+    /// core whose last transfer (branch, spawn, rollback) landed past the
+    /// last instruction of its image.
+    fn check_core(&mut self, i: usize) -> Result<Decision, SimError> {
         let now = self.cycle;
-        match self.cores[i].state {
+        let core = &self.cores[i];
+        let decision = match core.state {
             CoreState::Halted => Decision::Quiet,
             CoreState::Idle => {
                 if self.net.has_spawn(i, now) {
@@ -1049,137 +1025,56 @@ impl Machine {
             }
             CoreState::AtSwitch(_) | CoreState::WaitBus => Decision::Stall(StallReason::Sync),
             CoreState::Running => {
+                let image = &self.decoded.cores[i];
+                let Some(d) = image.insts.get(core.pc as usize) else {
+                    return Err(ran_off_end(i));
+                };
                 // An injected fetch hiccup blocks the front end before it
                 // reaches the I-cache (no L1I access is made, matching the
                 // pending-fill behaviour `account_blocked` assumes for
                 // `Stall(IFetch)` cores).
-                if now < self.fetch_block[i] {
-                    return Decision::Stall(StallReason::IFetch);
+                if now < self.fetch_block[i] || !self.memsys.ifetch(i, image.fetch_addr(core.pc)) {
+                    return Ok(Decision::Stall(StallReason::IFetch));
                 }
-                let addr = self.inst_addr(i);
-                if !self.memsys.ifetch(i, addr) {
-                    return Decision::Stall(StallReason::IFetch);
-                }
-                let core = &self.cores[i];
-                let (b, s) = core.pc;
-                let inst = &self.program.cores[i].blocks[b].insts[s];
                 // Scoreboard: sources, guard, and destination (WAW).
-                let mut pending = false;
-                let mut not_ready = false;
-                let mut scan = |t: u64| {
-                    if t == u64::MAX {
-                        pending = true;
-                    } else if t > now {
-                        not_ready = true;
-                    }
-                };
-                for r in inst.uses_iter() {
-                    scan(core.ready_at(r));
+                let ready_at = core.operands_ready_at(d);
+                if ready_at == u64::MAX {
+                    return Ok(Decision::Stall(StallReason::DMiss));
                 }
-                if let Some(d) = inst.dst {
-                    scan(core.ready_at(d));
-                }
-                if pending {
-                    return Decision::Stall(StallReason::DMiss);
-                }
-                if not_ready {
-                    return Decision::Stall(StallReason::Interlock);
+                if ready_at > now {
+                    return Ok(Decision::Stall(StallReason::Interlock));
                 }
                 // A nullified instruction consumes its slot, nothing else.
-                if let Some(g) = inst.guard {
-                    if !core.regs.read(g).as_pred() {
-                        return Decision::Issue;
-                    }
+                if core.regs[d.guard as usize] == 0 {
+                    return Ok(Decision::Issue);
                 }
-                match inst.op {
-                    Opcode::Load(..) | Opcode::Fload | Opcode::Fload4 => {
-                        if core.pending_load {
-                            Decision::Stall(StallReason::DMiss)
-                        } else {
-                            Decision::Issue
-                        }
+                let (can_issue, or_stall) = match d.class {
+                    IssueClass::Plain => return Ok(Decision::Issue),
+                    IssueClass::Load => (!core.pending_load, StallReason::DMiss),
+                    IssueClass::Store => (
+                        self.tm.active(i) || !self.memsys.store_buffer_full(i),
+                        StallReason::StoreBuf,
+                    ),
+                    IssueClass::Put(dir) => (self.net.can_put(i, dir), StallReason::DirectWait),
+                    IssueClass::Get(dir) => {
+                        (self.net.can_get(i, dir, now), StallReason::DirectWait)
                     }
-                    Opcode::Store(_) | Opcode::Fstore | Opcode::Fstore4 => {
-                        if !self.tm.active(i) && self.memsys.store_buffer_full(i) {
-                            Decision::Stall(StallReason::StoreBuf)
-                        } else {
-                            Decision::Issue
-                        }
+                    IssueClass::Bcast => (self.net.can_bcast(i), StallReason::DirectWait),
+                    IssueClass::GetB => (self.net.can_getb(i, now), StallReason::DirectWait),
+                    IssueClass::SendLike => (self.net.can_send(i), StallReason::SendFull),
+                    IssueClass::Recv { from, tag, stall } => {
+                        (self.net.can_recv(i, from as usize, tag, now), stall)
                     }
-                    Opcode::Put => {
-                        let d = match inst.srcs[1] {
-                            Operand::Dir(d) => d,
-                            _ => return Decision::Issue, // verified earlier
-                        };
-                        if self.net.can_put(i, d) {
-                            Decision::Issue
-                        } else {
-                            Decision::Stall(StallReason::DirectWait)
-                        }
-                    }
-                    Opcode::Get => {
-                        let d = match inst.srcs[0] {
-                            Operand::Dir(d) => d,
-                            _ => return Decision::Issue,
-                        };
-                        if self.net.can_get(i, d, now) {
-                            Decision::Issue
-                        } else {
-                            Decision::Stall(StallReason::DirectWait)
-                        }
-                    }
-                    Opcode::Bcast => {
-                        if self.net.can_bcast(i) {
-                            Decision::Issue
-                        } else {
-                            Decision::Stall(StallReason::DirectWait)
-                        }
-                    }
-                    Opcode::GetB => {
-                        if self.net.can_getb(i, now) {
-                            Decision::Issue
-                        } else {
-                            Decision::Stall(StallReason::DirectWait)
-                        }
-                    }
-                    Opcode::Send | Opcode::Spawn => {
-                        if self.net.can_send(i) {
-                            Decision::Issue
-                        } else {
-                            Decision::Stall(StallReason::SendFull)
-                        }
-                    }
-                    Opcode::Recv => {
-                        // Invariant: `MachineProgram::validate` shape-checked
-                        // srcs[0] as an in-range core operand.
-                        let from = inst.srcs[0].as_core().unwrap_or(0) as usize;
-                        let tag = recv_tag(inst);
-                        if self.net.can_recv(i, from, tag, now) {
-                            Decision::Issue
-                        } else if tag == crate::network::TAG_JOIN {
-                            Decision::Stall(StallReason::Sync)
-                        } else if inst.dst.map(|d| d.class) == Some(RegClass::Pred) {
-                            Decision::Stall(StallReason::RecvPred)
-                        } else {
-                            Decision::Stall(StallReason::RecvData)
-                        }
-                    }
-                    Opcode::Xcommit => {
-                        if self.tm.can_commit(i) {
-                            Decision::Issue
-                        } else {
-                            Decision::Stall(StallReason::Sync)
-                        }
-                    }
-                    _ => Decision::Issue,
+                    IssueClass::Xcommit => (self.tm.can_commit(i), StallReason::Sync),
+                };
+                if can_issue {
+                    Decision::Issue
+                } else {
+                    Decision::Stall(or_stall)
                 }
             }
-        }
-    }
-
-    fn eval(&self, core: usize, op: Operand) -> Result<Value, SimError> {
-        eval_operand(&self.cores[core].regs, op)
-            .map_err(|e| SimError::Malformed(format!("core {core}: {e}")))
+        };
+        Ok(decision)
     }
 
     /// Charge the wasted work of core `c`'s aborting transaction: every
@@ -1193,16 +1088,7 @@ impl Machine {
     fn note_tm_abort(&mut self, c: usize) {
         let wasted = self.cycle - self.tm_begin_cycle[c];
         self.tm_wasted += wasted;
-        let region = self.program.cores[0]
-            .blocks
-            .get(self.cores[0].pc.0)
-            .map(|b| b.region)
-            .unwrap_or(REGION_OUTSIDE);
-        let slot = if region == REGION_OUTSIDE {
-            self.region_table.len() - 1
-        } else {
-            region as usize
-        };
+        let (_, slot) = self.master_region();
         self.region_table[slot].tm_wasted += wasted;
     }
 
@@ -1212,7 +1098,7 @@ impl Machine {
             .take()
             .expect("aborted transaction must have a snapshot");
         let core = &mut self.cores[i];
-        core.regs = snap.regs;
+        core.regs[..snap.regs.len()].copy_from_slice(&snap.regs);
         core.pc = snap.pc;
         core.clear_scoreboard();
         core.pending_load = false;
@@ -1342,85 +1228,70 @@ impl Machine {
         if self.cfg.faults.is_some() {
             self.fault_at_issue(i);
         }
-        let program = Arc::clone(&self.program);
-        let (b, s) = self.cores[i].pc;
-        let inst = &program.cores[i].blocks[b].insts[s];
+        let d = self.decoded.cores[i].insts[self.cores[i].pc as usize];
         // Latch irrevocability: once a live transaction issues a network
         // operation the message leaves the core, and a rollback to the
         // snapshot would replay it (duplicate spawns/sends, re-consumed
         // receives). The spurious-abort injector checks this latch.
-        if self.tm.active(i)
-            && matches!(
-                inst.op,
-                Opcode::Send | Opcode::Recv | Opcode::Bcast | Opcode::GetB | Opcode::Spawn
-            )
-        {
+        if d.net_op && self.tm.active(i) {
             self.txn_irrevocable[i] = true;
         }
         self.dynamic_insts += 1;
-        if inst.op == Opcode::Nop {
+        if d.is_nop {
             self.core_stats[i].nops += 1;
         } else {
             self.core_stats[i].issued += 1;
-        }
-        if inst.op != Opcode::Nop {
-            // `program` is a local Arc clone, so the borrowed block name
-            // and instruction don't conflict with the tracer borrow.
             if let Some(t) = self.tracer.as_mut() {
-                let block = program.cores[i].blocks[b].name.as_str();
+                let block = &self.program.cores[i].blocks[d.block as usize];
                 t.event(TraceEvent::Issue {
                     cycle: now,
                     core: i,
-                    block,
-                    inst,
+                    block: block.name.as_str(),
+                    inst: &block.insts[d.slot as usize],
                 });
             }
         }
 
         // Nullified by guard: slot consumed, no effects.
-        if let Some(g) = inst.guard {
-            if !self.cores[i].regs.read(g).as_pred() {
-                return self.advance_pc(i);
-            }
+        if self.cores[i].regs[d.guard as usize] == 0 {
+            return self.advance_pc(i);
         }
 
         // Everything below except pure control flow changes architectural
         // state (registers, memory, network, core/transaction state);
         // feed the livelock watchdog.
-        if !matches!(inst.op, Opcode::Nop | Opcode::Br | Opcode::Jump) {
+        if d.arch_change {
             self.last_arch_change = now;
         }
 
-        use Opcode::*;
-        match inst.op {
+        match d.op {
+            DOp::Nop => {}
+            DOp::Alu { dst, f } => {
+                let core = &mut self.cores[i];
+                core.regs[dst as usize] = f.eval(&core.regs);
+                core.ready[dst as usize] = now + u64::from(d.latency);
+            }
+
             // ---- control ----
-            Br | Jump => {
-                let taken = if inst.op == Jump {
-                    true
-                } else {
-                    let p = inst.srcs[1]
-                        .as_reg()
-                        .expect("br predicate: guaranteed by MachineProgram::validate shape check");
-                    self.cores[i].regs.read(p).as_pred()
-                };
-                if taken {
-                    let target = match inst.srcs[0] {
-                        Operand::Block(t) => t,
-                        Operand::Reg(r) if r.class == RegClass::Btr => {
-                            self.cores[i].regs.read(r).as_target()
-                        }
-                        _ => {
+            DOp::Br { pred, target } => {
+                let core = &mut self.cores[i];
+                if core.regs[pred as usize] != 0 {
+                    let image = &self.decoded.cores[i];
+                    core.pc = match target {
+                        BrTarget::Flat(t) => t,
+                        BrTarget::Btr(r) => image.entry(BlockId(core.regs[r as usize] as u32)),
+                        BrTarget::Missing => {
                             return Err(SimError::Malformed(format!(
                                 "core {i}: branch without target"
                             )))
                         }
                     };
-                    self.cores[i].pc = (target.idx(), 0);
+                    // Landing past the image's end is the next tick's
+                    // error (`check_core`).
                     return Ok(());
                 }
-                return self.advance_pc(i);
             }
-            Halt => {
+            DOp::Halt => {
                 self.cores[i].state = CoreState::Halted;
                 self.trace(TraceEvent::Halt {
                     cycle: now,
@@ -1428,15 +1299,11 @@ impl Machine {
                 });
                 return Ok(());
             }
-            Sleep => {
+            DOp::Sleep => {
                 self.cores[i].state = CoreState::Idle;
                 return Ok(());
             }
-            ModeSwitch => {
-                let m = match inst.srcs[0] {
-                    Operand::Mode(m) => m,
-                    _ => return Err(SimError::Malformed("mode switch without mode".into())),
-                };
+            DOp::ModeSwitch(m) => {
                 self.cores[i].state = CoreState::AtSwitch(m);
                 self.trace(TraceEvent::BarrierWait {
                     cycle: now,
@@ -1445,123 +1312,84 @@ impl Machine {
                 });
                 return Ok(()); // pc advances when the barrier resolves
             }
-            Call | Ret => {
-                return Err(SimError::Malformed(format!(
-                    "core {i}: {} in machine code (inliner bug)",
-                    inst.op
-                )))
+            DOp::Trap(t) => {
+                return Err(SimError::Malformed(
+                    self.decoded.cores[i].traps[t as usize].clone(),
+                ))
             }
 
             // ---- memory ----
-            Load(w, sgn) => {
-                let base = self.eval(i, inst.srcs[0])?.as_int() as u64;
-                let off = self.eval(i, inst.srcs[1])?.as_int();
-                let addr = base.wrapping_add(off as u64);
-                let raw = self.functional_load(i, addr, w.bytes())?;
-                let dst = inst
-                    .dst
-                    .expect("load dst: guaranteed by MachineProgram::validate shape check");
-                let val = semantics::extend_load(raw, w.bytes(), sgn);
-                self.cores[i].regs.write(dst, Value::Int(val));
-                self.issue_load_timing(i, addr, dst);
+            DOp::Load {
+                dst,
+                base,
+                off,
+                kind,
+                reg,
+            } => {
+                let regs = &self.cores[i].regs;
+                let addr = regs[base as usize].wrapping_add(regs[off as usize]);
+                let raw = self.functional_load(i, addr, kind.bytes())?;
+                self.cores[i].regs[dst as usize] = kind.load_bits(raw);
+                let ready = match self.memsys.load(i, addr, reg, self.cores[i].epoch) {
+                    LoadOutcome::Hit => now + u64::from(self.cfg.l1_hit_latency),
+                    LoadOutcome::Miss => {
+                        self.cores[i].pending_load = true;
+                        u64::MAX
+                    }
+                };
+                self.cores[i].ready[dst as usize] = ready;
             }
-            Fload => {
-                let base = self.eval(i, inst.srcs[0])?.as_int() as u64;
-                let off = self.eval(i, inst.srcs[1])?.as_int();
-                let addr = base.wrapping_add(off as u64);
-                let raw = self.functional_load(i, addr, 8)?;
-                let dst = inst
-                    .dst
-                    .expect("fload dst: guaranteed by MachineProgram::validate shape check");
-                self.cores[i]
-                    .regs
-                    .write(dst, Value::Float(f64::from_bits(raw)));
-                self.issue_load_timing(i, addr, dst);
-            }
-            Fload4 => {
-                let base = self.eval(i, inst.srcs[0])?.as_int() as u64;
-                let off = self.eval(i, inst.srcs[1])?.as_int();
-                let addr = base.wrapping_add(off as u64);
-                let raw = self.functional_load(i, addr, 4)? as u32;
-                let dst = inst
-                    .dst
-                    .expect("fload4 dst: guaranteed by MachineProgram::validate shape check");
-                self.cores[i]
-                    .regs
-                    .write(dst, Value::Float(f64::from(f32::from_bits(raw))));
-                self.issue_load_timing(i, addr, dst);
-            }
-            Store(w) => {
-                let base = self.eval(i, inst.srcs[0])?.as_int() as u64;
-                let off = self.eval(i, inst.srcs[1])?.as_int();
-                let v = self.eval(i, inst.srcs[2])?.as_int() as u64;
-                let addr = base.wrapping_add(off as u64);
-                self.functional_store(i, addr, w.bytes(), v)?;
-                self.issue_store_timing(i, addr, w.bytes());
-            }
-            Fstore => {
-                let base = self.eval(i, inst.srcs[0])?.as_int() as u64;
-                let off = self.eval(i, inst.srcs[1])?.as_int();
-                let v = self.eval(i, inst.srcs[2])?.as_float();
-                let addr = base.wrapping_add(off as u64);
-                self.functional_store(i, addr, 8, v.to_bits())?;
-                self.issue_store_timing(i, addr, 8);
-            }
-            Fstore4 => {
-                let base = self.eval(i, inst.srcs[0])?.as_int() as u64;
-                let off = self.eval(i, inst.srcs[1])?.as_int();
-                let v = self.eval(i, inst.srcs[2])?.as_float() as f32;
-                let addr = base.wrapping_add(off as u64);
-                self.functional_store(i, addr, 4, u64::from(v.to_bits()))?;
-                self.issue_store_timing(i, addr, 4);
+            DOp::Store {
+                base,
+                off,
+                val,
+                kind,
+            } => {
+                let regs = &self.cores[i].regs;
+                let addr = regs[base as usize].wrapping_add(regs[off as usize]);
+                let raw = kind.store_raw(regs[val as usize]);
+                self.functional_store(i, addr, kind.bytes(), raw)?;
+                // A transactional store is buffered in the transaction
+                // and takes no store-buffer entry.
+                if !self.tm.active(i) {
+                    let ok = self.memsys.store(i, addr, kind.bytes());
+                    debug_assert!(ok, "store-buffer space was checked before issue");
+                }
             }
 
             // ---- operand network ----
-            Put => {
-                let v = self.eval(i, inst.srcs[0])?;
-                let d = match inst.srcs[1] {
-                    Operand::Dir(d) => d,
-                    _ => return Err(SimError::Malformed("put without direction".into())),
-                };
-                let ok = self.net.put(i, d, v, now).map_err(SimError::Network)?;
+            DOp::Put { val, class, dir } => {
+                let v = bits_value(class, self.cores[i].regs[val as usize]);
+                let ok = self.net.put(i, dir, v, now).map_err(SimError::Network)?;
                 debug_assert!(ok, "checked can_put before issue");
             }
-            Get => {
-                let d = match inst.srcs[0] {
-                    Operand::Dir(d) => d,
-                    _ => return Err(SimError::Malformed("get without direction".into())),
-                };
+            DOp::Get { dst, class, dir } => {
                 let v = self
                     .net
-                    .get(i, d, now)
+                    .get(i, dir, now)
                     .ok_or_else(|| SimError::Network(format!("core {i}: GET on empty latch")))?;
-                let dst = inst
-                    .dst
-                    .expect("get dst: guaranteed by MachineProgram::validate shape check");
-                self.write_value(i, dst, v, now + 1)?;
+                self.write_value(i, dst, class, v)?;
             }
-            Bcast => {
-                let v = self.eval(i, inst.srcs[0])?;
+            DOp::Bcast { val, class } => {
+                let v = bits_value(class, self.cores[i].regs[val as usize]);
                 let ok = self.net.bcast(i, v, now);
                 debug_assert!(ok, "checked can_bcast before issue");
             }
-            GetB => {
+            DOp::GetB { dst, class } => {
                 let v = self
                     .net
                     .getb(i, now)
                     .ok_or_else(|| SimError::Network(format!("core {i}: GETB on empty latch")))?;
-                let dst = inst
-                    .dst
-                    .expect("getb dst: guaranteed by MachineProgram::validate shape check");
-                self.write_value(i, dst, v, now + 1)?;
+                self.write_value(i, dst, class, v)?;
             }
-            Send => {
-                let v = self.eval(i, inst.srcs[0])?;
-                let to = inst.srcs[1]
-                    .as_core()
-                    .expect("send target: guaranteed by MachineProgram::validate shape check")
-                    as usize;
-                let tag = send_tag(inst);
+            DOp::Send {
+                val,
+                class,
+                to,
+                tag,
+            } => {
+                let v = bits_value(class, self.cores[i].regs[val as usize]);
+                let to = to as usize;
                 let ok = self.net.send(i, to, tag, Payload::Data(v), now);
                 debug_assert!(ok, "checked can_send before issue");
                 self.trace(TraceEvent::MsgSend {
@@ -1571,19 +1399,17 @@ impl Machine {
                     tag,
                 });
             }
-            Recv => {
-                let from = inst.srcs[0]
-                    .as_core()
-                    .expect("recv source: guaranteed by MachineProgram::validate shape check")
-                    as usize;
-                let tag = recv_tag(inst);
+            DOp::Recv {
+                dst,
+                class,
+                from,
+                tag,
+            } => {
+                let from = from as usize;
                 let v = self.net.recv(i, from, tag, now).ok_or_else(|| {
                     SimError::Network(format!("core {i}: RECV raced an empty queue"))
                 })?;
-                let dst = inst
-                    .dst
-                    .expect("recv dst: guaranteed by MachineProgram::validate shape check");
-                self.write_value(i, dst, v, now + 1)?;
+                self.write_value(i, dst, class, v)?;
                 self.trace(TraceEvent::MsgRecv {
                     cycle: now,
                     core: i,
@@ -1591,36 +1417,29 @@ impl Machine {
                     tag,
                 });
             }
-            Spawn => {
-                let to = inst.srcs[0]
-                    .as_core()
-                    .expect("spawn target: guaranteed by MachineProgram::validate shape check")
-                    as usize;
-                let blk = inst.srcs[1]
-                    .as_block()
-                    .expect("spawn block: guaranteed by MachineProgram::validate shape check");
-                let ok = self.net.send(i, to, 0, Payload::Spawn(blk), now);
+            DOp::Spawn { to, block } => {
+                let ok = self.net.send(i, to as usize, 0, Payload::Spawn(block), now);
                 debug_assert!(ok, "checked can_send before issue");
             }
 
             // ---- transactional memory ----
-            Xbegin => {
-                let order = self.eval(i, inst.srcs[0])?.as_int();
-                let snap = Snapshot {
-                    regs: self.cores[i].regs.clone(),
-                    pc: self.cores[i].pc,
-                };
-                self.cores[i].snapshot = Some(snap);
+            DOp::Xbegin { order } => {
+                let core = &mut self.cores[i];
+                let order = core.regs[order as usize] as u32;
+                core.snapshot = Some(Snapshot {
+                    regs: core.regs[..self.decoded.cores[i].n_regs()].to_vec(),
+                    pc: core.pc,
+                });
                 self.txn_irrevocable[i] = false;
                 self.tm_begin_cycle[i] = now;
-                self.tm.begin(i, order as u32);
+                self.tm.begin(i, order);
                 self.trace(TraceEvent::TmBegin {
                     cycle: now,
                     core: i,
-                    order: order as u32,
+                    order,
                 });
             }
-            Xcommit => {
+            DOp::Xcommit => {
                 if self.cfg.faults.is_some() && self.fault_tm_at_commit(i)? {
                     return Ok(()); // rolled back to the XBEGIN instead
                 }
@@ -1654,76 +1473,47 @@ impl Machine {
                     self.cores[i].state = CoreState::WaitBus;
                 }
             }
-            Xabort => {
+            DOp::Xabort => {
                 self.note_tm_abort(i);
                 self.tm.abort(i);
                 self.restore_core(i);
                 return Ok(()); // pc restored to the XBEGIN
             }
-
-            // ---- everything else shares the interpreter's semantics ----
-            _ => {
-                let core = &mut self.cores[i];
-                let at = voltron_ir::InstRef {
-                    func: voltron_ir::FuncId(0),
-                    block: BlockId(b as u32),
-                    index: s,
-                };
-                voltron_ir::interp::exec_inst(
-                    inst,
-                    at,
-                    &mut core.regs,
-                    &mut self.memory,
-                    &mut voltron_ir::interp::NoObserver,
-                )
-                .map_err(|e| SimError::Malformed(format!("core {i}: {e}")))?;
-                if let Some(d) = inst.dst {
-                    core.set_ready(d, now + u64::from(inst.op.latency()));
-                }
-            }
         }
         self.advance_pc(i)
     }
 
-    fn write_value(&mut self, i: usize, dst: Reg, v: Value, ready: u64) -> Result<(), SimError> {
-        if v.class() != dst.class {
+    /// Write a value that arrived over the operand network into `dst`,
+    /// usable next cycle. The sender chose the value's class, so only
+    /// here can it be checked against the receiving register's.
+    fn write_value(
+        &mut self,
+        i: usize,
+        dst: u32,
+        class: RegClass,
+        v: Value,
+    ) -> Result<(), SimError> {
+        if v.class() != class {
+            let name = Reg {
+                class,
+                index: dst - self.decoded.cores[i].class_base[class.index()],
+            };
             return Err(SimError::Malformed(format!(
-                "core {i}: network value {v:?} written to {dst} of class {}",
-                dst.class
+                "core {i}: network value {v:?} written to {name} of class {class}"
             )));
         }
-        self.cores[i].regs.write(dst, v);
-        self.cores[i].set_ready(dst, ready);
+        let core = &mut self.cores[i];
+        core.regs[dst as usize] = value_bits(v);
+        core.ready[dst as usize] = self.cycle + 1;
         Ok(())
-    }
-
-    fn issue_load_timing(&mut self, i: usize, addr: u64, dst: Reg) {
-        let now = self.cycle;
-        match self.memsys.load(i, addr, dst, self.cores[i].epoch) {
-            LoadOutcome::Hit => {
-                self.cores[i].set_ready(dst, now + u64::from(self.cfg.l1_hit_latency));
-            }
-            LoadOutcome::Miss => {
-                self.cores[i].set_ready(dst, u64::MAX);
-                self.cores[i].pending_load = true;
-            }
-        }
-    }
-
-    fn issue_store_timing(&mut self, i: usize, addr: u64, width: u64) {
-        if self.tm.active(i) {
-            return; // buffered in the transaction, no store-buffer entry
-        }
-        let ok = self.memsys.store(i, addr, width);
-        debug_assert!(ok, "store-buffer space was checked before issue");
     }
 
     fn dispatch(&mut self, c: Completion) {
         match c {
             Completion::LoadFill { core, dst, epoch } => {
                 if self.cores[core].epoch == epoch {
-                    let now = self.cycle;
-                    self.cores[core].set_ready(dst, now + 1);
+                    let slot = self.decoded.cores[core].slot(dst);
+                    self.cores[core].ready[slot as usize] = self.cycle + 1;
                     self.cores[core].pending_load = false;
                 }
             }
@@ -1743,9 +1533,15 @@ impl Machine {
         let now = self.cycle;
         self.ticked += 1;
         self.ff_eligible = false;
-        for c in self.memsys.tick(now) {
+        if self.decoded.cores.is_empty() {
+            self.decode_image();
+        }
+        let mut done = std::mem::take(&mut self.completions);
+        self.memsys.tick(now, &mut done);
+        for c in done.drain(..) {
             self.dispatch(c);
         }
+        self.completions = done;
         if self.tracer.is_some() {
             // At most one grant per bank per tick, and ticks clear the
             // grant buffer, so draining here sees every grant once.
@@ -1791,16 +1587,13 @@ impl Machine {
         self.try_mode_switch()?;
 
         let n = self.cfg.cores;
-        for i in 0..n {
-            if self.cores[i].state == CoreState::Running {
-                self.normalize_pc(i)?;
-            }
-        }
         // Reuse the decision buffer across ticks (taken out of `self` so
         // filling it can call `check_core(&mut self)`).
         let mut decisions = std::mem::take(&mut self.decisions);
         decisions.clear();
-        decisions.extend((0..n).map(|i| self.check_core(i)));
+        for i in 0..n {
+            decisions.push(self.check_core(i)?);
+        }
         let mut progress = false;
 
         match self.mode {
@@ -1867,7 +1660,7 @@ impl Machine {
                                 .net
                                 .take_spawn(i, now)
                                 .expect("has_spawn checked in decision phase");
-                            self.cores[i].pc = (blk.idx(), 0);
+                            self.cores[i].pc = self.decoded.cores[i].entry(blk);
                             self.cores[i].state = CoreState::Running;
                             self.core_stats[i].spawn_starts += 1;
                             self.spawns += 1;
@@ -1888,17 +1681,7 @@ impl Machine {
 
         self.decisions = decisions;
 
-        // Region attribution follows the master core.
-        let region = self.program.cores[0]
-            .blocks
-            .get(self.cores[0].pc.0)
-            .map(|b| b.region)
-            .unwrap_or(REGION_OUTSIDE);
-        let slot = if region == REGION_OUTSIDE {
-            self.region_table.len() - 1
-        } else {
-            region as usize
-        };
+        let (region, slot) = self.master_region();
         self.attribute_region(slot, 1);
         if self.tracer.is_some() {
             self.emit_spans(now, region);
@@ -2091,17 +1874,10 @@ impl Machine {
     /// pending (`u64::MAX`) register classifies the stall as
     /// [`StallReason::DMiss`] instead.
     fn interlock_wake(&self, i: usize) -> u64 {
-        let core = &self.cores[i];
-        let (b, s) = core.pc;
-        let inst = &self.program.cores[i].blocks[b].insts[s];
-        let mut wake = 0;
-        for r in inst.uses_iter() {
-            wake = wake.max(core.ready_at(r));
-        }
-        if let Some(d) = inst.dst {
-            wake = wake.max(core.ready_at(d));
-        }
-        wake
+        let d = self
+            .current(i)
+            .expect("an interlocked core sits on the instruction it checked");
+        self.cores[i].operands_ready_at(d)
     }
 
     /// Event-driven fast-forward (see DESIGN.md §6 for the equivalence
@@ -2254,16 +2030,7 @@ impl Machine {
                 self.decoupled_cycles += n;
             }
         }
-        let region = self.program.cores[0]
-            .blocks
-            .get(self.cores[0].pc.0)
-            .map(|b| b.region)
-            .unwrap_or(REGION_OUTSIDE);
-        let slot = if region == REGION_OUTSIDE {
-            self.region_table.len() - 1
-        } else {
-            region as usize
-        };
+        let (_, slot) = self.master_region();
         self.attribute_region(slot, n);
         // Each skipped cycle, a running core re-fetches its current
         // instruction; unless it is the fetch itself that stalls (the
@@ -2349,20 +2116,22 @@ fn find_wait_cycle(waits: &[CoreWait]) -> Option<Vec<usize>> {
     None
 }
 
-/// The CAM tag of a SEND (optional third operand).
-fn send_tag(inst: &Inst) -> u32 {
-    match inst.srcs.get(2) {
-        Some(Operand::Imm(t)) => *t as u32,
-        _ => 0,
-    }
+/// Region-table slots a program needs: one per region id of the master
+/// core (region attribution follows it) plus the [`REGION_OUTSIDE`]
+/// sentinel at the end.
+fn region_slots(program: &MachineProgram) -> usize {
+    program.cores[0]
+        .blocks
+        .iter()
+        .map(|b| b.region)
+        .filter(|&r| r != REGION_OUTSIDE)
+        .max()
+        .map_or(0, |r| r as usize + 1)
+        + 1
 }
 
-/// The CAM tag of a RECV (optional second operand).
-fn recv_tag(inst: &Inst) -> u32 {
-    match inst.srcs.get(1) {
-        Some(Operand::Imm(t)) => *t as u32,
-        _ => 0,
-    }
+fn ran_off_end(core: usize) -> SimError {
+    SimError::Malformed(format!("core {core} ran off the end of its image"))
 }
 
 impl fmt::Debug for Machine {
@@ -2379,7 +2148,7 @@ impl fmt::Debug for Machine {
 mod tests {
     use super::*;
     use crate::mcode::{CoreImage, MBlock};
-    use voltron_ir::{DataSegment, Dir};
+    use voltron_ir::{DataSegment, Inst, Opcode, Operand};
 
     fn mk_program(core_blocks: Vec<Vec<MBlock>>, data: DataSegment) -> MachineProgram {
         MachineProgram {

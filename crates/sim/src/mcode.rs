@@ -50,8 +50,9 @@ impl CoreImage {
     /// instruction space. Instructions are 4 bytes; cores' spaces are
     /// disjoint (`core` selects a 16 MiB window).
     pub fn inst_addr(&self, core: usize, block: BlockId, index: usize) -> u64 {
-        // The simulator caches flattened offsets (`block_offsets`); this
-        // linear walk is only for tests and diagnostics.
+        // The simulator fetches through its decoded image, where the
+        // address is `base + 4 * pc` (`crate::decode`); this linear walk
+        // is only for tests and diagnostics.
         let mut off = 0u64;
         for b in &self.blocks[..block.idx()] {
             off += b.insts.len() as u64;
@@ -62,18 +63,6 @@ impl CoreImage {
     /// Base address of a core's instruction window.
     pub fn base(core: usize) -> u64 {
         0x8000_0000 + (core as u64) * 0x0100_0000
-    }
-
-    /// Flattened instruction offsets per block (for fast address
-    /// computation by the simulator).
-    pub fn block_offsets(&self) -> Vec<u64> {
-        let mut offs = Vec::with_capacity(self.blocks.len());
-        let mut off = 0u64;
-        for b in &self.blocks {
-            offs.push(off);
-            off += b.insts.len() as u64;
-        }
-        offs
     }
 
     /// Total instruction count.
@@ -90,7 +79,7 @@ impl CoreImage {
                     let c = &mut counts[d.class.index()];
                     *c = (*c).max(d.index + 1);
                 }
-                for u in i.uses() {
+                for u in i.uses_iter() {
                     let c = &mut counts[u.class.index()];
                     *c = (*c).max(u.index + 1);
                 }
@@ -215,11 +204,18 @@ mod tests {
     }
 
     #[test]
-    fn block_offsets_accumulate() {
+    fn reg_counts_cover_uses_guards_and_destinations() {
         let mut img = halt_image();
-        img.blocks.push(MBlock::new("b1", 0));
-        img.blocks[1].insts.push(Inst::new(Opcode::Halt, vec![]));
-        assert_eq!(img.block_offsets(), vec![0, 2]);
-        assert_eq!(img.inst_count(), 3);
+        img.blocks[0].insts[0] = Inst::with_dst(
+            Opcode::Fadd,
+            voltron_ir::Reg::fpr(4),
+            vec![
+                voltron_ir::Reg::fpr(1).into(),
+                voltron_ir::Reg::fpr(6).into(),
+            ],
+        )
+        .guarded(voltron_ir::Reg::pred(2));
+        assert_eq!(img.reg_counts(), [0, 7, 3, 0]);
+        assert_eq!(img.inst_count(), 2);
     }
 }

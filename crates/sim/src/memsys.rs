@@ -751,18 +751,18 @@ impl MemSys {
     }
 
     /// Advance one cycle: finish due transactions, grant the next per
-    /// bank, drain store buffers. Returns completions for the machine to
-    /// dispatch. Banks are visited in index order, so completion and
-    /// grant order is deterministic; with a single bank (snooping) this
-    /// is the old one-bus loop unchanged.
-    pub fn tick(&mut self, now: u64) -> Vec<Completion> {
-        let mut out = Vec::new();
+    /// bank, drain store buffers. Completions for the machine to dispatch
+    /// are appended to `out` — a caller-owned buffer, so the per-cycle
+    /// path reuses one allocation. Banks are visited in index order, so
+    /// completion and grant order is deterministic; with a single bank
+    /// (snooping) this is the old one-bus loop unchanged.
+    pub fn tick(&mut self, now: u64, out: &mut Vec<Completion>) {
         self.grants.clear();
         for b in 0..self.banks.len() {
             if let Some(cur) = &self.banks[b].current {
                 if now >= cur.finish {
                     let cur = self.banks[b].current.take().expect("checked above");
-                    self.complete(cur, &mut out);
+                    self.complete(cur, out);
                 }
             }
             // Infinite-bandwidth idealization: complete due overlapped
@@ -782,7 +782,7 @@ impl MemSys {
                     }
                     self.banks[b].extra = keep;
                     for f in due {
-                        self.complete(f, &mut out);
+                        self.complete(f, out);
                     }
                 }
                 while let Some(req) = self.banks[b].queue.pop_front() {
@@ -869,7 +869,6 @@ impl MemSys {
             }
         }
         self.drain_store_buffers();
-        out
     }
 
     /// Earliest future cycle at which [`MemSys::tick`] would do anything
@@ -932,10 +931,11 @@ impl MemSys {
         start: u64,
         window: u64,
     ) -> Result<(u64, Vec<Completion>), BusTimeout> {
+        let mut done = Vec::new();
         for t in start..start + window {
-            let c = self.tick(t);
-            if !c.is_empty() {
-                return Ok((t, c));
+            self.tick(t, &mut done);
+            if !done.is_empty() {
+                return Ok((t, done));
             }
         }
         Err(self.timeout_snapshot(start, window))
@@ -1091,7 +1091,7 @@ mod tests {
         let mut m = MemSys::new(&cfg);
         m.load(0, 0x1_0000, r0(), 0);
         for t in 0..5000 {
-            m.tick(t);
+            m.tick(t, &mut Vec::new());
         }
         let report = m.take_fault_failure().expect("budget must exhaust");
         assert_eq!(report.site, FaultSite::GrantLoss);
@@ -1200,7 +1200,7 @@ mod tests {
         let mut m = dir_sys(16, 4);
         assert!(m.store(0, 0x1_0000, 8));
         for t in 0..400 {
-            m.tick(t);
+            m.tick(t, &mut Vec::new());
         }
         assert_eq!(m.l1d[0].peek(0x1_0000), Some(LineState::M));
         m.load(1, 0x1_0000, r0(), 0);
@@ -1210,7 +1210,7 @@ mod tests {
         // And a third core's store invalidates both through the home bank.
         assert!(m.store(2, 0x1_0000, 8));
         for t in 1500..2500 {
-            m.tick(t);
+            m.tick(t, &mut Vec::new());
         }
         assert!(m.store_buffer_empty(2));
         assert_eq!(m.l1d[0].peek(0x1_0000), None);
@@ -1225,7 +1225,7 @@ mod tests {
             m.load(i % 16, 0x1_0000 + i as u64 * 32, r0(), 0);
         }
         for t in 0..2000 {
-            m.tick(t);
+            m.tick(t, &mut Vec::new());
         }
         let st = m.stats();
         assert_eq!(st.bank_busy_cycles.len(), 4);
@@ -1277,7 +1277,7 @@ mod tests {
         // Core 0 stores: must upgrade and invalidate core 1.
         assert!(m.store(0, 0x1_0000, 8));
         for t in 400..800 {
-            m.tick(t);
+            m.tick(t, &mut Vec::new());
         }
         assert!(m.store_buffer_empty(0));
         assert_eq!(m.l1d[1].peek(0x1_0000), None);
@@ -1289,7 +1289,7 @@ mod tests {
         let mut m = sys();
         assert!(m.store(0, 0x1_0000, 8));
         for t in 0..400 {
-            m.tick(t);
+            m.tick(t, &mut Vec::new());
         }
         assert_eq!(m.l1d[0].peek(0x1_0000), Some(LineState::M));
         // Core 1 load: supplier is core 0 (dirty), downgrading it to O.
@@ -1315,7 +1315,7 @@ mod tests {
         // lines fill the buffer.
         for i in 0..8 {
             assert!(m.store(0, 0x1_0000 + i * 64, 8), "store {i} rejected");
-            m.tick(i);
+            m.tick(i, &mut Vec::new());
         }
         assert!(!m.store(0, 0x2_0000, 8));
     }
@@ -1327,7 +1327,7 @@ mod tests {
         assert!(!m.ifetch(0, 0x8000_0004)); // same line, already pending
         let mut done = false;
         for t in 0..400 {
-            m.tick(t);
+            m.tick(t, &mut Vec::new());
             if m.ifetch(0, 0x8000_0000) {
                 done = true;
                 break;

@@ -558,7 +558,7 @@ fn dir_operand(op: Operand) -> Dir {
 }
 
 /// The CAM tag of a SEND site (optional third operand, default 0).
-fn send_tag(inst: &Inst) -> u32 {
+pub(crate) fn send_tag(inst: &Inst) -> u32 {
     match inst.srcs.get(2) {
         Some(Operand::Imm(t)) => *t as u32,
         _ => 0,
@@ -566,7 +566,7 @@ fn send_tag(inst: &Inst) -> u32 {
 }
 
 /// The CAM tag of a RECV site (optional second operand, default 0).
-fn recv_tag(inst: &Inst) -> u32 {
+pub(crate) fn recv_tag(inst: &Inst) -> u32 {
     match inst.srcs.get(1) {
         Some(Operand::Imm(t)) => *t as u32,
         _ => 0,

@@ -6,15 +6,18 @@
 //! field, the same final memory, the same stragglers — or the same
 //! typed error at the same cycle. Only `ticked_cycles` (host work) may
 //! differ. The proptest drives the same random-program generator as
-//! the validator fuzz smoke, which hits deadlocks, livelocks, send/recv
+//! the validator fuzz smoke (`common/fuzz.rs`), which hits deadlocks, livelocks, send/recv
 //! waits, mode barriers, and cycle-cap overruns — exactly the blocked
 //! shapes fast-forward skips over.
 
 use proptest::prelude::*;
-use voltron_ir::{BlockId, CmpCc, DataSegment, Dir, ExecMode, Inst, Opcode, Operand, Reg};
+use voltron_ir::{BlockId, DataSegment, Inst, Opcode, Operand, Reg};
 use voltron_sim::{
     CoreImage, MBlock, Machine, MachineConfig, MachineProgram, RunOutcome, SimError,
 };
+
+#[path = "common/fuzz.rs"]
+mod fuzz;
 
 fn gpr(i: u32) -> Reg {
     Reg::gpr(i)
@@ -196,142 +199,9 @@ fn recv_across_cold_miss_matches() {
 
 // ---------- proptest equivalence over random programs ----------
 //
-// The generator below is the validator fuzz alphabet (integration
-// tests cannot share code, so the small helpers are duplicated from
-// `tests/validate.rs`). Most generated programs wedge; the property
-// checks that the deadlock/livelock watchdogs fire at the *same cycle*
-// with fast-forward on, and that clean runs match stat for stat.
-
-#[derive(Debug, Clone)]
-enum FuzzOp {
-    Ldi(u8, i8),
-    Add(u8, u8, u8),
-    Cmp(u8, u8),
-    Send(u8, u8, u8),
-    Recv(u8, u8, u8),
-    Spawn(u8, u8),
-    Put(u8, u8),
-    Get(u8, u8),
-    Bcast(u8),
-    GetB(u8),
-    ModeSwitch(bool),
-    Jump(u8),
-    Br(u8),
-    Store(u8, u8),
-    Load(u8, u8),
-}
-
-fn fuzz_op() -> impl Strategy<Value = FuzzOp> {
-    prop_oneof![
-        (0..4u8, any::<i8>()).prop_map(|(d, v)| FuzzOp::Ldi(d, v)),
-        (0..4u8, 0..4u8, 0..4u8).prop_map(|(d, a, b)| FuzzOp::Add(d, a, b)),
-        (0..4u8, 0..4u8).prop_map(|(a, b)| FuzzOp::Cmp(a, b)),
-        (0..4u8, 0..4u8, 0..3u8).prop_map(|(v, c, t)| FuzzOp::Send(v, c, t)),
-        (0..4u8, 0..4u8, 0..3u8).prop_map(|(d, c, t)| FuzzOp::Recv(d, c, t)),
-        (0..4u8, 0..4u8).prop_map(|(c, b)| FuzzOp::Spawn(c, b)),
-        (0..4u8, 0..4u8).prop_map(|(v, d)| FuzzOp::Put(v, d)),
-        (0..4u8, 0..4u8).prop_map(|(r, d)| FuzzOp::Get(r, d)),
-        (0..4u8).prop_map(FuzzOp::Bcast),
-        (0..4u8).prop_map(FuzzOp::GetB),
-        any::<bool>().prop_map(FuzzOp::ModeSwitch),
-        (0..4u8).prop_map(FuzzOp::Jump),
-        (0..4u8).prop_map(FuzzOp::Br),
-        (0..4u8, 0..4u8).prop_map(|(a, v)| FuzzOp::Store(a, v)),
-        (0..4u8, 0..4u8).prop_map(|(d, a)| FuzzOp::Load(d, a)),
-    ]
-}
-
-const FUZZ_DIRS: [Dir; 4] = [Dir::East, Dir::West, Dir::South, Dir::North];
-
-fn lower_fuzz(ops: &[FuzzOp], base: i64) -> Vec<Inst> {
-    let mut insts = Vec::with_capacity(ops.len() + 1);
-    for op in ops {
-        let inst = match *op {
-            FuzzOp::Ldi(d, v) => {
-                Inst::with_dst(Opcode::Ldi, gpr(d as u32), vec![Operand::Imm(i64::from(v))])
-            }
-            FuzzOp::Add(d, a, b) => Inst::with_dst(
-                Opcode::Add,
-                gpr(d as u32),
-                vec![gpr(a as u32).into(), gpr(b as u32).into()],
-            ),
-            FuzzOp::Cmp(a, b) => Inst::with_dst(
-                Opcode::Cmp(CmpCc::Lt),
-                Reg::pred(0),
-                vec![gpr(a as u32).into(), gpr(b as u32).into()],
-            ),
-            FuzzOp::Send(v, c, t) => Inst::new(
-                Opcode::Send,
-                vec![
-                    gpr(v as u32).into(),
-                    Operand::Core(c),
-                    Operand::Imm(i64::from(t)),
-                ],
-            ),
-            FuzzOp::Recv(d, c, t) => Inst::with_dst(
-                Opcode::Recv,
-                gpr(d as u32),
-                vec![Operand::Core(c), Operand::Imm(i64::from(t))],
-            ),
-            FuzzOp::Spawn(c, b) => Inst::new(
-                Opcode::Spawn,
-                vec![Operand::Core(c), Operand::Block(BlockId(b as u32))],
-            ),
-            FuzzOp::Put(v, d) => Inst::new(
-                Opcode::Put,
-                vec![
-                    gpr(v as u32).into(),
-                    Operand::Dir(FUZZ_DIRS[d as usize % 4]),
-                ],
-            ),
-            FuzzOp::Get(r, d) => Inst::with_dst(
-                Opcode::Get,
-                gpr(r as u32),
-                vec![Operand::Dir(FUZZ_DIRS[d as usize % 4])],
-            ),
-            FuzzOp::Bcast(v) => Inst::new(Opcode::Bcast, vec![gpr(v as u32).into()]),
-            FuzzOp::GetB(d) => Inst::with_dst(Opcode::GetB, gpr(d as u32), vec![]),
-            FuzzOp::ModeSwitch(coupled) => Inst::new(
-                Opcode::ModeSwitch,
-                vec![Operand::Mode(if coupled {
-                    ExecMode::Coupled
-                } else {
-                    ExecMode::Decoupled
-                })],
-            ),
-            FuzzOp::Jump(b) => Inst::new(Opcode::Jump, vec![Operand::Block(BlockId(b as u32))]),
-            FuzzOp::Br(b) => Inst::new(
-                Opcode::Br,
-                vec![Operand::Block(BlockId(b as u32)), Reg::pred(0).into()],
-            ),
-            FuzzOp::Store(a, v) => {
-                insts.push(Inst::with_dst(
-                    Opcode::Ldi,
-                    gpr(3),
-                    vec![Operand::Imm(base + i64::from(a) * 8)],
-                ));
-                Inst::new(
-                    Opcode::Store(voltron_ir::MemWidth::W8),
-                    vec![gpr(3).into(), Operand::Imm(0), gpr(v as u32).into()],
-                )
-            }
-            FuzzOp::Load(d, a) => {
-                insts.push(Inst::with_dst(
-                    Opcode::Ldi,
-                    gpr(3),
-                    vec![Operand::Imm(base + i64::from(a) * 8)],
-                ));
-                Inst::with_dst(
-                    Opcode::Load(voltron_ir::MemWidth::W8, voltron_ir::Signedness::Signed),
-                    gpr(d as u32),
-                    vec![gpr(3).into(), Operand::Imm(0)],
-                )
-            }
-        };
-        insts.push(inst);
-    }
-    insts
-}
+// Most generated programs wedge; the property checks that the
+// deadlock/livelock watchdogs fire at the *same cycle* with fast-forward
+// on, and that clean runs match stat for stat.
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -345,26 +215,11 @@ proptest! {
     /// cycle off shows up as a text diff here).
     #[test]
     fn fast_forward_is_invisible(
-        main_ops in proptest::collection::vec(fuzz_op(), 0..12),
-        spin_ops in proptest::collection::vec(fuzz_op(), 0..8),
-        worker_ops in proptest::collection::vec(fuzz_op(), 0..8),
+        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
+        spin_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
+        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
     ) {
-        let mut data = DataSegment::default();
-        let base = data.zeroed("buf", 64) as i64;
-        let mut c0 = MBlock::new("main", 0);
-        c0.insts = lower_fuzz(&main_ops, base);
-        c0.insts.push(Inst::new(Opcode::Halt, vec![]));
-        let mut c0b = MBlock::new("spin", 1);
-        c0b.insts = lower_fuzz(&spin_ops, base);
-        c0b.insts.push(Inst::new(Opcode::Halt, vec![]));
-        let mut w = MBlock::new("worker", 0);
-        w.insts = lower_fuzz(&worker_ops, base);
-        w.insts.push(Inst::new(Opcode::Sleep, vec![]));
-        let p = program(vec![vec![c0, c0b], vec![sleep_stub(), w]], data);
-        let mut cfg = MachineConfig::paper(2);
-        cfg.watchdogs.deadlock_window = 500;
-        cfg.watchdogs.livelock_window = 2_000;
-        cfg.max_cycles = 20_000;
+        let (p, cfg) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
         match (run_with(&p, &cfg, false), run_with(&p, &cfg, true)) {
             (Ok(off), Ok(on)) => assert_equivalent(&off, &on),
             (Err(off), Err(on)) => prop_assert_eq!(
@@ -384,22 +239,10 @@ proptest! {
     /// for sample.
     #[test]
     fn probe_series_is_fast_forward_invariant(
-        main_ops in proptest::collection::vec(fuzz_op(), 0..12),
-        worker_ops in proptest::collection::vec(fuzz_op(), 0..8),
+        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
+        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
     ) {
-        let mut data = DataSegment::default();
-        let base = data.zeroed("buf", 64) as i64;
-        let mut c0 = MBlock::new("main", 0);
-        c0.insts = lower_fuzz(&main_ops, base);
-        c0.insts.push(Inst::new(Opcode::Halt, vec![]));
-        let mut w = MBlock::new("worker", 0);
-        w.insts = lower_fuzz(&worker_ops, base);
-        w.insts.push(Inst::new(Opcode::Sleep, vec![]));
-        let p = program(vec![vec![c0], vec![sleep_stub(), w]], data);
-        let mut cfg = MachineConfig::paper(2);
-        cfg.watchdogs.deadlock_window = 500;
-        cfg.watchdogs.livelock_window = 2_000;
-        cfg.max_cycles = 20_000;
+        let (p, mut cfg) = fuzz::two_core_case(&main_ops, &[], &worker_ops);
         cfg.probe_period = Some(7);
         match (run_with(&p, &cfg, false), run_with(&p, &cfg, true)) {
             (Ok(off), Ok(on)) => {

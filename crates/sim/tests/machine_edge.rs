@@ -382,3 +382,334 @@ fn empty_branch_target_blocks_are_skipped() {
         .unwrap();
     assert_eq!(outcome.memory.load_i64(out).unwrap(), 9);
 }
+
+// ---------- the flat program counter (DESIGN.md §13) ----------
+
+fn halt() -> Inst {
+    Inst::new(Opcode::Halt, vec![])
+}
+
+fn ldi(r: u32, v: i64) -> Inst {
+    Inst::with_dst(Opcode::Ldi, gpr(r), vec![Operand::Imm(v)])
+}
+
+fn store(base: u32, val: u32) -> Inst {
+    Inst::new(
+        Opcode::Store(MemWidth::W8),
+        vec![gpr(base).into(), Operand::Imm(0), gpr(val).into()],
+    )
+}
+
+fn false_pred(p: u32) -> Inst {
+    Inst::with_dst(
+        Opcode::Cmp(voltron_ir::CmpCc::Eq),
+        Reg::pred(p),
+        vec![Operand::Imm(1), Operand::Imm(2)],
+    )
+}
+
+fn sleep_stub() -> MBlock {
+    let mut b = MBlock::new("idle", 0);
+    b.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    b
+}
+
+fn expect_off_end(p: MachineProgram, cores: usize, core: usize) {
+    match Machine::new(p, &MachineConfig::paper(cores)).unwrap().run() {
+        Err(SimError::Malformed(m)) => {
+            assert_eq!(m, format!("core {core} ran off the end of its image"));
+        }
+        other => panic!("expected the off-the-end error, got {other:?}"),
+    }
+}
+
+/// `MachineProgram::check` refuses an image whose last block is empty or
+/// falls through, so the one way to *fall* off the end is a nullified
+/// terminator in the last slot.
+#[test]
+fn nullified_final_terminator_runs_off_the_end() {
+    let mut data = DataSegment::default();
+    data.zeroed("pad", 8);
+    let mut b = MBlock::new("entry", 0);
+    b.insts.push(false_pred(0));
+    b.insts.push(halt().guarded(Reg::pred(0)));
+    expect_off_end(program(vec![vec![b]], data), 1, 0);
+}
+
+/// ...and the one way to *branch* off the end is a block id that is valid
+/// where it was prepared but not where it is used: core 0 sends `bb2` of
+/// its own image to core 1, whose image has two blocks.
+#[test]
+fn indirect_branch_past_the_image_runs_off_the_end() {
+    let mut data = DataSegment::default();
+    data.zeroed("pad", 8);
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    c0.insts.push(Inst::with_dst(
+        Opcode::Pbr,
+        Reg::btr(0),
+        vec![Operand::Block(BlockId(2))],
+    ));
+    c0.insts.push(Inst::new(
+        Opcode::Send,
+        vec![Reg::btr(0).into(), Operand::Core(1)],
+    ));
+    c0.insts
+        .push(Inst::with_dst(Opcode::Recv, gpr(0), vec![Operand::Core(1)]));
+    c0.insts.push(halt());
+    let mut pad = MBlock::new("pad", 0);
+    pad.insts.push(halt());
+    let mut w = MBlock::new("worker", 0);
+    w.insts.push(Inst::with_dst(
+        Opcode::Recv,
+        Reg::btr(0),
+        vec![Operand::Core(0)],
+    ));
+    w.insts
+        .push(Inst::new(Opcode::Jump, vec![Reg::btr(0).into()]));
+    // Unreachable, but gives core 0's RECV its SEND site.
+    w.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(0).into(), Operand::Core(0)],
+    ));
+    w.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(
+        vec![vec![c0, pad.clone(), pad], vec![sleep_stub(), w]],
+        data,
+    );
+    expect_off_end(p, 2, 1);
+}
+
+/// A BTR-indirect jump and a `SPAWN` both name an empty block; each must
+/// land on the first instruction after it.
+#[test]
+fn indirect_branch_and_spawn_land_past_empty_blocks() {
+    let mut data = DataSegment::default();
+    let out = data.zeroed("out", 16);
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    c0.insts.push(Inst::with_dst(
+        Opcode::Pbr,
+        Reg::btr(0),
+        vec![Operand::Block(BlockId(2))],
+    ));
+    c0.insts
+        .push(Inst::new(Opcode::Jump, vec![Reg::btr(0).into()]));
+    let mut skipped = MBlock::new("skipped", 0);
+    skipped.insts.push(ldi(5, 666));
+    skipped.insts.push(halt());
+    let mut work = MBlock::new("work", 0);
+    work.insts.push(ldi(0, out as i64));
+    work.insts.push(ldi(1, 9));
+    work.insts.push(store(0, 1));
+    work.insts
+        .push(Inst::with_dst(Opcode::Recv, gpr(2), vec![Operand::Core(1)]));
+    work.insts.push(ldi(3, out as i64 + 8));
+    work.insts.push(store(3, 2));
+    work.insts.push(halt());
+    let mut w = MBlock::new("worker", 0);
+    w.insts.push(ldi(0, 33));
+    w.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(0).into(), Operand::Core(0)],
+    ));
+    w.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(
+        vec![
+            vec![
+                c0,
+                skipped,
+                MBlock::new("e0", 0),
+                MBlock::new("e1", 0),
+                work,
+            ],
+            vec![sleep_stub(), MBlock::new("e", 0), w],
+        ],
+        data,
+    );
+    let outcome = Machine::new(p, &MachineConfig::paper(2))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(outcome.memory.load_i64(out).unwrap(), 9);
+    assert_eq!(outcome.memory.load_i64(out + 8).unwrap(), 33);
+    assert_eq!(outcome.stats.spawns, 1);
+}
+
+/// A nullified `BR` falls through even though its predicate is true.
+#[test]
+fn guarded_false_branch_falls_through() {
+    let mut data = DataSegment::default();
+    let out = data.zeroed("out", 8);
+    let mut b0 = MBlock::new("entry", 0);
+    b0.insts.push(false_pred(0));
+    b0.insts.push(Inst::with_dst(
+        Opcode::Cmp(voltron_ir::CmpCc::Eq),
+        Reg::pred(1),
+        vec![Operand::Imm(1), Operand::Imm(1)],
+    ));
+    b0.insts.push(
+        Inst::new(
+            Opcode::Br,
+            vec![Operand::Block(BlockId(2)), Reg::pred(1).into()],
+        )
+        .guarded(Reg::pred(0)),
+    );
+    let mut fall = MBlock::new("fallthrough", 0);
+    fall.insts.push(ldi(0, out as i64));
+    fall.insts.push(ldi(1, 5));
+    fall.insts.push(store(0, 1));
+    fall.insts.push(halt());
+    let mut taken = MBlock::new("taken", 0);
+    taken.insts.push(halt());
+    let outcome = Machine::new(
+        program(vec![vec![b0, fall, taken]], data),
+        &MachineConfig::paper(1),
+    )
+    .unwrap()
+    .run()
+    .unwrap();
+    assert_eq!(outcome.memory.load_i64(out).unwrap(), 5);
+}
+
+/// An explicit `XABORT` that fires exactly once: the abort decision comes
+/// off the network, which a rollback does not rewind. The `XBEGIN` sits
+/// mid-block behind an empty block, so the restored program counter is
+/// neither a block start nor equal to its slot number; the
+/// non-transactional counter bumped just before it proves the retry
+/// resumed *at* the `XBEGIN`, and the register bumped inside proves the
+/// register file was rolled back.
+#[test]
+fn explicit_xabort_restores_a_mid_block_pc_once() {
+    let mut data = DataSegment::default();
+    let out = data.zeroed("out", 16);
+    let cnt = out + 8;
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    let mut body = MBlock::new("body", 0);
+    // cnt += 1, outside the transaction.
+    body.insts.push(ldi(0, cnt as i64));
+    body.insts.push(Inst::with_dst(
+        Opcode::Load(MemWidth::W8, voltron_ir::Signedness::Signed),
+        gpr(1),
+        vec![gpr(0).into(), Operand::Imm(0)],
+    ));
+    body.insts.push(Inst::with_dst(
+        Opcode::Add,
+        gpr(1),
+        vec![gpr(1).into(), Operand::Imm(1)],
+    ));
+    body.insts.push(store(0, 1));
+    body.insts.push(ldi(6, 10));
+    body.insts
+        .push(Inst::new(Opcode::Xbegin, vec![Operand::Imm(0)]));
+    body.insts.push(Inst::with_dst(
+        Opcode::Add,
+        gpr(6),
+        vec![gpr(6).into(), Operand::Imm(1)],
+    ));
+    body.insts.push(Inst::with_dst(
+        Opcode::Recv,
+        Reg::pred(0),
+        vec![Operand::Core(1)],
+    ));
+    body.insts
+        .push(Inst::new(Opcode::Xabort, vec![]).guarded(Reg::pred(0)));
+    body.insts.push(ldi(2, out as i64));
+    body.insts.push(store(2, 6));
+    body.insts.push(Inst::new(Opcode::Xcommit, vec![]));
+    body.insts.push(halt());
+    // Core 1: "abort" (true), then "go on" (false).
+    let mut w = MBlock::new("worker", 0);
+    for verdict in [1, 2] {
+        w.insts.push(Inst::with_dst(
+            Opcode::Cmp(voltron_ir::CmpCc::Eq),
+            Reg::pred(0),
+            vec![Operand::Imm(1), Operand::Imm(verdict)],
+        ));
+        w.insts.push(Inst::new(
+            Opcode::Send,
+            vec![Reg::pred(0).into(), Operand::Core(0)],
+        ));
+    }
+    w.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(
+        vec![
+            vec![c0, MBlock::new("empty", 0), body],
+            vec![sleep_stub(), w],
+        ],
+        data,
+    );
+    let outcome = Machine::new(p, &MachineConfig::paper(2))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(outcome.stats.tm.aborts, 1);
+    assert_eq!(outcome.stats.tm.commits, 1);
+    assert_eq!(
+        outcome.memory.load_i64(cnt).unwrap(),
+        1,
+        "pre-XBEGIN code reran"
+    );
+    assert_eq!(
+        outcome.memory.load_i64(out).unwrap(),
+        11,
+        "registers not rolled back"
+    );
+}
+
+/// The decoded image is built by the first tick, survives a reset onto
+/// the same `Arc`, and is rebuilt — never reused — for a different image.
+#[test]
+fn reset_keeps_the_decoded_image_only_for_the_same_arc() {
+    use std::sync::Arc;
+    use voltron_sim::decode::DecodedProgram;
+    let image = |value: i64, pad: usize| {
+        let mut data = DataSegment::default();
+        let out = data.zeroed("out", 8);
+        let mut b = MBlock::new("entry", 0);
+        b.insts.extend((0..pad).map(|_| Inst::nop()));
+        b.insts.push(ldi(0, out as i64));
+        b.insts.push(ldi(pad as u32 + 1, value));
+        b.insts.push(store(0, pad as u32 + 1));
+        b.insts.push(halt());
+        (Arc::new(program(vec![vec![b]], data)), out)
+    };
+    let cfg = MachineConfig::paper(1);
+    let (a, out_a) = image(7, 0);
+    let (b, out_b) = image(8, 3);
+
+    let mut m = Machine::new_shared(Arc::clone(&a), &cfg).unwrap();
+    assert!(m.decoded().cores.is_empty(), "boot must not decode");
+    let first = m.run_mut().unwrap();
+    assert_eq!(first.memory.load_i64(out_a).unwrap(), 7);
+    assert_eq!(*m.decoded(), DecodedProgram::new(&a));
+    let kept = m.decoded().cores[0].insts.as_ptr();
+
+    m.reset(Arc::clone(&a), &cfg).unwrap();
+    assert_eq!(
+        m.decoded().cores[0].insts.as_ptr(),
+        kept,
+        "same Arc re-decoded"
+    );
+    let again = m.run_mut().unwrap();
+    assert_eq!(again.stats, first.stats);
+    assert_eq!(again.memory, first.memory);
+
+    m.reset(Arc::clone(&b), &cfg).unwrap();
+    assert!(m.decoded().cores.is_empty(), "stale decoded image kept");
+    let other = m.run_mut().unwrap();
+    assert_eq!(other.memory.load_i64(out_b).unwrap(), 8);
+    assert_eq!(*m.decoded(), DecodedProgram::new(&b));
+    let fresh = Machine::new_shared(b, &cfg).unwrap().run().unwrap();
+    assert_eq!(other.stats, fresh.stats);
+}

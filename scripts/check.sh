@@ -17,6 +17,8 @@ echo "== validator self-check: seeded-broken-program corpus"
 cargo test --release -q -p voltron-sim --test validate
 
 echo "== tier-1: release build + tests"
+# Includes tests/sim_engine.rs, which pulls in the simulator-engine suites
+# of crates/sim/tests (fast-forward, reset, machine edge cases, decode).
 cargo build --release
 cargo test -q
 
@@ -81,13 +83,14 @@ echo "== serve smoke: stdin burst, result cache, one-shot fingerprint equality"
 # one-shot path (same BENCH_bench_one.json the bench_diff gate just
 # regenerated), absorb an identical repeat from its result cache, and
 # survive faulted and what-if requests on the same connection
-# (DESIGN.md §12).
+# (DESIGN.md §12). One worker, so the burst is served in order: with two,
+# the identical requests 1 and 2 run concurrently and both miss.
 printf '%s\n' \
     '{"id":1,"workload":"164.gzip","strategy":"hybrid","cores":4}' \
     '{"id":2,"workload":"164.gzip","strategy":"hybrid","cores":4}' \
     '{"id":3,"workload":"164.gzip","strategy":"hybrid","cores":4,"faults":"seed=7,rate=0.002"}' \
     '{"id":4,"workload":"164.gzip","strategy":"hybrid","cores":4,"whatif":true}' \
-    | cargo run --release -q -p voltron-bench --bin serve -- --stdin \
+    | cargo run --release -q -p voltron-bench --bin serve -- --stdin --workers 1 \
     > target/smoke/serve.ndjson
 if grep -q '"ok":0' target/smoke/serve.ndjson; then
     echo "serve smoke returned an error row:" >&2
@@ -150,5 +153,14 @@ CYCLE_GOLDEN_OBS=1 CYCLE_GOLDEN_FF=off cargo test --release -q --test cycle_gold
 
 echo "== workspace tests (release)"
 cargo test --workspace --release -q
+
+echo "== benchmark package: its own tests + one quick pass per workload"
+# The pipeline measures every change with benchmark/ (BENCHMARK.json);
+# it is a package of its own, so nothing above builds it. Output
+# verification only -- per-pass digests, golden checks, staged-vs-direct
+# cycle equality -- no timing gate: a simulator change that breaks the
+# benchmark's correctness checks is caught here, not after the fact.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --quick > /dev/null
 
 echo "all checks passed"
