@@ -229,7 +229,7 @@ pub struct MachineConfig {
     /// [`crate::machine::RunOutcome::probes`]). `None` (the default)
     /// records nothing and costs one branch per tick. The sampled series
     /// is bit-identical with `fast_forward` on or off: skipped spans are
-    /// split at period boundaries and bulk-filled (see DESIGN.md §8).
+    /// sampled at every period boundary they cross (see DESIGN.md §8).
     pub probe_period: Option<u64>,
     /// Deterministic fault injection plan. `None` (the default) disables
     /// the fault layer entirely: no RNG is built, no opportunity is

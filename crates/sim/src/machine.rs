@@ -15,7 +15,7 @@ use crate::decode::{
 use crate::fault::{FaultBudgetReport, FaultKind, FaultSite, FaultStats, SiteInjector};
 use crate::mcode::{MachineProgram, RegionId, REGION_OUTSIDE};
 use crate::memsys::{Completion, LoadOutcome, MemSys};
-use crate::network::{OperandNetwork, Payload};
+use crate::network::{bits, OperandNetwork, Payload};
 use crate::obs::{ProbeSample, ProbeSeries};
 use crate::stats::{CoreStats, MachineStats, RegionBreakdown, StallReason};
 use crate::tm::TxnManager;
@@ -385,6 +385,10 @@ impl Core {
     }
 }
 
+/// What a core does in one cycle. Doubles as the accounting bucket the
+/// cycle is charged to (see [`Machine::charge`]): in a coupled tick whose
+/// stall bus is raised, members without a stall of their own are charged
+/// `Stall` with the group's reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
     Issue,
@@ -415,22 +419,34 @@ pub struct Machine {
     last_arch_change: u64,
     core_stats: Vec<CoreStats>,
     /// Per-region attribution table, indexed by region id with the last
-    /// slot standing in for [`REGION_OUTSIDE`]; flat so the per-cycle
-    /// attribution in [`Machine::tick`] is indexed adds (the maps the
-    /// stats report comes out of are built once at the end of `run`).
+    /// slot standing in for [`REGION_OUTSIDE`]; flat so attribution is
+    /// indexed adds (the maps the stats report comes out of are built
+    /// once at the end of `run`).
     region_table: Vec<RegionBreakdown>,
-    /// The coupled stall bus of the last executed tick: the group-wide
-    /// stall reason, if any running member stalled (always `None` in
-    /// decoupled mode). Cached for region attribution and span tracing.
-    group_stall: Option<StallReason>,
+    /// Core sets by state, one bit per core (halted cores are in none).
+    /// Written only by [`Machine::set_state`].
+    running: u64,
+    idle: u64,
+    at_switch: u64,
+    wait_bus: u64,
+    /// Cores whose state changed since their decision was last evaluated.
+    dirty: u64,
+    /// Run-length accounting: the bucket each core's cycles are being
+    /// charged to and the first cycle of that run not yet charged.
+    runs: Vec<(Decision, u64)>,
+    /// Region-table slot open runs are charged to (the master's region as
+    /// of the last executed tick).
+    cur_slot: usize,
+    /// First cycle whose region and mode cycle counts are not yet charged.
+    span_since: u64,
     coupled_cycles: u64,
     decoupled_cycles: u64,
     spawns: u64,
     mode_switches: u64,
     dynamic_insts: u64,
     tracer: Option<Box<dyn Tracer>>,
-    /// Per-core issue decisions, reused across ticks to keep the cycle
-    /// loop allocation-free.
+    /// Per-core issue decisions, persistent across ticks: a parked core
+    /// (see [`Machine::tick`]) keeps the decision it was last given.
     decisions: Vec<Decision>,
     /// Memory-system completions of the current tick, reused likewise.
     completions: Vec<Completion>,
@@ -505,20 +521,12 @@ impl Machine {
         program: Arc<MachineProgram>,
         cfg: &MachineConfig,
     ) -> Result<Machine, SimError> {
-        if program.cores.len() != cfg.cores {
-            return Err(SimError::Malformed(format!(
-                "program compiled for {} cores, machine has {}",
-                program.cores.len(),
-                cfg.cores
-            )));
-        }
+        check_shape(&program, cfg)?;
         program.check().map_err(SimError::Malformed)?;
         program.validate(cfg)?;
         cfg.watchdogs.validate().map_err(SimError::Malformed)?;
         let memory = Memory::from_data(&program.data);
         let n = cfg.cores;
-        let mut cores: Vec<Core> = (0..n).map(|_| Core::default()).collect();
-        cores[0].state = CoreState::Running;
         let region_slots = region_slots(&program);
         // The "zero TM conflict aborts" idealization swaps the conflict
         // predicate for value-based detection (crate::tm), which spares
@@ -526,10 +534,10 @@ impl Machine {
         // memory stays correct under every knob.
         let mut tm = TxnManager::new(n, cfg.line_size);
         tm.set_value_conflicts(cfg.ideal.zero_tm_conflicts);
-        Ok(Machine {
+        let mut m = Machine {
             program,
             decoded: DecodedProgram::default(),
-            cores,
+            cores: (0..n).map(|_| Core::default()).collect(),
             memsys: MemSys::new(cfg),
             net: OperandNetwork::new(cfg),
             tm,
@@ -540,7 +548,14 @@ impl Machine {
             last_arch_change: 0,
             core_stats: vec![CoreStats::default(); n],
             region_table: vec![RegionBreakdown::default(); region_slots],
-            group_stall: None,
+            running: 0,
+            idle: 0,
+            at_switch: 0,
+            wait_bus: 0,
+            dirty: 0,
+            runs: Vec::with_capacity(n),
+            cur_slot: 0,
+            span_since: 0,
             coupled_cycles: 0,
             decoupled_cycles: 0,
             spawns: 0,
@@ -565,7 +580,63 @@ impl Machine {
             tm_begin_cycle: vec![0; n],
             tm_wasted: 0,
             cfg: cfg.clone(),
-        })
+        };
+        m.boot_cores();
+        Ok(m)
+    }
+
+    /// Boot state of the core sets and the accounting runs: every core
+    /// idle but the running master, every decision due for evaluation,
+    /// nothing charged yet.
+    fn boot_cores(&mut self) {
+        let n = self.cores.len();
+        self.idle = self.all_cores();
+        (self.running, self.at_switch, self.wait_bus) = (0, 0, 0);
+        self.set_state(0, CoreState::Running);
+        self.dirty = self.all_cores();
+        self.decisions.clear();
+        self.decisions.resize(n, Decision::Quiet);
+        self.runs.clear();
+        self.runs.resize(n, (Decision::Quiet, 0));
+        self.cur_slot = 0;
+        self.span_since = 0;
+    }
+
+    /// The single writer of a core's state: keeps the per-state core sets
+    /// in step and queues the core for re-evaluation.
+    fn set_state(&mut self, i: usize, state: CoreState) {
+        let bit = 1u64 << i;
+        for set in [
+            &mut self.running,
+            &mut self.idle,
+            &mut self.at_switch,
+            &mut self.wait_bus,
+        ] {
+            *set &= !bit;
+        }
+        match state {
+            CoreState::Running => self.running |= bit,
+            CoreState::Idle => self.idle |= bit,
+            CoreState::AtSwitch(_) => self.at_switch |= bit,
+            CoreState::WaitBus => self.wait_bus |= bit,
+            CoreState::Halted => {}
+        }
+        self.dirty |= bit;
+        self.cores[i].state = state;
+    }
+
+    /// The set of all cores.
+    fn all_cores(&self) -> u64 {
+        u64::MAX >> (64 - self.cores.len())
+    }
+
+    /// The cores that are neither halted nor idle.
+    fn active_cores(&self) -> u64 {
+        self.running | self.at_switch | self.wait_bus
+    }
+
+    fn anyone_active(&self) -> bool {
+        self.active_cores() != 0
     }
 
     /// Return the machine to the state [`Machine::new_shared`] would
@@ -587,13 +658,7 @@ impl Machine {
         program: Arc<MachineProgram>,
         cfg: &MachineConfig,
     ) -> Result<(), SimError> {
-        if program.cores.len() != cfg.cores {
-            return Err(SimError::Malformed(format!(
-                "program compiled for {} cores, machine has {}",
-                program.cores.len(),
-                cfg.cores
-            )));
-        }
+        check_shape(&program, cfg)?;
         let same_program = Arc::ptr_eq(&self.program, &program);
         if !same_program || self.cfg != *cfg {
             program.check().map_err(SimError::Malformed)?;
@@ -609,7 +674,7 @@ impl Machine {
         for (i, c) in self.cores.iter_mut().enumerate() {
             c.reset(self.decoded.cores.get(i));
         }
-        self.cores[0].state = CoreState::Running;
+        self.boot_cores();
         let region_slots = if same_program {
             self.region_table.len()
         } else {
@@ -628,14 +693,12 @@ impl Machine {
         self.region_table.clear();
         self.region_table
             .resize(region_slots, RegionBreakdown::default());
-        self.group_stall = None;
         self.coupled_cycles = 0;
         self.decoupled_cycles = 0;
         self.spawns = 0;
         self.mode_switches = 0;
         self.dynamic_insts = 0;
         self.tracer = None;
-        self.decisions.clear();
         self.completions.clear();
         self.ticked = 0;
         self.ff_eligible = false;
@@ -724,26 +787,16 @@ impl Machine {
         // and is short enough that it is never worth fast-forwarding.
         let exec_cycles = self.cycle;
         let mut grace = 0u32;
-        while grace < 2_000
-            && self
-                .cores
-                .iter()
-                .any(|c| !matches!(c.state, CoreState::Halted | CoreState::Idle))
-        {
+        while grace < 2_000 && self.anyone_active() {
             if self.cycle >= self.cfg.max_cycles {
                 return Err(SimError::MaxCycles(self.cfg.max_cycles));
             }
             self.tick()?;
             grace += 1;
         }
+        self.flush(self.cycle);
         self.cycle = exec_cycles;
-        let stragglers: Vec<usize> = self
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !matches!(c.state, CoreState::Halted | CoreState::Idle))
-            .map(|(i, _)| i)
-            .collect();
+        let stragglers: Vec<usize> = bits(self.active_cores()).collect();
         let outside_slot = self.region_table.len() - 1;
         let slot_region = |slot: usize| {
             if slot == outside_slot {
@@ -993,16 +1046,18 @@ impl Machine {
             }
         }
         let m = target.expect("at least one core");
+        let cyc = self.cycle;
+        // Cycles before this one were spent in the old mode.
+        self.flush(cyc);
         self.mode = m;
         self.mode_switches += 1;
-        self.last_arch_change = self.cycle;
-        let cyc = self.cycle;
+        self.last_arch_change = cyc;
         self.trace(TraceEvent::ModeSwitch {
             cycle: cyc,
             mode: m,
         });
         for i in 0..self.cores.len() {
-            self.cores[i].state = CoreState::Running;
+            self.set_state(i, CoreState::Running);
             self.advance_pc(i)?;
         }
         Ok(())
@@ -1031,7 +1086,7 @@ impl Machine {
                 };
                 // An injected fetch hiccup blocks the front end before it
                 // reaches the I-cache (no L1I access is made, matching the
-                // pending-fill behaviour `account_blocked` assumes for
+                // pending-fill behaviour `fast_forward` assumes for
                 // `Stall(IFetch)` cores).
                 if now < self.fetch_block[i] || !self.memsys.ifetch(i, image.fetch_addr(core.pc)) {
                     return Ok(Decision::Stall(StallReason::IFetch));
@@ -1103,7 +1158,7 @@ impl Machine {
         core.clear_scoreboard();
         core.pending_load = false;
         core.epoch += 1;
-        core.state = CoreState::Running;
+        self.set_state(i, CoreState::Running);
     }
 
     /// Execute a load's functional read (through the TM when live).
@@ -1292,7 +1347,7 @@ impl Machine {
                 }
             }
             DOp::Halt => {
-                self.cores[i].state = CoreState::Halted;
+                self.set_state(i, CoreState::Halted);
                 self.trace(TraceEvent::Halt {
                     cycle: now,
                     core: i,
@@ -1300,11 +1355,11 @@ impl Machine {
                 return Ok(());
             }
             DOp::Sleep => {
-                self.cores[i].state = CoreState::Idle;
+                self.set_state(i, CoreState::Idle);
                 return Ok(());
             }
             DOp::ModeSwitch(m) => {
-                self.cores[i].state = CoreState::AtSwitch(m);
+                self.set_state(i, CoreState::AtSwitch(m));
                 self.trace(TraceEvent::BarrierWait {
                     cycle: now,
                     core: i,
@@ -1470,7 +1525,7 @@ impl Machine {
                 }
                 if !lines.is_empty() {
                     self.memsys.enqueue_tm_commit(i, lines);
-                    self.cores[i].state = CoreState::WaitBus;
+                    self.set_state(i, CoreState::WaitBus);
                 }
             }
             DOp::Xabort => {
@@ -1519,7 +1574,7 @@ impl Machine {
             }
             Completion::TmCommitDone { core } => {
                 if self.cores[core].state == CoreState::WaitBus {
-                    self.cores[core].state = CoreState::Running;
+                    self.set_state(core, CoreState::Running);
                 }
             }
         }
@@ -1586,133 +1641,105 @@ impl Machine {
         }
         self.try_mode_switch()?;
 
-        let n = self.cfg.cores;
-        // Reuse the decision buffer across ticks (taken out of `self` so
-        // filling it can call `check_core(&mut self)`).
-        let mut decisions = std::mem::take(&mut self.decisions);
-        decisions.clear();
-        for i in 0..n {
-            decisions.push(self.check_core(i)?);
-        }
-        let mut progress = false;
-
-        match self.mode {
-            ExecMode::Coupled => {
-                // The stall bus: any *running* member's stall stalls the
-                // group. Cores already waiting at the mode-switch barrier
-                // (or on a bus broadcast) no longer gate lock-step issue —
-                // otherwise a one-slot schedule misalignment at a region
-                // exit would wedge the whole group.
-                let group_stall = (0..n).find_map(|i| match decisions[i] {
-                    Decision::Stall(r) if self.cores[i].state == CoreState::Running => Some(r),
-                    _ => None,
-                });
-                self.group_stall = group_stall;
-                match group_stall {
-                    Some(r) => {
-                        for (i, d) in decisions.iter().enumerate() {
-                            match d {
-                                Decision::Stall(own) => self.core_stats[i].stall(*own),
-                                _ => self.core_stats[i].stall(r),
-                            }
-                        }
-                    }
-                    None => {
-                        for (i, d) in decisions.iter().enumerate() {
-                            match d {
-                                Decision::Issue => {
-                                    self.exec_core(i)?;
-                                    progress = true;
-                                }
-                                Decision::Stall(own) => self.core_stats[i].stall(*own),
-                                Decision::Quiet => {
-                                    // A halted/idle core in coupled mode is
-                                    // a compiler bug; the deadlock detector
-                                    // will flag the hang if the group never
-                                    // re-forms.
-                                    self.core_stats[i].idle += 1;
-                                }
-                                // Spawns only start in decoupled mode; a
-                                // pending one here waits (no progress), but
-                                // the cycle still needs a bucket for the
-                                // CPI-stack exact sum. `account_blocked`
-                                // replays this arm identically.
-                                Decision::StartThread => {
-                                    self.core_stats[i].spawn_starts += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                self.coupled_cycles += 1;
-            }
+        // Only cores whose decision can differ from the one they hold are
+        // evaluated. A decoupled core that is halted, asleep with no spawn
+        // buffered, or parked at a barrier or commit broadcast keeps its
+        // `Quiet` / `Stall(Sync)` until a state change marks it dirty or a
+        // spawn lands in its CAM. Coupled ticks evaluate every core: the
+        // stall bus couples their buckets, and a mode switch (which needs
+        // every core at the barrier) therefore never straddles a parked
+        // one. Ascending bit order is core order, which is issue order.
+        let active = match self.mode {
+            ExecMode::Coupled => self.all_cores(),
             ExecMode::Decoupled => {
-                self.group_stall = None;
-                for (i, d) in decisions.iter().enumerate() {
-                    match d {
-                        Decision::Issue => {
-                            self.exec_core(i)?;
-                            progress = true;
-                        }
-                        Decision::Stall(r) => self.core_stats[i].stall(*r),
-                        Decision::StartThread => {
-                            let (_, blk) = self
-                                .net
-                                .take_spawn(i, now)
-                                .expect("has_spawn checked in decision phase");
-                            self.cores[i].pc = self.decoded.cores[i].entry(blk);
-                            self.cores[i].state = CoreState::Running;
-                            self.core_stats[i].spawn_starts += 1;
-                            self.spawns += 1;
-                            self.last_arch_change = now;
-                            self.trace(TraceEvent::ThreadStart {
-                                cycle: now,
-                                core: i,
-                                block: blk.idx(),
-                            });
-                            progress = true;
-                        }
-                        Decision::Quiet => self.core_stats[i].idle += 1,
-                    }
+                self.running | (self.idle & self.net.spawn_pending()) | self.dirty
+            }
+        };
+        self.dirty = 0;
+        for i in bits(active) {
+            self.decisions[i] = self.check_core(i)?;
+        }
+        // The coupled stall bus: any *running* member's stall stalls the
+        // group. Cores already waiting at the mode-switch barrier (or on
+        // a bus broadcast) no longer gate lock-step issue — otherwise a
+        // one-slot schedule misalignment at a region exit would wedge the
+        // whole group.
+        let group_stall = match self.mode {
+            ExecMode::Coupled => bits(self.running).find_map(|i| match self.decisions[i] {
+                Decision::Stall(r) => Some(r),
+                _ => None,
+            }),
+            ExecMode::Decoupled => None,
+        };
+        let mut progress = false;
+        for i in bits(active) {
+            let d = match (group_stall, self.decisions[i]) {
+                (Some(_), own @ Decision::Stall(_)) => own,
+                (Some(r), _) => Decision::Stall(r),
+                (None, d) => d,
+            };
+            if self.runs[i].0 != d {
+                self.charge(i, now);
+                self.runs[i].0 = d;
+            }
+            match d {
+                Decision::Issue => {
+                    self.exec_core(i)?;
+                    progress = true;
                 }
-                self.decoupled_cycles += 1;
+                // Spawns only start in decoupled mode; a pending one in
+                // coupled mode waits (no progress) in the same bucket. A
+                // halted/idle core in coupled mode is a compiler bug; the
+                // deadlock detector flags the hang if the group never
+                // re-forms.
+                Decision::StartThread if self.mode == ExecMode::Decoupled => {
+                    let (_, blk) = self
+                        .net
+                        .take_spawn(i, now)
+                        .expect("has_spawn checked in decision phase");
+                    self.cores[i].pc = self.decoded.cores[i].entry(blk);
+                    self.set_state(i, CoreState::Running);
+                    self.spawns += 1;
+                    self.last_arch_change = now;
+                    self.trace(TraceEvent::ThreadStart {
+                        cycle: now,
+                        core: i,
+                        block: blk.idx(),
+                    });
+                    progress = true;
+                }
+                _ => {}
             }
         }
 
-        self.decisions = decisions;
-
+        // This cycle and the ones after it belong to the region the
+        // master now occupies; everything before goes to the old one.
         let (region, slot) = self.master_region();
-        self.attribute_region(slot, 1);
+        if slot != self.cur_slot {
+            self.flush(now);
+            self.cur_slot = slot;
+        }
         if self.tracer.is_some() {
             self.emit_spans(now, region);
         }
 
         if progress {
             self.last_progress = now;
-        } else {
-            let anyone_active = self
-                .cores
-                .iter()
-                .any(|c| !matches!(c.state, CoreState::Halted | CoreState::Idle));
-            if anyone_active && now - self.last_progress > self.cfg.watchdogs.deadlock_window {
-                let (waits, cycle_path) = self.diagnose();
-                return Err(SimError::Deadlock {
-                    cycle: now,
-                    waits,
-                    cycle_path,
-                    dump: self.dump(),
-                });
-            }
+        } else if self.anyone_active()
+            && now - self.last_progress > self.cfg.watchdogs.deadlock_window
+        {
+            let (waits, cycle_path) = self.diagnose();
+            return Err(SimError::Deadlock {
+                cycle: now,
+                waits,
+                cycle_path,
+                dump: self.dump(),
+            });
         }
         // Livelock watchdog: cores issue (so the deadlock window keeps
         // resetting) but nothing architectural changes — a control-flow
-        // spin. The window comparison is a single branch on the hot path;
-        // the core scan only runs once the window has actually lapsed.
-        if now - self.last_arch_change > self.cfg.watchdogs.livelock_window
-            && self
-                .cores
-                .iter()
-                .any(|c| !matches!(c.state, CoreState::Halted | CoreState::Idle))
+        // spin.
+        if now - self.last_arch_change > self.cfg.watchdogs.livelock_window && self.anyone_active()
         {
             return Err(SimError::Livelock {
                 cycle: now,
@@ -1724,11 +1751,7 @@ impl Machine {
         // core's decision is frozen until an external event) and the next
         // tick's `try_mode_switch` cannot fire (it fires only when *all*
         // cores sit at the barrier — that tick is not the identity).
-        self.ff_eligible = !progress
-            && !self
-                .cores
-                .iter()
-                .all(|c| matches!(c.state, CoreState::AtSwitch(_)));
+        self.ff_eligible = !progress && self.at_switch != self.all_cores();
         self.cycle += 1;
         if let Some(period) = self.probes.as_ref().map(|p| p.period) {
             if self.cycle.is_multiple_of(period) {
@@ -1738,60 +1761,58 @@ impl Machine {
         Ok(())
     }
 
-    /// Attribute `n` cycles of whole-machine occupancy to region `slot`,
-    /// classifying each core exactly as the accounting arms of
-    /// [`Machine::tick`] / [`Machine::account_blocked`] classified it
-    /// (from the decisions and stall bus of the tick being attributed).
-    fn attribute_region(&mut self, slot: usize, n: u64) {
-        let rb = &mut self.region_table[slot];
-        rb.cycles += n;
-        match self.mode {
-            ExecMode::Coupled => match self.group_stall {
-                Some(r) => {
-                    for d in &self.decisions {
-                        match d {
-                            Decision::Stall(own) => rb.stalls[own.index()] += n,
-                            _ => rb.stalls[r.index()] += n,
-                        }
-                    }
-                }
-                None => {
-                    for d in &self.decisions {
-                        match d {
-                            Decision::Issue => rb.issued += n,
-                            Decision::Stall(own) => rb.stalls[own.index()] += n,
-                            Decision::Quiet => rb.idle += n,
-                            Decision::StartThread => rb.spawn_starts += n,
-                        }
-                    }
-                }
-            },
-            ExecMode::Decoupled => {
-                for d in &self.decisions {
-                    match d {
-                        Decision::Issue => rb.issued += n,
-                        Decision::Stall(r) => rb.stalls[r.index()] += n,
-                        Decision::Quiet => rb.idle += n,
-                        Decision::StartThread => rb.spawn_starts += n,
-                    }
-                }
+    /// The one accounting path: close core `i`'s open run at cycle `upto`,
+    /// charging its length to the core's stats and the current region.
+    /// Issue runs reach [`CoreStats`] per instruction instead (`exec_core`
+    /// splits them into useful operations and NOPs).
+    fn charge(&mut self, i: usize, upto: u64) {
+        let (bucket, since) = self.runs[i];
+        self.runs[i].1 = upto;
+        let n = upto - since;
+        let cs = &mut self.core_stats[i];
+        let rb = &mut self.region_table[self.cur_slot];
+        match bucket {
+            Decision::Issue => rb.issued += n,
+            Decision::Stall(r) => {
+                cs.stalls[r.index()] += n;
+                rb.stalls[r.index()] += n;
+            }
+            Decision::Quiet => {
+                cs.idle += n;
+                rb.idle += n;
+            }
+            Decision::StartThread => {
+                cs.spawn_starts += n;
+                rb.spawn_starts += n;
             }
         }
     }
 
+    /// Close every open run at cycle `upto`: all cores, the region's own
+    /// cycle count and the mode's. Called before anything a run is
+    /// charged *to* changes (master region, mode) and before anything
+    /// reads the counters (a probe sample, the end of the run) — so a
+    /// span of any length, ticked or fast-forwarded, is charged once.
+    fn flush(&mut self, upto: u64) {
+        for i in 0..self.cores.len() {
+            self.charge(i, upto);
+        }
+        let n = upto - self.span_since;
+        self.span_since = upto;
+        self.region_table[self.cur_slot].cycles += n;
+        match self.mode {
+            ExecMode::Coupled => self.coupled_cycles += n,
+            ExecMode::Decoupled => self.decoupled_cycles += n,
+        }
+    }
+
     /// The stall reason core `i`'s cycle was charged with by the last
-    /// tick's accounting, if any — the coupled stall bus makes this the
-    /// group reason for members without a stall of their own.
+    /// tick, if any — the coupled stall bus makes this the group reason
+    /// for members without a stall of their own.
     fn effective_stall(&self, i: usize) -> Option<StallReason> {
-        match (self.mode, self.group_stall) {
-            (ExecMode::Coupled, Some(r)) => Some(match self.decisions[i] {
-                Decision::Stall(own) => own,
-                _ => r,
-            }),
-            _ => match self.decisions[i] {
-                Decision::Stall(r) => Some(r),
-                _ => None,
-            },
+        match self.runs[i].0 {
+            Decision::Stall(r) => Some(r),
+            _ => None,
         }
     }
 
@@ -1831,13 +1852,14 @@ impl Machine {
         }
     }
 
-    /// Record one interval sample. Both callers — the tick path and the
-    /// fast-forward bulk-fill — invoke this with `self.cycle` sitting
-    /// exactly on a period boundary and all counters covering cycles
+    /// Record one interval sample. Both callers — the tick path and
+    /// fast-forward — invoke this with `self.cycle` sitting exactly on a
+    /// period boundary; the flush brings all counters up to cover cycles
     /// `0..self.cycle`, which is what makes the series bit-identical
     /// with fast-forward on or off.
     fn sample_probes(&mut self) {
         let cycle = self.cycle;
+        self.flush(cycle);
         let n = self.cfg.cores;
         let bus_busy = self.memsys.bus_busy_cycles();
         let Some(series) = self.probes.as_mut() else {
@@ -1886,9 +1908,9 @@ impl Machine {
     /// tick is the identity transition plus counters. Jump `cycle`
     /// straight to the earliest such event — an in-flight bus
     /// completion, a network arrival, or a scoreboard interlock
-    /// clearing — bulk-accounting the skipped span, and capped so the
-    /// deadlock/livelock watchdogs and the `max_cycles` cap fire at
-    /// exactly the cycle a tick-by-tick run fires them.
+    /// clearing — capped so the deadlock/livelock watchdogs and the
+    /// `max_cycles` cap fire at exactly the cycle a tick-by-tick run
+    /// fires them.
     fn fast_forward(&mut self) {
         // The cycle whose (cached) decisions describe the blocked state;
         // `self.cycle` is already the next tick's cycle.
@@ -1903,15 +1925,13 @@ impl Machine {
         if let Some(t) = self.tm.next_event() {
             wake = wake.min(t);
         }
-        for i in 0..self.cores.len() {
-            if self.cores[i].state == CoreState::Running
-                && self.decisions[i] == Decision::Stall(StallReason::Interlock)
-            {
+        for i in bits(self.running) {
+            if self.decisions[i] == Decision::Stall(StallReason::Interlock) {
                 wake = wake.min(self.interlock_wake(i));
             }
             // A fetch hiccup is a pure timer: nothing else will wake the
             // blocked core, so the skip must land on its expiry.
-            if self.cores[i].state == CoreState::Running && self.fetch_block[i] > prev {
+            if self.fetch_block[i] > prev {
                 wake = wake.min(self.fetch_block[i]);
             }
         }
@@ -1930,11 +1950,7 @@ impl Machine {
         // Watchdogs: a tick-by-tick run would declare deadlock/livelock
         // on the first cycle past its window, so never jump beyond it —
         // the real tick executed there raises the identical error.
-        let anyone_active = self
-            .cores
-            .iter()
-            .any(|c| !matches!(c.state, CoreState::Halted | CoreState::Idle));
-        if anyone_active {
+        if self.anyone_active() {
             let deadlock_at = self
                 .last_progress
                 .saturating_add(self.cfg.watchdogs.deadlock_window)
@@ -1951,98 +1967,33 @@ impl Machine {
         if wake <= self.cycle {
             return;
         }
-        // Interval probes: split the skip at sampling boundaries and
-        // bulk-fill up to each one, so every sample is taken with exactly
-        // the counters a tick-by-tick run would have at that boundary
-        // (the instantaneous gauges are frozen across a blocked span by
-        // the same argument that makes the skip itself legal).
+        // The skipped span needs no accounting: every core's run stays
+        // open across it and is charged, at its full length, when it next
+        // closes. The one per-cycle side effect a blocked tick has is
+        // each running core re-fetching its current instruction; unless
+        // it is the fetch itself that stalls (the pending-fill guard in
+        // `MemSys::ifetch` counts nothing on those), that is one L1I hit
+        // per cycle.
+        let n = wake - self.cycle;
+        for i in bits(self.running) {
+            if self.decisions[i] != Decision::Stall(StallReason::IFetch) {
+                self.memsys.credit_ifetch_hits(i, n);
+            }
+        }
+        // Interval probes: stop at every sampling boundary inside the
+        // skip, so each sample is taken with exactly the counters a
+        // tick-by-tick run would have there (the instantaneous gauges are
+        // frozen across a blocked span by the same argument that makes
+        // the skip itself legal).
         if let Some(period) = self.probes.as_ref().map(|p| p.period) {
             let mut next = (self.cycle / period + 1) * period;
             while next <= wake {
-                self.account_blocked(next - self.cycle);
                 self.cycle = next;
                 self.sample_probes();
                 next += period;
             }
         }
-        if wake > self.cycle {
-            self.account_blocked(wake - self.cycle);
-            self.cycle = wake;
-        }
-    }
-
-    /// Account `n` fully-blocked cycles exactly as `n` executions of the
-    /// corresponding arm of [`Machine::tick`] would, from the decisions
-    /// cached by the last executed tick (which fast-forward guarantees
-    /// stay constant over the span).
-    fn account_blocked(&mut self, n: u64) {
-        let ncores = self.cores.len();
-        match self.mode {
-            ExecMode::Coupled => {
-                let group_stall = (0..ncores).find_map(|i| match self.decisions[i] {
-                    Decision::Stall(r) if self.cores[i].state == CoreState::Running => Some(r),
-                    _ => None,
-                });
-                match group_stall {
-                    Some(r) => {
-                        for i in 0..ncores {
-                            match self.decisions[i] {
-                                Decision::Stall(own) => {
-                                    self.core_stats[i].stalls[own.index()] += n;
-                                }
-                                _ => self.core_stats[i].stalls[r.index()] += n,
-                            }
-                        }
-                    }
-                    None => {
-                        // No running member stalls and yet nothing issued:
-                        // only barrier/bus waiters (their own reason) and
-                        // quiet cores remain.
-                        for i in 0..ncores {
-                            match self.decisions[i] {
-                                Decision::Stall(own) => {
-                                    self.core_stats[i].stalls[own.index()] += n;
-                                }
-                                Decision::Quiet => self.core_stats[i].idle += n,
-                                // Mirrors the tick arm: a pending spawn in
-                                // coupled mode burns wait cycles without
-                                // progress, so fast-forward replays them.
-                                Decision::StartThread => {
-                                    self.core_stats[i].spawn_starts += n;
-                                }
-                                Decision::Issue => {}
-                            }
-                        }
-                    }
-                }
-                self.coupled_cycles += n;
-            }
-            ExecMode::Decoupled => {
-                for i in 0..ncores {
-                    match self.decisions[i] {
-                        Decision::Stall(r) => self.core_stats[i].stalls[r.index()] += n,
-                        Decision::Quiet => self.core_stats[i].idle += n,
-                        // Issue/StartThread imply progress, which a
-                        // fast-forwarded tick never made.
-                        Decision::Issue | Decision::StartThread => {}
-                    }
-                }
-                self.decoupled_cycles += n;
-            }
-        }
-        let (_, slot) = self.master_region();
-        self.attribute_region(slot, n);
-        // Each skipped cycle, a running core re-fetches its current
-        // instruction; unless it is the fetch itself that stalls (the
-        // pending-fill guard in `MemSys::ifetch` counts nothing on
-        // those), that is one L1I hit per cycle.
-        for i in 0..ncores {
-            if self.cores[i].state == CoreState::Running
-                && self.decisions[i] != Decision::Stall(StallReason::IFetch)
-            {
-                self.memsys.credit_ifetch_hits(i, n);
-            }
-        }
+        self.cycle = wake;
     }
 }
 
@@ -2128,6 +2079,26 @@ fn region_slots(program: &MachineProgram) -> usize {
         .max()
         .map_or(0, |r| r as usize + 1)
         + 1
+}
+
+/// The shape checks shared by boot and reset. The cycle loop keeps its
+/// core sets in `u64` words, so the core count is bounded here — the one
+/// place a hand-built [`MachineConfig`] enters the machine.
+fn check_shape(program: &MachineProgram, cfg: &MachineConfig) -> Result<(), SimError> {
+    if cfg.cores == 0 || cfg.cores > 64 {
+        return Err(SimError::Malformed(format!(
+            "machine configured with {} cores; 1 to 64 are supported",
+            cfg.cores
+        )));
+    }
+    if program.cores.len() != cfg.cores {
+        return Err(SimError::Malformed(format!(
+            "program compiled for {} cores, machine has {}",
+            program.cores.len(),
+            cfg.cores
+        )));
+    }
+    Ok(())
 }
 
 fn ran_off_end(core: usize) -> SimError {

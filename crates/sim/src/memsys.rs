@@ -290,10 +290,20 @@ pub struct MemSys {
     /// Directory-indirection latency per grant (0 on snooping).
     dir_penalty: u64,
     store_bufs: Vec<VecDeque<StoreEntry>>,
+    /// Entries across all store buffers.
+    sb_entries: usize,
     /// Head-of-buffer bus request outstanding.
     sb_waiting: Vec<bool>,
+    /// Requests queued at or in flight on any bank.
+    outstanding: usize,
     /// Line being I-fetched per core.
     ifill_pending: Vec<Option<u64>>,
+    /// The line each core's last instruction fetch hit (`None` after any
+    /// fill into its L1I). A re-fetch of it is a hit without a lookup:
+    /// nothing else has touched that L1I since, so the line is still
+    /// present and already its set's most recently used — the lookup
+    /// would change no replacement decision, only the hit counter.
+    last_ifetch: Vec<Option<u64>>,
     stats_bus: u64,
     stats_busy: u64,
     stats_c2c: u64,
@@ -328,8 +338,11 @@ impl MemSys {
             banks: (0..n_banks).map(|_| Bank::default()).collect(),
             dir_penalty,
             store_bufs: (0..n).map(|_| VecDeque::new()).collect(),
+            sb_entries: 0,
             sb_waiting: vec![false; n],
+            outstanding: 0,
             ifill_pending: vec![None; n],
+            last_ifetch: vec![None; n],
             cfg: cfg.clone(),
             stats_bus: 0,
             stats_busy: 0,
@@ -399,8 +412,11 @@ impl MemSys {
         for q in &mut self.store_bufs {
             q.clear();
         }
+        self.sb_entries = 0;
         self.sb_waiting.iter_mut().for_each(|w| *w = false);
+        self.outstanding = 0;
         self.ifill_pending.iter_mut().for_each(|p| *p = None);
+        self.last_ifetch.iter_mut().for_each(|l| *l = None);
         self.stats_bus = 0;
         self.stats_busy = 0;
         self.stats_c2c = 0;
@@ -437,6 +453,7 @@ impl MemSys {
     fn enqueue(&mut self, req: BusReq) {
         let b = self.bank_of(req.line);
         self.banks[b].queue.push_back(req);
+        self.outstanding += 1;
     }
 
     /// Line-align an address.
@@ -481,6 +498,7 @@ impl MemSys {
             return false;
         }
         self.store_bufs[core].push_back(StoreEntry { addr, width });
+        self.sb_entries += 1;
         true
     }
 
@@ -504,10 +522,15 @@ impl MemSys {
             return true;
         }
         let line = self.line_of(addr);
+        if self.last_ifetch[core] == Some(line) {
+            self.l1i[core].credit_hits(1);
+            return true;
+        }
         if self.ifill_pending[core] == Some(line) {
             return false;
         }
         if self.l1i[core].access(line).is_some() {
+            self.last_ifetch[core] = Some(line);
             return true;
         }
         if self.ifill_pending[core].is_none() {
@@ -677,6 +700,7 @@ impl MemSys {
             }
             BusKind::IFill => {
                 self.l1i[req.core].fill(req.line, LineState::E);
+                self.last_ifetch[req.core] = None;
                 if self.l2.peek(req.line).is_none() {
                     self.l2.fill(req.line, LineState::E);
                 }
@@ -700,20 +724,27 @@ impl MemSys {
             }
         }
         self.stats_bus += 1;
+        self.outstanding -= 1;
     }
 
     fn retire_store(&mut self, core: usize) {
         self.sb_waiting[core] = false;
-        self.store_bufs[core].pop_front();
+        if self.store_bufs[core].pop_front().is_some() {
+            self.sb_entries -= 1;
+        }
     }
 
     fn drain_store_buffers(&mut self) {
+        if self.sb_entries == 0 {
+            return;
+        }
         // Perfect-L1 idealization: stores retire instantly — no
         // ownership traffic, no StoreBuf back-pressure.
         if self.cfg.ideal.perfect_l1 {
             for buf in &mut self.store_bufs {
                 buf.clear();
             }
+            self.sb_entries = 0;
             return;
         }
         for core in 0..self.cfg.cores {
@@ -728,6 +759,7 @@ impl MemSys {
                 Some(s) if s.is_writable() => {
                     self.l1d[core].set_state(line, LineState::M);
                     self.store_bufs[core].pop_front();
+                    self.sb_entries -= 1;
                 }
                 Some(_) => {
                     // Shared or Owned: need exclusive ownership.
@@ -758,7 +790,13 @@ impl MemSys {
     /// (snooping) this is the old one-bus loop unchanged.
     pub fn tick(&mut self, now: u64, out: &mut Vec<Completion>) {
         self.grants.clear();
-        for b in 0..self.banks.len() {
+        // With nothing queued or in flight every bank is idle.
+        let banks = if self.outstanding == 0 {
+            0
+        } else {
+            self.banks.len()
+        };
+        for b in 0..banks {
             if let Some(cur) = &self.banks[b].current {
                 if now >= cur.finish {
                     let cur = self.banks[b].current.take().expect("checked above");
@@ -880,13 +918,17 @@ impl MemSys {
     /// completion across banks; `None` means the hierarchy is fully
     /// quiescent.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        let sb_busy = self
-            .store_bufs
-            .iter()
-            .zip(&self.sb_waiting)
-            .any(|(q, &w)| !q.is_empty() && !w);
+        let sb_busy = self.sb_entries > 0
+            && self
+                .store_bufs
+                .iter()
+                .zip(&self.sb_waiting)
+                .any(|(q, &w)| !q.is_empty() && !w);
         if sb_busy {
             return Some(now);
+        }
+        if self.outstanding == 0 {
+            return None;
         }
         let mut wake: Option<u64> = None;
         let mut consider = |at: u64| {
@@ -1360,5 +1402,58 @@ mod tests {
         assert!(matches!(c1[0], Completion::LoadFill { core: 0, .. }));
         assert!(matches!(c2[0], Completion::LoadFill { core: 1, .. }));
         assert!(t2 > t1);
+    }
+
+    /// The last-line shortcut in `ifetch` is invisible: against a bare
+    /// `TagCache` doing the full lookup on every fetch, a random fetch
+    /// stream (re-fetches, walks across lines, jumps, fetches of other
+    /// lines while a fill is pending) sees the same hit or miss every
+    /// time, the same counters, and — the fills land in a cache two sets
+    /// of two ways wide — the same lines resident after every fill, that
+    /// is, the same victims.
+    #[test]
+    fn last_line_shortcut_changes_no_hit_miss_or_victim() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut cfg = MachineConfig::paper(1);
+        (cfg.l1i_size, cfg.l1i_assoc) = (128, 2);
+        let mut m = MemSys::new(&cfg);
+        let mut full = TagCache::new(cfg.l1i_size, cfg.l1i_assoc, cfg.line_size);
+        let mut pending: Option<u64> = None;
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut addr = 0u64;
+        let (mut shortcuts, mut fills) = (0, 0);
+        for now in 0..40_000u64 {
+            match rng.gen_range(0..10u32) {
+                0..=4 => {}
+                5..=7 => addr += 4,
+                _ => addr = rng.gen_range(0..12u64) * 32 + rng.gen_range(0..8u64) * 4,
+            }
+            let line = m.line_of(addr);
+            // What `ifetch` did before it had the shortcut.
+            let expect = if pending == Some(line) {
+                false
+            } else if full.access(line).is_some() {
+                true
+            } else {
+                pending.get_or_insert(line);
+                false
+            };
+            shortcuts += u32::from(m.last_ifetch[0] == Some(line));
+            assert_eq!(m.ifetch(0, addr), expect, "cycle {now}, address {addr:#x}");
+            m.tick(now, &mut Vec::new());
+            if let Some(filled) = pending.filter(|_| m.ifill_pending[0].is_none()) {
+                full.fill(filled, LineState::E);
+                pending = None;
+                fills += 1;
+                for l in 0..16 {
+                    assert_eq!(m.l1i[0].peek(l * 32), full.peek(l * 32), "line {l}");
+                }
+            }
+            assert_eq!(m.l1i[0].stats(), full.stats(), "cycle {now}");
+        }
+        assert!(
+            shortcuts > 5_000 && fills > 100,
+            "{shortcuts} shortcuts, {fills} fills"
+        );
     }
 }

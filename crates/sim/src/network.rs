@@ -45,6 +45,11 @@
 //!   earliest-delivered-available selection.
 //! * Broadcast-latch occupancy is a counter, making `can_bcast` O(1)
 //!   instead of an all-cores scan per probe.
+//! * Pending work is indexed, so a cycle with none costs nothing: `tick`
+//!   walks only the non-empty send queues (one bit per core), and
+//!   `next_event` reads a list of the non-empty data streams' heads, the
+//!   receivers with a buffered spawn (one bit per core) and the latch
+//!   occupancy counters instead of every `(receiver, sender)` stream map.
 
 use crate::config::MachineConfig;
 use crate::fault::{FaultBudgetReport, FaultKind, FaultSite, SiteFaults, SiteInjector};
@@ -116,16 +121,46 @@ impl std::hash::Hasher for TagHasher {
     }
 }
 
-type TagMap = HashMap<u32, VecDeque<(Value, u64)>, std::hash::BuildHasherDefault<TagHasher>>;
+/// One `(sender, tag)` data stream of a receiver's CAM.
+#[derive(Debug, Default)]
+struct Stream {
+    /// `(value, available)` in delivery order.
+    q: VecDeque<(Value, u64)>,
+    /// This stream's position in [`OperandNetwork::heads`] while `q` is
+    /// non-empty (stale otherwise).
+    head: usize,
+}
+
+type TagMap = HashMap<u32, Stream, std::hash::BuildHasherDefault<TagHasher>>;
+
+/// A non-empty data stream and the availability of its head message: one
+/// entry of the index `next_event` reads.
+#[derive(Debug, Clone, Copy)]
+struct StreamHead {
+    at: u64,
+    to: usize,
+    from: usize,
+    tag: u32,
+}
+
+/// The set bits of `word`, ascending (the core ids of a core set).
+pub(crate) fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
+}
 
 /// Per-receiver CAM state: an indexed MPMC queue set.
 #[derive(Debug)]
 struct RecvSide {
-    /// One FIFO of `(value, available)` per `(sender, tag)` stream:
-    /// `data[from]` indexes the sender directly, the inner map hash-
-    /// indexes the tag. Entries persist once created (a drained stream
-    /// stays as an empty FIFO), so steady-state delivery never
-    /// allocates.
+    /// One FIFO per `(sender, tag)` stream: `data[from]` indexes the
+    /// sender directly, the inner map hash-indexes the tag. Entries
+    /// persist once created (a drained stream stays as an empty FIFO),
+    /// so steady-state delivery never allocates.
     data: Vec<TagMap>,
     /// `spawns[from]`: `(delivery sequence, start block, available)`.
     spawns: Vec<VecDeque<(u64, BlockId, u64)>>,
@@ -236,7 +271,15 @@ pub struct OperandNetwork {
     /// `neighbor[core * 4 + dir]`, cached off the config.
     neighbor: Vec<Option<usize>>,
     send_q: Vec<VecDeque<SendEntry>>,
+    /// Cores whose send queue is non-empty, one bit per core.
+    sending: u64,
     recv: Vec<RecvSide>,
+    /// Receivers with a spawn buffered (available or not), one bit per
+    /// core: exactly the cores whose `spawn_senders` is non-empty.
+    spawn_pending: u64,
+    /// Every non-empty data stream with its head's availability,
+    /// unordered; each stream knows its position ([`Stream::head`]).
+    heads: Vec<StreamHead>,
     /// Fault-injection state; `None` on fault-free runs.
     faults: Option<Box<NetFaults>>,
     /// Monotone counter stamping queue-mode deliveries in order.
@@ -246,6 +289,8 @@ pub struct OperandNetwork {
     link_free: Vec<u64>,
     /// Direct-mode latch at `receiver * 4 + direction-from-receiver`.
     direct: Vec<Option<(Value, u64)>>,
+    /// Occupied direct-mode latches.
+    direct_occupied: usize,
     /// Broadcast latch per receiving core.
     bcast: Vec<Option<(Value, u64)>>,
     /// Occupied broadcast latches (makes `can_bcast` O(1)).
@@ -255,8 +300,14 @@ pub struct OperandNetwork {
 
 impl OperandNetwork {
     /// Build the network for a machine configuration.
+    ///
+    /// # Panics
+    /// Panics above 64 cores: the pending-work sets are `u64` words
+    /// ([`crate::Machine`] rejects such a configuration with a typed
+    /// error before it gets here).
     pub fn new(cfg: &MachineConfig) -> OperandNetwork {
         let n = cfg.cores;
+        assert!(n <= 64, "the operand network models at most 64 cores");
         let mut neighbor = vec![None; n * LINKS];
         for core in 0..n {
             for d in [Dir::East, Dir::West, Dir::South, Dir::North] {
@@ -281,11 +332,15 @@ impl OperandNetwork {
             width: cfg.mesh_width(),
             neighbor,
             send_q: (0..n).map(|_| VecDeque::new()).collect(),
+            sending: 0,
             recv: (0..n).map(|_| RecvSide::new(n)).collect(),
+            spawn_pending: 0,
+            heads: Vec::new(),
             faults,
             deliver_seq: 0,
             link_free: vec![0; n * LINKS],
             direct: vec![None; n * LINKS],
+            direct_occupied: 0,
             bcast: vec![None; n],
             bcast_occupied: 0,
             cfg: cfg.clone(),
@@ -302,18 +357,15 @@ impl OperandNetwork {
         // queue and land in the target's CAM instantly, so spawn cost
         // vanishes from both the sender (no queue slot, no SendFull) and
         // the receiver (no in-flight wait).
-        if self.cfg.ideal.free_spawn {
-            if let Payload::Spawn(b) = payload {
-                let side = &mut self.recv[to];
-                if side.spawns[from].is_empty() {
-                    side.spawn_senders.push(from);
-                }
-                side.spawns[from].push_back((self.deliver_seq, b, now));
-                side.buffered += 1;
-                self.deliver_seq += 1;
-                self.stats.messages += 1;
-                return true;
-            }
+        let msg = Message {
+            from,
+            to,
+            tag,
+            payload,
+        };
+        if self.cfg.ideal.free_spawn && matches!(payload, Payload::Spawn(_)) {
+            self.deliver(msg, now);
+            return true;
         }
         if self.send_q[from].len() >= self.cfg.queue_depth {
             return false;
@@ -329,13 +381,9 @@ impl OperandNetwork {
             }
             None => 0,
         };
+        self.sending |= 1 << from;
         self.send_q[from].push_back(SendEntry {
-            msg: Message {
-                from,
-                to,
-                tag,
-                payload,
-            },
+            msg,
             enq: now,
             attempts: 0,
             not_before: 0,
@@ -348,6 +396,46 @@ impl OperandNetwork {
     /// True if the sender's queue has room for another message.
     pub fn can_send(&self, from: usize) -> bool {
         self.send_q[from].len() < self.cfg.queue_depth
+    }
+
+    /// The receivers with a spawn buffered, available yet or not, one bit
+    /// per core. An idle core outside this set cannot start a thread, so
+    /// the machine leaves it parked.
+    pub fn spawn_pending(&self) -> u64 {
+        self.spawn_pending
+    }
+
+    /// Insert a routed message into its receiver's CAM, usable from
+    /// cycle `available`: the one place the receive side's indexes (the
+    /// stream-head list, the active spawn senders, the pending-spawn set,
+    /// the occupancy and delivery counters) are maintained on arrival.
+    fn deliver(&mut self, msg: Message, available: u64) {
+        let side = &mut self.recv[msg.to];
+        match msg.payload {
+            Payload::Data(v) => {
+                let stream = side.data[msg.from].entry(msg.tag).or_default();
+                if stream.q.is_empty() {
+                    stream.head = self.heads.len();
+                    self.heads.push(StreamHead {
+                        at: available,
+                        to: msg.to,
+                        from: msg.from,
+                        tag: msg.tag,
+                    });
+                }
+                stream.q.push_back((v, available));
+            }
+            Payload::Spawn(b) => {
+                if side.spawns[msg.from].is_empty() {
+                    side.spawn_senders.push(msg.from);
+                }
+                side.spawns[msg.from].push_back((self.deliver_seq, b, available));
+                self.spawn_pending |= 1 << msg.to;
+            }
+        }
+        side.buffered += 1;
+        self.deliver_seq += 1;
+        self.stats.messages += 1;
     }
 
     /// True if an available spawn message is waiting at `core`. Scans
@@ -367,20 +455,35 @@ impl OperandNetwork {
     pub fn can_recv(&self, core: usize, from: usize, tag: u32, now: u64) -> bool {
         self.recv[core].data[from]
             .get(&tag)
-            .is_some_and(|q| q.front().is_some_and(|&(_, at)| at <= now))
+            .is_some_and(|s| s.q.front().is_some_and(|&(_, at)| at <= now))
     }
 
     /// Consume the oldest available data message from `(from, tag)` at
     /// `core` (O(1) stream lookup).
     pub fn recv(&mut self, core: usize, from: usize, tag: u32, now: u64) -> Option<Value> {
         let side = &mut self.recv[core];
-        let q = side.data[from].get_mut(&tag)?;
-        let &(v, at) = q.front()?;
+        let stream = side.data[from].get_mut(&tag)?;
+        let &(v, at) = stream.q.front()?;
         if at > now {
             return None;
         }
-        q.pop_front();
+        stream.q.pop_front();
         side.buffered -= 1;
+        let slot = stream.head;
+        match stream.q.front() {
+            Some(&(_, next)) => self.heads[slot].at = next,
+            None => {
+                // Drained: drop its index entry and tell the stream that
+                // took the vacated position.
+                self.heads.swap_remove(slot);
+                if let Some(&m) = self.heads.get(slot) {
+                    self.recv[m.to].data[m.from]
+                        .get_mut(&m.tag)
+                        .expect("an indexed stream exists")
+                        .head = slot;
+                }
+            }
+        }
         Some(v)
     }
 
@@ -403,6 +506,9 @@ impl OperandNetwork {
         let (_, blk, _) = side.spawns[from].pop_front().expect("head checked above");
         if side.spawns[from].is_empty() {
             side.deactivate_spawn_sender(from);
+            if side.spawn_senders.is_empty() {
+                self.spawn_pending &= !(1 << core);
+            }
         }
         side.buffered -= 1;
         Some((from, blk))
@@ -420,7 +526,7 @@ impl OperandNetwork {
     /// idealization and is recorded in DESIGN.md. Send queues stay at the
     /// configured depth, which is what bounds producer run-ahead cost.
     pub fn tick(&mut self, now: u64) {
-        for core in 0..self.cfg.cores {
+        for core in bits(self.sending) {
             if self.cfg.ideal.zero_latency_network {
                 // Zero-latency idealization: no link serialization either,
                 // so the whole queue drains in one tick.
@@ -535,6 +641,9 @@ impl OperandNetwork {
             self.send_q[core].front_mut().expect("head exists").dup = true;
         } else {
             self.send_q[core].pop_front();
+            if self.send_q[core].is_empty() {
+                self.sending &= !(1 << core);
+            }
         }
         // Receive-side idempotence: a delivery below the expected
         // stream sequence is a duplicate — count it recovered and
@@ -555,24 +664,7 @@ impl OperandNetwork {
                 f.delay.note_recovered();
             }
         }
-        let side = &mut self.recv[msg.to];
-        match msg.payload {
-            Payload::Data(v) => {
-                side.data[msg.from]
-                    .entry(msg.tag)
-                    .or_default()
-                    .push_back((v, available));
-            }
-            Payload::Spawn(b) => {
-                if side.spawns[msg.from].is_empty() {
-                    side.spawn_senders.push(msg.from);
-                }
-                side.spawns[msg.from].push_back((self.deliver_seq, b, available));
-            }
-        }
-        side.buffered += 1;
-        self.deliver_seq += 1;
-        self.stats.messages += 1;
+        self.deliver(msg, available);
         self.stats.total_latency += available.saturating_sub(entry.enq);
         true
     }
@@ -619,6 +711,7 @@ impl OperandNetwork {
             return Ok(false);
         }
         self.direct[slot] = Some((value, now + self.direct_latency()));
+        self.direct_occupied += 1;
         self.stats.direct_transfers += 1;
         Ok(true)
     }
@@ -633,6 +726,7 @@ impl OperandNetwork {
         if !self.can_get(core, d, now) {
             return None;
         }
+        self.direct_occupied -= 1;
         self.direct[core * LINKS + dir_index(d)]
             .take()
             .map(|(v, _)| v)
@@ -691,7 +785,7 @@ impl OperandNetwork {
     pub fn buffered_from(&self, core: usize, from: usize, tag: u32) -> usize {
         self.recv[core].data[from]
             .get(&tag)
-            .map_or(0, VecDeque::len)
+            .map_or(0, |s| s.q.len())
     }
 
     /// Total messages buffered in `core`'s receive CAM, across all
@@ -742,10 +836,13 @@ impl OperandNetwork {
         for q in &mut self.send_q {
             q.clear();
         }
+        self.sending = 0;
+        self.spawn_pending = 0;
+        self.heads.clear();
         for side in &mut self.recv {
             for streams in &mut side.data {
-                for q in streams.values_mut() {
-                    q.clear();
+                for stream in streams.values_mut() {
+                    stream.q.clear();
                 }
             }
             for q in &mut side.spawns {
@@ -773,6 +870,7 @@ impl OperandNetwork {
         self.deliver_seq = 0;
         self.link_free.iter_mut().for_each(|c| *c = 0);
         self.direct.iter_mut().for_each(|l| *l = None);
+        self.direct_occupied = 0;
         self.bcast.iter_mut().for_each(|l| *l = None);
         self.bcast_occupied = 0;
         self.cfg = cfg.clone();
@@ -821,11 +919,17 @@ impl OperandNetwork {
     /// next tick is not the identity. Otherwise the network is purely a
     /// set of parked values with availability times, and the answer is
     /// the minimum `at > now` across direct latches, broadcast latches,
-    /// CAM bucket heads and spawn heads (an already-available value stays
+    /// CAM stream heads and spawn heads (an already-available value stays
     /// available forever, so it never constitutes a *future* event).
-    /// Over-reporting is safe — the machine just ticks one identity cycle
-    /// and skips again — and heads suffice because every bucket is in
-    /// availability order.
+    /// Heads suffice because every stream is in availability order, and
+    /// only heads may be reported: a message behind one wakes nobody, so
+    /// counting it would tick cycles a scan of the heads skips.
+    ///
+    /// Nothing is scanned that is known to be empty: the send queues, the
+    /// stream heads and the spawn receivers are read off their indexes,
+    /// and the latch arrays only while their occupancy counters are
+    /// non-zero. The result is exactly that of visiting every queue,
+    /// latch and stream.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut wake: Option<u64> = None;
         let mut consider = |at: u64| {
@@ -833,37 +937,77 @@ impl OperandNetwork {
                 wake = Some(at);
             }
         };
-        for q in &self.send_q {
-            if let Some(e) = q.front() {
-                if e.not_before <= now {
-                    return Some(now);
-                }
-                // A head backing off after a drop retries at `not_before`
-                // (a parked gave-up head never does; the machine surfaces
-                // the budget error instead).
-                if e.not_before != u64::MAX {
-                    consider(e.not_before);
-                }
+        for core in bits(self.sending) {
+            let e = self.send_q[core]
+                .front()
+                .expect("a sending core has a head");
+            if e.not_before <= now {
+                return Some(now);
+            }
+            // A head backing off after a drop retries at `not_before`
+            // (a parked gave-up head never does; the machine surfaces
+            // the budget error instead).
+            if e.not_before != u64::MAX {
+                consider(e.not_before);
             }
         }
-        for (_, at) in self.direct.iter().chain(self.bcast.iter()).flatten() {
-            consider(*at);
-        }
-        for side in &self.recv {
-            // HashMap iteration order is arbitrary, but only the minimum
-            // is taken, so the result is deterministic.
-            for q in side.data.iter().flat_map(HashMap::values) {
-                if let Some(&(_, at)) = q.front() {
-                    consider(at);
-                }
+        if self.direct_occupied > 0 {
+            for (_, at) in self.direct.iter().flatten() {
+                consider(*at);
             }
+        }
+        if self.bcast_occupied > 0 {
+            for (_, at) in self.bcast.iter().flatten() {
+                consider(*at);
+            }
+        }
+        for head in &self.heads {
+            consider(head.at);
+        }
+        for core in bits(self.spawn_pending) {
+            let side = &self.recv[core];
             for &from in &side.spawn_senders {
                 if let Some(&(_, _, at)) = side.spawns[from].front() {
                     consider(at);
                 }
             }
         }
+        debug_assert_eq!(wake, self.next_event_by_scan(now), "the indexes drifted");
         wake
+    }
+
+    /// [`OperandNetwork::next_event`] computed the exhaustive way — every
+    /// send queue, latch, `(receiver, sender, tag)` stream and spawn FIFO
+    /// visited, no index consulted. The reference the indexed version is
+    /// checked against (on every call in debug builds, and by the
+    /// `accounting` suite's proptest).
+    #[doc(hidden)]
+    pub fn next_event_by_scan(&self, now: u64) -> Option<u64> {
+        if self
+            .send_q
+            .iter()
+            .any(|q| q.front().is_some_and(|e| e.not_before <= now))
+        {
+            return Some(now);
+        }
+        let retries = self
+            .send_q
+            .iter()
+            .filter_map(|q| q.front())
+            .map(|e| e.not_before)
+            .filter(|&at| at != u64::MAX);
+        let latches = self.direct.iter().chain(&self.bcast).flatten().map(|l| l.1);
+        let streams = self.recv.iter().flat_map(|side| {
+            let data = side.data.iter().flat_map(HashMap::values);
+            let data = data.filter_map(|s| s.q.front()).map(|m| m.1);
+            let spawns = side.spawns.iter().filter_map(VecDeque::front).map(|m| m.2);
+            data.chain(spawns)
+        });
+        retries
+            .chain(latches)
+            .chain(streams)
+            .filter(|&at| at > now)
+            .min()
     }
 }
 

@@ -13,8 +13,9 @@
 //!   occupancy counters, operand-network queue depths, TM read/write-set
 //!   sizes, and bus utilization every `period` cycles. The series is
 //!   bit-identical with fast-forward on or off: `Machine::fast_forward`
-//!   splits skipped spans at period boundaries and bulk-fills before
-//!   each sample (DESIGN.md §8).
+//!   stops at every period boundary inside a skipped span, and sampling
+//!   first charges every open accounting run up to the boundary
+//!   (DESIGN.md §8).
 //!
 //! Nothing here parses JSON; both renderers emit it with plain string
 //! building, mirroring `voltron-core`'s report writer.
@@ -366,8 +367,8 @@ impl Tracer for ChromeTracer {
 ///
 /// Counter fields (`issued`, `idle`, `stalls`, `bus_busy`) are
 /// *cumulative* since cycle 0 — interval rates are first differences, and
-/// cumulative counters make the fast-forward bulk-fill equivalence exact
-/// by construction. Gauge fields (`send_queue`, `recv_buffered`,
+/// cumulative counters make the fast-forward equivalence exact by
+/// construction. Gauge fields (`send_queue`, `recv_buffered`,
 /// `tm_read_set`, `tm_write_set`) are instantaneous.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeSample {

@@ -115,8 +115,8 @@ fn cold_miss_with_sleeping_worker_skips_and_matches() {
 }
 
 /// The interval probe sampler must be fast-forward invariant too: a
-/// skipped span crossing period boundaries is bulk-filled sample by
-/// sample (DESIGN.md §8), so the series — counters *and* gauges — is
+/// skipped span crossing period boundaries is sampled boundary by
+/// boundary (DESIGN.md §8), so the series — counters *and* gauges — is
 /// bit-identical to the tick-by-tick one. The cold-miss program above
 /// guarantees a multi-period skip with an odd period.
 #[test]
@@ -143,7 +143,7 @@ fn probe_series_survives_fast_forward_across_a_cold_miss() {
     assert_equivalent(&off, &on);
     assert!(
         on.ticked_cycles < on.stats.cycles,
-        "no cycles were skipped, the bulk-fill path was not exercised"
+        "no cycles were skipped, the in-span sampling was not exercised"
     );
     let series = on.probes.as_ref().expect("probes recorded");
     assert!(
@@ -235,8 +235,8 @@ proptest! {
     /// The interval probe series is part of the equivalence contract:
     /// with a period deliberately coprime to nothing in particular
     /// (7), skipped spans cross sample boundaries constantly, and the
-    /// bulk-filled series must still match the tick-by-tick one sample
-    /// for sample.
+    /// series sampled inside them must still match the tick-by-tick one
+    /// sample for sample.
     #[test]
     fn probe_series_is_fast_forward_invariant(
         main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),

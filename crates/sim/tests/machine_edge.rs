@@ -713,3 +713,44 @@ fn reset_keeps_the_decoded_image_only_for_the_same_arc() {
     let fresh = Machine::new_shared(b, &cfg).unwrap().run().unwrap();
     assert_eq!(other.stats, fresh.stats);
 }
+
+/// `MachineConfig::cores` is a public field and only
+/// `MachineConfig::scaled` bounds it; the machine keeps its core sets in
+/// 64-bit words, so boot and reset must refuse anything else with a
+/// typed error — and a refused reset must leave the machine as it was.
+#[test]
+fn core_counts_outside_1_to_64_are_rejected_at_boot_and_reset() {
+    use std::sync::Arc;
+    let image = |cores: usize| {
+        let mut master = MBlock::new("entry", 0);
+        master.insts.push(halt());
+        let mut blocks = vec![vec![master]];
+        blocks.resize_with(cores.max(1), || vec![sleep_stub()]);
+        blocks.truncate(cores);
+        Arc::new(program(blocks, DataSegment::default()))
+    };
+    let cfg = |cores: usize| MachineConfig {
+        cores,
+        ..MachineConfig::paper(4)
+    };
+    let expect_refusal = |r: Result<(), SimError>, cores: usize| match r {
+        Err(SimError::Malformed(m)) => {
+            assert_eq!(
+                m,
+                format!("machine configured with {cores} cores; 1 to 64 are supported")
+            );
+        }
+        other => panic!("{cores} cores: expected a refusal, got {other:?}"),
+    };
+    let mut m = Machine::new_shared(image(64), &cfg(64)).expect("64 cores boot");
+    let first = m.run_mut().expect("64 cores run");
+    for cores in [0, 65, 128] {
+        expect_refusal(
+            Machine::new_shared(image(cores), &cfg(cores)).map(drop),
+            cores,
+        );
+        expect_refusal(m.reset(image(cores), &cfg(cores)), cores);
+    }
+    m.reset(image(64), &cfg(64)).expect("the machine survives");
+    assert_eq!(m.run_mut().expect("and runs again").stats, first.stats);
+}

@@ -114,3 +114,43 @@ fn bcast_probe_scan() {
         t0.elapsed().as_nanos() as f64 / 2e6
     );
 }
+
+/// `next_event` is asked on every fast-forward attempt. It used to walk
+/// all 64 x 64 `(receiver, sender)` stream maps per call; it now reads
+/// the stream-head index, so the cost follows the number of non-empty
+/// streams — timed here with a handful, and with a 63-sender fan-in —
+/// and the exhaustive scan it replaced is timed beside it.
+#[test]
+#[ignore = "host-timing probe, run by hand"]
+fn next_event_at_64_cores() {
+    let cores = 64;
+    let calls = 1_000_000u64;
+    for senders in [3, cores - 1] {
+        let mut n = OperandNetwork::new(&cfg(cores));
+        for from in 1..=senders {
+            n.send(from, 0, 7, Payload::Data(Value::Int(1)), 0);
+        }
+        // Drain the send queues; everything is then parked in core 0's
+        // CAM, available far enough out that every head is a future event.
+        for now in 1..200 {
+            n.tick(now);
+        }
+        let mut sum = 0u64;
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            sum += std::hint::black_box(&n).next_event(0).unwrap_or(0);
+        }
+        let indexed = t0.elapsed();
+        let t1 = Instant::now();
+        for _ in 0..calls / 100 {
+            sum += std::hint::black_box(&n).next_event_by_scan(0).unwrap_or(0);
+        }
+        let scanned = t1.elapsed();
+        println!(
+            "next_event, 64 cores, {senders} streams buffered: {:.1} ns/call indexed, \
+             {:.1} ns/call exhaustive ({sum})",
+            indexed.as_nanos() as f64 / calls as f64,
+            scanned.as_nanos() as f64 / (calls / 100) as f64
+        );
+    }
+}

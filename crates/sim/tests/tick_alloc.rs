@@ -4,11 +4,18 @@
 //! issues ALU ops, a taken branch, and loads and stores that stream
 //! through more lines than the L1 holds, so the bus, the store buffer and
 //! the fill-completion path are all live while allocations are counted.
+//! A second, 16-core image (`common/mesh.rs`) does the same for the
+//! event-gated parts of the loop: cores parking and unparking, receive
+//! streams entering and leaving the network's stream-head index, and the
+//! all-core flush at every region change and mode switch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use voltron_ir::{BlockId, CmpCc, DataSegment, Inst, MemWidth, Opcode, Operand, Reg, Signedness};
 use voltron_sim::{CoreImage, MBlock, Machine, MachineConfig, MachineProgram};
+
+#[path = "common/mesh.rs"]
+mod mesh;
 
 thread_local! {
     /// Heap requests made by this thread (const-initialized and without a
@@ -121,4 +128,34 @@ fn a_warm_untraced_tick_does_not_allocate() {
     let out = m.run().unwrap();
     assert!(out.stats.mem.mem_fetches > 1_000);
     assert!(out.stats.dynamic_insts > 100_000);
+}
+
+#[test]
+fn parking_the_head_index_and_region_flushes_do_not_allocate() {
+    let iters = 4_000;
+    let (p, out) = mesh::fork_join_loop(16, iters, 8);
+    let mut cfg = MachineConfig::scaled(16);
+    cfg.fast_forward = false;
+    let mut m = Machine::new(p, &cfg).unwrap();
+    // An iteration is ~100 cycles; warm up past the decode, the eight
+    // lines' fills and every queue's, stream's and index's growth.
+    for _ in 0..20_000 {
+        m.tick().unwrap();
+    }
+    let before = HEAP_REQUESTS.with(Cell::get);
+    for _ in 0..50_000 {
+        m.tick().unwrap();
+    }
+    let during = HEAP_REQUESTS.with(Cell::get) - before;
+    assert_eq!(during, 0, "heap requests in 50000 warm ticks");
+    let run = m.run().unwrap();
+    assert_eq!(
+        run.memory.load_i64(out).unwrap(),
+        mesh::fork_join_sum(16, iters)
+    );
+    // The window really forked, switched modes and crossed regions.
+    assert_eq!(run.stats.spawns, 15 * iters as u64);
+    assert_eq!(run.stats.mode_switches, 2 * iters as u64);
+    assert_eq!(run.stats.regions.len(), 2);
+    assert!(run.stats.cycles > 70_000, "the loop outlasts the window");
 }

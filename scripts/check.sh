@@ -18,7 +18,8 @@ cargo test --release -q -p voltron-sim --test validate
 
 echo "== tier-1: release build + tests"
 # Includes tests/sim_engine.rs, which pulls in the simulator-engine suites
-# of crates/sim/tests (fast-forward, reset, machine edge cases, decode).
+# of crates/sim/tests (accounting, fast-forward, reset, machine edge
+# cases, decode, validator corpus).
 cargo build --release
 cargo test -q
 
@@ -34,6 +35,10 @@ echo "== cycle-golden matrix with observers attached"
 # not perturb one architectural number (DESIGN.md §8).
 CYCLE_GOLDEN_OBS=1 cargo test --release -q --test cycle_golden
 CYCLE_GOLDEN_OBS=1 CYCLE_GOLDEN_FF=off cargo test --release -q --test cycle_golden
+# The accounting suite (exact sums per core and per region over both
+# golden matrices) sweeps fast-forward and the probes itself in every
+# run, tier-1 included; this corner adds the tracer.
+CYCLE_GOLDEN_OBS=1 cargo test --release -q --test sim_engine accounting
 
 echo "== scaled-machine golden matrix (8/16 cores, both backends), four corners"
 # Same architectural-invisibility contract on the scaled meshes and on

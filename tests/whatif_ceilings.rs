@@ -140,3 +140,29 @@ fn whatif_leaves_the_measured_run_untouched() {
         "a fresh measured run must not see any knob residue"
     );
 }
+
+/// The free-spawn knob lands thread starts straight in the target's CAM,
+/// bypassing the send queue — and with it the routed delivery that wakes
+/// a parked core. 164.gzip hybrid/4 spawns onto sleeping workers in every
+/// parallel region; a bypass that forgets the wake-up leaves them asleep
+/// and the master deadlocked on their join tokens.
+#[test]
+fn free_spawn_bypass_wakes_the_parked_target() {
+    let w = by_name("164.gzip", Scale::Test).expect("known benchmark");
+    let mut exp = Experiment::new(&w.program).expect("experiment");
+    let report = exp
+        .whatif(Strategy::Hybrid, 4)
+        .expect("every idealized run completes");
+    let free = report
+        .ceilings
+        .iter()
+        .find(|c| c.knob == KnobId::FreeSpawn)
+        .expect("a free-spawn ceiling");
+    assert!(free.ideal_cycles > 0);
+    assert!(
+        free.speedup_ceiling >= 1.0 - EPS,
+        "free spawns made the run slower: {} -> {} cycles",
+        report.measured_cycles,
+        free.ideal_cycles
+    );
+}
