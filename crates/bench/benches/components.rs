@@ -2,7 +2,10 @@
 //! (host-side throughput of the simulator's building blocks).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use voltron_compiler::inline::inline_program;
 use voltron_compiler::{compile, CompileOptions, Strategy};
+use voltron_ir::interp::GOLDEN_FUEL;
+use voltron_ir::profile::profile;
 use voltron_sim::cache::{LineState, TagCache};
 use voltron_sim::network::{OperandNetwork, Payload};
 use voltron_sim::tm::TxnManager;
@@ -96,9 +99,24 @@ fn bench_interp(c: &mut Criterion) {
     });
 }
 
+/// The compiler's profiling run, on the program as written and on the
+/// single inlined function the compiler actually profiles.
+fn bench_profile(c: &mut Criterion) {
+    for name in ["gsmencode", "171.swim"] {
+        let w = by_name(name, Scale::Test).unwrap();
+        let inlined = inline_program(&w.program).unwrap();
+        for (shape, program) in [("original", &w.program), ("inlined", &inlined)] {
+            c.bench_function(&format!("profile/{name}_{shape}"), |b| {
+                b.iter(|| profile(program, GOLDEN_FUEL).unwrap().steps);
+            });
+        }
+    }
+}
+
 criterion_group! {
     name = components;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache, bench_network, bench_tm, bench_compiler, bench_machine, bench_interp
+    targets = bench_cache, bench_network, bench_tm, bench_compiler, bench_machine, bench_interp,
+        bench_profile
 }
 criterion_main!(components);

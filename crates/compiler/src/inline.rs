@@ -6,11 +6,25 @@
 //! rejected.
 
 use crate::error::CompileError;
-use voltron_ir::{Block, BlockId, Function, Inst, Opcode, Operand, Program, Reg, RegClass};
+use voltron_ir::{Block, BlockId, FuncId, Function, Inst, Opcode, Operand, Program, Reg, RegClass};
 
 /// Maximum number of individual call-site expansions before assuming
 /// runaway recursion.
 const MAX_INLINE_STEPS: usize = 10_000;
+
+/// `program` as the one-function program the compiler plans and emits
+/// from: [`inline_all`]'s flat function as `main`, same name and data.
+///
+/// # Errors
+/// See [`inline_all`].
+pub fn inline_program(program: &Program) -> Result<Program, CompileError> {
+    Ok(Program {
+        name: program.name.clone(),
+        funcs: vec![inline_all(program)?],
+        main: FuncId(0),
+        data: program.data.clone(),
+    })
+}
 
 /// Inline every call in `main`, returning the flat function.
 ///

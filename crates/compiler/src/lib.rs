@@ -54,15 +54,19 @@ pub use codegen::Compiled;
 pub use error::CompileError;
 pub use plan::{Plan, PlanParams, Strategy};
 
+use alias::AliasAnalysis;
+use liveness::Liveness;
+use std::collections::HashSet;
 use voltron_ir::cfg::{Cfg, Dominators};
-use voltron_ir::loops::LoopForest;
-use voltron_ir::{profile, FuncId, Program};
+use voltron_ir::loops::{LoopForest, LoopId};
+use voltron_ir::{profile, Function, Program};
 use voltron_sim::MachineConfig;
 
 /// Compilation options.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Interpreter fuel for the profiling run.
+    /// Interpreter fuel for the profiling run (default
+    /// [`voltron_ir::interp::GOLDEN_FUEL`], the oracle's budget).
     pub profile_fuel: u64,
     /// Planner thresholds.
     pub plan: PlanParams,
@@ -77,7 +81,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> CompileOptions {
         CompileOptions {
-            profile_fuel: 500_000_000,
+            profile_fuel: voltron_ir::interp::GOLDEN_FUEL,
             plan: PlanParams::default(),
             emit: codegen::EmitOptions::default(),
             unroll: Some(unroll::UnrollParams::default()),
@@ -86,7 +90,8 @@ impl Default for CompileOptions {
 }
 
 /// The strategy-independent front half of [`compile`]: the inlined
-/// (and possibly unrolled) program plus its execution profile.
+/// (and possibly unrolled) program, its execution profile, and the
+/// analyses of its one function that planning and emission read.
 ///
 /// Profiling interprets the whole program, which dominates compile time,
 /// yet its result is identical for every configuration sharing the same
@@ -98,6 +103,19 @@ pub struct FrontEnd {
     flat_program: Program,
     prof: profile::Profile,
     unrolled: bool,
+    cfg: Cfg,
+    forest: LoopForest,
+    liveness: Liveness,
+    alias: AliasAnalysis,
+}
+
+/// The flow analyses of `f`.
+fn analyze_flow(f: &Function) -> (Cfg, LoopForest, Liveness) {
+    let cfg = Cfg::build(f);
+    let dom = Dominators::compute(&cfg);
+    let forest = LoopForest::build(&cfg, &dom);
+    let liveness = Liveness::compute(f, &cfg);
+    (cfg, forest, liveness)
 }
 
 impl FrontEnd {
@@ -114,15 +132,11 @@ impl FrontEnd {
         opts: &CompileOptions,
     ) -> Result<FrontEnd, CompileError> {
         voltron_ir::verify::verify_program(program)?;
-        let flat = inline::inline_all(program)?;
-        let mut flat_program = Program {
-            name: program.name.clone(),
-            funcs: vec![flat],
-            main: FuncId(0),
-            data: program.data.clone(),
-        };
+        let mut flat_program = inline::inline_program(program)?;
         voltron_ir::verify::verify_program(&flat_program)?;
         let mut prof = profile::profile(&flat_program, opts.profile_fuel)?;
+        let main_id = flat_program.main;
+        let mut flow = analyze_flow(flat_program.main_func());
 
         // Unrolling (skipped for serial / single-core builds, and never
         // for loops the DOALL selector could claim — their canonical
@@ -130,23 +144,13 @@ impl FrontEnd {
         let unrolled = FrontEnd::key(strategy, mcfg, opts);
         if unrolled {
             let uparams = opts.unroll.as_ref().expect("key implies unroll");
-            let exclude = {
-                let f = flat_program.main_func();
-                let cfg = Cfg::build(f);
-                let dom = Dominators::compute(&cfg);
-                let forest = LoopForest::build(&cfg, &dom);
-                let lv = liveness::Liveness::compute(f, &cfg);
-                let mut ex = std::collections::HashSet::new();
-                for li in 0..forest.loops.len() {
-                    let lp = voltron_ir::loops::LoopId(li as u32);
-                    if doall::detect(f, flat_program.main, &forest, lp, &cfg, &lv, &prof).is_some()
-                    {
-                        ex.insert(forest.get(lp).header);
-                    }
-                }
-                ex
-            };
-            let main_id = flat_program.main;
+            let (cfg, forest, liveness) = &flow;
+            let f = flat_program.main_func();
+            let exclude: HashSet<_> = (0..forest.loops.len())
+                .map(|li| LoopId(li as u32))
+                .filter(|&lp| doall::detect(f, main_id, forest, lp, cfg, liveness, &prof).is_some())
+                .map(|lp| forest.get(lp).header)
+                .collect();
             let changed = unroll::unroll_hot_loops(
                 flat_program.func_mut(main_id),
                 main_id,
@@ -157,12 +161,19 @@ impl FrontEnd {
             if changed > 0 {
                 voltron_ir::verify::verify_program(&flat_program)?;
                 prof = profile::profile(&flat_program, opts.profile_fuel)?;
+                flow = analyze_flow(flat_program.main_func());
             }
         }
+        let (cfg, forest, liveness) = flow;
+        let alias = AliasAnalysis::analyze(&flat_program, flat_program.main_func());
         Ok(FrontEnd {
             flat_program,
             prof,
             unrolled,
+            cfg,
+            forest,
+            liveness,
+            alias,
         })
     }
 
@@ -210,22 +221,14 @@ pub fn compile_prepared(
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
     let flat_program = &fe.flat_program;
-    let prof = &fe.prof;
-    let f = flat_program.main_func();
-    let cfg = Cfg::build(f);
-    let dom = Dominators::compute(&cfg);
-    let forest = LoopForest::build(&cfg, &dom);
-    let liveness = liveness::Liveness::compute(f, &cfg);
-    let alias = alias::AliasAnalysis::analyze(flat_program, f);
-
     let inputs = plan::PlanInputs {
-        f,
+        f: flat_program.main_func(),
         func: flat_program.main,
-        cfg: &cfg,
-        forest: &forest,
-        liveness: &liveness,
-        profile: prof,
-        alias: &alias,
+        cfg: &fe.cfg,
+        forest: &fe.forest,
+        liveness: &fe.liveness,
+        profile: &fe.prof,
+        alias: &fe.alias,
     };
     let the_plan = plan::plan(&inputs, strategy, mcfg.cores, &opts.plan);
     codegen::emit(

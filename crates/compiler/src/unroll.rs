@@ -20,7 +20,7 @@
 //! registers (inductions, accumulators) keep their names and chain.
 
 use crate::liveness::Liveness;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use voltron_ir::cfg::Cfg;
 use voltron_ir::loops::{LoopForest, LoopId};
 use voltron_ir::profile::Profile;
@@ -257,7 +257,7 @@ fn candidate(
     })
 }
 
-fn defined_in(f: &Function, blocks: &std::collections::BTreeSet<BlockId>, r: Reg) -> bool {
+fn defined_in(f: &Function, blocks: &BTreeSet<BlockId>, r: Reg) -> bool {
     blocks
         .iter()
         .any(|&b| f.block(b).insts.iter().any(|i| i.def() == Some(r)))
@@ -295,7 +295,9 @@ fn apply(f: &mut Function, c: &Candidate, lv: &Liveness) {
     // Carried registers keep their names; everything else defined in the
     // body is renamed per copy.
     let loop_blocks: Vec<BlockId> = (c.first..=c.last).map(BlockId).collect();
-    let mut defined: HashSet<Reg> = HashSet::new();
+    // Ordered: the per-copy names below are handed out in iteration
+    // order, and two compiles of one program must emit one image.
+    let mut defined: BTreeSet<Reg> = BTreeSet::new();
     for &b in &loop_blocks {
         for i in &f.block(b).insts {
             if let Some(d) = i.def() {

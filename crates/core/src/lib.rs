@@ -50,6 +50,9 @@ use voltron_sim::{
 };
 
 pub use voltron_compiler::Strategy;
+/// Interpreter fuel used for golden runs (and, by default, for the
+/// compiler's profiling run).
+pub use voltron_ir::interp::GOLDEN_FUEL;
 pub use voltron_sim::{
     BoundBy, CycleStack, FaultBudgetReport, FaultEvent, FaultKind, FaultPlan, FaultSite,
     FaultStats, KnobId, ProbeSeries, ProbeSummary, RegionStack,
@@ -257,9 +260,6 @@ impl StallCategory {
         }
     }
 }
-
-/// Interpreter fuel used for golden runs.
-pub const GOLDEN_FUEL: u64 = 2_000_000_000;
 
 /// Run the reference interpreter.
 ///
@@ -963,6 +963,13 @@ impl<'a> Experiment<'a> {
 mod tests {
     use super::*;
     use voltron_ir::builder::ProgramBuilder;
+
+    /// A program the oracle runs to completion must not run out of fuel
+    /// in the compiler's profiling pass.
+    #[test]
+    fn profiling_and_golden_runs_share_one_budget() {
+        assert_eq!(CompileOptions::default().profile_fuel, GOLDEN_FUEL);
+    }
 
     fn doall_program() -> Program {
         let mut pb = ProgramBuilder::new("t");

@@ -14,6 +14,12 @@ use crate::semantics;
 use crate::value::Value;
 use std::fmt;
 
+/// The step budget every whole-program run shares: the golden run a
+/// simulated execution is checked against and the compiler's profiling
+/// run use the same one, so a program the oracle accepts never fails to
+/// compile with [`InterpError::FuelExhausted`].
+pub const GOLDEN_FUEL: u64 = 2_000_000_000;
+
 /// Observation hooks used by the profiler; default implementations are
 /// no-ops so plain interpretation pays almost nothing.
 pub trait Observer {
@@ -153,10 +159,10 @@ pub fn run(program: &Program, fuel: u64) -> Result<Outcome, InterpError> {
 ///
 /// # Errors
 /// See [`InterpError`].
-pub fn run_observed(
+pub fn run_observed<O: Observer + ?Sized>(
     program: &Program,
     fuel: u64,
-    obs: &mut dyn Observer,
+    obs: &mut O,
 ) -> Result<Outcome, InterpError> {
     let mut memory = Memory::from_data(&program.data);
     let mut steps: u64 = 0;
@@ -323,12 +329,12 @@ pub fn eval_operand(regs: &RegFile, op: Operand) -> Result<Value, InterpError> {
 ///
 /// # Errors
 /// Returns an error on memory faults or machine-only opcodes.
-pub fn exec_inst(
+pub fn exec_inst<O: Observer + ?Sized>(
     inst: &Inst,
     at: InstRef,
     regs: &mut RegFile,
     memory: &mut Memory,
-    obs: &mut dyn Observer,
+    obs: &mut O,
 ) -> Result<(), InterpError> {
     use Opcode::*;
     let get = |i: usize, regs: &RegFile| eval_operand(regs, inst.srcs[i]);

@@ -10,13 +10,51 @@
 //!    counts to focus on hot regions and skip short loops.
 //!
 //! This module runs the reference interpreter with an observer that
-//! collects all three.
+//! collects all three. The observer's state is flat — counters indexed by
+//! block and instruction, loop membership as a table, one stack of open
+//! loop invocations shared by every frame — and becomes the sparse
+//! [`Profile`] only once, at the end.
+//!
+//! # The dependence test
+//!
+//! Every open invocation, at stack depth `d`, owns shadow plane `d`: one
+//! cell per data-segment byte, indexed by `addr − DataSegment::BASE`,
+//! holding the *stamp* of the last write and of the last read. A stamp is
+//! drawn from one counter at every loop-header entry, so each invocation
+//! has an `opened` stamp, each of its iterations a `current` one, and
+//! within a plane stamps only grow. A cell counts as touched in this
+//! invocation iff its stamp is at least `opened` — whatever an earlier
+//! invocation at the same depth left behind is smaller, so opening a loop
+//! clears nothing — and as touched in an *earlier iteration* iff it is
+//! also not `current`. A load after an earlier iteration's store, or a
+//! store after an earlier iteration's load or store, latches the loop's
+//! `cross_iter_dep`; the invocation then stops tracking, and so does every
+//! later invocation of that loop (the verdict is an OR).
+//!
+//! Accesses made inside a callee are tested against the caller's open
+//! loops too: the stack of open invocations spans all frames.
+//!
+//! # Widths and memory
+//!
+//! Stamps are `u32`, a cell is 8 bytes. The step budget is a caller's
+//! `u64`, so the counter can reach `u32::MAX`; when it does,
+//! `Profiler::renumber` rewrites every plane to the three values the
+//! test distinguishes (0 never, 1 earlier iteration, 2 current) and
+//! restarts the counter at 2. No stamp is ever reused for two iterations
+//! or two invocations, for any fuel. Iteration and invocation *counts* are
+//! `u64` and bounded by the steps executed. Planes are allocated zeroed
+//! the first time a tracked loop opens at their depth: memory is at most
+//! (deepest dynamic loop nest) × (data-segment bytes) × 8 B — 0.98 MB per
+//! depth for the largest Full-scale workload's 122 KB — and pages no
+//! access lands on are never touched. An access that is not wholly inside
+//! the segment indexes no plane; the interpreter faults on it immediately
+//! afterwards.
 
 use crate::cfg::{Cfg, Dominators};
 use crate::inst::InstRef;
 use crate::interp::{self, InterpError, Observer};
 use crate::loops::{LoopForest, LoopId};
-use crate::program::{BlockId, FuncId, Program};
+use crate::program::{BlockId, DataSegment, FuncId, Program};
 use std::collections::HashMap;
 
 /// Per-loop profile.
@@ -63,7 +101,7 @@ impl LoadProfile {
 }
 
 /// The collected profile of one program run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Dynamic entries per block.
     pub block_counts: HashMap<(FuncId, BlockId), u64>,
@@ -96,23 +134,30 @@ impl Profile {
 /// profiling (matching the paper's 4 KB, 2-way, 32 B-line L1D).
 #[derive(Debug, Clone)]
 pub struct FunctionalCache {
-    sets: Vec<Vec<u64>>, // per-set tag list in LRU order (front = MRU)
+    /// `nsets × assoc` line numbers; each set's ways in LRU order
+    /// (first = MRU), [`FunctionalCache::EMPTY`] where nothing is cached.
+    tags: Vec<u64>,
     assoc: usize,
     line_shift: u32,
     set_mask: u64,
 }
 
 impl FunctionalCache {
+    /// No line number equals this: lines are at least two bytes.
+    const EMPTY: u64 = u64::MAX;
+
     /// Create a cache of `size` bytes, `assoc` ways, `line` bytes per line.
     ///
     /// # Panics
-    /// Panics unless size/assoc/line are powers of two that divide evenly.
+    /// Panics unless size/assoc/line are powers of two that divide evenly
+    /// and a line holds at least two bytes.
     pub fn new(size: u64, assoc: usize, line: u64) -> FunctionalCache {
-        assert!(line.is_power_of_two() && size.is_power_of_two());
+        assert!(line.is_power_of_two() && line >= 2 && size.is_power_of_two());
+        assert!(assoc > 0);
         let nsets = size / line / assoc as u64;
         assert!(nsets.is_power_of_two() && nsets > 0);
         FunctionalCache {
-            sets: vec![Vec::new(); nsets as usize],
+            tags: vec![FunctionalCache::EMPTY; nsets as usize * assoc],
             assoc,
             line_shift: line.trailing_zeros(),
             set_mask: nsets - 1,
@@ -127,125 +172,292 @@ impl FunctionalCache {
     /// Touch an address; returns true on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|t| *t == line) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
-            true
-        } else {
-            ways.insert(0, line);
-            ways.truncate(self.assoc);
-            false
+        let first = (line & self.set_mask) as usize * self.assoc;
+        let ways = &mut self.tags[first..first + self.assoc];
+        match ways.iter().position(|t| *t == line) {
+            Some(pos) => {
+                ways[..=pos].rotate_right(1);
+                true
+            }
+            None => {
+                ways.rotate_right(1);
+                ways[0] = line;
+                false
+            }
         }
     }
 }
 
+/// Last-writer and last-reader stamp of one data byte in one plane; zero
+/// is "never", and so is every value below the reading loop's `opened`.
+type Cell = [u32; 2];
+
+/// One loop invocation in progress.
 #[derive(Debug)]
-struct ActiveLoop {
-    id: LoopId,
+struct OpenLoop {
+    /// Index into [`Profiler::loop_stats`].
+    stat: usize,
+    /// Iterations started after the first.
     iter: u64,
-    /// Per-byte last-writer and last-reader iteration.
-    mem: HashMap<u64, (i64, i64)>,
-    dep_found: bool,
+    /// Stamp drawn when the invocation opened.
+    opened: u32,
+    /// Stamp drawn when the current iteration started.
+    current: u32,
+    /// False once this invocation's verdict cannot change the profile:
+    /// a dependence was found, now or in an earlier invocation.
+    tracking: bool,
 }
 
-#[derive(Debug)]
-struct FrameCtx {
-    func: FuncId,
-    stack: Vec<ActiveLoop>,
-}
-
-struct Profiler<'a> {
-    forests: &'a [LoopForest],
-    profile: Profile,
-    frames: Vec<FrameCtx>,
+/// The profiling observer. All state is dense and indexed; see the module
+/// docs for the dependence test and DESIGN.md §15 for why it equals the
+/// map-per-invocation formulation it replaced.
+struct Profiler {
+    /// First flat block index of each function (plus the total).
+    block_base: Vec<usize>,
+    /// Dynamic entries per flat block.
+    block_counts: Vec<u64>,
+    /// First instruction slot of each flat block.
+    inst_base: Vec<usize>,
+    /// Load profile per instruction slot (zero for non-loads).
+    load_stats: Vec<LoadProfile>,
+    /// The loop each flat block heads, if any.
+    header_of: Vec<Option<LoopId>>,
+    /// First index into `loop_stats` of each function's loops (plus the
+    /// total).
+    loop_base: Vec<usize>,
+    loop_stats: Vec<LoopProfile>,
+    /// Start of each loop's row in `member`, by `loop_stats` index.
+    member_base: Vec<usize>,
+    /// Rows of `blocks(function)` flags: whether the loop contains the block.
+    member: Vec<bool>,
+    /// Open invocations of every live frame, outermost first.
+    open: Vec<OpenLoop>,
+    /// `open.len()` at each live frame's entry, outermost frame first.
+    frames: Vec<usize>,
+    /// `planes[d]` shadows the data segment for `open[d]`.
+    planes: Vec<Vec<Cell>>,
+    /// The last stamp handed out.
+    stamp: u32,
+    data_len: u64,
     cache: FunctionalCache,
 }
 
-impl Profiler<'_> {
-    fn pop_loop(&mut self, frame_func: FuncId, al: ActiveLoop) {
-        let entry = self.profile.loops.entry((frame_func, al.id)).or_default();
-        entry.invocations += 1;
-        entry.total_iters += al.iter + 1;
-        entry.cross_iter_dep |= al.dep_found;
-    }
-
-    fn record_access(&mut self, addr: u64, bytes: u64, is_store: bool) {
-        let frame = match self.frames.last_mut() {
-            Some(f) => f,
-            None => return,
+impl Profiler {
+    fn new(program: &Program) -> Profiler {
+        let mut p = Profiler {
+            block_base: Vec::with_capacity(program.funcs.len() + 1),
+            block_counts: Vec::new(),
+            inst_base: Vec::new(),
+            load_stats: Vec::new(),
+            header_of: Vec::new(),
+            loop_base: Vec::with_capacity(program.funcs.len() + 1),
+            loop_stats: Vec::new(),
+            member_base: Vec::new(),
+            member: Vec::new(),
+            open: Vec::new(),
+            frames: Vec::new(),
+            planes: Vec::new(),
+            stamp: 0,
+            data_len: program.data.bytes.len() as u64,
+            cache: FunctionalCache::paper_l1d(),
         };
-        for al in &mut frame.stack {
-            if al.dep_found {
-                continue;
+        let mut insts = 0;
+        for (f, forest) in program.funcs.iter().zip(loop_forests(program)) {
+            p.block_base.push(p.header_of.len());
+            p.loop_base.push(p.member_base.len());
+            for (b, block) in f.blocks.iter().enumerate() {
+                p.inst_base.push(insts);
+                insts += block.insts.len();
+                let b = BlockId(b as u32);
+                p.header_of.push(
+                    forest
+                        .innermost_of(b)
+                        .filter(|l| forest.get(*l).header == b),
+                );
             }
-            let k = al.iter as i64;
-            for b in 0..bytes {
-                let e = al.mem.entry(addr + b).or_insert((-1, -1));
-                if is_store {
-                    if (e.0 >= 0 && e.0 < k) || (e.1 >= 0 && e.1 < k) {
-                        al.dep_found = true;
-                        break;
-                    }
-                    e.0 = k;
-                } else {
-                    if e.0 >= 0 && e.0 < k {
-                        al.dep_found = true;
-                        break;
-                    }
-                    e.1 = e.1.max(k);
-                }
-            }
-            if al.dep_found {
-                al.mem.clear(); // free memory; flag already latched
+            for l in &forest.loops {
+                p.member_base.push(p.member.len());
+                p.member
+                    .extend((0..f.blocks.len()).map(|b| l.blocks.contains(&BlockId(b as u32))));
             }
         }
+        p.block_base.push(p.header_of.len());
+        p.loop_base.push(p.member_base.len());
+        p.block_counts = vec![0; p.header_of.len()];
+        p.load_stats = vec![LoadProfile::default(); insts];
+        p.loop_stats = vec![LoopProfile::default(); p.member_base.len()];
+        p
+    }
+
+    /// A stamp greater than every stamp stored in any plane.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.renumber();
+        }
+        self.stamp += 1;
+        self.stamp
+    }
+
+    /// Make room for more stamps without changing any verdict. The test
+    /// only asks of a cell whether it was stamped in this invocation and
+    /// whether in the current iteration, so each tracked plane keeps
+    /// exactly that (1 = earlier iteration, 2 = current one) and
+    /// everything stale becomes 0.
+    fn renumber(&mut self) {
+        for (d, plane) in self.planes.iter_mut().enumerate() {
+            match self.open.get_mut(d) {
+                Some(o) if o.tracking => {
+                    for c in plane.iter_mut().flatten() {
+                        *c = match *c {
+                            s if s < o.opened => 0,
+                            s if s == o.current => 2,
+                            _ => 1,
+                        };
+                    }
+                }
+                _ => plane.fill([0, 0]),
+            }
+        }
+        for o in &mut self.open {
+            (o.opened, o.current) = (1, 2);
+        }
+        self.stamp = 2;
+    }
+
+    /// Close the innermost open invocation and charge it to its loop.
+    fn close_top(&mut self) {
+        let o = self.open.pop().expect("an open loop");
+        let stat = &mut self.loop_stats[o.stat];
+        stat.invocations += 1;
+        stat.total_iters += o.iter + 1;
+    }
+
+    fn close_down_to(&mut self, depth: usize) {
+        while self.open.len() > depth {
+            self.close_top();
+        }
+    }
+
+    /// Test one access against every open invocation — the current
+    /// frame's and its callers' alike — and stamp it.
+    fn record_access(&mut self, addr: u64, bytes: u64, is_store: bool) {
+        // An access outside the segment touches no plane; the interpreter
+        // faults on it right after this hook returns.
+        let off = addr.wrapping_sub(DataSegment::BASE);
+        if off >= self.data_len || bytes > self.data_len - off {
+            return;
+        }
+        let range = off as usize..(off + bytes) as usize;
+        for (o, plane) in self.open.iter_mut().zip(&mut self.planes) {
+            if !o.tracking {
+                continue;
+            }
+            let earlier = |s: u32| s >= o.opened && s != o.current;
+            for cell in &mut plane[range.clone()] {
+                let [w, r] = *cell;
+                if earlier(w) || (is_store && earlier(r)) {
+                    o.tracking = false;
+                    self.loop_stats[o.stat].cross_iter_dep = true;
+                    break;
+                }
+                cell[usize::from(!is_store)] = o.current;
+            }
+        }
+    }
+
+    fn run(mut self, program: &Program, fuel: u64) -> Result<Profile, InterpError> {
+        let outcome = interp::run_observed(program, fuel, &mut self)?;
+        // Main halts without returning: close what is still open.
+        self.close_down_to(0);
+        Ok(self.into_profile(program, outcome.steps))
+    }
+
+    /// The collected counters as the public, sparse [`Profile`].
+    fn into_profile(self, program: &Program, steps: u64) -> Profile {
+        let mut profile = Profile {
+            steps,
+            ..Profile::default()
+        };
+        for (fi, f) in program.funcs.iter().enumerate() {
+            let func = FuncId(fi as u32);
+            for (bi, block) in f.blocks.iter().enumerate() {
+                let flat = self.block_base[fi] + bi;
+                let block_id = BlockId(bi as u32);
+                if self.block_counts[flat] > 0 {
+                    profile
+                        .block_counts
+                        .insert((func, block_id), self.block_counts[flat]);
+                }
+                for index in 0..block.insts.len() {
+                    let lp = self.load_stats[self.inst_base[flat] + index];
+                    if lp.accesses > 0 {
+                        let at = InstRef {
+                            func,
+                            block: block_id,
+                            index,
+                        };
+                        profile.loads.insert(at, lp);
+                    }
+                }
+            }
+            let loops = self.loop_base[fi]..self.loop_base[fi + 1];
+            for (li, stat) in self.loop_stats[loops].iter().enumerate() {
+                if stat.invocations > 0 {
+                    profile.loops.insert((func, LoopId(li as u32)), *stat);
+                }
+            }
+        }
+        profile
     }
 }
 
-impl Observer for Profiler<'_> {
+impl Observer for Profiler {
     fn on_block(&mut self, func: FuncId, block: BlockId) {
-        *self.profile.block_counts.entry((func, block)).or_insert(0) += 1;
-        let forest = &self.forests[func.idx()];
-        let frame = self.frames.last_mut().expect("frame exists");
-        debug_assert_eq!(frame.func, func);
-        // Pop loops that no longer contain this block.
-        while let Some(top) = frame.stack.last() {
-            if forest.get(top.id).blocks.contains(&block) {
+        let flat = self.block_base[func.idx()] + block.idx();
+        self.block_counts[flat] += 1;
+        let frame = *self.frames.last().expect("frame exists");
+        // Close this frame's loops that no longer contain the block.
+        while self.open.len() > frame {
+            let top = self.open.last().expect("non-empty");
+            if self.member[self.member_base[top.stat] + block.idx()] {
                 break;
             }
-            let al = frame.stack.pop().expect("non-empty");
-            let f = frame.func;
-            // Reborrow dance: record after pop.
-            let entry = self.profile.loops.entry((f, al.id)).or_default();
-            entry.invocations += 1;
-            entry.total_iters += al.iter + 1;
-            entry.cross_iter_dep |= al.dep_found;
+            self.close_top();
         }
         // Entering a header either advances or opens an invocation.
-        if let Some(lid) = forest.innermost_of(block) {
-            if forest.get(lid).header == block {
-                match frame.stack.last_mut() {
-                    Some(top) if top.id == lid => top.iter += 1,
-                    _ => frame.stack.push(ActiveLoop {
-                        id: lid,
-                        iter: 0,
-                        mem: HashMap::new(),
-                        dep_found: false,
-                    }),
+        let Some(lid) = self.header_of[flat] else {
+            return;
+        };
+        let stat = self.loop_base[func.idx()] + lid.idx();
+        let stamp = self.next_stamp();
+        match self.open[frame..].last_mut() {
+            Some(top) if top.stat == stat => {
+                top.iter += 1;
+                top.current = stamp;
+            }
+            _ => {
+                let tracking = !self.loop_stats[stat].cross_iter_dep;
+                // Zeroed pages cost nothing until a tracked access lands.
+                while tracking && self.planes.len() <= self.open.len() {
+                    self.planes.push(vec![[0, 0]; self.data_len as usize]);
                 }
+                self.open.push(OpenLoop {
+                    stat,
+                    iter: 0,
+                    opened: stamp,
+                    current: stamp,
+                    tracking,
+                });
             }
         }
     }
 
     fn on_load(&mut self, at: InstRef, addr: u64, bytes: u64) {
         let hit = self.cache.access(addr);
-        let lp = self.profile.loads.entry(at).or_default();
+        let flat = self.block_base[at.func.idx()] + at.block.idx();
+        let lp = &mut self.load_stats[self.inst_base[flat] + at.index];
         lp.accesses += 1;
-        if !hit {
-            lp.misses += 1;
-        }
+        lp.misses += u64::from(!hit);
         self.record_access(addr, bytes, false);
     }
 
@@ -254,18 +466,13 @@ impl Observer for Profiler<'_> {
         self.record_access(addr, bytes, true);
     }
 
-    fn on_call(&mut self, func: FuncId) {
-        self.frames.push(FrameCtx {
-            func,
-            stack: Vec::new(),
-        });
+    fn on_call(&mut self, _func: FuncId) {
+        self.frames.push(self.open.len());
     }
 
     fn on_ret(&mut self, _func: FuncId) {
         let frame = self.frames.pop().expect("frame exists");
-        for al in frame.stack.into_iter().rev() {
-            self.pop_loop(frame.func, al);
-        }
+        self.close_down_to(frame);
     }
 }
 
@@ -288,30 +495,14 @@ pub fn loop_forests(program: &Program) -> Vec<LoopForest> {
 /// # Errors
 /// Propagates interpreter failures.
 pub fn profile(program: &Program, fuel: u64) -> Result<Profile, InterpError> {
-    let forests = loop_forests(program);
-    let mut p = Profiler {
-        forests: &forests,
-        profile: Profile::default(),
-        frames: Vec::new(),
-        cache: FunctionalCache::paper_l1d(),
-    };
-    let outcome = interp::run_observed(program, fuel, &mut p)?;
-    // Drain remaining frames (main halts without returning).
-    while let Some(frame) = p.frames.pop() {
-        let func = frame.func;
-        for al in frame.stack.into_iter().rev() {
-            p.pop_loop(func, al);
-        }
-    }
-    p.profile.steps = outcome.steps;
-    Ok(p.profile)
+    Profiler::new(program).run(program, fuel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::loops::LoopId;
+    use crate::reg::RegClass;
 
     /// A DOALL-style loop: a[i] = i (independent iterations).
     fn doall_program() -> (Program, u64) {
@@ -363,6 +554,175 @@ mod tests {
         let prof = profile(&p, 1_000_000).unwrap();
         let lp = prof.loop_profile(p.main, LoopId(0));
         assert!(lp.cross_iter_dep);
+    }
+
+    /// `for i in 1..64 { f(i) }` where `f(i)` does `a[i] = a[i-1] + 1`:
+    /// the recurrence runs in a callee, under the caller's open loop.
+    #[test]
+    fn accesses_in_a_callee_are_charged_to_the_callers_loops() {
+        let mut pb = ProgramBuilder::new("t");
+        let a = pb.data_mut().zeroed("a", 8 * 64);
+        let mut g = pb.function("f");
+        let i = g.param(RegClass::Gpr);
+        let base = g.ldi(a as i64);
+        let off = g.shl(i, 3i64);
+        let addr = g.add(base, off);
+        let prev = g.load8(addr, -8);
+        let v = g.add(prev, 1i64);
+        g.store8(addr, 0, v);
+        g.ret();
+        let gid = pb.finish_function(g);
+        let mut f = pb.function("main");
+        f.counted_loop(1i64, 64i64, 1, |f, iv| {
+            f.call(gid, &[iv], None);
+        });
+        f.halt();
+        pb.finish_function(f);
+        let p = pb.finish();
+        let prof = profile(&p, 1_000_000).unwrap();
+        let lp = prof.loop_profile(p.main, LoopId(0));
+        assert_eq!((lp.invocations, lp.total_iters), (1, 64));
+        assert!(lp.cross_iter_dep);
+    }
+
+    /// `f(n)`: `for i in 0..3 { a[3n+i] = i; if n == 0 && i == 1 { f(1);
+    /// load a[3] } }`. The loop is open in two frames at once. Neither
+    /// invocation carries a dependence — the outer one reads `a[3]` in
+    /// the iteration its callee wrote it — but stamps of the inner
+    /// invocation read as the outer one's would look like an earlier
+    /// iteration.
+    #[test]
+    fn a_loop_open_in_two_frames_keeps_separate_shadow_state() {
+        let mut pb = ProgramBuilder::new("t");
+        let a = pb.data_mut().zeroed("a", 8 * 6);
+        let fid = pb.next_func_id();
+        let mut g = pb.function("f");
+        let n = g.param(RegClass::Gpr);
+        let base = g.ldi(a as i64);
+        let first = g.mul(n, 24i64);
+        let mine = g.add(base, first);
+        g.counted_loop(0i64, 3i64, 1, |g, i| {
+            let off = g.shl(i, 3i64);
+            let addr = g.add(mine, off);
+            g.store8(addr, 0, i);
+            let tens = g.mul(n, 10i64);
+            let both = g.add(tens, i);
+            let p = g.cmp(crate::CmpCc::Eq, both, 1i64);
+            g.if_then(p, |g| {
+                let one = g.ldi(1);
+                g.call(fid, &[one], None);
+                g.load8(base, 24);
+            });
+        });
+        g.ret();
+        assert_eq!(pb.finish_function(g), fid);
+        let mut f = pb.function("main");
+        let zero = f.ldi(0);
+        f.call(fid, &[zero], None);
+        f.halt();
+        pb.finish_function(f);
+        let p = pb.finish();
+        let prof = profile(&p, 1_000_000).unwrap();
+        let lp = prof.loop_profile(fid, LoopId(0));
+        assert_eq!((lp.invocations, lp.total_iters), (2, 8));
+        assert!(!lp.cross_iter_dep);
+    }
+
+    /// `for i in 0..3 { for j in 0..4 { a[x] += 1 } }` with `x` either
+    /// loop's counter. By `j`, the re-entered inner loop carries nothing
+    /// over its stale cells and the outer one rewrites every slot; by
+    /// `i`, the outer loop carries nothing although one of its iterations
+    /// touches its slot in every inner iteration.
+    fn nest(by_outer: bool) -> Program {
+        let mut pb = ProgramBuilder::new("t");
+        let a = pb.data_mut().zeroed("a", 8 * 4);
+        let mut f = pb.function("main");
+        let base = f.ldi(a as i64);
+        f.counted_loop(0i64, 3i64, 1, |f, i| {
+            f.counted_loop(0i64, 4i64, 1, |f, j| {
+                let off = f.shl(if by_outer { i } else { j }, 3i64);
+                let addr = f.add(base, off);
+                let v = f.load8(addr, 0);
+                let w = f.add(v, 1i64);
+                f.store8(addr, 0, w);
+            });
+        });
+        f.halt();
+        pb.finish_function(f);
+        pb.finish()
+    }
+
+    /// `for i in 0..6 { a[i] = i; if i == 5 { load a[0] } }`: the one
+    /// dependence spans the whole invocation.
+    fn late_dependence() -> Program {
+        let mut pb = ProgramBuilder::new("t");
+        let a = pb.data_mut().zeroed("a", 8 * 6);
+        let mut f = pb.function("main");
+        let base = f.ldi(a as i64);
+        f.counted_loop(0i64, 6i64, 1, |f, i| {
+            let off = f.shl(i, 3i64);
+            let addr = f.add(base, off);
+            f.store8(addr, 0, i);
+            let last = f.cmp(crate::CmpCc::Eq, i, 5i64);
+            f.if_then(last, |f| {
+                f.load8(base, 0);
+            });
+        });
+        f.halt();
+        pb.finish_function(f);
+        pb.finish()
+    }
+
+    /// Wherever in a run the stamp counter reaches `u32::MAX`, the
+    /// renumbering changes no verdict.
+    #[test]
+    fn stamp_renumbering_changes_no_verdict() {
+        let verdicts = |p: &Program| {
+            let prof = profile(p, 1_000_000).unwrap();
+            [0, 1].map(|l| prof.loop_profile(p.main, LoopId(l)).cross_iter_dep)
+        };
+        assert_eq!(verdicts(&nest(false)), [true, false]);
+        assert_eq!(verdicts(&nest(true)), [false, true]);
+        assert_eq!(verdicts(&late_dependence()), [true, false]);
+        for p in [
+            nest(false),
+            nest(true),
+            late_dependence(),
+            doall_program().0,
+        ] {
+            let want = profile(&p, 1_000_000).unwrap();
+            let headers: u64 = want.loops.values().map(|l| l.total_iters).sum();
+            for back in 0..=headers as u32 {
+                let mut profiler = Profiler::new(&p);
+                profiler.stamp = u32::MAX - back;
+                let got = profiler.run(&p, 1_000_000).unwrap();
+                assert_eq!(got, want, "counter started {back} below the limit");
+            }
+        }
+    }
+
+    /// An access that leaves the segment faults in the interpreter; the
+    /// shadow planes are never indexed with it.
+    #[test]
+    fn out_of_segment_accesses_fault_without_touching_a_plane() {
+        for (off, store) in [(8 * 4 - 4, false), (8 * 4, true), (-(1i64 << 40), false)] {
+            let mut pb = ProgramBuilder::new("t");
+            let a = pb.data_mut().zeroed("a", 8 * 4);
+            let mut f = pb.function("main");
+            let base = f.ldi(a as i64);
+            f.counted_loop(0i64, 2i64, 1, |f, iv| {
+                f.store8(base, 0, iv);
+                if store {
+                    f.store8(base, off, iv);
+                } else {
+                    f.load8(base, off);
+                }
+            });
+            f.halt();
+            pb.finish_function(f);
+            let err = profile(&pb.finish(), 1_000).unwrap_err();
+            assert!(matches!(err, InterpError::Mem(_)), "{off}: {err}");
+        }
     }
 
     #[test]

@@ -11,15 +11,13 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, all targets)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "== validator self-check: seeded-broken-program corpus"
-# Every seeded corruption must be rejected with coordinates; a validator
-# regression that starts accepting broken images fails here first.
-cargo test --release -q -p voltron-sim --test validate
-
 echo "== tier-1: release build + tests"
 # Includes tests/sim_engine.rs, which pulls in the simulator-engine suites
 # of crates/sim/tests (accounting, fast-forward, reset, machine edge
-# cases, decode, validator corpus).
+# cases, decode) and the validator's seeded-broken-program corpus
+# (crates/sim/tests/validate.rs: every seeded corruption must be rejected
+# with coordinates), so that suite has no step of its own; the workspace
+# run below repeats it in release mode.
 cargo build --release
 cargo test -q
 
