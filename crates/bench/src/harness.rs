@@ -233,6 +233,10 @@ pub struct WorkloadSummary {
     pub host_seconds: f64,
     /// One row per configuration run.
     pub runs: Vec<RunRow>,
+    /// How many of `runs` were simulated; the rest lowered to the same
+    /// machine program as one of those and share its simulation (see
+    /// `Experiment::run_all_on`).
+    pub distinct_runs: usize,
     /// Bottleneck what-if report for the workload's headline
     /// configuration, when the sweep asked for one (`--whatif`).
     pub whatif: Option<WhatIfReport>,
@@ -260,6 +264,9 @@ pub struct RunRow {
     /// run that never stalled) — the sidecar's one-word answer to
     /// "where did this run's time go?".
     pub dominant_stall: Option<String>,
+    /// The strategy whose simulation this run shares (`None` for a run
+    /// that was simulated itself; see `RunResult::shared_with`).
+    pub shared_with: Option<String>,
 }
 
 /// Snapshot an experiment's run inventory for the JSON sidecar.
@@ -270,8 +277,9 @@ pub fn workload_summary(
     exp: &Experiment<'_>,
     host_seconds: f64,
 ) -> WorkloadSummary {
+    let results = exp.results();
     let mut faults = FaultStats::default();
-    for r in exp.results() {
+    for r in &results {
         for (i, s) in r.stats.faults.sites.iter().enumerate() {
             faults.sites[i].absorb(s);
         }
@@ -282,8 +290,8 @@ pub fn workload_summary(
         simulated_cycles: exp.simulated_cycles(),
         ticked_cycles: exp.ticked_cycles(),
         host_seconds,
-        runs: exp
-            .results()
+        distinct_runs: results.iter().filter(|r| r.shared_with.is_none()).count(),
+        runs: results
             .iter()
             .map(|r| RunRow {
                 strategy: r.strategy.to_string(),
@@ -295,6 +303,7 @@ pub fn workload_summary(
                     .stats
                     .dominant_stall()
                     .map(|(reason, _)| reason.to_string()),
+                shared_with: r.shared_with.map(|s| s.to_string()),
             })
             .collect(),
         probes: None,
@@ -457,6 +466,9 @@ pub fn bench_json(
                     if let Some(d) = &r.dominant_stall {
                         fields.push(("dominant_stall".into(), Json::Str(d.clone())));
                     }
+                    if let Some(s) = &r.shared_with {
+                        fields.push(("shared_with".into(), Json::Str(s.clone())));
+                    }
                     Json::Obj(fields)
                 })
                 .collect();
@@ -470,6 +482,7 @@ pub fn bench_json(
                     Json::Num(skip_efficiency(s.ticked_cycles, s.simulated_cycles)),
                 ),
                 ("host_seconds".into(), Json::Num(s.host_seconds)),
+                ("distinct_runs".into(), Json::UInt(s.distinct_runs as u64)),
                 ("runs".into(), Json::Arr(runs)),
             ];
             if let Some(p) = &s.probes {
@@ -1077,6 +1090,49 @@ mod tests {
         assert!(s.contains("\"ticked_cycles\""));
         assert!(s.contains("\"skip_efficiency\""));
         assert!(s.contains("\"host_seconds\""));
+    }
+
+    /// Sidecar schema for shared simulations: every workload carries
+    /// `distinct_runs`; a run row carries `shared_with` only when its
+    /// statistics came from another strategy's simulation.
+    #[test]
+    fn sidecar_marks_shared_runs_and_counts_distinct_ones() {
+        use crate::jsonv::{parse, JValue};
+        let ws: Vec<Workload> = all(Scale::Test)
+            .into_iter()
+            .filter(|w| w.name == "gsmencode")
+            .collect();
+        let h = run_workloads_on(ws, None, |_, exp| {
+            exp.run_all(&[
+                (Strategy::Ilp, 4),
+                (Strategy::Llp, 4),
+                (Strategy::Hybrid, 4),
+            ])
+        });
+        assert_eq!(h.summaries[0].distinct_runs, 2);
+        let doc = bench_json("t", "test", 1, 1, 1.0, &h.summaries, &h.failures, None);
+        let doc = parse(&doc.render()).expect("sidecar parses");
+        let w = &doc
+            .get("workloads")
+            .and_then(JValue::as_arr)
+            .expect("workloads")[0];
+        assert_eq!(w.get("distinct_runs").and_then(JValue::as_num), Some(2.0));
+        let runs = w.get("runs").and_then(JValue::as_arr).expect("runs");
+        let shared: Vec<(&str, Option<&str>)> = runs
+            .iter()
+            .map(|r| {
+                (
+                    r.get("strategy")
+                        .and_then(JValue::as_str)
+                        .expect("strategy"),
+                    r.get("shared_with").map(|s| s.as_str().expect("a label")),
+                )
+            })
+            .collect();
+        assert_eq!(
+            shared,
+            vec![("hybrid", Some("llp")), ("ilp", None), ("llp", None)]
+        );
     }
 
     /// A deliberately panicking workload must become a marked-failed row

@@ -783,7 +783,7 @@ impl Engine {
     }
 
     /// Compile (through the caches) and simulate (through the pool) one
-    /// configuration, mirroring the direct path's `run_prepared_obs`
+    /// configuration, mirroring the direct path's `prepare` + `simulate`
     /// field for field.
     #[allow(clippy::too_many_arguments)]
     fn run_config(
@@ -857,6 +857,8 @@ impl Engine {
                 stats: out.stats,
                 region_kinds: image.region_kinds.clone(),
                 region_weights: image.region_weights.clone(),
+                // Every served miss simulates: a `fresh` request must.
+                shared_with: None,
             },
             out.probes,
             trace_json,

@@ -41,12 +41,13 @@ pub mod report;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use voltron_compiler::{compile_prepared, CompileError, CompileOptions, FrontEnd};
 use voltron_ir::{interp, Memory, Program};
 use voltron_sim::whatif::region_stacks;
 use voltron_sim::{
-    ChromeTracer, CoherenceBackend, IdealKnobs, Machine, MachineConfig, MachineStats, SimError,
-    StallReason,
+    ChromeTracer, CoherenceBackend, IdealKnobs, Machine, MachineConfig, MachineProgram,
+    MachineStats, RunOutcome, SimError, StallReason,
 };
 
 pub use voltron_compiler::Strategy;
@@ -183,6 +184,12 @@ pub struct RunResult {
     pub region_kinds: HashMap<u32, &'static str>,
     /// Estimated serial weight per region id.
     pub region_weights: HashMap<u32, u64>,
+    /// The strategy whose simulation (at the same cores and backend)
+    /// produced `stats`, when this configuration lowered to the same
+    /// machine program as an earlier one of its batch and was not
+    /// simulated again; `None` when this run was simulated itself (see
+    /// [`Experiment::run_all_on`]).
+    pub shared_with: Option<Strategy>,
 }
 
 impl RunResult {
@@ -269,8 +276,10 @@ pub fn run_reference(program: &Program) -> Result<interp::Outcome, SystemError> 
     Ok(interp::run(program, GOLDEN_FUEL)?)
 }
 
-/// Compile and simulate one configuration, validating the output against
-/// `golden`.
+/// Compile and simulate one configuration from scratch, validating the
+/// output against `golden`. Shares nothing with any other run, which
+/// makes it the oracle `tests/shared_runs.rs` holds [`Experiment`]'s
+/// shared simulations to.
 ///
 /// # Errors
 /// Fails on compile/simulate errors or output divergence.
@@ -281,21 +290,23 @@ pub fn run_configuration(
     cores: usize,
     baseline_cycles: u64,
 ) -> Result<RunResult, SystemError> {
-    let backend = CoherenceBackend::Snooping;
-    let mcfg = machine_config(cores, backend);
-    let opts = CompileOptions::default();
-    let fe = FrontEnd::new(program, strategy, &mcfg, &opts)?;
-    run_prepared(
-        &fe,
+    let config = (strategy, cores, CoherenceBackend::Snooping);
+    let mcfg = machine_config(cores, config.2);
+    let fe = FrontEnd::new(program, strategy, &mcfg, &CompileOptions::default())?;
+    let prepared = prepare(&fe, config)?;
+    let env = SimEnv {
         golden,
-        strategy,
-        cores,
-        backend,
-        baseline_cycles,
-        None,
-        None,
+        cycle_budget: None,
+        faults: None,
+    };
+    let out = simulate(
+        &prepared.image,
+        config,
+        env,
         IdealKnobs::default(),
-    )
+        &ObsRequest::default(),
+    )?;
+    Ok(prepared.result(config, out.stats, out.ticked_cycles, baseline_cycles, None))
 }
 
 /// What to observe during a run (see `voltron_sim::obs`). The default
@@ -322,64 +333,88 @@ pub struct Observed {
     pub probes: Option<ProbeSeries>,
 }
 
-/// [`run_configuration`] from a prepared compiler front end: profiling a
-/// program dominates compile time but is identical for every
-/// configuration with the same [`FrontEnd::key`], so [`Experiment`]
-/// builds at most two front ends per program and reuses them here.
-#[allow(clippy::too_many_arguments)]
-fn run_prepared(
-    fe: &FrontEnd,
-    golden: &Memory,
-    strategy: Strategy,
-    cores: usize,
-    backend: CoherenceBackend,
-    baseline_cycles: u64,
-    cycle_budget: Option<u64>,
-    faults: Option<&FaultPlan>,
-    ideal: IdealKnobs,
-) -> Result<RunResult, SystemError> {
-    run_prepared_obs(
-        fe,
-        golden,
-        strategy,
-        cores,
-        backend,
-        baseline_cycles,
-        cycle_budget,
-        faults,
-        ideal,
-        &ObsRequest::default(),
-    )
-    .map(|o| o.run)
+/// One (strategy, cores, backend) point.
+type Config = (Strategy, usize, CoherenceBackend);
+
+/// A configuration compiled and ready to boot: the first half of a run.
+/// The image sits behind an `Arc` so every simulation of it — a what-if's
+/// five, or the one that serves a whole class of equal configurations —
+/// boots from the same allocation; the planner maps stay the
+/// configuration's own.
+struct Prepared {
+    image: Arc<MachineProgram>,
+    region_kinds: HashMap<u32, &'static str>,
+    region_weights: HashMap<u32, u64>,
 }
 
-/// [`run_prepared`], optionally with a Chrome tracer and/or interval
-/// probes attached per `obs`.
-#[allow(clippy::too_many_arguments)]
-fn run_prepared_obs(
-    fe: &FrontEnd,
-    golden: &Memory,
-    strategy: Strategy,
-    cores: usize,
-    backend: CoherenceBackend,
-    baseline_cycles: u64,
+/// Plan and emit `config` from a prepared front end. Profiling a program
+/// dominates compile time but is identical for every configuration with
+/// the same [`FrontEnd::key`], so [`Experiment`] builds at most two front
+/// ends per program and reuses them here.
+fn prepare(fe: &FrontEnd, (strategy, cores, backend): Config) -> Result<Prepared, SystemError> {
+    let mcfg = machine_config(cores, backend);
+    let compiled = compile_prepared(fe, strategy, &mcfg, &CompileOptions::default())?;
+    Ok(Prepared {
+        image: Arc::new(compiled.machine),
+        region_kinds: compiled.region_kinds,
+        region_weights: compiled.region_weights,
+    })
+}
+
+impl Prepared {
+    /// This configuration's [`RunResult`] from the statistics of a
+    /// simulation of its image (its own, or its class leader's).
+    fn result(
+        self,
+        (strategy, cores, backend): Config,
+        stats: MachineStats,
+        ticked_cycles: u64,
+        baseline_cycles: u64,
+        shared_with: Option<Strategy>,
+    ) -> RunResult {
+        let cycles = stats.cycles;
+        RunResult {
+            strategy,
+            cores,
+            backend,
+            cycles,
+            ticked_cycles,
+            speedup: baseline_cycles as f64 / cycles.max(1) as f64,
+            stats,
+            region_kinds: self.region_kinds,
+            region_weights: self.region_weights,
+            shared_with,
+        }
+    }
+}
+
+/// What every simulation of one [`Experiment`] runs under.
+#[derive(Clone, Copy)]
+struct SimEnv<'a> {
+    golden: &'a Memory,
     cycle_budget: Option<u64>,
-    faults: Option<&FaultPlan>,
+    faults: Option<&'a FaultPlan>,
+}
+
+/// Boot `image`, run it, and hold its final memory to the golden model:
+/// the second half of a run, optionally with a Chrome tracer and/or
+/// interval probes attached per `obs`. Validation (inside
+/// [`Machine::new_shared`]) and the golden compare happen on every
+/// simulation actually performed.
+fn simulate(
+    image: &Arc<MachineProgram>,
+    (strategy, cores, backend): Config,
+    env: SimEnv<'_>,
     ideal: IdealKnobs,
     obs: &ObsRequest,
-) -> Result<Observed, SystemError> {
-    let mcfg = machine_config(cores, backend);
-    let opts = CompileOptions::default();
-    let compiled = compile_prepared(fe, strategy, &mcfg, &opts)?;
-    let region_kinds = compiled.region_kinds.clone();
-    let region_weights = compiled.region_weights.clone();
-    // The budget caps simulation only; the compiler must see the pristine
+) -> Result<RunOutcome, SystemError> {
+    // The budget caps simulation only; the compiler saw the pristine
     // paper config so budgeted and unbudgeted builds stay identical.
     // Idealization knobs are likewise simulator-side only: a what-if run
     // executes the *same* code as the measured run, just timed by an
     // idealized machine, so its ceiling is attributable to hardware alone.
-    let mut sim_cfg = mcfg;
-    if let Some(budget) = cycle_budget {
+    let mut sim_cfg = machine_config(cores, backend);
+    if let Some(budget) = env.cycle_budget {
         sim_cfg.max_cycles = sim_cfg.max_cycles.min(budget);
     }
     sim_cfg.ideal = ideal;
@@ -387,40 +422,40 @@ fn run_prepared_obs(
     // Fault injection perturbs timing only; the output check below still
     // holds faulted runs to the golden memory, which *is* the recovery
     // contract (DESIGN.md §10).
-    sim_cfg.faults = faults.cloned();
-    let mut machine = Machine::new(compiled.machine, &sim_cfg)?;
+    sim_cfg.faults = env.faults.cloned();
+    let mut machine = Machine::new_shared(Arc::clone(image), &sim_cfg)?;
     if obs.chrome_trace {
         machine.set_tracer(Box::new(ChromeTracer::new()));
     }
     let out = machine.run()?;
-    if let Err(addr) = outputs_equivalent(golden, &out.memory) {
+    if let Err(addr) = outputs_equivalent(env.golden, &out.memory) {
         return Err(SystemError::OutputMismatch {
             strategy,
             cores,
             addr,
         });
     }
-    let cycles = out.stats.cycles;
-    // When both lenses are on, splice the probe gauges into the trace as
-    // Perfetto counter tracks — one document shows spans and gauges.
-    let trace_json = match (&obs.chrome_trace, &out.probes) {
-        (true, Some(series)) => voltron_sim::trace_with_counters(&out.trace, series),
-        _ => out.trace,
+    Ok(out)
+}
+
+/// Run `f` over `items` on scoped host threads — the last on the calling
+/// thread, so a batch of one spawns nothing — and return the results in
+/// item order.
+fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let Some((last, rest)) = items.split_last() else {
+        return Vec::new();
     };
-    Ok(Observed {
-        run: RunResult {
-            strategy,
-            cores,
-            backend,
-            cycles,
-            ticked_cycles: out.ticked_cycles,
-            speedup: baseline_cycles as f64 / cycles.max(1) as f64,
-            stats: out.stats,
-            region_kinds,
-            region_weights,
-        },
-        trace_json,
-        probes: out.probes,
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = rest
+            .iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        let tail = f(last);
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().expect("runner panicked"));
+        joined.chain([tail]).collect()
     })
 }
 
@@ -537,22 +572,17 @@ impl<'a> Experiment<'a> {
             cycle_budget: budget,
             fault_plan: None,
         };
-        let idx = exp.ensure_front_end(Strategy::Serial, 1)?;
-        let fe = exp.front_ends[idx].as_ref().expect("just built");
-        let base = run_prepared(
-            fe,
-            &exp.golden,
-            Strategy::Serial,
-            1,
-            CoherenceBackend::Snooping,
-            1,
-            budget,
-            None,
+        let serial = (Strategy::Serial, 1, CoherenceBackend::Snooping);
+        let image = exp.prepare(serial)?.image;
+        let base = simulate(
+            &image,
+            serial,
+            exp.env(),
             IdealKnobs::default(),
+            &ObsRequest::default(),
         )?;
-        exp.baseline_cycles = base.cycles;
-        exp.sim_cycles = base.cycles;
-        exp.ticked_cycles = base.ticked_cycles;
+        exp.baseline_cycles = base.stats.cycles;
+        exp.count(&base);
         Ok(exp)
     }
 
@@ -588,10 +618,12 @@ impl<'a> Experiment<'a> {
         self.fault_plan.as_ref()
     }
 
-    /// Total simulated cycles across every configuration this experiment
-    /// has actually run (cache hits excluded), baseline included. The
-    /// harness divides the sum by host wall-clock for its
-    /// simulated-cycles-per-second throughput metric.
+    /// Total simulated cycles across every simulation this experiment
+    /// has actually performed, baseline included: cache hits are
+    /// excluded, and a class of configurations that shared one simulation
+    /// ([`Experiment::run_all_on`]) counts it once. The harness divides
+    /// the sum by host wall-clock for its simulated-cycles-per-second
+    /// throughput metric, which therefore stays a simulator-speed number.
     pub fn simulated_cycles(&self) -> u64 {
         self.sim_cycles
     }
@@ -628,6 +660,27 @@ impl<'a> Experiment<'a> {
         Ok(idx)
     }
 
+    /// Compile `config` (building its front end first if need be).
+    fn prepare(&mut self, config: Config) -> Result<Prepared, SystemError> {
+        let idx = self.ensure_front_end(config.0, config.1)?;
+        prepare(self.front_ends[idx].as_ref().expect("just built"), config)
+    }
+
+    /// The golden memory, budget and fault plan every run is held to.
+    fn env(&self) -> SimEnv<'_> {
+        SimEnv {
+            golden: &self.golden,
+            cycle_budget: self.cycle_budget,
+            faults: self.fault_plan.as_ref(),
+        }
+    }
+
+    /// Add a simulation that was actually performed to the totals.
+    fn count(&mut self, out: &RunOutcome) {
+        self.sim_cycles += out.stats.cycles;
+        self.ticked_cycles += out.ticked_cycles;
+    }
+
     /// Run (or fetch the cached run of) a configuration on the default
     /// snooping backend.
     ///
@@ -648,24 +701,7 @@ impl<'a> Experiment<'a> {
         cores: usize,
         backend: CoherenceBackend,
     ) -> Result<&RunResult, SystemError> {
-        if !self.cache.contains_key(&(strategy, cores, backend)) {
-            let idx = self.ensure_front_end(strategy, cores)?;
-            let fe = self.front_ends[idx].as_ref().expect("just built");
-            let r = run_prepared(
-                fe,
-                &self.golden,
-                strategy,
-                cores,
-                backend,
-                self.baseline_cycles,
-                self.cycle_budget,
-                self.fault_plan.as_ref(),
-                IdealKnobs::default(),
-            )?;
-            self.sim_cycles += r.cycles;
-            self.ticked_cycles += r.ticked_cycles;
-            self.cache.insert((strategy, cores, backend), r);
-        }
+        self.run_all_on(&[(strategy, cores, backend)])?;
         Ok(&self.cache[&(strategy, cores, backend)])
     }
 
@@ -698,47 +734,66 @@ impl<'a> Experiment<'a> {
         backend: CoherenceBackend,
         obs: &ObsRequest,
     ) -> Result<Observed, SystemError> {
-        let idx = self.ensure_front_end(strategy, cores)?;
-        let fe = self.front_ends[idx].as_ref().expect("just built");
-        let o = run_prepared_obs(
-            fe,
-            &self.golden,
-            strategy,
-            cores,
-            backend,
-            self.baseline_cycles,
-            self.cycle_budget,
-            self.fault_plan.as_ref(),
+        let config = (strategy, cores, backend);
+        let prepared = self.prepare(config)?;
+        let mut out = simulate(
+            &prepared.image,
+            config,
+            self.env(),
             IdealKnobs::default(),
             obs,
         )?;
-        self.sim_cycles += o.run.cycles;
-        self.ticked_cycles += o.run.ticked_cycles;
-        Ok(o)
+        self.count(&out);
+        // When both lenses are on, splice the probe gauges into the trace as
+        // Perfetto counter tracks — one document shows spans and gauges.
+        let trace_json = match (obs.chrome_trace, &out.probes) {
+            (true, Some(series)) => voltron_sim::trace_with_counters(&out.trace, series),
+            _ => std::mem::take(&mut out.trace),
+        };
+        let baseline = self.baseline_cycles;
+        Ok(Observed {
+            run: prepared.result(config, out.stats, out.ticked_cycles, baseline, None),
+            trace_json,
+            probes: out.probes,
+        })
     }
 
-    /// Run every not-yet-cached configuration in `configs` across host
-    /// threads. Configurations are independent simulations sharing only
-    /// the immutable front ends and the golden memory, so a workload's
-    /// whole sweep finishes in the wall-clock of its slowest member
-    /// instead of their sum. Results land in the cache exactly as a
-    /// sequence of [`Experiment::run`] calls would have left them: they
-    /// are committed in `configs` order up to the first failure, whose
-    /// error is returned (later successes are discarded, as a sequential
-    /// sweep would never have run them).
+    /// [`Experiment::run_all_on`] on the default snooping backend.
     ///
     /// # Errors
     /// The first (in `configs` order) configuration failure.
     pub fn run_all(&mut self, configs: &[(Strategy, usize)]) -> Result<(), SystemError> {
-        let on: Vec<(Strategy, usize, CoherenceBackend)> = configs
+        let on: Vec<Config> = configs
             .iter()
             .map(|&(s, c)| (s, c, CoherenceBackend::Snooping))
             .collect();
         self.run_all_on(&on)
     }
 
-    /// [`Experiment::run_all`] with an explicit coherence backend per
-    /// configuration.
+    /// Run every not-yet-cached configuration in `configs`, simulating
+    /// each *distinct* machine program once, across host threads.
+    ///
+    /// The missing configurations are compiled first. Those that boot the
+    /// same machine with the same program — equal `(cores, backend)` and
+    /// structurally equal images, which happens whenever one technique
+    /// wins every region of the hybrid plan — form a class; a simulation
+    /// is a deterministic function of exactly that pair plus the budget,
+    /// fault plan and knobs, which are one `Experiment`'s and so equal by
+    /// construction. One leader per class (its first member in `configs`
+    /// order) is validated, simulated and compared with the golden
+    /// memory; every other member's [`RunResult`] is built from the
+    /// leader's statistics under its own strategy label, region maps and
+    /// speedup, and names the leader in [`RunResult::shared_with`].
+    /// Images are dropped when the batch ends (DESIGN.md, "Shared
+    /// simulations").
+    ///
+    /// Classes are independent simulations sharing only immutable state,
+    /// so a workload's sweep finishes in the wall-clock of its slowest
+    /// class instead of their sum. Results land in the cache exactly as a
+    /// sequence of [`Experiment::run_on`] calls would have left them:
+    /// committed in `configs` order up to the first failure, whose error
+    /// is returned (later successes are discarded, as a sequential sweep
+    /// would never have run them).
     ///
     /// # Errors
     /// The first (in `configs` order) configuration failure.
@@ -746,63 +801,65 @@ impl<'a> Experiment<'a> {
         &mut self,
         configs: &[(Strategy, usize, CoherenceBackend)],
     ) -> Result<(), SystemError> {
-        let missing: Vec<(Strategy, usize, CoherenceBackend)> = {
-            let mut seen = Vec::new();
-            configs
-                .iter()
-                .copied()
-                .filter(|c| {
-                    !self.cache.contains_key(c) && !seen.contains(c) && {
-                        seen.push(*c);
-                        true
-                    }
-                })
-                .collect()
-        };
-        // Front ends are shared mutable state: build them up front,
-        // serially (at most two exist per program).
-        let mut slots = Vec::with_capacity(missing.len());
-        for &(strategy, cores, _) in &missing {
-            slots.push(self.ensure_front_end(strategy, cores)?);
+        let mut missing: Vec<Config> = Vec::new();
+        for c in configs {
+            if !self.cache.contains_key(c) && !missing.contains(c) {
+                missing.push(*c);
+            }
         }
-        let front_ends = &self.front_ends;
-        let golden = &self.golden;
-        let baseline = self.baseline_cycles;
-        let budget = self.cycle_budget;
-        let faults = self.fault_plan.as_ref();
-        let outcomes: Vec<Result<RunResult, SystemError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = missing
-                .iter()
-                .zip(&slots)
-                .map(|(&(strategy, cores, backend), &idx)| {
-                    scope.spawn(move || {
-                        let fe = front_ends[idx].as_ref().expect("built above");
-                        run_prepared(
-                            fe,
-                            golden,
-                            strategy,
-                            cores,
-                            backend,
-                            baseline,
-                            budget,
-                            faults,
-                            IdealKnobs::default(),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("config runner panicked"))
-                .collect()
-        });
-        for (key, outcome) in missing.into_iter().zip(outcomes) {
-            let r = outcome?;
-            self.sim_cycles += r.cycles;
-            self.ticked_cycles += r.ticked_cycles;
-            self.cache.insert(key, r);
+        // Compile up front, serially: front ends are shared mutable state
+        // (at most two exist per program). A compile failure ends the
+        // batch where a sequential sweep would have stopped — whatever
+        // precedes it still runs and commits before the error is returned.
+        let mut prepared: Vec<Prepared> = Vec::with_capacity(missing.len());
+        let mut compile_failure = None;
+        for &config in &missing {
+            match self.prepare(config) {
+                Ok(p) => prepared.push(p),
+                Err(e) => {
+                    compile_failure = Some(e);
+                    break;
+                }
+            }
         }
-        Ok(())
+        // `leader[i]` is the first configuration that boots the same
+        // machine with the same program as `i` (itself, when none does).
+        let mut leader: Vec<usize> = Vec::with_capacity(prepared.len());
+        for i in 0..prepared.len() {
+            let same = (0..i).find(|&j| {
+                leader[j] == j
+                    && (missing[j].1, missing[j].2) == (missing[i].1, missing[i].2)
+                    && prepared[j].image == prepared[i].image
+            });
+            leader.push(same.unwrap_or(i));
+        }
+        let leaders: Vec<usize> = (0..leader.len()).filter(|&i| leader[i] == i).collect();
+        let env = self.env();
+        let mut outcomes = fan_out(&leaders, |&i| {
+            simulate(
+                &prepared[i].image,
+                missing[i],
+                env,
+                IdealKnobs::default(),
+                &ObsRequest::default(),
+            )
+        })
+        .into_iter();
+        for (i, p) in prepared.into_iter().enumerate() {
+            let (stats, ticked, shared_with) = if leader[i] == i {
+                let out = outcomes.next().expect("one outcome per leader")?;
+                self.count(&out);
+                (out.stats, out.ticked_cycles, None)
+            } else {
+                // Committed earlier in this loop: a failed leader has
+                // already returned its error.
+                let lead = &self.cache[&missing[leader[i]]];
+                (lead.stats.clone(), lead.ticked_cycles, Some(lead.strategy))
+            };
+            let r = p.result(missing[i], stats, ticked, self.baseline_cycles, shared_with);
+            self.cache.insert(missing[i], r);
+        }
+        compile_failure.map_or(Ok(()), Err)
     }
 
     /// Fig. 3-style attribution: the fraction of (estimated serial)
@@ -866,9 +923,10 @@ impl<'a> Experiment<'a> {
 
     /// Diagnose a configuration: build its CPI stack and per-region
     /// classification from the measured run (cached, or run now exactly
-    /// as [`Experiment::run_on`] would), then re-simulate the *same
-    /// binary* once per [`KnobId::ALL`] idealization across host threads
-    /// and report each knob's speedup ceiling.
+    /// as [`Experiment::run_on`] would), then compile the configuration
+    /// once and re-simulate that *one image* under each [`KnobId::ALL`]
+    /// idealization across host threads, reporting each knob's speedup
+    /// ceiling.
     ///
     /// The measured run is never perturbed: idealized results live only
     /// in the returned report, never in the result cache, so a sweep
@@ -903,47 +961,23 @@ impl<'a> Experiment<'a> {
             let bound_by = stack.bound_by();
             (run.cycles, stack, bound_by, regions)
         };
-        let idx = self.ensure_front_end(strategy, cores)?;
-        let fe = self.front_ends[idx].as_ref().expect("just built");
-        let golden = &self.golden;
-        let baseline = self.baseline_cycles;
-        let budget = self.cycle_budget;
-        let faults = self.fault_plan.as_ref();
-        // The five idealized runs are independent simulations of the same
-        // compiled binary; fan them out like `run_all_on` does.
-        let outcomes: Vec<Result<RunResult, SystemError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = KnobId::ALL
-                .iter()
-                .map(|&knob| {
-                    scope.spawn(move || {
-                        run_prepared(
-                            fe,
-                            golden,
-                            strategy,
-                            cores,
-                            backend,
-                            baseline,
-                            budget,
-                            faults,
-                            knob.knobs(),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("what-if runner panicked"))
-                .collect()
+        // The five idealized runs are independent simulations of one
+        // compiled binary: prepare it once, boot all five from the same
+        // image, fan them out like `run_all_on` does.
+        let config = (strategy, cores, backend);
+        let image = self.prepare(config)?.image;
+        let env = self.env();
+        let outcomes = fan_out(&KnobId::ALL, |knob| {
+            simulate(&image, config, env, knob.knobs(), &ObsRequest::default())
         });
         let mut ceilings = Vec::with_capacity(KnobId::ALL.len());
         for (knob, outcome) in KnobId::ALL.into_iter().zip(outcomes) {
-            let r = outcome?;
-            self.sim_cycles += r.cycles;
-            self.ticked_cycles += r.ticked_cycles;
+            let out = outcome?;
+            self.count(&out);
             ceilings.push(KnobCeiling {
                 knob,
-                ideal_cycles: r.cycles,
-                speedup_ceiling: measured_cycles as f64 / r.cycles.max(1) as f64,
+                ideal_cycles: out.stats.cycles,
+                speedup_ceiling: measured_cycles as f64 / out.stats.cycles.max(1) as f64,
             });
         }
         Ok(WhatIfReport {

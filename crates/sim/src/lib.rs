@@ -41,6 +41,7 @@ pub mod cache;
 pub mod config;
 pub mod decode;
 pub mod fault;
+mod hash;
 pub mod machine;
 pub mod mcode;
 pub mod memsys;

@@ -53,6 +53,7 @@
 
 use crate::config::MachineConfig;
 use crate::fault::{FaultBudgetReport, FaultKind, FaultSite, SiteFaults, SiteInjector};
+use crate::hash::IntMap;
 use std::collections::{HashMap, VecDeque};
 use voltron_ir::{BlockId, Dir, Value};
 
@@ -100,27 +101,6 @@ fn dir_index(d: Dir) -> usize {
     }
 }
 
-/// Fibonacci-multiply hasher for the receive CAM's tag index. The
-/// default SipHash costs more than the small-bucket scan it replaced;
-/// tags are simulator-internal (never attacker-controlled), so a single
-/// multiply is enough to spread them across the table.
-#[derive(Default)]
-struct TagHasher(u64);
-
-impl std::hash::Hasher for TagHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("tags hash through write_u32");
-    }
-
-    fn write_u32(&mut self, tag: u32) {
-        self.0 = u64::from(tag).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// One `(sender, tag)` data stream of a receiver's CAM.
 #[derive(Debug, Default)]
 struct Stream {
@@ -131,7 +111,7 @@ struct Stream {
     head: usize,
 }
 
-type TagMap = HashMap<u32, Stream, std::hash::BuildHasherDefault<TagHasher>>;
+type TagMap = IntMap<u32, Stream>;
 
 /// A non-empty data stream and the availability of its head message: one
 /// entry of the index `next_event` reads.

@@ -17,21 +17,21 @@
 //!   line-granular read-set intersects the committed write-set aborts and
 //!   restarts — it may have read stale pre-commit data.
 
-use std::collections::{HashMap, HashSet};
+use crate::hash::{IntMap, IntSet};
 
 /// Per-core transaction bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Txn {
     /// Chunk order within the current speculative region (0-based).
     pub order: u32,
-    read_lines: HashSet<u64>,
-    write_lines: HashSet<u64>,
-    writes: HashMap<u64, u8>,
+    read_lines: IntSet<u64>,
+    write_lines: IntSet<u64>,
+    writes: IntMap<u64, u8>,
     /// First-read committed value per byte actually read (not forwarded
     /// from the transaction's own write buffer). Populated only in
     /// value-based conflict mode ([`TxnManager::set_value_conflicts`]);
     /// empty — and never consulted — on the default line-granular path.
-    observed: HashMap<u64, u8>,
+    observed: IntMap<u64, u8>,
 }
 
 /// TM statistics.
@@ -122,10 +122,10 @@ impl TxnManager {
         }
         let mut txn = self.pool.pop().unwrap_or_else(|| Txn {
             order: 0,
-            read_lines: HashSet::new(),
-            write_lines: HashSet::new(),
-            writes: HashMap::new(),
-            observed: HashMap::new(),
+            read_lines: IntSet::default(),
+            write_lines: IntSet::default(),
+            writes: IntMap::default(),
+            observed: IntMap::default(),
         });
         txn.order = order;
         self.txns[core] = Some(txn);
@@ -328,6 +328,7 @@ impl TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, HashMap};
 
     #[test]
     fn read_your_own_writes() {
@@ -453,6 +454,43 @@ mod tests {
         tm.write(0, 64, 8, 42);
         let (_, aborted) = tm.commit(0, |_, _| {});
         assert!(aborted.is_empty());
+    }
+
+    /// Nothing a commit reports may depend on the order its sets were
+    /// filled in (or, therefore, on how their keys hash).
+    #[test]
+    fn commit_is_independent_of_insertion_order() {
+        let accesses: [(u64, u64, u64); 4] = [
+            (64, 8, 0x0102_0304_0506_0708),
+            (4096, 4, 0xdead_beef),
+            (30, 4, 0xaabb_ccdd), // straddles the 0 and 32 lines
+            (200, 1, 0x7f),
+        ];
+        let commit = |order: &[usize]| {
+            let mut tm = TxnManager::new(3, 32);
+            tm.begin(0, 0);
+            tm.begin(1, 1);
+            tm.begin(2, 2);
+            for &i in order {
+                let (addr, width, value) = accesses[i];
+                tm.write(0, addr, width, value);
+                tm.read(0, addr + 512, width, 0);
+                // Core 1 reads what core 0 writes; core 2 stays clear.
+                tm.read(1, addr, width, 0);
+                tm.read(2, addr + 8192, width, 0);
+            }
+            let mut applied = BTreeMap::new();
+            let (lines, aborted) = tm.commit(0, |a, b| {
+                assert!(applied.insert(a, b).is_none(), "byte {a:#x} applied twice");
+            });
+            (lines, aborted, applied, tm.stats())
+        };
+        let forward = commit(&[0, 1, 2, 3]);
+        assert_eq!(forward.0, vec![0, 32, 64, 192, 4096]);
+        assert_eq!(forward.1, vec![1]);
+        assert_eq!(forward.2.len(), 8 + 4 + 4 + 1);
+        assert_eq!(commit(&[3, 1, 0, 2]), forward);
+        assert_eq!(commit(&[2, 3, 0, 1]), forward);
     }
 
     #[test]

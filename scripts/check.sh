@@ -17,7 +17,10 @@ echo "== tier-1: release build + tests"
 # cases, decode) and the validator's seeded-broken-program corpus
 # (crates/sim/tests/validate.rs: every seeded corruption must be rejected
 # with coordinates), so that suite has no step of its own; the workspace
-# run below repeats it in release mode.
+# run below repeats it in release mode. Likewise tests/serve_engine.rs
+# pulls in the serve daemon's in-process suite (crates/bench/tests/serve.rs:
+# served == direct Experiment results, bit for bit), and
+# tests/shared_runs.rs holds Experiment's shared simulations to fresh ones.
 cargo build --release
 cargo test -q
 
