@@ -8,9 +8,7 @@
 //! (open the file in <https://ui.perfetto.dev>) and/or an interval probe
 //! series, whose summary also lands in `BENCH_bench_one.json`.
 
-use voltron_bench::harness::{
-    append_history, bench_json, chaos_json, history_row, workload_summary, DEFAULT_PROBE_PERIOD,
-};
+use voltron_bench::harness::{bench_json, chaos_json, workload_summary, DEFAULT_PROBE_PERIOD};
 use voltron_core::report::throughput;
 use voltron_core::{Experiment, FaultPlan, ObsRequest, StallCategory, Strategy};
 use voltron_sim::CoherenceBackend;
@@ -188,13 +186,4 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_bench_one.json", doc.render()) {
         eprintln!("[bench_one] cannot write BENCH_bench_one.json: {e}");
     }
-    append_history(&history_row(
-        "bench_one",
-        scale_name,
-        exp.simulated_cycles(),
-        exp.ticked_cycles(),
-        secs,
-        &summaries,
-        0,
-    ));
 }

@@ -534,14 +534,10 @@ pub fn bench_json(
     doc
 }
 
-/// File the perf history accumulates in (working directory, like the
-/// `BENCH_*.json` sidecars).
-pub const HISTORY_FILE: &str = "BENCH_history.ndjson";
-
 /// The git revision the harness is running from (short hash, plus
 /// `-dirty` when the tree has uncommitted changes), or `"unknown"`
-/// outside a git checkout. Stamped into every history row so a
-/// regression found by `bench_diff` can be bisected.
+/// outside a git checkout. The benchmark stamps it into the provenance
+/// block of every result document.
 pub fn git_rev() -> String {
     let run = |args: &[&str]| {
         std::process::Command::new("git")
@@ -557,75 +553,6 @@ pub fn git_rev() -> String {
     match run(&["status", "--porcelain"]) {
         Some(s) if !s.is_empty() => format!("{rev}-dirty"),
         _ => rev,
-    }
-}
-
-/// One perf-history row: a compact, git-rev-stamped snapshot of a
-/// finished sweep. Cycle counts are deterministic (they regress only
-/// when the simulator or compiler changes); host throughput tracks the
-/// machine the sweep ran on.
-pub fn history_row(
-    binary: &str,
-    scale: &str,
-    simulated_cycles: u64,
-    ticked_cycles: u64,
-    host_seconds: f64,
-    summaries: &[WorkloadSummary],
-    failures: usize,
-) -> Json {
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let workloads = summaries
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(s.name.into())),
-                ("baseline_cycles".into(), Json::UInt(s.baseline_cycles)),
-                ("simulated_cycles".into(), Json::UInt(s.simulated_cycles)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("unix_seconds".into(), Json::UInt(unix_seconds)),
-        ("git_rev".into(), Json::Str(git_rev())),
-        ("binary".into(), Json::Str(binary.into())),
-        ("scale".into(), Json::Str(scale.into())),
-        ("simulated_cycles".into(), Json::UInt(simulated_cycles)),
-        ("ticked_cycles".into(), Json::UInt(ticked_cycles)),
-        ("host_seconds".into(), Json::Num(host_seconds)),
-        (
-            "cycles_per_host_second".into(),
-            Json::Num(simulated_cycles as f64 / host_seconds.max(1e-9)),
-        ),
-        ("failures".into(), Json::UInt(failures as u64)),
-        ("workloads".into(), Json::Arr(workloads)),
-    ])
-}
-
-/// Append one [`history_row`] to [`HISTORY_FILE`] (newline-delimited
-/// JSON, append-only: the file is the repo's perf memory across
-/// commits, so nothing ever rewrites earlier rows).
-///
-/// Torn-row safe under concurrent writers: the row is rendered into one
-/// buffer (trailing newline included) and written with a *single*
-/// `write` syscall on an `O_APPEND` handle, which POSIX makes atomic
-/// with respect to other appenders for writes this size — and a
-/// process-wide mutex serializes the serve daemon's own workers on top,
-/// so `bench_diff` never sees two rows interleaved mid-line.
-pub fn append_history(row: &Json) {
-    use std::io::Write;
-    static WRITER: Mutex<()> = Mutex::new(());
-    let line = format!("{}\n", row.render());
-    let _guard = WRITER.lock().expect("history writer poisoned");
-    let res = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(HISTORY_FILE)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = res {
-        eprintln!("cannot append {HISTORY_FILE}: {e}");
     }
 }
 
@@ -775,15 +702,6 @@ impl<R> Harvest<R> {
         if let Err(e) = std::fs::write(&path, doc.render()) {
             eprintln!("[{binary}] cannot write {path}: {e}");
         }
-        append_history(&history_row(
-            binary,
-            args.scale_name(),
-            self.simulated_cycles,
-            self.ticked_cycles,
-            self.host_seconds,
-            &self.summaries,
-            self.failures.len(),
-        ));
     }
 }
 

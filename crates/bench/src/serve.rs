@@ -10,10 +10,15 @@
 //! * **Content-addressed caching** ([`Engine`]): programs are keyed by a
 //!   hash of their printed IR (not their name), so two requests for the
 //!   same content share one golden memory, one serial baseline, at most
-//!   two compiler [`FrontEnd`]s (see [`FrontEnd::key`]), one compiled
-//!   [`MachineProgram`] image per (strategy, cores, backend), and — when
-//!   a request carries no observability or idealization — one cached
-//!   [`RunResult`], exactly mirroring `Experiment`'s own result cache.
+//!   two compiler [`FrontEnd`]s (see [`front_end_slot`]), one compiled
+//!   [`Prepared`] image per (strategy, cores, backend), and — when a
+//!   request carries no observability or idealization — one cached
+//!   [`RunResult`]. The engine owns the content hash, these cache layers,
+//!   the machine pool and the counters, nothing else: what it compiles,
+//!   how a run is configured, checked and diagnosed are `voltron-core`'s
+//!   `prepare` / `sim_config` / `run_checked` / `WhatIfReport::diagnose`,
+//!   the functions `Experiment` itself runs on, so served == direct is
+//!   shared code.
 //! * **Pooled, resettable machines**: simulated machines are expensive to
 //!   allocate (caches, network CAMs, TM buffers). Finished machines park
 //!   in per-(cores, backend) free-lists and are revived with
@@ -27,9 +32,8 @@
 //!
 //! The wire protocol is line-delimited JSON over TCP or stdin (see
 //! [`parse_request`] / [`Response::to_json`]); rows carry the same run
-//! fields as the `BENCH_*.json` sidecars so `bench_diff` and the perf
-//! history understand served results unchanged. DESIGN.md §12 documents
-//! the invariants.
+//! fields as the `BENCH_*.json` sidecars. DESIGN.md §12 documents the
+//! invariants.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -39,17 +43,16 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use voltron_compiler::{compile_prepared, CompileOptions, FrontEnd};
+use voltron_compiler::FrontEnd;
 use voltron_core::report::Json;
 use voltron_core::{
-    machine_config, outputs_equivalent, run_reference, KnobCeiling, KnobId, ObsRequest,
-    ProbeSummary, RegionDiagnosis, RunResult, Strategy, SystemError, WhatIfReport,
+    front_end, front_end_slot, prepare, run_checked, run_reference, sim_config, Config, KnobId,
+    ObsRequest, Observed, Prepared, ProbeSummary, RunResult, SimEnv, Strategy, SystemError,
+    WhatIfReport,
 };
 use voltron_ir::{Memory, Program};
-use voltron_sim::whatif::region_stacks;
 use voltron_sim::{
-    ChromeTracer, CoherenceBackend, CycleStack, FaultPlan, IdealKnobs, Machine, MachineProgram,
-    REGION_OUTSIDE,
+    CoherenceBackend, FaultPlan, IdealKnobs, Machine, MachineConfig, MachineProgram,
 };
 use voltron_workloads::{by_name, Scale};
 
@@ -373,8 +376,9 @@ pub fn parse_request(v: &JValue) -> Result<Request, String> {
     }
     if let Some(c) = v.get("cores") {
         let c = c.as_num().ok_or("'cores' must be a number")?;
-        if c < 1.0 || c.fract() != 0.0 {
-            return Err("'cores' must be a positive integer".into());
+        // What `MachineConfig::scaled` asserts, as a wire error.
+        if c.fract() != 0.0 || !(1.0..=64.0).contains(&c) || !(c as usize).is_power_of_two() {
+            return Err("'cores' must be a power of two from 1 to 64".into());
         }
         req.cores = c as usize;
     }
@@ -432,31 +436,18 @@ struct Golden {
     baseline_cycles: u64,
 }
 
-/// A compiled machine image plus its planner metadata.
-struct Image {
-    machine: Arc<MachineProgram>,
-    region_kinds: HashMap<u32, &'static str>,
-    region_weights: HashMap<u32, u64>,
-}
-
 /// Key of one cached result: everything that can move the architectural
-/// numbers. Observed or idealized runs never cache (mirroring
+/// numbers. Observed or idealized runs never cache (as in
 /// `Experiment::run_observed`), so neither appears here.
-type ResultKey = (
-    Strategy,
-    usize,
-    CoherenceBackend,
-    Option<u64>,
-    Option<String>,
-);
+type ResultKey = (Config, Option<u64>, Option<String>);
 
 /// Everything the engine keeps per distinct program content.
 struct ProgramEntry {
     program: Program,
     golden: Mutex<Option<Arc<Golden>>>,
-    /// Front ends, indexed by [`FrontEnd::key`] like `Experiment`.
+    /// Front ends, indexed by [`front_end_slot`].
     front_ends: Mutex<[Option<Arc<FrontEnd>>; 2]>,
-    images: Mutex<HashMap<(Strategy, usize, CoherenceBackend), Arc<Image>>>,
+    images: Mutex<HashMap<Config, Arc<Prepared>>>,
     results: Mutex<HashMap<ResultKey, Arc<RunResult>>>,
 }
 
@@ -524,78 +515,71 @@ impl Engine {
     fn execute_inner(&self, req: &Request, t0: Instant) -> Result<Served, ServeError> {
         let entry = self.entry(&req.workload, req.scale)?;
         let (golden, golden_hit) = self.golden(&entry)?;
+        let config = (req.strategy, req.cores, req.backend);
+        let env = SimEnv {
+            golden: &golden.memory,
+            cycle_budget: req.budget_cycles,
+            faults: req.faults.as_ref(),
+        };
         let obs = ObsRequest {
             chrome_trace: req.trace,
             probe_period: req.probes.then_some(DEFAULT_PROBE_PERIOD),
         };
         let cacheable = !req.trace && !req.probes && !req.fresh;
         let result_key: ResultKey = (
-            req.strategy,
-            req.cores,
-            req.backend,
+            config,
             req.budget_cycles,
             req.faults.as_ref().map(FaultPlan::spec),
         );
-        if cacheable {
+        let cached = if cacheable {
             let results = entry.results.lock().expect("results lock");
-            if let Some(run) = results.get(&result_key) {
-                self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
-                let run = Arc::clone(run);
-                drop(results);
-                let mut cache = CacheInfo {
-                    golden_hit,
-                    front_end_hit: true,
-                    image_hit: true,
-                    result_hit: true,
-                    machine_pooled: false,
-                };
-                let whatif = if req.whatif {
-                    Some(self.whatif(&entry, &golden, req, &run, &mut cache)?)
-                } else {
-                    None
-                };
-                return Ok(Served {
-                    run,
-                    baseline_cycles: golden.baseline_cycles,
-                    whatif,
-                    probes: None,
-                    trace_json: None,
-                    cache,
-                    host_micros: t0.elapsed().as_micros() as u64,
-                });
+            results.get(&result_key).cloned()
+        } else {
+            None
+        };
+        let (run, probes, trace_json, mut cache) = if let Some(run) = cached {
+            self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
+            let cache = CacheInfo {
+                golden_hit,
+                front_end_hit: true,
+                image_hit: true,
+                result_hit: true,
+                machine_pooled: false,
+            };
+            (run, None, None, cache)
+        } else {
+            let (observed, mut cache) = self.run_config(
+                &entry,
+                config,
+                env,
+                golden.baseline_cycles,
+                IdealKnobs::default(),
+                &obs,
+            )?;
+            cache.golden_hit = golden_hit;
+            let run = Arc::new(observed.run);
+            if cacheable {
+                entry
+                    .results
+                    .lock()
+                    .expect("results lock")
+                    .insert(result_key, Arc::clone(&run));
             }
-        }
-        let (run, probes, trace_json, mut cache) = self.run_config(
-            &entry,
-            &golden,
-            req.strategy,
-            req.cores,
-            req.backend,
-            req.budget_cycles,
-            req.faults.as_ref(),
-            IdealKnobs::default(),
-            &obs,
-        )?;
-        cache.golden_hit = golden_hit;
-        let run = Arc::new(run);
-        if cacheable {
-            entry
-                .results
-                .lock()
-                .expect("results lock")
-                .insert(result_key, Arc::clone(&run));
-        }
+            let probes = observed.probes.as_ref().map(|p| p.summary());
+            let trace_json = req.trace.then_some(observed.trace_json);
+            (run, probes, trace_json, cache)
+        };
         let whatif = if req.whatif {
-            Some(self.whatif(&entry, &golden, req, &run, &mut cache)?)
+            Some(self.whatif(&entry, config, env, &run, &mut cache)?)
         } else {
             None
         };
         Ok(Served {
-            probes: probes.as_ref().map(|p| p.summary()),
             run,
             baseline_cycles: golden.baseline_cycles,
             whatif,
-            trace_json: if req.trace { Some(trace_json) } else { None },
+            probes,
+            trace_json,
             cache,
             host_micros: t0.elapsed().as_micros() as u64,
         })
@@ -634,9 +618,10 @@ impl Engine {
     }
 
     /// Golden memory + serial baseline, computed once per program. The
-    /// baseline runs unbudgeted — like `Experiment::new` it is the
-    /// denominator every served speedup shares — and its machine goes
-    /// through the same pool as every other run.
+    /// baseline runs unbudgeted and fault-free — like `Experiment::new`'s,
+    /// it is the denominator every served speedup shares — and flows
+    /// through `run_config`, so its machine comes from the same pool as
+    /// every other run's.
     fn golden(&self, entry: &Arc<ProgramEntry>) -> Result<(Arc<Golden>, bool), ServeError> {
         let mut slot = entry.golden.lock().expect("golden lock");
         if let Some(g) = slot.as_ref() {
@@ -647,89 +632,72 @@ impl Engine {
         let memory = run_reference(&entry.program)
             .map_err(|e| ServeError::Golden(e.to_string()))?
             .memory;
-        // Bootstrap: a provisional golden with baseline 0 lets the
-        // baseline run itself flow through `run_config` (its speedup
-        // field is meaningless and discarded).
-        let boot = Golden {
-            memory,
-            baseline_cycles: 0,
+        let env = SimEnv {
+            golden: &memory,
+            cycle_budget: None,
+            faults: None,
         };
-        let (base, _, _, _) = self.run_config(
+        // Baseline 0: the baseline run's own speedup is meaningless and
+        // discarded.
+        let (base, _) = self.run_config(
             entry,
-            &boot,
-            Strategy::Serial,
-            1,
-            CoherenceBackend::Snooping,
-            None,
-            None,
+            (Strategy::Serial, 1, CoherenceBackend::Snooping),
+            env,
+            0,
             IdealKnobs::default(),
             &ObsRequest::default(),
         )?;
         let g = Arc::new(Golden {
-            memory: boot.memory,
-            baseline_cycles: base.cycles,
+            memory,
+            baseline_cycles: base.run.cycles,
         });
         *slot = Some(Arc::clone(&g));
         Ok((g, false))
     }
 
     /// The front end for this configuration, built at most twice per
-    /// program ([`FrontEnd::key`]). Like `Experiment::ensure_front_end`,
-    /// the backend is irrelevant: front ends depend on geometry only.
+    /// program (once per [`front_end_slot`]).
     fn front_end(
         &self,
         entry: &ProgramEntry,
         strategy: Strategy,
         cores: usize,
-    ) -> Result<(Arc<FrontEnd>, bool), ServeError> {
-        let mcfg = machine_config(cores, CoherenceBackend::Snooping);
-        let opts = CompileOptions::default();
-        let idx = usize::from(FrontEnd::key(strategy, &mcfg, &opts));
+    ) -> Result<(Arc<FrontEnd>, bool), SystemError> {
+        // Before the lock is taken: a core count the machine model rejects
+        // panics here, and a panic under the lock would poison this
+        // program's front-end layer for every later request.
+        let idx = front_end_slot(strategy, cores);
         let mut slots = entry.front_ends.lock().expect("front-end lock");
         if let Some(fe) = slots[idx].as_ref() {
             self.counters.fe_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(fe), true));
         }
         self.counters.fe_misses.fetch_add(1, Ordering::Relaxed);
-        let fe = Arc::new(
-            FrontEnd::new(&entry.program, strategy, &mcfg, &opts)
-                .map_err(|e| ServeError::Compile(e.to_string()))?,
-        );
+        let fe = Arc::new(front_end(&entry.program, strategy, cores)?);
         slots[idx] = Some(Arc::clone(&fe));
         Ok((fe, false))
     }
 
-    /// The compiled machine image for one (strategy, cores, backend).
+    /// The compiled image (and planner maps) for one configuration.
     fn image(
         &self,
         entry: &ProgramEntry,
         fe: &FrontEnd,
-        strategy: Strategy,
-        cores: usize,
-        backend: CoherenceBackend,
-    ) -> Result<(Arc<Image>, bool), ServeError> {
-        let key = (strategy, cores, backend);
+        config: Config,
+    ) -> Result<(Arc<Prepared>, bool), SystemError> {
         {
             let images = entry.images.lock().expect("image lock");
-            if let Some(img) = images.get(&key) {
+            if let Some(img) = images.get(&config) {
                 self.counters.image_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((Arc::clone(img), true));
             }
         }
         self.counters.image_misses.fetch_add(1, Ordering::Relaxed);
-        let mcfg = machine_config(cores, backend);
-        let opts = CompileOptions::default();
-        let compiled = compile_prepared(fe, strategy, &mcfg, &opts)
-            .map_err(|e| ServeError::Compile(e.to_string()))?;
-        let img = Arc::new(Image {
-            machine: Arc::new(compiled.machine),
-            region_kinds: compiled.region_kinds,
-            region_weights: compiled.region_weights,
-        });
+        let img = Arc::new(prepare(fe, config)?);
         let mut images = entry.images.lock().expect("image lock");
         // A racing worker may have inserted first; keep the resident one
         // so every machine shares a single program allocation.
-        let img = Arc::clone(images.entry(key).or_insert(img));
+        let img = Arc::clone(images.entry(config).or_insert(img));
         Ok((img, false))
     }
 
@@ -740,8 +708,8 @@ impl Engine {
         cores: usize,
         backend: CoherenceBackend,
         program: &Arc<MachineProgram>,
-        cfg: &voltron_sim::MachineConfig,
-    ) -> Result<(Machine, bool), ServeError> {
+        cfg: &MachineConfig,
+    ) -> Result<(Machine, bool), SystemError> {
         let key = (cores, backend.label());
         let parked = self
             .pool
@@ -764,9 +732,7 @@ impl Engine {
             }
         }
         self.counters.pool_misses.fetch_add(1, Ordering::Relaxed);
-        let m = Machine::new_shared(Arc::clone(program), cfg)
-            .map_err(|e| ServeError::Sim(e.to_string()))?;
-        Ok((m, false))
+        Ok((Machine::new_shared(Arc::clone(program), cfg)?, false))
     }
 
     /// Park a machine that finished a *successful* run. Errored,
@@ -782,157 +748,74 @@ impl Engine {
         }
     }
 
-    /// Compile (through the caches) and simulate (through the pool) one
-    /// configuration, mirroring the direct path's `prepare` + `simulate`
-    /// field for field.
-    #[allow(clippy::too_many_arguments)]
+    /// One run of `config`: compiled through the caches by
+    /// `voltron_core::prepare`, configured by `sim_config`, run and held
+    /// to the golden memory by `run_checked` — the calls `Experiment`
+    /// makes, on a machine that comes from the pool and goes back to it.
     fn run_config(
         &self,
         entry: &ProgramEntry,
-        golden: &Golden,
-        strategy: Strategy,
-        cores: usize,
-        backend: CoherenceBackend,
-        budget: Option<u64>,
-        faults: Option<&FaultPlan>,
+        config: Config,
+        env: SimEnv<'_>,
+        baseline_cycles: u64,
         ideal: IdealKnobs,
         obs: &ObsRequest,
-    ) -> Result<
-        (
-            RunResult,
-            Option<voltron_sim::ProbeSeries>,
-            String,
-            CacheInfo,
-        ),
-        ServeError,
-    > {
+    ) -> Result<(Observed, CacheInfo), SystemError> {
+        let (strategy, cores, backend) = config;
         let (fe, front_end_hit) = self.front_end(entry, strategy, cores)?;
-        let (image, image_hit) = self.image(entry, &fe, strategy, cores, backend)?;
-        // The budget caps simulation only and the idealization knobs are
-        // simulator-side only: the compiler saw the pristine config above,
-        // exactly like the direct path.
-        let mut sim_cfg = machine_config(cores, backend);
-        if let Some(b) = budget {
-            sim_cfg.max_cycles = sim_cfg.max_cycles.min(b);
-        }
-        sim_cfg.ideal = ideal;
-        sim_cfg.probe_period = obs.probe_period;
-        sim_cfg.faults = faults.cloned();
+        let (prepared, image_hit) = self.image(entry, &fe, config)?;
+        let sim_cfg = sim_config(config, env, ideal, obs);
         let (mut machine, machine_pooled) =
-            self.checkout(cores, backend, &image.machine, &sim_cfg)?;
-        if obs.chrome_trace {
-            machine.set_tracer(Box::new(ChromeTracer::new()));
-        }
-        let out = match machine.run_mut() {
-            Ok(o) => o,
+            self.checkout(cores, backend, &prepared.image, &sim_cfg)?;
+        let out = match run_checked(&mut machine, config, env.golden, obs) {
+            Ok(out) => out,
             Err(e) => {
-                // The machine holds a wedged or budget-blown execution;
-                // retire it rather than trusting reset to unwedge it.
+                // Wedged, budget-blown or wrong: retire the machine rather
+                // than trusting reset to unwedge it.
                 drop(machine);
                 self.counters.retired.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Sim(e.to_string()));
+                return Err(e);
             }
         };
-        if let Err(addr) = outputs_equivalent(&golden.memory, &out.memory) {
-            drop(machine);
-            self.counters.retired.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Mismatch(format!(
-                "output mismatch under {strategy}/{cores} cores at {addr:#x}"
-            )));
-        }
         self.checkin(cores, backend, machine);
-        let cycles = out.stats.cycles;
-        let trace_json = match (obs.chrome_trace, &out.probes) {
-            (true, Some(series)) => voltron_sim::trace_with_counters(&out.trace, series),
-            _ => out.trace,
+        // Every served miss simulates (a `fresh` request must), so no run
+        // is ever `shared_with` another.
+        let run = prepared.result(config, out.stats, out.ticked_cycles, baseline_cycles, None);
+        let observed = Observed {
+            run,
+            trace_json: out.trace,
+            probes: out.probes,
         };
-        Ok((
-            RunResult {
-                strategy,
-                cores,
-                backend,
-                cycles,
-                ticked_cycles: out.ticked_cycles,
-                speedup: golden.baseline_cycles as f64 / cycles.max(1) as f64,
-                stats: out.stats,
-                region_kinds: image.region_kinds.clone(),
-                region_weights: image.region_weights.clone(),
-                // Every served miss simulates: a `fresh` request must.
-                shared_with: None,
-            },
-            out.probes,
-            trace_json,
-            CacheInfo {
-                golden_hit: false,
-                front_end_hit,
-                image_hit,
-                result_hit: false,
-                machine_pooled,
-            },
-        ))
+        let cache = CacheInfo {
+            golden_hit: false,
+            front_end_hit,
+            image_hit,
+            result_hit: false,
+            machine_pooled,
+        };
+        Ok((observed, cache))
     }
 
-    /// Bottleneck what-if for a served run: the CPI stack and region
-    /// diagnoses come from the measured run, then the same binary is
-    /// re-simulated once per idealization knob (through the same machine
-    /// pool). Mirrors `Experiment::whatif_on`.
+    /// Bottleneck what-if for a served run: `WhatIfReport::diagnose` on
+    /// the measured run, then the same image re-simulated once per
+    /// idealization knob, through the same caches and machine pool (with
+    /// baseline 0: only the idealized runs' cycles are read).
     fn whatif(
         &self,
         entry: &ProgramEntry,
-        golden: &Golden,
-        req: &Request,
+        config: Config,
+        env: SimEnv<'_>,
         measured: &RunResult,
         cache: &mut CacheInfo,
-    ) -> Result<WhatIfReport, ServeError> {
-        let stack = CycleStack::of(&measured.stats);
-        let regions: Vec<RegionDiagnosis> = region_stacks(&measured.stats)
-            .into_iter()
-            .map(|rs| RegionDiagnosis {
-                region: rs.region,
-                kind: if rs.region == REGION_OUTSIDE {
-                    "outside"
-                } else {
-                    measured
-                        .region_kinds
-                        .get(&rs.region)
-                        .copied()
-                        .unwrap_or("?")
-                },
-                bound_by: rs.bound_by(),
-                stack: rs,
-            })
-            .collect();
-        let bound_by = stack.bound_by();
-        let mut ceilings = Vec::with_capacity(KnobId::ALL.len());
+    ) -> Result<WhatIfReport, SystemError> {
+        let mut report = WhatIfReport::diagnose(measured);
         for knob in KnobId::ALL {
-            let (r, _, _, c) = self.run_config(
-                entry,
-                golden,
-                req.strategy,
-                req.cores,
-                req.backend,
-                req.budget_cycles,
-                req.faults.as_ref(),
-                knob.knobs(),
-                &ObsRequest::default(),
-            )?;
+            let (ideal, c) =
+                self.run_config(entry, config, env, 0, knob.knobs(), &ObsRequest::default())?;
             cache.machine_pooled |= c.machine_pooled;
-            ceilings.push(KnobCeiling {
-                knob,
-                ideal_cycles: r.cycles,
-                speedup_ceiling: measured.cycles as f64 / r.cycles.max(1) as f64,
-            });
+            report.ceiling(knob, ideal.run.cycles);
         }
-        Ok(WhatIfReport {
-            strategy: req.strategy,
-            cores: req.cores,
-            backend: req.backend,
-            measured_cycles: measured.cycles,
-            stack,
-            bound_by,
-            regions,
-            ceilings,
-        })
+        Ok(report)
     }
 
     /// Counter snapshot for the stats row and the saturation benchmark.
@@ -982,9 +865,9 @@ impl Engine {
     }
 
     fn note_panic(&self) {
+        // `execute` counted the request before it unwound.
         self.counters.panics.fetch_add(1, Ordering::Relaxed);
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1161,7 +1044,7 @@ impl Server {
     }
 
     /// Synchronous round-trip: submit and wait for the response. This is
-    /// the in-process API the equivalence tests and `serve_bench` use.
+    /// the in-process API the equivalence tests and the benchmark use.
     pub fn call(&self, req: Request) -> Response {
         let (tx, rx) = channel();
         self.submit(req, tx);

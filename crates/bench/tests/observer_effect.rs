@@ -5,10 +5,9 @@
 //! covers) between a plain run and an instrumented run of the same
 //! configuration.
 //!
-//! The full 28-config matrix gets the same treatment in
-//! `tests/cycle_golden.rs` under `CYCLE_GOLDEN_OBS=1` (check.sh runs
-//! it); this subset keeps the property in the default `cargo test`
-//! sweep.
+//! The full golden matrix is held to its pinned fingerprints plain and
+//! observed in `tests/cycle_golden.rs`; this subset goes through
+//! `Experiment` and compares the whole `MachineStats`.
 
 use voltron_core::{Experiment, ObsRequest, Strategy};
 use voltron_workloads::{by_name, Scale};

@@ -9,28 +9,54 @@ use std::io::Cursor;
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
 
+use voltron_bench::harness::DEFAULT_PROBE_PERIOD;
 use voltron_bench::jsonv::{self, JValue};
 use voltron_bench::serve::{
     parse_request, serve_connection, Request, Response, ServeError, Served, Server, ServerConfig,
 };
-use voltron_core::{Experiment, RunResult, Strategy};
+use voltron_core::{Experiment, KnobId, ObsRequest, RunResult, Strategy, WhatIfReport};
 use voltron_sim::CoherenceBackend;
 use voltron_workloads::{by_name, Scale};
 
-/// A golden-matrix slice that spans every strategy, both hybrid core
-/// counts, and three workload families (mirrors `tests/cycle_golden.rs`).
+/// The cycle-golden matrix (`tests/cycle_golden.rs`): workload, strategy,
+/// cores. Served results must match the direct path on every entry.
 const MATRIX: &[(&str, Strategy, usize)] = &[
+    ("164.gzip", Strategy::Serial, 1),
+    ("164.gzip", Strategy::Ilp, 4),
+    ("164.gzip", Strategy::FineGrainTlp, 4),
+    ("164.gzip", Strategy::Llp, 4),
+    ("164.gzip", Strategy::Hybrid, 4),
+    ("164.gzip", Strategy::Hybrid, 2),
     ("rawcaudio", Strategy::Serial, 1),
     ("rawcaudio", Strategy::Ilp, 4),
     ("rawcaudio", Strategy::FineGrainTlp, 4),
     ("rawcaudio", Strategy::Llp, 4),
-    ("rawcaudio", Strategy::Hybrid, 2),
     ("rawcaudio", Strategy::Hybrid, 4),
-    ("164.gzip", Strategy::Serial, 1),
-    ("164.gzip", Strategy::Hybrid, 4),
+    ("rawcaudio", Strategy::Hybrid, 2),
+    ("171.swim", Strategy::Serial, 1),
+    ("171.swim", Strategy::Ilp, 4),
+    ("171.swim", Strategy::FineGrainTlp, 4),
+    ("171.swim", Strategy::Llp, 4),
+    ("171.swim", Strategy::Hybrid, 4),
+    ("171.swim", Strategy::Hybrid, 2),
+    ("179.art", Strategy::Serial, 1),
+    ("179.art", Strategy::FineGrainTlp, 4),
+    ("179.art", Strategy::Hybrid, 4),
+    ("epic", Strategy::Serial, 1),
     ("epic", Strategy::FineGrainTlp, 4),
     ("epic", Strategy::Hybrid, 4),
+    ("mpeg2dec", Strategy::Serial, 1),
+    ("mpeg2dec", Strategy::Llp, 4),
+    ("mpeg2dec", Strategy::Hybrid, 4),
 ];
+
+/// A direct `Experiment` on a test-scale workload. The program is leaked
+/// so the experiment (which borrows it) can outlive this call; fine for a
+/// test process.
+fn direct_experiment(name: &str) -> Experiment<'static> {
+    let w = by_name(name, Scale::Test).expect("workload exists");
+    Experiment::new(Box::leak(Box::new(w.program))).expect("direct experiment")
+}
 
 fn assert_run_matches(served: &Served, direct: &RunResult, baseline: u64, what: &str) {
     let r = &served.run;
@@ -49,6 +75,15 @@ fn assert_run_matches(served: &Served, direct: &RunResult, baseline: u64, what: 
     assert_eq!(served.baseline_cycles, baseline, "{what}: baseline cycles");
 }
 
+/// One of the engine's counters, read from its stats document.
+fn engine_counter(server: &Server, name: &str) -> u64 {
+    let stats = server.engine().stats_json().render();
+    let v = jsonv::parse(&stats).expect("stats parse");
+    v.get(name)
+        .and_then(JValue::as_num)
+        .unwrap_or_else(|| panic!("no counter {name} in {stats}")) as u64
+}
+
 fn unwrap_run(resp: Response) -> Box<Served> {
     match resp {
         Response::Run { result: Ok(s), .. } => s,
@@ -61,8 +96,8 @@ fn unwrap_run(resp: Response) -> Box<Served> {
     }
 }
 
-/// Tentpole equivalence: the golden-matrix slice, served to four
-/// concurrent client threads, must match field-for-field what a direct
+/// Tentpole equivalence: the golden matrix, served to four concurrent
+/// client threads, must match field-for-field what a direct
 /// `Experiment` produces — including when the server answers from its
 /// result cache and its machine pool.
 #[test]
@@ -73,17 +108,21 @@ fn served_matrix_matches_direct_under_concurrency() {
         pool_cap: 4,
     });
 
-    const CLIENTS: usize = 4;
+    /// One client per stride through the matrix.
+    const STRIDES: [usize; 4] = [1, 2, 4, 5];
+    const CLIENTS: usize = STRIDES.len();
     let results: Mutex<Vec<(usize, usize, Box<Served>)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        for client in 0..CLIENTS {
+        for (client, stride) in STRIDES.into_iter().enumerate() {
             let server = &server;
             let results = &results;
             scope.spawn(move || {
                 for step in 0..MATRIX.len() {
-                    // Each client walks the matrix at a different phase so
-                    // cold compiles, cache hits, and pool churn interleave.
-                    let idx = (step + client * 3) % MATRIX.len();
+                    // Each client walks the whole matrix from a different
+                    // phase at a different stride (each coprime with its
+                    // length), so cold compiles, cache hits, and pool churn
+                    // interleave instead of falling into lock-step.
+                    let idx = (client * 7 + step * stride) % MATRIX.len();
                     let (workload, strategy, cores) = MATRIX[idx];
                     let mut req = Request::new(workload, strategy, cores);
                     req.id = (client * MATRIX.len() + idx) as u64;
@@ -95,22 +134,27 @@ fn served_matrix_matches_direct_under_concurrency() {
     });
 
     // Direct one-shot path, one Experiment per workload (its own caches).
-    let mut direct: Vec<(String, Experiment<'static>)> = Vec::new();
-    for name in ["rawcaudio", "164.gzip", "epic"] {
-        let w = by_name(name, Scale::Test).expect("workload exists");
-        // Leak the program so the Experiment (which borrows it) can live
-        // in the same vec; fine for a test process.
-        let program = Box::leak(Box::new(w.program));
-        direct.push((name.to_string(), Experiment::new(program).expect("direct")));
+    let mut direct: Vec<(&str, Experiment<'static>)> = Vec::new();
+    for &(name, _, _) in MATRIX {
+        if !direct.iter().any(|(n, _)| *n == name) {
+            direct.push((name, direct_experiment(name)));
+        }
     }
 
     let results = results.into_inner().unwrap();
-    assert_eq!(results.len(), CLIENTS * MATRIX.len());
+    let mut walked: Vec<(usize, usize)> = results.iter().map(|&(c, i, _)| (c, i)).collect();
+    walked.sort_unstable();
+    walked.dedup();
+    assert_eq!(
+        walked.len(),
+        CLIENTS * MATRIX.len(),
+        "every client walks every entry once"
+    );
     for (client, idx, served) in &results {
         let (workload, strategy, cores) = MATRIX[*idx];
         let exp = &mut direct
             .iter_mut()
-            .find(|(n, _)| n == workload)
+            .find(|(n, _)| *n == workload)
             .expect("direct experiment")
             .1;
         let baseline = exp.baseline_cycles();
@@ -125,14 +169,12 @@ fn served_matrix_matches_direct_under_concurrency() {
         );
     }
 
-    // With 4 clients walking the same 10 configs, the result cache must
+    // With 4 clients walking the same 27 configs, the result cache must
     // have absorbed most of the load.
-    let stats = server.engine().stats_json().render();
-    let v = jsonv::parse(&stats).expect("stats parse");
-    let hits = v.get("result_hits").and_then(JValue::as_num).unwrap_or(0.0);
+    let hits = engine_counter(&server, "result_hits");
     assert!(
-        hits >= (CLIENTS - 1) as f64 * MATRIX.len() as f64 * 0.5,
-        "expected substantial result-cache traffic, got {stats}"
+        hits as usize >= (CLIENTS - 1) * MATRIX.len() / 2,
+        "expected substantial result-cache traffic, got {hits} hits"
     );
     server.shutdown();
 }
@@ -239,6 +281,103 @@ fn on_demand_artifacts_are_attached() {
     server.shutdown();
 }
 
+/// The observed and idealized half of served == direct: a served what-if
+/// report and probe summary equal `Experiment`'s, whether the measured
+/// run was simulated on a fresh machine (the first request) or on a
+/// pooled one (the repeat, whose machines all come from the free-list).
+#[test]
+fn served_whatif_and_probes_match_direct() {
+    let mut exp = direct_experiment("rawcaudio");
+    let backend = CoherenceBackend::Snooping;
+    let direct = exp
+        .whatif_on(Strategy::Hybrid, 4, backend)
+        .expect("direct what-if");
+    let obs = ObsRequest {
+        chrome_trace: false,
+        probe_period: Some(DEFAULT_PROBE_PERIOD),
+    };
+    let direct_probes = exp
+        .run_observed_on(Strategy::Hybrid, 4, backend, &obs)
+        .expect("direct observed run")
+        .probes
+        .expect("probes were requested")
+        .summary();
+
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 4,
+        pool_cap: 2,
+    });
+    for what in ["fresh machine", "pooled machines"] {
+        let mut req = Request::new("rawcaudio", Strategy::Hybrid, 4);
+        req.whatif = true;
+        req.probes = true;
+        let served = unwrap_run(server.call(req));
+        // The serial baseline's 1-core machine plus one 4-core machine:
+        // the first request's measured (and probed) run built the latter
+        // and its idealized runs reused it; the repeat built nothing.
+        let parked = engine_counter(&server, "machines_parked");
+        assert_eq!(parked, 2, "{what}: machines built");
+        let w = served.whatif.as_ref().expect("what-if attached");
+        assert_eq!(w.measured_cycles, direct.measured_cycles, "{what}");
+        assert_eq!(w.stack, direct.stack, "{what}: stack");
+        assert_eq!(w.bound_by, direct.bound_by, "{what}: bound_by");
+        assert_eq!(w.regions.len(), direct.regions.len(), "{what}: regions");
+        for (r, d) in w.regions.iter().zip(&direct.regions) {
+            assert_eq!((r.region, r.kind), (d.region, d.kind), "{what}: region");
+            assert_eq!(r.bound_by, d.bound_by, "{what}: region {}", r.region);
+            assert_eq!(r.stack, d.stack, "{what}: region {} stack", r.region);
+        }
+        let ideal = |r: &WhatIfReport| -> Vec<(KnobId, u64)> {
+            r.ceilings
+                .iter()
+                .map(|c| (c.knob, c.ideal_cycles))
+                .collect()
+        };
+        assert_eq!(ideal(w), ideal(&direct), "{what}: ideal cycles");
+        assert_eq!(ideal(w).len(), KnobId::ALL.len(), "{what}: five ceilings");
+        assert_eq!(served.probes.as_ref(), Some(&direct_probes), "{what}");
+    }
+    server.shutdown();
+}
+
+/// A request that panics inside the engine becomes one typed `panic`
+/// row, is counted once, retires nothing that was parked, and leaves
+/// every cache layer of its program usable (DESIGN.md §12.4). In-process
+/// callers bypass `parse_request`'s check, so a core count the machine
+/// model rejects is a deterministic panic route.
+#[test]
+fn panicking_request_is_isolated_and_counted_once() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 4,
+        pool_cap: 2,
+    });
+    let counter = |name: &str| engine_counter(&server, name);
+    unwrap_run(server.call(Request::new("rawcaudio", Strategy::Serial, 1)));
+    let parked = counter("machines_parked");
+    match server.call(Request::new("rawcaudio", Strategy::Hybrid, 3)) {
+        Response::Run { result: Err(e), .. } => {
+            assert_eq!(e.kind(), "panic", "{}", e.message());
+            assert!(e.message().contains("got 3"), "{}", e.message());
+        }
+        other => panic!("expected a panic row, got {}", other.to_json().render()),
+    }
+    assert_eq!(counter("panics"), 1);
+    assert_eq!(
+        counter("requests"),
+        counter("completed") + counter("errors"),
+        "every request is counted exactly once"
+    );
+    assert_eq!(counter("machines_parked"), parked);
+    // The one worker survived, and no lock of this program's entry was
+    // poisoned: a request that needs a front end and an image of the
+    // same workload still compiles and runs.
+    let ok = unwrap_run(server.call(Request::new("rawcaudio", Strategy::Hybrid, 4)));
+    assert!(ok.run.cycles > 0);
+    server.shutdown();
+}
+
 /// The NDJSON wire loop: malformed lines, bad fields, unknown workloads,
 /// and in-band stats probes each produce their typed row, and good
 /// requests still succeed on the same connection.
@@ -314,6 +453,8 @@ fn parse_request_validates_fields() {
     assert_eq!(req.backend, CoherenceBackend::directory_for(2));
     assert_eq!(req.budget_cycles, Some(1000));
     assert!(req.faults.is_some() && req.fresh && req.whatif);
+    let widest = parse("{\"workload\": \"epic\", \"cores\": 64}").expect("64 cores is valid");
+    assert_eq!(widest.cores, 64);
 
     for (bad, needle) in [
         ("{}", "workload"),
@@ -323,6 +464,9 @@ fn parse_request_validates_fields() {
             "strategy",
         ),
         ("{\"workload\": \"epic\", \"cores\": 1.5}", "cores"),
+        ("{\"workload\": \"epic\", \"cores\": 3}", "cores"),
+        ("{\"workload\": \"epic\", \"cores\": 0}", "cores"),
+        ("{\"workload\": \"epic\", \"cores\": 128}", "cores"),
         (
             "{\"workload\": \"epic\", \"backend\": \"psychic\"}",
             "backend",

@@ -61,9 +61,10 @@ pub use voltron_sim::{
 
 /// The machine configuration for one experiment run: geometry from
 /// [`MachineConfig::scaled`] (identical to the paper machine at the
-/// paper's 1/2/4-core points), coherence timing from `backend`. Public
-/// so the serve engine derives configs identical to the direct path —
-/// byte-identical served results depend on it.
+/// paper's 1/2/4-core points), coherence timing from `backend`. What the
+/// compiler sees for a configuration; [`sim_config`] derives the machine
+/// a simulation of it boots. Panics (inside `scaled`) on a core count
+/// that is not a power of two up to 64.
 pub fn machine_config(cores: usize, backend: CoherenceBackend) -> MachineConfig {
     MachineConfig::scaled(cores).with_backend(backend)
 }
@@ -291,9 +292,7 @@ pub fn run_configuration(
     baseline_cycles: u64,
 ) -> Result<RunResult, SystemError> {
     let config = (strategy, cores, CoherenceBackend::Snooping);
-    let mcfg = machine_config(cores, config.2);
-    let fe = FrontEnd::new(program, strategy, &mcfg, &CompileOptions::default())?;
-    let prepared = prepare(&fe, config)?;
+    let prepared = prepare(&front_end(program, strategy, cores)?, config)?;
     let env = SimEnv {
         golden,
         cycle_budget: None,
@@ -333,25 +332,65 @@ pub struct Observed {
     pub probes: Option<ProbeSeries>,
 }
 
-/// One (strategy, cores, backend) point.
-type Config = (Strategy, usize, CoherenceBackend);
+/// One (strategy, cores, backend) point: what [`Experiment`]'s result
+/// cache and the serve engine's image cache are keyed by.
+pub type Config = (Strategy, usize, CoherenceBackend);
+
+/// The slot (a [`FrontEnd::key`], as an index) of the front end
+/// `strategy` at `cores` compiles from. A program has at most two front
+/// ends, and the coherence backend never selects between them: the front
+/// end depends on geometry only, never on memory-system timing.
+/// [`Experiment`] and the serve engine both index their two cached front
+/// ends with it.
+pub fn front_end_slot(strategy: Strategy, cores: usize) -> usize {
+    let mcfg = machine_config(cores, CoherenceBackend::Snooping);
+    usize::from(FrontEnd::key(strategy, &mcfg, &CompileOptions::default()))
+}
+
+/// Build the front end (verify, profile, analyses) that belongs in
+/// `program`'s [`front_end_slot`]`(strategy, cores)`. Profiling dominates
+/// compile time, so [`Experiment`] and the serve engine each call this at
+/// most twice per program and reuse the result in [`prepare`].
+///
+/// # Errors
+/// Fails if the program does not verify or its profiling run fails.
+pub fn front_end(
+    program: &Program,
+    strategy: Strategy,
+    cores: usize,
+) -> Result<FrontEnd, SystemError> {
+    let mcfg = machine_config(cores, CoherenceBackend::Snooping);
+    Ok(FrontEnd::new(
+        program,
+        strategy,
+        &mcfg,
+        &CompileOptions::default(),
+    )?)
+}
 
 /// A configuration compiled and ready to boot: the first half of a run.
 /// The image sits behind an `Arc` so every simulation of it — a what-if's
-/// five, or the one that serves a whole class of equal configurations —
-/// boots from the same allocation; the planner maps stay the
-/// configuration's own.
-struct Prepared {
-    image: Arc<MachineProgram>,
+/// five, the one that serves a whole class of equal configurations, or
+/// every pooled machine the serve engine resets to it — boots from the
+/// same allocation; the planner maps stay the configuration's own.
+/// [`Experiment`] keeps one for the length of a batch, the serve engine
+/// keeps one per configuration in its image cache.
+#[derive(Debug)]
+pub struct Prepared {
+    /// The per-core machine code.
+    pub image: Arc<MachineProgram>,
+    /// Planner maps, copied into every [`Prepared::result`].
     region_kinds: HashMap<u32, &'static str>,
     region_weights: HashMap<u32, u64>,
 }
 
-/// Plan and emit `config` from a prepared front end. Profiling a program
-/// dominates compile time but is identical for every configuration with
-/// the same [`FrontEnd::key`], so [`Experiment`] builds at most two front
-/// ends per program and reuses them here.
-fn prepare(fe: &FrontEnd, (strategy, cores, backend): Config) -> Result<Prepared, SystemError> {
+/// Plan and emit `config` from the front end in its [`front_end_slot`]:
+/// what [`Experiment`] does per missing configuration and the serve
+/// engine per image-cache miss.
+///
+/// # Errors
+/// Propagates compile failures.
+pub fn prepare(fe: &FrontEnd, (strategy, cores, backend): Config) -> Result<Prepared, SystemError> {
     let mcfg = machine_config(cores, backend);
     let compiled = compile_prepared(fe, strategy, &mcfg, &CompileOptions::default())?;
     Ok(Prepared {
@@ -363,9 +402,11 @@ fn prepare(fe: &FrontEnd, (strategy, cores, backend): Config) -> Result<Prepared
 
 impl Prepared {
     /// This configuration's [`RunResult`] from the statistics of a
-    /// simulation of its image (its own, or its class leader's).
-    fn result(
-        self,
+    /// simulation of its image: its own ([`Experiment`], and every run
+    /// the serve engine performs) or its class leader's
+    /// ([`Experiment::run_all_on`], which then names it in `shared_with`).
+    pub fn result(
+        &self,
         (strategy, cores, backend): Config,
         stats: MachineStats,
         ticked_cycles: u64,
@@ -381,61 +422,100 @@ impl Prepared {
             ticked_cycles,
             speedup: baseline_cycles as f64 / cycles.max(1) as f64,
             stats,
-            region_kinds: self.region_kinds,
-            region_weights: self.region_weights,
+            region_kinds: self.region_kinds.clone(),
+            region_weights: self.region_weights.clone(),
             shared_with,
         }
     }
 }
 
-/// What every simulation of one [`Experiment`] runs under.
-#[derive(Clone, Copy)]
-struct SimEnv<'a> {
-    golden: &'a Memory,
-    cycle_budget: Option<u64>,
-    faults: Option<&'a FaultPlan>,
+/// What a simulation runs under besides its configuration: one
+/// [`Experiment`]'s settings, or one serve request's.
+#[derive(Debug, Clone, Copy)]
+pub struct SimEnv<'a> {
+    /// The reference interpreter's final memory for the program.
+    pub golden: &'a Memory,
+    /// Cap on simulated cycles (never raises the machine's own).
+    pub cycle_budget: Option<u64>,
+    /// Fault plan to inject, if any.
+    pub faults: Option<&'a FaultPlan>,
 }
 
-/// Boot `image`, run it, and hold its final memory to the golden model:
-/// the second half of a run, optionally with a Chrome tracer and/or
-/// interval probes attached per `obs`. Validation (inside
-/// [`Machine::new_shared`]) and the golden compare happen on every
-/// simulation actually performed.
-fn simulate(
-    image: &Arc<MachineProgram>,
-    (strategy, cores, backend): Config,
+/// The machine a simulation of `config` boots — for [`Experiment`] a
+/// fresh [`Machine::new_shared`], for the serve engine a pooled
+/// [`Machine::reset`] — as opposed to [`machine_config`], which is what
+/// the compiler saw.
+///
+/// The budget caps simulation only, so budgeted and unbudgeted builds
+/// stay identical. Idealization knobs are likewise simulator-side only: a
+/// what-if run executes the *same* code as the measured run, just timed
+/// by an idealized machine, so its ceiling is attributable to hardware
+/// alone. Fault injection perturbs timing only; [`run_checked`] still
+/// holds faulted runs to the golden memory, which *is* the recovery
+/// contract (DESIGN.md §10).
+pub fn sim_config(
+    (_, cores, backend): Config,
     env: SimEnv<'_>,
     ideal: IdealKnobs,
     obs: &ObsRequest,
-) -> Result<RunOutcome, SystemError> {
-    // The budget caps simulation only; the compiler saw the pristine
-    // paper config so budgeted and unbudgeted builds stay identical.
-    // Idealization knobs are likewise simulator-side only: a what-if run
-    // executes the *same* code as the measured run, just timed by an
-    // idealized machine, so its ceiling is attributable to hardware alone.
-    let mut sim_cfg = machine_config(cores, backend);
+) -> MachineConfig {
+    let mut cfg = machine_config(cores, backend);
     if let Some(budget) = env.cycle_budget {
-        sim_cfg.max_cycles = sim_cfg.max_cycles.min(budget);
+        cfg.max_cycles = cfg.max_cycles.min(budget);
     }
-    sim_cfg.ideal = ideal;
-    sim_cfg.probe_period = obs.probe_period;
-    // Fault injection perturbs timing only; the output check below still
-    // holds faulted runs to the golden memory, which *is* the recovery
-    // contract (DESIGN.md §10).
-    sim_cfg.faults = env.faults.cloned();
-    let mut machine = Machine::new_shared(Arc::clone(image), &sim_cfg)?;
+    cfg.ideal = ideal;
+    cfg.probe_period = obs.probe_period;
+    cfg.faults = env.faults.cloned();
+    cfg
+}
+
+/// Run a booted (or reset) machine to completion and hold its final
+/// memory to `golden`: the second half of a run, with a Chrome tracer
+/// attached when `obs` asks for one. When probes were sampled too
+/// ([`sim_config`] set the period), they are spliced into the outcome's
+/// `trace` as Perfetto counter tracks — one document shows spans and
+/// gauges. The machine is left for the caller: [`Experiment`] drops it,
+/// the serve engine parks it on `Ok` and retires it on `Err`.
+///
+/// # Errors
+/// A simulation failure, or [`SystemError::OutputMismatch`] at the first
+/// address where the machine's memory is not equivalent to `golden`.
+pub fn run_checked(
+    machine: &mut Machine,
+    (strategy, cores, _): Config,
+    golden: &Memory,
+    obs: &ObsRequest,
+) -> Result<RunOutcome, SystemError> {
     if obs.chrome_trace {
         machine.set_tracer(Box::new(ChromeTracer::new()));
     }
-    let out = machine.run()?;
-    if let Err(addr) = outputs_equivalent(env.golden, &out.memory) {
+    let mut out = machine.run_mut()?;
+    if let Err(addr) = outputs_equivalent(golden, &out.memory) {
         return Err(SystemError::OutputMismatch {
             strategy,
             cores,
             addr,
         });
     }
+    if let (true, Some(series)) = (obs.chrome_trace, &out.probes) {
+        out.trace = voltron_sim::trace_with_counters(&out.trace, series);
+    }
     Ok(out)
+}
+
+/// One simulation on a machine of its own. Validation (inside
+/// [`Machine::new_shared`]) and the golden compare (inside
+/// [`run_checked`]) happen on every simulation actually performed.
+fn simulate(
+    image: &Arc<MachineProgram>,
+    config: Config,
+    env: SimEnv<'_>,
+    ideal: IdealKnobs,
+    obs: &ObsRequest,
+) -> Result<RunOutcome, SystemError> {
+    let cfg = sim_config(config, env, ideal, obs);
+    let mut machine = Machine::new_shared(Arc::clone(image), &cfg)?;
+    run_checked(&mut machine, config, env.golden, obs)
 }
 
 /// Run `f` over `items` on scoped host threads — the last on the calling
@@ -512,6 +592,48 @@ pub struct WhatIfReport {
 }
 
 impl WhatIfReport {
+    /// The measured half of a report: `run`'s machine-wide cycle stack and
+    /// its per-region stacks, each classified by its dominant cycle class,
+    /// with no ceilings yet. [`Experiment::whatif_on`] and the serve
+    /// engine's what-if both start here and add one
+    /// [`WhatIfReport::ceiling`] per [`KnobId::ALL`] entry.
+    pub fn diagnose(run: &RunResult) -> WhatIfReport {
+        let stack = CycleStack::of(&run.stats);
+        let regions = region_stacks(&run.stats)
+            .into_iter()
+            .map(|rs| RegionDiagnosis {
+                region: rs.region,
+                kind: if rs.region == voltron_sim::REGION_OUTSIDE {
+                    "outside"
+                } else {
+                    run.region_kinds.get(&rs.region).copied().unwrap_or("?")
+                },
+                bound_by: rs.bound_by(),
+                stack: rs,
+            })
+            .collect();
+        WhatIfReport {
+            strategy: run.strategy,
+            cores: run.cores,
+            backend: run.backend,
+            measured_cycles: run.cycles,
+            bound_by: stack.bound_by(),
+            stack,
+            regions,
+            ceilings: Vec::with_capacity(KnobId::ALL.len()),
+        }
+    }
+
+    /// Record that the measured binary took `ideal_cycles` with `knob`'s
+    /// resource idealized (the callers are [`WhatIfReport::diagnose`]'s).
+    pub fn ceiling(&mut self, knob: KnobId, ideal_cycles: u64) {
+        self.ceilings.push(KnobCeiling {
+            knob,
+            ideal_cycles,
+            speedup_ceiling: self.measured_cycles as f64 / ideal_cycles.max(1) as f64,
+        });
+    }
+
     /// The idealization with the highest speedup ceiling — the best
     /// answer to "what single hardware resource should be improved?".
     pub fn best_ceiling(&self) -> &KnobCeiling {
@@ -645,17 +767,12 @@ impl<'a> Experiment<'a> {
         v
     }
 
-    /// Build (once) the front end whose [`FrontEnd::key`] matches this
-    /// configuration, returning its slot in `front_ends`.
-    /// The coherence backend is irrelevant here: [`FrontEnd::key`] (and
-    /// the front end itself) depend only on geometry, never on memory-
-    /// system timing, so one front end serves both backends.
+    /// Build (once) the front end in this configuration's
+    /// [`front_end_slot`], returning the slot.
     fn ensure_front_end(&mut self, strategy: Strategy, cores: usize) -> Result<usize, SystemError> {
-        let mcfg = machine_config(cores, CoherenceBackend::Snooping);
-        let opts = CompileOptions::default();
-        let idx = usize::from(FrontEnd::key(strategy, &mcfg, &opts));
+        let idx = front_end_slot(strategy, cores);
         if self.front_ends[idx].is_none() {
-            self.front_ends[idx] = Some(FrontEnd::new(self.program, strategy, &mcfg, &opts)?);
+            self.front_ends[idx] = Some(front_end(self.program, strategy, cores)?);
         }
         Ok(idx)
     }
@@ -736,7 +853,7 @@ impl<'a> Experiment<'a> {
     ) -> Result<Observed, SystemError> {
         let config = (strategy, cores, backend);
         let prepared = self.prepare(config)?;
-        let mut out = simulate(
+        let out = simulate(
             &prepared.image,
             config,
             self.env(),
@@ -744,16 +861,10 @@ impl<'a> Experiment<'a> {
             obs,
         )?;
         self.count(&out);
-        // When both lenses are on, splice the probe gauges into the trace as
-        // Perfetto counter tracks — one document shows spans and gauges.
-        let trace_json = match (obs.chrome_trace, &out.probes) {
-            (true, Some(series)) => voltron_sim::trace_with_counters(&out.trace, series),
-            _ => std::mem::take(&mut out.trace),
-        };
         let baseline = self.baseline_cycles;
         Ok(Observed {
             run: prepared.result(config, out.stats, out.ticked_cycles, baseline, None),
-            trace_json,
+            trace_json: out.trace,
             probes: out.probes,
         })
     }
@@ -845,7 +956,7 @@ impl<'a> Experiment<'a> {
             )
         })
         .into_iter();
-        for (i, p) in prepared.into_iter().enumerate() {
+        for (i, p) in prepared.iter().enumerate() {
             let (stats, ticked, shared_with) = if leader[i] == i {
                 let out = outcomes.next().expect("one outcome per leader")?;
                 self.count(&out);
@@ -942,25 +1053,7 @@ impl<'a> Experiment<'a> {
         cores: usize,
         backend: CoherenceBackend,
     ) -> Result<WhatIfReport, SystemError> {
-        let (measured_cycles, stack, bound_by, regions) = {
-            let run = self.run_on(strategy, cores, backend)?;
-            let stack = CycleStack::of(&run.stats);
-            let regions: Vec<RegionDiagnosis> = region_stacks(&run.stats)
-                .into_iter()
-                .map(|rs| RegionDiagnosis {
-                    region: rs.region,
-                    kind: if rs.region == voltron_sim::REGION_OUTSIDE {
-                        "outside"
-                    } else {
-                        run.region_kinds.get(&rs.region).copied().unwrap_or("?")
-                    },
-                    bound_by: rs.bound_by(),
-                    stack: rs,
-                })
-                .collect();
-            let bound_by = stack.bound_by();
-            (run.cycles, stack, bound_by, regions)
-        };
+        let mut report = WhatIfReport::diagnose(self.run_on(strategy, cores, backend)?);
         // The five idealized runs are independent simulations of one
         // compiled binary: prepare it once, boot all five from the same
         // image, fan them out like `run_all_on` does.
@@ -970,26 +1063,12 @@ impl<'a> Experiment<'a> {
         let outcomes = fan_out(&KnobId::ALL, |knob| {
             simulate(&image, config, env, knob.knobs(), &ObsRequest::default())
         });
-        let mut ceilings = Vec::with_capacity(KnobId::ALL.len());
         for (knob, outcome) in KnobId::ALL.into_iter().zip(outcomes) {
             let out = outcome?;
             self.count(&out);
-            ceilings.push(KnobCeiling {
-                knob,
-                ideal_cycles: out.stats.cycles,
-                speedup_ceiling: measured_cycles as f64 / out.stats.cycles.max(1) as f64,
-            });
+            report.ceiling(knob, out.stats.cycles);
         }
-        Ok(WhatIfReport {
-            strategy,
-            cores,
-            backend,
-            measured_cycles,
-            stack,
-            bound_by,
-            regions,
-            ceilings,
-        })
+        Ok(report)
     }
 }
 

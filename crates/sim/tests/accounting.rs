@@ -8,9 +8,8 @@
 //! there, in every corner, and that the operand network's pending-work
 //! indexes report what an exhaustive scan does.
 //!
-//! `CYCLE_GOLDEN_OBS=1` (the observer corner of `scripts/check.sh`)
-//! additionally attaches a `ChromeTracer` to every run of the matrix;
-//! fast-forward and the interval probes are swept here either way.
+//! The matrix suite sweeps the four {fast-forward on, off} × {plain,
+//! `ChromeTracer` + interval probes} corners itself.
 
 use proptest::prelude::*;
 // The compiler's `Strategy` takes the name; the trait's methods stay usable.
@@ -118,12 +117,12 @@ fn assert_exact_accounting(tag: &str, out: &RunOutcome) {
     }
 }
 
-fn run(p: &MachineProgram, cfg: &MachineConfig, ff: bool, probes: bool) -> RunOutcome {
+fn run(p: &MachineProgram, cfg: &MachineConfig, ff: bool, observed: bool) -> RunOutcome {
     let mut cfg = cfg.clone();
     cfg.fast_forward = ff;
-    cfg.probe_period = probes.then_some(64);
+    cfg.probe_period = observed.then_some(64);
     let mut m = Machine::new(p.clone(), &cfg).expect("boot");
-    if std::env::var("CYCLE_GOLDEN_OBS").as_deref() == Ok("1") {
+    if observed {
         m.set_tracer(Box::new(ChromeTracer::new()));
     }
     m.run().expect("run")
@@ -137,13 +136,13 @@ fn every_core_cycle_is_charged_once_across_the_golden_matrix() {
             .unwrap_or_else(|e| panic!("{bench} {strategy}/{}: compile: {e}", cfg.cores));
         let mut reference = None;
         for ff in [true, false] {
-            for probes in [false, true] {
+            for observed in [false, true] {
                 let tag = format!(
-                    "{bench}/{strategy}/{}/{} ff={ff} probes={probes}",
+                    "{bench}/{strategy}/{}/{} ff={ff} observed={observed}",
                     cfg.cores,
                     cfg.coherence.label()
                 );
-                let out = run(&compiled.machine, &cfg, ff, probes);
+                let out = run(&compiled.machine, &cfg, ff, observed);
                 assert_exact_accounting(&tag, &out);
                 // One set of numbers in all four corners.
                 let stats = reference.get_or_insert_with(|| out.stats.clone());

@@ -19,34 +19,13 @@ echo "== tier-1: release build + tests"
 # with coordinates), so that suite has no step of its own; the workspace
 # run below repeats it in release mode. Likewise tests/serve_engine.rs
 # pulls in the serve daemon's in-process suite (crates/bench/tests/serve.rs:
-# served == direct Experiment results, bit for bit), and
-# tests/shared_runs.rs holds Experiment's shared simulations to fresh ones.
+# served == direct Experiment results, bit for bit, on the whole
+# cycle-golden matrix), and tests/shared_runs.rs holds Experiment's shared
+# simulations to fresh ones. cycle_golden, scaling_golden and the
+# accounting suite each run their matrix in all four {fast-forward on,
+# off} x {plain, tracer + probes} corners in-process (DESIGN.md §6, §8).
 cargo build --release
 cargo test -q
-
-echo "== cycle-golden matrix with fast-forward disabled"
-# The pinned fingerprints must be identical with the skip engine off;
-# together with the default (fast-forward on) run above, this is the
-# end-to-end equivalence check of DESIGN.md §6.
-CYCLE_GOLDEN_FF=off cargo test --release -q --test cycle_golden
-
-echo "== cycle-golden matrix with observers attached"
-# Same fingerprints again with the ChromeTracer and interval probes
-# recording, in both fast-forward modes: the observability layer must
-# not perturb one architectural number (DESIGN.md §8).
-CYCLE_GOLDEN_OBS=1 cargo test --release -q --test cycle_golden
-CYCLE_GOLDEN_OBS=1 CYCLE_GOLDEN_FF=off cargo test --release -q --test cycle_golden
-# The accounting suite (exact sums per core and per region over both
-# golden matrices) sweeps fast-forward and the probes itself in every
-# run, tier-1 included; this corner adds the tracer.
-CYCLE_GOLDEN_OBS=1 cargo test --release -q --test sim_engine accounting
-
-echo "== scaled-machine golden matrix (8/16 cores, both backends), four corners"
-# Same architectural-invisibility contract on the scaled meshes and on
-# the banked directory backend (DESIGN.md §9).
-CYCLE_GOLDEN_FF=off cargo test --release -q --test scaling_golden
-CYCLE_GOLDEN_OBS=1 cargo test --release -q --test scaling_golden
-CYCLE_GOLDEN_OBS=1 CYCLE_GOLDEN_FF=off cargo test --release -q --test scaling_golden
 
 echo "== 16-core smoke on both coherence backends"
 # A real workload end to end (compile, simulate, validate outputs) on
@@ -67,27 +46,10 @@ cargo run --release -q -p voltron-bench --bin bench_one -- 164.gzip \
     > /dev/null
 cargo run --release -q -p voltron-bench --bin trace_check -- target/smoke/trace.json 4
 
-echo "== bench_diff regression gate: same-build sweeps compare clean"
-# Two sweeps of the same build must be cycle-identical (simulated cycles
-# are deterministic), so the gate passes on the honest pair -- and a
-# sidecar doctored to claim fewer cycles must trip it (DESIGN.md §11.3).
-cp BENCH_bench_one.json target/smoke/bench_old.json
-cargo run --release -q -p voltron-bench --bin bench_one -- 164.gzip > /dev/null
-cargo run --release -q -p voltron-bench --bin bench_diff -- \
-    target/smoke/bench_old.json BENCH_bench_one.json
-sed 's/"cycles":[0-9][0-9]*/"cycles":1/g' BENCH_bench_one.json \
-    > target/smoke/bench_doctored.json
-if cargo run --release -q -p voltron-bench --bin bench_diff -- \
-    target/smoke/bench_doctored.json BENCH_bench_one.json \
-    > /dev/null 2>&1; then
-    echo "bench_diff passed a sidecar with seeded cycle regressions" >&2
-    exit 1
-fi
-
 echo "== serve smoke: stdin burst, result cache, one-shot fingerprint equality"
 # The daemon must produce byte-identical architectural numbers to the
-# one-shot path (same BENCH_bench_one.json the bench_diff gate just
-# regenerated), absorb an identical repeat from its result cache, and
+# one-shot path (the BENCH_bench_one.json the traced smoke run just
+# wrote), absorb an identical repeat from its result cache, and
 # survive faulted and what-if requests on the same connection
 # (DESIGN.md §12). One worker, so the burst is served in order: with two,
 # the identical requests 1 and 2 run concurrently and both miss.
@@ -121,22 +83,6 @@ if [ -z "$served" ] || [ "$served" != "$oneshot" ]; then
     exit 1
 fi
 
-echo "== serve_bench: saturation throughput, warm cache, served golden matrix"
-# The standing heavy-traffic benchmark: enforces >= 2x saturation
-# throughput vs amortized one-shot runs and >= 5x warm-over-cold repeat
-# latency, re-checks the served golden matrix against the direct path,
-# and appends a git-rev-stamped row to BENCH_history.ndjson so
-# bench_diff guards serving throughput too.
-cargo run --release -q -p voltron-bench --bin serve_bench > /dev/null
-grep -q '"golden_match":1' BENCH_serve.json || {
-    echo "serve_bench golden matrix diverged from the direct path" >&2
-    exit 1
-}
-grep -q '"failures":0' BENCH_serve.json || {
-    echo "serve_bench recorded request failures" >&2
-    exit 1
-}
-
 echo "== chaos smoke: fixed-seed fault plan + retries, no hard failures"
 # The whole figure path under fire (DESIGN.md §10): a seeded fault plan
 # across every site, failed workloads retried under reseeded plans. Any
@@ -148,14 +94,6 @@ grep -q '"hard":0' BENCH_fig13.json || {
     echo "chaos smoke left hard failures in BENCH_fig13.json" >&2
     exit 1
 }
-
-echo "== fault-off golden matrix: the compiled-in chaos layer is invisible"
-# The fingerprints above already ran with faults=None; re-run the full
-# matrix once more after the chaos smoke to pin that nothing the fault
-# layer touched (stats plumbing, watchdog wiring, trace tracks) moved an
-# architectural number in any {obs, ff} corner.
-cargo test --release -q --test cycle_golden
-CYCLE_GOLDEN_OBS=1 CYCLE_GOLDEN_FF=off cargo test --release -q --test cycle_golden
 
 echo "== workspace tests (release)"
 cargo test --workspace --release -q

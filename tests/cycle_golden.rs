@@ -11,21 +11,18 @@
 //! Regenerate the table with:
 //! `CYCLE_GOLDEN_PRINT=1 cargo test --test cycle_golden -- --nocapture`
 //!
-//! `CYCLE_GOLDEN_FF=off` runs the same matrix with the event-driven
-//! fast-forward disabled. The pinned fingerprints must hold either
-//! way — scripts/check.sh runs both, which is the end-to-end proof
-//! that the skip engine is architecturally invisible (DESIGN.md §6).
-//!
-//! `CYCLE_GOLDEN_OBS=1` runs the matrix with a `ChromeTracer` and
-//! interval probes attached. The fingerprints must still hold: the
-//! observability layer may collect anything it likes but may not
-//! perturb a single architectural number (DESIGN.md §8). Both toggles
-//! compose, giving the four corners check.sh sweeps.
+//! Every configuration is compiled once and run in all four
+//! {fast-forward on, off} × {plain, `ChromeTracer` + interval probes}
+//! corners (`common::fingerprint`); the pinned fingerprint must hold in
+//! each. That is the end-to-end proof that the skip engine is
+//! architecturally invisible (DESIGN.md §6) and that the observability
+//! layer may collect anything it likes but may not perturb a single
+//! architectural number (DESIGN.md §8).
 
-use voltron_compiler::{compile, CompileOptions};
+mod common;
+
 use voltron_core::Strategy;
-use voltron_sim::{ChromeTracer, Machine, MachineConfig, StallReason};
-use voltron_workloads::{by_name, Scale};
+use voltron_sim::MachineConfig;
 
 /// One pinned configuration: benchmark, strategy, cores, and the
 /// fingerprint `cycles/coupled/decoupled/insts/spawns|stall0,...,stall8`
@@ -195,58 +192,13 @@ const GOLDEN: &[(&str, Strategy, usize, &str)] = &[
     ),
 ];
 
-fn fingerprint(bench: &str, strategy: Strategy, cores: usize) -> String {
-    let w = by_name(bench, Scale::Test).expect("benchmark registered");
-    let mut cfg = MachineConfig::paper(cores);
-    if std::env::var("CYCLE_GOLDEN_FF").as_deref() == Ok("off") {
-        cfg.fast_forward = false;
-    }
-    let observed = std::env::var("CYCLE_GOLDEN_OBS").as_deref() == Ok("1");
-    if observed {
-        cfg.probe_period = Some(64);
-    }
-    let compiled = compile(&w.program, strategy, &cfg, &CompileOptions::default())
-        .unwrap_or_else(|e| panic!("{bench} {strategy}/{cores}: compile: {e}"));
-    let mut machine = Machine::new(compiled.machine, &cfg)
-        .unwrap_or_else(|e| panic!("{bench} {strategy}/{cores}: boot: {e}"));
-    if observed {
-        machine.set_tracer(Box::new(ChromeTracer::new()));
-    }
-    let out = machine
-        .run()
-        .unwrap_or_else(|e| panic!("{bench} {strategy}/{cores}: run: {e}"));
-    if observed {
-        assert!(
-            !out.trace.is_empty(),
-            "{bench} {strategy}/{cores}: observed run produced no trace"
-        );
-        assert!(
-            out.probes.as_ref().is_some_and(|p| !p.samples.is_empty()),
-            "{bench} {strategy}/{cores}: observed run produced no probe samples"
-        );
-    }
-    let s = &out.stats;
-    let stalls: Vec<String> = StallReason::ALL
-        .iter()
-        .map(|&r| s.total_stall(r).to_string())
-        .collect();
-    format!(
-        "{bench}/{strategy}/{cores}: {}/{}/{}/{}/{}|{}",
-        s.cycles,
-        s.coupled_cycles,
-        s.decoupled_cycles,
-        s.dynamic_insts,
-        s.spawns,
-        stalls.join(",")
-    )
-}
-
 #[test]
 fn cycle_counts_and_stall_breakdowns_are_pinned() {
     let print = std::env::var("CYCLE_GOLDEN_PRINT").is_ok();
     let mut failures = Vec::new();
     for &(bench, strategy, cores, expected) in GOLDEN {
-        let actual = fingerprint(bench, strategy, cores);
+        let label = format!("{bench}/{strategy}/{cores}");
+        let actual = common::fingerprint(&label, bench, strategy, &MachineConfig::paper(cores));
         if print {
             println!("    (\"{bench}\", Strategy::{strategy:?}, {cores}, \"{actual}\"),");
         } else if actual != expected {

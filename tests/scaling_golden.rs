@@ -5,20 +5,19 @@
 //! matrix extends the same guarantee to the scaled meshes
 //! ([`MachineConfig::scaled`]) and to the banked directory backend, so
 //! neither the geometry generalization nor the backend split can drift
-//! silently. The same environment toggles apply and compose:
+//! silently. Like that matrix, every configuration is compiled once and
+//! run in all four {fast-forward on, off} × {plain, tracer + probes}
+//! corners (`common::fingerprint`): fast-forward and observability are
+//! architecturally invisible at every geometry and on every backend
+//! (DESIGN.md §9).
 //!
-//! * regenerate: `CYCLE_GOLDEN_PRINT=1 cargo test --test scaling_golden -- --nocapture`
-//! * `CYCLE_GOLDEN_FF=off` disables the event-driven fast-forward;
-//! * `CYCLE_GOLDEN_OBS=1` attaches a Chrome tracer + interval probes.
-//!
-//! The pinned fingerprints must hold in all four corners
-//! (scripts/check.sh sweeps them): fast-forward and observability are
-//! architecturally invisible at every geometry and on every backend.
+//! Regenerate the table with:
+//! `CYCLE_GOLDEN_PRINT=1 cargo test --test scaling_golden -- --nocapture`
 
-use voltron_compiler::{compile, CompileOptions};
+mod common;
+
 use voltron_core::Strategy;
-use voltron_sim::{ChromeTracer, CoherenceBackend, Machine, MachineConfig, StallReason};
-use voltron_workloads::{by_name, Scale};
+use voltron_sim::{CoherenceBackend, MachineConfig};
 
 /// Resolve a backend label from the pinned table: `"snooping"` or
 /// `"directory"` (bank count per [`CoherenceBackend::directory_for`]).
@@ -53,58 +52,14 @@ const GOLDEN: &[(&str, Strategy, usize, &str, &str)] = &[
     ("rawcaudio", Strategy::FineGrainTlp, 16, "directory", "rawcaudio/fine-grain-tlp/16/directory: 47067/0/47067/66487/7|5052,6619,0,12798,0,160716,39518,0,0"),
 ];
 
-fn fingerprint(bench: &str, strategy: Strategy, cores: usize, backend: &str) -> String {
-    let w = by_name(bench, Scale::Test).expect("benchmark registered");
-    let mut cfg = MachineConfig::scaled(cores).with_backend(backend_of(backend, cores));
-    if std::env::var("CYCLE_GOLDEN_FF").as_deref() == Ok("off") {
-        cfg.fast_forward = false;
-    }
-    let observed = std::env::var("CYCLE_GOLDEN_OBS").as_deref() == Ok("1");
-    if observed {
-        cfg.probe_period = Some(64);
-    }
-    let compiled = compile(&w.program, strategy, &cfg, &CompileOptions::default())
-        .unwrap_or_else(|e| panic!("{bench} {strategy}/{cores}/{backend}: compile: {e}"));
-    let mut machine = Machine::new(compiled.machine, &cfg)
-        .unwrap_or_else(|e| panic!("{bench} {strategy}/{cores}/{backend}: boot: {e}"));
-    if observed {
-        machine.set_tracer(Box::new(ChromeTracer::new()));
-    }
-    let out = machine
-        .run()
-        .unwrap_or_else(|e| panic!("{bench} {strategy}/{cores}/{backend}: run: {e}"));
-    if observed {
-        assert!(
-            !out.trace.is_empty(),
-            "{bench} {strategy}/{cores}/{backend}: observed run produced no trace"
-        );
-        assert!(
-            out.probes.as_ref().is_some_and(|p| !p.samples.is_empty()),
-            "{bench} {strategy}/{cores}/{backend}: observed run produced no probe samples"
-        );
-    }
-    let s = &out.stats;
-    let stalls: Vec<String> = StallReason::ALL
-        .iter()
-        .map(|&r| s.total_stall(r).to_string())
-        .collect();
-    format!(
-        "{bench}/{strategy}/{cores}/{backend}: {}/{}/{}/{}/{}|{}",
-        s.cycles,
-        s.coupled_cycles,
-        s.decoupled_cycles,
-        s.dynamic_insts,
-        s.spawns,
-        stalls.join(",")
-    )
-}
-
 #[test]
 fn scaled_machine_fingerprints_are_pinned_on_both_backends() {
     let print = std::env::var("CYCLE_GOLDEN_PRINT").is_ok();
     let mut failures = Vec::new();
     for &(bench, strategy, cores, backend, expected) in GOLDEN {
-        let actual = fingerprint(bench, strategy, cores, backend);
+        let label = format!("{bench}/{strategy}/{cores}/{backend}");
+        let cfg = MachineConfig::scaled(cores).with_backend(backend_of(backend, cores));
+        let actual = common::fingerprint(&label, bench, strategy, &cfg);
         if print {
             println!(
                 "    (\"{bench}\", Strategy::{strategy:?}, {cores}, \"{backend}\", \"{actual}\"),"
