@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use voltron_compiler::inline::inline_program;
-use voltron_compiler::{compile, CompileOptions, Strategy};
+use voltron_compiler::{compile, compile_prepared, CompileOptions, FrontEnd, Strategy};
 use voltron_ir::interp::GOLDEN_FUEL;
 use voltron_ir::profile::profile;
 use voltron_sim::cache::{LineState, TagCache};
@@ -66,6 +66,25 @@ fn bench_compiler(c: &mut Criterion) {
     });
 }
 
+/// The two halves of the image pipeline at 64 cores, each timed alone:
+/// plan + emit from one shared front end (its dependence graphs built
+/// once, as in a sweep), and the static validation of what was emitted.
+fn bench_image_pipeline(c: &mut Criterion) {
+    let w = by_name("gsmdecode", Scale::Test).unwrap();
+    let cfg = MachineConfig::scaled(64);
+    let opts = CompileOptions::default();
+    let fe = FrontEnd::new(&w.program, Strategy::Hybrid, &cfg, &opts).unwrap();
+    c.bench_function("compiler/compile_prepared_gsmdecode_hybrid64", |b| {
+        b.iter(|| compile_prepared(&fe, Strategy::Hybrid, &cfg, &opts).unwrap());
+    });
+    let image = compile_prepared(&fe, Strategy::Hybrid, &cfg, &opts)
+        .unwrap()
+        .machine;
+    c.bench_function("sim/validate_gsmdecode_hybrid64", |b| {
+        b.iter(|| image.validate(&cfg).unwrap());
+    });
+}
+
 fn bench_machine(c: &mut Criterion) {
     let w = by_name("rawcaudio", Scale::Test).unwrap();
     let cfg = MachineConfig::paper(4);
@@ -116,7 +135,7 @@ fn bench_profile(c: &mut Criterion) {
 criterion_group! {
     name = components;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache, bench_network, bench_tm, bench_compiler, bench_machine, bench_interp,
-        bench_profile
+    targets = bench_cache, bench_network, bench_tm, bench_compiler, bench_image_pipeline,
+        bench_machine, bench_interp, bench_profile
 }
 criterion_main!(components);

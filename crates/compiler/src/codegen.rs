@@ -161,8 +161,10 @@ pub fn emit(
     }
 
     // Resolve labels to machine block ids. Spawn targets live in the
-    // spawned core's label space.
-    let bound: Vec<Vec<Option<u32>>> = imgs.iter().map(|i| i.bound.clone()).collect();
+    // spawned core's label space, so every image's label table outlives
+    // the rewrite of every image's blocks.
+    let (images, bound): (Vec<Vec<MBlock>>, Vec<Vec<Option<u32>>>) =
+        imgs.into_iter().map(|ib| (ib.blocks, ib.bound)).unzip();
     let resolve = |img: usize, l: u32| -> Result<BlockId, CompileError> {
         bound[img]
             .get(l as usize)
@@ -172,8 +174,7 @@ pub fn emit(
             .ok_or_else(|| CompileError::Internal(format!("unbound label {l} in core {img} image")))
     };
     let mut cores: Vec<CoreImage> = Vec::with_capacity(n);
-    for (ci, ib) in imgs.into_iter().enumerate() {
-        let mut blocks = ib.blocks;
+    for (ci, mut blocks) in images.into_iter().enumerate() {
         for b in &mut blocks {
             for inst in &mut b.insts {
                 if inst.op == Opcode::Spawn {

@@ -742,10 +742,9 @@ impl<'a> RegionLowerer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias::AliasAnalysis;
     use crate::partition::{bug_partition, PartitionParams};
+    use crate::FrontEnd;
     use voltron_ir::builder::ProgramBuilder;
-    use voltron_ir::profile;
 
     fn lower_simple(mode: ExecMode) -> (LoweredBlock, usize) {
         let mut pb = ProgramBuilder::new("t");
@@ -765,14 +764,10 @@ mod tests {
         pb.finish_function(fb);
         let p = pb.finish();
         let f = p.main_func();
-        let alias = AliasAnalysis::analyze(&p, f);
-        let prof = profile::profile(&p, 1_000_000).unwrap();
+        let fe = FrontEnd::of_flat(&p);
         let asg = bug_partition(
-            f,
+            &fe.inputs(),
             &[BlockId(0)],
-            &alias,
-            &prof,
-            p.main,
             &PartitionParams::ebug(2),
             &HashMap::new(),
         );
@@ -852,14 +847,10 @@ mod tests {
         pb.finish_function(fb);
         let p = pb.finish();
         let f = p.main_func();
-        let alias = AliasAnalysis::analyze(&p, f);
-        let prof = profile::profile(&p, 1_000_000).unwrap();
+        let fe = FrontEnd::of_flat(&p);
         let asg = bug_partition(
-            f,
+            &fe.inputs(),
             &[BlockId(0)],
-            &alias,
-            &prof,
-            p.main,
             &PartitionParams::bug(4),
             &HashMap::new(),
         );
@@ -896,24 +887,19 @@ mod tests {
 #[cfg(test)]
 mod replication_tests {
     use super::*;
-    use crate::alias::AliasAnalysis;
     use crate::partition::{bug_partition, PartitionParams};
+    use crate::FrontEnd;
     use std::collections::HashMap;
     use voltron_ir::builder::ProgramBuilder;
-    use voltron_ir::{profile, BlockId, CmpCc};
+    use voltron_ir::{BlockId, CmpCc};
 
     /// A loop whose address chain roots at replicable values.
     fn assignment_for(p: &voltron_ir::Program, cores: usize) -> Assignment {
-        let f = p.main_func();
-        let alias = AliasAnalysis::analyze(p, f);
-        let prof = profile::profile(p, 10_000_000).unwrap();
-        let blocks: Vec<BlockId> = f.iter_blocks().map(|(b, _)| b).collect();
+        let fe = FrontEnd::of_flat(p);
+        let blocks: Vec<BlockId> = p.main_func().iter_blocks().map(|(b, _)| b).collect();
         bug_partition(
-            f,
+            &fe.inputs(),
             &blocks[..blocks.len() - 1], // skip the halt block
-            &alias,
-            &prof,
-            p.main,
             &PartitionParams::ebug(cores),
             &HashMap::new(),
         )

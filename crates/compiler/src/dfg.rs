@@ -8,9 +8,16 @@
 //! * [`build_loop_graph`] — a flow-insensitive whole-loop operation graph
 //!   whose cycles capture recurrences; its SCC condensation drives DSWP
 //!   stage formation.
+//!
+//! Both are pure functions of the flat function and its alias facts, so
+//! a [`crate::FrontEnd`] owns them ([`DepGraphs`]): each is built at most
+//! once, on first use, however many strategy / core-count configurations
+//! are planned from that front end.
 
 use crate::alias::AliasAnalysis;
 use std::collections::HashMap;
+use std::sync::OnceLock;
+use voltron_ir::loops::{LoopForest, LoopId};
 use voltron_ir::{Block, BlockId, Function, Opcode, Reg};
 
 /// Kinds of dependence edges.
@@ -265,6 +272,70 @@ pub fn build_loop_graph(f: &Function, blocks: &[BlockId], alias: &AliasAnalysis)
         index,
         succs,
         weight,
+    }
+}
+
+/// What DSWP reads of a loop before the profile and the core count come
+/// into it: the operation graph and its SCC condensation.
+#[derive(Debug, Clone)]
+pub struct LoopDeps {
+    /// The flow-insensitive operation graph over the loop's blocks.
+    pub graph: LoopGraph,
+    /// Its strongly connected components in topological order (sources
+    /// first), each a list of node indices.
+    pub comps: Vec<Vec<usize>>,
+}
+
+/// The configuration-independent dependence graphs of one flat function:
+/// a [`BlockDfg`] per block and a [`LoopDeps`] per loop of its forest,
+/// each built on first use and then kept. Slots are indexed by `BlockId`
+/// and `LoopId` — never by a hash of content — and fill through
+/// [`OnceLock`], so threads sharing one front end build each graph once
+/// between them.
+///
+/// Ownership rule (DESIGN.md §15): only what reads nothing but the
+/// function and its [`AliasAnalysis`] lives here. Anything that reads a
+/// core count, `PlanParams`, `PartitionParams`, the profile's weights or
+/// an `Assignment` is per call.
+#[derive(Debug)]
+pub struct DepGraphs {
+    blocks: Vec<OnceLock<BlockDfg>>,
+    loops: Vec<OnceLock<LoopDeps>>,
+}
+
+impl DepGraphs {
+    /// Empty slots for the blocks of `f` and the loops of `forest`.
+    pub fn new(f: &Function, forest: &LoopForest) -> DepGraphs {
+        DepGraphs {
+            blocks: f.blocks.iter().map(|_| OnceLock::new()).collect(),
+            loops: forest.loops.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The dependence graph of block `b` of `f` — the function (and its
+    /// alias facts) these slots were sized for, which is why the way in
+    /// is [`crate::plan::PlanInputs::block_dfg`], which holds all three.
+    pub(crate) fn block(&self, f: &Function, alias: &AliasAnalysis, b: BlockId) -> &BlockDfg {
+        self.blocks[b.idx()].get_or_init(|| BlockDfg::build(f.block(b), alias))
+    }
+
+    /// The operation graph and condensation of loop `lp` of `forest`,
+    /// over its blocks in layout order
+    /// ([`crate::plan::PlanInputs::loop_deps`]).
+    pub(crate) fn of_loop(
+        &self,
+        f: &Function,
+        alias: &AliasAnalysis,
+        forest: &LoopForest,
+        lp: LoopId,
+    ) -> &LoopDeps {
+        self.loops[lp.idx()].get_or_init(|| {
+            let blocks: Vec<BlockId> = forest.get(lp).blocks.iter().copied().collect();
+            let graph = build_loop_graph(f, &blocks, alias);
+            let mut comps = sccs(&graph.succs);
+            comps.reverse();
+            LoopDeps { graph, comps }
+        })
     }
 }
 

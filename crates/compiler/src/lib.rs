@@ -55,6 +55,7 @@ pub use error::CompileError;
 pub use plan::{Plan, PlanParams, Strategy};
 
 use alias::AliasAnalysis;
+use dfg::DepGraphs;
 use liveness::Liveness;
 use std::collections::HashSet;
 use voltron_ir::cfg::{Cfg, Dominators};
@@ -98,6 +99,12 @@ impl Default for CompileOptions {
 /// [`FrontEnd::key`]. Harnesses that compile one program under many
 /// strategy/core combinations (the figure drivers) build at most two
 /// front ends per workload and feed them to [`compile_prepared`].
+///
+/// It also owns the region analyses no configuration can change — the
+/// per-block and per-loop dependence graphs ([`DepGraphs`]) — built on
+/// first use by whichever [`compile_prepared`] call needs one, from
+/// whichever thread: harnesses and the serve engine share one
+/// `Arc<FrontEnd>` between workers.
 #[derive(Debug)]
 pub struct FrontEnd {
     flat_program: Program,
@@ -107,7 +114,15 @@ pub struct FrontEnd {
     forest: LoopForest,
     liveness: Liveness,
     alias: AliasAnalysis,
+    graphs: DepGraphs,
 }
+
+// Shared between threads by reference; the lazily built graphs must not
+// cost it that.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<FrontEnd>();
+};
 
 /// The flow analyses of `f`.
 fn analyze_flow(f: &Function) -> (Cfg, LoopForest, Liveness) {
@@ -164,9 +179,19 @@ impl FrontEnd {
                 flow = analyze_flow(flat_program.main_func());
             }
         }
-        let (cfg, forest, liveness) = flow;
+        Ok(FrontEnd::assemble(flat_program, prof, unrolled, flow))
+    }
+
+    /// Analyze the final flat program and take ownership of it all.
+    fn assemble(
+        flat_program: Program,
+        prof: profile::Profile,
+        unrolled: bool,
+        (cfg, forest, liveness): (Cfg, LoopForest, Liveness),
+    ) -> FrontEnd {
         let alias = AliasAnalysis::analyze(&flat_program, flat_program.main_func());
-        Ok(FrontEnd {
+        let graphs = DepGraphs::new(flat_program.main_func(), &forest);
+        FrontEnd {
             flat_program,
             prof,
             unrolled,
@@ -174,7 +199,32 @@ impl FrontEnd {
             forest,
             liveness,
             alias,
-        })
+            graphs,
+        }
+    }
+
+    /// The analyses of an already flat program exactly as written — no
+    /// verification, inlining or unrolling — for unit tests that name its
+    /// blocks.
+    #[cfg(test)]
+    pub(crate) fn of_flat(p: &Program) -> FrontEnd {
+        let prof = profile::profile(p, voltron_ir::interp::GOLDEN_FUEL).expect("profiling run");
+        FrontEnd::assemble(p.clone(), prof, false, analyze_flow(p.main_func()))
+    }
+
+    /// Everything planning and emission read, borrowed from this front
+    /// end.
+    pub(crate) fn inputs(&self) -> plan::PlanInputs<'_> {
+        plan::PlanInputs {
+            f: self.flat_program.main_func(),
+            func: self.flat_program.main,
+            cfg: &self.cfg,
+            forest: &self.forest,
+            liveness: &self.liveness,
+            profile: &self.prof,
+            alias: &self.alias,
+            graphs: &self.graphs,
+        }
     }
 
     /// Whether the front end for this configuration includes the unroll
@@ -221,15 +271,7 @@ pub fn compile_prepared(
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
     let flat_program = &fe.flat_program;
-    let inputs = plan::PlanInputs {
-        f: flat_program.main_func(),
-        func: flat_program.main,
-        cfg: &fe.cfg,
-        forest: &fe.forest,
-        liveness: &fe.liveness,
-        profile: &fe.prof,
-        alias: &fe.alias,
-    };
+    let inputs = fe.inputs();
     let the_plan = plan::plan(&inputs, strategy, mcfg.cores, &opts.plan);
     codegen::emit(
         &inputs,

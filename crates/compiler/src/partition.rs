@@ -19,8 +19,10 @@
 //! synchronization is ever needed at run time.
 
 use crate::alias::AliasAnalysis;
-use crate::dfg::{self, BlockDfg, DepKind};
+use crate::dfg::DepKind;
+use crate::plan::PlanInputs;
 use std::collections::HashMap;
+use voltron_ir::loops::LoopId;
 use voltron_ir::profile::Profile;
 use voltron_ir::{BlockId, FuncId, Function, InstRef, Reg};
 
@@ -204,16 +206,16 @@ pub fn pin_memory_classes(
 /// Run BUG/eBUG over the region blocks (layout order). `forced` pre-pins
 /// instructions (memory classes in decoupled regions); `home` may be
 /// pre-seeded. Terminator instructions are skipped — branch replication
-/// places them everywhere.
+/// places them everywhere. The blocks' dependence graphs are the front
+/// end's ([`PlanInputs::block_dfg`]); everything weighed here — cores,
+/// `params`, the profile — is per call.
 pub fn bug_partition(
-    f: &Function,
+    inp: &PlanInputs<'_>,
     blocks: &[BlockId],
-    alias: &AliasAnalysis,
-    profile: &Profile,
-    func: FuncId,
     params: &PartitionParams,
     forced: &HashMap<(BlockId, usize), usize>,
 ) -> Assignment {
+    let (f, profile, func) = (inp.f, inp.profile, inp.func);
     let n = params.cores;
     let mut asg = Assignment::default();
     // Completion-time bookkeeping persists across blocks so chained
@@ -231,7 +233,7 @@ pub fn bug_partition(
 
     for &b in blocks {
         let block = f.block(b);
-        let bdfg = BlockDfg::build(block, alias);
+        let bdfg = inp.block_dfg(b);
         // `done[i]`: estimated completion cycle of instruction i.
         let mut done = vec![0u64; bdfg.n];
         for (i, inst) in block.insts.iter().enumerate() {
@@ -336,25 +338,18 @@ pub struct DswpPartition {
     pub stages: usize,
 }
 
-/// Partition a loop body into pipeline stages (DSWP). Returns `None` when
-/// the loop collapses into a single SCC (no pipeline parallelism).
-pub fn dswp_partition(
-    f: &Function,
-    loop_blocks: &[BlockId],
-    alias: &AliasAnalysis,
-    profile: &Profile,
-    func: FuncId,
-    cores: usize,
-) -> Option<DswpPartition> {
-    let g = dfg::build_loop_graph(f, loop_blocks, alias);
+/// Partition the body of loop `lp` into pipeline stages (DSWP). Returns
+/// `None` when the loop collapses into a single SCC (no pipeline
+/// parallelism). The loop's operation graph and condensation are the
+/// front end's ([`PlanInputs::loop_deps`]); the stage fill weighs them
+/// by the profile and `cores` per call.
+pub fn dswp_partition(inp: &PlanInputs<'_>, lp: LoopId, cores: usize) -> Option<DswpPartition> {
+    let (f, profile, func) = (inp.f, inp.profile, inp.func);
+    let deps = inp.loop_deps(lp);
+    let (g, comps) = (&deps.graph, &deps.comps);
     if g.nodes.is_empty() {
         return None;
     }
-    let comps = {
-        let mut c = dfg::sccs(&g.succs);
-        c.reverse(); // topological order
-        c
-    };
     if comps.len() < 2 {
         return None;
     }
@@ -449,9 +444,8 @@ pub fn dswp_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FrontEnd;
     use voltron_ir::builder::ProgramBuilder;
-    use voltron_ir::cfg::{Cfg, Dominators};
-    use voltron_ir::loops::LoopForest;
     use voltron_ir::profile;
     use voltron_ir::Program;
 
@@ -478,25 +472,12 @@ mod tests {
         pb.finish()
     }
 
-    fn flat_env(p: &Program) -> (AliasAnalysis, Profile) {
-        let f = p.main_func();
-        let alias = AliasAnalysis::analyze(p, f);
-        let prof = profile::profile(p, 100_000_000).unwrap();
-        (alias, prof)
-    }
-
     #[test]
     fn bug_spreads_independent_chains() {
-        let p = two_chain_program();
-        let f = p.main_func();
-        let (alias, prof) = flat_env(&p);
-        let blocks = vec![BlockId(0)];
+        let fe = FrontEnd::of_flat(&two_chain_program());
         let asg = bug_partition(
-            f,
-            &blocks,
-            &alias,
-            &prof,
-            p.main,
+            &fe.inputs(),
+            &[BlockId(0)],
             &PartitionParams::bug(2),
             &HashMap::new(),
         );
@@ -519,13 +500,10 @@ mod tests {
         pb.finish_function(fb);
         let p = pb.finish();
         let f = p.main_func();
-        let (alias, prof) = flat_env(&p);
+        let fe = FrontEnd::of_flat(&p);
         let asg = bug_partition(
-            f,
+            &fe.inputs(),
             &[BlockId(0)],
-            &alias,
-            &prof,
-            p.main,
             &PartitionParams::bug(4),
             &HashMap::new(),
         );
@@ -542,7 +520,8 @@ mod tests {
     fn pinning_separates_disjoint_arrays() {
         let p = two_chain_program();
         let f = p.main_func();
-        let (alias, prof) = flat_env(&p);
+        let alias = AliasAnalysis::analyze(&p, f);
+        let prof = profile::profile(&p, 100_000_000).unwrap();
         let pins = pin_memory_classes(f, &[BlockId(0)], &alias, &prof, p.main, 2);
         // Accesses to `a` and to `b` land on different cores.
         let insts = &f.blocks[0].insts;
@@ -585,20 +564,10 @@ mod tests {
         pb.finish_function(fb);
         let p = pb.finish();
         let f = p.main_func();
-        let (alias, prof) = flat_env(&p);
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        let blocks: Vec<BlockId> = forest.loops[0].blocks.iter().copied().collect();
-        let asg = bug_partition(
-            f,
-            &blocks,
-            &alias,
-            &prof,
-            p.main,
-            &PartitionParams::ebug(2),
-            &HashMap::new(),
-        );
+        let fe = FrontEnd::of_flat(&p);
+        let inp = fe.inputs();
+        let blocks: Vec<BlockId> = inp.forest.loops[0].blocks.iter().copied().collect();
+        let asg = bug_partition(&inp, &blocks, &PartitionParams::ebug(2), &HashMap::new());
         // Find the load and its direct consumer.
         for &b in &blocks {
             for (i, inst) in f.block(b).insts.iter().enumerate() {
@@ -639,12 +608,8 @@ mod tests {
         pb.finish_function(fb);
         let p = pb.finish();
         let f = p.main_func();
-        let (alias, prof) = flat_env(&p);
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        let blocks: Vec<BlockId> = forest.loops[0].blocks.iter().copied().collect();
-        let part = dswp_partition(f, &blocks, &alias, &prof, p.main, 2).unwrap();
+        let fe = FrontEnd::of_flat(&p);
+        let part = dswp_partition(&fe.inputs(), LoopId(0), 2).unwrap();
         assert!(part.stages >= 2);
         assert!(part.est_speedup > 1.0, "speedup {}", part.est_speedup);
         // Pipeline property: every register def/use pair crosses forward.

@@ -16,12 +16,13 @@
 //! everywhere; `Hybrid` is the full selection (Fig. 13).
 
 use crate::alias::AliasAnalysis;
+use crate::dfg::{BlockDfg, DepGraphs, LoopDeps};
 use crate::doall::{self, DoallInfo};
 use crate::liveness::Liveness;
 use crate::partition::{self, Assignment, PartitionParams};
 use std::collections::HashMap;
 use voltron_ir::cfg::Cfg;
-use voltron_ir::loops::LoopForest;
+use voltron_ir::loops::{LoopForest, LoopId};
 use voltron_ir::profile::Profile;
 use voltron_ir::{BlockId, FuncId, Function, InstRef, Opcode};
 
@@ -202,6 +203,21 @@ pub struct PlanInputs<'a> {
     pub profile: &'a Profile,
     /// Alias facts.
     pub alias: &'a AliasAnalysis,
+    /// The function's dependence graphs, shared by every configuration
+    /// planned from these inputs.
+    pub graphs: &'a DepGraphs,
+}
+
+impl PlanInputs<'_> {
+    /// The intra-block dependence graph of `b`.
+    pub fn block_dfg(&self, b: BlockId) -> &BlockDfg {
+        self.graphs.block(self.f, self.alias, b)
+    }
+
+    /// The operation graph and SCC condensation of loop `lp`.
+    pub fn loop_deps(&self, lp: LoopId) -> &LoopDeps {
+        self.graphs.of_loop(self.f, self.alias, self.forest, lp)
+    }
 }
 
 /// Estimated serial cycles of a block range (latency-weighted dynamic
@@ -246,7 +262,7 @@ fn est_ilp(inp: &PlanInputs<'_>, first: u32, last: u32) -> f64 {
         if block.insts.is_empty() {
             continue;
         }
-        let dfg = crate::dfg::BlockDfg::build(block, inp.alias);
+        let dfg = inp.block_dfg(bid);
         let cp = dfg.priority.iter().copied().max().unwrap_or(1).max(1);
         let tot: u32 = block.insts.iter().map(|i| i.op.latency()).sum();
         serial += count as f64 * f64::from(tot);
@@ -307,7 +323,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
     // that remain.
     let mut chosen: Vec<(u32, u32, RegionKind)> = Vec::new();
 
-    let loop_range = |lp: voltron_ir::loops::LoopId| -> Option<(u32, u32)> {
+    let loop_range = |lp: LoopId| -> Option<(u32, u32)> {
         let l = inp.forest.get(lp);
         let mut blocks: Vec<u32> = l.blocks.iter().map(|b| b.0).collect();
         blocks.sort_unstable();
@@ -328,7 +344,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
 
     // Pass 1: DOALL.
     if matches!(strategy, Strategy::Llp | Strategy::Hybrid) {
-        let mut stack: Vec<voltron_ir::loops::LoopId> = inp.forest.roots().collect();
+        let mut stack: Vec<LoopId> = inp.forest.roots().collect();
         while let Some(lp) = stack.pop() {
             let range = loop_range(lp);
             let info = range.and_then(|_| {
@@ -356,9 +372,9 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
         let overlaps = |first: u32, last: u32, chosen: &[(u32, u32, RegionKind)]| {
             chosen.iter().any(|&(cf, cl, _)| first <= cl && cf <= last)
         };
-        let mut stack: Vec<voltron_ir::loops::LoopId> = inp.forest.roots().collect();
+        let mut stack: Vec<LoopId> = inp.forest.roots().collect();
         while let Some(lp) = stack.pop() {
-            let descend = |stack: &mut Vec<voltron_ir::loops::LoopId>| {
+            let descend = |stack: &mut Vec<LoopId>| {
                 stack.extend(inp.forest.get(lp).children.iter().copied());
             };
             let Some((first, last)) = loop_range(lp) else {
@@ -371,18 +387,12 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
                 descend(&mut stack);
                 continue;
             }
-            let loop_blocks: Vec<BlockId> = (first..=last).map(BlockId).collect();
-            let accepted = partition::dswp_partition(
-                inp.f,
-                &loop_blocks,
-                inp.alias,
-                inp.profile,
-                inp.func,
-                cores,
-            )
-            .filter(|part| part.est_speedup >= params.dswp_gate)
-            .map(|part| chosen.push((first, last, RegionKind::Dswp(part.assignment))))
-            .is_some();
+            // The range is contiguous, so the loop's blocks in layout
+            // order are exactly `first..=last`.
+            let accepted = partition::dswp_partition(inp, lp, cores)
+                .filter(|part| part.est_speedup >= params.dswp_gate)
+                .map(|part| chosen.push((first, last, RegionKind::Dswp(part.assignment))))
+                .is_some();
             if !accepted {
                 descend(&mut stack);
             }
@@ -414,11 +424,8 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
             let coupled_kind = |inp: &PlanInputs<'_>| {
                 let blocks: Vec<BlockId> = (start..=candidate_end).map(BlockId).collect();
                 let asg = partition::bug_partition(
-                    inp.f,
+                    inp,
                     &blocks,
-                    inp.alias,
-                    inp.profile,
-                    inp.func,
                     &PartitionParams::bug(cores),
                     &HashMap::new(),
                 );
@@ -544,36 +551,16 @@ fn strands_kind(
             ..PartitionParams::ebug(cores)
         }
     };
-    let asg = partition::bug_partition(
-        inp.f,
-        &blocks,
-        inp.alias,
-        inp.profile,
-        inp.func,
-        &params,
-        &pins,
-    );
+    let asg = partition::bug_partition(inp, &blocks, &params, &pins);
     RegionKind::Strands(asg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FrontEnd;
     use voltron_ir::builder::ProgramBuilder;
-    use voltron_ir::cfg::Dominators;
-    use voltron_ir::profile;
     use voltron_ir::Program;
-
-    fn make_inputs(p: &Program) -> (Cfg, LoopForest, Liveness, Profile, AliasAnalysis) {
-        let f = p.main_func();
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        let lv = Liveness::compute(f, &cfg);
-        let prof = profile::profile(p, 500_000_000).unwrap();
-        let alias = AliasAnalysis::analyze(p, f);
-        (cfg, forest, lv, prof, alias)
-    }
 
     fn doall_program() -> Program {
         let mut pb = ProgramBuilder::new("t");
@@ -594,16 +581,8 @@ mod tests {
     #[test]
     fn hybrid_plan_picks_doall_for_parallel_loop() {
         let p = doall_program();
-        let (cfg, forest, lv, prof, alias) = make_inputs(&p);
-        let inp = PlanInputs {
-            f: p.main_func(),
-            func: p.main,
-            cfg: &cfg,
-            forest: &forest,
-            liveness: &lv,
-            profile: &prof,
-            alias: &alias,
-        };
+        let fe = FrontEnd::of_flat(&p);
+        let inp = fe.inputs();
         let plan = plan(&inp, Strategy::Hybrid, 4, &PlanParams::default());
         assert!(plan
             .regions
@@ -621,16 +600,8 @@ mod tests {
     #[test]
     fn llp_strategy_serializes_non_doall_code() {
         let p = doall_program();
-        let (cfg, forest, lv, prof, alias) = make_inputs(&p);
-        let inp = PlanInputs {
-            f: p.main_func(),
-            func: p.main,
-            cfg: &cfg,
-            forest: &forest,
-            liveness: &lv,
-            profile: &prof,
-            alias: &alias,
-        };
+        let fe = FrontEnd::of_flat(&p);
+        let inp = fe.inputs();
         let plan = plan(&inp, Strategy::Llp, 4, &PlanParams::default());
         for r in &plan.regions {
             assert!(
@@ -644,16 +615,8 @@ mod tests {
     #[test]
     fn single_core_is_always_serial() {
         let p = doall_program();
-        let (cfg, forest, lv, prof, alias) = make_inputs(&p);
-        let inp = PlanInputs {
-            f: p.main_func(),
-            func: p.main,
-            cfg: &cfg,
-            forest: &forest,
-            liveness: &lv,
-            profile: &prof,
-            alias: &alias,
-        };
+        let fe = FrontEnd::of_flat(&p);
+        let inp = fe.inputs();
         let plan = plan(&inp, Strategy::Hybrid, 1, &PlanParams::default());
         assert_eq!(plan.regions.len(), 1);
         assert!(matches!(plan.regions[0].kind, RegionKind::Serial));
@@ -662,16 +625,8 @@ mod tests {
     #[test]
     fn halt_block_never_parallelized() {
         let p = doall_program();
-        let (cfg, forest, lv, prof, alias) = make_inputs(&p);
-        let inp = PlanInputs {
-            f: p.main_func(),
-            func: p.main,
-            cfg: &cfg,
-            forest: &forest,
-            liveness: &lv,
-            profile: &prof,
-            alias: &alias,
-        };
+        let fe = FrontEnd::of_flat(&p);
+        let inp = fe.inputs();
         for strat in [Strategy::Ilp, Strategy::FineGrainTlp, Strategy::Hybrid] {
             let plan = plan(&inp, strat, 4, &PlanParams::default());
             let last_block = BlockId(p.main_func().blocks.len() as u32 - 1);

@@ -252,12 +252,12 @@ pub fn schedule_coupled(lowered: &LoweredBlock, alias: &AliasAnalysis) -> BlockS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias::AliasAnalysis;
     use crate::comm::{FreshRegs, RegionLowerer, TagAlloc};
     use crate::partition::{bug_partition, PartitionParams};
+    use crate::FrontEnd;
     use std::collections::HashMap;
     use voltron_ir::builder::ProgramBuilder;
-    use voltron_ir::{profile, BlockId, ExecMode, Program};
+    use voltron_ir::{BlockId, ExecMode, Program};
     use voltron_sim::MachineConfig;
 
     fn build_two_chain() -> Program {
@@ -281,14 +281,11 @@ mod tests {
 
     fn schedule_block(p: &Program, cores: usize) -> BlockSchedule {
         let f = p.main_func();
-        let alias = AliasAnalysis::analyze(p, f);
-        let prof = profile::profile(p, 1_000_000).unwrap();
+        let fe = FrontEnd::of_flat(p);
+        let inp = fe.inputs();
         let asg = bug_partition(
-            f,
+            &inp,
             &[BlockId(0)],
-            &alias,
-            &prof,
-            p.main,
             &PartitionParams::bug(cores),
             &HashMap::new(),
         );
@@ -297,7 +294,7 @@ mod tests {
         let mut tags = TagAlloc::default();
         let mut lw = RegionLowerer::new(f, &asg, &cfg, ExecMode::Coupled, &mut fresh, &mut tags);
         let lb = lw.lower_block(BlockId(0));
-        schedule_coupled(&lb, &alias)
+        schedule_coupled(&lb, inp.alias)
     }
 
     /// Validate the fundamental invariants on any schedule: equal length

@@ -1,10 +1,12 @@
 //! Structural inspection of emitted machine code: the right Voltron
 //! mechanisms must appear in the right places.
 
+use std::collections::HashMap;
 use voltron_compiler::{compile, CompileOptions, Strategy};
 use voltron_ir::builder::ProgramBuilder;
-use voltron_ir::{Opcode, Program};
-use voltron_sim::{MachineConfig, MachineProgram};
+use voltron_ir::{Inst, Opcode, Operand, Program, Reg};
+use voltron_sim::{CoreImage, MachineConfig, MachineProgram, RegionId};
+use voltron_workloads::{by_name, Scale};
 
 fn doall_program(n: i64) -> Program {
     let mut pb = ProgramBuilder::new("emit-doall");
@@ -245,4 +247,71 @@ fn unrolling_can_be_disabled() {
         static_b > static_a,
         "unrolling should enlarge the image: {static_b} !> {static_a}"
     );
+}
+
+/// An image with everything a per-core patch table would carry taken
+/// out: block names dropped, `Core` operands, `SEND`/`RECV` tags and the
+/// `XBEGIN` ordinal zeroed, and registers renumbered per class in order
+/// of first occurrence (the emitter hands each worker its own `fresh`
+/// registers, so equal code differs in numbering).
+fn image_class(img: &CoreImage) -> Vec<(RegionId, Vec<Inst>)> {
+    let mut names: HashMap<Reg, Reg> = HashMap::new();
+    let mut used = [0u32; 4];
+    let mut rename = |r: Reg| {
+        *names.entry(r).or_insert_with(|| {
+            let index = used[r.class.index()];
+            used[r.class.index()] += 1;
+            Reg { index, ..r }
+        })
+    };
+    let mut class = Vec::new();
+    for b in &img.blocks {
+        let mut insts = Vec::new();
+        for inst in &b.insts {
+            let mut inst = inst.clone();
+            inst.guard = inst.guard.map(&mut rename);
+            for (slot, src) in inst.srcs.iter_mut().enumerate() {
+                let patched = matches!(
+                    (inst.op, slot),
+                    (Opcode::Send, 2) | (Opcode::Recv, 1) | (Opcode::Xbegin, 0)
+                );
+                *src = match *src {
+                    Operand::Reg(r) => Operand::Reg(rename(r)),
+                    Operand::Core(_) => Operand::Core(0),
+                    Operand::Imm(_) if patched => Operand::Imm(0),
+                    other => other,
+                };
+            }
+            inst.dst = inst.dst.map(&mut rename);
+            insts.push(inst);
+        }
+        class.push((b.region, insts));
+    }
+    class
+}
+
+/// The measurement behind ROADMAP item 4 (DESIGN.md §17), as a test: a
+/// DOALL worker is one outlined body, so under `llp` at 64 cores the 63
+/// worker images are one class — although no two of them are equal as
+/// emitted. A template-plus-patch-table image form would stand on this.
+#[test]
+fn doall_worker_images_are_one_class_up_to_renaming_and_per_core_constants() {
+    let cfg = MachineConfig::scaled(64);
+    for (name, doall_regions) in [("171.swim", 2), ("172.mgrid", 3)] {
+        let w = by_name(name, Scale::Test).unwrap();
+        let c = compile(&w.program, Strategy::Llp, &cfg, &CompileOptions::default()).unwrap();
+        let doalls = c.region_kinds.values().filter(|k| **k == "doall").count();
+        assert_eq!(doalls, doall_regions, "{name}: DOALL regions");
+        let workers = &c.machine.cores[1..];
+        for (k, img) in workers.iter().enumerate().skip(1) {
+            assert!(*img != workers[0], "{name}: cores 1 and {} equal", k + 1);
+            assert!(
+                image_class(img) == image_class(&workers[0]),
+                "{name}: core {} is not core 1 renamed and patched",
+                k + 1
+            );
+        }
+        // The master dispatches and combines: a class of its own.
+        assert!(image_class(&c.machine.cores[0]) != image_class(&workers[0]));
+    }
 }

@@ -39,7 +39,6 @@
 
 use crate::config::MachineConfig;
 use crate::mcode::{MachineProgram, RegionId};
-use std::collections::HashMap;
 use std::fmt;
 use voltron_ir::verify::check_mcode_inst;
 use voltron_ir::{Dir, ExecMode, Inst, Opcode, Operand, RegClass};
@@ -245,7 +244,7 @@ impl std::error::Error for ValidateError {}
 
 const DIRS: [Dir; 4] = [Dir::East, Dir::West, Dir::South, Dir::North];
 
-fn dir_idx(d: Dir) -> usize {
+fn dir_idx(d: Dir) -> u8 {
     match d {
         Dir::East => 0,
         Dir::West => 1,
@@ -254,12 +253,67 @@ fn dir_idx(d: Dir) -> usize {
     }
 }
 
-/// Per-latch PUT/GET tallies plus a representative site.
-#[derive(Debug, Clone)]
-struct LatchTally {
-    puts: usize,
-    gets: usize,
-    site: Site,
+/// Coordinates of one instruction. The walk records these and nothing
+/// else; the [`Site`] — block name included — is built from them on the
+/// error path only. Ordered as the walk visits instructions, so the
+/// least `At` of a set of sites is the one the walk met first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct At {
+    core: u32,
+    block: u32,
+    inst: u32,
+}
+
+/// An image index as a coordinate.
+fn coord(i: usize) -> u32 {
+    // An image with 2^32 cores, blocks or slots does not fit in memory.
+    u32::try_from(i).expect("image dimensions fit in 32 bits")
+}
+
+/// One endpoint site of the `(from, to, tag)` stream; ordered by stream
+/// first, so a sorted list holds each stream's sites together, the
+/// first-walked one in front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Endpoint {
+    from: u32,
+    to: u32,
+    tag: u32,
+    at: At,
+}
+
+impl Endpoint {
+    fn stream(&self) -> (u32, u32, u32) {
+        (self.from, self.to, self.tag)
+    }
+}
+
+/// The first site in `xs` (both lists sorted) whose stream has no site
+/// in `ys`: the lowest orphan stream, at its first-walked site.
+fn first_orphan<'a>(xs: &'a [Endpoint], ys: &[Endpoint]) -> Option<&'a Endpoint> {
+    let mut ys = ys.iter().peekable();
+    xs.iter().find(|x| {
+        while ys.next_if(|y| y.stream() < x.stream()).is_some() {}
+        ys.peek().is_none_or(|y| y.stream() != x.stream())
+    })
+}
+
+/// One `PUT` or `GET` site of a direct-mode latch; ordered by latch
+/// `(region, owner, dir)` first, then as walked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LatchSite {
+    region: RegionId,
+    owner: u32,
+    dir: u8,
+    at: At,
+    put: bool,
+}
+
+/// The part of `present` (sorted) that lists region `r`'s cores.
+fn cores_of(present: &[(RegionId, u32)], r: RegionId) -> impl Iterator<Item = u32> + '_ {
+    present[present.partition_point(|p| p.0 < r)..]
+        .iter()
+        .take_while(move |p| p.0 == r)
+        .map(|p| p.1)
 }
 
 impl MachineProgram {
@@ -269,9 +323,23 @@ impl MachineProgram {
     /// structural [`MachineProgram::check`], so a validated program's
     /// network and thread instructions can rely on these invariants.
     ///
+    /// One walk over the instructions, recording coordinates of the
+    /// network, latch, broadcast and switch sites only; the cross-core
+    /// invariants are then checked by sorting those site lists and
+    /// sweeping them. Nothing is allocated per instruction, per block
+    /// name or per region *id*: the lists grow with the sites and with
+    /// the `(region, core)` pairs present, so validating an image costs
+    /// a handful of vector doublings however long its blocks are.
+    ///
     /// # Errors
     /// Returns the first violation found, with core/block/instruction
-    /// coordinates.
+    /// coordinates. *First* is a contract (DESIGN.md, "Static mcode
+    /// validation"): per-instruction violations in walk order (core,
+    /// block, slot), then orphan `RECV` streams and orphan `SEND`
+    /// streams by ascending `(from, to, tag)`, unbalanced latches by
+    /// `(region, owner, dir)`, broadcasts by `(region, core)`, and
+    /// switches by `(region, coupled first, core)`; a cross-core
+    /// violation names the first site the walk met.
     pub fn validate(&self, cfg: &MachineConfig) -> Result<(), ValidateError> {
         let n = self.cores.len();
         // The geometry only depends on the core count; keep it honest if
@@ -287,83 +355,115 @@ impl MachineProgram {
             &geo
         };
 
-        // (from, to, tag) -> first site, for both stream endpoints.
-        let mut sends: HashMap<(usize, usize, u32), Site> = HashMap::new();
-        let mut recvs: HashMap<(usize, usize, u32), Site> = HashMap::new();
-        // (region, latch owner, latch dir) -> tallies.
-        let mut latches: HashMap<(RegionId, usize, usize), LatchTally> = HashMap::new();
-        // (region, core) -> site counts; first BCAST site per region.
-        let mut bcasts: HashMap<(RegionId, usize), usize> = HashMap::new();
-        let mut getbs: HashMap<(RegionId, usize), usize> = HashMap::new();
-        let mut bcast_site: HashMap<RegionId, Site> = HashMap::new();
-        // (region, is-coupled-target) -> (cores with a switch site, site).
-        let mut switches: HashMap<(RegionId, bool), (Vec<bool>, Site)> = HashMap::new();
-        // region -> cores with any block in it.
-        let mut presence: HashMap<RegionId, Vec<bool>> = HashMap::new();
+        let mut sends: Vec<Endpoint> = Vec::new();
+        let mut recvs: Vec<Endpoint> = Vec::new();
+        let mut latches: Vec<LatchSite> = Vec::new();
+        let mut bcasts: Vec<(RegionId, At)> = Vec::new();
+        // (region, core) of every GETB site.
+        let mut getbs: Vec<(RegionId, u32)> = Vec::new();
+        // (region, decoupled target, site): coupled switches sort first.
+        let mut switches: Vec<(RegionId, bool, At)> = Vec::new();
+        // (region, core) of every block.
+        let mut present: Vec<(RegionId, u32)> = Vec::new();
 
         for (core, img) in self.cores.iter().enumerate() {
+            let c = coord(core);
             for (bi, b) in img.blocks.iter().enumerate() {
-                presence.entry(b.region).or_insert_with(|| vec![false; n])[core] = true;
+                if present.last() != Some(&(b.region, c)) {
+                    present.push((b.region, c));
+                }
                 for (ii, inst) in b.insts.iter().enumerate() {
-                    let site = || Site {
-                        core,
-                        block: bi,
-                        block_name: b.name.clone(),
-                        inst: ii,
+                    let at = || At {
+                        core: c,
+                        block: coord(bi),
+                        inst: coord(ii),
                     };
                     check_mcode_inst(inst).map_err(|message| ValidateError::Shape {
-                        site: site(),
+                        site: self.site(at()),
                         message,
                     })?;
-                    self.check_one(inst, core, n, geo, site())?;
+                    let in_range = |target: usize| {
+                        if target < n {
+                            return Ok(coord(target));
+                        }
+                        Err(ValidateError::CoreOutOfRange {
+                            site: self.site(at()),
+                            target,
+                            cores: n,
+                        })
+                    };
                     match inst.op {
-                        Opcode::Send => {
-                            let to = core_operand(inst.srcs[1]);
-                            sends.entry((core, to, send_tag(inst))).or_insert_with(site);
-                        }
-                        Opcode::Recv => {
-                            let from = core_operand(inst.srcs[0]);
-                            recvs
-                                .entry((from, core, recv_tag(inst)))
-                                .or_insert_with(site);
-                        }
-                        Opcode::Put => {
-                            let d = dir_operand(inst.srcs[1]);
-                            let owner = geo.neighbor(core, d).expect("checked by check_one");
-                            let t = latches
-                                .entry((b.region, owner, dir_idx(d.opposite())))
-                                .or_insert_with(|| LatchTally {
-                                    puts: 0,
-                                    gets: 0,
-                                    site: site(),
+                        Opcode::Send => sends.push(Endpoint {
+                            from: c,
+                            to: in_range(core_operand(inst.srcs[1]))?,
+                            tag: send_tag(inst),
+                            at: at(),
+                        }),
+                        Opcode::Recv => recvs.push(Endpoint {
+                            from: in_range(core_operand(inst.srcs[0]))?,
+                            to: c,
+                            tag: recv_tag(inst),
+                            at: at(),
+                        }),
+                        Opcode::Spawn => {
+                            let to = core_operand(inst.srcs[0]);
+                            in_range(to)?;
+                            if to == core {
+                                return Err(ValidateError::SelfSpawn {
+                                    site: self.site(at()),
                                 });
-                            t.puts += 1;
+                            }
+                            let blk = inst.srcs[1].as_block().expect("shape-checked").idx();
+                            let blocks = self.cores[to].blocks.len();
+                            if blk >= blocks {
+                                return Err(ValidateError::SpawnBadBlock {
+                                    site: self.site(at()),
+                                    target_core: to,
+                                    block: blk,
+                                    blocks,
+                                });
+                            }
                         }
-                        Opcode::Get => {
-                            let d = dir_operand(inst.srcs[0]);
-                            let t =
-                                latches
-                                    .entry((b.region, core, dir_idx(d)))
-                                    .or_insert_with(|| LatchTally {
-                                        puts: 0,
-                                        gets: 0,
-                                        site: site(),
-                                    });
-                            t.gets += 1;
+                        Opcode::Put | Opcode::Get => {
+                            let put = inst.op == Opcode::Put;
+                            let d = dir_operand(inst.srcs[usize::from(put)]);
+                            let Some(peer) = geo.neighbor(core, d) else {
+                                return Err(ValidateError::OffMesh {
+                                    site: self.site(at()),
+                                    dir: d,
+                                });
+                            };
+                            // The latch belongs to the GET side.
+                            let (owner, side) = if put { (peer, d.opposite()) } else { (core, d) };
+                            latches.push(LatchSite {
+                                region: b.region,
+                                owner: coord(owner),
+                                dir: dir_idx(side),
+                                at: at(),
+                                put,
+                            });
                         }
-                        Opcode::Bcast => {
-                            *bcasts.entry((b.region, core)).or_insert(0) += 1;
-                            bcast_site.entry(b.region).or_insert_with(site);
-                        }
-                        Opcode::GetB => {
-                            *getbs.entry((b.region, core)).or_insert(0) += 1;
-                        }
+                        Opcode::Bcast => bcasts.push((b.region, at())),
+                        Opcode::GetB => getbs.push((b.region, c)),
                         Opcode::ModeSwitch => {
                             let coupled = matches!(inst.srcs[0], Operand::Mode(ExecMode::Coupled));
-                            let e = switches
-                                .entry((b.region, coupled))
-                                .or_insert_with(|| (vec![false; n], site()));
-                            e.0[core] = true;
+                            switches.push((b.region, !coupled, at()));
+                        }
+                        Opcode::Xbegin => {
+                            let ok = matches!(
+                                inst.srcs[0],
+                                Operand::Imm(_)
+                                    | Operand::Reg(voltron_ir::Reg {
+                                        class: RegClass::Gpr,
+                                        ..
+                                    })
+                            );
+                            if !ok {
+                                return Err(ValidateError::Shape {
+                                    site: self.site(at()),
+                                    message: "xbegin order must be an integer (imm or gpr)".into(),
+                                });
+                            }
                         }
                         _ => {}
                     }
@@ -371,93 +471,90 @@ impl MachineProgram {
             }
         }
 
-        // 4. Stream endpoints (deterministic order: sort the keys).
-        let mut keys: Vec<_> = recvs.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            if !sends.contains_key(&k) {
-                let (from, _, tag) = k;
-                return Err(ValidateError::OrphanRecv {
-                    site: recvs[&k].clone(),
-                    from,
-                    tag,
-                });
-            }
+        // 4. Stream endpoints.
+        sends.sort_unstable();
+        recvs.sort_unstable();
+        if let Some(r) = first_orphan(&recvs, &sends) {
+            return Err(ValidateError::OrphanRecv {
+                site: self.site(r.at),
+                from: r.from as usize,
+                tag: r.tag,
+            });
         }
-        let mut keys: Vec<_> = sends.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            if !recvs.contains_key(&k) {
-                let (_, to, tag) = k;
-                return Err(ValidateError::OrphanSend {
-                    site: sends[&k].clone(),
-                    to,
-                    tag,
-                });
-            }
+        if let Some(s) = first_orphan(&sends, &recvs) {
+            return Err(ValidateError::OrphanSend {
+                site: self.site(s.at),
+                to: s.to as usize,
+                tag: s.tag,
+            });
         }
 
         // 5. Latch balance.
-        let mut keys: Vec<_> = latches.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            let t = &latches[&k];
-            if t.puts != t.gets {
-                let (region, owner, di) = k;
+        latches.sort_unstable();
+        for latch in
+            latches.chunk_by(|a, b| (a.region, a.owner, a.dir) == (b.region, b.owner, b.dir))
+        {
+            let puts = latch.iter().filter(|s| s.put).count();
+            let gets = latch.len() - puts;
+            if puts != gets {
+                let first = latch[0];
                 return Err(ValidateError::LatchImbalance {
-                    region,
-                    owner,
-                    dir: DIRS[di],
-                    puts: t.puts,
-                    gets: t.gets,
-                    site: t.site.clone(),
+                    region: first.region,
+                    owner: first.owner as usize,
+                    dir: DIRS[usize::from(first.dir)],
+                    puts,
+                    gets,
+                    site: self.site(first.at),
                 });
             }
         }
 
+        if bcasts.is_empty() && switches.is_empty() {
+            return Ok(());
+        }
+        present.sort_unstable();
+        present.dedup();
+
         // 6. Broadcast balance, per region with any BCAST.
-        let mut regions: Vec<_> = bcast_site.keys().copied().collect();
-        regions.sort_unstable();
-        for r in regions {
-            let total: usize = (0..n)
-                .map(|c| bcasts.get(&(r, c)).copied().unwrap_or(0))
-                .sum();
-            let present = &presence[&r];
-            for (c, &here) in present.iter().enumerate() {
-                if !here {
-                    continue;
-                }
-                let own = bcasts.get(&(r, c)).copied().unwrap_or(0);
-                let drains = getbs.get(&(r, c)).copied().unwrap_or(0);
-                if drains != total - own {
+        bcasts.sort_unstable();
+        getbs.sort_unstable();
+        for region in bcasts.chunk_by(|a, b| a.0 == b.0) {
+            let r = region[0].0;
+            for core in cores_of(&present, r) {
+                // Sorted as walked, so each core's sites are one run.
+                let own = region.partition_point(|s| s.1.core <= core)
+                    - region.partition_point(|s| s.1.core < core);
+                let drains = getbs.partition_point(|&g| g <= (r, core))
+                    - getbs.partition_point(|&g| g < (r, core));
+                if drains != region.len() - own {
                     return Err(ValidateError::BcastImbalance {
                         region: r,
-                        core: c,
-                        expected: total - own,
+                        core: core as usize,
+                        expected: region.len() - own,
                         getbs: drains,
-                        site: bcast_site[&r].clone(),
+                        site: self.site(region[0].1),
                     });
                 }
             }
         }
 
         // 7. Switch alignment.
-        let mut keys: Vec<_> = switches.keys().copied().collect();
-        keys.sort_unstable_by_key(|&(r, coupled)| (r, !coupled));
-        for k in keys {
-            let (has, site) = &switches[&k];
-            let present = &presence[&k.0];
-            for c in 0..n {
-                if present[c] && !has[c] {
+        switches.sort_unstable();
+        for switch in switches.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (r, decoupled, first) = switch[0];
+            let mut has = switch.iter().map(|s| s.2.core).peekable();
+            for core in cores_of(&present, r) {
+                while has.next_if(|&h| h < core).is_some() {}
+                if has.peek() != Some(&core) {
                     return Err(ValidateError::SwitchMissing {
-                        region: k.0,
-                        core: c,
-                        mode: if k.1 {
-                            ExecMode::Coupled
-                        } else {
+                        region: r,
+                        core: core as usize,
+                        mode: if decoupled {
                             ExecMode::Decoupled
+                        } else {
+                            ExecMode::Coupled
                         },
-                        site: site.clone(),
+                        site: self.site(first),
                     });
                 }
             }
@@ -466,77 +563,17 @@ impl MachineProgram {
         Ok(())
     }
 
-    /// Per-instruction checks beyond the shared opcode grammar: core
-    /// ranges, mesh directions, spawn targets, XBEGIN order class.
-    fn check_one(
-        &self,
-        inst: &Inst,
-        core: usize,
-        n: usize,
-        geo: &MachineConfig,
-        site: Site,
-    ) -> Result<(), ValidateError> {
-        let in_range = |target: usize| -> Result<(), ValidateError> {
-            if target >= n {
-                return Err(ValidateError::CoreOutOfRange {
-                    site: site.clone(),
-                    target,
-                    cores: n,
-                });
-            }
-            Ok(())
-        };
-        match inst.op {
-            Opcode::Send => in_range(core_operand(inst.srcs[1]))?,
-            Opcode::Recv => in_range(core_operand(inst.srcs[0]))?,
-            Opcode::Spawn => {
-                let to = core_operand(inst.srcs[0]);
-                in_range(to)?;
-                if to == core {
-                    return Err(ValidateError::SelfSpawn { site });
-                }
-                let blk = inst.srcs[1].as_block().expect("shape-checked").idx();
-                let blocks = self.cores[to].blocks.len();
-                if blk >= blocks {
-                    return Err(ValidateError::SpawnBadBlock {
-                        site,
-                        target_core: to,
-                        block: blk,
-                        blocks,
-                    });
-                }
-            }
-            Opcode::Put => {
-                let d = dir_operand(inst.srcs[1]);
-                if geo.neighbor(core, d).is_none() {
-                    return Err(ValidateError::OffMesh { site, dir: d });
-                }
-            }
-            Opcode::Get => {
-                let d = dir_operand(inst.srcs[0]);
-                if geo.neighbor(core, d).is_none() {
-                    return Err(ValidateError::OffMesh { site, dir: d });
-                }
-            }
-            Opcode::Xbegin => {
-                let ok = matches!(
-                    inst.srcs[0],
-                    Operand::Imm(_)
-                        | Operand::Reg(voltron_ir::Reg {
-                            class: RegClass::Gpr,
-                            ..
-                        })
-                );
-                if !ok {
-                    return Err(ValidateError::Shape {
-                        site,
-                        message: "xbegin order must be an integer (imm or gpr)".into(),
-                    });
-                }
-            }
-            _ => {}
+    /// The full coordinates of `at` (error path only: clones the block
+    /// name).
+    fn site(&self, at: At) -> Site {
+        Site {
+            core: at.core as usize,
+            block: at.block as usize,
+            block_name: self.cores[at.core as usize].blocks[at.block as usize]
+                .name
+                .clone(),
+            inst: at.inst as usize,
         }
-        Ok(())
     }
 }
 

@@ -8,6 +8,11 @@
 //! event-gated parts of the loop: cores parking and unparking, receive
 //! streams entering and leaving the network's stream-head index, and the
 //! all-core flush at every region change and mode switch.
+//!
+//! The same counter guards the static validator: what
+//! [`MachineProgram::validate`] asks of the heap depends on the network,
+//! latch and switch *sites* of an image, not on how many instructions it
+//! walks to find them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -158,4 +163,41 @@ fn parking_the_head_index_and_region_flushes_do_not_allocate() {
     assert_eq!(run.stats.mode_switches, 2 * iters as u64);
     assert_eq!(run.stats.regions.len(), 2);
     assert!(run.stats.cycles > 70_000, "the loop outlasts the window");
+}
+
+#[test]
+fn validating_a_longer_image_does_not_allocate_more() {
+    let cfg = MachineConfig::scaled(16);
+    let (p, _) = mesh::fork_join_loop(16, 4, 8);
+    // The same image with every block padded to eight times its length
+    // by ALU instructions in front: 7x more to walk, not one site more.
+    let mut padded = p.clone();
+    let mut added = 0u64;
+    for b in padded.cores.iter_mut().flat_map(|img| &mut img.blocks) {
+        let pad = Inst::with_dst(
+            Opcode::Add,
+            Reg::gpr(7),
+            vec![Reg::gpr(7).into(), Operand::Imm(1)],
+        );
+        let n = 7 * b.insts.len();
+        b.insts.splice(0..0, std::iter::repeat_n(pad, n));
+        added += n as u64;
+    }
+    let requests = |p: &MachineProgram| {
+        let before = HEAP_REQUESTS.with(Cell::get);
+        p.validate(&cfg).unwrap();
+        HEAP_REQUESTS.with(Cell::get) - before
+    };
+    let (short, long) = (requests(&p), requests(&padded));
+    assert!(
+        added > 1_000,
+        "the padding is material ({added} instructions)"
+    );
+    // Site lists are the only allocations; padding adds no site, so at
+    // most a vector doubling or two may differ. (A validator that builds
+    // a `Site` per instruction makes `added` more requests.)
+    assert!(
+        long <= short + 4,
+        "{short} heap requests for the image, {long} once padded by {added} instructions"
+    );
 }

@@ -8,15 +8,30 @@
 //! applicable. A final proptest smoke drives random small programs
 //! through `validate()` + `Machine::run` and asserts the pipeline only
 //! ever produces typed results, never panics.
+//!
+//! Every rejection is also held to the oracle (`common/validate_oracle.rs`,
+//! the map-per-invariant validator `validate()` replaced): the identical
+//! `Result`, on the corpus above, on seeded single and double corruptions
+//! of a fork/join image at 2, 16 and 64 cores, and on random programs
+//! spread over the same meshes — peeling the reported instruction off
+//! and validating again until the image is clean, so each case pins a
+//! whole *order* of first errors.
 
 use proptest::prelude::*;
-use voltron_ir::{BlockId, DataSegment, Dir, Inst, Opcode, Operand, Reg};
+use validate_oracle::validate_oracle;
+use voltron_ir::{BlockId, DataSegment, Dir, ExecMode, Inst, Opcode, Operand, Reg};
 use voltron_sim::{
     CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SimError, ValidateError, WaitCause,
 };
 
 #[path = "common/fuzz.rs"]
 mod fuzz;
+// Only the image is wanted here; its checksum is for suites that run it.
+#[allow(dead_code)]
+#[path = "common/mesh.rs"]
+mod mesh;
+#[path = "common/validate_oracle.rs"]
+mod validate_oracle;
 
 fn gpr(i: u32) -> Reg {
     Reg::gpr(i)
@@ -41,8 +56,18 @@ fn data() -> DataSegment {
 
 /// Build the rejection for a program on a `cores`-core paper machine.
 fn reject(p: MachineProgram, cores: usize) -> ValidateError {
-    match Machine::new(p, &MachineConfig::paper(cores)) {
-        Err(SimError::Validate(e)) => e,
+    reject_on(p, &MachineConfig::paper(cores))
+}
+
+/// The rejection `Machine::new` gives `p` under `cfg` — which must be the
+/// oracle's.
+fn reject_on(p: MachineProgram, cfg: &MachineConfig) -> ValidateError {
+    let want = validate_oracle(&p, cfg);
+    match Machine::new(p, cfg) {
+        Err(SimError::Validate(e)) => {
+            assert_eq!(Err(e.clone()), want, "validate() differs from the oracle");
+            e
+        }
         Ok(_) => panic!("corrupted program was accepted"),
         Err(other) => panic!("expected a validation error, got {other:?}"),
     }
@@ -417,11 +442,7 @@ proptest! {
 
 /// Build the rejection for a program on a scaled (4x4) machine.
 fn reject_scaled(p: MachineProgram, cores: usize) -> ValidateError {
-    match Machine::new(p, &MachineConfig::scaled(cores)) {
-        Err(SimError::Validate(e)) => e,
-        Ok(_) => panic!("corrupted program was accepted"),
-        Err(other) => panic!("expected a validation error, got {other:?}"),
-    }
+    reject_on(p, &MachineConfig::scaled(cores))
 }
 
 /// A 16-image program with `blocks` installed on `core` and sleep stubs
@@ -498,4 +519,244 @@ fn on_mesh_4x4_put_get_pair_validates_and_runs() {
     let p = program(cores, data());
     let m = Machine::new(p, &MachineConfig::scaled(16)).expect("validates at 4x4");
     m.run().expect("runs to completion");
+}
+
+// ---------- validate() against its oracle ----------
+
+/// The instruction a rejection names.
+fn named_site(e: &ValidateError) -> &voltron_sim::Site {
+    match e {
+        ValidateError::Shape { site, .. }
+        | ValidateError::CoreOutOfRange { site, .. }
+        | ValidateError::OffMesh { site, .. }
+        | ValidateError::SelfSpawn { site }
+        | ValidateError::SpawnBadBlock { site, .. }
+        | ValidateError::OrphanRecv { site, .. }
+        | ValidateError::OrphanSend { site, .. }
+        | ValidateError::LatchImbalance { site, .. }
+        | ValidateError::BcastImbalance { site, .. }
+        | ValidateError::SwitchMissing { site, .. } => site,
+    }
+}
+
+/// `validate()` and the oracle agree on `p` — and on what is left of it
+/// after deleting the instruction the rejection names, and so on until
+/// it validates. Returns the rejections in the order they surfaced.
+fn same_as_oracle_until_clean(mut p: MachineProgram, cfg: &MachineConfig) -> Vec<ValidateError> {
+    let mut seen = Vec::new();
+    loop {
+        let got = p.validate(cfg);
+        assert_eq!(got, validate_oracle(&p, cfg), "after {seen:?}");
+        let Err(e) = got else { return seen };
+        let at = named_site(&e);
+        p.cores[at.core].blocks[at.block].insts.remove(at.inst);
+        seen.push(e);
+    }
+}
+
+/// `mesh::fork_join_loop` with one of every statically checked mechanism
+/// in its coupled stretch (region 0, every core present): a `PUT` east
+/// on the master for a `GET` west on core 1, and a master `BCAST` every
+/// worker drains.
+fn every_mechanism(cores: usize) -> MachineProgram {
+    let (mut p, _) = mesh::fork_join_loop(cores, 4, 8);
+    let after_switch = |p: &MachineProgram, core: usize| {
+        let (b, i) = find(p, core, Opcode::ModeSwitch).expect("a coupled stretch");
+        (b, i + 1)
+    };
+    let (b, i) = after_switch(&p, 0);
+    p.cores[0].blocks[b].insts.splice(
+        i..i,
+        [
+            Inst::new(Opcode::Put, vec![gpr(0).into(), Operand::Dir(Dir::East)]),
+            Inst::new(Opcode::Bcast, vec![gpr(0).into()]),
+        ],
+    );
+    for w in 1..cores {
+        let (b, i) = after_switch(&p, w);
+        let insts = &mut p.cores[w].blocks[b].insts;
+        insts.insert(i, Inst::with_dst(Opcode::GetB, gpr(1), vec![]));
+        if w == 1 {
+            let get = Inst::with_dst(Opcode::Get, gpr(2), vec![Operand::Dir(Dir::West)]);
+            insts.insert(i, get);
+        }
+    }
+    p
+}
+
+/// The first `op` site of `core`'s image.
+fn find(p: &MachineProgram, core: usize, op: Opcode) -> Option<(usize, usize)> {
+    p.cores[core]
+        .blocks
+        .iter()
+        .enumerate()
+        .find_map(|(b, blk)| {
+            let i = blk.insts.iter().position(|inst| inst.op == op)?;
+            Some((b, i))
+        })
+}
+
+/// Delete the first `op` site of `core` (a no-op once it is gone).
+fn delete(p: &mut MachineProgram, core: usize, op: Opcode) {
+    if let Some((b, i)) = find(p, core, op) {
+        p.cores[core].blocks[b].insts.remove(i);
+    }
+}
+
+/// Rewrite the first `op` site of `core`.
+fn rewrite(p: &mut MachineProgram, core: usize, op: Opcode, f: impl FnOnce(&mut Inst)) {
+    if let Some((b, i)) = find(p, core, op) {
+        f(&mut p.cores[core].blocks[b].insts[i]);
+    }
+}
+
+/// One seeded corruption per rejection the walk can produce.
+type Corruption = (&'static str, fn(&mut MachineProgram));
+
+const CORRUPTIONS: [Corruption; 14] = [
+    ("shape", |p| {
+        rewrite(p, 0, Opcode::Recv, |i| i.srcs[0] = Operand::Imm(1));
+    }),
+    ("core out of range", |p| {
+        let off = p.cores.len() as u8;
+        rewrite(p, 1, Opcode::Send, |i| i.srcs[1] = Operand::Core(off));
+    }),
+    ("put off the mesh", |p| {
+        rewrite(p, 0, Opcode::Put, |i| i.srcs[1] = Operand::Dir(Dir::North));
+    }),
+    ("get off the mesh", |p| {
+        // A stray GET on the last core, which has no east neighbour on
+        // any mesh — behind the block's own sites, so that deleting "the
+        // first GET" of core 1 never just undoes it.
+        let work = &mut p.cores.last_mut().expect("cores").blocks[1].insts;
+        let get = Inst::with_dst(Opcode::Get, gpr(3), vec![Operand::Dir(Dir::East)]);
+        work.insert(work.len() - 1, get);
+    }),
+    ("self spawn", |p| {
+        rewrite(p, 0, Opcode::Spawn, |i| i.srcs[0] = Operand::Core(0));
+    }),
+    ("spawn into a missing block", |p| {
+        rewrite(p, 0, Opcode::Spawn, |i| {
+            i.srcs[1] = Operand::Block(BlockId(9));
+        });
+    }),
+    ("orphan recv", |p| {
+        delete(p, p.cores.len() - 1, Opcode::Send)
+    }),
+    ("orphan send", |p| delete(p, 0, Opcode::Recv)),
+    // Two sites of one orphan stream, in different blocks: the rejection
+    // names the first the walk meets.
+    ("orphan stream received twice", |p| {
+        let recv = Inst::with_dst(
+            Opcode::Recv,
+            gpr(5),
+            vec![Operand::Core(1), Operand::Imm(9)],
+        );
+        p.cores[0].blocks[3].insts.insert(0, recv.clone());
+        p.cores[0].blocks[2].insts.insert(1, recv);
+    }),
+    ("orphan stream sent twice", |p| {
+        let send = Inst::new(
+            Opcode::Send,
+            vec![gpr(0).into(), Operand::Core(0), Operand::Imm(8)],
+        );
+        p.cores[1].blocks[1].insts.insert(2, send.clone());
+        p.cores[1].blocks[0].insts.insert(0, send);
+    }),
+    ("latch without its get", |p| delete(p, 1, Opcode::Get)),
+    ("latch filled twice", |p| {
+        let (b, i) = find(p, 0, Opcode::Put).unwrap_or((1, 0));
+        let put = Inst::new(Opcode::Put, vec![gpr(1).into(), Operand::Dir(Dir::East)]);
+        p.cores[0].blocks[b].insts.insert(i, put);
+    }),
+    ("undrained broadcast", |p| {
+        delete(p, p.cores.len() - 1, Opcode::GetB);
+    }),
+    ("switch one core cannot reach", |p| {
+        delete(p, 1, Opcode::ModeSwitch);
+    }),
+];
+
+#[test]
+fn seeded_corruptions_match_the_oracle_on_2_16_and_64_core_meshes() {
+    for cores in [2usize, 16, 64] {
+        let cfg = MachineConfig::scaled(cores);
+        let base = every_mechanism(cores);
+        assert_eq!(base.validate(&cfg), Ok(()), "{cores}: the base image");
+        assert_eq!(validate_oracle(&base, &cfg), Ok(()));
+        for (name, corrupt) in CORRUPTIONS {
+            let mut p = base.clone();
+            corrupt(&mut p);
+            let seen = same_as_oracle_until_clean(p, &cfg);
+            assert!(!seen.is_empty(), "{cores}: {name} was accepted");
+        }
+        // Two violations in one image: which is reported first, and what
+        // surfaces once it is repaired, must not depend on the walk. (A
+        // pair may cancel — a stream with both ends deleted is clean.)
+        for (_, first) in CORRUPTIONS {
+            for (_, second) in CORRUPTIONS {
+                let mut p = base.clone();
+                first(&mut p);
+                second(&mut p);
+                same_as_oracle_until_clean(p, &cfg);
+            }
+        }
+    }
+}
+
+/// Every kind of rejection is actually reached by the seeded corpus (a
+/// corpus that only ever tripped the per-instruction checks would hold
+/// the cross-core sweeps to nothing).
+#[test]
+fn the_seeded_corpus_reaches_every_rejection() {
+    let cfg = MachineConfig::scaled(16);
+    let mut kinds = std::collections::HashSet::new();
+    for (_, corrupt) in CORRUPTIONS {
+        let mut p = every_mechanism(16);
+        corrupt(&mut p);
+        for e in same_as_oracle_until_clean(p, &cfg) {
+            kinds.insert(std::mem::discriminant(&e));
+        }
+    }
+    // Shape, CoreOutOfRange, OffMesh, SelfSpawn, SpawnBadBlock,
+    // OrphanRecv, OrphanSend, LatchImbalance, BcastImbalance,
+    // SwitchMissing.
+    assert_eq!(kinds.len(), 10);
+    // And the switch sweep reports the coupled barrier first.
+    let mut p = every_mechanism(16);
+    for w in 1..16 {
+        while find(&p, w, Opcode::ModeSwitch).is_some() {
+            delete(&mut p, w, Opcode::ModeSwitch);
+        }
+    }
+    match p.validate(&cfg) {
+        Err(ValidateError::SwitchMissing { core, mode, .. }) => {
+            assert_eq!((core, mode), (1, ExecMode::Coupled));
+        }
+        other => panic!("expected SwitchMissing, got {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 96, ..ProptestConfig::default()
+    })]
+
+    /// The fuzz alphabet spread over 2-, 16- and 64-core meshes (the
+    /// master image on core 0, the worker image on every other core):
+    /// the identical verdict from `validate()` and the oracle, down to
+    /// the clean image.
+    #[test]
+    fn random_programs_match_the_oracle_on_every_mesh(
+        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
+        spin_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
+        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
+    ) {
+        let (two, _) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
+        for cores in [2usize, 16, 64] {
+            let mut p = two.clone();
+            p.cores.resize(cores, two.cores[1].clone());
+            same_as_oracle_until_clean(p, &MachineConfig::scaled(cores));
+        }
+    }
 }

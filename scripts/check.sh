@@ -16,14 +16,18 @@ echo "== tier-1: release build + tests"
 # of crates/sim/tests (accounting, fast-forward, reset, machine edge
 # cases, decode) and the validator's seeded-broken-program corpus
 # (crates/sim/tests/validate.rs: every seeded corruption must be rejected
-# with coordinates), so that suite has no step of its own; the workspace
-# run below repeats it in release mode. Likewise tests/serve_engine.rs
-# pulls in the serve daemon's in-process suite (crates/bench/tests/serve.rs:
-# served == direct Experiment results, bit for bit, on the whole
-# cycle-golden matrix), and tests/shared_runs.rs holds Experiment's shared
-# simulations to fresh ones. cycle_golden, scaling_golden and the
-# accounting suite each run their matrix in all four {fast-forward on,
-# off} x {plain, tracer + probes} corners in-process (DESIGN.md §6, §8).
+# with coordinates, and with the identical Result the validator's oracle
+# gives, common/validate_oracle.rs), so that suite has no step of its own;
+# the workspace run below repeats it in release mode; and
+# tests/validate_oracle.rs holds validate() to the same oracle on compiler
+# output for every workload at 4, 16 and 64 cores. Likewise
+# tests/serve_engine.rs pulls in the serve daemon's in-process suite
+# (crates/bench/tests/serve.rs: served == direct Experiment results, bit
+# for bit, on the whole cycle-golden matrix), and tests/shared_runs.rs
+# holds Experiment's shared simulations to fresh ones. cycle_golden,
+# scaling_golden and the accounting suite each run their matrix in all
+# four {fast-forward on, off} x {plain, tracer + probes} corners
+# in-process (DESIGN.md §6, §8).
 cargo build --release
 cargo test -q
 

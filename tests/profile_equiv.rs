@@ -318,43 +318,87 @@ fn random_access_mixes_reach_both_verdicts() {
 
 /// One `FrontEnd` serves every configuration with its key; what it hands
 /// `compile_prepared` — profile and analyses, rebuilt after unrolling or
-/// kept when unrolling changed nothing — must be what a fresh `compile`
-/// derives for itself.
+/// kept when unrolling changed nothing, and the dependence graphs it
+/// builds on first use and then keeps — must be what a fresh `compile`
+/// derives for itself. Which configuration builds a graph first must not
+/// matter, so the matrix is compiled in order, in reverse from a second
+/// front end, and by two threads racing through a third.
 #[test]
 fn prepared_compiles_equal_fresh_compiles_in_every_configuration() {
     let opts = CompileOptions::default();
-    let cores = [2usize, 4, 16];
     let strategies = [
         CompileStrategy::Ilp,
         CompileStrategy::FineGrainTlp,
         CompileStrategy::Llp,
         CompileStrategy::Hybrid,
     ];
+    let matrix: Vec<(CompileStrategy, MachineConfig)> = strategies
+        .into_iter()
+        .flat_map(|s| [2usize, 4, 16, 64].map(|n| (s, MachineConfig::scaled(n))))
+        .collect();
     for w in all(Scale::Test) {
-        let fe = FrontEnd::new(
-            &w.program,
-            strategies[0],
-            &MachineConfig::scaled(cores[0]),
-            &opts,
-        )
-        .unwrap_or_else(|e| panic!("{}: front end: {e}", w.name));
-        for strategy in strategies {
-            for n in cores {
-                let mcfg = MachineConfig::scaled(n);
+        let fresh: Vec<_> = matrix
+            .iter()
+            .map(|(strategy, mcfg)| {
                 assert!(
-                    FrontEnd::key(strategy, &mcfg, &opts),
+                    FrontEnd::key(*strategy, mcfg, &opts),
                     "one key covers the matrix"
                 );
-                let prepared = compile_prepared(&fe, strategy, &mcfg, &opts)
-                    .unwrap_or_else(|e| panic!("{} {strategy}/{n}: prepared: {e}", w.name));
-                let fresh = compile(&w.program, strategy, &mcfg, &opts)
-                    .unwrap_or_else(|e| panic!("{} {strategy}/{n}: fresh: {e}", w.name));
-                assert!(
-                    prepared.machine == fresh.machine,
-                    "{} {strategy}/{n}: prepared image differs from a fresh compile",
-                    w.name
-                );
+                compile(&w.program, *strategy, mcfg, &opts)
+                    .unwrap_or_else(|e| panic!("{} {strategy}/{}: fresh: {e}", w.name, mcfg.cores))
+                    .machine
+            })
+            .collect();
+        let front_end = || {
+            let (strategy, mcfg) = &matrix[0];
+            FrontEnd::new(&w.program, *strategy, mcfg, &opts)
+                .unwrap_or_else(|e| panic!("{}: front end: {e}", w.name))
+        };
+        let check = |fe: &FrontEnd, k: usize, order: &str| -> Result<(), String> {
+            let (strategy, mcfg) = &matrix[k];
+            let label = format!("{} {strategy}/{} ({order})", w.name, mcfg.cores);
+            let prepared = compile_prepared(fe, *strategy, mcfg, &opts)
+                .map_err(|e| format!("{label}: prepared: {e}"))?;
+            if prepared.machine != fresh[k] {
+                return Err(format!(
+                    "{label}: prepared image differs from a fresh compile"
+                ));
             }
-        }
+            Ok(())
+        };
+        let fe = front_end();
+        (0..matrix.len()).for_each(|k| check(&fe, k, "in order").unwrap());
+        let fe = front_end();
+        (0..matrix.len())
+            .rev()
+            .for_each(|k| check(&fe, k, "reversed").unwrap());
+        // Both threads enter each configuration together, so they race
+        // for the same unbuilt graphs (and neither leaves the other at
+        // the gate: failures, panics included, are reported after the
+        // last configuration).
+        let fe = front_end();
+        let gate = std::sync::Barrier::new(2);
+        let failures: Vec<String> = std::thread::scope(|threads| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    threads.spawn(|| {
+                        (0..matrix.len())
+                            .filter_map(|k| {
+                                gate.wait();
+                                let racing = || check(&fe, k, "two threads");
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(racing))
+                                    .unwrap_or_else(|_| Err(format!("{} #{k}: panicked", w.name)))
+                                    .err()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .flat_map(|t| t.join().expect("racer panicked"))
+                .collect()
+        });
+        assert!(failures.is_empty(), "{failures:?}");
     }
 }
