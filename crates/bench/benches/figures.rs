@@ -1,8 +1,8 @@
 //! One Criterion bench per evaluation figure: each runs the figure's
 //! pipeline on a representative benchmark at test scale, so `cargo bench`
 //! exercises every experiment end to end. The full-table regeneration
-//! lives in the `fig03`..`fig14` binaries (`cargo run -p voltron-bench
-//! --bin figall`).
+//! is the `voltron` binary's `figall` / `fig03`..`fig14` commands
+//! (`cargo run -p voltron-bench --bin voltron -- figall`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use voltron_core::{Experiment, Strategy};
@@ -19,7 +19,9 @@ fn fig03_breakdown(c: &mut Criterion) {
         b.iter(|| {
             let w = by_name("cjpeg", Scale::Test).unwrap();
             let mut exp = Experiment::new(&w.program).unwrap();
-            exp.parallelism_breakdown(4).unwrap()
+            exp.run(Strategy::Hybrid, 4)
+                .unwrap()
+                .parallelism_breakdown()
         });
     });
 }

@@ -1,8 +1,9 @@
-//! Shared driver for the figure-regeneration binaries.
+//! Shared driver for the `voltron` commands (`crate::cli`): the flag
+//! parser and the fault-isolated, threaded workload sweep.
 //!
-//! Every binary accepts `--test` to run the reduced-size inputs (the
-//! default is the full evaluation scale) and `--bench <name>` to restrict
-//! to one benchmark.
+//! Sweeps default to the full evaluation scale (`--test` selects the
+//! reduced inputs, `--bench NAME` one benchmark); each command lists the
+//! flags it takes and anything else is a usage error ([`split_args`]).
 //!
 //! Workloads are independent (each gets its own [`Experiment`]), so
 //! [`run_workloads`] fans them out across host threads and hands the
@@ -10,7 +11,7 @@
 //! figure tables are assembled sequentially afterwards, so their output
 //! is byte-identical to a serial sweep. Each sweep also reports its
 //! simulation throughput (simulated cycles per host second, on stderr)
-//! and writes a machine-readable `BENCH_<binary>.json` sidecar.
+//! and writes a machine-readable `BENCH_<command>.json` sidecar.
 //!
 //! Workloads are fault-isolated: each one runs under `catch_unwind` with
 //! an optional per-workload simulated-cycle budget (`--budget-cycles`),
@@ -26,20 +27,95 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use voltron_core::report::{mean, speedup, throughput, Json, Table};
+use voltron_core::report::{throughput, Json};
 use voltron_core::{
-    Experiment, FaultPlan, FaultStats, ObsRequest, ProbeSummary, RunResult, StallCategory,
-    Strategy, SystemError, WhatIfReport,
+    Config, Experiment, FaultPlan, FaultStats, ObsRequest, ProbeSeries, ProbeSummary, Strategy,
+    SystemError, WhatIfReport,
 };
 use voltron_sim::{CoherenceBackend, StallReason};
-use voltron_workloads::{all, Scale, Workload};
+use voltron_workloads::{all, by_name, Scale, Workload};
 
 /// Sampling period `--probes-out` uses, in cycles. Dense enough to
 /// resolve mode phases on the test-scale inputs, sparse enough that a
 /// full-scale series stays small.
 pub const DEFAULT_PROBE_PERIOD: u64 = 256;
 
-/// Command-line options common to the figure binaries.
+/// Split one command's arguments into `(flag, value)` pairs and
+/// positionals — the one place argument *syntax* is decided. `takes` is
+/// the command's flag list as its usage line spells it: `--test` is a
+/// switch (its value is empty), `--bench NAME` takes a value. A `--flag`
+/// outside the list is an error, never a positional; so are a value flag
+/// with nothing after it and a positional beyond `max_positional`.
+///
+/// # Errors
+/// A message naming the offending argument.
+#[allow(clippy::type_complexity)]
+pub fn split_args<'a>(
+    takes: &[&str],
+    max_positional: usize,
+    argv: &[&'a str],
+) -> Result<(Vec<(&'a str, &'a str)>, Vec<String>), String> {
+    let mut flags = Vec::new();
+    let mut positional = Vec::new();
+    let mut it = argv.iter().copied();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            if positional.len() == max_positional {
+                return Err(format!("unexpected argument {a}"));
+            }
+            positional.push(a.to_string());
+            continue;
+        }
+        let spec = takes.iter().find(|t| t.split(' ').next() == Some(a));
+        let spec = spec.ok_or_else(|| format!("unknown flag {a}"))?;
+        let value = match spec.split_once(' ') {
+            Some((_, hint)) => it.next().ok_or_else(|| format!("{a} requires {hint}"))?,
+            None => "",
+        };
+        flags.push((a, value));
+    }
+    Ok((flags, positional))
+}
+
+/// Parse a numeric flag value.
+///
+/// # Errors
+/// A message naming the flag.
+pub fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} requires a non-negative integer (got {v})"))
+}
+
+/// The one `cores` rule of the command line and the serve wire: a power
+/// of two from 1 to 64 — what `MachineConfig::scaled` asserts, as an
+/// error instead of a panic.
+///
+/// # Errors
+/// A message stating the rule.
+pub fn checked_cores(c: f64) -> Result<usize, String> {
+    if c.fract() == 0.0 && (1.0..=64.0).contains(&c) && (c as usize).is_power_of_two() {
+        return Ok(c as usize);
+    }
+    Err(format!(
+        "cores must be a power of two from 1 to 64 (got {c})"
+    ))
+}
+
+/// The benchmark called `name` at `scale`.
+///
+/// # Errors
+/// A message listing the valid names.
+pub fn benchmark(name: &str, scale: Scale) -> Result<Workload, String> {
+    by_name(name, scale).ok_or_else(|| {
+        let names: Vec<&str> = all(scale).iter().map(|w| w.name).collect();
+        format!(
+            "unknown benchmark {name} (expected one of: {})",
+            names.join(", ")
+        )
+    })
+}
+
+/// Command-line options of the `voltron` commands.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Workload scale.
@@ -55,9 +131,9 @@ pub struct HarnessArgs {
     pub trace_out: Option<String>,
     /// Write the interval probe series per workload to this path.
     pub probes_out: Option<String>,
-    /// Coherence backend family for the sweep's runs (default snooping).
-    /// Directory bank counts are resolved per core count; see
-    /// [`HarnessArgs::backend_for`].
+    /// Coherence backend family for the command's runs (default
+    /// snooping); every run resolves it to its machine size with
+    /// [`CoherenceBackend::sized_for`].
     pub backend: CoherenceBackend,
     /// Fault plan for every non-baseline run (`--faults seed=N,rate=R
     /// [,site=...]`); the serial baseline stays fault-free so speedups
@@ -68,129 +144,95 @@ pub struct HarnessArgs {
     /// [`FaultPlan::reseeded`]). A workload that recovers is *flaky*; one
     /// that never does is a *hard* failure.
     pub retries: u32,
+    /// Attach the bottleneck what-if report (`bench_one --whatif`).
+    pub whatif: bool,
+    /// Scan every workload (`bottleneck --all`).
+    pub all: bool,
+    /// Positional arguments, in order: `<benchmark> [strategy] [cores]`
+    /// for the deep-dive commands ([`HarnessArgs::target`]).
+    pub positional: Vec<String>,
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args`.
-    pub fn parse() -> HarnessArgs {
-        let mut scale = Scale::Full;
-        let mut only = None;
-        let mut budget_cycles = None;
-        let mut trace_out = None;
-        let mut probes_out = None;
-        let mut backend = CoherenceBackend::Snooping;
-        let mut faults = None;
-        let mut retries = 0u32;
-        let mut args = std::env::args().skip(1);
-        let take = |flag: &str, args: &mut dyn Iterator<Item = String>| match args.next() {
-            Some(v) => v,
-            None => {
-                eprintln!("{flag} requires a value");
-                std::process::exit(2);
-            }
-        };
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--test" => scale = Scale::Test,
-                "--full" => scale = Scale::Full,
-                "--bench" => only = args.next(),
-                "--trace-out" => trace_out = Some(take("--trace-out", &mut args)),
-                "--probes-out" => probes_out = Some(take("--probes-out", &mut args)),
-                "--backend" => {
-                    let v = take("--backend", &mut args);
-                    backend = match CoherenceBackend::parse(&v) {
-                        Some(b) => b,
-                        None => {
-                            eprintln!("--backend requires 'snooping' or 'directory' (got {v})");
-                            std::process::exit(2);
-                        }
-                    };
-                }
-                "--budget-cycles" => {
-                    budget_cycles = match take("--budget-cycles", &mut args).parse::<u64>() {
-                        Ok(n) => Some(n),
-                        _ => {
-                            eprintln!("--budget-cycles requires an integer cycle count");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                "--faults" => {
-                    let v = take("--faults", &mut args);
-                    faults = match FaultPlan::parse(&v) {
-                        Ok(p) => Some(p),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        }
-                    };
-                }
-                "--retries" => {
-                    retries = match take("--retries", &mut args).parse::<u32>() {
-                        Ok(n) => n,
-                        _ => {
-                            eprintln!("--retries requires an integer attempt count");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                other => {
-                    eprintln!(
-                        "unknown argument {other} \
-                         (expected --test/--full/--bench NAME/--budget-cycles N\
-                         /--trace-out FILE/--probes-out FILE\
-                         /--backend snooping|directory\
-                         /--faults seed=N,rate=R[,site=LABEL]/--retries N)"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        HarnessArgs {
+    /// Give [`split_args`]' pairs their types; `scale` is the command's
+    /// default when neither `--test` nor `--full` is given.
+    ///
+    /// # Errors
+    /// A usage message: an unknown flag or benchmark, a malformed value.
+    pub fn parse(
+        scale: Scale,
+        takes: &[&str],
+        max_positional: usize,
+        argv: &[&str],
+    ) -> Result<HarnessArgs, String> {
+        let (flags, positional) = split_args(takes, max_positional, argv)?;
+        let mut a = HarnessArgs {
             scale,
-            only,
-            budget_cycles,
-            trace_out,
-            probes_out,
-            backend,
-            faults,
-            retries,
+            only: None,
+            budget_cycles: None,
+            trace_out: None,
+            probes_out: None,
+            backend: CoherenceBackend::Snooping,
+            faults: None,
+            retries: 0,
+            whatif: false,
+            all: false,
+            positional,
+        };
+        for (flag, v) in flags {
+            match flag {
+                "--test" => a.scale = Scale::Test,
+                "--full" => a.scale = Scale::Full,
+                "--whatif" => a.whatif = true,
+                "--all" => a.all = true,
+                "--bench" => a.only = Some(benchmark(v, Scale::Test)?.name.to_string()),
+                "--trace-out" => a.trace_out = Some(v.to_string()),
+                "--probes-out" => a.probes_out = Some(v.to_string()),
+                "--backend" => {
+                    a.backend = CoherenceBackend::parse(v).ok_or_else(|| {
+                        format!("--backend requires 'snooping' or 'directory' (got {v})")
+                    })?;
+                }
+                "--budget-cycles" => a.budget_cycles = Some(number(flag, v)?),
+                "--faults" => a.faults = Some(FaultPlan::parse(v)?),
+                "--retries" => a.retries = number(flag, v)?,
+                other => return Err(format!("{other} is not a harness flag")),
+            }
         }
+        Ok(a)
     }
 
-    /// The coherence backend a run at `cores` should use: snooping stays
-    /// snooping; a directory request resolves its bank count to the
-    /// machine size ([`CoherenceBackend::directory_for`]), so one flag
-    /// covers a whole core sweep.
-    pub fn backend_for(&self, cores: usize) -> CoherenceBackend {
-        match self.backend {
-            CoherenceBackend::Snooping => CoherenceBackend::Snooping,
-            CoherenceBackend::Directory { .. } => CoherenceBackend::directory_for(cores),
-        }
-    }
-
-    /// Whether any observability output was requested.
-    pub fn wants_observation(&self) -> bool {
-        self.trace_out.is_some() || self.probes_out.is_some()
-    }
-
-    /// The observability request the flags imply: a Chrome trace when
-    /// `--trace-out` was given, interval probes (at
-    /// [`DEFAULT_PROBE_PERIOD`]) when `--probes-out` was.
-    pub fn obs_request(&self) -> ObsRequest {
-        ObsRequest {
-            chrome_trace: self.trace_out.is_some(),
-            probe_period: self.probes_out.as_ref().map(|_| DEFAULT_PROBE_PERIOD),
-        }
+    /// The `<benchmark> [strategy] [cores]` positionals (defaults: hybrid
+    /// on 4 cores), the backend sized for that machine.
+    ///
+    /// # Errors
+    /// A usage message: a missing or unknown benchmark, an unknown
+    /// strategy, a core count [`checked_cores`] rejects.
+    pub fn target(&self) -> Result<(Workload, Config), String> {
+        let mut p = self.positional.iter();
+        let w = benchmark(p.next().ok_or("missing <benchmark>")?, self.scale)?;
+        let strategy = p.next().map_or(Ok(Strategy::Hybrid), |s| {
+            Strategy::parse(s).ok_or_else(|| {
+                let known = Strategy::ALL.map(|s| s.to_string()).join(", ");
+                format!("unknown strategy {s} (expected ftlp or one of: {known})")
+            })
+        })?;
+        let cores = p.next().map_or(Ok(4), |s| {
+            checked_cores(
+                s.parse()
+                    .map_err(|_| format!("cores must be a number (got {s})"))?,
+            )
+        })?;
+        Ok((w, (strategy, cores, self.backend.sized_for(cores))))
     }
 
     /// Where to write an observability artifact for `workload`. With a
-    /// single selected workload (`--bench`) the path is used verbatim;
-    /// in a sweep the workload name is spliced in before the extension
-    /// (`trace.json` → `trace.164.gzip.json`) so workloads don't
-    /// clobber each other.
+    /// single selected workload (`--bench`, or a `<benchmark>`
+    /// positional) the path is used verbatim; in a sweep the workload
+    /// name is spliced in before the extension (`trace.json` →
+    /// `trace.164.gzip.json`) so workloads don't clobber each other.
     pub fn artifact_path(&self, base: &str, workload: &str) -> String {
-        if self.only.is_some() {
+        if self.only.is_some() || !self.positional.is_empty() {
             return base.to_string();
         }
         match base.rsplit_once('.') {
@@ -199,20 +241,53 @@ impl HarnessArgs {
         }
     }
 
+    /// The observability pass, when `--trace-out` / `--probes-out` ask
+    /// for one: re-run `config` with a Chrome tracer and/or interval
+    /// probes (at [`DEFAULT_PROBE_PERIOD`]) attached, write the artifacts
+    /// (files and stderr only; a write failure is reported, not fatal)
+    /// and return the probe summary for the sidecar. The architectural
+    /// result is the unobserved run's (the observer-effect tests pin this).
+    ///
+    /// # Errors
+    /// Propagates a failure of the observed run.
+    pub fn observe(
+        &self,
+        command: &str,
+        workload: &str,
+        exp: &mut Experiment<'_>,
+        (strategy, cores, backend): Config,
+    ) -> Result<Option<ProbeSummary>, SystemError> {
+        if self.trace_out.is_none() && self.probes_out.is_none() {
+            return Ok(None);
+        }
+        let obs = ObsRequest {
+            chrome_trace: self.trace_out.is_some(),
+            probe_period: self.probes_out.as_ref().map(|_| DEFAULT_PROBE_PERIOD),
+        };
+        let o = exp.run_observed_on(strategy, cores, backend, &obs)?;
+        let series = o.probes.as_ref().map(ProbeSeries::render_json);
+        let wanted = [
+            (&self.trace_out, Some(&o.trace_json)),
+            (&self.probes_out, series.as_ref()),
+        ];
+        for (base, doc) in wanted {
+            if let (Some(base), Some(doc)) = (base, doc) {
+                let path = self.artifact_path(base, workload);
+                match std::fs::write(&path, doc) {
+                    Ok(()) => eprintln!("[{command}] wrote {path}"),
+                    Err(e) => eprintln!("[{command}] cannot write {path}: {e}"),
+                }
+            }
+        }
+        Ok(o.probes.as_ref().map(ProbeSeries::summary))
+    }
+
     /// The selected workloads.
     pub fn workloads(&self) -> Vec<Workload> {
         let ws = all(self.scale);
         match &self.only {
             Some(n) => ws.into_iter().filter(|w| w.name == n.as_str()).collect(),
             None => ws,
-        }
-    }
-
-    /// The scale as a lowercase label (for the JSON sidecar).
-    pub fn scale_name(&self) -> &'static str {
-        match self.scale {
-            Scale::Test => "test",
-            Scale::Full => "full",
         }
     }
 }
@@ -641,11 +716,6 @@ pub struct Harvest<R> {
 }
 
 impl<R> Harvest<R> {
-    /// Simulation throughput in simulated cycles per host second.
-    pub fn cycles_per_second(&self) -> f64 {
-        self.simulated_cycles as f64 / self.host_seconds.max(1e-9)
-    }
-
     /// A rendered "failed workloads" section for figure stdout — empty
     /// when every workload survived, so clean sweeps stay byte-identical
     /// to a harness without fault isolation.
@@ -690,7 +760,7 @@ impl<R> Harvest<R> {
         });
         let doc = bench_json(
             binary,
-            args.scale_name(),
+            crate::serve::scale_label(args.scale),
             self.simulated_cycles,
             self.ticked_cycles,
             self.host_seconds,
@@ -706,7 +776,7 @@ impl<R> Harvest<R> {
 }
 
 /// Render the panic payload `catch_unwind` hands back.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<&'static str>()
         .copied()
@@ -856,128 +926,52 @@ pub fn run_workloads_chaos<R: Send>(
     }
 }
 
-/// Render a per-benchmark speedup figure (Figs. 10/11/13 share this
-/// shape): one column per (label, strategy, cores). Returns the rendered
-/// figure and the sweep's [`Harvest`] so the binary can report
-/// throughput.
-pub fn speedup_figure(
-    title: &str,
-    args: &HarnessArgs,
-    columns: &[(&str, Strategy, usize)],
-) -> (String, Harvest<Vec<f64>>) {
-    let mut headers: Vec<&str> = vec!["benchmark"];
-    headers.extend(columns.iter().map(|(l, _, _)| *l));
-    let mut table = Table::new(&headers);
-    let harvest = run_workloads(args, |_, exp| {
-        // Fan the column configurations out across host threads first;
-        // the reads below all hit the cache.
-        let configs: Vec<(Strategy, usize, CoherenceBackend)> = columns
-            .iter()
-            .map(|&(_, strat, cores)| (strat, cores, args.backend_for(cores)))
-            .collect();
-        exp.run_all_on(&configs)?;
-        let mut vals = Vec::with_capacity(columns.len());
-        for &(_, strat, cores) in columns {
-            vals.push(exp.run_on(strat, cores, args.backend_for(cores))?.speedup);
-        }
-        Ok(vals)
-    });
-    let mut sums: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
-    for (w, vals) in &harvest.results {
-        let mut cells = vec![w.name.to_string()];
-        for (i, v) in vals.iter().enumerate() {
-            sums[i].push(*v);
-            cells.push(speedup(*v));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &sums {
-        avg.push(speedup(mean(col)));
-    }
-    table.row(avg);
-    let mut out = format!("{title}\n{}", table.render());
-    // Gated on failure, so clean sweeps render byte-identically.
-    let fails = harvest.failure_section();
-    if !fails.is_empty() {
-        out.push('\n');
-        out.push_str(&fails);
-    }
-    (out, harvest)
-}
-
-/// Render the Fig. 12 stall-breakdown cells for one run.
-pub fn stall_row(r: &RunResult, baseline: u64) -> Vec<String> {
-    StallCategory::ALL
-        .iter()
-        .map(|&c| format!("{:.3}", r.normalized_stall(c, baseline)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn workload_filter_selects_one() {
-        let args = HarnessArgs {
-            scale: Scale::Test,
-            only: Some("164.gzip".into()),
-            budget_cycles: None,
-            trace_out: None,
-            probes_out: None,
-            backend: CoherenceBackend::Snooping,
-            faults: None,
-            retries: 0,
-        };
-        let ws = args.workloads();
-        assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].name, "164.gzip");
-        let none = HarnessArgs {
-            scale: Scale::Test,
-            only: Some("nope".into()),
-            budget_cycles: None,
-            trace_out: None,
-            probes_out: None,
-            backend: CoherenceBackend::Snooping,
-            faults: None,
-            retries: 0,
-        };
-        assert!(none.workloads().is_empty());
+    const TAKES: [&str; 4] = ["--test", "--bench NAME", "--backend B", "--retries N"];
+
+    fn parse(argv: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse(Scale::Full, &TAKES, 3, argv)
+    }
+
+    /// The sidecar a sweep at test scale would write.
+    fn sidecar<R>(h: &Harvest<R>, chaos: Option<Json>) -> String {
+        bench_json(
+            "t",
+            "test",
+            h.simulated_cycles,
+            h.ticked_cycles,
+            1.0,
+            &h.summaries,
+            &h.failures,
+            chaos,
+        )
+        .render()
+    }
+
+    fn named(names: &[&str]) -> Vec<Workload> {
+        let ws = all(Scale::Test).into_iter();
+        ws.filter(|w| names.contains(&w.name)).collect()
     }
 
     #[test]
-    fn speedup_figure_renders_rows_and_average() {
-        let args = HarnessArgs {
-            scale: Scale::Test,
-            only: Some("rawcaudio".into()),
-            budget_cycles: None,
-            trace_out: None,
-            probes_out: None,
-            backend: CoherenceBackend::Snooping,
-            faults: None,
-            retries: 0,
-        };
-        let (out, harvest) = speedup_figure("t", &args, &[("serial", Strategy::Serial, 1)]);
-        assert!(out.contains("rawcaudio"));
-        assert!(out.contains("average"));
-        assert!(out.contains("1.00"));
-        assert_eq!(harvest.results.len(), 1);
-        assert!(harvest.simulated_cycles > 0);
+    fn workload_filter_selects_one() {
+        let args = parse(&["--test", "--bench", "164.gzip"]).expect("a known benchmark");
+        let ws = args.workloads();
+        assert_eq!(ws.len(), 1);
+        assert_eq!(ws[0].name, "164.gzip");
+        assert_eq!(args.scale, Scale::Test);
+        // An unknown name is a usage error naming the valid ones, not an
+        // empty selection.
+        let err = parse(&["--bench", "nope"]).expect_err("an unknown benchmark");
+        assert!(err.contains("nope") && err.contains("164.gzip"), "{err}");
     }
 
     #[test]
     fn run_workloads_collects_summaries_and_json() {
-        let args = HarnessArgs {
-            scale: Scale::Test,
-            only: Some("rawcaudio".into()),
-            budget_cycles: None,
-            trace_out: None,
-            probes_out: None,
-            backend: CoherenceBackend::Snooping,
-            faults: None,
-            retries: 0,
-        };
+        let args = parse(&["--test", "--bench", "rawcaudio"]).unwrap();
         let h = run_workloads(&args, |w, exp| {
             exp.run(Strategy::Serial, 1)?;
             Ok(w.name)
@@ -988,18 +982,7 @@ mod tests {
         assert!(!h.summaries[0].runs.is_empty(), "run inventory captured");
         assert!(h.failures.is_empty());
         assert_eq!(h.failure_section(), "");
-        assert!(h.cycles_per_second() > 0.0);
-        let doc = bench_json(
-            "t",
-            args.scale_name(),
-            h.simulated_cycles,
-            h.ticked_cycles,
-            h.host_seconds,
-            &h.summaries,
-            &h.failures,
-            None,
-        );
-        let s = doc.render();
+        let s = sidecar(&h, None);
         assert!(s.contains("\"binary\":\"t\""));
         assert!(s.contains("\"name\":\"rawcaudio\""));
         assert!(s.contains("\"strategy\":\"serial\""));
@@ -1016,20 +999,17 @@ mod tests {
     #[test]
     fn sidecar_marks_shared_runs_and_counts_distinct_ones() {
         use crate::jsonv::{parse, JValue};
-        let ws: Vec<Workload> = all(Scale::Test)
-            .into_iter()
-            .filter(|w| w.name == "gsmencode")
-            .collect();
+        let ws = named(&["gsmencode"]);
         let h = run_workloads_on(ws, None, |_, exp| {
-            exp.run_all(&[
-                (Strategy::Ilp, 4),
-                (Strategy::Llp, 4),
-                (Strategy::Hybrid, 4),
+            let snooping = CoherenceBackend::Snooping;
+            exp.run_all_on(&[
+                (Strategy::Ilp, 4, snooping),
+                (Strategy::Llp, 4, snooping),
+                (Strategy::Hybrid, 4, snooping),
             ])
         });
         assert_eq!(h.summaries[0].distinct_runs, 2);
-        let doc = bench_json("t", "test", 1, 1, 1.0, &h.summaries, &h.failures, None);
-        let doc = parse(&doc.render()).expect("sidecar parses");
+        let doc = parse(&sidecar(&h, None)).expect("sidecar parses");
         let w = &doc
             .get("workloads")
             .and_then(JValue::as_arr)
@@ -1057,10 +1037,7 @@ mod tests {
     /// while the other workloads' results are still produced.
     #[test]
     fn panicking_workload_is_isolated() {
-        let ws: Vec<Workload> = all(Scale::Test)
-            .into_iter()
-            .filter(|w| w.name == "rawcaudio" || w.name == "164.gzip")
-            .collect();
+        let ws = named(&["rawcaudio", "164.gzip"]);
         assert_eq!(ws.len(), 2);
         let h = run_workloads_on(ws, None, |w, exp| {
             if w.name == "164.gzip" {
@@ -1082,17 +1059,7 @@ mod tests {
         let section = h.failure_section();
         assert!(section.contains("== Failed workloads =="));
         assert!(section.contains("164.gzip: FAILED:"));
-        let doc = bench_json(
-            "t",
-            "test",
-            h.simulated_cycles,
-            h.ticked_cycles,
-            1.0,
-            &h.summaries,
-            &h.failures,
-            None,
-        );
-        assert!(doc.render().contains("injected fault"));
+        assert!(sidecar(&h, None).contains("injected fault"));
     }
 
     /// A workload that fails once and then succeeds on a retry is
@@ -1101,10 +1068,7 @@ mod tests {
     #[test]
     fn flaky_workload_recovers_on_retry() {
         use std::sync::atomic::AtomicU32;
-        let ws: Vec<Workload> = all(Scale::Test)
-            .into_iter()
-            .filter(|w| w.name == "rawcaudio")
-            .collect();
+        let ws = named(&["rawcaudio"]);
         let calls = AtomicU32::new(0);
         let h = run_workloads_chaos(ws, None, None, 2, |w, exp| {
             if calls.fetch_add(1, Ordering::Relaxed) == 0 {
@@ -1134,10 +1098,7 @@ mod tests {
     /// full attempt count.
     #[test]
     fn hard_failure_exhausts_its_retries() {
-        let ws: Vec<Workload> = all(Scale::Test)
-            .into_iter()
-            .filter(|w| w.name == "rawcaudio")
-            .collect();
+        let ws = named(&["rawcaudio"]);
         let h = run_workloads_chaos(ws, None, None, 2, |_, _| -> Result<(), SystemError> {
             panic!("hard failure")
         });
@@ -1154,10 +1115,7 @@ mod tests {
     #[test]
     fn faulted_sweep_recovers_and_reports_counters() {
         use voltron_core::FaultSite;
-        let ws: Vec<Workload> = all(Scale::Test)
-            .into_iter()
-            .filter(|w| w.name == "rawcaudio")
-            .collect();
+        let ws = named(&["rawcaudio"]);
         let plan = FaultPlan::seeded(7, 0.01).only(FaultSite::Fetch);
         let h = run_workloads_chaos(ws, None, Some(plan.clone()), 0, |w, exp| {
             exp.run(Strategy::Serial, 1)?;
@@ -1170,17 +1128,8 @@ mod tests {
             h.summaries[0].faults.recovered(),
             "every injected fetch hiccup is recovered at injection"
         );
-        let doc = bench_json(
-            "t",
-            "test",
-            h.simulated_cycles,
-            h.ticked_cycles,
-            1.0,
-            &h.summaries,
-            &h.failures,
-            Some(chaos_json(Some(&plan), 0, &h.flaky, h.failures.len())),
-        );
-        let s = doc.render();
+        let chaos = chaos_json(Some(&plan), 0, &h.flaky, h.failures.len());
+        let s = sidecar(&h, Some(chaos));
         assert!(
             s.contains("\"plan\":\"seed=7,rate=0.01,site=fetch\""),
             "{s}"
@@ -1193,10 +1142,7 @@ mod tests {
     /// `MaxCycles` instead of holding its host thread.
     #[test]
     fn budget_overrun_is_a_marked_failure() {
-        let ws: Vec<Workload> = all(Scale::Test)
-            .into_iter()
-            .filter(|w| w.name == "rawcaudio")
-            .collect();
+        let ws = named(&["rawcaudio"]);
         let h = run_workloads_on(ws, Some(10), |w, exp| {
             exp.run(Strategy::Serial, 1)?;
             Ok(w.name)

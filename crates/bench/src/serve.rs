@@ -1,7 +1,7 @@
 //! `voltron-serve`: a persistent simulation service.
 //!
-//! The one-shot binaries (`bench_one`, the `fig*` drivers) pay the full
-//! pipeline on every invocation: interpret the golden model, profile and
+//! The one-shot commands (`voltron bench_one`, the `fig*` sweeps) pay the
+//! full pipeline on every invocation: interpret the golden model, profile and
 //! compile the program, build a machine, simulate, tear everything down.
 //! For interactive exploration and CI farms that ask many small questions
 //! about the same workloads, almost all of that work is re-derivable from
@@ -56,7 +56,7 @@ use voltron_sim::{
 };
 use voltron_workloads::{by_name, Scale};
 
-use crate::harness::DEFAULT_PROBE_PERIOD;
+use crate::harness::{checked_cores, panic_message, DEFAULT_PROBE_PERIOD};
 use crate::jsonv::JValue;
 
 /// The scale label used on the wire and in pool/report keys.
@@ -64,15 +64,6 @@ pub fn scale_label(scale: Scale) -> &'static str {
     match scale {
         Scale::Test => "test",
         Scale::Full => "full",
-    }
-}
-
-/// Parse a wire scale label.
-pub fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "full" => Some(Scale::Full),
-        _ => None,
     }
 }
 
@@ -89,8 +80,9 @@ pub struct Request {
     pub strategy: Strategy,
     /// Core count (wire default: 4).
     pub cores: usize,
-    /// Coherence backend; directory bank counts resolve per core count
-    /// exactly like the harness (`CoherenceBackend::directory_for`).
+    /// Coherence backend; the wire names the family and the bank count
+    /// resolves per core count (`CoherenceBackend::sized_for`), exactly
+    /// as on the command line.
     pub backend: CoherenceBackend,
     /// Per-request deadline as a simulated-cycle budget: the run fails
     /// with a typed `sim` error instead of holding a worker.
@@ -254,6 +246,18 @@ pub enum Response {
 }
 
 impl Response {
+    /// The row for a request that never reached a worker: a typed
+    /// `bad-request` error echoing what could be read of it.
+    fn bad_request(id: u64, workload: &str, message: String) -> Response {
+        Response::Run {
+            id,
+            workload: workload.to_string(),
+            scale: "test",
+            latency_micros: 0,
+            result: Err(ServeError::BadRequest(message)),
+        }
+    }
+
     /// The echoed request id.
     pub fn id(&self) -> u64 {
         match self {
@@ -368,7 +372,10 @@ pub fn parse_request(v: &JValue) -> Result<Request, String> {
     }
     if let Some(s) = v.get("scale") {
         let s = s.as_str().ok_or("'scale' must be a string")?;
-        req.scale = parse_scale(s).ok_or_else(|| format!("unknown scale {s:?}"))?;
+        let scale = [Scale::Test, Scale::Full]
+            .into_iter()
+            .find(|&k| scale_label(k) == s);
+        req.scale = scale.ok_or_else(|| format!("unknown scale {s:?}"))?;
     }
     if let Some(s) = v.get("strategy") {
         let s = s.as_str().ok_or("'strategy' must be a string")?;
@@ -376,21 +383,12 @@ pub fn parse_request(v: &JValue) -> Result<Request, String> {
     }
     if let Some(c) = v.get("cores") {
         let c = c.as_num().ok_or("'cores' must be a number")?;
-        // What `MachineConfig::scaled` asserts, as a wire error.
-        if c.fract() != 0.0 || !(1.0..=64.0).contains(&c) || !(c as usize).is_power_of_two() {
-            return Err("'cores' must be a power of two from 1 to 64".into());
-        }
-        req.cores = c as usize;
+        req.cores = checked_cores(c).map_err(|e| format!("'cores': {e}"))?;
     }
     if let Some(b) = v.get("backend") {
         let b = b.as_str().ok_or("'backend' must be a string")?;
-        let parsed = CoherenceBackend::parse(b).ok_or_else(|| format!("unknown backend {b:?}"))?;
-        // Resolve directory bank counts to the machine size, exactly like
-        // `HarnessArgs::backend_for`, so served configs match the harness.
-        req.backend = match parsed {
-            CoherenceBackend::Snooping => CoherenceBackend::Snooping,
-            CoherenceBackend::Directory { .. } => CoherenceBackend::directory_for(req.cores),
-        };
+        let family = CoherenceBackend::parse(b).ok_or_else(|| format!("unknown backend {b:?}"))?;
+        req.backend = family.sized_for(req.cores);
     }
     if let Some(n) = v.get("budget_cycles") {
         req.budget_cycles = Some(n.as_num().ok_or("'budget_cycles' must be a number")? as u64);
@@ -438,7 +436,7 @@ struct Golden {
 
 /// Key of one cached result: everything that can move the architectural
 /// numbers. Observed or idealized runs never cache (as in
-/// `Experiment::run_observed`), so neither appears here.
+/// `Experiment::run_observed_on`), so neither appears here.
 type ResultKey = (Config, Option<u64>, Option<String>);
 
 /// Everything the engine keeps per distinct program content.
@@ -988,19 +986,19 @@ impl Server {
 
     fn enqueue(&self, op: Op, reply: Sender<Response>) {
         let shared = &self.shared;
-        if shared.stop.load(Ordering::Acquire) {
-            let (id, workload) = match &op {
-                Op::Run(r) => (r.id, r.workload.clone()),
-                Op::Stats { id } => (*id, String::new()),
+        let refuse = |op: &Op, reply: &Sender<Response>| {
+            let (id, workload) = match op {
+                Op::Run(r) => (r.id, r.workload.as_str()),
+                Op::Stats { id } => (*id, ""),
             };
-            let _ = reply.send(Response::Run {
+            let _ = reply.send(Response::bad_request(
                 id,
                 workload,
-                scale: "test",
-                latency_micros: 0,
-                result: Err(ServeError::BadRequest("server is shutting down".into())),
-            });
-            return;
+                "server is shutting down".into(),
+            ));
+        };
+        if shared.stop.load(Ordering::Acquire) {
+            return refuse(&op, &reply);
         }
         let job = Job {
             op,
@@ -1027,18 +1025,7 @@ impl Server {
                 .wait_timeout(guard, Duration::from_millis(5))
                 .expect("space wait");
             if shared.stop.load(Ordering::Acquire) {
-                let (id, workload) = match &job.op {
-                    Op::Run(r) => (r.id, r.workload.clone()),
-                    Op::Stats { id } => (*id, String::new()),
-                };
-                let _ = job.reply.send(Response::Run {
-                    id,
-                    workload,
-                    scale: "test",
-                    latency_micros: 0,
-                    result: Err(ServeError::BadRequest("server is shutting down".into())),
-                });
-                return;
+                return refuse(&job.op, &job.reply);
             }
         }
     }
@@ -1141,7 +1128,9 @@ fn run_job(shared: &Shared, job: Job) {
                 Ok(Err(e)) => Err(e),
                 Err(payload) => {
                     shared.engine.note_panic();
-                    Err(ServeError::Panic(panic_text(payload.as_ref())))
+                    Err(ServeError::Panic(
+                        panic_message(payload.as_ref()).to_string(),
+                    ))
                 }
             };
             let _ = job.reply.send(Response::Run {
@@ -1152,16 +1141,6 @@ fn run_job(shared: &Shared, job: Job) {
                 result,
             });
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
     }
 }
 
@@ -1185,13 +1164,7 @@ pub fn serve_connection<R: BufRead + Send, W: Write>(server: &Server, reader: R,
                 }
                 match crate::jsonv::parse(line) {
                     Err(e) => {
-                        let _ = tx.send(Response::Run {
-                            id: 0,
-                            workload: String::new(),
-                            scale: "test",
-                            latency_micros: 0,
-                            result: Err(ServeError::BadRequest(e)),
-                        });
+                        let _ = tx.send(Response::bad_request(0, "", e));
                     }
                     Ok(v) => {
                         let id = v.get("id").and_then(JValue::as_num).unwrap_or(0.0) as u64;
@@ -1202,18 +1175,9 @@ pub fn serve_connection<R: BufRead + Send, W: Write>(server: &Server, reader: R,
                         match parse_request(&v) {
                             Ok(req) => server.submit(req, tx.clone()),
                             Err(e) => {
-                                let workload = v
-                                    .get("workload")
-                                    .and_then(JValue::as_str)
-                                    .unwrap_or("")
-                                    .to_string();
-                                let _ = tx.send(Response::Run {
-                                    id,
-                                    workload,
-                                    scale: "test",
-                                    latency_micros: 0,
-                                    result: Err(ServeError::BadRequest(e)),
-                                });
+                                let workload = v.get("workload").and_then(JValue::as_str);
+                                let row = Response::bad_request(id, workload.unwrap_or(""), e);
+                                let _ = tx.send(row);
                             }
                         }
                     }

@@ -10,6 +10,7 @@
 //! `Experiment` and compares the whole `MachineStats`.
 
 use voltron_core::{Experiment, ObsRequest, Strategy};
+use voltron_sim::CoherenceBackend;
 use voltron_workloads::{by_name, Scale};
 
 const CONFIGS: &[(Strategy, usize)] = &[
@@ -32,7 +33,7 @@ fn observed_runs_report_identical_stats() {
         for &(strategy, cores) in CONFIGS {
             let plain = exp.run(strategy, cores).expect("plain run").stats.clone();
             let observed = exp
-                .run_observed(strategy, cores, &req)
+                .run_observed_on(strategy, cores, CoherenceBackend::Snooping, &req)
                 .expect("observed run");
             assert_eq!(
                 plain, observed.run.stats,

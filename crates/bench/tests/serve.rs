@@ -9,7 +9,9 @@ use std::io::Cursor;
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
 
-use voltron_bench::harness::DEFAULT_PROBE_PERIOD;
+use voltron_bench::cli::bench_one;
+use voltron_bench::figures;
+use voltron_bench::harness::{HarnessArgs, RunRow, DEFAULT_PROBE_PERIOD};
 use voltron_bench::jsonv::{self, JValue};
 use voltron_bench::serve::{
     parse_request, serve_connection, Request, Response, ServeError, Served, Server, ServerConfig,
@@ -18,36 +20,44 @@ use voltron_core::{Experiment, KnobId, ObsRequest, RunResult, Strategy, WhatIfRe
 use voltron_sim::CoherenceBackend;
 use voltron_workloads::{by_name, Scale};
 
-/// The cycle-golden matrix (`tests/cycle_golden.rs`): workload, strategy,
-/// cores. Served results must match the direct path on every entry.
-const MATRIX: &[(&str, Strategy, usize)] = &[
-    ("164.gzip", Strategy::Serial, 1),
-    ("164.gzip", Strategy::Ilp, 4),
-    ("164.gzip", Strategy::FineGrainTlp, 4),
-    ("164.gzip", Strategy::Llp, 4),
-    ("164.gzip", Strategy::Hybrid, 4),
-    ("164.gzip", Strategy::Hybrid, 2),
-    ("rawcaudio", Strategy::Serial, 1),
-    ("rawcaudio", Strategy::Ilp, 4),
-    ("rawcaudio", Strategy::FineGrainTlp, 4),
-    ("rawcaudio", Strategy::Llp, 4),
-    ("rawcaudio", Strategy::Hybrid, 4),
-    ("rawcaudio", Strategy::Hybrid, 2),
-    ("171.swim", Strategy::Serial, 1),
-    ("171.swim", Strategy::Ilp, 4),
-    ("171.swim", Strategy::FineGrainTlp, 4),
-    ("171.swim", Strategy::Llp, 4),
-    ("171.swim", Strategy::Hybrid, 4),
-    ("171.swim", Strategy::Hybrid, 2),
-    ("179.art", Strategy::Serial, 1),
-    ("179.art", Strategy::FineGrainTlp, 4),
-    ("179.art", Strategy::Hybrid, 4),
-    ("epic", Strategy::Serial, 1),
-    ("epic", Strategy::FineGrainTlp, 4),
-    ("epic", Strategy::Hybrid, 4),
-    ("mpeg2dec", Strategy::Serial, 1),
-    ("mpeg2dec", Strategy::Llp, 4),
-    ("mpeg2dec", Strategy::Hybrid, 4),
+const SNOOPING: CoherenceBackend = CoherenceBackend::Snooping;
+/// A backend *family*, as `--backend directory` and the wire's
+/// `"backend":"directory"` name it; every consumer sizes it to the
+/// machine with `CoherenceBackend::sized_for`.
+const DIRECTORY: CoherenceBackend = CoherenceBackend::Directory { banks: 4 };
+
+/// The cycle-golden matrix (`tests/cycle_golden.rs`) — workload, strategy,
+/// cores, backend family — plus one directory entry. Served results must
+/// match the direct path on every entry.
+const MATRIX: &[(&str, Strategy, usize, CoherenceBackend)] = &[
+    ("164.gzip", Strategy::Serial, 1, SNOOPING),
+    ("164.gzip", Strategy::Ilp, 4, SNOOPING),
+    ("164.gzip", Strategy::FineGrainTlp, 4, SNOOPING),
+    ("164.gzip", Strategy::Llp, 4, SNOOPING),
+    ("164.gzip", Strategy::Hybrid, 4, SNOOPING),
+    ("164.gzip", Strategy::Hybrid, 2, SNOOPING),
+    ("rawcaudio", Strategy::Serial, 1, SNOOPING),
+    ("rawcaudio", Strategy::Ilp, 4, SNOOPING),
+    ("rawcaudio", Strategy::FineGrainTlp, 4, SNOOPING),
+    ("rawcaudio", Strategy::Llp, 4, SNOOPING),
+    ("rawcaudio", Strategy::Hybrid, 4, SNOOPING),
+    ("rawcaudio", Strategy::Hybrid, 2, SNOOPING),
+    ("171.swim", Strategy::Serial, 1, SNOOPING),
+    ("171.swim", Strategy::Ilp, 4, SNOOPING),
+    ("171.swim", Strategy::FineGrainTlp, 4, SNOOPING),
+    ("171.swim", Strategy::Llp, 4, SNOOPING),
+    ("171.swim", Strategy::Hybrid, 4, SNOOPING),
+    ("171.swim", Strategy::Hybrid, 2, SNOOPING),
+    ("179.art", Strategy::Serial, 1, SNOOPING),
+    ("179.art", Strategy::FineGrainTlp, 4, SNOOPING),
+    ("179.art", Strategy::Hybrid, 4, SNOOPING),
+    ("epic", Strategy::Serial, 1, SNOOPING),
+    ("epic", Strategy::FineGrainTlp, 4, SNOOPING),
+    ("epic", Strategy::Hybrid, 4, SNOOPING),
+    ("mpeg2dec", Strategy::Serial, 1, SNOOPING),
+    ("mpeg2dec", Strategy::Llp, 4, SNOOPING),
+    ("mpeg2dec", Strategy::Hybrid, 4, SNOOPING),
+    ("164.gzip", Strategy::Hybrid, 4, DIRECTORY),
 ];
 
 /// A direct `Experiment` on a test-scale workload. The program is leaked
@@ -109,7 +119,7 @@ fn served_matrix_matches_direct_under_concurrency() {
     });
 
     /// One client per stride through the matrix.
-    const STRIDES: [usize; 4] = [1, 2, 4, 5];
+    const STRIDES: [usize; 4] = [1, 3, 5, 9];
     const CLIENTS: usize = STRIDES.len();
     let results: Mutex<Vec<(usize, usize, Box<Served>)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
@@ -123,8 +133,9 @@ fn served_matrix_matches_direct_under_concurrency() {
                     // length), so cold compiles, cache hits, and pool churn
                     // interleave instead of falling into lock-step.
                     let idx = (client * 7 + step * stride) % MATRIX.len();
-                    let (workload, strategy, cores) = MATRIX[idx];
+                    let (workload, strategy, cores, family) = MATRIX[idx];
                     let mut req = Request::new(workload, strategy, cores);
+                    req.backend = family.sized_for(cores);
                     req.id = (client * MATRIX.len() + idx) as u64;
                     let served = unwrap_run(server.call(req));
                     results.lock().unwrap().push((client, idx, served));
@@ -135,7 +146,7 @@ fn served_matrix_matches_direct_under_concurrency() {
 
     // Direct one-shot path, one Experiment per workload (its own caches).
     let mut direct: Vec<(&str, Experiment<'static>)> = Vec::new();
-    for &(name, _, _) in MATRIX {
+    for &(name, ..) in MATRIX {
         if !direct.iter().any(|(n, _)| *n == name) {
             direct.push((name, direct_experiment(name)));
         }
@@ -151,7 +162,7 @@ fn served_matrix_matches_direct_under_concurrency() {
         "every client walks every entry once"
     );
     for (client, idx, served) in &results {
-        let (workload, strategy, cores) = MATRIX[*idx];
+        let (workload, strategy, cores, family) = MATRIX[*idx];
         let exp = &mut direct
             .iter_mut()
             .find(|(n, _)| *n == workload)
@@ -159,17 +170,20 @@ fn served_matrix_matches_direct_under_concurrency() {
             .1;
         let baseline = exp.baseline_cycles();
         let d = exp
-            .run_on(strategy, cores, CoherenceBackend::Snooping)
+            .run_on(strategy, cores, family.sized_for(cores))
             .expect("direct run");
         assert_run_matches(
             served,
             d,
             baseline,
-            &format!("client {client} {workload}/{strategy:?}/{cores}"),
+            &format!(
+                "client {client} {workload}/{strategy:?}/{cores}/{}",
+                family.label()
+            ),
         );
     }
 
-    // With 4 clients walking the same 27 configs, the result cache must
+    // With 4 clients walking the same 28 configs, the result cache must
     // have absorbed most of the load.
     let hits = engine_counter(&server, "result_hits");
     assert!(
@@ -177,6 +191,48 @@ fn served_matrix_matches_direct_under_concurrency() {
         "expected substantial result-cache traffic, got {hits} hits"
     );
     server.shutdown();
+}
+
+/// One label, one machine: `bench_one --backend directory`, `fig13
+/// --backend directory` and a served `"backend":"directory"` request all
+/// resolve the family through `CoherenceBackend::sized_for`, so the
+/// sidecar rows and the wire row carrying that label agree.
+#[test]
+fn directory_label_means_the_same_machine_on_the_cli_and_the_wire() {
+    let argv = ["164.gzip", "--backend", "directory"];
+    let args = HarnessArgs::parse(Scale::Test, &["--backend B"], 1, &argv).expect("flags parse");
+    let one_shot = bench_one(&args).expect("bench_one runs");
+    let figs = figures::select("fig13");
+    let args = HarnessArgs::parse(
+        Scale::Test,
+        &["--backend B", "--bench N"],
+        0,
+        &["--backend", "directory", "--bench", "164.gzip"],
+    )
+    .expect("flags parse");
+    let swept = figures::sweep("fig13", &figs, &args);
+    let hybrid4 = |rows: &[RunRow]| {
+        let row = rows.iter().find(|r| r.strategy == "hybrid" && r.cores == 4);
+        let row = row.expect("a hybrid/4 row");
+        (row.backend, row.cycles, row.speedup.to_bits())
+    };
+    let line = r#"{"workload":"164.gzip","strategy":"hybrid","cores":4,"backend":"directory"}"#;
+    let req = parse_request(&jsonv::parse(line).unwrap()).expect("request parses");
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 2,
+        pool_cap: 1,
+    });
+    let served = unwrap_run(server.call(req));
+    server.shutdown();
+    let wire = (
+        served.run.backend.label(),
+        served.run.cycles,
+        served.run.speedup.to_bits(),
+    );
+    assert_eq!(wire.0, "directory");
+    assert_eq!(hybrid4(&one_shot.summaries[0].runs), wire, "bench_one");
+    assert_eq!(hybrid4(&swept.summaries[0].runs), wire, "fig13");
 }
 
 /// Directed pool check on both coherence backends: a second identical
@@ -455,6 +511,13 @@ fn parse_request_validates_fields() {
     assert!(req.faults.is_some() && req.fresh && req.whatif);
     let widest = parse("{\"workload\": \"epic\", \"cores\": 64}").expect("64 cores is valid");
     assert_eq!(widest.cores, 64);
+    // One strategy vocabulary: the wire takes what the command line takes.
+    for spelling in ["ftlp", "fine-grain-tlp"] {
+        let req = parse(&format!(
+            "{{\"workload\": \"epic\", \"strategy\": \"{spelling}\"}}"
+        ));
+        assert_eq!(req.expect(spelling).strategy, Strategy::FineGrainTlp);
+    }
 
     for (bad, needle) in [
         ("{}", "workload"),

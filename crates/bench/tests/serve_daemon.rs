@@ -1,11 +1,11 @@
-//! The one serve test that needs the built `serve` binary
-//! (`CARGO_BIN_EXE_serve` exists only for this package's own integration
-//! tests), kept apart so `serve.rs` — every in-process test — can be
+//! The one serve test that needs the built `voltron` binary
+//! (`CARGO_BIN_EXE_voltron` exists only for this package's own
+//! integration tests), kept apart so `serve.rs` — every in-process test — can be
 //! hoisted into tier-1 by `tests/serve_engine.rs` at the repository root.
 
 use voltron_bench::jsonv::{self, JValue};
 
-/// Full TCP round trip against the real `serve` binary: bind port 0,
+/// Full TCP round trip against the real `voltron serve` daemon: bind port 0,
 /// discover the port from the `LISTENING` line, and exchange NDJSON.
 #[test]
 fn tcp_daemon_round_trip() {
@@ -13,8 +13,8 @@ fn tcp_daemon_round_trip() {
     use std::net::TcpStream;
     use std::process::{Command, Stdio};
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "2"])
+    let mut child = Command::new(env!("CARGO_BIN_EXE_voltron"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

@@ -3,12 +3,13 @@
 //! DESIGN.md §8 promises — per-core stall spans, region spans on the
 //! region track, and TM transaction spans — not just "some events".
 //!
-//! Runs through `Experiment::run_observed`, the same path the
+//! Runs through `Experiment::run_observed_on`, the same path the
 //! `--trace-out` flags use.
 
 use std::collections::BTreeSet;
 use voltron_bench::jsonv::{parse, JValue};
 use voltron_core::{Experiment, ObsRequest, Strategy};
+use voltron_sim::CoherenceBackend;
 use voltron_workloads::{by_name, Scale};
 
 /// Machine-wide track ids (`voltron_sim::obs`): per-core tracks sit
@@ -24,7 +25,7 @@ fn observed_events(strategy: Strategy, cores: usize) -> (Vec<JValue>, String) {
         probe_period: Some(128),
     };
     let o = exp
-        .run_observed(strategy, cores, &req)
+        .run_observed_on(strategy, cores, CoherenceBackend::Snooping, &req)
         .expect("observed run");
     let doc = parse(&o.trace_json)
         .unwrap_or_else(|e| panic!("{strategy}/{cores} trace is not valid JSON: {e}"));

@@ -67,9 +67,12 @@ impl Strategy {
         Strategy::Hybrid,
     ];
 
-    /// Parse a display label back into a strategy (the serve protocol's
-    /// request field; inverse of the `Display` impl above).
+    /// Parse a strategy as the CLI and the serve wire spell it: any
+    /// `Display` label above, or the short `ftlp` for fine-grain TLP.
     pub fn parse(s: &str) -> Option<Strategy> {
+        if s == "ftlp" {
+            return Some(Strategy::FineGrainTlp);
+        }
         Strategy::ALL.into_iter().find(|v| v.to_string() == s)
     }
 }
@@ -561,6 +564,15 @@ mod tests {
     use crate::FrontEnd;
     use voltron_ir::builder::ProgramBuilder;
     use voltron_ir::Program;
+
+    #[test]
+    fn parse_inverts_display_and_knows_the_short_alias() {
+        for s in Strategy::ALL {
+            assert_eq!(Strategy::parse(&s.to_string()), Some(s));
+        }
+        assert_eq!(Strategy::parse("ftlp"), Some(Strategy::FineGrainTlp));
+        assert_eq!(Strategy::parse("fine-grain TLP"), None);
+    }
 
     fn doall_program() -> Program {
         let mut pb = ProgramBuilder::new("t");

@@ -203,6 +203,27 @@ impl RunResult {
         }
     }
 
+    /// Fig. 3-style attribution: the fraction of (estimated serial)
+    /// execution the planner assigned to each parallelism class in this
+    /// build, as `[ilp, fine-grain tlp, llp, single-core]` summing to 1.
+    pub fn parallelism_breakdown(&self) -> [f64; 4] {
+        let mut acc = [0u64; 4];
+        for (rid, kind) in &self.region_kinds {
+            let slot = match *kind {
+                "ilp" => 0,
+                "strands" | "dswp" => 1,
+                "doall" => 2,
+                _ => 3,
+            };
+            acc[slot] += self.region_weights.get(rid).copied().unwrap_or(0);
+        }
+        let total: u64 = acc.iter().sum();
+        if total == 0 {
+            return [0.0, 0.0, 0.0, 1.0];
+        }
+        acc.map(|w| w as f64 / total as f64)
+    }
+
     /// Per-core-average stall cycles for a Fig. 12 category, normalized
     /// by `baseline_cycles`.
     pub fn normalized_stall(&self, category: StallCategory, baseline_cycles: u64) -> f64 {
@@ -735,11 +756,6 @@ impl<'a> Experiment<'a> {
         self.fault_plan = plan;
     }
 
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
     /// Total simulated cycles across every simulation this experiment
     /// has actually performed, baseline included: cache hits are
     /// excluded, and a class of configurations that shared one simulation
@@ -831,19 +847,6 @@ impl<'a> Experiment<'a> {
     ///
     /// # Errors
     /// Propagates configuration failures.
-    pub fn run_observed(
-        &mut self,
-        strategy: Strategy,
-        cores: usize,
-        obs: &ObsRequest,
-    ) -> Result<Observed, SystemError> {
-        self.run_observed_on(strategy, cores, CoherenceBackend::Snooping, obs)
-    }
-
-    /// [`Experiment::run_observed`] on an explicit coherence backend.
-    ///
-    /// # Errors
-    /// Propagates configuration failures.
     pub fn run_observed_on(
         &mut self,
         strategy: Strategy,
@@ -867,18 +870,6 @@ impl<'a> Experiment<'a> {
             trace_json: out.trace,
             probes: out.probes,
         })
-    }
-
-    /// [`Experiment::run_all_on`] on the default snooping backend.
-    ///
-    /// # Errors
-    /// The first (in `configs` order) configuration failure.
-    pub fn run_all(&mut self, configs: &[(Strategy, usize)]) -> Result<(), SystemError> {
-        let on: Vec<Config> = configs
-            .iter()
-            .map(|&(s, c)| (s, c, CoherenceBackend::Snooping))
-            .collect();
-        self.run_all_on(&on)
     }
 
     /// Run every not-yet-cached configuration in `configs`, simulating
@@ -973,65 +964,6 @@ impl<'a> Experiment<'a> {
         compile_failure.map_or(Ok(()), Err)
     }
 
-    /// Fig. 3-style attribution: the fraction of (estimated serial)
-    /// execution assigned by the hybrid planner to each parallelism class
-    /// on a 4-core machine. Returns fractions for
-    /// `[ilp, fine-grain tlp, llp, single-core]` summing to 1.
-    ///
-    /// # Errors
-    /// Propagates configuration failures.
-    pub fn parallelism_breakdown(&mut self, cores: usize) -> Result<[f64; 4], SystemError> {
-        self.parallelism_breakdown_on(cores, CoherenceBackend::Snooping)
-    }
-
-    /// [`Experiment::parallelism_breakdown`] on an explicit coherence
-    /// backend (the attribution itself is planner output and identical
-    /// on both; this just reuses a run the caller already paid for).
-    ///
-    /// # Errors
-    /// Propagates configuration failures.
-    pub fn parallelism_breakdown_on(
-        &mut self,
-        cores: usize,
-        backend: CoherenceBackend,
-    ) -> Result<[f64; 4], SystemError> {
-        let run = self.run_on(Strategy::Hybrid, cores, backend)?;
-        let mut acc = [0u64; 4];
-        for (rid, kind) in &run.region_kinds {
-            let w = run.region_weights.get(rid).copied().unwrap_or(0);
-            let slot = match *kind {
-                "ilp" => 0,
-                "strands" | "dswp" => 1,
-                "doall" => 2,
-                _ => 3,
-            };
-            acc[slot] += w;
-        }
-        let total: u64 = acc.iter().sum();
-        if total == 0 {
-            return Ok([0.0, 0.0, 0.0, 1.0]);
-        }
-        Ok([
-            acc[0] as f64 / total as f64,
-            acc[1] as f64 / total as f64,
-            acc[2] as f64 / total as f64,
-            acc[3] as f64 / total as f64,
-        ])
-    }
-
-    /// Bottleneck intelligence for a configuration on the default
-    /// snooping backend (see [`Experiment::whatif_on`]).
-    ///
-    /// # Errors
-    /// Propagates configuration failures.
-    pub fn whatif(
-        &mut self,
-        strategy: Strategy,
-        cores: usize,
-    ) -> Result<WhatIfReport, SystemError> {
-        self.whatif_on(strategy, cores, CoherenceBackend::Snooping)
-    }
-
     /// Diagnose a configuration: build its CPI stack and per-region
     /// classification from the measured run (cached, or run now exactly
     /// as [`Experiment::run_on`] would), then compile the configuration
@@ -1114,7 +1046,10 @@ mod tests {
     fn breakdown_sums_to_one() {
         let p = doall_program();
         let mut exp = Experiment::new(&p).unwrap();
-        let frac = exp.parallelism_breakdown(4).unwrap();
+        let frac = exp
+            .run(Strategy::Hybrid, 4)
+            .unwrap()
+            .parallelism_breakdown();
         let sum: f64 = frac.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert!(frac[2] > 0.5, "doall should dominate: {frac:?}");
@@ -1155,7 +1090,9 @@ mod tests {
         let p = doall_program();
         let mut exp = Experiment::new(&p).unwrap();
         let before = exp.run(Strategy::Hybrid, 4).unwrap().cycles;
-        let report = exp.whatif(Strategy::Hybrid, 4).unwrap();
+        let report = exp
+            .whatif_on(Strategy::Hybrid, 4, CoherenceBackend::Snooping)
+            .unwrap();
         assert_eq!(report.measured_cycles, before);
         assert!(report.stack.is_exact(), "machine stack must sum exactly");
         for r in &report.regions {

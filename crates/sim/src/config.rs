@@ -139,6 +139,21 @@ impl CoherenceBackend {
         }
     }
 
+    /// This backend family sized for a `cores`-core machine: snooping
+    /// stays snooping, any directory becomes [`directory_for`]`(cores)`.
+    /// A `--backend directory` flag or wire field names the family only
+    /// ([`parse`]'s bank count is a placeholder), so every consumer of
+    /// one resolves it here and equal labels mean equal machines.
+    ///
+    /// [`directory_for`]: CoherenceBackend::directory_for
+    /// [`parse`]: CoherenceBackend::parse
+    pub fn sized_for(self, cores: usize) -> CoherenceBackend {
+        match self {
+            CoherenceBackend::Snooping => CoherenceBackend::Snooping,
+            CoherenceBackend::Directory { .. } => CoherenceBackend::directory_for(cores),
+        }
+    }
+
     /// Parse a `--backend` flag value.
     pub fn parse(s: &str) -> Option<CoherenceBackend> {
         match s {
@@ -549,6 +564,13 @@ mod tests {
             Some(CoherenceBackend::Directory { banks: 4 })
         );
         assert_eq!(CoherenceBackend::parse("mesi"), None);
+        let dir = CoherenceBackend::parse("directory").unwrap();
+        assert_eq!(dir.sized_for(4), CoherenceBackend::directory_for(4));
+        assert_eq!(dir.sized_for(64).bank_count(), 16);
+        assert_eq!(
+            CoherenceBackend::Snooping.sized_for(64),
+            CoherenceBackend::Snooping
+        );
         let cfg = MachineConfig::scaled(16).with_backend(CoherenceBackend::directory_for(16));
         assert_eq!(cfg.coherence.label(), "directory");
         assert_eq!(MachineConfig::paper(4).coherence.label(), "snooping");

@@ -24,31 +24,37 @@ echo "== tier-1: release build + tests"
 # tests/serve_engine.rs pulls in the serve daemon's in-process suite
 # (crates/bench/tests/serve.rs: served == direct Experiment results, bit
 # for bit, on the whole cycle-golden matrix), and tests/shared_runs.rs
-# holds Experiment's shared simulations to fresh ones. cycle_golden,
+# holds Experiment's shared simulations to fresh ones. tests/figure_golden.rs
+# pins the figure table's output to a committed `figall --test` transcript,
+# tests/cli.rs the command line's usage errors, and tests/docs.rs every
+# path, item and command the documents name. cycle_golden,
 # scaling_golden and the accounting suite each run their matrix in all
 # four {fast-forward on, off} x {plain, tracer + probes} corners
 # in-process (DESIGN.md §6, §8).
 cargo build --release
 cargo test -q
 
+# Every smoke below drives the one `voltron` binary (crates/bench/src/cli.rs).
+voltron() {
+    cargo run --release -q -p voltron-bench --bin voltron -- "$@"
+}
+
 echo "== 16-core smoke on both coherence backends"
 # A real workload end to end (compile, simulate, validate outputs) on
 # meshes up to 8x8 under snooping AND directory coherence: the scaling
 # figure sweeps 1-64 cores x all strategies x both backends, and a
-# figure binary on the directory backend exercises the --backend flag.
-cargo run --release -q -p voltron-bench --bin scaling -- --test --bench 164.gzip \
-    > /dev/null
-cargo run --release -q -p voltron-bench --bin fig13 -- --test --bench 164.gzip \
-    --backend directory > /dev/null
+# figure command on the directory backend exercises the --backend flag.
+voltron scaling --test --bench 164.gzip > /dev/null
+voltron fig13 --test --bench 164.gzip --backend directory > /dev/null
 
 echo "== traced smoke run"
 # End-to-end: a real workload traced through the CLI flag must emit
 # Chrome trace JSON that parses and has events on every live core.
 mkdir -p target/smoke
-cargo run --release -q -p voltron-bench --bin bench_one -- 164.gzip \
+voltron bench_one 164.gzip \
     --trace-out target/smoke/trace.json --probes-out target/smoke/probes.json \
     > /dev/null
-cargo run --release -q -p voltron-bench --bin trace_check -- target/smoke/trace.json 4
+voltron trace_check target/smoke/trace.json 4
 
 echo "== serve smoke: stdin burst, result cache, one-shot fingerprint equality"
 # The daemon must produce byte-identical architectural numbers to the
@@ -56,44 +62,54 @@ echo "== serve smoke: stdin burst, result cache, one-shot fingerprint equality"
 # wrote), absorb an identical repeat from its result cache, and
 # survive faulted and what-if requests on the same connection
 # (DESIGN.md §12). One worker, so the burst is served in order: with two,
-# the identical requests 1 and 2 run concurrently and both miss.
+# the identical requests 1 and 2 run concurrently and both miss. Request 5
+# names the directory backend the way `--backend directory` does; both
+# resolve the bank count in CoherenceBackend::sized_for, so its row must
+# equal `bench_one --backend directory`'s under the same label.
 printf '%s\n' \
     '{"id":1,"workload":"164.gzip","strategy":"hybrid","cores":4}' \
     '{"id":2,"workload":"164.gzip","strategy":"hybrid","cores":4}' \
     '{"id":3,"workload":"164.gzip","strategy":"hybrid","cores":4,"faults":"seed=7,rate=0.002"}' \
     '{"id":4,"workload":"164.gzip","strategy":"hybrid","cores":4,"whatif":true}' \
-    | cargo run --release -q -p voltron-bench --bin serve -- --stdin --workers 1 \
+    '{"id":5,"workload":"164.gzip","strategy":"hybrid","cores":4,"backend":"directory"}' \
+    | voltron serve --stdin --workers 1 \
     > target/smoke/serve.ndjson
 if grep -q '"ok":0' target/smoke/serve.ndjson; then
     echo "serve smoke returned an error row:" >&2
     cat target/smoke/serve.ndjson >&2
     exit 1
 fi
-test "$(wc -l < target/smoke/serve.ndjson)" -eq 4 || {
-    echo "serve smoke expected 4 response rows" >&2
+test "$(wc -l < target/smoke/serve.ndjson)" -eq 5 || {
+    echo "serve smoke expected 5 response rows" >&2
     exit 1
 }
 grep '"id":2,' target/smoke/serve.ndjson | grep -q '"result":"hit"' || {
     echo "repeat request was not served from the result cache" >&2
     exit 1
 }
-served=$(grep '"id":1,' target/smoke/serve.ndjson \
-    | sed -n 's/.*"cycles":\([0-9][0-9]*\).*/\1/p')
-oneshot=$(sed -n \
-    's/.*"strategy":"hybrid","cores":4,"backend":"snooping","cycles":\([0-9][0-9]*\).*/\1/p' \
-    BENCH_bench_one.json)
-if [ -z "$served" ] || [ "$served" != "$oneshot" ]; then
-    echo "served cycles (${served:-none}) != one-shot cycles (${oneshot:-none})" >&2
-    exit 1
-fi
+# served_vs_oneshot ID BACKEND: the cycles of served row ID against the
+# hybrid/4 row carrying BACKEND's label in BENCH_bench_one.json.
+served_vs_oneshot() {
+    served=$(grep "\"id\":$1," target/smoke/serve.ndjson \
+        | sed -n 's/.*"cycles":\([0-9][0-9]*\).*/\1/p')
+    oneshot=$(sed -n \
+        "s/.*\"strategy\":\"hybrid\",\"cores\":4,\"backend\":\"$2\",\"cycles\":\([0-9][0-9]*\).*/\1/p" \
+        BENCH_bench_one.json)
+    if [ -z "$served" ] || [ "$served" != "$oneshot" ]; then
+        echo "served $2 cycles (${served:-none}) != one-shot cycles (${oneshot:-none})" >&2
+        exit 1
+    fi
+}
+served_vs_oneshot 1 snooping
+voltron bench_one 164.gzip --backend directory > /dev/null
+served_vs_oneshot 5 directory
 
 echo "== chaos smoke: fixed-seed fault plan + retries, no hard failures"
 # The whole figure path under fire (DESIGN.md §10): a seeded fault plan
 # across every site, failed workloads retried under reseeded plans. Any
 # hard failure (a workload no retry could save) fails the gate; the
 # chaos suite proper (tests/fault_recovery.rs) runs with tier-1 above.
-cargo run --release -q -p voltron-bench --bin fig13 -- --test --bench 164.gzip \
-    --faults seed=7,rate=0.002 --retries 2 > /dev/null
+voltron fig13 --test --bench 164.gzip --faults seed=7,rate=0.002 --retries 2 > /dev/null
 grep -q '"hard":0' BENCH_fig13.json || {
     echo "chaos smoke left hard failures in BENCH_fig13.json" >&2
     exit 1

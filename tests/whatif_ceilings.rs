@@ -14,7 +14,7 @@
 //!   least `1 - epsilon` (epsilon absorbs second-order scheduling shifts:
 //!   e.g. a reordered bus grant can move a handful of cycles).
 //!
-//! Every idealized run inside `Experiment::whatif` is also validated
+//! Every idealized run inside `Experiment::whatif_on` is also validated
 //! against the golden interpreter memory, so this test doubles as the
 //! proof that the knobs (including value-based TM conflict detection)
 //! change timing, never architectural output.
@@ -128,7 +128,9 @@ fn whatif_leaves_the_measured_run_untouched() {
     let w = by_name("164.gzip", Scale::Test).expect("known benchmark");
     let mut exp = Experiment::new(&w.program).expect("experiment");
     let before = exp.run(Strategy::Hybrid, 4).unwrap().stats.clone();
-    let report = exp.whatif(Strategy::Hybrid, 4).unwrap();
+    let report = exp
+        .whatif_on(Strategy::Hybrid, 4, CoherenceBackend::Snooping)
+        .unwrap();
     let after = exp.run(Strategy::Hybrid, 4).unwrap();
     assert_eq!(before, after.stats, "cache must hold the measured object");
     assert_eq!(report.measured_cycles, after.cycles);
@@ -151,7 +153,7 @@ fn free_spawn_bypass_wakes_the_parked_target() {
     let w = by_name("164.gzip", Scale::Test).expect("known benchmark");
     let mut exp = Experiment::new(&w.program).expect("experiment");
     let report = exp
-        .whatif(Strategy::Hybrid, 4)
+        .whatif_on(Strategy::Hybrid, 4, CoherenceBackend::Snooping)
         .expect("every idealized run completes");
     let free = report
         .ceilings
