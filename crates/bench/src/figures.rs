@@ -191,10 +191,10 @@ pub fn sweep(command: &str, figs: &[&Figure], args: &HarnessArgs) -> Harvest<Swe
         let cached = exp.results();
         let result_of = |p: &Point| {
             let (s, c, b) = sized(p);
-            *cached
+            let found = cached
                 .iter()
-                .find(|r| (r.strategy, r.cores, r.backend) == (s, c, b))
-                .expect("the sweep ran every point its figures read")
+                .find(|r| (r.strategy, r.cores, r.backend) == (s, c, b));
+            &**found.expect("the sweep ran every point its figures read")
         };
         let values = figs
             .iter()

@@ -4,31 +4,24 @@
 //! full pipeline on every invocation: interpret the golden model, profile and
 //! compile the program, build a machine, simulate, tear everything down.
 //! For interactive exploration and CI farms that ask many small questions
-//! about the same workloads, almost all of that work is re-derivable from
-//! content alone. This module keeps it resident:
+//! about the same workloads, almost all of that work can be kept. This
+//! module keeps it resident:
 //!
-//! * **Content-addressed caching** ([`Engine`]): programs are keyed by a
-//!   hash of their printed IR (not their name), so two requests for the
-//!   same content share one golden memory, one serial baseline, at most
-//!   two compiler [`FrontEnd`]s (see [`front_end_slot`]), one compiled
-//!   [`Prepared`] image per (strategy, cores, backend), and — when a
-//!   request carries no observability or idealization — one cached
-//!   [`RunResult`]. The engine owns the content hash, these cache layers,
-//!   the machine pool and the counters, nothing else: what it compiles,
-//!   how a run is configured, checked and diagnosed are `voltron-core`'s
-//!   `prepare` / `sim_config` / `run_checked` / `WhatIfReport::diagnose`,
-//!   the functions `Experiment` itself runs on, so served == direct is
-//!   shared code.
-//! * **Pooled, resettable machines**: simulated machines are expensive to
-//!   allocate (caches, network CAMs, TM buffers). Finished machines park
-//!   in per-(cores, backend) free-lists and are revived with
-//!   [`Machine::reset`], whose reuse-equals-fresh contract is pinned by
-//!   the golden tests. A machine that panics, errors, or fails output
-//!   validation is *retired* (dropped), never re-pooled.
+//! * **The run cache, shared** ([`Engine`]): per (workload, scale) one
+//!   `voltron_core::ProgramCache` — golden memory and serial baseline, at
+//!   most two compiler front ends, one compiled image per (strategy,
+//!   cores, backend), one cached [`RunResult`] per plain request — and one
+//!   `voltron_core::MachinePool` of finished machines for all of them.
+//!   These are the types `Experiment` is a view of, and every request is a
+//!   `RunSpec` taken through `ProgramCache::run`, so served == direct is
+//!   shared code and shared rules. The engine adds program lookup, the
+//!   request counters and the translation to and from the wire.
 //! * **A work-stealing scheduler** ([`Server`]): requests land in bounded
-//!   per-worker queues; idle workers steal from the back of busy ones.
-//!   Each simulation runs under `catch_unwind`, so one poisoned request
-//!   becomes a typed error row while the daemon keeps serving.
+//!   per-worker queues; idle workers steal from the back of busy ones. A
+//!   worker runs its request's simulations — a what-if's five included —
+//!   on its own thread. Each request runs under `catch_unwind`, so one
+//!   poisoned request becomes a typed error row (its machine dropped with
+//!   the unwound frame, never re-pooled) while the daemon keeps serving.
 //!
 //! The wire protocol is line-delimited JSON over TCP or stdin (see
 //! [`parse_request`] / [`Response::to_json`]); rows carry the same run
@@ -43,17 +36,14 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use voltron_compiler::FrontEnd;
 use voltron_core::report::Json;
+pub use voltron_core::CacheInfo;
 use voltron_core::{
-    front_end, front_end_slot, prepare, run_checked, run_reference, sim_config, Config, KnobId,
-    ObsRequest, Observed, Prepared, ProbeSummary, RunResult, SimEnv, Strategy, SystemError,
-    WhatIfReport,
+    KnobId, MachinePool, ObsRequest, ProbeSummary, ProgramCache, RunResult, RunSpec, Strategy,
+    SystemError, WhatIfReport,
 };
-use voltron_ir::{Memory, Program};
-use voltron_sim::{
-    CoherenceBackend, FaultPlan, IdealKnobs, Machine, MachineConfig, MachineProgram,
-};
+use voltron_ir::Program;
+use voltron_sim::{CoherenceBackend, FaultPlan};
 use voltron_workloads::{by_name, Scale};
 
 use crate::harness::{checked_cores, panic_message, DEFAULT_PROBE_PERIOD};
@@ -183,22 +173,6 @@ impl From<SystemError> for ServeError {
     }
 }
 
-/// Which cache layers a request hit (for the response row and the
-/// saturation benchmark's hit-rate report).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheInfo {
-    /// The golden memory + serial baseline were already resident.
-    pub golden_hit: bool,
-    /// The compiler front end was already built.
-    pub front_end_hit: bool,
-    /// The compiled machine image was already built.
-    pub image_hit: bool,
-    /// The run was served from the result cache (no simulation at all).
-    pub result_hit: bool,
-    /// The machine came from the free-list (reset) rather than `new`.
-    pub machine_pooled: bool,
-}
-
 /// A successfully served request.
 #[derive(Debug)]
 pub struct Served {
@@ -307,26 +281,7 @@ impl Response {
                         if let Some((reason, _)) = r.stats.dominant_stall() {
                             fields.push(("dominant_stall".into(), Json::Str(reason.to_string())));
                         }
-                        fields.push((
-                            "cache".into(),
-                            Json::Obj(vec![
-                                ("golden".into(), hit(s.cache.golden_hit)),
-                                ("front_end".into(), hit(s.cache.front_end_hit)),
-                                ("image".into(), hit(s.cache.image_hit)),
-                                ("result".into(), hit(s.cache.result_hit)),
-                                (
-                                    "machine".into(),
-                                    Json::Str(
-                                        if s.cache.machine_pooled {
-                                            "pooled"
-                                        } else {
-                                            "fresh"
-                                        }
-                                        .into(),
-                                    ),
-                                ),
-                            ]),
-                        ));
+                        fields.push(("cache".into(), cache_json(&s.cache)));
                         if let Some(w) = &s.whatif {
                             fields.push(("whatif".into(), crate::harness::whatif_json(w)));
                         }
@@ -352,8 +307,16 @@ impl Response {
     }
 }
 
-fn hit(b: bool) -> Json {
-    Json::Str(if b { "hit" } else { "miss" }.into())
+/// The response row's `cache` block.
+fn cache_json(c: &CacheInfo) -> Json {
+    let word = |b: bool, yes: &str, no: &str| Json::Str(if b { yes } else { no }.into());
+    Json::Obj(vec![
+        ("golden".into(), word(c.golden_hit, "hit", "miss")),
+        ("front_end".into(), word(c.front_end_hit, "hit", "miss")),
+        ("image".into(), word(c.image_hit, "hit", "miss")),
+        ("result".into(), word(c.result_hit, "hit", "miss")),
+        ("machine".into(), word(c.machine_pooled, "pooled", "fresh")),
+    ])
 }
 
 /// Parse one NDJSON request line. `{"stats": true}` probes are handled by
@@ -412,42 +375,11 @@ pub fn parse_request(v: &JValue) -> Result<Request, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Content-addressed engine
+// Engine
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over the printed IR: names are *not* part of the identity, so
-/// renaming a workload (or requesting the same content under two names)
-/// shares every cache layer.
-fn content_hash(program: &Program) -> u64 {
-    let text = voltron_ir::pretty::program_to_string(program);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Golden model + serial baseline for one program, computed once.
-struct Golden {
-    memory: Memory,
-    baseline_cycles: u64,
-}
-
-/// Key of one cached result: everything that can move the architectural
-/// numbers. Observed or idealized runs never cache (as in
-/// `Experiment::run_observed_on`), so neither appears here.
-type ResultKey = (Config, Option<u64>, Option<String>);
-
-/// Everything the engine keeps per distinct program content.
-struct ProgramEntry {
-    program: Program,
-    golden: Mutex<Option<Arc<Golden>>>,
-    /// Front ends, indexed by [`front_end_slot`].
-    front_ends: Mutex<[Option<Arc<FrontEnd>>; 2]>,
-    images: Mutex<HashMap<Config, Arc<Prepared>>>,
-    results: Mutex<HashMap<ResultKey, Arc<RunResult>>>,
-}
+/// A registered program and everything `voltron-core` keeps about it.
+type Loaded = Arc<(Program, ProgramCache)>;
 
 #[derive(Default)]
 struct Counters {
@@ -455,42 +387,26 @@ struct Counters {
     completed: AtomicU64,
     errors: AtomicU64,
     panics: AtomicU64,
-    golden_hits: AtomicU64,
-    golden_misses: AtomicU64,
-    fe_hits: AtomicU64,
-    fe_misses: AtomicU64,
-    image_hits: AtomicU64,
-    image_misses: AtomicU64,
-    result_hits: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
-    retired: AtomicU64,
 }
 
-/// The content-addressed simulation engine: program registry, compile
-/// caches, result cache, and the machine pool. Thread-safe; every method
-/// takes `&self`.
+/// The simulation engine: a registry of programs, each with its
+/// `voltron-core` run cache, one machine pool for all of them, and the
+/// request counters. Thread-safe; every method takes `&self`.
 pub struct Engine {
-    /// (workload name, scale label) → content hash, so repeat requests
-    /// skip re-rendering the IR.
-    names: Mutex<HashMap<(String, &'static str), u64>>,
-    programs: Mutex<HashMap<u64, Arc<ProgramEntry>>>,
-    /// Parked machines per (cores, backend label); revived by
-    /// [`Machine::reset`].
-    pool: Mutex<HashMap<(usize, &'static str), Vec<Machine>>>,
-    pool_cap: usize,
+    /// Keyed by (workload name, scale label): a request can name a
+    /// program no other way, and names map 1:1 to programs.
+    programs: Mutex<HashMap<(String, &'static str), Loaded>>,
+    pool: MachinePool,
     counters: Counters,
 }
 
 impl Engine {
-    /// An empty engine whose free-lists keep at most `pool_cap` machines
-    /// per (cores, backend) shape.
+    /// An empty engine whose pool parks at most `pool_cap` machines per
+    /// (cores, backend) shape.
     pub fn new(pool_cap: usize) -> Engine {
         Engine {
-            names: Mutex::new(HashMap::new()),
             programs: Mutex::new(HashMap::new()),
-            pool: Mutex::new(HashMap::new()),
-            pool_cap: pool_cap.max(1),
+            pool: MachinePool::new(pool_cap),
             counters: Counters::default(),
         }
     }
@@ -501,8 +417,7 @@ impl Engine {
     /// A typed [`ServeError`]; the engine stays fully serviceable.
     pub fn execute(&self, req: &Request) -> Result<Served, ServeError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let out = self.execute_inner(req, t0);
+        let out = self.serve(req);
         match &out {
             Ok(_) => self.counters.completed.fetch_add(1, Ordering::Relaxed),
             Err(_) => self.counters.errors.fetch_add(1, Ordering::Relaxed),
@@ -510,355 +425,106 @@ impl Engine {
         out
     }
 
-    fn execute_inner(&self, req: &Request, t0: Instant) -> Result<Served, ServeError> {
+    fn serve(&self, req: &Request) -> Result<Served, ServeError> {
+        let t0 = Instant::now();
         let entry = self.entry(&req.workload, req.scale)?;
-        let (golden, golden_hit) = self.golden(&entry)?;
-        let config = (req.strategy, req.cores, req.backend);
-        let env = SimEnv {
-            golden: &golden.memory,
+        let (program, cache) = &*entry;
+        // Unbudgeted: the baseline is the denominator requests of every
+        // budget share.
+        let (reference, golden_hit) = cache.reference(program, &self.pool, None)?;
+        let spec = RunSpec {
             cycle_budget: req.budget_cycles,
             faults: req.faults.as_ref(),
+            obs: ObsRequest {
+                chrome_trace: req.trace,
+                probe_period: req.probes.then_some(DEFAULT_PROBE_PERIOD),
+            },
+            fresh: req.fresh,
+            ..RunSpec::new((req.strategy, req.cores, req.backend))
         };
-        let obs = ObsRequest {
-            chrome_trace: req.trace,
-            probe_period: req.probes.then_some(DEFAULT_PROBE_PERIOD),
+        let out = cache.run(program, &reference, &self.pool, &spec)?;
+        let mut cache_info = CacheInfo {
+            golden_hit,
+            ..out.cache
         };
-        let cacheable = !req.trace && !req.probes && !req.fresh;
-        let result_key: ResultKey = (
-            config,
-            req.budget_cycles,
-            req.faults.as_ref().map(FaultPlan::spec),
-        );
-        let cached = if cacheable {
-            let results = entry.results.lock().expect("results lock");
-            results.get(&result_key).cloned()
-        } else {
-            None
-        };
-        let (run, probes, trace_json, mut cache) = if let Some(run) = cached {
-            self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
-            let cache = CacheInfo {
-                golden_hit,
-                front_end_hit: true,
-                image_hit: true,
-                result_hit: true,
-                machine_pooled: false,
-            };
-            (run, None, None, cache)
-        } else {
-            let (observed, mut cache) = self.run_config(
-                &entry,
-                config,
-                env,
-                golden.baseline_cycles,
-                IdealKnobs::default(),
-                &obs,
-            )?;
-            cache.golden_hit = golden_hit;
-            let run = Arc::new(observed.run);
-            if cacheable {
-                entry
-                    .results
-                    .lock()
-                    .expect("results lock")
-                    .insert(result_key, Arc::clone(&run));
-            }
-            let probes = observed.probes.as_ref().map(|p| p.summary());
-            let trace_json = req.trace.then_some(observed.trace_json);
-            (run, probes, trace_json, cache)
-        };
+        // The same image re-simulated once per idealization knob, through
+        // the same layers and pool, one after another on this thread.
         let whatif = if req.whatif {
-            Some(self.whatif(&entry, config, env, &run, &mut cache)?)
+            let mut report = WhatIfReport::diagnose(&out.run);
+            for knob in KnobId::ALL {
+                let ideal = RunSpec {
+                    ideal: knob.knobs(),
+                    obs: ObsRequest::default(),
+                    ..spec.clone()
+                };
+                let ideal = cache.run(program, &reference, &self.pool, &ideal)?;
+                cache_info.machine_pooled |= ideal.cache.machine_pooled;
+                report.ceiling(knob, ideal.run.cycles);
+            }
+            Some(report)
         } else {
             None
         };
         Ok(Served {
-            run,
-            baseline_cycles: golden.baseline_cycles,
+            run: out.run,
+            baseline_cycles: reference.baseline_cycles,
             whatif,
-            probes,
-            trace_json,
-            cache,
+            probes: out.probes.as_ref().map(|p| p.summary()),
+            trace_json: req.trace.then_some(out.trace_json),
+            cache: cache_info,
             host_micros: t0.elapsed().as_micros() as u64,
         })
     }
 
-    /// Resolve a workload to its content-addressed program entry.
-    fn entry(&self, workload: &str, scale: Scale) -> Result<Arc<ProgramEntry>, ServeError> {
-        let name_key = (workload.to_string(), scale_label(scale));
-        if let Some(h) = self.names.lock().expect("names lock").get(&name_key) {
-            let programs = self.programs.lock().expect("programs lock");
-            if let Some(e) = programs.get(h) {
-                return Ok(Arc::clone(e));
-            }
+    /// Resolve a workload to its program and run cache.
+    fn entry(&self, workload: &str, scale: Scale) -> Result<Loaded, ServeError> {
+        let key = (workload.to_string(), scale_label(scale));
+        if let Some(e) = self.programs.lock().expect("programs lock").get(&key) {
+            return Ok(Arc::clone(e));
         }
+        // Built outside the lock; a racing worker's entry wins.
         let w = by_name(workload, scale).ok_or_else(|| {
             ServeError::UnknownWorkload(format!(
                 "no workload {workload:?} at scale {}",
                 scale_label(scale)
             ))
         })?;
-        let h = content_hash(&w.program);
-        let entry = {
-            let mut programs = self.programs.lock().expect("programs lock");
-            Arc::clone(programs.entry(h).or_insert_with(|| {
-                Arc::new(ProgramEntry {
-                    program: w.program,
-                    golden: Mutex::new(None),
-                    front_ends: Mutex::new([None, None]),
-                    images: Mutex::new(HashMap::new()),
-                    results: Mutex::new(HashMap::new()),
-                })
-            }))
-        };
-        self.names.lock().expect("names lock").insert(name_key, h);
-        Ok(entry)
-    }
-
-    /// Golden memory + serial baseline, computed once per program. The
-    /// baseline runs unbudgeted and fault-free — like `Experiment::new`'s,
-    /// it is the denominator every served speedup shares — and flows
-    /// through `run_config`, so its machine comes from the same pool as
-    /// every other run's.
-    fn golden(&self, entry: &Arc<ProgramEntry>) -> Result<(Arc<Golden>, bool), ServeError> {
-        let mut slot = entry.golden.lock().expect("golden lock");
-        if let Some(g) = slot.as_ref() {
-            self.counters.golden_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(g), true));
-        }
-        self.counters.golden_misses.fetch_add(1, Ordering::Relaxed);
-        let memory = run_reference(&entry.program)
-            .map_err(|e| ServeError::Golden(e.to_string()))?
-            .memory;
-        let env = SimEnv {
-            golden: &memory,
-            cycle_budget: None,
-            faults: None,
-        };
-        // Baseline 0: the baseline run's own speedup is meaningless and
-        // discarded.
-        let (base, _) = self.run_config(
-            entry,
-            (Strategy::Serial, 1, CoherenceBackend::Snooping),
-            env,
-            0,
-            IdealKnobs::default(),
-            &ObsRequest::default(),
-        )?;
-        let g = Arc::new(Golden {
-            memory,
-            baseline_cycles: base.run.cycles,
-        });
-        *slot = Some(Arc::clone(&g));
-        Ok((g, false))
-    }
-
-    /// The front end for this configuration, built at most twice per
-    /// program (once per [`front_end_slot`]).
-    fn front_end(
-        &self,
-        entry: &ProgramEntry,
-        strategy: Strategy,
-        cores: usize,
-    ) -> Result<(Arc<FrontEnd>, bool), SystemError> {
-        // Before the lock is taken: a core count the machine model rejects
-        // panics here, and a panic under the lock would poison this
-        // program's front-end layer for every later request.
-        let idx = front_end_slot(strategy, cores);
-        let mut slots = entry.front_ends.lock().expect("front-end lock");
-        if let Some(fe) = slots[idx].as_ref() {
-            self.counters.fe_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(fe), true));
-        }
-        self.counters.fe_misses.fetch_add(1, Ordering::Relaxed);
-        let fe = Arc::new(front_end(&entry.program, strategy, cores)?);
-        slots[idx] = Some(Arc::clone(&fe));
-        Ok((fe, false))
-    }
-
-    /// The compiled image (and planner maps) for one configuration.
-    fn image(
-        &self,
-        entry: &ProgramEntry,
-        fe: &FrontEnd,
-        config: Config,
-    ) -> Result<(Arc<Prepared>, bool), SystemError> {
-        {
-            let images = entry.images.lock().expect("image lock");
-            if let Some(img) = images.get(&config) {
-                self.counters.image_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(img), true));
-            }
-        }
-        self.counters.image_misses.fetch_add(1, Ordering::Relaxed);
-        let img = Arc::new(prepare(fe, config)?);
-        let mut images = entry.images.lock().expect("image lock");
-        // A racing worker may have inserted first; keep the resident one
-        // so every machine shares a single program allocation.
-        let img = Arc::clone(images.entry(config).or_insert(img));
-        Ok((img, false))
-    }
-
-    /// Take a machine for this shape from the free-list (reset to the new
-    /// program and config) or build a fresh one.
-    fn checkout(
-        &self,
-        cores: usize,
-        backend: CoherenceBackend,
-        program: &Arc<MachineProgram>,
-        cfg: &MachineConfig,
-    ) -> Result<(Machine, bool), SystemError> {
-        let key = (cores, backend.label());
-        let parked = self
-            .pool
-            .lock()
-            .expect("pool lock")
-            .get_mut(&key)
-            .and_then(Vec::pop);
-        if let Some(mut m) = parked {
-            match m.reset(Arc::clone(program), cfg) {
-                Ok(()) => {
-                    self.counters.pool_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((m, true));
-                }
-                Err(_) => {
-                    // A reset can only fail on program/config validation;
-                    // retire the machine and fall through to a fresh build
-                    // (which will report the same validation error).
-                    self.counters.retired.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.counters.pool_misses.fetch_add(1, Ordering::Relaxed);
-        Ok((Machine::new_shared(Arc::clone(program), cfg)?, false))
-    }
-
-    /// Park a machine that finished a *successful* run. Errored,
-    /// panicked, or output-mismatched machines never come back here.
-    fn checkin(&self, cores: usize, backend: CoherenceBackend, machine: Machine) {
-        let key = (cores, backend.label());
-        let mut pool = self.pool.lock().expect("pool lock");
-        let list = pool.entry(key).or_default();
-        if list.len() < self.pool_cap {
-            list.push(machine);
-        } else {
-            self.counters.retired.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One run of `config`: compiled through the caches by
-    /// `voltron_core::prepare`, configured by `sim_config`, run and held
-    /// to the golden memory by `run_checked` — the calls `Experiment`
-    /// makes, on a machine that comes from the pool and goes back to it.
-    fn run_config(
-        &self,
-        entry: &ProgramEntry,
-        config: Config,
-        env: SimEnv<'_>,
-        baseline_cycles: u64,
-        ideal: IdealKnobs,
-        obs: &ObsRequest,
-    ) -> Result<(Observed, CacheInfo), SystemError> {
-        let (strategy, cores, backend) = config;
-        let (fe, front_end_hit) = self.front_end(entry, strategy, cores)?;
-        let (prepared, image_hit) = self.image(entry, &fe, config)?;
-        let sim_cfg = sim_config(config, env, ideal, obs);
-        let (mut machine, machine_pooled) =
-            self.checkout(cores, backend, &prepared.image, &sim_cfg)?;
-        let out = match run_checked(&mut machine, config, env.golden, obs) {
-            Ok(out) => out,
-            Err(e) => {
-                // Wedged, budget-blown or wrong: retire the machine rather
-                // than trusting reset to unwedge it.
-                drop(machine);
-                self.counters.retired.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
-        self.checkin(cores, backend, machine);
-        // Every served miss simulates (a `fresh` request must), so no run
-        // is ever `shared_with` another.
-        let run = prepared.result(config, out.stats, out.ticked_cycles, baseline_cycles, None);
-        let observed = Observed {
-            run,
-            trace_json: out.trace,
-            probes: out.probes,
-        };
-        let cache = CacheInfo {
-            golden_hit: false,
-            front_end_hit,
-            image_hit,
-            result_hit: false,
-            machine_pooled,
-        };
-        Ok((observed, cache))
-    }
-
-    /// Bottleneck what-if for a served run: `WhatIfReport::diagnose` on
-    /// the measured run, then the same image re-simulated once per
-    /// idealization knob, through the same caches and machine pool (with
-    /// baseline 0: only the idealized runs' cycles are read).
-    fn whatif(
-        &self,
-        entry: &ProgramEntry,
-        config: Config,
-        env: SimEnv<'_>,
-        measured: &RunResult,
-        cache: &mut CacheInfo,
-    ) -> Result<WhatIfReport, SystemError> {
-        let mut report = WhatIfReport::diagnose(measured);
-        for knob in KnobId::ALL {
-            let (ideal, c) =
-                self.run_config(entry, config, env, 0, knob.knobs(), &ObsRequest::default())?;
-            cache.machine_pooled |= c.machine_pooled;
-            report.ceiling(knob, ideal.run.cycles);
-        }
-        Ok(report)
+        let mut programs = self.programs.lock().expect("programs lock");
+        let entry = programs
+            .entry(key)
+            .or_insert_with(|| Arc::new((w.program, ProgramCache::default())));
+        Ok(Arc::clone(entry))
     }
 
     /// Counter snapshot for the stats row and the saturation benchmark.
     pub fn stats_json(&self) -> Json {
-        let c = &self.counters;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let rate = |hits: u64, misses: u64| {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
+        // Reference, front-end, image and result lookups over all programs.
+        let mut layers = [(0u64, 0u64); 4];
+        for entry in self.programs.lock().expect("programs lock").values() {
+            for (sum, (hits, misses)) in layers.iter_mut().zip(entry.1.counts()) {
+                *sum = (sum.0 + hits, sum.1 + misses);
             }
+        }
+        let [golden, front_end, image, result] = layers;
+        let c = &self.counters;
+        let count = |name: &str, n: u64| (name.to_string(), Json::UInt(n));
+        let tally = |name: &str, a: &AtomicU64| count(name, a.load(Ordering::Relaxed));
+        let rate = |name: &str, (hits, misses): (u64, u64)| {
+            let share = hits as f64 / (hits + misses).max(1) as f64;
+            (name.to_string(), Json::Num(share))
         };
-        let pooled: usize = self
-            .pool
-            .lock()
-            .expect("pool lock")
-            .values()
-            .map(Vec::len)
-            .sum();
         Json::Obj(vec![
-            ("requests".into(), Json::UInt(get(&c.requests))),
-            ("completed".into(), Json::UInt(get(&c.completed))),
-            ("errors".into(), Json::UInt(get(&c.errors))),
-            ("panics".into(), Json::UInt(get(&c.panics))),
-            ("result_hits".into(), Json::UInt(get(&c.result_hits))),
-            (
-                "front_end_hit_rate".into(),
-                Json::Num(rate(get(&c.fe_hits), get(&c.fe_misses))),
-            ),
-            (
-                "image_hit_rate".into(),
-                Json::Num(rate(get(&c.image_hits), get(&c.image_misses))),
-            ),
-            (
-                "machine_pool_hit_rate".into(),
-                Json::Num(rate(get(&c.pool_hits), get(&c.pool_misses))),
-            ),
-            (
-                "golden_hit_rate".into(),
-                Json::Num(rate(get(&c.golden_hits), get(&c.golden_misses))),
-            ),
-            ("machines_parked".into(), Json::UInt(pooled as u64)),
-            ("machines_retired".into(), Json::UInt(get(&c.retired))),
+            tally("requests", &c.requests),
+            tally("completed", &c.completed),
+            tally("errors", &c.errors),
+            tally("panics", &c.panics),
+            count("result_hits", result.0),
+            rate("front_end_hit_rate", front_end),
+            rate("image_hit_rate", image),
+            rate("machine_pool_hit_rate", self.pool.reuse()),
+            rate("golden_hit_rate", golden),
+            count("machines_parked", self.pool.parked() as u64),
+            count("machines_retired", self.pool.retired()),
         ])
     }
 

@@ -5,18 +5,22 @@
 //! same speedup bits, bit-identical `MachineStats` — through concurrent
 //! clients, pooled (reset) machines, and every cache layer.
 
+use std::collections::HashMap;
 use std::io::Cursor;
 use std::sync::mpsc::channel;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use voltron_bench::cli::bench_one;
 use voltron_bench::figures;
 use voltron_bench::harness::{HarnessArgs, RunRow, DEFAULT_PROBE_PERIOD};
 use voltron_bench::jsonv::{self, JValue};
 use voltron_bench::serve::{
-    parse_request, serve_connection, Request, Response, ServeError, Served, Server, ServerConfig,
+    parse_request, serve_connection, Engine, Request, Response, ServeError, Served, Server,
+    ServerConfig,
 };
-use voltron_core::{Experiment, KnobId, ObsRequest, RunResult, Strategy, WhatIfReport};
+use voltron_core::{
+    Experiment, FaultPlan, KnobId, ObsRequest, RunResult, Strategy, SystemError, WhatIfReport,
+};
 use voltron_sim::CoherenceBackend;
 use voltron_workloads::{by_name, Scale};
 
@@ -397,9 +401,265 @@ fn served_whatif_and_probes_match_direct() {
     server.shutdown();
 }
 
+// ---------------------------------------------------------------------------
+// The cache rules, one table, both views
+// ---------------------------------------------------------------------------
+
+/// One way of asking for the table's configuration.
+#[derive(Debug, Clone, Copy)]
+enum Ask {
+    Plain,
+    Traced,
+    Probed,
+    /// A what-if: the measured run plus five idealized re-simulations.
+    Idealized,
+    /// The wire's `fresh` flag (`Experiment` has no such request).
+    Fresh,
+    /// Under a cycle budget no run of the configuration fits in.
+    Starved,
+    /// Under a fault plan.
+    Faulted,
+}
+
+/// What the cache rules promise for one ask.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// Simulates, and its result is the object later hits must return.
+    Stores(&'static str),
+    /// No simulation: the very object stored under that name.
+    Hit(&'static str),
+    /// Simulates, and its result is no cached object.
+    Uncached,
+    /// Fails with this error kind.
+    Fails(&'static str),
+}
+
+/// What a view showed for one ask.
+struct Seen {
+    /// Cycles, or the error's kind.
+    outcome: Result<u64, &'static str>,
+    /// A machine ran.
+    simulated: bool,
+    /// Address of the `RunResult` handed back (0 when none is).
+    object: usize,
+}
+
+const RULES_WORKLOAD: &str = "rawcaudio";
+const RULES_CONFIG: (Strategy, usize, CoherenceBackend) = (Strategy::Hybrid, 4, SNOOPING);
+
+/// The rules of `voltron_core::cache`, in the order a session could meet
+/// them: each uncacheable ask twice (a stored result would turn the
+/// second into a hit), each followed by the plain ask, which must still
+/// be answered with the first row's object.
+const RULES: &[(Ask, Expect)] = &[
+    (Ask::Plain, Expect::Stores("plain")),
+    (Ask::Plain, Expect::Hit("plain")),
+    (Ask::Traced, Expect::Uncached),
+    (Ask::Traced, Expect::Uncached),
+    (Ask::Plain, Expect::Hit("plain")),
+    (Ask::Probed, Expect::Uncached),
+    (Ask::Probed, Expect::Uncached),
+    (Ask::Plain, Expect::Hit("plain")),
+    (Ask::Idealized, Expect::Uncached),
+    (Ask::Idealized, Expect::Uncached),
+    (Ask::Plain, Expect::Hit("plain")),
+    (Ask::Fresh, Expect::Uncached),
+    (Ask::Fresh, Expect::Uncached),
+    (Ask::Plain, Expect::Hit("plain")),
+    // A failed run caches nothing, and lifting the budget recovers.
+    (Ask::Starved, Expect::Fails("sim")),
+    (Ask::Starved, Expect::Fails("sim")),
+    (Ask::Plain, Expect::Hit("plain")),
+    // A fault plan keys separately from no plan.
+    (Ask::Faulted, Expect::Stores("faulted")),
+    (Ask::Faulted, Expect::Hit("faulted")),
+    (Ask::Plain, Expect::Hit("plain")),
+];
+
+fn rules_plan() -> FaultPlan {
+    FaultPlan::parse("seed=11,rate=0.002").expect("plan parses")
+}
+
+/// One of the two owners of a run cache, asked the table's way. `None`:
+/// the view cannot express the ask.
+trait View {
+    fn ask(&mut self, ask: Ask) -> Option<Seen>;
+}
+
+impl View for Experiment<'static> {
+    fn ask(&mut self, ask: Ask) -> Option<Seen> {
+        let (s, c, b) = RULES_CONFIG;
+        let before = self.simulated_cycles();
+        let seen = |r: &RunResult| (r.cycles, r as *const RunResult as usize);
+        let observed = |exp: &mut Self, obs: ObsRequest| {
+            let o = exp.run_observed_on(s, c, b, &obs)?;
+            Ok((o.run.cycles, Arc::as_ptr(&o.run) as usize))
+        };
+        let outcome: Result<(u64, usize), SystemError> = match ask {
+            Ask::Plain => self.run_on(s, c, b).map(seen),
+            Ask::Traced => observed(
+                self,
+                ObsRequest {
+                    chrome_trace: true,
+                    probe_period: None,
+                },
+            ),
+            Ask::Probed => observed(
+                self,
+                ObsRequest {
+                    chrome_trace: false,
+                    probe_period: Some(DEFAULT_PROBE_PERIOD),
+                },
+            ),
+            Ask::Idealized => self.whatif_on(s, c, b).map(|w| (w.measured_cycles, 0)),
+            Ask::Fresh => return None,
+            Ask::Starved => {
+                self.set_cycle_budget(Some(2));
+                let r = self.run_on(s, c, b).map(seen);
+                self.set_cycle_budget(None);
+                r
+            }
+            Ask::Faulted => {
+                self.set_fault_plan(Some(rules_plan()));
+                let r = self.run_on(s, c, b).map(seen);
+                self.set_fault_plan(None);
+                r
+            }
+        };
+        Some(Seen {
+            simulated: self.simulated_cycles() != before,
+            object: outcome.as_ref().map_or(0, |&(_, object)| object),
+            outcome: outcome
+                .map(|(cycles, _)| cycles)
+                .map_err(|e| ServeError::from(e).kind()),
+        })
+    }
+}
+
+impl View for Engine {
+    fn ask(&mut self, ask: Ask) -> Option<Seen> {
+        let (s, c, b) = RULES_CONFIG;
+        let mut req = Request::new(RULES_WORKLOAD, s, c);
+        req.backend = b;
+        match ask {
+            Ask::Plain => {}
+            Ask::Traced => req.trace = true,
+            Ask::Probed => req.probes = true,
+            Ask::Idealized => req.whatif = true,
+            Ask::Fresh => req.fresh = true,
+            Ask::Starved => req.budget_cycles = Some(2),
+            Ask::Faulted => req.faults = Some(rules_plan()),
+        }
+        Some(match self.execute(&req) {
+            Ok(served) => Seen {
+                outcome: Ok(served.run.cycles),
+                // Once the first row has parked a machine of this shape,
+                // every later simulation is handed a pooled one.
+                simulated: !served.cache.result_hit || served.cache.machine_pooled,
+                // A what-if hands back the measured run; its idealized
+                // runs' results are only ever cycles in the report.
+                object: if req.whatif {
+                    0
+                } else {
+                    Arc::as_ptr(&served.run) as usize
+                },
+            },
+            Err(e) => Seen {
+                outcome: Err(e.kind()),
+                simulated: false,
+                object: 0,
+            },
+        })
+    }
+}
+
+/// `voltron_core::cache`'s rules — which runs are served from or stored
+/// in the result layer, that a failure stores nothing, that budget and
+/// fault plan are part of the key — hold row for row through both of its
+/// views, `Experiment` and `Engine::execute`.
+#[test]
+fn the_cache_rules_hold_through_both_views() {
+    let views: [(&str, Box<dyn View>); 2] = [
+        ("Experiment", Box::new(direct_experiment(RULES_WORKLOAD))),
+        ("Engine", Box::new(Engine::new(2))),
+    ];
+    for (name, mut view) in views {
+        let mut stored: HashMap<&str, usize> = HashMap::new();
+        let mut plain_cycles = None;
+        for (row, &(ask, expect)) in RULES.iter().enumerate() {
+            let what = format!("{name}, row {row} ({ask:?}, {expect:?})");
+            let Some(seen) = view.ask(ask) else {
+                continue;
+            };
+            match expect {
+                Expect::Fails(kind) => assert_eq!(seen.outcome, Err(kind), "{what}"),
+                Expect::Stores(as_name) => {
+                    assert!(seen.outcome.is_ok() && seen.simulated, "{what}: simulates");
+                    assert!(
+                        !stored.values().any(|&o| o == seen.object),
+                        "{what}: a new object"
+                    );
+                    stored.insert(as_name, seen.object);
+                }
+                Expect::Hit(of) => {
+                    assert!(
+                        seen.outcome.is_ok() && !seen.simulated,
+                        "{what}: no simulation"
+                    );
+                    assert_eq!(seen.object, stored[of], "{what}: the stored object");
+                }
+                Expect::Uncached => {
+                    assert!(seen.outcome.is_ok() && seen.simulated, "{what}: simulates");
+                    assert!(
+                        !stored.values().any(|&o| o == seen.object),
+                        "{what}: not a cached object"
+                    );
+                }
+            }
+            // Observers, knobs and `fresh` never move the measured cycles;
+            // a fault plan may.
+            if let (Ok(cycles), false) = (seen.outcome, matches!(ask, Ask::Faulted)) {
+                assert_eq!(*plain_cycles.get_or_insert(cycles), cycles, "{what}");
+            }
+        }
+        assert_eq!(stored.len(), 2, "{name}: the plain and the faulted result");
+    }
+    a_result_is_shared_only_inside_one_batch();
+}
+
+/// A class shares one simulation only within one `run_all_on` batch:
+/// there the non-leader names its leader, while an engine asked for the
+/// same two configurations simulates both, and a later `fresh` request
+/// for the non-leader simulates again — to the very statistics the batch
+/// handed it. (The last row of the table above.)
+fn a_result_is_shared_only_inside_one_batch() {
+    // gsmencode at 4 cores: LLP wins every region of the hybrid plan.
+    let llp = (Strategy::Llp, 4, SNOOPING);
+    let hybrid = (Strategy::Hybrid, 4, SNOOPING);
+    let mut exp = direct_experiment("gsmencode");
+    exp.run_all_on(&[llp, hybrid]).expect("batch");
+    assert_eq!(exp.run_on(llp.0, 4, SNOOPING).unwrap().shared_with, None);
+    let shared = exp.run_on(hybrid.0, 4, SNOOPING).unwrap();
+    assert_eq!(shared.shared_with, Some(Strategy::Llp));
+
+    let engine = Engine::new(2);
+    let mut served = Vec::new();
+    for (strategy, fresh) in [(llp.0, false), (hybrid.0, false), (hybrid.0, true)] {
+        let mut req = Request::new("gsmencode", strategy, 4);
+        req.fresh = fresh;
+        let s = engine.execute(&req).expect("served");
+        assert!(!s.cache.result_hit, "{strategy}/fresh={fresh}: simulated");
+        assert_eq!(s.run.shared_with, None, "{strategy}/fresh={fresh}");
+        served.push(s);
+    }
+    assert!(served[2].cache.image_hit && served[2].cache.machine_pooled);
+    let baseline = served[2].baseline_cycles;
+    assert_run_matches(&served[2], shared, baseline, "fresh hybrid vs shared");
+}
+
 /// A request that panics inside the engine becomes one typed `panic`
 /// row, is counted once, retires nothing that was parked, and leaves
-/// every cache layer of its program usable (DESIGN.md §12.4). In-process
+/// every cache layer of its program usable (DESIGN.md §12.3). In-process
 /// callers bypass `parse_request`'s check, so a core count the machine
 /// model rejects is a deterministic panic route.
 #[test]

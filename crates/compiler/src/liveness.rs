@@ -82,14 +82,6 @@ impl Liveness {
             .get(&b)
             .unwrap_or_else(|| EMPTY.get_or_init(HashSet::new))
     }
-
-    /// Live-out set of a block (empty when unknown).
-    pub fn live_out_of(&self, b: BlockId) -> &HashSet<Reg> {
-        static EMPTY: std::sync::OnceLock<HashSet<Reg>> = std::sync::OnceLock::new();
-        self.live_out
-            .get(&b)
-            .unwrap_or_else(|| EMPTY.get_or_init(HashSet::new))
-    }
 }
 
 #[cfg(test)]

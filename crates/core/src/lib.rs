@@ -6,9 +6,11 @@
 //! * [`run_configuration`] compiles with a [`Strategy`] for an N-core
 //!   machine, simulates it, and *always* checks the machine's final memory
 //!   against the golden model (with a documented FP-reduction tolerance);
+//! * [`cache`] keeps what runs leave behind — golden memory, front ends,
+//!   images, results, finished machines — and decides what is cached;
 //! * [`Experiment`] batches the runs the figures need (baseline + each
-//!   technique + hybrid) and computes speedups, stall breakdowns, mode
-//!   residency, and per-region technique attribution.
+//!   technique + hybrid) through it and computes speedups, stall
+//!   breakdowns, mode residency, and per-region technique attribution.
 //!
 //! # Example
 //!
@@ -37,6 +39,7 @@
 //! # }
 //! ```
 
+pub mod cache;
 pub mod report;
 
 use std::collections::HashMap;
@@ -46,10 +49,11 @@ use voltron_compiler::{compile_prepared, CompileError, CompileOptions, FrontEnd}
 use voltron_ir::{interp, Memory, Program};
 use voltron_sim::whatif::region_stacks;
 use voltron_sim::{
-    ChromeTracer, CoherenceBackend, IdealKnobs, Machine, MachineConfig, MachineProgram,
-    MachineStats, RunOutcome, SimError, StallReason,
+    ChromeTracer, CoherenceBackend, Machine, MachineConfig, MachineProgram, MachineStats,
+    RunOutcome, SimError, StallReason,
 };
 
+pub use cache::{CacheInfo, MachinePool, ProgramCache, Reference, ResultKey, RunSpec};
 pub use voltron_compiler::Strategy;
 /// Interpreter fuel used for golden runs (and, by default, for the
 /// compiler's profiling run).
@@ -298,34 +302,25 @@ pub fn run_reference(program: &Program) -> Result<interp::Outcome, SystemError> 
     Ok(interp::run(program, GOLDEN_FUEL)?)
 }
 
-/// Compile and simulate one configuration from scratch, validating the
-/// output against `golden`. Shares nothing with any other run, which
-/// makes it the oracle `tests/shared_runs.rs` holds [`Experiment`]'s
-/// shared simulations to.
+/// Compile and simulate one configuration from scratch — fresh front
+/// end, fresh compile, a machine built for it — validating the output
+/// against `golden`. Shares nothing with any other run and touches
+/// neither a [`ProgramCache`] nor a [`MachinePool`], which makes it the
+/// oracle `tests/shared_runs.rs` holds [`Experiment`]'s cached, shared
+/// and pooled simulations to.
 ///
 /// # Errors
 /// Fails on compile/simulate errors or output divergence.
 pub fn run_configuration(
     program: &Program,
     golden: &Memory,
-    strategy: Strategy,
-    cores: usize,
+    config: Config,
     baseline_cycles: u64,
 ) -> Result<RunResult, SystemError> {
-    let config = (strategy, cores, CoherenceBackend::Snooping);
-    let prepared = prepare(&front_end(program, strategy, cores)?, config)?;
-    let env = SimEnv {
-        golden,
-        cycle_budget: None,
-        faults: None,
-    };
-    let out = simulate(
-        &prepared.image,
-        config,
-        env,
-        IdealKnobs::default(),
-        &ObsRequest::default(),
-    )?;
+    let prepared = prepare(&front_end(program, config.0, config.1)?, config)?;
+    let spec = RunSpec::new(config);
+    let mut machine = Machine::new_shared(Arc::clone(&prepared.image), &sim_config(&spec))?;
+    let out = run_checked(&mut machine, config, golden, &spec.obs)?;
     Ok(prepared.result(config, out.stats, out.ticked_cycles, baseline_cycles, None))
 }
 
@@ -345,33 +340,27 @@ pub struct ObsRequest {
 /// A run's result plus the observability artifacts requested for it.
 #[derive(Debug)]
 pub struct Observed {
-    /// The architectural result (identical to an unobserved run).
-    pub run: RunResult,
+    /// The architectural result (identical to an unobserved run); shared
+    /// with the result cache when it came from or went into it.
+    pub run: Arc<RunResult>,
     /// Chrome trace-event JSON (empty string unless requested).
     pub trace_json: String,
     /// The interval probe series, when a period was requested.
     pub probes: Option<ProbeSeries>,
+    /// Which cache layers the run found warm.
+    pub cache: CacheInfo,
 }
 
-/// One (strategy, cores, backend) point: what [`Experiment`]'s result
-/// cache and the serve engine's image cache are keyed by.
+/// One (strategy, cores, backend) point: what a [`ProgramCache`]'s image
+/// layer is keyed by, and the first part of a [`ResultKey`].
 pub type Config = (Strategy, usize, CoherenceBackend);
 
-/// The slot (a [`FrontEnd::key`], as an index) of the front end
-/// `strategy` at `cores` compiles from. A program has at most two front
-/// ends, and the coherence backend never selects between them: the front
-/// end depends on geometry only, never on memory-system timing.
-/// [`Experiment`] and the serve engine both index their two cached front
-/// ends with it.
-pub fn front_end_slot(strategy: Strategy, cores: usize) -> usize {
-    let mcfg = machine_config(cores, CoherenceBackend::Snooping);
-    usize::from(FrontEnd::key(strategy, &mcfg, &CompileOptions::default()))
-}
-
-/// Build the front end (verify, profile, analyses) that belongs in
-/// `program`'s [`front_end_slot`]`(strategy, cores)`. Profiling dominates
-/// compile time, so [`Experiment`] and the serve engine each call this at
-/// most twice per program and reuse the result in [`prepare`].
+/// Build the front end (verify, profile, analyses) `strategy` at `cores`
+/// compiles from. A program has at most two ([`FrontEnd::key`]), and the
+/// coherence backend never selects between them: the front end depends on
+/// geometry only, never on memory-system timing. Profiling dominates
+/// compile time, so a [`ProgramCache`] builds each at most once and
+/// reuses it in [`prepare`].
 ///
 /// # Errors
 /// Fails if the program does not verify or its profiling run fails.
@@ -393,9 +382,8 @@ pub fn front_end(
 /// The image sits behind an `Arc` so every simulation of it — a what-if's
 /// five, the one that serves a whole class of equal configurations, or
 /// every pooled machine the serve engine resets to it — boots from the
-/// same allocation; the planner maps stay the configuration's own.
-/// [`Experiment`] keeps one for the length of a batch, the serve engine
-/// keeps one per configuration in its image cache.
+/// same allocation; the planner maps stay the configuration's own. A
+/// [`ProgramCache`] keeps one per configuration for as long as it lives.
 #[derive(Debug)]
 pub struct Prepared {
     /// The per-core machine code.
@@ -405,9 +393,8 @@ pub struct Prepared {
     region_weights: HashMap<u32, u64>,
 }
 
-/// Plan and emit `config` from the front end in its [`front_end_slot`]:
-/// what [`Experiment`] does per missing configuration and the serve
-/// engine per image-cache miss.
+/// Plan and emit `config` from its [`front_end`]: what a [`ProgramCache`]
+/// does per image-layer miss.
 ///
 /// # Errors
 /// Propagates compile failures.
@@ -423,8 +410,7 @@ pub fn prepare(fe: &FrontEnd, (strategy, cores, backend): Config) -> Result<Prep
 
 impl Prepared {
     /// This configuration's [`RunResult`] from the statistics of a
-    /// simulation of its image: its own ([`Experiment`], and every run
-    /// the serve engine performs) or its class leader's
+    /// simulation of its image: its own, or its class leader's
     /// ([`Experiment::run_all_on`], which then names it in `shared_with`).
     pub fn result(
         &self,
@@ -450,22 +436,9 @@ impl Prepared {
     }
 }
 
-/// What a simulation runs under besides its configuration: one
-/// [`Experiment`]'s settings, or one serve request's.
-#[derive(Debug, Clone, Copy)]
-pub struct SimEnv<'a> {
-    /// The reference interpreter's final memory for the program.
-    pub golden: &'a Memory,
-    /// Cap on simulated cycles (never raises the machine's own).
-    pub cycle_budget: Option<u64>,
-    /// Fault plan to inject, if any.
-    pub faults: Option<&'a FaultPlan>,
-}
-
-/// The machine a simulation of `config` boots — for [`Experiment`] a
-/// fresh [`Machine::new_shared`], for the serve engine a pooled
-/// [`Machine::reset`] — as opposed to [`machine_config`], which is what
-/// the compiler saw.
+/// The machine a simulation of `spec` boots (built, or a pooled one
+/// reset to it), as opposed to [`machine_config`], which is what the
+/// compiler saw.
 ///
 /// The budget caps simulation only, so budgeted and unbudgeted builds
 /// stay identical. Idealization knobs are likewise simulator-side only: a
@@ -474,19 +447,15 @@ pub struct SimEnv<'a> {
 /// alone. Fault injection perturbs timing only; [`run_checked`] still
 /// holds faulted runs to the golden memory, which *is* the recovery
 /// contract (DESIGN.md §10).
-pub fn sim_config(
-    (_, cores, backend): Config,
-    env: SimEnv<'_>,
-    ideal: IdealKnobs,
-    obs: &ObsRequest,
-) -> MachineConfig {
+pub fn sim_config(spec: &RunSpec<'_>) -> MachineConfig {
+    let (_, cores, backend) = spec.config;
     let mut cfg = machine_config(cores, backend);
-    if let Some(budget) = env.cycle_budget {
+    if let Some(budget) = spec.cycle_budget {
         cfg.max_cycles = cfg.max_cycles.min(budget);
     }
-    cfg.ideal = ideal;
-    cfg.probe_period = obs.probe_period;
-    cfg.faults = env.faults.cloned();
+    cfg.ideal = spec.ideal;
+    cfg.probe_period = spec.obs.probe_period;
+    cfg.faults = spec.faults.cloned();
     cfg
 }
 
@@ -495,8 +464,8 @@ pub fn sim_config(
 /// attached when `obs` asks for one. When probes were sampled too
 /// ([`sim_config`] set the period), they are spliced into the outcome's
 /// `trace` as Perfetto counter tracks — one document shows spans and
-/// gauges. The machine is left for the caller: [`Experiment`] drops it,
-/// the serve engine parks it on `Ok` and retires it on `Err`.
+/// gauges. The machine is left for the caller: the [`MachinePool`] parks
+/// it on `Ok` and retires it on `Err`.
 ///
 /// # Errors
 /// A simulation failure, or [`SystemError::OutputMismatch`] at the first
@@ -522,21 +491,6 @@ pub fn run_checked(
         out.trace = voltron_sim::trace_with_counters(&out.trace, series);
     }
     Ok(out)
-}
-
-/// One simulation on a machine of its own. Validation (inside
-/// [`Machine::new_shared`]) and the golden compare (inside
-/// [`run_checked`]) happen on every simulation actually performed.
-fn simulate(
-    image: &Arc<MachineProgram>,
-    config: Config,
-    env: SimEnv<'_>,
-    ideal: IdealKnobs,
-    obs: &ObsRequest,
-) -> Result<RunOutcome, SystemError> {
-    let cfg = sim_config(config, env, ideal, obs);
-    let mut machine = Machine::new_shared(Arc::clone(image), &cfg)?;
-    run_checked(&mut machine, config, env.golden, obs)
 }
 
 /// Run `f` over `items` on scoped host threads — the last on the calling
@@ -669,19 +623,50 @@ impl WhatIfReport {
     }
 }
 
-/// Per-benchmark experiment driver: computes the baseline once, then runs
-/// any (strategy, cores) combination against it.
-pub struct Experiment<'a> {
-    program: &'a Program,
-    golden: Memory,
-    baseline_cycles: u64,
-    cache: HashMap<(Strategy, usize, CoherenceBackend), RunResult>,
-    /// Compiler front ends, indexed by [`FrontEnd::key`].
-    front_ends: [Option<FrontEnd>; 2],
-    sim_cycles: u64,
-    ticked_cycles: u64,
+/// Simulated and actually-ticked cycles of the simulations performed.
+#[derive(Default)]
+struct Totals {
+    simulated: u64,
+    ticked: u64,
+}
+
+impl Totals {
+    fn add(&mut self, run: &RunResult) {
+        self.simulated += run.cycles;
+        self.ticked += run.ticked_cycles;
+    }
+}
+
+/// The budget and fault plan every run of one experiment shares.
+#[derive(Default)]
+struct Settings {
     cycle_budget: Option<u64>,
     fault_plan: Option<FaultPlan>,
+}
+
+impl Settings {
+    /// A plain run of `config` under these settings.
+    fn plain(&self, config: Config) -> RunSpec<'_> {
+        RunSpec {
+            cycle_budget: self.cycle_budget,
+            faults: self.fault_plan.as_ref(),
+            ..RunSpec::new(config)
+        }
+    }
+}
+
+/// Per-benchmark experiment driver: computes the baseline once, then runs
+/// any (strategy, cores) combination against it. A single-program,
+/// single-owner view of the run cache ([`cache`]): it adds the budget and
+/// fault plan every run shares, batching ([`Experiment::run_all_on`]),
+/// host fan-out, and the totals of what it simulated.
+pub struct Experiment<'a> {
+    program: &'a Program,
+    cache: ProgramCache,
+    pool: MachinePool,
+    reference: Arc<Reference>,
+    totals: Totals,
+    settings: Settings,
 }
 
 impl<'a> Experiment<'a> {
@@ -703,57 +688,51 @@ impl<'a> Experiment<'a> {
         program: &'a Program,
         budget: Option<u64>,
     ) -> Result<Experiment<'a>, SystemError> {
-        let golden = run_reference(program)?.memory;
-        let mut exp = Experiment {
+        let cache = ProgramCache::default();
+        // One parked machine per shape: an experiment's repeat runs of a
+        // shape come one after another, bar a what-if's own five.
+        let pool = MachinePool::new(1);
+        let (reference, _) = cache.reference(program, &pool, budget)?;
+        Ok(Experiment {
             program,
-            golden,
-            baseline_cycles: 0,
-            cache: HashMap::new(),
-            front_ends: [None, None],
-            sim_cycles: 0,
-            ticked_cycles: 0,
-            cycle_budget: budget,
-            fault_plan: None,
-        };
-        let serial = (Strategy::Serial, 1, CoherenceBackend::Snooping);
-        let image = exp.prepare(serial)?.image;
-        let base = simulate(
-            &image,
-            serial,
-            exp.env(),
-            IdealKnobs::default(),
-            &ObsRequest::default(),
-        )?;
-        exp.baseline_cycles = base.stats.cycles;
-        exp.count(&base);
-        Ok(exp)
+            cache,
+            pool,
+            totals: Totals {
+                simulated: reference.baseline_cycles,
+                ticked: reference.baseline_ticked_cycles,
+            },
+            reference,
+            settings: Settings {
+                cycle_budget: budget,
+                fault_plan: None,
+            },
+        })
     }
 
     /// Serial 1-core execution time in cycles.
     pub fn baseline_cycles(&self) -> u64 {
-        self.baseline_cycles
+        self.reference.baseline_cycles
     }
 
     /// Cap every *subsequent* [`Experiment::run`] at `budget` simulated
     /// cycles (never raising the machine's own `max_cycles`). A run that
     /// exhausts the budget fails with `SimError::MaxCycles`, so a
     /// harness can bound how long one workload may hold a host thread.
-    /// `None` removes the cap.
+    /// `None` removes the cap. The budget is part of the [`ResultKey`]:
+    /// results cached under another budget are neither served nor listed
+    /// by [`Experiment::results`] until it is set again.
     pub fn set_cycle_budget(&mut self, budget: Option<u64>) {
-        self.cycle_budget = budget;
+        self.settings.cycle_budget = budget;
     }
 
     /// Inject faults into every *subsequent* run per `plan` (see
     /// `voltron_sim::fault`): timing moves, but the output check still
     /// holds every faulted run to the golden memory. The serial baseline
     /// (already computed) stays fault-free — it is the denominator the
-    /// speedups are normalized by. Changing the plan clears the result
-    /// cache so one `Experiment` never mixes runs under different plans.
+    /// speedups are normalized by. The plan is part of the [`ResultKey`],
+    /// so one `Experiment` never mixes runs under different plans.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        if self.fault_plan != plan {
-            self.cache.clear();
-        }
-        self.fault_plan = plan;
+        self.settings.fault_plan = plan;
     }
 
     /// Total simulated cycles across every simulation this experiment
@@ -763,7 +742,7 @@ impl<'a> Experiment<'a> {
     /// the sum by host wall-clock for its simulated-cycles-per-second
     /// throughput metric, which therefore stays a simulator-speed number.
     pub fn simulated_cycles(&self) -> u64 {
-        self.sim_cycles
+        self.totals.simulated
     }
 
     /// Total cycles the simulator actually ticked across those runs.
@@ -771,47 +750,17 @@ impl<'a> Experiment<'a> {
     /// skip-efficiency the harness reports (1.0 means no cycle was
     /// skippable).
     pub fn ticked_cycles(&self) -> u64 {
-        self.ticked_cycles
+        self.totals.ticked
     }
 
-    /// Every cached configuration result, in deterministic
-    /// (strategy name, cores, backend) order — the harness's
-    /// `BENCH_*.json` inventory.
-    pub fn results(&self) -> Vec<&RunResult> {
-        let mut v: Vec<&RunResult> = self.cache.values().collect();
+    /// Every configuration result cached under the current budget and
+    /// fault plan, in deterministic (strategy name, cores, backend) order
+    /// — the harness's `BENCH_*.json` inventory.
+    pub fn results(&self) -> Vec<Arc<RunResult>> {
+        let s = &self.settings;
+        let mut v = self.cache.results(s.cycle_budget, s.fault_plan.as_ref());
         v.sort_by_key(|r| (r.strategy.to_string(), r.cores, r.backend.label()));
         v
-    }
-
-    /// Build (once) the front end in this configuration's
-    /// [`front_end_slot`], returning the slot.
-    fn ensure_front_end(&mut self, strategy: Strategy, cores: usize) -> Result<usize, SystemError> {
-        let idx = front_end_slot(strategy, cores);
-        if self.front_ends[idx].is_none() {
-            self.front_ends[idx] = Some(front_end(self.program, strategy, cores)?);
-        }
-        Ok(idx)
-    }
-
-    /// Compile `config` (building its front end first if need be).
-    fn prepare(&mut self, config: Config) -> Result<Prepared, SystemError> {
-        let idx = self.ensure_front_end(config.0, config.1)?;
-        prepare(self.front_ends[idx].as_ref().expect("just built"), config)
-    }
-
-    /// The golden memory, budget and fault plan every run is held to.
-    fn env(&self) -> SimEnv<'_> {
-        SimEnv {
-            golden: &self.golden,
-            cycle_budget: self.cycle_budget,
-            faults: self.fault_plan.as_ref(),
-        }
-    }
-
-    /// Add a simulation that was actually performed to the totals.
-    fn count(&mut self, out: &RunOutcome) {
-        self.sim_cycles += out.stats.cycles;
-        self.ticked_cycles += out.ticked_cycles;
     }
 
     /// Run (or fetch the cached run of) a configuration on the default
@@ -834,16 +783,19 @@ impl<'a> Experiment<'a> {
         cores: usize,
         backend: CoherenceBackend,
     ) -> Result<&RunResult, SystemError> {
-        self.run_all_on(&[(strategy, cores, backend)])?;
-        Ok(&self.cache[&(strategy, cores, backend)])
+        let config = (strategy, cores, backend);
+        self.run_all_on(&[config])?;
+        let spec = self.settings.plain(config);
+        Ok(self.cache.cached_mut(&spec).expect("just run"))
     }
 
     /// Run a configuration with observability attached, returning the
     /// trace/probe artifacts alongside the result. Always simulates
-    /// fresh (never serves or fills the cache: an observed run is asked
-    /// for because its artifacts are wanted, and the cache must keep the
-    /// exact object an unobserved sweep produced); the simulated cycles
-    /// still count toward the throughput totals.
+    /// (an observed run has no [`RunSpec::key`]: it is asked for because
+    /// its artifacts are wanted, and the cache must keep the exact object
+    /// an unobserved sweep produced) — on the image an earlier run of the
+    /// configuration compiled; the simulated cycles still count toward
+    /// the throughput totals.
     ///
     /// # Errors
     /// Propagates configuration failures.
@@ -854,22 +806,17 @@ impl<'a> Experiment<'a> {
         backend: CoherenceBackend,
         obs: &ObsRequest,
     ) -> Result<Observed, SystemError> {
-        let config = (strategy, cores, backend);
-        let prepared = self.prepare(config)?;
-        let out = simulate(
-            &prepared.image,
-            config,
-            self.env(),
-            IdealKnobs::default(),
-            obs,
-        )?;
-        self.count(&out);
-        let baseline = self.baseline_cycles;
-        Ok(Observed {
-            run: prepared.result(config, out.stats, out.ticked_cycles, baseline, None),
-            trace_json: out.trace,
-            probes: out.probes,
-        })
+        let spec = RunSpec {
+            obs: obs.clone(),
+            ..self.settings.plain((strategy, cores, backend))
+        };
+        let out = self
+            .cache
+            .run(self.program, &self.reference, &self.pool, &spec)?;
+        if !out.cache.result_hit {
+            self.totals.add(&out.run);
+        }
+        Ok(out)
     }
 
     /// Run every not-yet-cached configuration in `configs`, simulating
@@ -885,9 +832,9 @@ impl<'a> Experiment<'a> {
     /// order) is validated, simulated and compared with the golden
     /// memory; every other member's [`RunResult`] is built from the
     /// leader's statistics under its own strategy label, region maps and
-    /// speedup, and names the leader in [`RunResult::shared_with`].
-    /// Images are dropped when the batch ends (DESIGN.md, "Shared
-    /// simulations").
+    /// speedup, and names the leader in [`RunResult::shared_with`]. A
+    /// class exists within one batch only: a configuration asked for on
+    /// its own is simulated (DESIGN.md, "Shared simulations").
     ///
     /// Classes are independent simulations sharing only immutable state,
     /// so a workload's sweep finishes in the wall-clock of its slowest
@@ -903,20 +850,20 @@ impl<'a> Experiment<'a> {
         &mut self,
         configs: &[(Strategy, usize, CoherenceBackend)],
     ) -> Result<(), SystemError> {
-        let mut missing: Vec<Config> = Vec::new();
-        for c in configs {
-            if !self.cache.contains_key(c) && !missing.contains(c) {
-                missing.push(*c);
+        let mut missing: Vec<RunSpec<'_>> = Vec::new();
+        for &c in configs {
+            let spec = self.settings.plain(c);
+            if self.cache.cached(&spec).is_none() && !missing.iter().any(|m| m.config == c) {
+                missing.push(spec);
             }
         }
-        // Compile up front, serially: front ends are shared mutable state
-        // (at most two exist per program). A compile failure ends the
-        // batch where a sequential sweep would have stopped — whatever
-        // precedes it still runs and commits before the error is returned.
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(missing.len());
+        // Compile up front, serially. A compile failure ends the batch
+        // where a sequential sweep would have stopped — whatever precedes
+        // it still runs and commits before the error is returned.
+        let mut prepared = Vec::with_capacity(missing.len());
         let mut compile_failure = None;
-        for &config in &missing {
-            match self.prepare(config) {
+        for spec in &missing {
+            match self.cache.prepared(self.program, spec.config) {
                 Ok(p) => prepared.push(p),
                 Err(e) => {
                     compile_failure = Some(e);
@@ -928,54 +875,49 @@ impl<'a> Experiment<'a> {
         // machine with the same program as `i` (itself, when none does).
         let mut leader: Vec<usize> = Vec::with_capacity(prepared.len());
         for i in 0..prepared.len() {
+            let shape = |k: usize| (missing[k].config.1, missing[k].config.2);
             let same = (0..i).find(|&j| {
-                leader[j] == j
-                    && (missing[j].1, missing[j].2) == (missing[i].1, missing[i].2)
-                    && prepared[j].image == prepared[i].image
+                leader[j] == j && shape(j) == shape(i) && prepared[j].0.image == prepared[i].0.image
             });
             leader.push(same.unwrap_or(i));
         }
         let leaders: Vec<usize> = (0..leader.len()).filter(|&i| leader[i] == i).collect();
-        let env = self.env();
-        let mut outcomes = fan_out(&leaders, |&i| {
-            simulate(
-                &prepared[i].image,
-                missing[i],
-                env,
-                IdealKnobs::default(),
-                &ObsRequest::default(),
-            )
-        })
-        .into_iter();
-        for (i, p) in prepared.iter().enumerate() {
-            let (stats, ticked, shared_with) = if leader[i] == i {
-                let out = outcomes.next().expect("one outcome per leader")?;
-                self.count(&out);
-                (out.stats, out.ticked_cycles, None)
+        let (golden, baseline) = (&self.reference.memory, self.reference.baseline_cycles);
+        let simulate =
+            |&i: &usize| cache::simulate(&prepared[i], golden, baseline, &self.pool, &missing[i]);
+        let mut outcomes = fan_out(&leaders, simulate).into_iter();
+        let mut committed: Vec<Arc<RunResult>> = Vec::with_capacity(prepared.len());
+        for (i, (p, _)) in prepared.iter().enumerate() {
+            let run = if leader[i] == i {
+                let run = outcomes.next().expect("one outcome per leader")?.run;
+                self.totals.add(&run);
+                run
             } else {
                 // Committed earlier in this loop: a failed leader has
                 // already returned its error.
-                let lead = &self.cache[&missing[leader[i]]];
-                (lead.stats.clone(), lead.ticked_cycles, Some(lead.strategy))
+                let lead = &committed[leader[i]];
+                let (stats, ticked) = (lead.stats.clone(), lead.ticked_cycles);
+                let shared_with = Some(lead.strategy);
+                Arc::new(p.result(missing[i].config, stats, ticked, baseline, shared_with))
             };
-            let r = p.result(missing[i], stats, ticked, self.baseline_cycles, shared_with);
-            self.cache.insert(missing[i], r);
+            self.cache.store(&missing[i], &run);
+            committed.push(run);
         }
         compile_failure.map_or(Ok(()), Err)
     }
 
     /// Diagnose a configuration: build its CPI stack and per-region
     /// classification from the measured run (cached, or run now exactly
-    /// as [`Experiment::run_on`] would), then compile the configuration
-    /// once and re-simulate that *one image* under each [`KnobId::ALL`]
-    /// idealization across host threads, reporting each knob's speedup
-    /// ceiling.
+    /// as [`Experiment::run_on`] would), then re-simulate the image that
+    /// run compiled under each [`KnobId::ALL`] idealization across host
+    /// threads, reporting each knob's speedup ceiling.
     ///
-    /// The measured run is never perturbed: idealized results live only
-    /// in the returned report, never in the result cache, so a sweep
-    /// that also asks for what-ifs serves byte-identical `RunResult`s.
-    /// Idealized runs are still validated against the golden memory —
-    /// idealization changes timing, never architectural output.
+    /// The measured run is never perturbed: an idealized run has no
+    /// [`RunSpec::key`], so its result lives only in the returned report
+    /// and a sweep that also asks for what-ifs serves byte-identical
+    /// `RunResult`s. Idealized runs are still validated against the
+    /// golden memory — idealization changes timing, never architectural
+    /// output.
     ///
     /// # Errors
     /// Propagates configuration failures (measured or idealized).
@@ -986,19 +928,18 @@ impl<'a> Experiment<'a> {
         backend: CoherenceBackend,
     ) -> Result<WhatIfReport, SystemError> {
         let mut report = WhatIfReport::diagnose(self.run_on(strategy, cores, backend)?);
-        // The five idealized runs are independent simulations of one
-        // compiled binary: prepare it once, boot all five from the same
-        // image, fan them out like `run_all_on` does.
-        let config = (strategy, cores, backend);
-        let image = self.prepare(config)?.image;
-        let env = self.env();
-        let outcomes = fan_out(&KnobId::ALL, |knob| {
-            simulate(&image, config, env, knob.knobs(), &ObsRequest::default())
+        let specs = KnobId::ALL.map(|knob| RunSpec {
+            ideal: knob.knobs(),
+            ..self.settings.plain((strategy, cores, backend))
+        });
+        let outcomes = fan_out(&specs, |spec| {
+            self.cache
+                .run(self.program, &self.reference, &self.pool, spec)
         });
         for (knob, outcome) in KnobId::ALL.into_iter().zip(outcomes) {
-            let out = outcome?;
-            self.count(&out);
-            report.ceiling(knob, out.stats.cycles);
+            let run = outcome?.run;
+            self.totals.add(&run);
+            report.ceiling(knob, run.cycles);
         }
         Ok(report)
     }

@@ -494,24 +494,6 @@ impl FunctionBuilder {
         ));
     }
 
-    /// `acc = fmin(acc, v)` in the canonical reduction form.
-    pub fn reduce_fmin(&mut self, acc: Reg, v: Reg) {
-        self.emit(Inst::with_dst(
-            Opcode::Fmin,
-            acc,
-            vec![acc.into(), v.into()],
-        ));
-    }
-
-    /// `acc = fmax(acc, v)` in the canonical reduction form.
-    pub fn reduce_fmax(&mut self, acc: Reg, v: Reg) {
-        self.emit(Inst::with_dst(
-            Opcode::Fmax,
-            acc,
-            vec![acc.into(), v.into()],
-        ));
-    }
-
     // ---- structured loop helpers ----
 
     /// Build a canonical counted loop `for (iv = start; iv < bound;

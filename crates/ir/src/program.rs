@@ -1,9 +1,7 @@
 //! Programs, functions, blocks, and the static data segment.
 
 use crate::inst::Inst;
-use crate::opcode::Opcode;
 use crate::reg::{Reg, RegClass};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a basic block within a function (or per-core image).
@@ -38,7 +36,7 @@ impl FuncId {
 ///
 /// Blocks fall through to the next block in layout order unless the last
 /// instruction is an unconditional control transfer
-/// ([`Opcode::ends_block`]).
+/// ([`crate::opcode::Opcode::ends_block`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Block {
     /// The instructions, in program order.
@@ -302,43 +300,16 @@ impl Program {
         self.func(self.main)
     }
 
-    /// Look up a function id by name.
-    pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
-        self.funcs
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| FuncId(i as u32))
-    }
-
     /// Total static instruction count across all functions.
     pub fn inst_count(&self) -> usize {
         self.funcs.iter().map(Function::inst_count).sum()
-    }
-
-    /// Count of dynamic opcode categories (diagnostic helper).
-    pub fn opcode_histogram(&self) -> HashMap<&'static str, usize> {
-        let mut h = HashMap::new();
-        for f in &self.funcs {
-            for b in &f.blocks {
-                for i in &b.insts {
-                    let key = match i.op {
-                        Opcode::Load(..) | Opcode::Fload | Opcode::Fload4 => "load",
-                        Opcode::Store(_) | Opcode::Fstore | Opcode::Fstore4 => "store",
-                        Opcode::Br | Opcode::Jump => "branch",
-                        Opcode::Call => "call",
-                        _ => "other",
-                    };
-                    *h.entry(key).or_insert(0) += 1;
-                }
-            }
-        }
-        h
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opcode::Opcode;
 
     #[test]
     fn data_segment_allocates_aligned() {

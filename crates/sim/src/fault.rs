@@ -34,6 +34,7 @@
 //! forensics once a retry budget is exhausted. DESIGN.md §10 carries the
 //! full argument.
 
+use crate::config::Watchdogs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -470,6 +471,70 @@ impl std::fmt::Display for FaultBudgetReport {
             self.budget,
             self.detail
         )
+    }
+}
+
+/// What a subsystem that hosts fault sites carries beside its
+/// [`SiteInjector`]s: the retry budget and backoff it recovers under, the
+/// first budget exhaustion (held for the machine to surface), and the
+/// fault/recovery log the machine drains into trace events.
+#[derive(Debug)]
+pub struct FaultPort {
+    watchdogs: Watchdogs,
+    failure: Option<FaultBudgetReport>,
+    /// Populated only while a tracer will drain it.
+    log_enabled: bool,
+    events: Vec<(u64, usize, FaultSite, &'static str)>,
+}
+
+impl FaultPort {
+    /// A port recovering under `watchdogs`' retry budget and backoff.
+    pub fn new(watchdogs: &Watchdogs) -> FaultPort {
+        FaultPort {
+            watchdogs: *watchdogs,
+            failure: None,
+            log_enabled: false,
+            events: Vec::new(),
+        }
+    }
+
+    /// Retries allowed per message or request.
+    pub fn budget(&self) -> u32 {
+        self.watchdogs.fault_retry_budget
+    }
+
+    /// Delay before retry `attempt` ([`Watchdogs::backoff`]).
+    pub fn backoff(&self, attempt: u32) -> u64 {
+        self.watchdogs.backoff(attempt)
+    }
+
+    /// Record a fault or recovery `action` at `site`, if anyone listens.
+    pub fn log(&mut self, now: u64, core: usize, site: FaultSite, action: &'static str) {
+        if self.log_enabled {
+            self.events.push((now, core, site, action));
+        }
+    }
+
+    /// Record a retry-budget exhaustion; the first one is kept.
+    pub fn fail(&mut self, report: FaultBudgetReport) {
+        self.failure.get_or_insert(report);
+    }
+
+    /// Enable the fault/recovery event log (only useful with a tracer
+    /// attached; unbounded otherwise, so off by default).
+    pub fn set_logging(&mut self, on: bool) {
+        self.log_enabled = on;
+    }
+
+    /// Drain the fault/recovery log: `(cycle, core, site, action)`.
+    pub fn take_events(&mut self) -> Vec<(u64, usize, FaultSite, &'static str)> {
+        std::mem::take(&mut self.events)
+    }
+
+    /// The first retry-budget exhaustion, if one occurred (the machine
+    /// polls this after each tick and fails the run closed).
+    pub fn take_failure(&mut self) -> Option<FaultBudgetReport> {
+        self.failure.take()
     }
 }
 

@@ -12,7 +12,7 @@ use crate::config::MachineConfig;
 use crate::decode::{
     bits_value, value_bits, BrTarget, DInst, DOp, DecodedCore, DecodedProgram, IssueClass,
 };
-use crate::fault::{FaultBudgetReport, FaultKind, FaultSite, FaultStats, SiteInjector};
+use crate::fault::{FaultBudgetReport, FaultKind, FaultPort, FaultSite, FaultStats, SiteInjector};
 use crate::mcode::{MachineProgram, RegionId, REGION_OUTSIDE};
 use crate::memsys::{Completion, LoadOutcome, MemSys};
 use crate::network::{bits, OperandNetwork, Payload};
@@ -737,13 +737,16 @@ impl Machine {
         self.tracer = Some(t);
         // Fault events are buffered by the subsystems only while someone
         // will drain them.
-        self.net.set_fault_logging(true);
-        self.memsys.set_fault_logging(true);
+        for port in self.fault_ports() {
+            port.set_logging(true);
+        }
     }
 
-    /// Remove and return the tracer (to inspect what it captured).
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
+    /// The subsystems' fault ports, interconnect first (none without a
+    /// fault plan).
+    fn fault_ports(&mut self) -> impl Iterator<Item = &mut FaultPort> {
+        let ports = [self.memsys.fault_port(), self.net.fault_port()];
+        ports.into_iter().flatten()
     }
 
     fn trace(&mut self, e: TraceEvent<'_>) {
@@ -1615,20 +1618,12 @@ impl Machine {
             // Fail closed the moment any subsystem's recovery exhausted
             // its retry budget: a parked request can never complete, so
             // continuing would end in a misleading deadlock report.
-            if let Some(r) = self
-                .memsys
-                .take_fault_failure()
-                .or_else(|| self.net.take_fault_failure())
-            {
+            if let Some(r) = self.fault_ports().find_map(FaultPort::take_failure) {
                 return Err(SimError::FaultBudget(r));
             }
             if self.tracer.is_some() {
-                let events: Vec<_> = self
-                    .memsys
-                    .take_fault_events()
-                    .into_iter()
-                    .chain(self.net.take_fault_events())
-                    .collect();
+                let ports = self.fault_ports();
+                let events: Vec<_> = ports.flat_map(FaultPort::take_events).collect();
                 for (cycle, core, site, action) in events {
                     self.trace(TraceEvent::Fault {
                         cycle,

@@ -22,7 +22,9 @@
 
 use crate::cache::{LineState, TagCache};
 use crate::config::{CoherenceBackend, MachineConfig};
-use crate::fault::{FaultBudgetReport, FaultKind, FaultSite, SiteFaults, SiteInjector};
+use crate::fault::{
+    FaultBudgetReport, FaultKind, FaultPlan, FaultPort, FaultSite, SiteFaults, SiteInjector,
+};
 use std::collections::VecDeque;
 use std::fmt;
 use voltron_ir::Reg;
@@ -251,31 +253,23 @@ struct Bank {
 struct MemFaults {
     grant_loss: SiteInjector,
     stall: SiteInjector,
-    /// Reissue budget per request ([`crate::config::Watchdogs`]).
-    budget: u32,
-    backoff_base: u64,
-    /// First budget exhaustion, held for the machine to surface.
-    failure: Option<FaultBudgetReport>,
+    port: FaultPort,
     /// Consecutive grant losses of each bank's head request.
     lost: Vec<u32>,
     /// Cycle before which a bank may not grant again (post-loss backoff;
     /// `u64::MAX` parks a bank whose budget is exhausted).
     blocked_until: Vec<u64>,
-    log_enabled: bool,
-    events: Vec<(u64, usize, FaultSite, &'static str)>,
 }
 
 impl MemFaults {
-    /// Bounded exponential backoff, mirroring
-    /// [`crate::config::Watchdogs::backoff`].
-    fn backoff(&self, attempt: u32) -> u64 {
-        self.backoff_base << attempt.saturating_sub(1).min(10)
-    }
-
-    fn log(&mut self, now: u64, core: usize, site: FaultSite, action: &'static str) {
-        if self.log_enabled {
-            self.events.push((now, core, site, action));
-        }
+    fn new(plan: &FaultPlan, cfg: &MachineConfig, n_banks: usize) -> Box<MemFaults> {
+        Box::new(MemFaults {
+            grant_loss: plan.injector(FaultSite::GrantLoss),
+            stall: plan.injector(FaultSite::BankStall),
+            port: FaultPort::new(&cfg.watchdogs),
+            lost: vec![0; n_banks],
+            blocked_until: vec![0; n_banks],
+        })
     }
 }
 
@@ -349,19 +343,10 @@ impl MemSys {
             stats_c2c: 0,
             stats_mem: 0,
             grants: Vec::new(),
-            faults: cfg.faults.as_ref().map(|plan| {
-                Box::new(MemFaults {
-                    grant_loss: plan.injector(FaultSite::GrantLoss),
-                    stall: plan.injector(FaultSite::BankStall),
-                    budget: cfg.watchdogs.fault_retry_budget,
-                    backoff_base: cfg.watchdogs.fault_backoff_base,
-                    failure: None,
-                    lost: vec![0; n_banks],
-                    blocked_until: vec![0; n_banks],
-                    log_enabled: false,
-                    events: Vec::new(),
-                })
-            }),
+            faults: cfg
+                .faults
+                .as_ref()
+                .map(|plan| MemFaults::new(plan, cfg, n_banks)),
         }
     }
 
@@ -424,19 +409,10 @@ impl MemSys {
         self.grants.clear();
         // Fault state is rebuilt rather than cleared: the plan is
         // per-request and cheap next to a run.
-        self.faults = cfg.faults.as_ref().map(|plan| {
-            Box::new(MemFaults {
-                grant_loss: plan.injector(FaultSite::GrantLoss),
-                stall: plan.injector(FaultSite::BankStall),
-                budget: cfg.watchdogs.fault_retry_budget,
-                backoff_base: cfg.watchdogs.fault_backoff_base,
-                failure: None,
-                lost: vec![0; n_banks],
-                blocked_until: vec![0; n_banks],
-                log_enabled: false,
-                events: Vec::new(),
-            })
-        });
+        self.faults = cfg
+            .faults
+            .as_ref()
+            .map(|plan| MemFaults::new(plan, cfg, n_banks));
         self.cfg = cfg.clone();
     }
 
@@ -857,26 +833,26 @@ impl MemSys {
                     if let Some(f) = self.faults.as_deref_mut() {
                         if f.grant_loss.fire(now).is_some() {
                             let attempts = f.lost[b] + 1;
-                            if attempts > f.budget {
+                            if attempts > f.port.budget() {
                                 f.grant_loss.note_gave_up();
                                 f.blocked_until[b] = u64::MAX;
-                                f.failure.get_or_insert(FaultBudgetReport {
+                                f.port.fail(FaultBudgetReport {
                                     cycle: now,
                                     site: FaultSite::GrantLoss,
                                     attempts,
-                                    budget: f.budget,
+                                    budget: f.port.budget(),
                                     detail: format!(
                                         "bank {b} {} request from core {}",
                                         req.kind.label(),
                                         req.core
                                     ),
                                 });
-                                f.log(now, req.core, FaultSite::GrantLoss, "gave-up");
+                                f.port.log(now, req.core, FaultSite::GrantLoss, "gave-up");
                             } else {
                                 f.grant_loss.note_retried(1);
                                 f.lost[b] = attempts;
-                                f.blocked_until[b] = now + f.backoff(attempts);
-                                f.log(now, req.core, FaultSite::GrantLoss, "lost");
+                                f.blocked_until[b] = now + f.port.backoff(attempts);
+                                f.port.log(now, req.core, FaultSite::GrantLoss, "lost");
                             }
                             self.banks[b].queue.push_front(req);
                             continue;
@@ -884,12 +860,12 @@ impl MemSys {
                         if f.lost[b] > 0 {
                             f.lost[b] = 0;
                             f.grant_loss.note_recovered();
-                            f.log(now, req.core, FaultSite::GrantLoss, "recovered");
+                            f.port.log(now, req.core, FaultSite::GrantLoss, "recovered");
                         }
                         if let Some(FaultKind::Stall(d)) = f.stall.fire(now) {
                             extra = d;
                             f.stall.note_recovered();
-                            f.log(now, req.core, FaultSite::BankStall, "stalled");
+                            f.port.log(now, req.core, FaultSite::BankStall, "stalled");
                         }
                     }
                     let (lat, others) = self.grant_latency(&req);
@@ -1014,25 +990,9 @@ impl MemSys {
 
     // ---- fault injection ----
 
-    /// Enable the fault/recovery event log (only useful with a tracer
-    /// attached; unbounded otherwise, so off by default).
-    pub fn set_fault_logging(&mut self, on: bool) {
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.log_enabled = on;
-        }
-    }
-
-    /// Drain the fault/recovery log: `(cycle, core, site, action)`.
-    pub fn take_fault_events(&mut self) -> Vec<(u64, usize, FaultSite, &'static str)> {
-        self.faults
-            .as_deref_mut()
-            .map_or_else(Vec::new, |f| std::mem::take(&mut f.events))
-    }
-
-    /// The first retry-budget exhaustion, if one occurred (the machine
-    /// polls this after each tick and fails the run closed).
-    pub fn take_fault_failure(&mut self) -> Option<FaultBudgetReport> {
-        self.faults.as_deref_mut().and_then(|f| f.failure.take())
+    /// The interconnect's fault port, when the config carries a fault plan.
+    pub fn fault_port(&mut self) -> Option<&mut FaultPort> {
+        self.faults.as_deref_mut().map(|f| &mut f.port)
     }
 
     /// Per-site fault counters for the interconnect's two sites.
@@ -1104,7 +1064,7 @@ mod tests {
         assert_eq!(t, clean + 8);
         let gl = m.fault_stats()[0].1;
         assert_eq!((gl.injected, gl.retried, gl.recovered), (1, 1, 1));
-        assert!(m.take_fault_failure().is_none());
+        assert!(m.fault_port().and_then(FaultPort::take_failure).is_none());
     }
 
     #[test]
@@ -1135,7 +1095,10 @@ mod tests {
         for t in 0..5000 {
             m.tick(t, &mut Vec::new());
         }
-        let report = m.take_fault_failure().expect("budget must exhaust");
+        let report = m
+            .fault_port()
+            .and_then(FaultPort::take_failure)
+            .expect("budget must exhaust");
         assert_eq!(report.site, FaultSite::GrantLoss);
         assert!(report.attempts > report.budget);
         assert!(report.detail.contains("read-shared"));

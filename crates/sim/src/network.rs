@@ -52,7 +52,9 @@
 //!   occupancy counters instead of every `(receiver, sender)` stream map.
 
 use crate::config::MachineConfig;
-use crate::fault::{FaultBudgetReport, FaultKind, FaultSite, SiteFaults, SiteInjector};
+use crate::fault::{
+    FaultBudgetReport, FaultKind, FaultPlan, FaultPort, FaultSite, SiteFaults, SiteInjector,
+};
 use crate::hash::IntMap;
 use std::collections::{HashMap, VecDeque};
 use voltron_ir::{BlockId, Dir, Value};
@@ -198,34 +200,25 @@ struct NetFaults {
     drop: SiteInjector,
     delay: SiteInjector,
     dup: SiteInjector,
-    /// Drop-retry budget per message ([`crate::config::Watchdogs`]).
-    budget: u32,
-    /// Backoff base ([`crate::config::Watchdogs::fault_backoff_base`]).
-    backoff_base: u64,
-    /// First budget exhaustion, held for the machine to surface.
-    failure: Option<FaultBudgetReport>,
+    port: FaultPort,
     /// `tx_seq[from]`: next sequence number per `(to, tag)` stream.
     tx_seq: Vec<HashMap<(usize, u32), u64>>,
     /// `rx_seq[to][from]`: next expected sequence number per tag; a
     /// delivery below it is a duplicate and is dropped at CAM insertion.
     rx_seq: Vec<Vec<HashMap<u32, u64>>>,
-    /// Fault/recovery log `(cycle, core, site, action)` drained by the
-    /// machine into trace events; populated only when a tracer asks.
-    log_enabled: bool,
-    events: Vec<(u64, usize, FaultSite, &'static str)>,
 }
 
 impl NetFaults {
-    /// Bounded exponential backoff, mirroring
-    /// [`crate::config::Watchdogs::backoff`].
-    fn backoff(&self, attempt: u32) -> u64 {
-        self.backoff_base << attempt.saturating_sub(1).min(10)
-    }
-
-    fn log(&mut self, now: u64, core: usize, site: FaultSite, action: &'static str) {
-        if self.log_enabled {
-            self.events.push((now, core, site, action));
-        }
+    fn new(plan: &FaultPlan, cfg: &MachineConfig) -> Box<NetFaults> {
+        let n = cfg.cores;
+        Box::new(NetFaults {
+            drop: plan.injector(FaultSite::NetDrop),
+            delay: plan.injector(FaultSite::NetDelay),
+            dup: plan.injector(FaultSite::NetDuplicate),
+            port: FaultPort::new(&cfg.watchdogs),
+            tx_seq: (0..n).map(|_| HashMap::new()).collect(),
+            rx_seq: (0..n).map(|_| vec![HashMap::new(); n]).collect(),
+        })
     }
 }
 
@@ -294,20 +287,7 @@ impl OperandNetwork {
                 neighbor[core * LINKS + dir_index(d)] = cfg.neighbor(core, d);
             }
         }
-        let faults = cfg.faults.as_ref().map(|plan| {
-            Box::new(NetFaults {
-                drop: plan.injector(FaultSite::NetDrop),
-                delay: plan.injector(FaultSite::NetDelay),
-                dup: plan.injector(FaultSite::NetDuplicate),
-                budget: cfg.watchdogs.fault_retry_budget,
-                backoff_base: cfg.watchdogs.fault_backoff_base,
-                failure: None,
-                tx_seq: (0..n).map(|_| HashMap::new()).collect(),
-                rx_seq: (0..n).map(|_| vec![HashMap::new(); n]).collect(),
-                log_enabled: false,
-                events: Vec::new(),
-            })
-        });
+        let faults = cfg.faults.as_ref().map(|plan| NetFaults::new(plan, cfg));
         OperandNetwork {
             width: cfg.mesh_width(),
             neighbor,
@@ -542,35 +522,35 @@ impl OperandNetwork {
                     // head stays queued and reinjects after backoff.
                     let attempts = entry.attempts + 1;
                     let head = self.send_q[core].front_mut().expect("head exists");
-                    if attempts > f.budget {
+                    if attempts > f.port.budget() {
                         f.drop.note_gave_up();
                         head.not_before = u64::MAX;
-                        f.failure.get_or_insert(FaultBudgetReport {
+                        f.port.fail(FaultBudgetReport {
                             cycle: now,
                             site: FaultSite::NetDrop,
                             attempts,
-                            budget: f.budget,
+                            budget: f.port.budget(),
                             detail: format!(
                                 "message core {} -> core {} tag {}",
                                 msg.from, msg.to, msg.tag
                             ),
                         });
-                        f.log(now, core, FaultSite::NetDrop, "gave-up");
+                        f.port.log(now, core, FaultSite::NetDrop, "gave-up");
                     } else {
                         f.drop.note_retried(1);
                         head.attempts = attempts;
-                        head.not_before = now + f.backoff(attempts);
-                        f.log(now, core, FaultSite::NetDrop, "dropped");
+                        head.not_before = now + f.port.backoff(attempts);
+                        f.port.log(now, core, FaultSite::NetDrop, "dropped");
                     }
                     return false;
                 }
                 if let Some(FaultKind::Delay(d)) = f.delay.fire(now) {
                     extra_delay = d;
-                    f.log(now, core, FaultSite::NetDelay, "delayed");
+                    f.port.log(now, core, FaultSite::NetDelay, "delayed");
                 }
                 if f.dup.fire(now).is_some() {
                     duplicate_after = true;
-                    f.log(now, core, FaultSite::NetDuplicate, "duplicated");
+                    f.port.log(now, core, FaultSite::NetDuplicate, "duplicated");
                 }
             }
         }
@@ -632,13 +612,13 @@ impl OperandNetwork {
             let expected = f.rx_seq[msg.to][msg.from].entry(msg.tag).or_insert(0);
             if entry.seq < *expected {
                 f.dup.note_recovered();
-                f.log(now, core, FaultSite::NetDuplicate, "deduped");
+                f.port.log(now, core, FaultSite::NetDuplicate, "deduped");
                 return true;
             }
             *expected = entry.seq + 1;
             if entry.attempts > 0 {
                 f.drop.note_recovered();
-                f.log(now, core, FaultSite::NetDrop, "recovered");
+                f.port.log(now, core, FaultSite::NetDrop, "recovered");
             }
             if extra_delay > 0 {
                 f.delay.note_recovered();
@@ -833,20 +813,7 @@ impl OperandNetwork {
         }
         // Fault state is rebuilt rather than cleared: the plan (seeds,
         // rates, sites) is per-request and cheap next to a run.
-        self.faults = cfg.faults.as_ref().map(|plan| {
-            Box::new(NetFaults {
-                drop: plan.injector(FaultSite::NetDrop),
-                delay: plan.injector(FaultSite::NetDelay),
-                dup: plan.injector(FaultSite::NetDuplicate),
-                budget: cfg.watchdogs.fault_retry_budget,
-                backoff_base: cfg.watchdogs.fault_backoff_base,
-                failure: None,
-                tx_seq: (0..n).map(|_| HashMap::new()).collect(),
-                rx_seq: (0..n).map(|_| vec![HashMap::new(); n]).collect(),
-                log_enabled: false,
-                events: Vec::new(),
-            })
-        });
+        self.faults = cfg.faults.as_ref().map(|plan| NetFaults::new(plan, cfg));
         self.deliver_seq = 0;
         self.link_free.iter_mut().for_each(|c| *c = 0);
         self.direct.iter_mut().for_each(|l| *l = None);
@@ -859,25 +826,9 @@ impl OperandNetwork {
 
     // ---- fault injection ----
 
-    /// Enable the fault/recovery event log (only useful with a tracer
-    /// attached; unbounded otherwise, so off by default).
-    pub fn set_fault_logging(&mut self, on: bool) {
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.log_enabled = on;
-        }
-    }
-
-    /// Drain the fault/recovery log: `(cycle, core, site, action)`.
-    pub fn take_fault_events(&mut self) -> Vec<(u64, usize, FaultSite, &'static str)> {
-        self.faults
-            .as_deref_mut()
-            .map_or_else(Vec::new, |f| std::mem::take(&mut f.events))
-    }
-
-    /// The first retry-budget exhaustion, if one occurred (the machine
-    /// polls this after each tick and fails the run closed).
-    pub fn take_fault_failure(&mut self) -> Option<FaultBudgetReport> {
-        self.faults.as_deref_mut().and_then(|f| f.failure.take())
+    /// The network's fault port, when the config carries a fault plan.
+    pub fn fault_port(&mut self) -> Option<&mut FaultPort> {
+        self.faults.as_deref_mut().map(|f| &mut f.port)
     }
 
     /// Per-site fault counters for the network's three sites.
@@ -1165,7 +1116,7 @@ mod tests {
         assert_eq!(n.recv(1, 0, 7, 11), Some(Value::Int(42)));
         let drop = n.fault_stats()[FaultSite::NetDrop.index()].1;
         assert_eq!((drop.injected, drop.retried, drop.recovered), (1, 1, 1));
-        assert!(n.take_fault_failure().is_none());
+        assert!(n.fault_port().and_then(FaultPort::take_failure).is_none());
     }
 
     #[test]
@@ -1209,7 +1160,10 @@ mod tests {
         for t in 1..2100 {
             n.tick(t);
         }
-        let report = n.take_fault_failure().expect("budget must exhaust");
+        let report = n
+            .fault_port()
+            .and_then(FaultPort::take_failure)
+            .expect("budget must exhaust");
         assert_eq!(report.site, FaultSite::NetDrop);
         assert!(report.attempts > report.budget);
         assert!(report.detail.contains("core 0 -> core 1"));

@@ -20,11 +20,15 @@ echo "== tier-1: release build + tests"
 # gives, common/validate_oracle.rs), so that suite has no step of its own;
 # the workspace run below repeats it in release mode; and
 # tests/validate_oracle.rs holds validate() to the same oracle on compiler
-# output for every workload at 4, 16 and 64 cores. Likewise
-# tests/serve_engine.rs pulls in the serve daemon's in-process suite
-# (crates/bench/tests/serve.rs: served == direct Experiment results, bit
-# for bit, on the whole cycle-golden matrix), and tests/shared_runs.rs
-# holds Experiment's shared simulations to fresh ones. tests/figure_golden.rs
+# output for every workload at 4, 16 and 64 cores. The run cache and the
+# machine pool live in crates/core/src/cache.rs; Experiment and the serve
+# engine are two views of them. tests/serve_engine.rs pulls in the serve
+# daemon's in-process suite (crates/bench/tests/serve.rs: served == direct
+# Experiment results, bit for bit, on the whole cycle-golden matrix, and
+# the cache rules as one table driven through both views), and
+# tests/shared_runs.rs holds Experiment's cached, shared and pooled
+# simulations to run_configuration, which shares nothing, on both
+# coherence backends. tests/figure_golden.rs
 # pins the figure table's output to a committed `figall --test` transcript,
 # tests/cli.rs the command line's usage errors, and tests/docs.rs every
 # path, item and command the documents name. cycle_golden,

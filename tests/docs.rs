@@ -11,6 +11,10 @@
 //! Two documents are excluded on purpose: ROADMAP.md narrates files and
 //! items that PRs deleted (that is its job), and benchmark/README.md
 //! belongs to the benchmark package, which a product PR may not edit.
+//!
+//! CHANGES.md gets a size rule instead (ROADMAP 3(e)): an entry numbered
+//! 24 or later is a headline, at most 15 lines, and its benchmark table;
+//! the mechanism belongs in DESIGN.md, once.
 
 use std::path::{Path, PathBuf};
 
@@ -174,4 +178,52 @@ fn the_extractor_recognises_the_three_token_shapes() {
     let source = "pub fn run() {}\nconst COMMANDS: [u8; 0] = [];";
     assert!(declares(source, "run") && declares(source, "COMMANDS"));
     assert!(!declares(source, "pub") && !declares(source, "missing"));
+}
+
+/// The PR number of the CHANGES.md entry `line` opens (`- **PR 24 (…`).
+fn entry_number(line: &str) -> Option<u32> {
+    let rest = line.strip_prefix("- **PR ")?;
+    let digits = rest.split(|c: char| !c.is_ascii_digit()).next()?;
+    digits.parse().ok()
+}
+
+/// Entries that exceed [`MAX_ENTRY_LINES`] lines of at most
+/// [`MAX_LINE_BYTES`] bytes outside their table, among those numbered
+/// `from` or later.
+fn oversized_entries(changes: &str, from: u32) -> Vec<String> {
+    const MAX_ENTRY_LINES: usize = 15;
+    const MAX_LINE_BYTES: usize = 400;
+    let mut broken = Vec::new();
+    let (mut number, mut lines) = (0, 0);
+    for line in changes.lines() {
+        if let Some(n) = entry_number(line) {
+            (number, lines) = (n, 0);
+        }
+        let prose = !line.trim().is_empty() && !line.trim_start().starts_with('|');
+        if number < from || !prose {
+            continue;
+        }
+        lines += 1;
+        if lines == MAX_ENTRY_LINES + 1 {
+            broken.push(format!("PR {number}: more than {MAX_ENTRY_LINES} lines"));
+        }
+        if line.len() > MAX_LINE_BYTES {
+            broken.push(format!("PR {number}: a line of {} bytes", line.len()));
+        }
+    }
+    broken
+}
+
+#[test]
+fn changes_entries_from_pr_24_on_are_a_headline_fifteen_lines_and_a_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let changes = std::fs::read_to_string(root.join("CHANGES.md")).expect("CHANGES.md");
+    let broken = oversized_entries(&changes, 24);
+    assert!(broken.is_empty(), "CHANGES.md:\n{}", broken.join("\n"));
+    // The rule bites: the older entries are what it was written against.
+    assert!(!oversized_entries(&changes, 15).is_empty());
+    let long = format!("- **PR 30 (x): y.**\n{}| a | b |\n", "  line\n".repeat(15));
+    assert_eq!(oversized_entries(&long, 24), ["PR 30: more than 15 lines"]);
+    assert_eq!(entry_number("- **PR 24 (simplicity): one**"), Some(24));
+    assert_eq!(entry_number("  | fig_sweep | pass_s |"), None);
 }

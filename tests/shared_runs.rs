@@ -7,9 +7,10 @@
 //! rests on — a simulation is a function of exactly that triple plus the
 //! experiment-wide budget, fault plan and knobs — is checked here against
 //! oracles that share nothing: `run_configuration` (fresh front end,
-//! fresh compile, own simulation) and, under a fault plan, a second
-//! `Experiment` asked for one configuration at a time (a batch of one is
-//! a class of one, so every run is simulated).
+//! fresh compile, a machine built for the run — `Experiment`'s come from
+//! its pool, reset) and, under a fault plan, a second `Experiment` asked
+//! for one configuration at a time (a batch of one is a class of one, so
+//! every run is simulated).
 
 use voltron_core::{
     run_configuration, run_reference, Experiment, FaultPlan, RunResult, Strategy, SystemError,
@@ -18,6 +19,18 @@ use voltron_sim::{CoherenceBackend, SimError};
 use voltron_workloads::{all, by_name, Scale};
 
 type Config = (Strategy, usize, CoherenceBackend);
+
+/// Programs also held to the oracle on the banked directory.
+const DIRECTORY_PROGRAMS: [&str; 3] = ["164.gzip", "171.swim", "gsmencode"];
+
+/// {llp, hybrid} × 16 cores on the directory sized for them.
+fn directory_configs() -> Vec<Config> {
+    let directory = CoherenceBackend::directory_for(16);
+    vec![
+        (Strategy::Llp, 16, directory),
+        (Strategy::Hybrid, 16, directory),
+    ]
+}
 
 /// {ilp, fine-grain-tlp, llp, hybrid} × {2, 4, 16} on the snooping bus.
 fn configs() -> Vec<Config> {
@@ -67,9 +80,12 @@ fn distinct(exp: &Experiment<'_>) -> Vec<u64> {
 
 #[test]
 fn every_batched_result_equals_a_fresh_run() {
-    let configs = configs();
     let mut shared = 0;
     for w in all(Scale::Test) {
+        let mut configs = configs();
+        if DIRECTORY_PROGRAMS.contains(&w.name) {
+            configs.extend(directory_configs());
+        }
         let golden = run_reference(&w.program).expect("golden").memory;
         let mut exp = Experiment::new(&w.program).expect("experiment");
         exp.run_all_on(&configs)
@@ -77,7 +93,7 @@ fn every_batched_result_equals_a_fresh_run() {
         let baseline = exp.baseline_cycles();
         for &(s, c, b) in &configs {
             let tag = format!("{}/{s}/{c}", w.name);
-            let fresh = run_configuration(&w.program, &golden, s, c, baseline)
+            let fresh = run_configuration(&w.program, &golden, (s, c, b), baseline)
                 .unwrap_or_else(|e| panic!("{tag}: {e}"));
             let got = exp.run_on(s, c, b).expect("cached");
             assert_same(&tag, got, &fresh);
