@@ -13,6 +13,7 @@ use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 
+use voltron_core::report::{parse, Json};
 use voltron_core::{
     front_end, prepare, CycleStack, Experiment, ProbeSummary, StallCategory, Strategy, SystemError,
     WhatIfReport,
@@ -22,7 +23,6 @@ use voltron_workloads::{all, Scale, Workload};
 
 use crate::figures::{self, ABLATIONS};
 use crate::harness::{number, run_workloads_chaos, split_args, HarnessArgs, Harvest};
-use crate::jsonv::{parse, JValue};
 use crate::serve::{serve_connection, Server, ServerConfig};
 
 /// Why a command did not complete.
@@ -617,7 +617,7 @@ fn trace_check(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
     let doc = parse(&src).map_err(|e| fail(format!("is not valid JSON: {e}")))?;
     let events = doc
         .get("traceEvents")
-        .and_then(JValue::as_arr)
+        .and_then(Json::as_arr)
         .filter(|events| !events.is_empty())
         .ok_or_else(|| fail("has no (or an empty) traceEvents array".into()))?;
     let mut live_cores = BTreeSet::new();
@@ -633,15 +633,15 @@ fn trace_check(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
         errors += 1;
     };
     for (i, e) in events.iter().enumerate() {
-        let ph = e.get("ph").and_then(JValue::as_str).unwrap_or("");
-        let tid = e.get("tid").and_then(JValue::as_num);
-        let ts = e.get("ts").and_then(JValue::as_num);
+        let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
+        let tid = e.get("tid").and_then(Json::as_num);
+        let ts = e.get("ts").and_then(Json::as_num);
         if let Some(tid) = tid.filter(|&tid| ph != "M" && tid < FIRST_SPECIAL_TID) {
             live_cores.insert(tid as u64);
         }
         match ph {
             "s" | "f" => {
-                let (Some(id), Some(ts)) = (e.get("id").and_then(JValue::as_num), ts) else {
+                let (Some(id), Some(ts)) = (e.get("id").and_then(Json::as_num), ts) else {
                     complain(format!("event {i}: flow {ph} without id/ts"));
                     continue;
                 };

@@ -27,12 +27,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use voltron_core::report::{throughput, Json};
+use voltron_core::report::{
+    fault_stats_json, probe_summary_json, schema, throughput, whatif_json, Json, RunRecord,
+};
 use voltron_core::{
     Config, Experiment, FaultPlan, FaultStats, ObsRequest, ProbeSeries, ProbeSummary, Strategy,
     SystemError, WhatIfReport,
 };
-use voltron_sim::{CoherenceBackend, StallReason};
+use voltron_sim::CoherenceBackend;
 use voltron_workloads::{all, by_name, Scale, Workload};
 
 /// Sampling period `--probes-out` uses, in cycles. Dense enough to
@@ -306,8 +308,8 @@ pub struct WorkloadSummary {
     pub ticked_cycles: u64,
     /// Host wall-clock this workload's sweep took, in seconds.
     pub host_seconds: f64,
-    /// One row per configuration run.
-    pub runs: Vec<RunRow>,
+    /// One record per configuration run.
+    pub runs: Vec<RunRecord>,
     /// How many of `runs` were simulated; the rest lowered to the same
     /// machine program as one of those and share its simulation (see
     /// `Experiment::run_all_on`).
@@ -317,31 +319,10 @@ pub struct WorkloadSummary {
     pub whatif: Option<WhatIfReport>,
     /// Interval probe summary, when the sweep ran with `--probes-out`.
     pub probes: Option<ProbeSummary>,
-    /// Fault-injection counters summed over the workload's runs (all
-    /// zeros — and omitted from the sidecar — without `--faults`).
+    /// Fault-injection counters summed over the workload's simulations —
+    /// a run sharing another's counts once (all zeros, and omitted from
+    /// the sidecar, without `--faults`).
     pub faults: FaultStats,
-}
-
-/// One configuration run in a workload's sidecar inventory.
-#[derive(Debug)]
-pub struct RunRow {
-    /// Strategy label (e.g. "hybrid").
-    pub strategy: String,
-    /// Core count.
-    pub cores: usize,
-    /// Coherence backend label.
-    pub backend: &'static str,
-    /// Execution time in simulated cycles.
-    pub cycles: u64,
-    /// Speedup over the serial 1-core baseline.
-    pub speedup: f64,
-    /// The single largest stall bucket summed over cores (`None` for a
-    /// run that never stalled) — the sidecar's one-word answer to
-    /// "where did this run's time go?".
-    pub dominant_stall: Option<String>,
-    /// The strategy whose simulation this run shares (`None` for a run
-    /// that was simulated itself; see `RunResult::shared_with`).
-    pub shared_with: Option<String>,
 }
 
 /// Snapshot an experiment's run inventory for the JSON sidecar.
@@ -352,11 +333,12 @@ pub fn workload_summary(
     exp: &Experiment<'_>,
     host_seconds: f64,
 ) -> WorkloadSummary {
-    let results = exp.results();
+    let runs: Vec<RunRecord> = exp.results().iter().map(|r| RunRecord::of(r)).collect();
+    let simulated = || runs.iter().filter(|r| r.shared_with.is_none());
     let mut faults = FaultStats::default();
-    for r in &results {
-        for (i, s) in r.stats.faults.sites.iter().enumerate() {
-            faults.sites[i].absorb(s);
+    for r in simulated() {
+        for (total, site) in faults.sites.iter_mut().zip(&r.faults.sites) {
+            total.absorb(site);
         }
     }
     WorkloadSummary {
@@ -365,141 +347,12 @@ pub fn workload_summary(
         simulated_cycles: exp.simulated_cycles(),
         ticked_cycles: exp.ticked_cycles(),
         host_seconds,
-        distinct_runs: results.iter().filter(|r| r.shared_with.is_none()).count(),
-        runs: results
-            .iter()
-            .map(|r| RunRow {
-                strategy: r.strategy.to_string(),
-                cores: r.cores,
-                backend: r.backend.label(),
-                cycles: r.cycles,
-                speedup: r.speedup,
-                dominant_stall: r
-                    .stats
-                    .dominant_stall()
-                    .map(|(reason, _)| reason.to_string()),
-                shared_with: r.shared_with.map(|s| s.to_string()),
-            })
-            .collect(),
+        distinct_runs: simulated().count(),
+        runs,
         probes: None,
         whatif: None,
         faults,
     }
-}
-
-/// Render a bottleneck what-if report for the JSON sidecar: the
-/// machine-wide classification, the CPI-stack rows (exact by
-/// construction, see `voltron_sim::whatif`), one ceiling per
-/// idealization knob, and the per-region diagnoses.
-pub fn whatif_json(r: &WhatIfReport) -> Json {
-    let stack = r
-        .stack
-        .rows()
-        .into_iter()
-        .filter(|(_, n)| *n > 0)
-        .map(|(label, n)| (label, Json::UInt(n)))
-        .collect();
-    let ceilings = r
-        .ceilings
-        .iter()
-        .map(|c| {
-            (
-                c.knob.label().to_string(),
-                Json::Obj(vec![
-                    ("ideal_cycles".into(), Json::UInt(c.ideal_cycles)),
-                    ("speedup_ceiling".into(), Json::Num(c.speedup_ceiling)),
-                ]),
-            )
-        })
-        .collect();
-    let regions = r
-        .regions
-        .iter()
-        .map(|d| {
-            Json::Obj(vec![
-                (
-                    "region".into(),
-                    if d.region == u32::MAX {
-                        Json::Str("outside".into())
-                    } else {
-                        Json::UInt(u64::from(d.region))
-                    },
-                ),
-                ("kind".into(), Json::Str(d.kind.into())),
-                ("cycles".into(), Json::UInt(d.stack.cycles)),
-                ("bound_by".into(), Json::Str(d.bound_by.to_string())),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("strategy".into(), Json::Str(r.strategy.to_string())),
-        ("cores".into(), Json::UInt(r.cores as u64)),
-        ("measured_cycles".into(), Json::UInt(r.measured_cycles)),
-        ("bound_by".into(), Json::Str(r.bound_by.to_string())),
-        (
-            "best_ceiling".into(),
-            Json::Str(r.best_ceiling().knob.label().into()),
-        ),
-        ("stack".into(), Json::Obj(stack)),
-        ("ceilings".into(), Json::Obj(ceilings)),
-        ("regions".into(), Json::Arr(regions)),
-    ])
-}
-
-/// Render a workload's fault counters for the JSON sidecar: the totals
-/// plus one row per site that actually saw a fault.
-pub fn fault_stats_json(fs: &FaultStats) -> Json {
-    let sites = fs
-        .rows()
-        .filter(|(_, s)| s.injected + s.retried + s.recovered + s.gave_up > 0)
-        .map(|(label, s)| {
-            (
-                label.to_string(),
-                Json::Obj(vec![
-                    ("injected".into(), Json::UInt(s.injected)),
-                    ("retried".into(), Json::UInt(s.retried)),
-                    ("recovered".into(), Json::UInt(s.recovered)),
-                    ("gave_up".into(), Json::UInt(s.gave_up)),
-                ]),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("injected".into(), Json::UInt(fs.injected())),
-        ("recovered".into(), Json::UInt(fs.recovered())),
-        ("gave_up".into(), Json::UInt(fs.gave_up())),
-        ("sites".into(), Json::Obj(sites)),
-    ])
-}
-
-/// Render a probe summary for the JSON sidecar. The stall-phase
-/// histogram is keyed by stall-reason label ([`StallReason`] display
-/// names), zero-count reasons omitted.
-pub fn probe_summary_json(p: &ProbeSummary) -> Json {
-    let hist = StallReason::ALL
-        .iter()
-        .filter(|r| p.stall_phase_hist[r.index()] > 0)
-        .map(|r| (r.to_string(), Json::UInt(p.stall_phase_hist[r.index()])))
-        .collect();
-    Json::Obj(vec![
-        ("period".into(), Json::UInt(p.period)),
-        ("samples".into(), Json::UInt(p.samples as u64)),
-        (
-            "peak_send_queue".into(),
-            Json::UInt(p.peak_send_queue as u64),
-        ),
-        (
-            "peak_recv_buffered".into(),
-            Json::UInt(p.peak_recv_buffered as u64),
-        ),
-        (
-            "peak_tm_write_set".into(),
-            Json::UInt(p.peak_tm_write_set as u64),
-        ),
-        ("bus_utilization".into(), Json::Num(p.bus_utilization)),
-        ("quiet_intervals".into(), Json::UInt(p.quiet_intervals)),
-        ("stall_phase_histogram".into(), Json::Obj(hist)),
-    ])
 }
 
 /// Skip-efficiency: the fraction of simulated cycles the simulator had
@@ -511,8 +364,8 @@ pub fn skip_efficiency(ticked: u64, simulated: u64) -> f64 {
 }
 
 /// Build the `BENCH_*.json` document for a finished sweep. `chaos` is
-/// the `--faults`/`--retries` block ([`chaos_json`]); `None` keeps the
-/// document byte-identical to a fault-free harness.
+/// the `--faults`/`--retries` block ([`Harvest::document`]); `None` keeps
+/// the document byte-identical to a fault-free harness.
 #[allow(clippy::too_many_arguments)]
 pub fn bench_json(
     binary: &str,
@@ -524,89 +377,61 @@ pub fn bench_json(
     failures: &[WorkloadFailure],
     chaos: Option<Json>,
 ) -> Json {
-    let workloads = summaries
-        .iter()
-        .map(|s| {
-            let runs = s
-                .runs
-                .iter()
-                .map(|r| {
-                    let mut fields = vec![
-                        ("strategy".into(), Json::Str(r.strategy.clone())),
-                        ("cores".into(), Json::UInt(r.cores as u64)),
-                        ("backend".into(), Json::Str(r.backend.into())),
-                        ("cycles".into(), Json::UInt(r.cycles)),
-                        ("speedup".into(), Json::Num(r.speedup)),
-                    ];
-                    if let Some(d) = &r.dominant_stall {
-                        fields.push(("dominant_stall".into(), Json::Str(d.clone())));
-                    }
-                    if let Some(s) = &r.shared_with {
-                        fields.push(("shared_with".into(), Json::Str(s.clone())));
-                    }
-                    Json::Obj(fields)
-                })
-                .collect();
-            let mut fields = vec![
-                ("name".into(), Json::Str(s.name.into())),
-                ("baseline_cycles".into(), Json::UInt(s.baseline_cycles)),
-                ("simulated_cycles".into(), Json::UInt(s.simulated_cycles)),
-                ("ticked_cycles".into(), Json::UInt(s.ticked_cycles)),
-                (
-                    "skip_efficiency".into(),
-                    Json::Num(skip_efficiency(s.ticked_cycles, s.simulated_cycles)),
-                ),
-                ("host_seconds".into(), Json::Num(s.host_seconds)),
-                ("distinct_runs".into(), Json::UInt(s.distinct_runs as u64)),
-                ("runs".into(), Json::Arr(runs)),
-            ];
-            if let Some(p) = &s.probes {
-                fields.push(("probes".into(), probe_summary_json(p)));
-            }
-            if let Some(w) = &s.whatif {
-                fields.push(("whatif".into(), whatif_json(w)));
-            }
-            if s.faults.any() {
-                fields.push(("faults".into(), fault_stats_json(&s.faults)));
-            }
-            Json::Obj(fields)
-        })
-        .collect();
-    let mut doc = Json::Obj(vec![
-        ("binary".into(), Json::Str(binary.into())),
-        ("scale".into(), Json::Str(scale.into())),
-        ("host_seconds".into(), Json::Num(host_seconds)),
-        ("simulated_cycles".into(), Json::UInt(simulated_cycles)),
-        ("ticked_cycles".into(), Json::UInt(ticked_cycles)),
+    let workloads = summaries.iter().map(|s| {
+        let mut fields = vec![
+            ("name", Json::Str(s.name.into())),
+            ("baseline_cycles", Json::UInt(s.baseline_cycles)),
+            ("simulated_cycles", Json::UInt(s.simulated_cycles)),
+            ("ticked_cycles", Json::UInt(s.ticked_cycles)),
+            (
+                "skip_efficiency",
+                Json::Num(skip_efficiency(s.ticked_cycles, s.simulated_cycles)),
+            ),
+            ("host_seconds", Json::Num(s.host_seconds)),
+            ("distinct_runs", Json::UInt(s.distinct_runs as u64)),
+            (
+                "runs",
+                Json::Arr(s.runs.iter().map(RunRecord::to_json).collect()),
+            ),
+        ];
+        if let Some(p) = &s.probes {
+            fields.push(("probes", probe_summary_json(p)));
+        }
+        if let Some(w) = &s.whatif {
+            fields.push(("whatif", whatif_json(w)));
+        }
+        if s.faults.any() {
+            fields.push(("faults", fault_stats_json(&s.faults)));
+        }
+        Json::obj(fields)
+    });
+    let failures = failures.iter().map(|f| {
+        Json::obj([
+            ("name", Json::Str(f.name.into())),
+            ("reason", Json::Str(f.reason.clone())),
+            ("attempts", Json::UInt(f.attempts as u64)),
+        ])
+    });
+    let mut doc = vec![
+        schema(),
+        ("binary", Json::Str(binary.into())),
+        ("scale", Json::Str(scale.into())),
+        ("host_seconds", Json::Num(host_seconds)),
+        ("simulated_cycles", Json::UInt(simulated_cycles)),
+        ("ticked_cycles", Json::UInt(ticked_cycles)),
         (
-            "skip_efficiency".into(),
+            "skip_efficiency",
             Json::Num(skip_efficiency(ticked_cycles, simulated_cycles)),
         ),
         (
-            "cycles_per_host_second".into(),
+            "cycles_per_host_second",
             Json::Num(simulated_cycles as f64 / host_seconds.max(1e-9)),
         ),
-        ("workloads".into(), Json::Arr(workloads)),
-        (
-            "failures".into(),
-            Json::Arr(
-                failures
-                    .iter()
-                    .map(|f| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(f.name.into())),
-                            ("reason".into(), Json::Str(f.reason.clone())),
-                            ("attempts".into(), Json::UInt(f.attempts as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    if let (Json::Obj(fields), Some(block)) = (&mut doc, chaos) {
-        fields.push(("faults".into(), block));
-    }
-    doc
+        ("workloads", Json::Arr(workloads.collect())),
+        ("failures", Json::Arr(failures.collect())),
+    ];
+    doc.extend(chaos.map(|block| ("faults", block)));
+    Json::obj(doc)
 }
 
 /// The git revision the harness is running from (short hash, plus
@@ -629,40 +454,6 @@ pub fn git_rev() -> String {
         Some(s) if !s.is_empty() => format!("{rev}-dirty"),
         _ => rev,
     }
-}
-
-/// Build the top-level `faults` block for the sidecar: the plan in
-/// `--faults` syntax, the retry allowance, and the flaky-vs-hard
-/// classification the retry loop produced.
-pub fn chaos_json(
-    plan: Option<&FaultPlan>,
-    retries: u32,
-    flaky: &[WorkloadFlake],
-    hard: usize,
-) -> Json {
-    Json::Obj(vec![
-        (
-            "plan".into(),
-            Json::Str(plan.map(FaultPlan::spec).unwrap_or_default()),
-        ),
-        ("retries".into(), Json::UInt(retries as u64)),
-        (
-            "flaky".into(),
-            Json::Arr(
-                flaky
-                    .iter()
-                    .map(|f| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(f.name.into())),
-                            ("attempts".into(), Json::UInt(f.attempts as u64)),
-                            ("first_error".into(), Json::Str(f.first_error.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("hard".into(), Json::UInt(hard as u64)),
-    ])
 }
 
 /// A workload that did not survive its sweep: it panicked, exceeded its
@@ -750,15 +541,34 @@ impl<R> Harvest<R> {
                 f.name, f.attempts, f.reason
             );
         }
-        let chaos = (args.faults.is_some() || args.retries > 0).then(|| {
-            chaos_json(
-                args.faults.as_ref(),
-                args.retries,
-                &self.flaky,
-                self.failures.len(),
-            )
+        let path = format!("BENCH_{binary}.json");
+        if let Err(e) = std::fs::write(&path, self.document(binary, args).render()) {
+            eprintln!("[{binary}] cannot write {path}: {e}");
+        }
+    }
+
+    /// The `BENCH_<binary>.json` document [`Harvest::report`] writes.
+    /// Under `--faults` or `--retries` it ends in a `faults` block: the
+    /// plan in `--faults` syntax, the retry allowance, and the
+    /// flaky-vs-hard classification the retry loop produced.
+    pub fn document(&self, binary: &str, args: &HarnessArgs) -> Json {
+        let flaky = self.flaky.iter().map(|f| {
+            Json::obj([
+                ("name", Json::Str(f.name.into())),
+                ("attempts", Json::UInt(f.attempts as u64)),
+                ("first_error", Json::Str(f.first_error.clone())),
+            ])
         });
-        let doc = bench_json(
+        let plan = args.faults.as_ref().map(FaultPlan::spec);
+        let chaos = (args.faults.is_some() || args.retries > 0).then(|| {
+            Json::obj([
+                ("plan", Json::Str(plan.unwrap_or_default())),
+                ("retries", Json::UInt(args.retries as u64)),
+                ("flaky", Json::Arr(flaky.collect())),
+                ("hard", Json::UInt(self.failures.len() as u64)),
+            ])
+        });
+        bench_json(
             binary,
             crate::serve::scale_label(args.scale),
             self.simulated_cycles,
@@ -767,11 +577,7 @@ impl<R> Harvest<R> {
             &self.summaries,
             &self.failures,
             chaos,
-        );
-        let path = format!("BENCH_{binary}.json");
-        if let Err(e) = std::fs::write(&path, doc.render()) {
-            eprintln!("[{binary}] cannot write {path}: {e}");
-        }
+        )
     }
 }
 
@@ -930,25 +736,21 @@ pub fn run_workloads_chaos<R: Send>(
 mod tests {
     use super::*;
 
-    const TAKES: [&str; 4] = ["--test", "--bench NAME", "--backend B", "--retries N"];
+    const TAKES: [&str; 5] = [
+        "--test",
+        "--bench NAME",
+        "--backend B",
+        "--retries N",
+        "--faults F",
+    ];
 
     fn parse(argv: &[&str]) -> Result<HarnessArgs, String> {
         HarnessArgs::parse(Scale::Full, &TAKES, 3, argv)
     }
 
-    /// The sidecar a sweep at test scale would write.
-    fn sidecar<R>(h: &Harvest<R>, chaos: Option<Json>) -> String {
-        bench_json(
-            "t",
-            "test",
-            h.simulated_cycles,
-            h.ticked_cycles,
-            1.0,
-            &h.summaries,
-            &h.failures,
-            chaos,
-        )
-        .render()
+    /// The sidecar a sweep run with `argv` writes.
+    fn sidecar<R>(h: &Harvest<R>, argv: &[&str]) -> String {
+        h.document("t", &parse(argv).expect("flags")).render()
     }
 
     fn named(names: &[&str]) -> Vec<Workload> {
@@ -982,55 +784,9 @@ mod tests {
         assert!(!h.summaries[0].runs.is_empty(), "run inventory captured");
         assert!(h.failures.is_empty());
         assert_eq!(h.failure_section(), "");
-        let s = sidecar(&h, None);
-        assert!(s.contains("\"binary\":\"t\""));
-        assert!(s.contains("\"name\":\"rawcaudio\""));
-        assert!(s.contains("\"strategy\":\"serial\""));
-        assert!(s.contains("\"backend\":\"snooping\""));
-        assert!(s.contains("\"failures\":[]"));
-        assert!(s.contains("\"ticked_cycles\""));
-        assert!(s.contains("\"skip_efficiency\""));
-        assert!(s.contains("\"host_seconds\""));
-    }
-
-    /// Sidecar schema for shared simulations: every workload carries
-    /// `distinct_runs`; a run row carries `shared_with` only when its
-    /// statistics came from another strategy's simulation.
-    #[test]
-    fn sidecar_marks_shared_runs_and_counts_distinct_ones() {
-        use crate::jsonv::{parse, JValue};
-        let ws = named(&["gsmencode"]);
-        let h = run_workloads_on(ws, None, |_, exp| {
-            let snooping = CoherenceBackend::Snooping;
-            exp.run_all_on(&[
-                (Strategy::Ilp, 4, snooping),
-                (Strategy::Llp, 4, snooping),
-                (Strategy::Hybrid, 4, snooping),
-            ])
-        });
-        assert_eq!(h.summaries[0].distinct_runs, 2);
-        let doc = parse(&sidecar(&h, None)).expect("sidecar parses");
-        let w = &doc
-            .get("workloads")
-            .and_then(JValue::as_arr)
-            .expect("workloads")[0];
-        assert_eq!(w.get("distinct_runs").and_then(JValue::as_num), Some(2.0));
-        let runs = w.get("runs").and_then(JValue::as_arr).expect("runs");
-        let shared: Vec<(&str, Option<&str>)> = runs
-            .iter()
-            .map(|r| {
-                (
-                    r.get("strategy")
-                        .and_then(JValue::as_str)
-                        .expect("strategy"),
-                    r.get("shared_with").map(|s| s.as_str().expect("a label")),
-                )
-            })
-            .collect();
-        assert_eq!(
-            shared,
-            vec![("hybrid", Some("llp")), ("ilp", None), ("llp", None)]
-        );
+        // The document's shape is pinned whole by tests/run_record.rs.
+        let s = sidecar(&h, &[]);
+        assert!(s.contains("\"name\":\"rawcaudio\"") && s.contains("\"failures\":[]"));
     }
 
     /// A deliberately panicking workload must become a marked-failed row
@@ -1059,7 +815,7 @@ mod tests {
         let section = h.failure_section();
         assert!(section.contains("== Failed workloads =="));
         assert!(section.contains("164.gzip: FAILED:"));
-        assert!(sidecar(&h, None).contains("injected fault"));
+        assert!(sidecar(&h, &[]).contains("injected fault"));
     }
 
     /// A workload that fails once and then succeeds on a retry is
@@ -1087,8 +843,7 @@ mod tests {
             "{}",
             h.flaky[0].first_error
         );
-        let doc = chaos_json(None, 2, &h.flaky, h.failures.len());
-        let s = doc.render();
+        let s = sidecar(&h, &["--retries", "2"]);
         assert!(s.contains("\"flaky\""));
         assert!(s.contains("\"attempts\":2"));
         assert!(s.contains("\"hard\":0"));
@@ -1110,32 +865,63 @@ mod tests {
     }
 
     /// A sweep under a real fault plan recovers (the experiment's output
-    /// check holds faulted runs to the golden memory) and surfaces the
-    /// injection counters in the summary and sidecar.
+    /// check holds faulted runs to the golden memory), and its sidecar
+    /// reads back as the summary's records: gsmencode's hybrid/4 shares
+    /// llp/4's simulation, so its row names llp, `distinct_runs` is two,
+    /// and it carries llp's fault counters without the workload totals
+    /// counting them again.
     #[test]
     fn faulted_sweep_recovers_and_reports_counters() {
+        use voltron_core::report::parse;
         use voltron_core::FaultSite;
-        let ws = named(&["rawcaudio"]);
+        let ws = named(&["gsmencode"]);
         let plan = FaultPlan::seeded(7, 0.01).only(FaultSite::Fetch);
-        let h = run_workloads_chaos(ws, None, Some(plan.clone()), 0, |w, exp| {
-            exp.run(Strategy::Serial, 1)?;
-            Ok(w.name)
+        let h = run_workloads_chaos(ws, None, Some(plan.clone()), 0, |_, exp| {
+            let snooping = CoherenceBackend::Snooping;
+            exp.run_all_on(&[
+                (Strategy::Ilp, 4, snooping),
+                (Strategy::Llp, 4, snooping),
+                (Strategy::Hybrid, 4, snooping),
+            ])
         });
         assert!(h.failures.is_empty(), "{:?}", h.failures);
-        assert!(h.summaries[0].faults.any(), "no fetch faults fired");
+        let summary = &h.summaries[0];
+        assert_eq!(summary.distinct_runs, 2);
+        assert!(summary.faults.any(), "no fetch faults fired");
         assert_eq!(
-            h.summaries[0].faults.injected(),
-            h.summaries[0].faults.recovered(),
+            summary.faults.injected(),
+            summary.faults.recovered(),
             "every injected fetch hiccup is recovered at injection"
         );
-        let chaos = chaos_json(Some(&plan), 0, &h.flaky, h.failures.len());
-        let s = sidecar(&h, Some(chaos));
-        assert!(
-            s.contains("\"plan\":\"seed=7,rate=0.01,site=fetch\""),
-            "{s}"
+        let doc = sidecar(&h, &["--faults", "seed=7,rate=0.01,site=fetch"]);
+        let doc = parse(&doc).expect("sidecar parses");
+        let plan = doc.get("faults").and_then(|f| f.get("plan"));
+        assert_eq!(plan, Some(&Json::Str("seed=7,rate=0.01,site=fetch".into())));
+        let w = &doc
+            .get("workloads")
+            .and_then(Json::as_arr)
+            .expect("workloads")[0];
+        let runs = w.get("runs").and_then(Json::as_arr).expect("runs");
+        let runs: Result<Vec<RunRecord>, _> = runs.iter().map(RunRecord::from_json).collect();
+        assert_eq!(runs.as_ref(), Ok(&summary.runs));
+        let shared: Vec<_> = summary
+            .runs
+            .iter()
+            .map(|r| (&*r.strategy, r.shared_with))
+            .collect();
+        let llp = Some(Strategy::Llp);
+        assert_eq!(shared, [("hybrid", llp), ("ilp", None), ("llp", None)]);
+        let injected = |shared: bool| -> u64 {
+            let runs = summary.runs.iter();
+            let runs = runs.filter(|r| r.shared_with.is_some() == shared);
+            runs.map(|r| r.faults.injected()).sum()
+        };
+        assert!(injected(true) > 0, "the shared run carries llp's counters");
+        assert_eq!(
+            summary.faults.injected(),
+            injected(false),
+            "once per simulation"
         );
-        assert!(s.contains("\"injected\""));
-        assert!(s.contains("\"fetch\""));
     }
 
     /// A workload that exceeds its simulated-cycle budget fails with

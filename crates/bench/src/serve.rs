@@ -24,9 +24,9 @@
 //!   the unwound frame, never re-pooled) while the daemon keeps serving.
 //!
 //! The wire protocol is line-delimited JSON over TCP or stdin (see
-//! [`parse_request`] / [`Response::to_json`]); rows carry the same run
-//! fields as the `BENCH_*.json` sidecars. DESIGN.md §12 documents the
-//! invariants.
+//! [`parse_request`] / [`Response::to_json`]); a run row is an envelope
+//! around the same `voltron_core::report::RunRecord` a `BENCH_*.json`
+//! sidecar writes. DESIGN.md §12 documents the invariants.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -36,7 +36,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use voltron_core::report::Json;
+use voltron_core::report::{
+    cache_json, parse, probe_summary_json, schema, whatif_json, Json, RunRecord,
+};
 pub use voltron_core::CacheInfo;
 use voltron_core::{
     KnobId, MachinePool, ObsRequest, ProbeSummary, ProgramCache, RunResult, RunSpec, Strategy,
@@ -47,7 +49,6 @@ use voltron_sim::{CoherenceBackend, FaultPlan};
 use voltron_workloads::{by_name, Scale};
 
 use crate::harness::{checked_cores, panic_message, DEFAULT_PROBE_PERIOD};
-use crate::jsonv::JValue;
 
 /// The scale label used on the wire and in pool/report keys.
 pub fn scale_label(scale: Scale) -> &'static str {
@@ -239,84 +240,51 @@ impl Response {
         }
     }
 
-    /// Render the NDJSON wire row. Run rows carry the same fields as a
-    /// `BENCH_*.json` run entry (strategy/cores/backend/cycles/speedup/
-    /// dominant_stall) plus serve metadata; error rows carry the typed
-    /// kind and message.
+    /// Render the NDJSON wire row: `id` (and for a run, `workload` and
+    /// `scale`), `ok`, then `"schema":1` and either the run's record with
+    /// this response's blocks, the typed error, or the counters, then the
+    /// timings.
     pub fn to_json(&self) -> Json {
+        let mut row = vec![("id", Json::UInt(self.id()))];
         match self {
-            Response::Stats { id, stats } => Json::Obj(vec![
-                ("id".into(), Json::UInt(*id)),
-                ("ok".into(), Json::UInt(1)),
-                ("stats".into(), stats.clone()),
-            ]),
+            Response::Stats { stats, .. } => {
+                row.extend([("ok", Json::UInt(1)), schema(), ("stats", stats.clone())]);
+            }
             Response::Run {
-                id,
                 workload,
                 scale,
                 latency_micros,
                 result,
+                ..
             } => {
-                let mut fields = vec![
-                    ("id".into(), Json::UInt(*id)),
-                    ("workload".into(), Json::Str(workload.clone())),
-                    ("scale".into(), Json::Str((*scale).into())),
-                ];
+                row.push(("workload", Json::Str(workload.clone())));
+                row.push(("scale", Json::Str((*scale).into())));
                 match result {
-                    Err(e) => {
-                        fields.push(("ok".into(), Json::UInt(0)));
-                        fields.push(("error".into(), Json::Str(e.kind().into())));
-                        fields.push(("message".into(), Json::Str(e.message().into())));
-                    }
+                    Err(e) => row.extend([
+                        ("ok", Json::UInt(0)),
+                        schema(),
+                        ("error", Json::Str(e.kind().into())),
+                        ("message", Json::Str(e.message().into())),
+                    ]),
                     Ok(s) => {
-                        let r = &s.run;
-                        fields.push(("ok".into(), Json::UInt(1)));
-                        fields.push(("strategy".into(), Json::Str(r.strategy.to_string())));
-                        fields.push(("cores".into(), Json::UInt(r.cores as u64)));
-                        fields.push(("backend".into(), Json::Str(r.backend.label().into())));
-                        fields.push(("cycles".into(), Json::UInt(r.cycles)));
-                        fields.push(("ticked_cycles".into(), Json::UInt(r.ticked_cycles)));
-                        fields.push(("speedup".into(), Json::Num(r.speedup)));
-                        fields.push(("baseline_cycles".into(), Json::UInt(s.baseline_cycles)));
-                        if let Some((reason, _)) = r.stats.dominant_stall() {
-                            fields.push(("dominant_stall".into(), Json::Str(reason.to_string())));
-                        }
-                        fields.push(("cache".into(), cache_json(&s.cache)));
-                        if let Some(w) = &s.whatif {
-                            fields.push(("whatif".into(), crate::harness::whatif_json(w)));
-                        }
-                        if let Some(p) = &s.probes {
-                            fields.push(("probes".into(), crate::harness::probe_summary_json(p)));
-                        }
-                        if r.stats.faults.any() {
-                            fields.push((
-                                "faults".into(),
-                                crate::harness::fault_stats_json(&r.stats.faults),
-                            ));
-                        }
-                        if let Some(t) = &s.trace_json {
-                            fields.push(("trace".into(), Json::Str(t.clone())));
-                        }
-                        fields.push(("host_micros".into(), Json::UInt(s.host_micros)));
+                        row.push(("ok", Json::UInt(1)));
+                        let baseline = ("baseline_cycles", Json::UInt(s.baseline_cycles));
+                        let blocks = [
+                            Some(("cache", cache_json(&s.cache))),
+                            s.whatif.as_ref().map(|w| ("whatif", whatif_json(w))),
+                            s.probes.as_ref().map(|p| ("probes", probe_summary_json(p))),
+                        ];
+                        let record = RunRecord::of(&s.run);
+                        record.write(&mut row, [baseline], blocks.into_iter().flatten());
+                        row.extend(s.trace_json.clone().map(|t| ("trace", Json::Str(t))));
+                        row.push(("host_micros", Json::UInt(s.host_micros)));
                     }
                 }
-                fields.push(("latency_micros".into(), Json::UInt(*latency_micros)));
-                Json::Obj(fields)
+                row.push(("latency_micros", Json::UInt(*latency_micros)));
             }
         }
+        Json::obj(row)
     }
-}
-
-/// The response row's `cache` block.
-fn cache_json(c: &CacheInfo) -> Json {
-    let word = |b: bool, yes: &str, no: &str| Json::Str(if b { yes } else { no }.into());
-    Json::Obj(vec![
-        ("golden".into(), word(c.golden_hit, "hit", "miss")),
-        ("front_end".into(), word(c.front_end_hit, "hit", "miss")),
-        ("image".into(), word(c.image_hit, "hit", "miss")),
-        ("result".into(), word(c.result_hit, "hit", "miss")),
-        ("machine".into(), word(c.machine_pooled, "pooled", "fresh")),
-    ])
 }
 
 /// Parse one NDJSON request line. `{"stats": true}` probes are handled by
@@ -324,15 +292,19 @@ fn cache_json(c: &CacheInfo) -> Json {
 ///
 /// # Errors
 /// A human-readable message naming the offending field.
-pub fn parse_request(v: &JValue) -> Result<Request, String> {
+pub fn parse_request(v: &Json) -> Result<Request, String> {
     let workload = v
         .get("workload")
-        .and_then(JValue::as_str)
+        .and_then(Json::as_str)
         .ok_or("missing 'workload'")?;
     let mut req = Request::new(workload, Strategy::Hybrid, 4);
-    if let Some(id) = v.get("id") {
-        req.id = id.as_num().ok_or("'id' must be a number")? as u64;
-    }
+    let count = |name: &str| {
+        let n = v.get(name).map(Json::as_u64);
+        let why = || format!("'{name}' must be a non-negative integer");
+        n.map(|n| n.ok_or_else(why)).transpose()
+    };
+    req.id = count("id")?.unwrap_or(0);
+    req.budget_cycles = count("budget_cycles")?;
     if let Some(s) = v.get("scale") {
         let s = s.as_str().ok_or("'scale' must be a string")?;
         let scale = [Scale::Test, Scale::Full]
@@ -353,9 +325,6 @@ pub fn parse_request(v: &JValue) -> Result<Request, String> {
         let family = CoherenceBackend::parse(b).ok_or_else(|| format!("unknown backend {b:?}"))?;
         req.backend = family.sized_for(req.cores);
     }
-    if let Some(n) = v.get("budget_cycles") {
-        req.budget_cycles = Some(n.as_num().ok_or("'budget_cycles' must be a number")? as u64);
-    }
     if let Some(f) = v.get("faults") {
         let spec = f.as_str().ok_or("'faults' must be a spec string")?;
         req.faults = Some(FaultPlan::parse(spec)?);
@@ -363,7 +332,7 @@ pub fn parse_request(v: &JValue) -> Result<Request, String> {
     let flag = |field: &str| -> Result<bool, String> {
         match v.get(field) {
             None => Ok(false),
-            Some(JValue::Bool(x)) => Ok(*x),
+            Some(Json::Bool(x)) => Ok(*x),
             Some(_) => Err(format!("'{field}' must be a boolean")),
         }
     };
@@ -828,20 +797,20 @@ pub fn serve_connection<R: BufRead + Send, W: Write>(server: &Server, reader: R,
                 if line.is_empty() {
                     continue;
                 }
-                match crate::jsonv::parse(line) {
+                match parse(line) {
                     Err(e) => {
                         let _ = tx.send(Response::bad_request(0, "", e));
                     }
                     Ok(v) => {
-                        let id = v.get("id").and_then(JValue::as_num).unwrap_or(0.0) as u64;
-                        if v.get("stats") == Some(&JValue::Bool(true)) {
+                        let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
+                        if v.get("stats") == Some(&Json::Bool(true)) {
                             server.submit_stats(id, tx.clone());
                             continue;
                         }
                         match parse_request(&v) {
                             Ok(req) => server.submit(req, tx.clone()),
                             Err(e) => {
-                                let workload = v.get("workload").and_then(JValue::as_str);
+                                let workload = v.get("workload").and_then(Json::as_str);
                                 let row = Response::bad_request(id, workload.unwrap_or(""), e);
                                 let _ = tx.send(row);
                             }

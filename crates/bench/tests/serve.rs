@@ -12,12 +12,12 @@ use std::sync::{Arc, Mutex};
 
 use voltron_bench::cli::bench_one;
 use voltron_bench::figures;
-use voltron_bench::harness::{HarnessArgs, RunRow, DEFAULT_PROBE_PERIOD};
-use voltron_bench::jsonv::{self, JValue};
+use voltron_bench::harness::{HarnessArgs, DEFAULT_PROBE_PERIOD};
 use voltron_bench::serve::{
     parse_request, serve_connection, Engine, Request, Response, ServeError, Served, Server,
     ServerConfig,
 };
+use voltron_core::report::{parse, Json, RunRecord};
 use voltron_core::{
     Experiment, FaultPlan, KnobId, ObsRequest, RunResult, Strategy, SystemError, WhatIfReport,
 };
@@ -92,9 +92,9 @@ fn assert_run_matches(served: &Served, direct: &RunResult, baseline: u64, what: 
 /// One of the engine's counters, read from its stats document.
 fn engine_counter(server: &Server, name: &str) -> u64 {
     let stats = server.engine().stats_json().render();
-    let v = jsonv::parse(&stats).expect("stats parse");
+    let v = parse(&stats).expect("stats parse");
     v.get(name)
-        .and_then(JValue::as_num)
+        .and_then(Json::as_num)
         .unwrap_or_else(|| panic!("no counter {name} in {stats}")) as u64
 }
 
@@ -215,13 +215,13 @@ fn directory_label_means_the_same_machine_on_the_cli_and_the_wire() {
     )
     .expect("flags parse");
     let swept = figures::sweep("fig13", &figs, &args);
-    let hybrid4 = |rows: &[RunRow]| {
+    let hybrid4 = |rows: &[RunRecord]| {
         let row = rows.iter().find(|r| r.strategy == "hybrid" && r.cores == 4);
         let row = row.expect("a hybrid/4 row");
         (row.backend, row.cycles, row.speedup.to_bits())
     };
     let line = r#"{"workload":"164.gzip","strategy":"hybrid","cores":4,"backend":"directory"}"#;
-    let req = parse_request(&jsonv::parse(line).unwrap()).expect("request parses");
+    let req = parse_request(&parse(line).unwrap()).expect("request parses");
     let server = Server::start(ServerConfig {
         workers: 1,
         queue_depth: 2,
@@ -237,6 +237,54 @@ fn directory_label_means_the_same_machine_on_the_cli_and_the_wire() {
     assert_eq!(wire.0, "directory");
     assert_eq!(hybrid4(&one_shot.summaries[0].runs), wire, "bench_one");
     assert_eq!(hybrid4(&swept.summaries[0].runs), wire, "fig13");
+}
+
+/// The sidecar and the wire write one record: the hybrid/4 row of
+/// `bench_one`'s `BENCH_bench_one.json` document and the row
+/// `serve_connection` writes for the same request read back through
+/// `RunRecord::from_json` as equal records, on snooping and on the
+/// directory. The engine simulates every configuration itself, so its row
+/// never names a leader; the sweep's may.
+#[test]
+fn served_rows_read_back_as_the_one_shot_sidecar_records() {
+    let burst = concat!(
+        "{\"id\":1,\"workload\":\"164.gzip\",\"strategy\":\"hybrid\",\"cores\":4}\n",
+        "{\"id\":5,\"workload\":\"164.gzip\",\"strategy\":\"hybrid\",\"cores\":4,",
+        "\"backend\":\"directory\"}\n",
+    );
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 2,
+        pool_cap: 1,
+    });
+    let mut out = Vec::new();
+    serve_connection(&server, Cursor::new(burst.as_bytes()), &mut out);
+    server.shutdown();
+    let rows = String::from_utf8(out).expect("utf8 rows");
+    let rows: Vec<Json> = rows.lines().map(|l| parse(l).expect("a row")).collect();
+    for (id, backend) in [(1, "snooping"), (5, "directory")] {
+        let row = rows.iter().find(|r| r.get("id") == Some(&Json::UInt(id)));
+        let served = RunRecord::from_json(row.expect("a row per request"));
+        let argv = ["164.gzip", "--backend", backend];
+        let args = HarnessArgs::parse(Scale::Test, &["--backend B"], 1, &argv).expect("flags");
+        let harvest = bench_one(&args).expect("bench_one runs");
+        let doc = parse(&harvest.document("bench_one", &args).render()).expect("a document");
+        let workload = &doc
+            .get("workloads")
+            .and_then(Json::as_arr)
+            .expect("workloads")[0];
+        let runs = workload.get("runs").and_then(Json::as_arr).expect("runs");
+        let records: Result<Vec<RunRecord>, String> =
+            runs.iter().map(RunRecord::from_json).collect();
+        let mut one_shot = records.expect("schema-1 rows").into_iter();
+        let one_shot = one_shot.find(|r| r.strategy == "hybrid" && r.cores == 4);
+        let one_shot = one_shot.expect("a hybrid/4 row");
+        let one_shot = RunRecord {
+            shared_with: None,
+            ..one_shot
+        };
+        assert_eq!(served, Ok(one_shot), "{backend}");
+    }
 }
 
 /// Directed pool check on both coherence backends: a second identical
@@ -716,19 +764,19 @@ fn wire_protocol_rows_are_typed() {
     server.shutdown();
 
     let text = String::from_utf8(out).expect("utf8 output");
-    let rows: Vec<JValue> = text
+    let rows: Vec<Json> = text
         .lines()
-        .map(|l| jsonv::parse(l).expect("every response row parses"))
+        .map(|l| parse(l).expect("every response row parses"))
         .collect();
     assert_eq!(rows.len(), 5, "one row per request line:\n{text}");
     let by_id = |id: f64| {
         rows.iter()
-            .find(|r| r.get("id").and_then(JValue::as_num) == Some(id))
+            .find(|r| r.get("id").and_then(Json::as_num) == Some(id))
             .unwrap_or_else(|| panic!("no row with id {id}:\n{text}"))
     };
-    let err_kind = |row: &JValue| {
+    let err_kind = |row: &Json| {
         row.get("error")
-            .and_then(JValue::as_str)
+            .and_then(Json::as_str)
             .unwrap_or("")
             .to_string()
     };
@@ -736,12 +784,12 @@ fn wire_protocol_rows_are_typed() {
     assert_eq!(err_kind(by_id(2.0)), "unknown-workload");
     assert_eq!(err_kind(by_id(3.0)), "bad-request", "cores: 0 is invalid");
     let good = by_id(4.0);
-    assert_eq!(good.get("ok").and_then(JValue::as_num), Some(1.0));
-    assert!(good.get("cycles").and_then(JValue::as_num).unwrap_or(0.0) > 0.0);
+    assert_eq!(good.get("ok").and_then(Json::as_num), Some(1.0));
+    assert!(good.get("cycles").and_then(Json::as_num).unwrap_or(0.0) > 0.0);
     assert_eq!(
         good.get("cache")
             .and_then(|c| c.get("result"))
-            .and_then(JValue::as_str),
+            .and_then(Json::as_str),
         Some("miss"),
         "first run of a config cannot be a result hit"
     );
@@ -756,8 +804,8 @@ fn wire_protocol_rows_are_typed() {
 /// values with a message naming the field.
 #[test]
 fn parse_request_validates_fields() {
-    let parse = |s: &str| parse_request(&jsonv::parse(s).unwrap());
-    let req = parse(
+    let request = |s: &str| parse_request(&parse(s).unwrap());
+    let req = request(
         "{\"id\": 9, \"workload\": \"epic\", \"scale\": \"test\", \"strategy\": \"llp\",\
          \"cores\": 2, \"backend\": \"directory\", \"budget_cycles\": 1000,\
          \"faults\": \"seed=3,rate=0.5\", \"fresh\": true, \"whatif\": true}",
@@ -769,11 +817,14 @@ fn parse_request_validates_fields() {
     assert_eq!(req.backend, CoherenceBackend::directory_for(2));
     assert_eq!(req.budget_cycles, Some(1000));
     assert!(req.faults.is_some() && req.fresh && req.whatif);
-    let widest = parse("{\"workload\": \"epic\", \"cores\": 64}").expect("64 cores is valid");
+    let widest = request("{\"workload\": \"epic\", \"cores\": 64}").expect("64 cores is valid");
     assert_eq!(widest.cores, 64);
+    // Integers are read exactly, past 2^53 too.
+    let big = request("{\"workload\": \"epic\", \"id\": 9007199254740993}").expect("an exact id");
+    assert_eq!(big.id, 9_007_199_254_740_993);
     // One strategy vocabulary: the wire takes what the command line takes.
     for spelling in ["ftlp", "fine-grain-tlp"] {
-        let req = parse(&format!(
+        let req = request(&format!(
             "{{\"workload\": \"epic\", \"strategy\": \"{spelling}\"}}"
         ));
         assert_eq!(req.expect(spelling).strategy, Strategy::FineGrainTlp);
@@ -795,8 +846,20 @@ fn parse_request_validates_fields() {
             "backend",
         ),
         ("{\"workload\": \"epic\", \"fresh\": 1}", "fresh"),
+        // A count is a non-negative integer literal: no sign, no
+        // fraction, nothing rounded or truncated into one.
+        ("{\"workload\": \"epic\", \"id\": -3}", "'id'"),
+        ("{\"workload\": \"epic\", \"id\": 1.7}", "'id'"),
+        (
+            "{\"workload\": \"epic\", \"budget_cycles\": -5}",
+            "'budget_cycles'",
+        ),
+        (
+            "{\"workload\": \"epic\", \"budget_cycles\": 2.9}",
+            "'budget_cycles'",
+        ),
     ] {
-        let err = parse(bad).expect_err(bad);
+        let err = request(bad).expect_err(bad);
         assert!(err.contains(needle), "{bad}: {err} should name {needle}");
     }
 }

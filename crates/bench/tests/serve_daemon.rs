@@ -3,7 +3,7 @@
 //! integration tests), kept apart so `serve.rs` — every in-process test — can be
 //! hoisted into tier-1 by `tests/serve_engine.rs` at the repository root.
 
-use voltron_bench::jsonv::{self, JValue};
+use voltron_core::report::{parse, Json};
 
 /// Full TCP round trip against the real `voltron serve` daemon: bind port 0,
 /// discover the port from the `LISTENING` line, and exchange NDJSON.
@@ -42,17 +42,17 @@ fn tcp_daemon_round_trip() {
         for _ in 0..2 {
             let mut line = String::new();
             reader.read_line(&mut line).expect("read response row");
-            rows.push(jsonv::parse(line.trim()).expect("row parses"));
+            rows.push(parse(line.trim()).expect("row parses"));
         }
         let run = rows
             .iter()
-            .find(|r| r.get("id").and_then(JValue::as_num) == Some(1.0))
+            .find(|r| r.get("id").and_then(Json::as_num) == Some(1.0))
             .expect("run row");
-        assert_eq!(run.get("ok").and_then(JValue::as_num), Some(1.0));
-        assert!(run.get("cycles").and_then(JValue::as_num).unwrap_or(0.0) > 0.0);
+        assert_eq!(run.get("ok").and_then(Json::as_num), Some(1.0));
+        assert!(run.get("cycles").and_then(Json::as_num).unwrap_or(0.0) > 0.0);
         let stats = rows
             .iter()
-            .find(|r| r.get("id").and_then(JValue::as_num) == Some(2.0))
+            .find(|r| r.get("id").and_then(Json::as_num) == Some(2.0))
             .expect("stats row");
         assert!(stats.get("stats").is_some());
     });

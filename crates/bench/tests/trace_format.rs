@@ -7,7 +7,7 @@
 //! `--trace-out` flags use.
 
 use std::collections::BTreeSet;
-use voltron_bench::jsonv::{parse, JValue};
+use voltron_core::report::{parse, Json};
 use voltron_core::{Experiment, ObsRequest, Strategy};
 use voltron_sim::CoherenceBackend;
 use voltron_workloads::{by_name, Scale};
@@ -17,7 +17,7 @@ use voltron_workloads::{by_name, Scale};
 const REGION_TID: f64 = 90.0;
 const TM_TID_BASE: f64 = 100.0;
 
-fn observed_events(strategy: Strategy, cores: usize) -> (Vec<JValue>, String) {
+fn observed_events(strategy: Strategy, cores: usize) -> (Vec<Json>, String) {
     let w = by_name("164.gzip", Scale::Test).expect("gzip registered");
     let mut exp = Experiment::new(&w.program).expect("experiment");
     let req = ObsRequest {
@@ -31,7 +31,7 @@ fn observed_events(strategy: Strategy, cores: usize) -> (Vec<JValue>, String) {
         .unwrap_or_else(|e| panic!("{strategy}/{cores} trace is not valid JSON: {e}"));
     let events = doc
         .get("traceEvents")
-        .and_then(JValue::as_arr)
+        .and_then(Json::as_arr)
         .expect("traceEvents array")
         .to_vec();
     assert!(!events.is_empty(), "{strategy}/{cores} trace is empty");
@@ -43,16 +43,16 @@ fn observed_events(strategy: Strategy, cores: usize) -> (Vec<JValue>, String) {
     (events, probes_json)
 }
 
-fn cat_of(e: &JValue) -> Option<&str> {
-    e.get("cat").and_then(JValue::as_str)
+fn cat_of(e: &Json) -> Option<&str> {
+    e.get("cat").and_then(Json::as_str)
 }
 
-fn ph_of(e: &JValue) -> Option<&str> {
-    e.get("ph").and_then(JValue::as_str)
+fn ph_of(e: &Json) -> Option<&str> {
+    e.get("ph").and_then(Json::as_str)
 }
 
-fn tid_of(e: &JValue) -> f64 {
-    e.get("tid").and_then(JValue::as_num).unwrap_or(-1.0)
+fn tid_of(e: &Json) -> f64 {
+    e.get("tid").and_then(Json::as_num).unwrap_or(-1.0)
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn gzip_ftlp4_trace_has_stall_and_region_spans() {
     let regions: Vec<&str> = events
         .iter()
         .filter(|e| cat_of(e) == Some("region") && ph_of(e) == Some("B"))
-        .filter_map(|e| e.get("name").and_then(JValue::as_str))
+        .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
     assert!(
         regions.iter().any(|n| n.starts_with("region ")),
@@ -101,10 +101,10 @@ fn gzip_ftlp4_trace_has_stall_and_region_spans() {
 
     // The probe series parses too, with the advertised shape.
     let probes = parse(&probes_json).expect("probe series JSON parses");
-    assert_eq!(probes.get("cores").and_then(JValue::as_num), Some(4.0));
+    assert_eq!(probes.get("cores").and_then(Json::as_num), Some(4.0));
     let samples = probes
         .get("samples")
-        .and_then(JValue::as_arr)
+        .and_then(Json::as_arr)
         .expect("samples array");
     assert!(!samples.is_empty(), "probe series has no samples");
     assert!(samples[0].get("cycle").is_some() && samples[0].get("stalls").is_some());
@@ -132,7 +132,7 @@ fn gzip_hybrid4_trace_has_tm_transaction_spans() {
         .filter(|e| {
             cat_of(e) == Some("tm")
                 && e.get("name")
-                    .and_then(JValue::as_str)
+                    .and_then(Json::as_str)
                     .is_some_and(|n| n.starts_with("commit"))
         })
         .count();

@@ -30,6 +30,7 @@ echo "== tier-1: release build + tests"
 # simulations to run_configuration, which shares nothing, on both
 # coherence backends. tests/figure_golden.rs
 # pins the figure table's output to a committed `figall --test` transcript,
+# tests/run_record.rs the sidecar document `bench_one --whatif` writes,
 # tests/cli.rs the command line's usage errors, and tests/docs.rs every
 # path, item and command the documents name. cycle_golden,
 # scaling_golden and the accounting suite each run their matrix in all
@@ -60,16 +61,14 @@ voltron bench_one 164.gzip \
     > /dev/null
 voltron trace_check target/smoke/trace.json 4
 
-echo "== serve smoke: stdin burst, result cache, one-shot fingerprint equality"
-# The daemon must produce byte-identical architectural numbers to the
-# one-shot path (the BENCH_bench_one.json the traced smoke run just
-# wrote), absorb an identical repeat from its result cache, and
-# survive faulted and what-if requests on the same connection
+echo "== serve smoke: stdin burst, result cache, typed rows"
+# The daemon must absorb an identical repeat from its result cache and
+# survive faulted, what-if and directory requests on the same connection
 # (DESIGN.md §12). One worker, so the burst is served in order: with two,
-# the identical requests 1 and 2 run concurrently and both miss. Request 5
-# names the directory backend the way `--backend directory` does; both
-# resolve the bank count in CoherenceBackend::sized_for, so its row must
-# equal `bench_one --backend directory`'s under the same label.
+# the identical requests 1 and 2 run concurrently and both miss. That
+# requests 1 and 5 equal the one-shot sidecar's hybrid/4 records on
+# snooping and on the directory is tier-1's job
+# (crates/bench/tests/serve.rs, read through RunRecord::from_json).
 printf '%s\n' \
     '{"id":1,"workload":"164.gzip","strategy":"hybrid","cores":4}' \
     '{"id":2,"workload":"164.gzip","strategy":"hybrid","cores":4}' \
@@ -91,22 +90,6 @@ grep '"id":2,' target/smoke/serve.ndjson | grep -q '"result":"hit"' || {
     echo "repeat request was not served from the result cache" >&2
     exit 1
 }
-# served_vs_oneshot ID BACKEND: the cycles of served row ID against the
-# hybrid/4 row carrying BACKEND's label in BENCH_bench_one.json.
-served_vs_oneshot() {
-    served=$(grep "\"id\":$1," target/smoke/serve.ndjson \
-        | sed -n 's/.*"cycles":\([0-9][0-9]*\).*/\1/p')
-    oneshot=$(sed -n \
-        "s/.*\"strategy\":\"hybrid\",\"cores\":4,\"backend\":\"$2\",\"cycles\":\([0-9][0-9]*\).*/\1/p" \
-        BENCH_bench_one.json)
-    if [ -z "$served" ] || [ "$served" != "$oneshot" ]; then
-        echo "served $2 cycles (${served:-none}) != one-shot cycles (${oneshot:-none})" >&2
-        exit 1
-    fi
-}
-served_vs_oneshot 1 snooping
-voltron bench_one 164.gzip --backend directory > /dev/null
-served_vs_oneshot 5 directory
 
 echo "== chaos smoke: fixed-seed fault plan + retries, no hard failures"
 # The whole figure path under fire (DESIGN.md §10): a seeded fault plan
