@@ -470,7 +470,8 @@ fn inspect(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
     args.observe("inspect", w.name, &mut exp, config)?;
     let run = exp.run_on(strategy, cores, backend)?;
     // The code that run executed: compilation is deterministic.
-    let image = prepare(&front_end(&w.program, strategy, cores)?, config)?.image;
+    let sealed = prepare(&front_end(&w.program, strategy, cores)?, config)?.image;
+    let image = sealed.program();
 
     println!("== {} / {strategy} / {cores} cores ==", w.name);
     let mut kinds: Vec<_> = run.region_kinds.iter().collect();

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use voltron_compiler::{CompileOptions, FrontEnd};
 use voltron_ir::{Memory, Program};
 use voltron_sim::{
-    CoherenceBackend, FaultPlan, IdealKnobs, Machine, MachineConfig, MachineProgram, SimError,
+    CoherenceBackend, FaultPlan, IdealKnobs, Machine, MachineConfig, SealedImage, SimError,
 };
 
 use crate::{
@@ -95,7 +95,7 @@ pub struct CacheInfo {
     pub image_hit: bool,
     /// The run was served from the result layer (no simulation at all).
     pub result_hit: bool,
-    /// The machine came from the pool (reset) rather than being built.
+    /// The machine came from the pool (rebooted) rather than being built.
     pub machine_pooled: bool,
 }
 
@@ -123,13 +123,13 @@ pub struct Reference {
     pub baseline_ticked_cycles: u64,
 }
 
-/// The pool's key: machines of one shape are interchangeable after a reset.
+/// The pool's key: machines of one shape are interchangeable after a reboot.
 fn shape(cfg: &MachineConfig) -> (usize, &'static str) {
     (cfg.cores, cfg.coherence.label())
 }
 
 /// Parked machines per (cores, backend label) shape, revived by
-/// [`Machine::reset`], whose reuse-equals-fresh contract the golden and
+/// [`Machine::reboot`], whose reuse-equals-fresh contract the golden and
 /// serve suites pin. Every product simulation draws its machine here; a
 /// machine whose run failed, mismatched the golden memory or panicked
 /// never comes back.
@@ -153,25 +153,21 @@ impl MachinePool {
     }
 
     /// A machine booted on `image` under `cfg`: a parked one of that
-    /// shape, reset, or a new one; `true` when it was pooled.
+    /// shape, rebooted, or a new one; `true` when it was pooled.
     fn checkout(
         &self,
-        image: &Arc<MachineProgram>,
+        image: &Arc<SealedImage>,
         cfg: &MachineConfig,
     ) -> Result<(Machine, bool), SimError> {
         let mut parked = self.parked.lock().expect("pool lock");
         let machine = parked.get_mut(&shape(cfg)).and_then(Vec::pop);
         drop(parked);
         if let Some(mut m) = machine {
-            if m.reset(Arc::clone(image), cfg).is_ok() {
-                return Ok((m, note(&self.reuse, true)));
-            }
-            // A reset can only fail on image/config validation; retire the
-            // machine and let the build below report the same error.
-            self.retire(m);
+            m.reboot(image, cfg)?;
+            return Ok((m, note(&self.reuse, true)));
         }
         note(&self.reuse, false);
-        Ok((Machine::new_shared(Arc::clone(image), cfg)?, false))
+        Ok((Machine::boot(image, cfg)?, false))
     }
 
     /// Park a machine that finished a validated run under `cfg`.
@@ -197,7 +193,7 @@ impl MachinePool {
         parked.values().map(Vec::len).sum()
     }
 
-    /// `(reset, built)` checkouts so far.
+    /// `(rebooted, built)` checkouts so far.
     pub fn reuse(&self) -> (u64, u64) {
         tallied(&self.reuse)
     }
@@ -211,8 +207,8 @@ impl MachinePool {
 /// One simulation of a compiled configuration (with the layers compiling
 /// it found warm) on a pooled machine, held to `golden`: [`sim_config`],
 /// checkout, [`run_checked`], then park the machine — or retire it with
-/// the error. Touches no cache layer; the image is validated on every boot
-/// onto a new image or config ([`Machine::new_shared`], [`Machine::reset`]).
+/// the error. Touches no cache layer; the image was validated when
+/// [`prepare`] sealed it.
 pub(crate) fn simulate(
     (prepared, layers): &(Arc<Prepared>, CacheInfo),
     golden: &Memory,

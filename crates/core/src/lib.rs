@@ -49,8 +49,8 @@ use voltron_compiler::{compile_prepared, CompileError, CompileOptions, FrontEnd}
 use voltron_ir::{interp, Memory, Program};
 use voltron_sim::whatif::region_stacks;
 use voltron_sim::{
-    ChromeTracer, CoherenceBackend, Machine, MachineConfig, MachineProgram, MachineStats,
-    RunOutcome, SimError, StallReason,
+    ChromeTracer, CoherenceBackend, Machine, MachineConfig, MachineStats, RunOutcome, SealedImage,
+    SimError, StallReason,
 };
 
 pub use cache::{CacheInfo, MachinePool, ProgramCache, Reference, ResultKey, RunSpec};
@@ -319,7 +319,7 @@ pub fn run_configuration(
 ) -> Result<RunResult, SystemError> {
     let prepared = prepare(&front_end(program, config.0, config.1)?, config)?;
     let spec = RunSpec::new(config);
-    let mut machine = Machine::new_shared(Arc::clone(&prepared.image), &sim_config(&spec))?;
+    let mut machine = Machine::boot(&prepared.image, &sim_config(&spec))?;
     let out = run_checked(&mut machine, config, golden, &spec.obs)?;
     Ok(prepared.result(config, out.stats, out.ticked_cycles, baseline_cycles, None))
 }
@@ -379,30 +379,31 @@ pub fn front_end(
 }
 
 /// A configuration compiled and ready to boot: the first half of a run.
-/// The image sits behind an `Arc` so every simulation of it — a what-if's
-/// five, the one that serves a whole class of equal configurations, or
-/// every pooled machine the serve engine resets to it — boots from the
-/// same allocation; the planner maps stay the configuration's own. A
-/// [`ProgramCache`] keeps one per configuration for as long as it lives.
+/// The image is sealed, so every simulation of it — a what-if's five, the
+/// one that serves a whole class of equal configurations, or every pooled
+/// machine the serve engine reboots onto it — boots without validating
+/// and reads one decoded program; the planner maps stay the
+/// configuration's own. A [`ProgramCache`] keeps one per configuration
+/// for as long as it lives.
 #[derive(Debug)]
 pub struct Prepared {
-    /// The per-core machine code.
-    pub image: Arc<MachineProgram>,
+    /// The per-core machine code, validated for its core count.
+    pub image: Arc<SealedImage>,
     /// Planner maps, copied into every [`Prepared::result`].
     region_kinds: HashMap<u32, &'static str>,
     region_weights: HashMap<u32, u64>,
 }
 
-/// Plan and emit `config` from its [`front_end`]: what a [`ProgramCache`]
-/// does per image-layer miss.
+/// Plan and emit `config` from its [`front_end`], then seal the image:
+/// what a [`ProgramCache`] does per image-layer miss.
 ///
 /// # Errors
-/// Propagates compile failures.
+/// Propagates compile and validation failures.
 pub fn prepare(fe: &FrontEnd, (strategy, cores, backend): Config) -> Result<Prepared, SystemError> {
     let mcfg = machine_config(cores, backend);
     let compiled = compile_prepared(fe, strategy, &mcfg, &CompileOptions::default())?;
     Ok(Prepared {
-        image: Arc::new(compiled.machine),
+        image: SealedImage::seal(Arc::new(compiled.machine), &mcfg)?,
         region_kinds: compiled.region_kinds,
         region_weights: compiled.region_weights,
     })
@@ -437,7 +438,7 @@ impl Prepared {
 }
 
 /// The machine a simulation of `spec` boots (built, or a pooled one
-/// reset to it), as opposed to [`machine_config`], which is what the
+/// rebooted onto it), as opposed to [`machine_config`], which is what the
 /// compiler saw.
 ///
 /// The budget caps simulation only, so budgeted and unbudgeted builds
@@ -459,7 +460,7 @@ pub fn sim_config(spec: &RunSpec<'_>) -> MachineConfig {
     cfg
 }
 
-/// Run a booted (or reset) machine to completion and hold its final
+/// Run a booted (or rebooted) machine to completion and hold its final
 /// memory to `golden`: the second half of a run, with a Chrome tracer
 /// attached when `obs` asks for one. When probes were sampled too
 /// ([`sim_config`] set the period), they are spliced into the outcome's
@@ -877,7 +878,8 @@ impl<'a> Experiment<'a> {
         for i in 0..prepared.len() {
             let shape = |k: usize| (missing[k].config.1, missing[k].config.2);
             let same = (0..i).find(|&j| {
-                leader[j] == j && shape(j) == shape(i) && prepared[j].0.image == prepared[i].0.image
+                let image = |k: usize| prepared[k].0.image.program();
+                leader[j] == j && shape(j) == shape(i) && image(j) == image(i)
             });
             leader.push(same.unwrap_or(i));
         }

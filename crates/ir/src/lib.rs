@@ -49,7 +49,6 @@
 
 pub mod builder;
 pub mod cfg;
-pub mod dot;
 pub mod inst;
 pub mod interp;
 pub mod loops;

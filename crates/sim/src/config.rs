@@ -9,7 +9,7 @@ use crate::fault::FaultPlan;
 /// on a healthy machine, and a livelock window shorter than the deadlock
 /// window would report pure deadlocks as livelocks.
 ///
-/// [`Watchdogs::validate`] is enforced by `Machine::new`, so every
+/// [`Watchdogs::validate`] is enforced by `Machine::boot`, so every
 /// constructed machine has a coherent set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watchdogs {
@@ -217,7 +217,7 @@ pub struct MachineConfig {
     /// Extra bus occupancy per committed line.
     pub tm_commit_per_line: u64,
     /// The unified robustness knobs: hang-detector windows and fault
-    /// retry budgets (validated by `Machine::new`; see [`Watchdogs`]).
+    /// retry budgets (validated by `Machine::boot`; see [`Watchdogs`]).
     pub watchdogs: Watchdogs,
     /// Hard cap on simulated cycles.
     pub max_cycles: u64,

@@ -26,6 +26,7 @@ use crate::network::TAG_JOIN;
 use crate::stats::StallReason;
 use crate::validate::{recv_tag, send_tag};
 use std::collections::HashMap;
+use std::sync::Arc;
 use voltron_ir::{
     semantics, BlockId, CmpCc, Dir, ExecMode, Inst, MemWidth, Opcode, Operand, Reg, RegClass,
     Signedness, Value,
@@ -249,7 +250,7 @@ pub struct DInst {
     /// What to test before issue.
     pub class: IssueClass,
     /// Scoreboard slots: register sources, guard, destination, padded
-    /// with the always-ready [`DecodedCore::zero_slot`].
+    /// with the always-ready constant-0 slot.
     pub sb: [u32; SB_SLOTS],
     /// Slot whose zero value nullifies the instruction
     /// ([`DecodedCore::true_slot`] when unguarded).
@@ -303,7 +304,7 @@ impl DecodedCore {
     }
 
     /// Constant 0: never written, so always ready — the scoreboard pad.
-    pub fn zero_slot(&self) -> u32 {
+    fn zero_slot(&self) -> u32 {
         self.class_base[4]
     }
 
@@ -340,11 +341,12 @@ impl DecodedCore {
     }
 }
 
-/// A decoded [`MachineProgram`]: one [`DecodedCore`] per image.
+/// A decoded [`MachineProgram`]: one [`DecodedCore`] per image, behind
+/// one shared pointer (a clone shares the images).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecodedProgram {
     /// Per-core decoded images.
-    pub cores: Vec<DecodedCore>,
+    pub cores: Arc<[DecodedCore]>,
 }
 
 impl DecodedProgram {

@@ -180,7 +180,7 @@ impl FaultPlan {
     }
 
     /// True when the random component may strike `site`.
-    pub fn site_enabled(&self, site: FaultSite) -> bool {
+    fn site_enabled(&self, site: FaultSite) -> bool {
         self.sites.is_empty() || self.sites.contains(&site)
     }
 

@@ -47,6 +47,7 @@ pub mod mcode;
 pub mod memsys;
 pub mod network;
 pub mod obs;
+pub mod sealed;
 pub mod stats;
 pub mod tm;
 pub mod trace;
@@ -58,6 +59,7 @@ pub use fault::{FaultBudgetReport, FaultEvent, FaultKind, FaultPlan, FaultSite, 
 pub use machine::{CoreWait, Machine, RunOutcome, SimError, WaitCause};
 pub use mcode::{CoreImage, MBlock, MachineProgram, RegionId, REGION_OUTSIDE};
 pub use obs::{trace_with_counters, ChromeTracer, ProbeSample, ProbeSeries, ProbeSummary};
+pub use sealed::SealedImage;
 pub use stats::{CoreStats, MachineStats, RegionBreakdown, StallReason};
 pub use validate::{Site, ValidateError};
 pub use whatif::{BoundBy, CycleStack, KnobId, RegionStack};

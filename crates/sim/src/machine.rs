@@ -17,6 +17,7 @@ use crate::mcode::{MachineProgram, RegionId, REGION_OUTSIDE};
 use crate::memsys::{Completion, LoadOutcome, MemSys};
 use crate::network::{bits, OperandNetwork, Payload};
 use crate::obs::{ProbeSample, ProbeSeries};
+use crate::sealed::SealedImage;
 use crate::stats::{CoreStats, MachineStats, RegionBreakdown, StallReason};
 use crate::tm::TxnManager;
 use crate::trace::{TraceEvent, Tracer};
@@ -363,20 +364,9 @@ impl Core {
         d.sb.iter().fold(0, |t, &s| t.max(self.ready[s as usize]))
     }
 
-    /// Return the core to its just-built state. When the same decoded
-    /// `image` runs again the register file keeps its size and constant
-    /// pool; otherwise it is emptied for the next decode to size.
-    fn reset(&mut self, image: Option<&DecodedCore>) {
-        match image {
-            Some(image) => {
-                self.regs[..image.n_regs()].fill(0);
-                self.clear_scoreboard();
-            }
-            None => {
-                self.regs.clear();
-                self.ready.clear();
-            }
-        }
+    /// Return the core to its just-built state. The register file keeps
+    /// its allocation; the next tick's [`Core::load_image`] rewrites it.
+    fn reset(&mut self) {
         self.state = CoreState::Idle;
         self.pc = 0;
         self.epoch = 0;
@@ -400,11 +390,10 @@ enum Decision {
 /// The simulated machine.
 pub struct Machine {
     cfg: MachineConfig,
-    program: Arc<MachineProgram>,
-    /// `program` lowered for the cycle loop. Built by the first
-    /// [`Machine::tick`] (machines that are booted but never run pay
-    /// nothing) and kept across [`Machine::reset`] onto the same image;
-    /// empty until then.
+    image: Arc<SealedImage>,
+    /// `image`'s decoded program, taken by the first [`Machine::tick`]
+    /// after boot (empty until then) and shared with every machine on
+    /// the same image.
     decoded: DecodedProgram,
     cores: Vec<Core>,
     memsys: MemSys,
@@ -499,21 +488,18 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Boot a machine for `program` under `cfg`.
+    /// Seal `program` for `cfg` and boot a machine on it.
     ///
     /// # Errors
-    /// Returns [`SimError::Malformed`] when the image count mismatches the
-    /// configuration or the machine code fails its structural check, and
-    /// [`SimError::Validate`] when the images fail the static cross-core
-    /// consistency pass ([`MachineProgram::validate`]).
+    /// See [`SealedImage::seal`] and [`Machine::boot`].
     pub fn new(program: MachineProgram, cfg: &MachineConfig) -> Result<Machine, SimError> {
-        Machine::new_shared(Arc::new(program), cfg)
+        Machine::boot(&SealedImage::seal(Arc::new(program), cfg)?, cfg)
     }
 
-    /// [`Machine::new`] for an already-shared program image. The serve
-    /// path compiles each (program, strategy, cores) once and boots many
-    /// machines from the same `Arc`, so the image is never cloned per
-    /// request.
+    /// [`Machine::new`] for an already-shared program, sealed (so checked,
+    /// validated and later decoded) again on every call. Kept only because
+    /// `benchmark/README.md`'s API list names it: a caller that boots one
+    /// image more than once seals it once and calls [`Machine::boot`].
     ///
     /// # Errors
     /// See [`Machine::new`].
@@ -521,13 +507,19 @@ impl Machine {
         program: Arc<MachineProgram>,
         cfg: &MachineConfig,
     ) -> Result<Machine, SimError> {
-        check_shape(&program, cfg)?;
-        program.check().map_err(SimError::Malformed)?;
-        program.validate(cfg)?;
-        cfg.watchdogs.validate().map_err(SimError::Malformed)?;
-        let memory = Memory::from_data(&program.data);
+        Machine::boot(&SealedImage::seal(program, cfg)?, cfg)
+    }
+
+    /// Boot a machine on a sealed `image` under `cfg`. The image was
+    /// validated when it was sealed, and nothing is decoded until the
+    /// first tick, so boot does no per-instruction work.
+    ///
+    /// # Errors
+    /// [`SimError::Malformed`] when `cfg` is not a machine of the core
+    /// count `image` was sealed for, or its watchdogs are invalid.
+    pub fn boot(image: &Arc<SealedImage>, cfg: &MachineConfig) -> Result<Machine, SimError> {
+        image.admit(cfg)?;
         let n = cfg.cores;
-        let region_slots = region_slots(&program);
         // The "zero TM conflict aborts" idealization swaps the conflict
         // predicate for value-based detection (crate::tm), which spares
         // false sharing while still aborting true dependences — final
@@ -535,19 +527,19 @@ impl Machine {
         let mut tm = TxnManager::new(n, cfg.line_size);
         tm.set_value_conflicts(cfg.ideal.zero_tm_conflicts);
         let mut m = Machine {
-            program,
+            image: Arc::clone(image),
             decoded: DecodedProgram::default(),
             cores: (0..n).map(|_| Core::default()).collect(),
             memsys: MemSys::new(cfg),
             net: OperandNetwork::new(cfg),
             tm,
-            memory,
+            memory: Memory::from_data(&image.program().data),
             mode: ExecMode::Decoupled,
             cycle: 0,
             last_progress: 0,
             last_arch_change: 0,
             core_stats: vec![CoreStats::default(); n],
-            region_table: vec![RegionBreakdown::default(); region_slots],
+            region_table: vec![RegionBreakdown::default(); image.region_slots()],
             running: 0,
             idle: 0,
             at_switch: 0,
@@ -639,17 +631,10 @@ impl Machine {
         self.active_cores() != 0
     }
 
-    /// Return the machine to the state [`Machine::new_shared`] would
-    /// build for (`program`, `cfg`), reusing the core, cache, network,
-    /// and TM allocations instead of rebuilding them. This is the machine
-    /// pool's hot path: a reset-then-run is architecturally identical to
-    /// a fresh-boot-then-run (field-by-field, pinned by the serve
-    /// equivalence tests), only cheaper.
-    ///
-    /// Validation is skipped when the image is the *same allocation*
-    /// (`Arc::ptr_eq`) under an equal config — it already passed when the
-    /// machine was first booted; any new image or changed config is
-    /// re-validated exactly as `new` does.
+    /// [`Machine::reboot`] onto `program`, sealed (so checked, validated
+    /// and, at the next tick, decoded) again on every call: slower than
+    /// the pool's `reboot` onto an image sealed once. Kept only because
+    /// `benchmark/README.md`'s API list names it.
     ///
     /// # Errors
     /// See [`Machine::new`].
@@ -658,28 +643,31 @@ impl Machine {
         program: Arc<MachineProgram>,
         cfg: &MachineConfig,
     ) -> Result<(), SimError> {
-        check_shape(&program, cfg)?;
-        let same_program = Arc::ptr_eq(&self.program, &program);
-        if !same_program || self.cfg != *cfg {
-            program.check().map_err(SimError::Malformed)?;
-            program.validate(cfg)?;
-            cfg.watchdogs.validate().map_err(SimError::Malformed)?;
-        }
-        self.memory = Memory::from_data(&program.data);
-        if !same_program {
-            self.decoded = DecodedProgram::default();
-        }
+        self.reboot(&SealedImage::seal(program, cfg)?, cfg)
+    }
+
+    /// Return the machine to the state [`Machine::boot`] would build for
+    /// (`image`, `cfg`), reusing the core, cache, network, and TM
+    /// allocations instead of rebuilding them. This is the machine pool's
+    /// hot path: a reboot-then-run is architecturally identical to a
+    /// fresh-boot-then-run (field-by-field, pinned by the serve
+    /// equivalence tests), only cheaper. A refused reboot leaves the
+    /// machine as it was.
+    ///
+    /// # Errors
+    /// See [`Machine::boot`].
+    pub fn reboot(
+        &mut self,
+        image: &Arc<SealedImage>,
+        cfg: &MachineConfig,
+    ) -> Result<(), SimError> {
+        image.admit(cfg)?;
+        self.memory = Memory::from_data(&image.program().data);
+        self.decoded = DecodedProgram::default();
         let n = cfg.cores;
         self.cores.resize_with(n, Core::default);
-        for (i, c) in self.cores.iter_mut().enumerate() {
-            c.reset(self.decoded.cores.get(i));
-        }
+        self.cores.iter_mut().for_each(Core::reset);
         self.boot_cores();
-        let region_slots = if same_program {
-            self.region_table.len()
-        } else {
-            region_slots(&program)
-        };
         self.memsys.reset(cfg);
         self.net.reset(cfg);
         self.tm.reset(n, cfg.line_size);
@@ -692,7 +680,7 @@ impl Machine {
         self.core_stats.resize(n, CoreStats::default());
         self.region_table.clear();
         self.region_table
-            .resize(region_slots, RegionBreakdown::default());
+            .resize(image.region_slots(), RegionBreakdown::default());
         self.coupled_cycles = 0;
         self.decoupled_cycles = 0;
         self.spawns = 0;
@@ -720,14 +708,14 @@ impl Machine {
         self.tm_begin_cycle.clear();
         self.tm_begin_cycle.resize(n, 0);
         self.tm_wasted = 0;
-        self.program = program;
+        self.image = Arc::clone(image);
         self.cfg = cfg.clone();
         Ok(())
     }
 
     /// The image as lowered for the cycle loop (see [`crate::decode`]):
-    /// empty until the first [`Machine::tick`], kept by a
-    /// [`Machine::reset`] onto the same image, dropped by one onto another.
+    /// empty from boot to the first [`Machine::tick`], then the one
+    /// decoded program every machine on the same [`SealedImage`] reads.
     pub fn decoded(&self) -> &DecodedProgram {
         &self.decoded
     }
@@ -868,11 +856,11 @@ impl Machine {
         })
     }
 
-    /// Lower the image for the cycle loop and size each core's register
-    /// file for it (first tick of a fresh or re-imaged machine).
-    fn decode_image(&mut self) {
-        self.decoded = DecodedProgram::new(&self.program);
-        for (core, image) in self.cores.iter_mut().zip(&self.decoded.cores) {
+    /// Take the image's decoded program and size each core's register
+    /// file for it (first tick after a boot or reboot).
+    fn load_decoded(&mut self) {
+        self.decoded = self.image.decoded().clone();
+        for (core, image) in self.cores.iter_mut().zip(self.decoded.cores.iter()) {
             core.load_image(image);
         }
     }
@@ -916,7 +904,7 @@ impl Machine {
             let _ = write!(s, "  core {i}: {:?} at ", c.state);
             let _ = match self.current(i) {
                 Some(d) => {
-                    let blk = &self.program.cores[i].blocks[d.block as usize];
+                    let blk = &self.image.program().cores[i].blocks[d.block as usize];
                     let inst = &blk.insts[d.slot as usize];
                     write!(s, "bb{}[{}] <{}> next `{inst}`", d.block, d.slot, blk.name)
                 }
@@ -1015,7 +1003,7 @@ impl Machine {
                 let (block, pc) = self
                     .current(i)
                     .map_or((0, 0), |d| (d.block as usize, d.slot as usize));
-                let block_name = self.program.cores[i]
+                let block_name = self.image.program().cores[i]
                     .blocks
                     .get(block)
                     .map_or_else(|| "?".into(), |blk| blk.name.clone());
@@ -1300,7 +1288,7 @@ impl Machine {
         } else {
             self.core_stats[i].issued += 1;
             if let Some(t) = self.tracer.as_mut() {
-                let block = &self.program.cores[i].blocks[d.block as usize];
+                let block = &self.image.program().cores[i].blocks[d.block as usize];
                 t.event(TraceEvent::Issue {
                     cycle: now,
                     core: i,
@@ -1592,7 +1580,7 @@ impl Machine {
         self.ticked += 1;
         self.ff_eligible = false;
         if self.decoded.cores.is_empty() {
-            self.decode_image();
+            self.load_decoded();
         }
         let mut done = std::mem::take(&mut self.completions);
         self.memsys.tick(now, &mut done);
@@ -2060,40 +2048,6 @@ fn find_wait_cycle(waits: &[CoreWait]) -> Option<Vec<usize>> {
         }
     }
     None
-}
-
-/// Region-table slots a program needs: one per region id of the master
-/// core (region attribution follows it) plus the [`REGION_OUTSIDE`]
-/// sentinel at the end.
-fn region_slots(program: &MachineProgram) -> usize {
-    program.cores[0]
-        .blocks
-        .iter()
-        .map(|b| b.region)
-        .filter(|&r| r != REGION_OUTSIDE)
-        .max()
-        .map_or(0, |r| r as usize + 1)
-        + 1
-}
-
-/// The shape checks shared by boot and reset. The cycle loop keeps its
-/// core sets in `u64` words, so the core count is bounded here — the one
-/// place a hand-built [`MachineConfig`] enters the machine.
-fn check_shape(program: &MachineProgram, cfg: &MachineConfig) -> Result<(), SimError> {
-    if cfg.cores == 0 || cfg.cores > 64 {
-        return Err(SimError::Malformed(format!(
-            "machine configured with {} cores; 1 to 64 are supported",
-            cfg.cores
-        )));
-    }
-    if program.cores.len() != cfg.cores {
-        return Err(SimError::Malformed(format!(
-            "program compiled for {} cores, machine has {}",
-            program.cores.len(),
-            cfg.cores
-        )));
-    }
-    Ok(())
 }
 
 fn ran_off_end(core: usize) -> SimError {

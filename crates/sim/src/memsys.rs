@@ -122,7 +122,7 @@ pub struct BankStall {
 
 impl BankStall {
     /// True when anything is pending on this bank.
-    pub fn is_stalled(&self) -> bool {
+    fn is_stalled(&self) -> bool {
         self.in_flight.is_some() || !self.queued.is_empty()
     }
 }
@@ -149,16 +149,8 @@ pub struct BusTimeout {
 
 impl BusTimeout {
     /// The banks with anything still pending — the segments that wedged.
-    pub fn stalled_banks(&self) -> Vec<&BankStall> {
+    fn stalled_banks(&self) -> Vec<&BankStall> {
         self.banks.iter().filter(|b| b.is_stalled()).collect()
-    }
-
-    /// Total requests pending (in flight or queued) across all banks.
-    pub fn pending_requests(&self) -> usize {
-        self.banks
-            .iter()
-            .map(|b| usize::from(b.in_flight.is_some()) + b.queued.len())
-            .sum()
     }
 }
 
@@ -476,12 +468,6 @@ impl MemSys {
         self.store_bufs[core].push_back(StoreEntry { addr, width });
         self.sb_entries += 1;
         true
-    }
-
-    /// True when the core's store buffer has drained (used at memory
-    /// synchronization points).
-    pub fn store_buffer_empty(&self, core: usize) -> bool {
-        self.store_bufs[core].is_empty()
     }
 
     /// True when the core's store buffer cannot accept another entry.
@@ -960,7 +946,7 @@ impl MemSys {
     }
 
     /// Build the per-bank forensics snapshot for a [`BusTimeout`].
-    pub fn timeout_snapshot(&self, start: u64, window: u64) -> BusTimeout {
+    fn timeout_snapshot(&self, start: u64, window: u64) -> BusTimeout {
         BusTimeout {
             start,
             window,
@@ -1117,7 +1103,6 @@ mod tests {
         assert_eq!(err.backend, "snooping");
         assert_eq!(err.banks.len(), 1);
         assert!(err.stalled_banks().is_empty());
-        assert_eq!(err.pending_requests(), 0);
         assert_eq!(err.store_buffered, vec![0; 4]);
         assert!(err.to_string().contains("all 1 bank(s) idle"));
         // A buffered store that cannot complete in one cycle shows up in
@@ -1125,7 +1110,6 @@ mod tests {
         assert!(m.store(2, 0x1_0000, 8));
         let err = m.run_until_completion(100, 1).unwrap_err();
         assert_eq!(err.store_buffered[2], 1);
-        assert!(err.pending_requests() > 0);
         // The snooping forensics name the single bus segment.
         assert_eq!(err.stalled_banks()[0].bank, 0);
         assert!(err.to_string().contains("bus 0:"), "{err}");
@@ -1217,7 +1201,7 @@ mod tests {
         for t in 1500..2500 {
             m.tick(t, &mut Vec::new());
         }
-        assert!(m.store_buffer_empty(2));
+        assert!(m.store_bufs[2].is_empty());
         assert_eq!(m.l1d[0].peek(0x1_0000), None);
         assert_eq!(m.l1d[1].peek(0x1_0000), None);
         assert_eq!(m.l1d[2].peek(0x1_0000), Some(LineState::M));
@@ -1284,7 +1268,7 @@ mod tests {
         for t in 400..800 {
             m.tick(t, &mut Vec::new());
         }
-        assert!(m.store_buffer_empty(0));
+        assert!(m.store_bufs[0].is_empty());
         assert_eq!(m.l1d[1].peek(0x1_0000), None);
         assert_eq!(m.l1d[0].peek(0x1_0000), Some(LineState::M));
     }

@@ -110,7 +110,7 @@ impl CoreStats {
     }
 
     /// Total stall cycles.
-    pub fn total_stalls(&self) -> u64 {
+    fn total_stalls(&self) -> u64 {
         self.stalls.iter().sum()
     }
 
@@ -155,7 +155,7 @@ pub struct RegionBreakdown {
 
 impl RegionBreakdown {
     /// Total stalled core-cycles in the region.
-    pub fn total_stalls(&self) -> u64 {
+    fn total_stalls(&self) -> u64 {
         self.stalls.iter().sum()
     }
 
@@ -239,7 +239,7 @@ impl MachineStats {
     }
 
     /// Total stalled core-cycles across all cores and reasons.
-    pub fn total_stalls(&self) -> u64 {
+    fn total_stalls(&self) -> u64 {
         self.cores.iter().map(|c| c.total_stalls()).sum()
     }
 

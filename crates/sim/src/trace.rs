@@ -218,11 +218,6 @@ impl TextTracer {
         &self.lines
     }
 
-    /// How many wanted events were dropped because `limit` was reached.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
-    }
-
     /// Render the whole trace.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -387,7 +382,7 @@ mod tests {
             inst: &nop,
         });
         assert_eq!(t.lines().len(), 1);
-        assert_eq!(t.suppressed(), 2);
+        assert_eq!(t.suppressed, 2);
         assert!(t.render().ends_with("... 2 events suppressed\n"));
 
         let mut clean = TextTracer::new(8, false);

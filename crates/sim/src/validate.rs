@@ -8,7 +8,8 @@
 //! every core or the switch barrier never forms. A violation of any of
 //! these invariants used to surface only at runtime, as a generic
 //! deadlock dump deep into the cycle loop; this pass rejects such images
-//! at [`crate::Machine::new`] time with coordinates.
+//! when the image is sealed ([`crate::SealedImage::seal`]), with
+//! coordinates.
 //!
 //! The invariant catalogue (see DESIGN.md for the derivations):
 //!
@@ -319,7 +320,7 @@ fn cores_of(present: &[(RegionId, u32)], r: RegionId) -> impl Iterator<Item = u3
 impl MachineProgram {
     /// Statically validate cross-core consistency of the program's
     /// images under `cfg`'s mesh geometry (see the module docs for the
-    /// invariant catalogue). [`crate::Machine::new`] runs this after the
+    /// invariant catalogue). [`crate::SealedImage::seal`] runs this after the
     /// structural [`MachineProgram::check`], so a validated program's
     /// network and thread instructions can rely on these invariants.
     ///

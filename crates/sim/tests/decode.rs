@@ -35,7 +35,7 @@ fn landing(image: &CoreImage, b: usize) -> Option<(usize, usize)> {
 fn assert_decode_invariants(p: &MachineProgram) {
     let decoded = DecodedProgram::new(p);
     assert_eq!(decoded.cores.len(), p.cores.len());
-    for (c, (image, d)) in p.cores.iter().zip(&decoded.cores).enumerate() {
+    for (c, (image, d)) in p.cores.iter().zip(decoded.cores.iter()).enumerate() {
         // (1) Image order enumerates the flat indices, and each decoded
         // instruction points back at where it came from.
         let mut flat_of = HashMap::new();

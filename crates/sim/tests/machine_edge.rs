@@ -667,12 +667,14 @@ fn explicit_xabort_restores_a_mid_block_pc_once() {
     );
 }
 
-/// The decoded image is built by the first tick, survives a reset onto
-/// the same `Arc`, and is rebuilt — never reused — for a different image.
+/// Boot decodes nothing; the first tick takes the sealed image's decoded
+/// program, which every machine booted or rebooted on that image reads,
+/// and a reboot onto another image reads that image's.
 #[test]
-fn reset_keeps_the_decoded_image_only_for_the_same_arc() {
+fn machines_on_one_sealed_image_share_one_decoded_program() {
     use std::sync::Arc;
     use voltron_sim::decode::DecodedProgram;
+    use voltron_sim::SealedImage;
     let image = |value: i64, pad: usize| {
         let mut data = DataSegment::default();
         let out = data.zeroed("out", 8);
@@ -687,31 +689,39 @@ fn reset_keeps_the_decoded_image_only_for_the_same_arc() {
     let cfg = MachineConfig::paper(1);
     let (a, out_a) = image(7, 0);
     let (b, out_b) = image(8, 3);
+    let sealed_a = SealedImage::seal(Arc::clone(&a), &cfg).unwrap();
+    let sealed_b = SealedImage::seal(Arc::clone(&b), &cfg).unwrap();
+    let shared = |x: &Machine, y: &Machine| {
+        std::ptr::eq(x.decoded().cores.as_ptr(), y.decoded().cores.as_ptr())
+    };
 
-    let mut m = Machine::new_shared(Arc::clone(&a), &cfg).unwrap();
+    let mut m = Machine::boot(&sealed_a, &cfg).unwrap();
     assert!(m.decoded().cores.is_empty(), "boot must not decode");
     let first = m.run_mut().unwrap();
     assert_eq!(first.memory.load_i64(out_a).unwrap(), 7);
     assert_eq!(*m.decoded(), DecodedProgram::new(&a));
-    let kept = m.decoded().cores[0].insts.as_ptr();
 
-    m.reset(Arc::clone(&a), &cfg).unwrap();
-    assert_eq!(
-        m.decoded().cores[0].insts.as_ptr(),
-        kept,
-        "same Arc re-decoded"
-    );
+    let mut other = Machine::boot(&sealed_a, &cfg).unwrap();
+    assert!(other.decoded().cores.is_empty(), "boot must not decode");
+    other.run_mut().unwrap();
+    assert!(shared(&m, &other), "image decoded twice");
+
+    m.reboot(&sealed_a, &cfg).unwrap();
+    assert!(m.decoded().cores.is_empty(), "reboot must not decode");
     let again = m.run_mut().unwrap();
+    assert!(shared(&m, &other), "reboot re-decoded");
     assert_eq!(again.stats, first.stats);
     assert_eq!(again.memory, first.memory);
 
-    m.reset(Arc::clone(&b), &cfg).unwrap();
-    assert!(m.decoded().cores.is_empty(), "stale decoded image kept");
-    let other = m.run_mut().unwrap();
-    assert_eq!(other.memory.load_i64(out_b).unwrap(), 8);
+    m.reboot(&sealed_b, &cfg).unwrap();
+    let rebooted = m.run_mut().unwrap();
+    assert_eq!(rebooted.memory.load_i64(out_b).unwrap(), 8);
     assert_eq!(*m.decoded(), DecodedProgram::new(&b));
-    let fresh = Machine::new_shared(b, &cfg).unwrap().run().unwrap();
-    assert_eq!(other.stats, fresh.stats);
+    assert!(!shared(&m, &other), "stale decoded image kept");
+    let mut fresh = Machine::boot(&sealed_b, &cfg).unwrap();
+    let fresh_out = fresh.run_mut().unwrap();
+    assert!(shared(&m, &fresh));
+    assert_eq!(rebooted.stats, fresh_out.stats);
 }
 
 /// `MachineConfig::cores` is a public field and only

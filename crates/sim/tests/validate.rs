@@ -18,10 +18,12 @@
 //! whole *order* of first errors.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use validate_oracle::validate_oracle;
 use voltron_ir::{BlockId, DataSegment, Dir, ExecMode, Inst, Opcode, Operand, Reg};
 use voltron_sim::{
-    CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SimError, ValidateError, WaitCause,
+    CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SealedImage, SimError,
+    ValidateError, WaitCause,
 };
 
 #[path = "common/fuzz.rs"]
@@ -417,9 +419,10 @@ proptest! {
 
     /// Random small two-core programs — most of them garbage — must be
     /// either rejected with a typed error or simulated to a typed
-    /// outcome. Nothing in `validate()`, `Machine::new`, or the cycle
-    /// loop (including the deadlock/livelock forensics most of these
-    /// programs will hit) may panic.
+    /// outcome. Nothing in `SealedImage::seal`, `Machine::boot`, or the
+    /// cycle loop (including the deadlock/livelock forensics most of these
+    /// programs will hit) may panic, and sealing fails closed with exactly
+    /// the error `check` and then `validate` report.
     #[test]
     fn random_programs_never_panic(
         main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
@@ -427,9 +430,12 @@ proptest! {
         worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
     ) {
         let (p, cfg) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
+        let want = p.check().map_err(SimError::Malformed).and_then(|()| Ok(p.validate(&cfg)?));
+        let sealed = SealedImage::seal(Arc::new(p), &cfg);
+        assert_eq!(format!("{:?}", sealed.as_ref().map(drop)), format!("{want:?}"));
         // Both arms are typed; reaching either (or a clean run) is a
         // pass. A panic anywhere in the pipeline fails the property.
-        match Machine::new(p, &cfg) {
+        match sealed.and_then(|image| Machine::boot(&image, &cfg)) {
             Ok(m) => {
                 let _ = m.run();
             }
@@ -438,6 +444,28 @@ proptest! {
             }
         }
     }
+}
+
+/// A sealed image boots only machines of the core count it was sealed
+/// for, and a refused reboot leaves the machine usable.
+#[test]
+fn boot_refuses_a_config_of_another_core_count() {
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts.push(Inst::new(Opcode::Halt, vec![]));
+    let p = program(vec![vec![c0], vec![sleep_stub()]], data());
+    let image = SealedImage::seal(Arc::new(p), &MachineConfig::paper(2)).expect("seals");
+    let refused = |r: Result<(), SimError>| match r {
+        Err(SimError::Malformed(m)) => m == "program compiled for 2 cores, machine has 4",
+        _ => false,
+    };
+    assert!(refused(
+        Machine::boot(&image, &MachineConfig::paper(4)).map(drop)
+    ));
+    let mut m = Machine::boot(&image, &MachineConfig::paper(2)).expect("boots");
+    let first = m.run_mut().expect("runs");
+    assert!(refused(m.reboot(&image, &MachineConfig::paper(4))));
+    m.reboot(&image, &MachineConfig::paper(2)).expect("reboots");
+    assert_eq!(m.run_mut().expect("and runs again").stats, first.stats);
 }
 
 /// Build the rejection for a program on a scaled (4x4) machine.
