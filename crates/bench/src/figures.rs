@@ -3,7 +3,7 @@
 //! ([`render`]). `voltron figall` is the whole table and `voltron fig13`
 //! one entry of it, so a single-figure run prints exactly its `figall`
 //! section. The scaling sweep, the ablations and "Table 1" share the table
-//! helper ([`value_table`]).
+//! helper (`value_table`).
 //!
 //! The contract (DESIGN.md §4.1): a figure names the `(strategy, cores)`
 //! *points* it reads; a sweep simulates the union of its figures' points
@@ -246,7 +246,7 @@ pub fn render(figs: &[&Figure], harvest: &Harvest<Swept>) -> String {
 /// A table of numbers: `lead` label columns, then one column per entry
 /// of `columns`; each row's values formatted by `cells`; when `average`,
 /// a last row of the column means formatted the same way.
-pub fn value_table(
+fn value_table(
     lead: &[&str],
     columns: &[&str],
     rows: &[(Vec<String>, Vec<f64>)],

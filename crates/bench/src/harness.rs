@@ -129,7 +129,7 @@ pub struct HarnessArgs {
     /// [`WorkloadFailure`] instead of holding a host thread.
     pub budget_cycles: Option<u64>,
     /// Write a Chrome trace-event JSON per workload to this path
-    /// (see [`HarnessArgs::artifact_path`] for multi-workload naming).
+    /// (see `HarnessArgs::artifact_path` for multi-workload naming).
     pub trace_out: Option<String>,
     /// Write the interval probe series per workload to this path.
     pub probes_out: Option<String>,
@@ -233,7 +233,7 @@ impl HarnessArgs {
     /// positional) the path is used verbatim; in a sweep the workload
     /// name is spliced in before the extension (`trace.json` →
     /// `trace.164.gzip.json`) so workloads don't clobber each other.
-    pub fn artifact_path(&self, base: &str, workload: &str) -> String {
+    fn artifact_path(&self, base: &str, workload: &str) -> String {
         if self.only.is_some() || !self.positional.is_empty() {
             return base.to_string();
         }
@@ -328,7 +328,7 @@ pub struct WorkloadSummary {
 /// Snapshot an experiment's run inventory for the JSON sidecar.
 /// `host_seconds` is the wall-clock the caller measured around the
 /// workload's runs.
-pub fn workload_summary(
+fn workload_summary(
     name: &'static str,
     exp: &Experiment<'_>,
     host_seconds: f64,

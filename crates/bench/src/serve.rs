@@ -615,7 +615,7 @@ impl Server {
     }
 
     /// Enqueue an in-band stats probe.
-    pub fn submit_stats(&self, id: u64, reply: Sender<Response>) {
+    fn submit_stats(&self, id: u64, reply: Sender<Response>) {
         self.enqueue(Op::Stats { id }, reply);
     }
 

@@ -1,7 +1,5 @@
 //! The one serve test that needs the built `voltron` binary
-//! (`CARGO_BIN_EXE_voltron` exists only for this package's own
-//! integration tests), kept apart so `serve.rs` — every in-process test — can be
-//! hoisted into tier-1 by `tests/serve_engine.rs` at the repository root.
+//! (`CARGO_BIN_EXE_voltron`); every in-process serve test is in `serve.rs`.
 
 use voltron_core::report::{parse, Json};
 

@@ -109,7 +109,7 @@ impl AliasAnalysis {
     }
 
     /// Origin of the address in `base_reg`.
-    pub fn origin(&self, base_reg: Reg) -> Origin {
+    fn origin(&self, base_reg: Reg) -> Origin {
         self.origins.get(&base_reg).copied().unwrap_or(Origin::Any)
     }
 

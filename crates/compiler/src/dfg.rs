@@ -5,7 +5,7 @@
 //! * [`BlockDfg`] — precise intra-block dependences (data, anti, output,
 //!   memory, control) in program order; the input to BUG/eBUG and the
 //!   coupled-mode joint scheduler.
-//! * [`build_loop_graph`] — a flow-insensitive whole-loop operation graph
+//! * `build_loop_graph` — a flow-insensitive whole-loop operation graph
 //!   whose cycles capture recurrences; its SCC condensation drives DSWP
 //!   stage formation.
 //!
@@ -190,7 +190,7 @@ pub struct LoopGraph {
 }
 
 /// Build the loop graph over `blocks` of `f`.
-pub fn build_loop_graph(f: &Function, blocks: &[BlockId], alias: &AliasAnalysis) -> LoopGraph {
+fn build_loop_graph(f: &Function, blocks: &[BlockId], alias: &AliasAnalysis) -> LoopGraph {
     let mut nodes: Vec<LoopNode> = Vec::new();
     for &b in blocks {
         for i in 0..f.block(b).insts.len() {
@@ -341,7 +341,7 @@ impl DepGraphs {
 
 /// Tarjan strongly-connected components; returns components in *reverse*
 /// topological order (callees first), each a list of node indices.
-pub fn sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: i64,

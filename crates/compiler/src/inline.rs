@@ -13,10 +13,10 @@ use voltron_ir::{Block, BlockId, FuncId, Function, Inst, Opcode, Operand, Progra
 const MAX_INLINE_STEPS: usize = 10_000;
 
 /// `program` as the one-function program the compiler plans and emits
-/// from: [`inline_all`]'s flat function as `main`, same name and data.
+/// from: `inline_all`'s flat function as `main`, same name and data.
 ///
 /// # Errors
-/// See [`inline_all`].
+/// See `inline_all`.
 pub fn inline_program(program: &Program) -> Result<Program, CompileError> {
     Ok(Program {
         name: program.name.clone(),
@@ -30,7 +30,7 @@ pub fn inline_program(program: &Program) -> Result<Program, CompileError> {
 ///
 /// # Errors
 /// Fails on (mutual) recursion or malformed call sites.
-pub fn inline_all(program: &Program) -> Result<Function, CompileError> {
+fn inline_all(program: &Program) -> Result<Function, CompileError> {
     let mut f = program.main_func().clone();
     let mut steps = 0;
     while let Some((bi, ii)) = find_call(&f) {

@@ -140,14 +140,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The region containing block `b`.
-    pub fn region_of(&self, b: BlockId) -> &Region {
-        self.regions
-            .iter()
-            .find(|r| r.contains(b))
-            .expect("plan covers all blocks")
-    }
-
     /// Count of regions by kind name (diagnostics).
     pub fn histogram(&self) -> HashMap<&'static str, usize> {
         let mut h = HashMap::new();
@@ -649,7 +641,11 @@ mod tests {
                 .find(|(_, b)| b.insts.iter().any(|i| i.op == Opcode::Halt))
                 .map(|(id, _)| id)
                 .unwrap_or(last_block);
-            let r = plan.region_of(halt_block);
+            let r = plan
+                .regions
+                .iter()
+                .find(|r| r.contains(halt_block))
+                .expect("plan covers all blocks");
             assert!(
                 matches!(r.kind, RegionKind::Serial),
                 "{strat}: halt region not serial"

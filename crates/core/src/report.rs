@@ -667,16 +667,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Geometric mean of positive values (the figures report arithmetic means;
-/// both are provided).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = xs.iter().map(|x| x.max(1e-12).ln()).sum();
-    (s / xs.len() as f64).exp()
-}
-
 /// Arithmetic mean.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -704,7 +694,6 @@ mod tests {
 
     #[test]
     fn means_behave() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-9);
         assert_eq!(pct(0.25), "25.0%");
     }

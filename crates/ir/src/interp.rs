@@ -329,7 +329,7 @@ pub fn eval_operand(regs: &RegFile, op: Operand) -> Result<Value, InterpError> {
 ///
 /// # Errors
 /// Returns an error on memory faults or machine-only opcodes.
-pub fn exec_inst<O: Observer + ?Sized>(
+fn exec_inst<O: Observer + ?Sized>(
     inst: &Inst,
     at: InstRef,
     regs: &mut RegFile,

@@ -98,14 +98,6 @@ impl Memory {
         Ok(self.load_uint(addr, 8)? as i64)
     }
 
-    /// Load an `i32` (sign-extended).
-    ///
-    /// # Errors
-    /// Returns [`MemError`] if the access is out of range.
-    pub fn load_i32(&self, addr: u64) -> Result<i64, MemError> {
-        Ok(self.load_uint(addr, 4)? as u32 as i32 as i64)
-    }
-
     /// Load an `f64`.
     ///
     /// # Errors
@@ -174,12 +166,5 @@ mod tests {
         assert_eq!(a.first_difference(&b), None);
         a.store_uint(DataSegment::BASE + 5, 1, 9).unwrap();
         assert_eq!(a.first_difference(&b), Some(DataSegment::BASE + 5));
-    }
-
-    #[test]
-    fn sign_extension_on_i32_load() {
-        let mut m = mem(16);
-        m.store_uint(DataSegment::BASE, 4, 0xffff_ffff).unwrap();
-        assert_eq!(m.load_i32(DataSegment::BASE).unwrap(), -1);
     }
 }

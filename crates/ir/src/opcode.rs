@@ -359,7 +359,7 @@ impl Opcode {
     }
 
     /// True for control-transfer operations (branch/jump/call/ret/halt).
-    pub fn is_control(self) -> bool {
+    fn is_control(self) -> bool {
         matches!(
             self,
             Opcode::Br | Opcode::Jump | Opcode::Call | Opcode::Ret | Opcode::Halt

@@ -5,7 +5,7 @@ use crate::program::{Function, Program};
 use std::fmt::Write as _;
 
 /// Render a function as assembly-like text.
-pub fn function_to_string(f: &Function) -> String {
+fn function_to_string(f: &Function) -> String {
     let mut s = String::new();
     let params: Vec<String> = f.params.iter().map(|p| p.to_string()).collect();
     let _ = writeln!(s, "func {}({}):", f.name, params.join(", "));

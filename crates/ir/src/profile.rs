@@ -165,7 +165,7 @@ impl FunctionalCache {
     }
 
     /// The paper's L1D configuration.
-    pub fn paper_l1d() -> FunctionalCache {
+    fn paper_l1d() -> FunctionalCache {
         FunctionalCache::new(4096, 2, 32)
     }
 

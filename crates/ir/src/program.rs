@@ -1,7 +1,7 @@
 //! Programs, functions, blocks, and the static data segment.
 
 use crate::inst::Inst;
-use crate::reg::{Reg, RegClass};
+use crate::reg::Reg;
 use std::fmt;
 
 /// Identifier of a basic block within a function (or per-core image).
@@ -87,14 +87,6 @@ impl Function {
         &self.blocks[b.idx()]
     }
 
-    /// Mutable access to a block.
-    ///
-    /// # Panics
-    /// Panics if `b` is out of range.
-    pub fn block_mut(&mut self, b: BlockId) -> &mut Block {
-        &mut self.blocks[b.idx()]
-    }
-
     /// Iterate over `(BlockId, &Block)` pairs in layout order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
         self.blocks
@@ -129,16 +121,6 @@ impl Function {
     /// Total static instruction count.
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
-    }
-
-    /// Allocate a fresh register of the given class (one past the current
-    /// maximum index).
-    pub fn fresh_reg(&mut self, class: RegClass) -> Reg {
-        let counts = self.reg_counts();
-        Reg {
-            class,
-            index: counts[class.index()],
-        }
     }
 }
 
@@ -238,29 +220,9 @@ impl DataSegment {
         self.alloc(name, size, 8)
     }
 
-    /// Look up a symbol's address by name.
-    pub fn symbol_addr(&self, name: &str) -> Option<u64> {
-        self.symbols
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| Self::BASE + s.offset)
-    }
-
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
         self.bytes.len() as u64
-    }
-
-    /// Given an address, the symbol containing it (for alias analysis and
-    /// diagnostics).
-    pub fn symbol_containing(&self, addr: u64) -> Option<&Symbol> {
-        if addr < Self::BASE {
-            return None;
-        }
-        let off = addr - Self::BASE;
-        self.symbols
-            .iter()
-            .find(|s| off >= s.offset && off < s.offset + s.size)
     }
 }
 
@@ -319,9 +281,6 @@ mod tests {
         assert_eq!(a, DataSegment::BASE);
         assert_eq!(b % 8, 0);
         assert!(b >= a + 3);
-        assert_eq!(d.symbol_addr("b"), Some(b));
-        let sym = d.symbol_containing(b + 8).unwrap();
-        assert_eq!(sym.name, "b");
     }
 
     #[test]
@@ -336,14 +295,12 @@ mod tests {
     #[test]
     fn reg_counts_track_max() {
         let mut f = Function::new("t");
-        f.block_mut(BlockId(0)).insts.push(Inst::with_dst(
+        f.blocks[0].insts.push(Inst::with_dst(
             Opcode::Add,
             Reg::gpr(9),
             vec![Reg::gpr(2).into(), Reg::gpr(3).into()],
         ));
         assert_eq!(f.reg_counts()[0], 10);
-        let fresh = f.fresh_reg(RegClass::Gpr);
-        assert_eq!(fresh.index, 10);
     }
 
     #[test]

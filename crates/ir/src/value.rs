@@ -76,16 +76,6 @@ impl Value {
             other => panic!("expected target value, found {other:?}"),
         }
     }
-
-    /// The all-zeros value of a class (register-file reset contents).
-    pub fn zero_of(class: RegClass) -> Value {
-        match class {
-            RegClass::Gpr => Value::Int(0),
-            RegClass::Fpr => Value::Float(0.0),
-            RegClass::Pred => Value::Pred(false),
-            RegClass::Btr => Value::Target(BlockId(0)),
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -109,13 +99,6 @@ mod tests {
         assert_eq!(Value::Float(1.0).class(), RegClass::Fpr);
         assert_eq!(Value::Pred(true).class(), RegClass::Pred);
         assert_eq!(Value::Target(BlockId(2)).class(), RegClass::Btr);
-    }
-
-    #[test]
-    fn zero_of_matches_class() {
-        for c in RegClass::ALL {
-            assert_eq!(Value::zero_of(c).class(), c);
-        }
     }
 
     #[test]

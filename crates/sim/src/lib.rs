@@ -63,3 +63,15 @@ pub use sealed::SealedImage;
 pub use stats::{CoreStats, MachineStats, RegionBreakdown, StallReason};
 pub use validate::{Site, ValidateError};
 pub use whatif::{BoundBy, CycleStack, KnobId, RegionStack};
+
+#[cfg(test)]
+mod tests {
+    /// The dev profile optimises this crate (the root manifest) but keeps
+    /// its checks: a build that turns overflow checks off fails here.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn test_builds_keep_overflow_checks() {
+        let overflowed = std::panic::catch_unwind(|| std::hint::black_box(u8::MAX) + 1);
+        assert!(overflowed.is_err(), "u8::MAX + 1 did not panic");
+    }
+}

@@ -497,7 +497,7 @@ impl ProbeSeries {
     /// span timeline. Returns the comma-separated records without
     /// surrounding brackets so [`trace_with_counters`] can splice them
     /// into a rendered trace; empty when the series has no samples.
-    pub fn counter_events(&self) -> String {
+    fn counter_events(&self) -> String {
         let mut out = String::new();
         let mut prev_busy = 0u64;
         let mut prev_cycle = 0u64;
@@ -583,7 +583,7 @@ impl ProbeSeries {
     }
 }
 
-/// Splice a probe series' counter tracks ([`ProbeSeries::counter_events`])
+/// Splice a probe series' counter tracks (`ProbeSeries::counter_events`)
 /// into a rendered Chrome trace (`{"traceEvents":[...]}`): the span
 /// timeline and the gauges land in one Perfetto document. Returns the
 /// trace unchanged when the series has no samples or the document does

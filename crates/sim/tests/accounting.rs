@@ -23,8 +23,7 @@ use voltron_sim::{
 };
 use voltron_workloads::{by_name, Scale};
 
-#[path = "common/mesh.rs"]
-mod mesh;
+use crate::common::mesh;
 
 const ALL_FOUR: &[Strategy] = &[
     Strategy::Ilp,

@@ -1,6 +1,5 @@
-//! The random machine-program generator shared by the simulator's
-//! integration suites (`#[path]`-included; integration tests cannot
-//! share code any other way). Most programs it produces are garbage —
+//! The random machine-program generator shared by the simulator-engine
+//! suites. Most programs it produces are garbage —
 //! that is the point: they wedge, spin, fault and fall off their images
 //! in every way the cycle loop must survive.
 

@@ -1,5 +1,5 @@
 //! A hand-built fork/barrier/join loop for any mesh size
-//! (`#[path]`-included by the suites that need many mostly-parked cores).
+//! (for the suites that need many mostly-parked cores).
 //!
 //! Every iteration the master, in region 0, spawns all `cores - 1`
 //! workers, meets them at a mode-switch barrier, runs two lock-step

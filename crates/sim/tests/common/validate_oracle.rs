@@ -1,7 +1,7 @@
 //! The static validator's oracle: the `HashMap`-per-invariant
 //! implementation [`MachineProgram::validate`] used to be, kept word for
-//! word (`#[path]`-included by the suites that hold the one-walk
-//! validator to it). It builds a [`Site`] — block name cloned — for every
+//! word (the suite that holds the one-walk validator to it is
+//! `validate.rs`). It builds a [`Site`] — block name cloned — for every
 //! instruction and keys every tally by value, which is what made it slow
 //! and what makes it obviously right: each invariant of the catalogue in
 //! `crates/sim/src/validate.rs` is one map and one sorted sweep.

@@ -21,8 +21,7 @@ use voltron_sim::decode::{BrTarget, DOp, DecodedProgram};
 use voltron_sim::{CoreImage, MBlock, MachineConfig, MachineProgram};
 use voltron_workloads::{by_name, Scale};
 
-#[path = "common/fuzz.rs"]
-mod fuzz;
+use crate::common::fuzz;
 
 /// Where a transfer to block `b` lands: the first `(block, slot)` at or
 /// after it, skipping empty blocks (`None` = ran off the end).

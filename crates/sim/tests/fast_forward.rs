@@ -16,8 +16,7 @@ use voltron_sim::{
     CoreImage, MBlock, Machine, MachineConfig, MachineProgram, RunOutcome, SimError,
 };
 
-#[path = "common/fuzz.rs"]
-mod fuzz;
+use crate::common::fuzz;
 
 fn gpr(i: u32) -> Reg {
     Reg::gpr(i)

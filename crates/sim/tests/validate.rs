@@ -15,25 +15,27 @@
 //! of a fork/join image at 2, 16 and 64 cores, and on random programs
 //! spread over the same meshes — peeling the reported instruction off
 //! and validating again until the image is clean, so each case pins a
-//! whole *order* of first errors.
+//! whole *order* of first errors. And on what the compiler really emits:
+//! every workload under every parallel strategy at 4, 16 and 64 cores,
+//! clean and with one `SEND`, `GET`, `GETB` and `MODE_SWITCH` site deleted
+//! (the site drawn from a fixed seed), so the two are compared on images
+//! with thousands of streams, dozens of regions and a real rejection to
+//! order.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use validate_oracle::validate_oracle;
+use voltron_compiler::{compile_prepared, CompileOptions, FrontEnd, Strategy};
 use voltron_ir::{BlockId, DataSegment, Dir, ExecMode, Inst, Opcode, Operand, Reg};
 use voltron_sim::{
     CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SealedImage, SimError,
     ValidateError, WaitCause,
 };
+use voltron_workloads::{all, Scale};
 
-#[path = "common/fuzz.rs"]
-mod fuzz;
-// Only the image is wanted here; its checksum is for suites that run it.
-#[allow(dead_code)]
-#[path = "common/mesh.rs"]
-mod mesh;
-#[path = "common/validate_oracle.rs"]
-mod validate_oracle;
+use crate::common::validate_oracle::validate_oracle;
+use crate::common::{fuzz, mesh};
 
 fn gpr(i: u32) -> Reg {
     Reg::gpr(i)
@@ -787,4 +789,68 @@ proptest! {
             same_as_oracle_until_clean(p, &MachineConfig::scaled(cores));
         }
     }
+}
+
+/// Every `(core, block, slot)` holding an `op`.
+fn sites(p: &MachineProgram, op: Opcode) -> Vec<(usize, usize, usize)> {
+    let mut out = Vec::new();
+    for (c, img) in p.cores.iter().enumerate() {
+        for (b, blk) in img.blocks.iter().enumerate() {
+            for (i, inst) in blk.insts.iter().enumerate() {
+                if inst.op == op {
+                    out.push((c, b, i));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn compiler_output_validates_like_the_oracle_clean_and_corrupted() {
+    let opts = CompileOptions::default();
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut rejected = [0usize; 4];
+    for w in all(Scale::Test) {
+        let fe = FrontEnd::new(&w.program, Strategy::Ilp, &MachineConfig::scaled(4), &opts)
+            .unwrap_or_else(|e| panic!("{}: front end: {e}", w.name));
+        for strategy in [
+            Strategy::Ilp,
+            Strategy::FineGrainTlp,
+            Strategy::Llp,
+            Strategy::Hybrid,
+        ] {
+            for cores in [4usize, 16, 64] {
+                let mcfg = MachineConfig::scaled(cores);
+                let image = compile_prepared(&fe, strategy, &mcfg, &opts)
+                    .unwrap_or_else(|e| panic!("{} {strategy}/{cores}: {e}", w.name))
+                    .machine;
+                let label = format!("{} {strategy}/{cores}", w.name);
+                assert_eq!(image.validate(&mcfg), Ok(()), "{label}");
+                assert_eq!(validate_oracle(&image, &mcfg), Ok(()), "{label}");
+                let ops = [Opcode::Send, Opcode::Get, Opcode::GetB, Opcode::ModeSwitch];
+                for (k, op) in ops.into_iter().enumerate() {
+                    let at = sites(&image, op);
+                    if at.is_empty() {
+                        continue;
+                    }
+                    let (c, b, i) = at[rng.gen_range(0..at.len())];
+                    let mut broken = image.clone();
+                    broken.cores[c].blocks[b].insts.remove(i);
+                    let got = broken.validate(&mcfg);
+                    assert_eq!(
+                        got,
+                        validate_oracle(&broken, &mcfg),
+                        "{label}: {op} deleted at core {c} bb{b} inst {i}"
+                    );
+                    rejected[k] += usize::from(got.is_err());
+                }
+            }
+        }
+    }
+    // Deleting one of several SEND sites of a stream is legal (matching
+    // is by existence) and condition replication leaves few broadcasts,
+    // but each kind of deletion must have produced real rejections to
+    // compare.
+    assert!(rejected.iter().all(|&n| n >= 5), "rejections {rejected:?}");
 }

@@ -12,30 +12,9 @@ echo "== cargo clippy (workspace, all targets)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
 echo "== tier-1: release build + tests"
-# Includes tests/sim_engine.rs, which pulls in the simulator-engine suites
-# of crates/sim/tests (accounting, fast-forward, reset, machine edge
-# cases, decode) and the validator's seeded-broken-program corpus
-# (crates/sim/tests/validate.rs: every seeded corruption must be rejected
-# with coordinates, and with the identical Result the validator's oracle
-# gives, common/validate_oracle.rs), so that suite has no step of its own;
-# the workspace run below repeats it in release mode; and
-# tests/validate_oracle.rs holds validate() to the same oracle on compiler
-# output for every workload at 4, 16 and 64 cores. The run cache and the
-# machine pool live in crates/core/src/cache.rs; Experiment and the serve
-# engine are two views of them. tests/serve_engine.rs pulls in the serve
-# daemon's in-process suite (crates/bench/tests/serve.rs: served == direct
-# Experiment results, bit for bit, on the whole cycle-golden matrix, and
-# the cache rules as one table driven through both views), and
-# tests/shared_runs.rs holds Experiment's cached, shared and pooled
-# simulations to run_configuration, which shares nothing, on both
-# coherence backends. tests/figure_golden.rs
-# pins the figure table's output to a committed `figall --test` transcript,
-# tests/run_record.rs the sidecar document `bench_one --whatif` writes,
-# tests/cli.rs the command line's usage errors, and tests/docs.rs every
-# path, item and command the documents name. cycle_golden,
-# scaling_golden and the accounting suite each run their matrix in all
-# four {fast-forward on, off} x {plain, tracer + probes} corners
-# in-process (DESIGN.md §6, §8).
+# Every crate's unit, integration and doc tests (the root manifest's
+# default-members), in the dev profile: the simulation crates optimised,
+# debug assertions and overflow checks on.
 cargo build --release
 cargo test -q
 
@@ -103,6 +82,7 @@ grep -q '"hard":0' BENCH_fig13.json || {
 }
 
 echo "== workspace tests (release)"
+# The tier-1 suites again, in release mode.
 cargo test --workspace --release -q
 
 echo "== benchmark package: its own tests + one quick pass per workload"

@@ -1,6 +1,6 @@
-//! Docs that cannot rot silently. README.md, DESIGN.md, EXPERIMENTS.md
-//! and docs/WALKTHROUGH.md name source files, items in them and command
-//! lines; this test extracts every back-ticked `path.rs` and
+//! Docs that cannot rot silently. README.md, DESIGN.md, EXPERIMENTS.md,
+//! docs/WALKTHROUGH.md and the verify notes name source files, items in
+//! them and command lines; this test extracts every back-ticked `path.rs` and
 //! `path.rs::symbol` token, every `--bin name [-- subcommand]` mention
 //! and every `voltron <command>` line, and fails on one that no longer
 //! resolves — to a file in the tree, to a `fn`/`struct`/`const` (or
@@ -20,11 +20,12 @@ use std::path::{Path, PathBuf};
 
 use voltron_bench::cli::COMMANDS;
 
-const DOCS: [&str; 4] = [
+const DOCS: [&str; 5] = [
     "README.md",
     "DESIGN.md",
     "EXPERIMENTS.md",
     "docs/WALKTHROUGH.md",
+    ".claude/skills/verify/SKILL.md",
 ];
 
 /// Every `.rs` file of the repository (build outputs excluded), relative
