@@ -7,7 +7,7 @@
 //! fixpoint) to the data-segment *symbol* it derives from. Two memory
 //! operations may alias only when their symbols may coincide.
 
-use std::collections::HashMap;
+use voltron_ir::hash::IntMap;
 use voltron_ir::{Function, Opcode, Operand, Program, Reg};
 
 /// Where an address value comes from.
@@ -30,18 +30,26 @@ impl Origin {
             _ => Origin::Any,
         }
     }
+
+    /// Whether addresses of these two origins may coincide.
+    pub fn may_alias(self, other: Origin) -> bool {
+        match (self, other) {
+            (Origin::Symbol(x), Origin::Symbol(y)) => x == y,
+            _ => true,
+        }
+    }
 }
 
 /// Alias facts for one function.
 #[derive(Debug, Clone)]
 pub struct AliasAnalysis {
-    origins: HashMap<Reg, Origin>,
+    origins: IntMap<Reg, Origin>,
 }
 
 impl AliasAnalysis {
     /// Analyze `f` against `program`'s data segment.
     pub fn analyze(program: &Program, f: &Function) -> AliasAnalysis {
-        let mut origins: HashMap<Reg, Origin> = HashMap::new();
+        let mut origins: IntMap<Reg, Origin> = IntMap::default();
         let symbol_of_addr = |v: i64| -> Origin {
             let addr = v as u64;
             match program.data.symbols.iter().position(|s| {
@@ -61,7 +69,7 @@ impl AliasAnalysis {
                     if d.class != voltron_ir::RegClass::Gpr {
                         continue;
                     }
-                    let operand_origin = |op: &Operand, origins: &HashMap<Reg, Origin>| match op {
+                    let operand_origin = |op: &Operand, origins: &IntMap<Reg, Origin>| match op {
                         Operand::Imm(v) => symbol_of_addr(*v),
                         Operand::Reg(r) => origins.get(r).copied().unwrap_or(Origin::Unknown),
                         _ => Origin::Any,
@@ -124,10 +132,7 @@ impl AliasAnalysis {
 
     /// Whether two memory instructions may touch the same memory.
     pub fn may_alias(&self, a: &voltron_ir::Inst, b: &voltron_ir::Inst) -> bool {
-        match (self.mem_origin(a), self.mem_origin(b)) {
-            (Origin::Symbol(x), Origin::Symbol(y)) => x == y,
-            _ => true,
-        }
+        self.mem_origin(a).may_alias(self.mem_origin(b))
     }
 }
 

@@ -14,7 +14,7 @@
 //! glue; region-internal targets (e.g. loop back edges) map to each
 //! core's own copies.
 
-use crate::comm::{plan_replication, FreshRegs, RegionLowerer, TagAlloc};
+use crate::comm::{plan_replication, CoreSet, FreshRegs, RegionLowerer, TagAlloc};
 use crate::doall::{self, DoallInfo};
 use crate::error::CompileError;
 use crate::plan::{Plan, PlanInputs, Region, RegionKind};
@@ -25,14 +25,21 @@ use voltron_sim::network::TAG_JOIN;
 use voltron_sim::{CoreImage, MBlock, MachineConfig, MachineProgram};
 
 /// A forward-referencable machine-block label within one image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 struct MLabel(u32);
 
 #[derive(Debug)]
 struct ImageBuilder {
     blocks: Vec<MBlock>,
     bound: Vec<Option<u32>>,
-    orig_label: HashMap<BlockId, MLabel>,
+    /// The label of each original block, by block index.
+    orig_label: Vec<Option<MLabel>>,
+    /// What [`Self::push`] added to the last block. It moves into the
+    /// block, in one allocation of the final size, when the next block
+    /// starts or the image is finished; the buffer serves every block.
+    pending: Vec<Inst>,
+    /// Whether the last block is filled from `pending`.
+    open: bool,
 }
 
 impl ImageBuilder {
@@ -40,12 +47,13 @@ impl ImageBuilder {
         let mut b = ImageBuilder {
             blocks: Vec::new(),
             bound: Vec::new(),
-            orig_label: HashMap::new(),
+            orig_label: Vec::new(),
+            pending: Vec::new(),
+            open: false,
         };
         if boot_sleep {
-            let mut boot = MBlock::new("boot", voltron_sim::REGION_OUTSIDE);
-            boot.insts.push(Inst::new(Opcode::Sleep, vec![]));
-            b.blocks.push(boot);
+            let boot = vec![Inst::new(Opcode::Sleep, vec![])];
+            b.block("boot".into(), voltron_sim::REGION_OUTSIDE, None, boot);
         }
         b
     }
@@ -56,30 +64,51 @@ impl ImageBuilder {
     }
 
     fn label_for_orig(&mut self, b: BlockId) -> MLabel {
-        if let Some(l) = self.orig_label.get(&b) {
-            return *l;
+        if self.orig_label.len() <= b.idx() {
+            self.orig_label.resize(b.idx() + 1, None);
+        }
+        if let Some(l) = self.orig_label[b.idx()] {
+            return l;
         }
         let l = self.new_label();
-        self.orig_label.insert(b, l);
+        self.orig_label[b.idx()] = Some(l);
         l
     }
 
-    fn begin(&mut self, name: String, region: u32, label: Option<MLabel>) {
-        self.blocks.push(MBlock::new(name, region));
+    /// Append a block holding `insts`, binding `label` to it.
+    fn block(&mut self, name: String, region: u32, label: Option<MLabel>, insts: Vec<Inst>) {
+        self.close();
+        self.blocks.push(MBlock {
+            name,
+            insts,
+            region,
+        });
         if let Some(l) = label {
             assert!(self.bound[l.0 as usize].is_none(), "label bound twice");
             self.bound[l.0 as usize] = Some(self.blocks.len() as u32 - 1);
         }
     }
 
+    /// Append a block for [`Self::push`] to fill.
+    fn begin(&mut self, name: String, region: u32, label: Option<MLabel>) {
+        self.block(name, region, label, Vec::new());
+        self.open = true;
+    }
+
     fn push(&mut self, inst: Inst) {
         // Invariant: every emitter calls begin() before its first push,
         // so an image never receives instructions without an open block.
-        self.blocks
-            .last_mut()
-            .expect("begin() opened a block")
-            .insts
-            .push(inst);
+        assert!(self.open, "begin() opened a block");
+        self.pending.push(inst);
+    }
+
+    /// Move the pushed instructions into the last block.
+    fn close(&mut self) {
+        if std::mem::take(&mut self.open) {
+            // Invariant: `open` is only set right after a block is added.
+            let last = self.blocks.last_mut().expect("begin() added a block");
+            last.insts = self.pending.drain(..).collect();
+        }
     }
 }
 
@@ -120,7 +149,7 @@ pub fn emit(
     inp: &PlanInputs<'_>,
     plan: &Plan,
     cfg: &MachineConfig,
-    data: voltron_ir::DataSegment,
+    data: &voltron_ir::DataSegment,
     name: String,
     opts: &EmitOptions,
 ) -> Result<Compiled, CompileError> {
@@ -163,8 +192,13 @@ pub fn emit(
     // Resolve labels to machine block ids. Spawn targets live in the
     // spawned core's label space, so every image's label table outlives
     // the rewrite of every image's blocks.
-    let (images, bound): (Vec<Vec<MBlock>>, Vec<Vec<Option<u32>>>) =
-        imgs.into_iter().map(|ib| (ib.blocks, ib.bound)).unzip();
+    let (images, bound): (Vec<Vec<MBlock>>, Vec<Vec<Option<u32>>>) = imgs
+        .into_iter()
+        .map(|mut ib| {
+            ib.close();
+            (ib.blocks, ib.bound)
+        })
+        .unzip();
     let resolve = |img: usize, l: u32| -> Result<BlockId, CompileError> {
         bound[img]
             .get(l as usize)
@@ -196,7 +230,11 @@ pub fn emit(
         }
         cores.push(CoreImage { blocks });
     }
-    let machine = MachineProgram { name, cores, data };
+    let machine = MachineProgram {
+        name,
+        cores,
+        data: data.clone(),
+    };
     machine.check().map_err(CompileError::Internal)?;
 
     let region_kinds = plan.regions.iter().map(|r| (r.id, r.kind.name())).collect();
@@ -222,27 +260,26 @@ fn retarget(inst: &mut Inst, map: &impl Fn(BlockId) -> MLabel) {
 }
 
 fn emit_serial(inp: &PlanInputs<'_>, region: &Region, imgs: &mut [ImageBuilder]) {
+    let master = &mut imgs[0];
     for b in region.blocks() {
-        let label = imgs[0].label_for_orig(b);
-        imgs[0].begin(format!("{b}.serial"), region.id, Some(label));
-        for inst in &inp.f.block(b).insts {
-            let mut ni = inst.clone();
-            // Serial targets always go to the master's public labels.
-            let mut targets: Vec<MLabel> = Vec::new();
-            for s in &ni.srcs {
-                if let Operand::Block(t) = s {
-                    targets.push(imgs[0].label_for_orig(*t));
+        let label = master.label_for_orig(b);
+        // Serial targets always go to the master's public labels.
+        let insts = inp
+            .f
+            .block(b)
+            .insts
+            .iter()
+            .map(|inst| {
+                let mut ni = inst.clone();
+                for s in &mut ni.srcs {
+                    if let Operand::Block(t) = s {
+                        *s = Operand::Block(BlockId(master.label_for_orig(*t).0));
+                    }
                 }
-            }
-            let mut ti = 0;
-            for s in &mut ni.srcs {
-                if let Operand::Block(_) = s {
-                    *s = Operand::Block(BlockId(targets[ti].0));
-                    ti += 1;
-                }
-            }
-            imgs[0].push(ni);
-        }
+                ni
+            })
+            .collect();
+        master.block(format!("{b}.serial"), region.id, Some(label), insts);
     }
 }
 
@@ -297,14 +334,14 @@ fn emit_parallel(
     // decoupled mode only cores that own work join the region (the
     // paper: branches are replicated only to cores with control-dependent
     // instructions).
-    let participants: Vec<usize> = match mode {
-        ExecMode::Coupled => (0..n).collect(),
+    let participants = match mode {
+        ExecMode::Coupled => CoreSet::first(n),
         ExecMode::Decoupled => {
-            let mut p: Vec<usize> = vec![0];
-            p.extend(asg.core_of.values().copied());
-            p.extend(asg.home.values().copied());
-            p.sort_unstable();
-            p.dedup();
+            let mut p = CoreSet::default();
+            p.insert(0);
+            for &c in asg.core_of.values().chain(asg.home.values()) {
+                p.insert(c);
+            }
             p
         }
     };
@@ -313,7 +350,7 @@ fn emit_parallel(
     // branch-condition recomputation (Fig. 5(c)), generalized to any
     // locally recomputable chain with multi-core demand.
     let rep = if opts.condition_replication {
-        plan_replication(inp.f, &region_blocks, asg, &participants)
+        plan_replication(inp.f, &region_blocks, asg, participants)
     } else {
         crate::comm::ReplicationPlan::default()
     };
@@ -333,10 +370,8 @@ fn emit_parallel(
         live_in.sort_unstable();
         for r in live_in {
             if rep.regs.contains(&r) {
-                for &k in &participants {
-                    if k != 0 {
-                        entry_xfers.push((r, k, 0));
-                    }
+                for k in participants.iter().skip(1) {
+                    entry_xfers.push((r, k, 0));
                 }
             } else {
                 let h = asg.home_of(r);
@@ -366,23 +401,19 @@ fn emit_parallel(
                 continue;
             }
             for r in inst.uses() {
-                if r.class != RegClass::Btr
-                    && !asg.home.contains_key(&r)
-                    && !invariant_uses.contains(&(r, c))
-                {
+                if r.class != RegClass::Btr && !asg.home.contains_key(&r) {
                     invariant_uses.push((r, c));
                 }
             }
         }
     }
     for &r in &rep.extra_invariants {
-        for &k in &participants {
-            if k != 0 && !invariant_uses.contains(&(r, k)) {
-                invariant_uses.push((r, k));
-            }
+        for k in participants.iter().skip(1) {
+            invariant_uses.push((r, k));
         }
     }
-    invariant_uses.sort_by_key(|(r, c)| (*c, *r));
+    invariant_uses.sort_unstable_by_key(|&(r, c)| (c, r));
+    invariant_uses.dedup();
     let invariant_xfers: Vec<(Reg, usize, u32, Reg)> = invariant_uses
         .into_iter()
         .map(|(r, c)| (r, c, tags.tag(0, c), fresh.fresh(r.class)))
@@ -423,34 +454,34 @@ fn emit_parallel(
         }
     }
 
-    // Labels.
+    // Labels. Core k's copy of region block b is
+    // internal[(b - first) * n + k]; the master's exit glue towards
+    // targets[i] is glue[i].
     let worker_entry: Vec<MLabel> = (0..n).map(|k| imgs[k].new_label()).collect();
     let worker_exit: Vec<MLabel> = (0..n).map(|k| imgs[k].new_label()).collect();
-    let mut internal: HashMap<(BlockId, usize), MLabel> = HashMap::new();
-    for b in region.blocks() {
-        for (k, img) in imgs.iter_mut().enumerate() {
-            internal.insert((b, k), img.new_label());
-        }
+    let mut internal: Vec<MLabel> = Vec::with_capacity(region_blocks.len() * n);
+    for _ in &region_blocks {
+        internal.extend(imgs.iter_mut().map(ImageBuilder::new_label));
     }
-    let glue: HashMap<BlockId, MLabel> = {
-        let mut m = HashMap::new();
-        for &t in &targets {
-            let l = imgs[0].new_label();
-            m.insert(t, l);
-        }
-        m
+    let internal_of = |b: BlockId, k: usize| internal[(b.0 - region.first) as usize * n + k];
+    let glue: Vec<MLabel> = targets.iter().map(|_| imgs[0].new_label()).collect();
+    let glue_of = |t: BlockId| {
+        glue[targets
+            .iter()
+            .position(|&x| x == t)
+            .expect("an external target")]
     };
 
     // 1. Master entry glue.
     let entry_label = imgs[0].label_for_orig(entry);
     imgs[0].begin(format!("r{rid}.entry"), rid, Some(entry_label));
-    for (k, &wl) in worker_entry.iter().enumerate().skip(1) {
-        if !participants.contains(&k) {
-            continue;
-        }
+    for k in participants.iter().skip(1) {
         imgs[0].push(Inst::new(
             Opcode::Spawn,
-            vec![Operand::Core(k as u8), Operand::Block(BlockId(wl.0))],
+            vec![
+                Operand::Core(k as u8),
+                Operand::Block(BlockId(worker_entry[k].0)),
+            ],
         ));
     }
     for &(r, h, tag) in &entry_xfers {
@@ -482,10 +513,7 @@ fn emit_parallel(
     // Falls through into the master's copy of the entry block.
 
     // 2. Worker entry stubs.
-    for k in 1..n {
-        if !participants.contains(&k) {
-            continue;
-        }
+    for k in participants.iter().skip(1) {
         imgs[k].begin(format!("r{rid}.stub"), rid, Some(worker_entry[k]));
         for &(r, h, tag) in &entry_xfers {
             if h == k {
@@ -523,12 +551,11 @@ fn emit_parallel(
     {
         let mut seen: Vec<(u32, Reg, usize)> = Vec::new();
         for l in &inp.forest.loops {
-            let mut lblocks: Vec<u32> = l.blocks.iter().map(|b| b.0).collect();
-            lblocks.sort_unstable();
             // Invariant: the loop forest never records an empty loop —
             // every Loop owns at least its header block.
-            let (lf, ll) = (lblocks[0], *lblocks.last().expect("loops have a header"));
-            let contiguous = ll - lf + 1 == lblocks.len() as u32;
+            let lf = l.blocks.first().expect("loops have a header").0;
+            let ll = l.blocks.last().expect("loops have a header").0;
+            let contiguous = ll - lf + 1 == l.blocks.len() as u32;
             let inside = lf > region.first && ll <= region.last;
             if !contiguous || !inside {
                 continue; // needs an in-region preheader at lf - 1
@@ -571,8 +598,8 @@ fn emit_parallel(
     }
     // 3. Region blocks.
     let mut lowerer = RegionLowerer::new(inp.f, asg, cfg, mode, fresh, tags);
-    lowerer.set_participants(participants.clone());
-    lowerer.set_replication(rep.clone());
+    lowerer.set_participants(participants);
+    lowerer.set_replication(rep);
     for &(r, c, _, local) in &invariant_xfers {
         lowerer.preload(r, c, local);
     }
@@ -582,40 +609,36 @@ fn emit_parallel(
     for b in region.blocks() {
         let lowered = lowerer.lower_block(b);
         let per_core_insts: Vec<Vec<Inst>> = match mode {
-            ExecMode::Coupled => schedule_coupled(&lowered, inp.alias).slots,
+            ExecMode::Coupled => schedule_coupled(lowered, inp.alias).slots,
             ExecMode::Decoupled => lowered
                 .per_core
-                .iter()
-                .map(|ops| ops.iter().map(|o| o.inst.clone()).collect())
+                .into_iter()
+                .map(|ops| ops.into_iter().map(|o| o.inst).collect())
                 .collect(),
         };
-        for (k, insts) in per_core_insts.into_iter().enumerate() {
-            if !participants.contains(&k) {
+        for (k, mut insts) in per_core_insts.into_iter().enumerate() {
+            if !participants.contains(k) {
                 continue;
             }
-            let label = internal[&(b, k)];
-            imgs[k].begin(format!("r{rid}.{b}.c{k}"), rid, Some(label));
-            for mut inst in insts {
-                let map = |t: BlockId| -> MLabel {
-                    if region.contains(t) {
-                        internal[&(t, k)]
-                    } else if k == 0 {
-                        glue[&t]
-                    } else {
-                        worker_exit[k]
-                    }
-                };
-                retarget(&mut inst, &map);
-                imgs[k].push(inst);
+            let map = |t: BlockId| -> MLabel {
+                if region.contains(t) {
+                    internal_of(t, k)
+                } else if k == 0 {
+                    glue_of(t)
+                } else {
+                    worker_exit[k]
+                }
+            };
+            for inst in &mut insts {
+                retarget(inst, &map);
             }
+            let label = internal_of(b, k);
+            imgs[k].block(format!("r{rid}.{b}.c{k}"), rid, Some(label), insts);
         }
     }
 
     // 4. Worker exit stubs.
-    for k in 1..n {
-        if !participants.contains(&k) {
-            continue;
-        }
+    for k in participants.iter().skip(1) {
         imgs[k].begin(format!("r{rid}.exit"), rid, Some(worker_exit[k]));
         if mode == ExecMode::Coupled {
             imgs[k].push(Inst::new(
@@ -646,8 +669,8 @@ fn emit_parallel(
 
     // 5. Master exit glue per external target (fallthrough target first,
     // so the master's last region block falls into its glue).
-    for &t in &targets {
-        imgs[0].begin(format!("r{rid}.exit->{t}"), rid, Some(glue[&t]));
+    for (&t, &label) in targets.iter().zip(&glue) {
+        imgs[0].begin(format!("r{rid}.exit->{t}"), rid, Some(label));
         if mode == ExecMode::Coupled {
             imgs[0].push(Inst::new(
                 Opcode::ModeSwitch,
@@ -661,10 +684,7 @@ fn emit_parallel(
                 vec![Operand::Core(h as u8), Operand::Imm(i64::from(tag))],
             ));
         }
-        for k in 1..n {
-            if !participants.contains(&k) {
-                continue;
-            }
+        for k in participants.iter().skip(1) {
             let junk = fresh.fresh(RegClass::Gpr);
             imgs[0].push(Inst::with_dst(
                 Opcode::Recv,
@@ -695,33 +715,33 @@ fn emit_doall(
     let live_ins = doall::chunk_live_ins(inp.f, info, inp.liveness);
     let step = info.step;
 
-    // Labels.
+    // Labels. Core k's copy of the i-th loop block is internal[i * n + k].
     let worker_entry: Vec<MLabel> = (0..n).map(|k| imgs[k].new_label()).collect();
     let worker_post: Vec<MLabel> = (0..n).map(|k| imgs[k].new_label()).collect();
-    let mut internal: HashMap<(BlockId, usize), MLabel> = HashMap::new();
-    for &b in &info.blocks {
-        for (k, img) in imgs.iter_mut().enumerate() {
-            internal.insert((b, k), img.new_label());
-        }
+    let mut internal: Vec<MLabel> = Vec::with_capacity(info.blocks.len() * n);
+    for _ in &info.blocks {
+        internal.extend(imgs.iter_mut().map(ImageBuilder::new_label));
     }
     let combine = imgs[0].new_label();
 
     // Per-worker parameter tags: lo, hi, live-ins (in order).
-    let mut param_tags: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (k, pt) in param_tags.iter_mut().enumerate().skip(1) {
-        pt.push(tags.tag(0, k)); // lo
-        pt.push(tags.tag(0, k)); // hi
-        for _ in &live_ins {
-            pt.push(tags.tag(0, k));
+    let nparams = 2 + live_ins.len();
+    let mut param_tags: Vec<u32> = Vec::with_capacity((n - 1) * nparams);
+    for k in 1..n {
+        for _ in 0..nparams {
+            param_tags.push(tags.tag(0, k));
         }
     }
+    let params_of = |k: usize| &param_tags[(k - 1) * nparams..k * nparams];
     // Per-worker result tags: one per reduction.
-    let mut result_tags: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (k, rt) in result_tags.iter_mut().enumerate().skip(1) {
-        for _ in &info.reductions {
-            rt.push(tags.tag(k, 0));
+    let nresults = info.reductions.len();
+    let mut result_tags: Vec<u32> = Vec::with_capacity((n - 1) * nresults);
+    for k in 1..n {
+        for _ in 0..nresults {
+            result_tags.push(tags.tag(k, 0));
         }
     }
+    let results_of = |k: usize| &result_tags[(k - 1) * nresults..k * nresults];
 
     // ---- master dispatch (binds the public header label) ----
     let header_label = imgs[0].label_for_orig(info.header);
@@ -804,13 +824,10 @@ fn emit_doall(
     // Speculation begins: master is chunk 0 (XBEGIN 0 resets the commit
     // token and precedes all spawns, see TxnManager::begin).
     push0(imgs, Inst::new(Opcode::Xbegin, vec![Operand::Imm(0)]));
-    for k in 1..n {
+    for (k, wentry) in worker_entry.iter().enumerate().skip(1) {
         imgs[0].push(Inst::new(
             Opcode::Spawn,
-            vec![
-                Operand::Core(k as u8),
-                Operand::Block(BlockId(worker_entry[k].0)),
-            ],
+            vec![Operand::Core(k as u8), Operand::Block(BlockId(wentry.0))],
         ));
         // lo_k = iv + span * k ; hi_k = min(lo_k + span, bound)
         let lo = fresh.fresh(RegClass::Gpr);
@@ -831,7 +848,7 @@ fn emit_doall(
             imgs,
             Inst::with_dst(Opcode::Min, hi, vec![hi.into(), bound_reg.into()]),
         );
-        let mut t = param_tags[k].iter();
+        let mut t = params_of(k).iter();
         let send = |imgs: &mut [ImageBuilder], r: Reg, tag: u32| {
             imgs[0].push(Inst::new(
                 Opcode::Send,
@@ -842,8 +859,8 @@ fn emit_doall(
                 ],
             ));
         };
-        // Invariant: param_tags[k] was allocated above with exactly
-        // 2 + live_ins.len() entries (lo, hi, then one per live-in).
+        // Invariant: params_of(k) has exactly 2 + live_ins.len()
+        // entries (lo, hi, then one per live-in).
         send(imgs, lo, *t.next().expect("lo tag"));
         send(imgs, hi, *t.next().expect("hi tag"));
         for &r in &live_ins {
@@ -857,8 +874,8 @@ fn emit_doall(
     imgs[0].begin(format!("r{rid}.combine"), rid, Some(combine));
     imgs[0].push(Inst::new(Opcode::Xcommit, vec![]));
     imgs[0].push(Inst::with_dst(Opcode::Mov, iv, vec![iv_final.into()]));
-    for (k, rtags) in result_tags.iter().enumerate().take(n).skip(1) {
-        for (red, &tag) in info.reductions.iter().zip(rtags.iter()) {
+    for k in 1..n {
+        for (red, &tag) in info.reductions.iter().zip(results_of(k)) {
             let part = fresh.fresh(red.reg.class);
             imgs[0].push(Inst::with_dst(
                 Opcode::Recv,
@@ -887,7 +904,7 @@ fn emit_doall(
     // ---- workers ----
     for (k, wentry) in worker_entry.iter().enumerate().take(n).skip(1) {
         imgs[k].begin(format!("r{rid}.chunk{k}"), rid, Some(*wentry));
-        let mut t = param_tags[k].iter();
+        let mut t = params_of(k).iter();
         let recv = |imgs: &mut [ImageBuilder], dst: Reg, tag: u32| {
             imgs[k].push(Inst::with_dst(
                 Opcode::Recv,
@@ -895,7 +912,7 @@ fn emit_doall(
                 vec![Operand::Core(0), Operand::Imm(i64::from(tag))],
             ));
         };
-        // Invariant: mirrors the master's sends — param_tags[k] holds
+        // Invariant: mirrors the master's sends — params_of(k) holds
         // exactly 2 + live_ins.len() entries in the same order.
         recv(imgs, iv, *t.next().expect("lo tag"));
         let hb = fresh.fresh(RegClass::Gpr);
@@ -918,7 +935,7 @@ fn emit_doall(
         // Post block: commit, ship partials + join, sleep.
         imgs[k].begin(format!("r{rid}.post{k}"), rid, Some(worker_post[k]));
         imgs[k].push(Inst::new(Opcode::Xcommit, vec![]));
-        for (red, &tag) in info.reductions.iter().zip(result_tags[k].iter()) {
+        for (red, &tag) in info.reductions.iter().zip(results_of(k)) {
             imgs[k].push(Inst::new(
                 Opcode::Send,
                 vec![
@@ -944,6 +961,7 @@ fn emit_doall(
 
 /// Emit core `k`'s copy of the chunk loop: the original loop blocks with
 /// the header bound replaced by `hi` and the exit retargeted to `exit_to`.
+/// `internal` holds the copies' labels as `emit_doall` lays them out.
 #[allow(clippy::too_many_arguments)]
 fn emit_chunk_body(
     inp: &PlanInputs<'_>,
@@ -952,28 +970,38 @@ fn emit_chunk_body(
     k: usize,
     hi: Reg,
     exit_to: MLabel,
-    internal: &HashMap<(BlockId, usize), MLabel>,
+    internal: &[MLabel],
     imgs: &mut [ImageBuilder],
 ) {
-    for &b in &info.blocks {
-        let label = internal[&(b, k)];
-        imgs[k].begin(format!("r{rid}.{b}.k{k}"), rid, Some(label));
-        for (i, inst) in inp.f.block(b).insts.iter().enumerate() {
-            let mut ni = inst.clone();
-            if b == info.header && i == 0 {
-                // The canonical `p = cmp.ge iv, bound`: bound -> chunk hi.
-                ni.srcs[1] = Operand::Reg(hi);
-            }
-            let map = |t: BlockId| -> MLabel {
-                if info.blocks.contains(&t) {
-                    internal[&(t, k)]
-                } else {
-                    debug_assert_eq!(t, info.exit_target);
-                    exit_to
+    let n = imgs.len();
+    let copy_of = |t: BlockId| {
+        let i = info.blocks.iter().position(|&b| b == t)?;
+        Some(internal[i * n + k])
+    };
+    let map = |t: BlockId| -> MLabel {
+        copy_of(t).unwrap_or_else(|| {
+            debug_assert_eq!(t, info.exit_target);
+            exit_to
+        })
+    };
+    for (bi, &b) in info.blocks.iter().enumerate() {
+        let insts = inp
+            .f
+            .block(b)
+            .insts
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| {
+                let mut ni = inst.clone();
+                if b == info.header && i == 0 {
+                    // The canonical `p = cmp.ge iv, bound`: bound -> chunk hi.
+                    ni.srcs[1] = Operand::Reg(hi);
                 }
-            };
-            retarget(&mut ni, &map);
-            imgs[k].push(ni);
-        }
+                retarget(&mut ni, &map);
+                ni
+            })
+            .collect();
+        let label = internal[bi * n + k];
+        imgs[k].block(format!("r{rid}.{b}.k{k}"), rid, Some(label), insts);
     }
 }

@@ -15,7 +15,7 @@
 //!   fetch in the same cycle.
 
 use crate::partition::Assignment;
-use std::collections::HashMap;
+use voltron_ir::hash::{IntMap, IntSet};
 use voltron_ir::{BlockId, Dir, ExecMode, Function, Inst, Opcode, Operand, Reg, RegClass};
 use voltron_sim::MachineConfig;
 
@@ -44,7 +44,7 @@ impl FreshRegs {
 /// CAM-tag allocator: unique tags per (sender, receiver) pair.
 #[derive(Debug, Clone, Default)]
 pub struct TagAlloc {
-    next: HashMap<(usize, usize), u32>,
+    next: IntMap<(usize, usize), u32>,
 }
 
 impl TagAlloc {
@@ -59,6 +59,44 @@ impl TagAlloc {
         *t += 1;
         assert!(tag < voltron_sim::network::TAG_JOIN, "tag space exhausted");
         tag
+    }
+}
+
+/// A set of cores, one bit each (an image has at most 64 cores).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CoreSet(u64);
+
+impl CoreSet {
+    /// Cores `0..n`, for `n` in `1..=64`.
+    pub fn first(n: usize) -> CoreSet {
+        CoreSet(u64::MAX >> (64 - n))
+    }
+
+    /// Add core `c`.
+    pub fn insert(&mut self, c: usize) {
+        self.0 |= 1 << c;
+    }
+
+    /// Whether core `c` is in the set.
+    pub fn contains(self, c: usize) -> bool {
+        self.0 & (1 << c) != 0
+    }
+
+    /// Number of cores in the set.
+    pub fn count(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The cores in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let c = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                c
+            })
+        })
     }
 }
 
@@ -104,9 +142,9 @@ pub struct LoweredBlock {
 #[derive(Debug, Clone, Default)]
 pub struct ReplicationPlan {
     /// Registers kept live on every participant (all their defs clone).
-    pub regs: std::collections::HashSet<Reg>,
+    pub regs: IntSet<Reg>,
     /// Instruction positions cloned on every participant.
-    pub insts: std::collections::HashSet<(BlockId, usize)>,
+    pub insts: IntSet<(BlockId, usize)>,
     /// Region-invariant registers that replicated compares read: these
     /// must be preloaded on *every* participant.
     pub extra_invariants: Vec<Reg>,
@@ -173,14 +211,13 @@ pub fn plan_replication(
     f: &Function,
     blocks: &[BlockId],
     asg: &Assignment,
-    participants: &[usize],
+    participants: CoreSet,
 ) -> ReplicationPlan {
-    use std::collections::{HashMap as Map, HashSet as Set};
     let mut plan = ReplicationPlan::default();
-    if participants.len() < 2 {
+    if participants.count() < 2 {
         return plan;
     }
-    let mut defs: Map<Reg, Vec<(BlockId, usize)>> = Map::new();
+    let mut defs: IntMap<Reg, Vec<(BlockId, usize)>> = IntMap::default();
     for &b in blocks {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
             if let Some(d) = inst.def() {
@@ -191,7 +228,7 @@ pub fn plan_replication(
     let invariant = |r: &Reg| !defs.contains_key(r);
 
     // Eligibility fixpoint.
-    let mut eligible: Set<Reg> = Set::new();
+    let mut eligible: IntSet<Reg> = IntSet::default();
     loop {
         let mut changed = false;
         for (r, sites) in &defs {
@@ -220,8 +257,8 @@ pub fn plan_replication(
 
     // Demand: eligible registers used on >= 2 distinct cores, or feeding
     // a branch (terminators run on every participant).
-    let mut demand: Set<Reg> = Set::new();
-    let mut use_cores: Map<Reg, Set<usize>> = Map::new();
+    let mut demand: IntSet<Reg> = IntSet::default();
+    let mut use_cores: IntMap<Reg, CoreSet> = IntMap::default();
     for &b in blocks {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
             if inst.op == Opcode::Br {
@@ -244,7 +281,7 @@ pub fn plan_replication(
         }
     }
     for (r, cores) in &use_cores {
-        if cores.len() >= 2 {
+        if cores.count() >= 2 {
             demand.insert(*r);
         }
     }
@@ -290,14 +327,14 @@ pub struct RegionLowerer<'a> {
     /// entry: (original reg, core) -> that core's local copy. Hoists the
     /// per-iteration transfer of loop-invariant operands (base addresses,
     /// scale factors) out of the region body.
-    preloaded: HashMap<(Reg, usize), Reg>,
+    preloaded: IntMap<(Reg, usize), Reg>,
     /// Cores participating in this region (always includes the master).
-    participants: Vec<usize>,
+    participants: CoreSet,
     /// Replication decisions (induction variables + branch compares).
     replication: ReplicationPlan,
     /// Loop-invariant transfers to materialize at the end of each loop
     /// preheader: (source, home, consumer, local copy).
-    loop_preloads: HashMap<BlockId, Vec<(Reg, usize, usize, Reg)>>,
+    loop_preloads: IntMap<BlockId, Vec<(Reg, usize, usize, Reg)>>,
     /// Scoped copies those transfers create: valid for blocks in
     /// `first..=last`.
     scoped_copies: Vec<((u32, u32), Reg, usize, Reg)>,
@@ -313,7 +350,6 @@ impl<'a> RegionLowerer<'a> {
         fresh: &'a mut FreshRegs,
         tags: &'a mut TagAlloc,
     ) -> RegionLowerer<'a> {
-        let participants = (0..cfg.cores).collect();
         RegionLowerer {
             f,
             asg,
@@ -321,10 +357,10 @@ impl<'a> RegionLowerer<'a> {
             mode,
             fresh,
             tags,
-            preloaded: HashMap::new(),
-            participants,
+            preloaded: IntMap::default(),
+            participants: CoreSet::first(cfg.cores),
             replication: ReplicationPlan::default(),
-            loop_preloads: HashMap::new(),
+            loop_preloads: IntMap::default(),
             scoped_copies: Vec::new(),
         }
     }
@@ -334,9 +370,9 @@ impl<'a> RegionLowerer<'a> {
         self.preloaded.insert((orig, core), local);
     }
 
-    /// Restrict the region to `cores` (sorted, must contain the master).
-    pub fn set_participants(&mut self, cores: Vec<usize>) {
-        debug_assert!(cores.contains(&0), "master always participates");
+    /// Restrict the region to `cores` (must contain the master).
+    pub fn set_participants(&mut self, cores: CoreSet) {
+        debug_assert!(cores.contains(0), "master always participates");
         self.participants = cores;
     }
 
@@ -404,9 +440,9 @@ impl<'a> RegionLowerer<'a> {
         };
         // Local copies of remote registers, valid until the source is
         // redefined.
-        let mut cur_copy: HashMap<(Reg, usize), Reg> = HashMap::new();
+        let mut cur_copy: IntMap<(Reg, usize), Reg> = IntMap::default();
         // Last GET on each directed link, for latch serialization.
-        let mut last_get: HashMap<(usize, Dir), (usize, usize)> = HashMap::new();
+        let mut last_get: IntMap<(usize, Dir), (usize, usize)> = IntMap::default();
 
         let term_start = insts
             .iter()
@@ -418,8 +454,7 @@ impl<'a> RegionLowerer<'a> {
                 // Cloned on every participant; operands are immediates,
                 // replicated registers, or preloaded invariants, so each
                 // core's copy is purely local.
-                let parts = self.participants.clone();
-                for c in parts {
+                for c in self.participants.iter() {
                     let mut ni = inst.clone();
                     for sop in &mut ni.srcs {
                         if let Operand::Reg(r) = sop {
@@ -444,8 +479,8 @@ impl<'a> RegionLowerer<'a> {
             let fix = |r: &mut Reg,
                        lowerer: &mut RegionLowerer<'_>,
                        out: &mut LoweredBlock,
-                       cur_copy: &mut HashMap<(Reg, usize), Reg>,
-                       last_get: &mut HashMap<(usize, Dir), (usize, usize)>| {
+                       cur_copy: &mut IntMap<(Reg, usize), Reg>,
+                       last_get: &mut IntMap<(usize, Dir), (usize, usize)>| {
                 if r.class == RegClass::Btr {
                     return;
                 }
@@ -516,7 +551,7 @@ impl<'a> RegionLowerer<'a> {
         src: Reg,
         dst: Reg,
         out: &mut LoweredBlock,
-        last_get: &mut HashMap<(usize, Dir), (usize, usize)>,
+        last_get: &mut IntMap<(usize, Dir), (usize, usize)>,
     ) {
         debug_assert_ne!(h, c);
         match self.mode {
@@ -590,10 +625,10 @@ impl<'a> RegionLowerer<'a> {
         b: BlockId,
         term_start: usize,
         out: &mut LoweredBlock,
-        cur_copy: &mut HashMap<(Reg, usize), Reg>,
+        cur_copy: &mut IntMap<(Reg, usize), Reg>,
     ) {
         let n = self.cfg.cores;
-        let parts = self.participants.clone();
+        let parts = self.participants;
         let insts = &self.f.block(b).insts;
         for inst in &insts[term_start..] {
             match inst.op {
@@ -602,7 +637,7 @@ impl<'a> RegionLowerer<'a> {
                     // Btr) jump targets, and comm runs on verified IR
                     // before any Btr rewriting exists.
                     let t = inst.srcs[0].as_block().expect("IR jump targets a block");
-                    for &k in &parts {
+                    for k in parts.iter() {
                         self.emit_jump(k, t, out);
                     }
                 }
@@ -651,7 +686,7 @@ impl<'a> RegionLowerer<'a> {
                         }
                         ExecMode::Decoupled => {
                             for (k, slot) in local.iter_mut().enumerate() {
-                                if k == hp || replicated_p || !parts.contains(&k) {
+                                if k == hp || replicated_p || !parts.contains(k) {
                                     continue;
                                 }
                                 if let Some(copy) = cur_copy.get(&(p, k)) {
@@ -683,7 +718,7 @@ impl<'a> RegionLowerer<'a> {
                             }
                         }
                     }
-                    for &k in &parts {
+                    for k in parts.iter() {
                         match self.mode {
                             ExecMode::Coupled => {
                                 let btr = self.fresh.fresh(RegClass::Btr);
@@ -769,7 +804,7 @@ mod tests {
             &fe.inputs(),
             &[BlockId(0)],
             &PartitionParams::ebug(2),
-            &HashMap::new(),
+            &IntMap::default(),
         );
         let cfg = MachineConfig::paper(2);
         let mut fresh = FreshRegs::for_function(f);
@@ -852,7 +887,7 @@ mod tests {
             &fe.inputs(),
             &[BlockId(0)],
             &PartitionParams::bug(4),
-            &HashMap::new(),
+            &IntMap::default(),
         );
         let cfg = MachineConfig::paper(4);
         let mut fresh = FreshRegs::for_function(f);
@@ -889,7 +924,6 @@ mod replication_tests {
     use super::*;
     use crate::partition::{bug_partition, PartitionParams};
     use crate::FrontEnd;
-    use std::collections::HashMap;
     use voltron_ir::builder::ProgramBuilder;
     use voltron_ir::{BlockId, CmpCc};
 
@@ -901,7 +935,7 @@ mod replication_tests {
             &fe.inputs(),
             &blocks[..blocks.len() - 1], // skip the halt block
             &PartitionParams::ebug(cores),
-            &HashMap::new(),
+            &IntMap::default(),
         )
     }
 
@@ -928,7 +962,7 @@ mod replication_tests {
         let f = p.main_func();
         let asg = assignment_for(&p, 2);
         let blocks: Vec<BlockId> = f.iter_blocks().map(|(bid, _)| bid).collect();
-        let plan = plan_replication(f, &blocks[..blocks.len() - 1], &asg, &[0, 1]);
+        let plan = plan_replication(f, &blocks[..blocks.len() - 1], &asg, CoreSet::first(2));
         // The induction variable must replicate, and the loop-exit
         // compare's predicate with it.
         let iv = voltron_ir::Reg::gpr(2); // ab, bb, then iv
@@ -966,7 +1000,7 @@ mod replication_tests {
         let f = p.main_func();
         let asg = assignment_for(&p, 2);
         let blocks: Vec<BlockId> = f.iter_blocks().map(|(bid, _)| bid).collect();
-        let plan = plan_replication(f, &blocks[..blocks.len() - 1], &asg, &[0, 1]);
+        let plan = plan_replication(f, &blocks[..blocks.len() - 1], &asg, CoreSet::first(2));
         // v and addr2 root at a load: never replicable.
         for (bid, blk) in f.iter_blocks() {
             for (i, inst) in blk.insts.iter().enumerate() {
@@ -993,7 +1027,7 @@ mod replication_tests {
         let f = p.main_func();
         let asg = Assignment::default();
         let blocks: Vec<BlockId> = f.iter_blocks().map(|(bid, _)| bid).collect();
-        let plan = plan_replication(f, &blocks, &asg, &[0]);
+        let plan = plan_replication(f, &blocks, &asg, CoreSet::first(1));
         assert!(plan.regs.is_empty());
         assert!(plan.insts.is_empty());
     }
@@ -1019,7 +1053,7 @@ mod replication_tests {
         let f = p.main_func();
         let asg = Assignment::default();
         let blocks: Vec<BlockId> = f.iter_blocks().map(|(bid, _)| bid).collect();
-        let plan = plan_replication(f, &blocks, &asg, &[0, 1]);
+        let plan = plan_replication(f, &blocks, &asg, CoreSet::first(2));
         assert!(
             !plan.regs.contains(&x),
             "guarded self-step must not replicate"

@@ -14,11 +14,13 @@
 //! once, on first use, however many strategy / core-count configurations
 //! are planned from that front end.
 
-use crate::alias::AliasAnalysis;
+use crate::alias::{AliasAnalysis, Origin};
 use std::collections::HashMap;
+use std::mem::discriminant;
 use std::sync::OnceLock;
+use voltron_ir::hash::IntMap;
 use voltron_ir::loops::{LoopForest, LoopId};
-use voltron_ir::{Block, BlockId, Function, Opcode, Reg};
+use voltron_ir::{Block, BlockId, Function, Inst, Opcode, Reg};
 
 /// Kinds of dependence edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,79 +69,24 @@ impl BlockDfg {
         let insts = &block.insts;
         let n = insts.len();
         let mut succs: Vec<Vec<DepEdge>> = vec![Vec::new(); n];
-        let add =
-            |succs: &mut Vec<Vec<DepEdge>>, from: usize, to: usize, lat: u32, kind: DepKind| {
+        for_each_dep(
+            n,
+            |i| &insts[i],
+            alias,
+            |from, to, latency, kind| {
                 debug_assert!(from < to, "dependence edges must go forward");
                 // Keep one edge per (target, kind): kinds carry meaning for
                 // eBUG weighting even when another kind already subsumes the
                 // latency constraint.
-                let same_kind = |a: DepKind, b: DepKind| {
-                    matches!(
-                        (a, b),
-                        (DepKind::Data(_), DepKind::Data(_))
-                            | (DepKind::Anti, DepKind::Anti)
-                            | (DepKind::Output, DepKind::Output)
-                            | (DepKind::Memory, DepKind::Memory)
-                            | (DepKind::Control, DepKind::Control)
-                    )
-                };
+                let same_kind = |e: &DepEdge| discriminant(&e.kind) == discriminant(&kind);
                 if !succs[from]
                     .iter()
-                    .any(|e| e.to == to && same_kind(e.kind, kind) && e.latency >= lat)
+                    .any(|e| e.to == to && same_kind(e) && e.latency >= latency)
                 {
-                    succs[from].push(DepEdge {
-                        to,
-                        latency: lat,
-                        kind,
-                    });
+                    succs[from].push(DepEdge { to, latency, kind });
                 }
-            };
-
-        let mut last_def: HashMap<Reg, usize> = HashMap::new();
-        let mut uses_since_def: HashMap<Reg, Vec<usize>> = HashMap::new();
-        let mut mem_ops: Vec<usize> = Vec::new();
-
-        for (i, inst) in insts.iter().enumerate() {
-            // Register flow and anti dependences.
-            for r in inst.uses() {
-                if let Some(&d) = last_def.get(&r) {
-                    add(&mut succs, d, i, insts[d].op.latency(), DepKind::Data(r));
-                }
-                uses_since_def.entry(r).or_default().push(i);
-            }
-            if let Some(d) = inst.def() {
-                if let Some(&prev) = last_def.get(&d) {
-                    add(&mut succs, prev, i, 1, DepKind::Output);
-                }
-                if let Some(readers) = uses_since_def.get(&d) {
-                    for &u in readers {
-                        if u != i {
-                            add(&mut succs, u, i, 1, DepKind::Anti);
-                        }
-                    }
-                }
-                last_def.insert(d, i);
-                uses_since_def.insert(d, vec![]);
-            }
-            // Memory ordering.
-            if inst.op.is_mem() {
-                for &j in &mem_ops {
-                    let earlier = &insts[j];
-                    let conflict = (earlier.op.is_store() || inst.op.is_store())
-                        && alias.may_alias(earlier, inst);
-                    if conflict {
-                        add(&mut succs, j, i, 1, DepKind::Memory);
-                    }
-                }
-                mem_ops.push(i);
-            }
-            // Terminators are ordered after everything before them.
-            if inst.op.is_terminator() {
-                for j in 0..i {
-                    add(&mut succs, j, i, 1, DepKind::Control);
-                }
-            }
-        }
+            },
+        );
 
         let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
         for (from, es) in succs.iter().enumerate() {
@@ -162,6 +109,88 @@ impl BlockDfg {
             succs,
             preds,
             priority,
+        }
+    }
+}
+
+/// Report every dependence among the `n` instructions `inst(0..n)`, in
+/// program order, as `edge(from, to, latency, kind)` with `from < to`.
+/// An edge may repeat (a register read twice, a reader that is also the
+/// previous def); [`BlockDfg::build`] keeps one per kind, and the coupled
+/// scheduler, which only takes maxima over them, keeps them all.
+pub(crate) fn for_each_dep<'a>(
+    n: usize,
+    inst: impl Fn(usize) -> &'a Inst,
+    alias: &AliasAnalysis,
+    mut edge: impl FnMut(usize, usize, u32, DepKind),
+) {
+    const NONE: usize = usize::MAX;
+    /// A register's last def, and the newest of its reads since then
+    /// (an index into `reads`).
+    struct RegState {
+        last_def: usize,
+        reads: usize,
+    }
+    fn state(regs: &mut IntMap<Reg, RegState>, r: Reg) -> &mut RegState {
+        regs.entry(r).or_insert(RegState {
+            last_def: NONE,
+            reads: NONE,
+        })
+    }
+    let mut regs: IntMap<Reg, RegState> = IntMap::default();
+    // Every read as (reader, the register's previous read): per register,
+    // a list from its newest read back to its first since the last def.
+    let mut reads: Vec<(usize, usize)> = Vec::new();
+    // Memory operations so far: (index, address origin, is a store).
+    let mut mem_ops: Vec<(usize, Origin, bool)> = Vec::new();
+
+    for i in 0..n {
+        let ins = inst(i);
+        // Register flow and anti dependences.
+        for r in ins.uses() {
+            let st = state(&mut regs, r);
+            if st.last_def != NONE {
+                edge(
+                    st.last_def,
+                    i,
+                    inst(st.last_def).op.latency(),
+                    DepKind::Data(r),
+                );
+            }
+            reads.push((i, st.reads));
+            st.reads = reads.len() - 1;
+        }
+        if let Some(d) = ins.def() {
+            let st = state(&mut regs, d);
+            if st.last_def != NONE {
+                edge(st.last_def, i, 1, DepKind::Output);
+            }
+            let mut at = st.reads;
+            while at != NONE {
+                let (u, prev) = reads[at];
+                if u != i {
+                    edge(u, i, 1, DepKind::Anti);
+                }
+                at = prev;
+            }
+            st.last_def = i;
+            st.reads = NONE;
+        }
+        // Memory ordering.
+        if ins.op.is_mem() {
+            let (origin, store) = (alias.mem_origin(ins), ins.op.is_store());
+            for &(j, o, s) in &mem_ops {
+                if (s || store) && o.may_alias(origin) {
+                    edge(j, i, 1, DepKind::Memory);
+                }
+            }
+            mem_ops.push((i, origin, store));
+        }
+        // Terminators are ordered after everything before them.
+        if ins.op.is_terminator() {
+            for j in 0..i {
+                edge(j, i, 1, DepKind::Control);
+            }
         }
     }
 }

@@ -21,8 +21,8 @@
 //! `XCOMMIT`).
 
 use crate::liveness::Liveness;
-use std::collections::HashSet;
 use voltron_ir::cfg::Cfg;
+use voltron_ir::hash::IntSet;
 use voltron_ir::loops::{LoopForest, LoopId};
 use voltron_ir::profile::Profile;
 use voltron_ir::{BlockId, CmpCc, FuncId, Function, Opcode, Operand, Reg, RegClass};
@@ -180,14 +180,16 @@ pub fn detect(
         }
     }
 
-    // (2) classify loop-carried scalars.
+    // (2) classify loop-carried scalars, in register order: the emitter
+    // ships and combines the partial accumulators in this order.
     let mut reductions: Vec<Reduction> = Vec::new();
-    let carried: Vec<Reg> = liveness
+    let mut carried: Vec<Reg> = liveness
         .live_in_of(header)
         .iter()
         .copied()
         .filter(|&r| r != iv && defined_in_loop(f, l.blocks.iter(), r))
         .collect();
+    carried.sort_unstable();
     for r in carried {
         if r.class == RegClass::Btr {
             return None;
@@ -224,7 +226,7 @@ pub fn detect(
                     continue;
                 }
                 // Reads outside its own accumulation.
-                if inst.uses().contains(&r) {
+                if inst.uses().any(|u| u == r) {
                     other_reads += 1;
                 }
             }
@@ -307,13 +309,13 @@ fn count_defs<'a>(f: &Function, blocks: impl Iterator<Item = &'a BlockId>, r: Re
 /// everything live into the header that is *not* defined in the loop,
 /// excluding the induction variable (sent as the chunk's lower bound).
 pub fn chunk_live_ins(f: &Function, info: &DoallInfo, liveness: &Liveness) -> Vec<Reg> {
-    let defined: HashSet<Reg> = info
+    let defined: IntSet<Reg> = info
         .blocks
         .iter()
         .flat_map(|&b| f.block(b).insts.iter())
         .filter_map(|i| i.def())
         .collect();
-    let mut used: HashSet<Reg> = HashSet::new();
+    let mut used: IntSet<Reg> = IntSet::default();
     for &b in &info.blocks {
         for inst in &f.block(b).insts {
             used.extend(inst.uses());
@@ -411,6 +413,38 @@ mod tests {
         });
         // base is a live-in the chunks need.
         assert!(live.iter().any(|r| r.class == RegClass::Gpr));
+    }
+
+    #[test]
+    fn reductions_come_in_register_order() {
+        let mut pb = ProgramBuilder::new("t");
+        let a = pb.data_mut().array_i64("a", &[3; 200]);
+        let out = pb.data_mut().zeroed("out", 32);
+        let mut fb = pb.function("main");
+        let base = fb.ldi(a as i64);
+        let accs: Vec<Reg> = (0..4).map(|_| fb.ldi(0)).collect();
+        fb.counted_loop(0i64, 200i64, 1, |f, iv| {
+            let off = f.shl(iv, 3i64);
+            let ad = f.add(base, off);
+            let v = f.load8(ad, 0);
+            for &acc in &accs {
+                f.reduce_add(acc, v);
+            }
+        });
+        let ob = fb.ldi(out as i64);
+        for (k, &acc) in accs.iter().enumerate() {
+            fb.store8(ob, 8 * k as i64, acc);
+        }
+        fb.halt();
+        pb.finish_function(fb);
+        let p = pb.finish();
+        // Each liveness computation hashes its sets afresh, so a verdict
+        // that followed set order would differ between them.
+        for _ in 0..8 {
+            let info = detect_first(&p).expect("reductions should be DOALL");
+            let regs: Vec<Reg> = info.reductions.iter().map(|r| r.reg).collect();
+            assert_eq!(regs, accs);
+        }
     }
 
     #[test]

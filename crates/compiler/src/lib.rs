@@ -277,7 +277,7 @@ pub fn compile_prepared(
         &inputs,
         &the_plan,
         mcfg,
-        flat_program.data.clone(),
+        &flat_program.data,
         flat_program.name.clone(),
         &opts.emit,
     )

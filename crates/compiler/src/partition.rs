@@ -21,7 +21,7 @@
 use crate::alias::AliasAnalysis;
 use crate::dfg::DepKind;
 use crate::plan::PlanInputs;
-use std::collections::HashMap;
+use voltron_ir::hash::IntMap;
 use voltron_ir::loops::LoopId;
 use voltron_ir::profile::Profile;
 use voltron_ir::{BlockId, FuncId, Function, InstRef, Reg};
@@ -30,10 +30,10 @@ use voltron_ir::{BlockId, FuncId, Function, InstRef, Reg};
 #[derive(Debug, Clone, Default)]
 pub struct Assignment {
     /// Core of each non-terminator instruction `(block, index)`.
-    pub core_of: HashMap<(BlockId, usize), usize>,
+    pub core_of: IntMap<(BlockId, usize), usize>,
     /// Home core of every register defined in the region. Registers absent
     /// from the map live on the master (core 0).
-    pub home: HashMap<Reg, usize>,
+    pub home: IntMap<Reg, usize>,
 }
 
 impl Assignment {
@@ -149,7 +149,7 @@ pub fn pin_memory_classes(
     profile: &Profile,
     func: FuncId,
     cores: usize,
-) -> HashMap<(BlockId, usize), usize> {
+) -> IntMap<(BlockId, usize), usize> {
     // Collect memory ops.
     let mut mems: Vec<(BlockId, usize)> = Vec::new();
     for &b in blocks {
@@ -174,9 +174,9 @@ pub fn pin_memory_classes(
     // are left to the partitioner's affinity heuristics, which is what
     // lets two read streams of one array split across cores for MLP
     // (the paper's Fig. 8).
-    let mut class_weight: HashMap<usize, u64> = HashMap::new();
-    let mut class_members: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut class_has_store: HashMap<usize, bool> = HashMap::new();
+    let mut class_weight: IntMap<usize, u64> = IntMap::default();
+    let mut class_members: IntMap<usize, Vec<usize>> = IntMap::default();
+    let mut class_has_store: IntMap<usize, bool> = IntMap::default();
     for (i, &(b, ii)) in mems.iter().enumerate() {
         let root = uf.find(i);
         let w = profile.block_count(func, b).max(1);
@@ -190,7 +190,7 @@ pub fn pin_memory_classes(
     let mut classes: Vec<(usize, u64)> = class_weight.into_iter().collect();
     classes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut load = vec![0u64; cores];
-    let mut out: HashMap<(BlockId, usize), usize> = HashMap::new();
+    let mut out: IntMap<(BlockId, usize), usize> = IntMap::default();
     for (root, w) in classes {
         // Invariant: MachineConfig::paper rejects 0-core machines, so
         // the min over 0..cores always exists.
@@ -213,7 +213,7 @@ pub fn bug_partition(
     inp: &PlanInputs<'_>,
     blocks: &[BlockId],
     params: &PartitionParams,
-    forced: &HashMap<(BlockId, usize), usize>,
+    forced: &IntMap<(BlockId, usize), usize>,
 ) -> Assignment {
     let (f, profile, func) = (inp.f, inp.profile, inp.func);
     let n = params.cores;
@@ -223,19 +223,37 @@ pub fn bug_partition(
     let mut core_free = vec![0u64; n];
     let mut mem_count = vec![0u64; n];
     // Which core first touched each (base register, cache line) group.
-    let mut line_group: HashMap<(Reg, i64), usize> = HashMap::new();
+    let mut line_group: IntMap<(Reg, i64), usize> = IntMap::default();
     let total_mem: u64 = blocks
         .iter()
         .flat_map(|&b| f.block(b).insts.iter())
         .filter(|i| i.op.is_mem())
         .count() as u64;
     let mem_share = total_mem / n as u64 + 1;
+    let group_of = |inst: &voltron_ir::Inst| -> Option<(Reg, i64)> {
+        if !inst.op.is_mem() {
+            return None;
+        }
+        let base = inst.srcs.first().and_then(voltron_ir::Operand::as_reg)?;
+        let off = match inst.srcs.get(1) {
+            Some(voltron_ir::Operand::Imm(v)) => *v,
+            _ => 0,
+        };
+        Some((base, off >> 5))
+    };
+    // The cost row of the instruction being placed: per predecessor, its
+    // core (`None` while unplaced) and when its value is ready there
+    // (`local`) and on any other core (`cross`, the move and the eBUG
+    // edge weights added).
+    let mut row: Vec<(Option<usize>, u64, u64)> = Vec::new();
 
     for &b in blocks {
         let block = f.block(b);
         let bdfg = inp.block_dfg(b);
-        // `done[i]`: estimated completion cycle of instruction i.
+        // `done[i]`: estimated completion cycle of instruction i;
+        // `placed[i]`: its core.
         let mut done = vec![0u64; bdfg.n];
+        let mut placed: Vec<Option<usize>> = vec![None; bdfg.n];
         for (i, inst) in block.insts.iter().enumerate() {
             if inst.op.is_terminator() {
                 continue;
@@ -248,72 +266,69 @@ pub fn bug_partition(
                     must = asg.home.get(&d).copied();
                 }
             }
-            let group_of = |inst: &voltron_ir::Inst| -> Option<(Reg, i64)> {
-                if !inst.op.is_mem() {
-                    return None;
+            row.clear();
+            for &(p, lat) in &bdfg.preds[i] {
+                let local = done[p] + u64::from(lat);
+                let mut cross = local + u64::from(params.move_cost);
+                if placed[p].is_some() {
+                    // eBUG weights: breaking a miss edge or a memory
+                    // dependence across cores is expensive.
+                    let pinst = &block.insts[p];
+                    if pinst.op.is_load() {
+                        let lp = profile.load_profile(InstRef {
+                            func,
+                            block: b,
+                            index: p,
+                        });
+                        if lp.miss_rate() > params.miss_threshold {
+                            cross += u64::from(params.miss_edge_weight);
+                        }
+                    }
+                    let is_mem_edge = bdfg.succs[p]
+                        .iter()
+                        .any(|e| e.to == i && e.kind == DepKind::Memory);
+                    if is_mem_edge {
+                        cross += u64::from(params.mem_edge_weight);
+                    }
                 }
-                let base = inst.srcs.first().and_then(voltron_ir::Operand::as_reg)?;
-                let off = match inst.srcs.get(1) {
-                    Some(voltron_ir::Operand::Imm(v)) => *v,
-                    _ => 0,
-                };
-                Some((base, off >> 5))
-            };
-            let choose = |c: usize, asg: &Assignment| -> u64 {
+                row.push((placed[p], local, cross));
+            }
+            let group = group_of(inst);
+            let group_core = group.and_then(|g| line_group.get(&g).copied());
+            let choose = |c: usize| -> u64 {
                 let mut ready = core_free[c];
-                if let Some(g) = group_of(inst) {
-                    if let Some(&gc) = line_group.get(&g) {
-                        if gc != c {
-                            ready += u64::from(params.line_affinity);
-                        }
-                    }
+                if group_core.is_some_and(|gc| gc != c) {
+                    ready += u64::from(params.line_affinity);
                 }
-                for &(p, lat) in &bdfg.preds[i] {
-                    let pc = asg.core_of.get(&(b, p)).copied().unwrap_or(c);
-                    let mut edge_cost = u64::from(lat);
-                    if pc != c {
-                        edge_cost += u64::from(params.move_cost);
-                        // eBUG weights: breaking a miss edge or a memory
-                        // dependence across cores is expensive.
-                        let pinst = &block.insts[p];
-                        if pinst.op.is_load() {
-                            let lp = profile.load_profile(InstRef {
-                                func,
-                                block: b,
-                                index: p,
-                            });
-                            if lp.miss_rate() > params.miss_threshold {
-                                edge_cost += u64::from(params.miss_edge_weight);
-                            }
-                        }
-                        let is_mem_edge = bdfg.succs[p]
-                            .iter()
-                            .any(|e| e.to == i && e.kind == DepKind::Memory);
-                        if is_mem_edge {
-                            edge_cost += u64::from(params.mem_edge_weight);
-                        }
-                    }
-                    ready = ready.max(done[p] + edge_cost);
+                for &(pc, local, cross) in &row {
+                    // An unplaced predecessor costs what a local one does.
+                    ready = ready.max(if pc.is_none_or(|pc| pc == c) {
+                        local
+                    } else {
+                        cross
+                    });
                 }
                 if inst.op.is_mem() && mem_count[c] >= mem_share {
                     ready += u64::from(params.mem_balance_penalty) * (mem_count[c] - mem_share + 1);
                 }
                 ready
             };
-            let core = match must {
-                Some(c) => c,
+            let (start, core) = match must {
+                Some(c) => (choose(c), c),
                 // Invariant: n comes from a validated MachineConfig and
                 // is never 0, so the min always exists.
                 None => (0..n)
-                    .min_by_key(|&c| (choose(c, &asg), core_free[c], c))
+                    .map(|c| (choose(c), core_free[c], c))
+                    .min()
+                    .map(|(start, _, c)| (start, c))
                     .expect("cores > 0"),
             };
-            let start = choose(core, &asg);
             done[i] = start + u64::from(inst.op.latency());
+            placed[i] = Some(core);
             core_free[core] = core_free[core].max(start) + 1;
             if inst.op.is_mem() {
                 mem_count[core] += 1;
-                if let Some(g) = group_of(inst) {
+                if let Some(g) = group {
                     line_group.entry(g).or_insert(core);
                 }
             }
@@ -479,7 +494,7 @@ mod tests {
             &fe.inputs(),
             &[BlockId(0)],
             &PartitionParams::bug(2),
-            &HashMap::new(),
+            &IntMap::default(),
         );
         let counts = asg.per_core_counts(2);
         assert!(
@@ -505,7 +520,7 @@ mod tests {
             &fe.inputs(),
             &[BlockId(0)],
             &PartitionParams::bug(4),
-            &HashMap::new(),
+            &IntMap::default(),
         );
         let home = asg.home_of(voltron_ir::Reg::gpr(0));
         // Every def of gpr0 is on the home core.
@@ -567,7 +582,7 @@ mod tests {
         let fe = FrontEnd::of_flat(&p);
         let inp = fe.inputs();
         let blocks: Vec<BlockId> = inp.forest.loops[0].blocks.iter().copied().collect();
-        let asg = bug_partition(&inp, &blocks, &PartitionParams::ebug(2), &HashMap::new());
+        let asg = bug_partition(&inp, &blocks, &PartitionParams::ebug(2), &IntMap::default());
         // Find the load and its direct consumer.
         for &b in &blocks {
             for (i, inst) in f.block(b).insts.iter().enumerate() {
@@ -575,7 +590,7 @@ mod tests {
                     let lc = asg.core_of(b, i);
                     let dst = inst.def().unwrap();
                     for (j, cons) in f.block(b).insts.iter().enumerate().skip(i + 1) {
-                        if cons.uses().contains(&dst) {
+                        if cons.uses().any(|u| u == dst) {
                             assert_eq!(asg.core_of(b, j), lc, "miss edge split across cores");
                         }
                     }
@@ -618,7 +633,7 @@ mod tests {
             if let Some(d) = inst.def() {
                 for (&(b2, i2), &c2) in &part.assignment.core_of {
                     let user = &f.block(b2).insts[i2];
-                    if user.uses().contains(&d) {
+                    if user.uses().any(|u| u == d) {
                         assert!(c2 >= c1, "backward dependence {b1:?}:{i1} -> {b2:?}:{i2}");
                     }
                 }

@@ -22,6 +22,7 @@ use crate::liveness::Liveness;
 use crate::partition::{self, Assignment, PartitionParams};
 use std::collections::HashMap;
 use voltron_ir::cfg::Cfg;
+use voltron_ir::hash::IntMap;
 use voltron_ir::loops::{LoopForest, LoopId};
 use voltron_ir::profile::Profile;
 use voltron_ir::{BlockId, FuncId, Function, InstRef, Opcode};
@@ -422,7 +423,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
                     inp,
                     &blocks,
                     &PartitionParams::bug(cores),
-                    &HashMap::new(),
+                    &IntMap::default(),
                 );
                 RegionKind::Coupled(asg)
             };

@@ -6,7 +6,8 @@
 //! scheduling problem across all cores at once:
 //!
 //! * intra-core dependences come from each core's operation list
-//!   (data/anti/output/memory/control, via [`BlockDfg`]);
+//!   (data/anti/output/memory/control, by the walk [`crate::dfg::BlockDfg`]
+//!   is built from);
 //! * cross-core constraints are the `PUT -> GET` / `BCAST -> GETB` pairs
 //!   and link-latch serialization produced by [`crate::comm`], plus
 //!   memory-ordering edges between may-aliasing operations on different
@@ -21,10 +22,10 @@
 //! that still owes the `PUT` — a deadlock. The pair edges make that
 //! impossible by construction.
 
-use crate::alias::AliasAnalysis;
-use crate::comm::{CoreOp, LoweredBlock, PairEdge};
-use crate::dfg::BlockDfg;
-use voltron_ir::{Block, Inst, Opcode};
+use crate::alias::{AliasAnalysis, Origin};
+use crate::comm::{LoweredBlock, PairEdge};
+use crate::dfg::for_each_dep;
+use voltron_ir::{Inst, Opcode};
 
 /// The schedule of one block: equal-length slot vectors per core.
 #[derive(Debug, Clone)]
@@ -46,90 +47,101 @@ impl BlockSchedule {
     }
 }
 
-/// Schedule one lowered block for coupled execution.
+/// Schedule one lowered block for coupled execution, moving its
+/// operations into the slot vectors.
 ///
 /// `alias` drives the cross-core memory-ordering edges (ops carry their
-/// original block index in [`CoreOp::orig`]).
-pub fn schedule_coupled(lowered: &LoweredBlock, alias: &AliasAnalysis) -> BlockSchedule {
-    let ncores = lowered.per_core.len();
-    // Flat node ids: (core, idx) -> node.
-    let base: Vec<usize> = {
-        let mut b = Vec::with_capacity(ncores);
-        let mut acc = 0;
-        for ops in &lowered.per_core {
-            b.push(acc);
-            acc += ops.len();
-        }
-        b
-    };
-    let total: usize = lowered.per_core.iter().map(Vec::len).sum();
-    let node = |core: usize, idx: usize| base[core] + idx;
-    let mut core_of = vec![0usize; total];
-    let mut inst_of: Vec<&CoreOp> = Vec::with_capacity(total);
-    for (c, ops) in lowered.per_core.iter().enumerate() {
-        for op in ops {
-            core_of[inst_of.len()] = c;
-            inst_of.push(op);
-        }
+/// original block index in [`crate::comm::CoreOp::orig`]).
+pub fn schedule_coupled(lowered: LoweredBlock, alias: &AliasAnalysis) -> BlockSchedule {
+    let LoweredBlock {
+        mut per_core,
+        pair_edges,
+    } = lowered;
+    let ncores = per_core.len();
+    // Flat node ids: core c's ops are nodes base[c]..base[c + 1].
+    let mut base: Vec<usize> = Vec::with_capacity(ncores + 1);
+    let mut total = 0;
+    for ops in &per_core {
+        base.push(total);
+        total += ops.len();
     }
+    base.push(total);
+    let node = |core: usize, idx: usize| base[core] + idx;
+    let mut core_of: Vec<usize> = Vec::with_capacity(total);
+    let mut op_of: Vec<Opcode> = Vec::with_capacity(total);
 
-    // Edges: (from, to, latency).
+    // Edges: (from, to, latency). Intra-core ones come from each core's
+    // operation list, duplicates and all: every use below is a maximum.
     let mut edges: Vec<(usize, usize, u32)> = Vec::new();
-    // Intra-core edges via a per-core BlockDfg over the op list.
-    for (c, ops) in lowered.per_core.iter().enumerate() {
-        let pseudo = Block {
-            insts: ops.iter().map(|o| o.inst.clone()).collect(),
-        };
-        let dfg = BlockDfg::build(&pseudo, alias);
-        for (i, es) in dfg.succs.iter().enumerate() {
-            for e in es {
-                edges.push((node(c, i), node(c, e.to), e.latency));
+    // Memory operations of the original block: (node, orig, origin,
+    // is a store).
+    let mut mems: Vec<(usize, Option<usize>, Origin, bool)> = Vec::new();
+    for (c, ops) in per_core.iter().enumerate() {
+        for_each_dep(
+            ops.len(),
+            |i| &ops[i].inst,
+            alias,
+            |f, t, l, _| {
+                edges.push((node(c, f), node(c, t), l));
+            },
+        );
+        for (i, op) in ops.iter().enumerate() {
+            core_of.push(c);
+            op_of.push(op.inst.op);
+            if op.inst.op.is_mem() && op.orig.is_some() {
+                let origin = alias.mem_origin(&op.inst);
+                mems.push((node(c, i), op.orig, origin, op.inst.op.is_store()));
             }
         }
     }
     // Cross-core pair edges from communication lowering.
-    for &PairEdge { from, to, latency } in &lowered.pair_edges {
+    for &PairEdge { from, to, latency } in &pair_edges {
         edges.push((node(from.0, from.1), node(to.0, to.1), latency));
     }
     // Cross-core memory ordering: original program order between
     // may-aliasing accesses on different cores.
-    let mems: Vec<usize> = (0..total)
-        .filter(|&n| inst_of[n].inst.op.is_mem() && inst_of[n].orig.is_some())
-        .collect();
-    for (ai, &a) in mems.iter().enumerate() {
-        for &b in &mems[ai + 1..] {
+    for (ai, &(a, orig_a, origin_a, store_a)) in mems.iter().enumerate() {
+        for &(b, orig_b, origin_b, store_b) in &mems[ai + 1..] {
             if core_of[a] == core_of[b] {
                 continue; // intra-core handled above
             }
-            let (x, y) = (&inst_of[a].inst, &inst_of[b].inst);
-            if (x.op.is_store() || y.op.is_store()) && alias.may_alias(x, y) {
-                let (first, second) = if inst_of[a].orig < inst_of[b].orig {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
+            if (store_a || store_b) && origin_a.may_alias(origin_b) {
+                let (first, second) = if orig_a < orig_b { (a, b) } else { (b, a) };
                 edges.push((first, second, 1));
             }
         }
     }
 
-    // Longest-path priorities (the graph is a DAG; node ids are not
-    // topological across cores, so relax iteratively).
-    let mut succs: Vec<Vec<(usize, u32)>> = vec![Vec::new(); total];
-    let mut indeg = vec![0usize; total];
-    for &(f, t, l) in &edges {
-        succs[f].push((t, l));
-        indeg[t] += 1;
+    // Successor lists, flat: node n's are succs[start[n]..start[n + 1]].
+    let mut start = vec![0usize; total + 1];
+    for &(f, _, _) in &edges {
+        start[f + 1] += 1;
     }
-    // Kahn topological order.
+    for n in 0..total {
+        start[n + 1] += start[n];
+    }
+    let mut succs: Vec<(usize, u32)> = vec![(0, 0); edges.len()];
+    let mut indeg = vec![0usize; total];
+    {
+        let mut next = start.clone();
+        for &(f, t, l) in &edges {
+            succs[next[f]] = (t, l);
+            next[f] += 1;
+            indeg[t] += 1;
+        }
+    }
+    let succs_of = |n: usize| &succs[start[n]..start[n + 1]];
+
+    // Longest-path priorities (the graph is a DAG; node ids are not
+    // topological across cores, so go by a Kahn order).
     let mut topo: Vec<usize> = Vec::with_capacity(total);
+    let mut unvisited = indeg.clone();
     let mut queue: Vec<usize> = (0..total).filter(|&n| indeg[n] == 0).collect();
-    let mut indeg2 = indeg.clone();
     while let Some(n) = queue.pop() {
         topo.push(n);
-        for &(t, _) in &succs[n] {
-            indeg2[t] -= 1;
-            if indeg2[t] == 0 {
+        for &(t, _) in succs_of(n) {
+            unvisited[t] -= 1;
+            if unvisited[t] == 0 {
                 queue.push(t);
             }
         }
@@ -137,51 +149,58 @@ pub fn schedule_coupled(lowered: &LoweredBlock, alias: &AliasAnalysis) -> BlockS
     debug_assert_eq!(topo.len(), total, "cyclic block dependence graph");
     let mut priority = vec![0u32; total];
     for &n in topo.iter().rev() {
-        let mut p = inst_of[n].inst.op.latency();
-        for &(t, l) in &succs[n] {
+        let mut p = op_of[n].latency();
+        for &(t, l) in succs_of(n) {
             p = p.max(l + priority[t]);
         }
         priority[n] = p;
     }
 
-    // List scheduling. Branches are deferred and aligned afterwards.
-    let is_branch = |n: usize| matches!(inst_of[n].inst.op, Opcode::Br | Opcode::Jump);
+    // List scheduling. Branches are deferred and aligned afterwards, and
+    // nothing that follows a branch is ever ready.
+    let is_branch = |n: usize| matches!(op_of[n], Opcode::Br | Opcode::Jump);
+    // An op becomes a candidate on its core once its last predecessor is
+    // placed (`waiting` counts the others), and is ready from the latest
+    // cycle those placements allow. Core c's candidates are
+    // cand[base[c]..base[c] + ncand[c]].
+    let mut waiting = indeg;
+    let mut earliest = vec![0u64; total];
+    let mut cand = vec![0usize; total];
+    let mut ncand = vec![0usize; ncores];
+    for n in 0..total {
+        if waiting[n] == 0 && !is_branch(n) {
+            let c = core_of[n];
+            cand[base[c] + ncand[c]] = n;
+            ncand[c] += 1;
+        }
+    }
     let mut time: Vec<Option<u64>> = vec![None; total];
     let mut remaining = total;
-    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); total];
-    for &(f, t, l) in &edges {
-        preds[t].push((f, l));
-    }
-    // Pre-place nothing; iterate cycles.
     let mut cycle: u64 = 0;
     let branch_count = (0..total).filter(|&n| is_branch(n)).count();
     while remaining > branch_count {
+        // Cores in order: a core's pick sees what lower-numbered cores
+        // placed earlier in the same cycle.
         for c in 0..ncores {
             // Highest-priority ready op on core c this cycle.
-            let mut best: Option<(u32, usize)> = None;
-            for idx in 0..lowered.per_core[c].len() {
-                let n = node(c, idx);
-                if time[n].is_some() || is_branch(n) {
-                    continue;
+            let list = &mut cand[base[c]..base[c] + ncand[c]];
+            let best = (0..list.len())
+                .filter(|&k| earliest[list[k]] <= cycle)
+                .max_by_key(|&k| (priority[list[k]], list[k]));
+            let Some(k) = best else { continue };
+            let n = list[k];
+            list.swap(k, ncand[c] - 1);
+            ncand[c] -= 1;
+            time[n] = Some(cycle);
+            remaining -= 1;
+            for &(t, l) in succs_of(n) {
+                earliest[t] = earliest[t].max(cycle + u64::from(l));
+                waiting[t] -= 1;
+                if waiting[t] == 0 && !is_branch(t) {
+                    let ct = core_of[t];
+                    cand[base[ct] + ncand[ct]] = t;
+                    ncand[ct] += 1;
                 }
-                let ready = preds[n].iter().all(|&(p, l)| {
-                    if is_branch(p) {
-                        return false; // branches come last; nothing follows
-                    }
-                    time[p]
-                        .map(|tp| tp + u64::from(l) <= cycle)
-                        .unwrap_or(false)
-                });
-                if ready {
-                    let pr = priority[n];
-                    if best.map(|(bp, bn)| (pr, n) > (bp, bn)).unwrap_or(true) {
-                        best = Some((pr, n));
-                    }
-                }
-            }
-            if let Some((_, n)) = best {
-                time[n] = Some(cycle);
-                remaining -= 1;
             }
         }
         cycle += 1;
@@ -190,35 +209,21 @@ pub fn schedule_coupled(lowered: &LoweredBlock, alias: &AliasAnalysis) -> BlockS
 
     // Align branches: all BRs at one cycle, trailing JUMPs one later.
     let mut br_cycle: u64 = cycle; // at least after every scheduled op
-    #[allow(clippy::needless_range_loop)]
-    for n in 0..total {
-        if !is_branch(n) {
-            continue;
-        }
-        for &(p, l) in &preds[n] {
+    for &(p, t, l) in &edges {
+        if is_branch(t) {
             if let Some(tp) = time[p] {
                 br_cycle = br_cycle.max(tp + u64::from(l));
             }
         }
     }
-    let mut have_br = false;
-    let mut have_jump = false;
-    for n in 0..total {
-        match inst_of[n].inst.op {
-            Opcode::Br => {
-                time[n] = Some(br_cycle);
-                have_br = true;
-            }
-            Opcode::Jump => {
-                have_jump = true;
-            }
-            _ => {}
-        }
-    }
+    let have_br = op_of.contains(&Opcode::Br);
+    let have_jump = op_of.contains(&Opcode::Jump);
     let jump_cycle = if have_br { br_cycle + 1 } else { br_cycle };
     for n in 0..total {
-        if inst_of[n].inst.op == Opcode::Jump {
-            time[n] = Some(jump_cycle);
+        match op_of[n] {
+            Opcode::Br => time[n] = Some(br_cycle),
+            Opcode::Jump => time[n] = Some(jump_cycle),
+            _ => {}
         }
     }
     let len = if have_jump {
@@ -233,19 +238,34 @@ pub fn schedule_coupled(lowered: &LoweredBlock, alias: &AliasAnalysis) -> BlockS
             .max()
             .map(|t| t + 1)
             .unwrap_or(0)
-    };
+    } as usize;
 
-    let mut slots: Vec<Vec<Inst>> = vec![vec![Inst::nop(); len as usize]; ncores];
+    // at[c * len + t]: the index in core c's list of its op at cycle t.
+    const IDLE: usize = usize::MAX;
+    let mut at = vec![IDLE; ncores * len];
     for n in 0..total {
         let t = time[n].expect("all ops scheduled") as usize;
         let c = core_of[n];
         debug_assert_eq!(
-            slots[c][t].op,
-            Opcode::Nop,
+            at[c * len + t],
+            IDLE,
             "slot collision at core {c} cycle {t}"
         );
-        slots[c][t] = inst_of[n].inst.clone();
+        at[c * len + t] = n - base[c];
     }
+    let slots = per_core
+        .iter_mut()
+        .enumerate()
+        .map(|(c, ops)| {
+            at[c * len..(c + 1) * len]
+                .iter()
+                .map(|&i| match i {
+                    IDLE => Inst::nop(),
+                    i => std::mem::replace(&mut ops[i].inst, Inst::nop()),
+                })
+                .collect()
+        })
+        .collect();
     BlockSchedule { slots }
 }
 
@@ -255,8 +275,8 @@ mod tests {
     use crate::comm::{FreshRegs, RegionLowerer, TagAlloc};
     use crate::partition::{bug_partition, PartitionParams};
     use crate::FrontEnd;
-    use std::collections::HashMap;
     use voltron_ir::builder::ProgramBuilder;
+    use voltron_ir::hash::IntMap;
     use voltron_ir::{BlockId, ExecMode, Program};
     use voltron_sim::MachineConfig;
 
@@ -287,14 +307,14 @@ mod tests {
             &inp,
             &[BlockId(0)],
             &PartitionParams::bug(cores),
-            &HashMap::new(),
+            &IntMap::default(),
         );
         let cfg = MachineConfig::paper(cores);
         let mut fresh = FreshRegs::for_function(f);
         let mut tags = TagAlloc::default();
         let mut lw = RegionLowerer::new(f, &asg, &cfg, ExecMode::Coupled, &mut fresh, &mut tags);
         let lb = lw.lower_block(BlockId(0));
-        schedule_coupled(&lb, inp.alias)
+        schedule_coupled(lb, inp.alias)
     }
 
     /// Validate the fundamental invariants on any schedule: equal length

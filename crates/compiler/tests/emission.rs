@@ -2,11 +2,12 @@
 //! mechanisms must appear in the right places.
 
 use std::collections::HashMap;
-use voltron_compiler::{compile, CompileOptions, Strategy};
+use std::fmt::Write as _;
+use voltron_compiler::{compile, compile_prepared, CompileOptions, FrontEnd, Strategy};
 use voltron_ir::builder::ProgramBuilder;
 use voltron_ir::{Inst, Opcode, Operand, Program, Reg};
 use voltron_sim::{CoreImage, MachineConfig, MachineProgram, RegionId};
-use voltron_workloads::{by_name, Scale};
+use voltron_workloads::{all, by_name, Scale};
 
 fn doall_program(n: i64) -> Program {
     let mut pb = ProgramBuilder::new("emit-doall");
@@ -314,4 +315,52 @@ fn doall_worker_images_are_one_class_up_to_renaming_and_per_core_constants() {
         // The master dispatches and combines: a class of its own.
         assert!(image_class(&c.machine.cores[0]) != image_class(&workers[0]));
     }
+}
+
+/// FNV-1a over formatted text, fed straight from the formatter. Unlike
+/// `DefaultHasher`, its output is fixed by its definition.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Every image `compile_matrix` builds, byte for byte: the 25 test-scale
+/// workloads × {ilp, fine-grain-tlp, llp, hybrid} × {2 … 64} cores from
+/// one `FrontEnd` per program, each image's `Debug` text and its region
+/// maps (sorted) folded into one digest. A change that only makes the
+/// compiler faster must leave it alone; a deliberate change to any
+/// emitted instruction, block or region updates it and says why.
+#[test]
+fn compile_matrix_images_are_pinned() {
+    const DIGEST: u64 = 0xb3f2_2700_3279_a607;
+    let opts = CompileOptions::default();
+    let strategies = [
+        Strategy::Ilp,
+        Strategy::FineGrainTlp,
+        Strategy::Llp,
+        Strategy::Hybrid,
+    ];
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for w in all(Scale::Test) {
+        let fe = FrontEnd::new(&w.program, strategies[0], &MachineConfig::scaled(2), &opts)
+            .unwrap_or_else(|e| panic!("{}: front end: {e}", w.name));
+        for strategy in strategies {
+            for cores in [2, 4, 8, 16, 32, 64] {
+                let c = compile_prepared(&fe, strategy, &MachineConfig::scaled(cores), &opts)
+                    .unwrap_or_else(|e| panic!("{} {strategy}/{cores}: {e}", w.name));
+                let mut kinds: Vec<_> = c.region_kinds.into_iter().collect();
+                let mut weights: Vec<_> = c.region_weights.into_iter().collect();
+                kinds.sort_unstable();
+                weights.sort_unstable();
+                write!(h, "{:?}{kinds:?}{weights:?}", c.machine).unwrap();
+            }
+        }
+    }
+    assert_eq!(h.0, DIGEST, "an emitted image changed: {:#018x}", h.0);
 }

@@ -134,14 +134,10 @@ impl Inst {
         self
     }
 
-    /// All registers read by this instruction, including the guard.
-    pub fn uses(&self) -> Vec<Reg> {
-        self.uses_iter().collect()
-    }
-
-    /// Allocation-free variant of [`Inst::uses`], for per-cycle paths
-    /// (the simulator's scoreboard checks every source every cycle).
-    pub fn uses_iter(&self) -> impl Iterator<Item = Reg> + '_ {
+    /// All registers read by this instruction, sources in order and then
+    /// the guard. Allocation-free: the simulator's scoreboard and the
+    /// compiler's per-operand tables walk it for every instruction.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + '_ {
         self.srcs
             .iter()
             .filter_map(Operand::as_reg)
@@ -209,7 +205,10 @@ mod tests {
             vec![Reg::gpr(1).into(), Operand::Imm(3)],
         )
         .guarded(Reg::pred(2));
-        assert_eq!(i.uses(), vec![Reg::gpr(1), Reg::pred(2)]);
+        assert_eq!(
+            i.uses().collect::<Vec<_>>(),
+            vec![Reg::gpr(1), Reg::pred(2)]
+        );
         assert_eq!(i.def(), Some(Reg::gpr(0)));
     }
 

@@ -25,6 +25,7 @@
 //!   trip counts, per-load cache-miss rates, and cross-iteration memory
 //!   dependence observations (the input to statistical-DOALL detection).
 //! * [`mod@cfg`] / [`loops`] — dominators, reverse postorder, natural loops.
+//! * [`hash`] — the integer-key hasher the simulator and compiler share.
 //!
 //! # Example
 //!
@@ -49,6 +50,7 @@
 
 pub mod builder;
 pub mod cfg;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod loops;

@@ -418,7 +418,7 @@ fn decode_core(core: usize, image: &CoreImage) -> DecodedCore {
             // Only `CALL` (a trap) can name more registers than fit; the
             // rest of its operands cannot delay an error that is already
             // unreachable past `MachineProgram::check`.
-            for (entry, r) in sb.iter_mut().zip(inst.uses_iter().chain(inst.dst)) {
+            for (entry, r) in sb.iter_mut().zip(inst.uses().chain(inst.dst)) {
                 *entry = lower.slot(r);
             }
             insts.push(DInst {

@@ -79,7 +79,7 @@ impl CoreImage {
                     let c = &mut counts[d.class.index()];
                     *c = (*c).max(d.index + 1);
                 }
-                for u in i.uses_iter() {
+                for u in i.uses() {
                     let c = &mut counts[u.class.index()];
                     *c = (*c).max(u.index + 1);
                 }

@@ -55,8 +55,8 @@ use crate::config::MachineConfig;
 use crate::fault::{
     FaultBudgetReport, FaultKind, FaultPlan, FaultPort, FaultSite, SiteFaults, SiteInjector,
 };
-use crate::hash::IntMap;
 use std::collections::{HashMap, VecDeque};
+use voltron_ir::hash::IntMap;
 use voltron_ir::{BlockId, Dir, Value};
 
 /// Message payload.

@@ -17,7 +17,7 @@
 //!   line-granular read-set intersects the committed write-set aborts and
 //!   restarts — it may have read stale pre-commit data.
 
-use crate::hash::{IntMap, IntSet};
+use voltron_ir::hash::{IntMap, IntSet};
 
 /// Per-core transaction bookkeeping.
 #[derive(Debug, Clone)]

@@ -9,7 +9,7 @@
 //! 2. every static branch target and every block-table entry is the first
 //!    instruction at or after the named block — what the per-cycle
 //!    empty-block walk used to find — or the off-the-end sentinel;
-//! 3. the scoreboard slots are `Inst::uses_iter()` + `dst`, and every
+//! 3. the scoreboard slots are `Inst::uses()` + `dst`, and every
 //!    register has its own slot below the constant pool;
 //! 4. the fetch address is `CoreImage::inst_addr`.
 
@@ -66,7 +66,7 @@ fn assert_decode_invariants(p: &MachineProgram) {
                     assert_eq!(target, BrTarget::Flat(flat_landing(t.idx())), "{at}");
                 }
                 // (3) Scoreboard slots, one slot per register.
-                let regs: Vec<_> = inst.uses_iter().chain(inst.dst).collect();
+                let regs: Vec<_> = inst.uses().chain(inst.dst).collect();
                 let expect: Vec<u32> = regs.iter().map(|&r| d.slot(r)).collect();
                 assert_eq!(d.scoreboard(di).collect::<Vec<_>>(), expect, "{at}");
                 assert_eq!(di.guard, inst.guard.map_or(d.true_slot(), |g| d.slot(g)));
