@@ -8,7 +8,7 @@
 //! model rejects is a usage error (exit status 2), never a panic and
 //! never a silently empty table.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -600,8 +600,10 @@ const FIRST_SPECIAL_TID: f64 = 90.0;
 /// at a timestamp no later than its own, and each track's `B`/`E` span
 /// events carry monotonically non-decreasing timestamps (events arrive in
 /// simulation order, so time running backwards on a track means the
-/// tracer misattributed a cycle). `scripts/check.sh` runs this against a
-/// traced smoke run so a malformed tracer can't land.
+/// tracer misattributed a cycle). Spans balance: every `E` closes an open
+/// `B` on its track, and no `B` is left open at the end. `tests/cli.rs`
+/// runs this against a traced `bench_one` so a malformed tracer can't
+/// land.
 fn trace_check(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
     let args = cmd.args(argv)?;
     let path = args
@@ -626,8 +628,8 @@ fn trace_check(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
     // `f` (ids are never reused by the tracer, so keep them all).
     let mut flow_starts: HashMap<u64, f64> = HashMap::new();
     let mut flows_paired = 0usize;
-    // Per-track last-seen B/E timestamp for monotonicity.
-    let mut last_span_ts: HashMap<u64, f64> = HashMap::new();
+    // Per track: last-seen B/E timestamp (for monotonicity), open spans.
+    let mut spans: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
     let mut errors = 0usize;
     let mut complain = |msg: String| {
         eprintln!("trace_check: {path}: {msg}");
@@ -667,16 +669,26 @@ fn trace_check(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
                     complain(format!("event {i}: span {ph} without tid/ts"));
                     continue;
                 };
-                let last = last_span_ts.entry(tid as u64).or_insert(ts);
+                let (last, open) = spans.entry(tid as u64).or_insert((ts, 0));
                 if ts < *last {
                     complain(format!(
                         "event {i}: track {tid} span time runs backwards ({ts} after {last})"
                     ));
                 }
                 *last = (*last).max(ts);
+                if ph == "B" {
+                    *open += 1;
+                } else if *open == 0 {
+                    complain(format!("event {i}: E on track {tid} closes no open B"));
+                } else {
+                    *open -= 1;
+                }
             }
             _ => {}
         }
+    }
+    for (tid, &(_, open)) in spans.iter().filter(|(_, s)| s.1 > 0) {
+        complain(format!("track {tid}: {open} B span(s) never closed"));
     }
     if live_cores.len() < min_cores {
         return Err(fail(format!(

@@ -8,9 +8,9 @@
 
 use std::collections::BTreeSet;
 use voltron_core::report::{parse, Json};
-use voltron_core::{Experiment, ObsRequest, Strategy};
+use voltron_core::{Experiment, FaultPlan, ObsRequest, Strategy};
 use voltron_sim::CoherenceBackend;
-use voltron_workloads::{by_name, Scale};
+use voltron_workloads::{all, by_name, Scale};
 
 /// Machine-wide track ids (`voltron_sim::obs`): per-core tracks sit
 /// below `REGION_TID`, TM tracks at `TM_TID_BASE + core`.
@@ -137,4 +137,56 @@ fn gzip_hybrid4_trace_has_tm_transaction_spans() {
         })
         .count();
     assert!(commits > 0, "expected TM commit markers");
+}
+
+/// FNV-1a over `bytes`, continuing from `h`. Unlike `DefaultHasher`, its
+/// output is fixed by its definition.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every byte of the traces `observed_runs` asks for: the 25 test-scale
+/// programs at hybrid/4 snooping with probe counters spliced in, three of
+/// them again under a fault plan (so `fault` records are covered), and
+/// one 16-core directory run (TM tracks and core tids beyond 4), folded
+/// into one digest. A tracer change that only makes tracing cheaper must
+/// leave it alone; a deliberate change to any emitted byte updates it and
+/// says why.
+#[test]
+fn observed_traces_are_pinned() {
+    const DIGEST: u64 = 0x9ca9_798b_e460_4117;
+    const FAULTED: [&str; 3] = ["164.gzip", "rawcaudio", "gsmdecode"];
+    let req = ObsRequest {
+        chrome_trace: true,
+        probe_period: Some(256),
+    };
+    let plan = FaultPlan::parse("seed=7,rate=0.002").expect("a well-formed plan");
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for w in all(Scale::Test) {
+        let mut exp = Experiment::new(&w.program).expect("experiment");
+        let mut trace = |exp: &mut Experiment<'_>, cores, backend| {
+            let o = exp.run_observed_on(Strategy::Hybrid, cores, backend, &req);
+            let o = o.unwrap_or_else(|e| panic!("{} hybrid/{cores}: {e}", w.name));
+            h = fnv1a(h, o.trace_json.as_bytes());
+            o.trace_json
+        };
+        trace(&mut exp, 4, CoherenceBackend::Snooping);
+        if FAULTED.contains(&w.name) {
+            exp.set_fault_plan(Some(plan.clone()));
+            let faulted = trace(&mut exp, 4, CoherenceBackend::Snooping);
+            assert!(
+                faulted.contains("\"cat\":\"fault\""),
+                "{}: no fault record",
+                w.name
+            );
+            exp.set_fault_plan(None);
+        }
+        if w.name == "164.gzip" {
+            let wide = trace(&mut exp, 16, CoherenceBackend::directory_for(16));
+            assert!(wide.contains("\"tid\":115"), "no TM track for core 15");
+        }
+    }
+    assert_eq!(h, DIGEST, "an observed trace changed: {h:#018x}");
 }

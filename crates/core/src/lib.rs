@@ -463,10 +463,10 @@ pub fn sim_config(spec: &RunSpec<'_>) -> MachineConfig {
 /// Run a booted (or rebooted) machine to completion and hold its final
 /// memory to `golden`: the second half of a run, with a Chrome tracer
 /// attached when `obs` asks for one. When probes were sampled too
-/// ([`sim_config`] set the period), they are spliced into the outcome's
-/// `trace` as Perfetto counter tracks — one document shows spans and
-/// gauges. The machine is left for the caller: the [`MachinePool`] parks
-/// it on `Ok` and retires it on `Err`.
+/// ([`sim_config`] set the period), they are appended to the outcome's
+/// `trace`, in place, as Perfetto counter tracks — one document shows
+/// spans and gauges. The machine is left for the caller: the
+/// [`MachinePool`] parks it on `Ok` and retires it on `Err`.
 ///
 /// # Errors
 /// A simulation failure, or [`SystemError::OutputMismatch`] at the first
@@ -489,7 +489,7 @@ pub fn run_checked(
         });
     }
     if let (true, Some(series)) = (obs.chrome_trace, &out.probes) {
-        out.trace = voltron_sim::trace_with_counters(&out.trace, series);
+        voltron_sim::append_counters(&mut out.trace, series);
     }
     Ok(out)
 }

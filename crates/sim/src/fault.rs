@@ -527,8 +527,8 @@ impl FaultPort {
     }
 
     /// Drain the fault/recovery log: `(cycle, core, site, action)`.
-    pub fn take_events(&mut self) -> Vec<(u64, usize, FaultSite, &'static str)> {
-        std::mem::take(&mut self.events)
+    pub fn take_events(&mut self) -> std::vec::Drain<'_, (u64, usize, FaultSite, &'static str)> {
+        self.events.drain(..)
     }
 
     /// The first retry-budget exhaustion, if one occurred (the machine

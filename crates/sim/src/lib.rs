@@ -57,7 +57,9 @@ pub use config::{CoherenceBackend, IdealKnobs, MachineConfig, Watchdogs};
 pub use fault::{FaultBudgetReport, FaultEvent, FaultKind, FaultPlan, FaultSite, FaultStats};
 pub use machine::{CoreWait, Machine, RunOutcome, SimError, WaitCause};
 pub use mcode::{CoreImage, MBlock, MachineProgram, RegionId, REGION_OUTSIDE};
-pub use obs::{trace_with_counters, ChromeTracer, ProbeSample, ProbeSeries, ProbeSummary};
+pub use obs::{
+    append_counters, trace_with_counters, ChromeTracer, ProbeSample, ProbeSeries, ProbeSummary,
+};
 pub use sealed::SealedImage;
 pub use stats::{CoreStats, MachineStats, RegionBreakdown, StallReason};
 pub use validate::{Site, ValidateError};

@@ -434,6 +434,9 @@ pub struct Machine {
     mode_switches: u64,
     dynamic_insts: u64,
     tracer: Option<Box<dyn Tracer>>,
+    /// Whether the installed tracer is sent [`TraceEvent::Issue`] (asked
+    /// once, by [`Machine::set_tracer`]).
+    trace_issues: bool,
     /// Per-core issue decisions, persistent across ticks: a parked core
     /// (see [`Machine::tick`]) keeps the decision it was last given.
     decisions: Vec<Decision>,
@@ -554,6 +557,7 @@ impl Machine {
             mode_switches: 0,
             dynamic_insts: 0,
             tracer: None,
+            trace_issues: false,
             decisions: Vec::with_capacity(n),
             completions: Vec::new(),
             ticked: 0,
@@ -687,6 +691,7 @@ impl Machine {
         self.mode_switches = 0;
         self.dynamic_insts = 0;
         self.tracer = None;
+        self.trace_issues = false;
         self.completions.clear();
         self.ticked = 0;
         self.ff_eligible = false;
@@ -722,6 +727,7 @@ impl Machine {
 
     /// Install an execution tracer (see [`crate::trace`]).
     pub fn set_tracer(&mut self, t: Box<dyn Tracer>) {
+        self.trace_issues = t.wants_issues();
         self.tracer = Some(t);
         // Fault events are buffered by the subsystems only while someone
         // will drain them.
@@ -841,7 +847,7 @@ impl Machine {
             dynamic_insts: self.dynamic_insts,
             faults,
         };
-        let trace = self.tracer.as_ref().map(|t| t.render()).unwrap_or_default();
+        let trace = self.tracer.as_mut().map(|t| t.render()).unwrap_or_default();
         let memory = std::mem::replace(
             &mut self.memory,
             Memory::from_data(&voltron_ir::DataSegment::default()),
@@ -1287,7 +1293,8 @@ impl Machine {
             self.core_stats[i].nops += 1;
         } else {
             self.core_stats[i].issued += 1;
-            if let Some(t) = self.tracer.as_mut() {
+            if self.trace_issues {
+                let t = self.tracer.as_mut().expect("a tracer wants issues");
                 let block = &self.image.program().cores[i].blocks[d.block as usize];
                 t.event(TraceEvent::Issue {
                     cycle: now,
@@ -1588,12 +1595,11 @@ impl Machine {
             self.dispatch(c);
         }
         self.completions = done;
-        if self.tracer.is_some() {
+        if let Some(t) = self.tracer.as_mut() {
             // At most one grant per bank per tick, and ticks clear the
             // grant buffer, so draining here sees every grant once.
-            let grants: Vec<_> = self.memsys.take_grants().collect();
-            for (core, kind, start, finish) in grants {
-                self.trace(TraceEvent::Bus {
+            for (core, kind, start, finish) in self.memsys.take_grants() {
+                t.event(TraceEvent::Bus {
                     start,
                     finish,
                     core,
@@ -1609,16 +1615,18 @@ impl Machine {
             if let Some(r) = self.fault_ports().find_map(FaultPort::take_failure) {
                 return Err(SimError::FaultBudget(r));
             }
-            if self.tracer.is_some() {
-                let ports = self.fault_ports();
-                let events: Vec<_> = ports.flat_map(FaultPort::take_events).collect();
-                for (cycle, core, site, action) in events {
-                    self.trace(TraceEvent::Fault {
-                        cycle,
-                        core,
-                        site,
-                        action,
-                    });
+            if let Some(t) = self.tracer.as_mut() {
+                // `fault_ports`, borrowing only the two subsystems.
+                let ports = [self.memsys.fault_port(), self.net.fault_port()];
+                for port in ports.into_iter().flatten() {
+                    for (cycle, core, site, action) in port.take_events() {
+                        t.event(TraceEvent::Fault {
+                            cycle,
+                            core,
+                            site,
+                            action,
+                        });
+                    }
                 }
             }
         }

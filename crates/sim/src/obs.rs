@@ -7,7 +7,9 @@
 //!   occupancy, mode residency, SEND→RECV edges) as Chrome trace-event
 //!   JSON, loadable in Perfetto (<https://ui.perfetto.dev>) or
 //!   `chrome://tracing`. One timeline track per core, plus TM tracks per
-//!   core and machine-wide region/mode/bus tracks.
+//!   core and machine-wide region/mode/bus tracks. Each record is
+//!   written once, into the document the run hands over; a traced hybrid
+//!   run costs ≈ 1.3× a plain one (`sim.obs.trace_overhead_ratio`).
 //! * [`ProbeSeries`] — an interval sampler (period set by
 //!   [`crate::MachineConfig::probe_period`]) recording per-core
 //!   occupancy counters, operand-network queue depths, TM read/write-set
@@ -18,12 +20,14 @@
 //!   (DESIGN.md §8).
 //!
 //! Nothing here parses JSON; both renderers emit it with plain string
-//! building, mirroring `voltron-core`'s report writer.
+//! building.
 
+use crate::network::bits;
 use crate::stats::StallReason;
 use crate::trace::{TraceEvent, Tracer};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
+use voltron_ir::hash::IntMap;
 use voltron_ir::ExecMode;
 
 /// Virtual thread id of the planner-region track.
@@ -37,34 +41,65 @@ const TID_FAULT: u64 = 93;
 /// Base virtual thread id of the per-core TM tracks.
 const TID_TM_BASE: u64 = 100;
 
+/// What every trace document starts with.
+const HEADER: &str = "{\"traceEvents\":[";
+
 /// A [`Tracer`] rendering machine events as Chrome trace-event JSON.
 ///
-/// Spans arrive as begin/end pairs; any still open when the run ends are
-/// closed at the last observed cycle by [`ChromeTracer::render`].
-/// Instruction issues are ignored (a per-instruction timeline would dwarf
-/// everything else); the structural timeline is the point.
+/// Each event is written as it arrives, straight into the one document
+/// the run hands over: [`Tracer::render`] closes any spans still open at
+/// the last observed cycle, ends the array and moves the buffer out,
+/// leaving the tracer empty. Instruction issues are not asked for (a
+/// per-instruction timeline would dwarf everything else); the structural
+/// timeline is the point.
 #[derive(Debug, Default)]
 pub struct ChromeTracer {
-    /// Rendered event objects, in arrival order.
-    events: Vec<String>,
-    /// Tids that already got a `thread_name` metadata record.
-    named: BTreeSet<u64>,
-    /// Open stall span per core.
-    open_stall: BTreeMap<usize, (u64, StallReason)>,
-    /// Open region span.
-    open_region: Option<(u64, u32)>,
-    /// Open transaction span per core.
-    open_txn: BTreeMap<usize, (u64, u32)>,
+    /// The document so far: [`HEADER`] and comma-separated records, or
+    /// empty before the first record.
+    doc: String,
+    /// Tids that already got their metadata records, one bit each (core
+    /// and TM tids stay below 164, as machines have at most 64 cores).
+    named: [u64; 3],
+    /// Cores with an open stall span, one bit each.
+    open_stall: u64,
+    /// Whether a region span is open.
+    open_region: bool,
+    /// Cores with an open transaction span, one bit each.
+    open_txn: u64,
     /// Start cycle of the current mode-residency span, if a switch was
     /// seen (the machine starts decoupled; residency before the first
     /// switch is synthesized in `render`).
     open_mode: Option<(u64, ExecMode)>,
     /// Pending SEND flow ids per `(from, to, tag)`, FIFO.
-    pending_flows: HashMap<(usize, usize, u32), VecDeque<u64>>,
+    pending_flows: IntMap<(usize, usize, u32), VecDeque<u64>>,
     /// Next flow id.
     next_flow: u64,
     /// Largest cycle seen in any event.
     max_ts: u64,
+}
+
+/// One piece of a record's name: a label or a decimal integer.
+#[derive(Clone, Copy)]
+enum Part<'a> {
+    Text(&'a str),
+    Int(u64),
+}
+
+use Part::{Int, Text};
+
+/// Append `n` in decimal, without the formatting machinery.
+fn push_int(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
 }
 
 impl ChromeTracer {
@@ -73,93 +108,134 @@ impl ChromeTracer {
         ChromeTracer::default()
     }
 
-    /// Number of events captured so far (metadata records included).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no event has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     fn see(&mut self, ts: u64) {
         self.max_ts = self.max_ts.max(ts);
     }
 
-    /// Emit the `thread_name` metadata record for `tid` once.
+    /// Start a record: the document header before the first one, the
+    /// separating comma before every other.
+    fn record(&mut self) -> &mut String {
+        if self.doc.is_empty() {
+            self.doc.push_str(HEADER);
+        } else {
+            self.doc.push(',');
+        }
+        &mut self.doc
+    }
+
+    /// Emit the `thread_name` and `thread_sort_index` metadata records
+    /// for `tid` once.
     fn name_tid(&mut self, tid: u64) {
-        if !self.named.insert(tid) {
+        let (word, bit) = ((tid / 64) as usize, 1u64 << (tid % 64));
+        if self.named[word] & bit != 0 {
             return;
         }
-        let name = match tid {
-            TID_REGION => "regions".to_string(),
-            TID_MODE => "mode".to_string(),
-            TID_BUS => "bus".to_string(),
-            TID_FAULT => "faults".to_string(),
-            t if t >= TID_TM_BASE => format!("tm {}", t - TID_TM_BASE),
-            t => format!("core {t}"),
+        self.named[word] |= bit;
+        let (label, n) = match tid {
+            TID_REGION => ("regions", None),
+            TID_MODE => ("mode", None),
+            TID_BUS => ("bus", None),
+            TID_FAULT => ("faults", None),
+            t if t >= TID_TM_BASE => ("tm ", Some(t - TID_TM_BASE)),
+            t => ("core ", Some(t)),
         };
-        self.events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{name}\"}}}}"
-        ));
+        let out = self.record();
+        out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+        push_int(out, tid);
+        out.push_str(",\"args\":{\"name\":\"");
+        out.push_str(label);
+        if let Some(n) = n {
+            push_int(out, n);
+        }
+        out.push_str("\"}}");
         // Sort core tracks first, then TM, then the machine-wide tracks.
         let rank = match tid {
             t if t < TID_REGION => t,
             t if t >= TID_TM_BASE => 1000 + t,
             t => 2000 + t,
         };
-        self.events.push(format!(
-            "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"sort_index\":{rank}}}}}"
-        ));
+        let out = self.record();
+        out.push_str("{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+        push_int(out, tid);
+        out.push_str(",\"args\":{\"sort_index\":");
+        push_int(out, rank);
+        out.push_str("}}");
     }
 
-    fn begin(&mut self, tid: u64, ts: u64, cat: &str, name: &str) {
+    /// Start a named record on `tid`'s track (naming the track first):
+    /// `{"name":…,"cat":…,"ph":…,"ts":…`.
+    fn head(&mut self, tid: u64, ts: u64, cat: &str, ph: &str, name: &[Part<'_>]) {
         self.name_tid(tid);
+        let out = self.record();
+        out.push_str("{\"name\":\"");
+        for &part in name {
+            match part {
+                Text(s) => out.push_str(s),
+                Int(n) => push_int(out, n),
+            }
+        }
+        out.push_str("\",\"cat\":\"");
+        out.push_str(cat);
+        out.push_str("\",\"ph\":\"");
+        out.push_str(ph);
+        out.push_str("\",\"ts\":");
+        push_int(out, ts);
+    }
+
+    /// End a record: `,"pid":1,"tid":…` and `rest`.
+    fn tail(&mut self, tid: u64, rest: &str) {
+        self.doc.push_str(",\"pid\":1,\"tid\":");
+        push_int(&mut self.doc, tid);
+        self.doc.push_str(rest);
+    }
+
+    fn begin(&mut self, tid: u64, ts: u64, cat: &str, name: &[Part<'_>]) {
         self.see(ts);
-        self.events.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"B\",\"ts\":{ts},\
-             \"pid\":1,\"tid\":{tid}}}"
-        ));
+        self.head(tid, ts, cat, "B", name);
+        self.tail(tid, "}");
     }
 
     fn end(&mut self, tid: u64, ts: u64) {
         self.see(ts);
-        self.events.push(render_end(tid, ts));
+        let out = self.record();
+        out.push_str("{\"ph\":\"E\",\"ts\":");
+        push_int(out, ts);
+        self.tail(tid, "}");
     }
 
-    fn instant(&mut self, tid: u64, ts: u64, cat: &str, name: &str) {
-        self.name_tid(tid);
+    fn instant(&mut self, tid: u64, ts: u64, cat: &str, name: &[Part<'_>]) {
         self.see(ts);
-        self.events.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-             \"pid\":1,\"tid\":{tid},\"s\":\"t\"}}"
-        ));
+        self.head(tid, ts, cat, "i", name);
+        self.tail(tid, ",\"s\":\"t\"}");
     }
 
-    fn complete(&mut self, tid: u64, ts: u64, dur: u64, cat: &str, name: &str) {
-        self.name_tid(tid);
+    fn complete(&mut self, tid: u64, ts: u64, dur: u64, cat: &str, name: &[Part<'_>]) {
         self.see(ts + dur);
-        self.events.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\
-             \"dur\":{dur},\"pid\":1,\"tid\":{tid}}}"
-        ));
+        self.head(tid, ts, cat, "X", name);
+        self.doc.push_str(",\"dur\":");
+        push_int(&mut self.doc, dur);
+        self.tail(tid, "}");
     }
 
-    fn flow(&mut self, tid: u64, ts: u64, id: u64, phase: char) {
+    /// A flow start (`s`) or finish (`f`, bound to its enclosing slice).
+    fn flow(&mut self, tid: u64, ts: u64, id: u64, finish: bool) {
         self.see(ts);
-        let bind = if phase == 'f' { ",\"bp\":\"e\"" } else { "" };
-        self.events.push(format!(
-            "{{\"name\":\"msg\",\"cat\":\"net\",\"ph\":\"{phase}\",\"id\":{id},\
-             \"ts\":{ts},\"pid\":1,\"tid\":{tid}{bind}}}"
-        ));
+        let out = self.record();
+        out.push_str("{\"name\":\"msg\",\"cat\":\"net\",\"ph\":\"");
+        out.push_str(if finish { "f" } else { "s" });
+        out.push_str("\",\"id\":");
+        push_int(out, id);
+        out.push_str(",\"ts\":");
+        push_int(out, ts);
+        self.tail(tid, if finish { ",\"bp\":\"e\"}" } else { "}" });
     }
 }
 
-fn render_end(tid: u64, ts: u64) -> String {
-    format!("{{\"ph\":\"E\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}")
+/// Clear bit `i` of `set`, returning whether it was set.
+fn take_bit(set: &mut u64, i: usize) -> bool {
+    let was = *set & (1 << i) != 0;
+    *set &= !(1 << i);
+    was
 }
 
 fn mode_label(mode: ExecMode) -> &'static str {
@@ -169,80 +245,70 @@ fn mode_label(mode: ExecMode) -> &'static str {
     }
 }
 
-fn region_name(region: u32) -> String {
-    if region == crate::mcode::REGION_OUTSIDE {
-        "outside".to_string()
-    } else {
-        format!("region {region}")
-    }
-}
-
 impl Tracer for ChromeTracer {
+    fn wants_issues(&self) -> bool {
+        false
+    }
+
     fn event(&mut self, e: TraceEvent<'_>) {
         match e {
-            // Per-instruction issues would dwarf the structural timeline.
+            // Never sent (`wants_issues`); would dwarf the timeline.
             TraceEvent::Issue { .. } => {}
             TraceEvent::StallBegin {
                 cycle,
                 core,
                 reason,
             } => {
-                self.open_stall.insert(core, (cycle, reason));
-                self.begin(core as u64, cycle, "stall", &reason.to_string());
+                self.open_stall |= 1 << core;
+                self.begin(core as u64, cycle, "stall", &[Text(reason.label())]);
             }
             TraceEvent::StallEnd { cycle, core } => {
-                if self.open_stall.remove(&core).is_some() {
+                if take_bit(&mut self.open_stall, core) {
                     self.end(core as u64, cycle);
                 }
             }
             TraceEvent::RegionEnter { cycle, region } => {
-                self.open_region = Some((cycle, region));
-                self.begin(TID_REGION, cycle, "region", &region_name(region));
+                self.open_region = true;
+                if region == crate::mcode::REGION_OUTSIDE {
+                    self.begin(TID_REGION, cycle, "region", &[Text("outside")]);
+                } else {
+                    let name = [Text("region "), Int(region.into())];
+                    self.begin(TID_REGION, cycle, "region", &name);
+                }
             }
             TraceEvent::RegionExit { cycle, .. } => {
-                if self.open_region.take().is_some() {
+                if std::mem::take(&mut self.open_region) {
                     self.end(TID_REGION, cycle);
                 }
             }
             TraceEvent::TmBegin { cycle, core, order } => {
-                self.open_txn.insert(core, (cycle, order));
-                self.begin(
-                    TID_TM_BASE + core as u64,
-                    cycle,
-                    "tm",
-                    &format!("txn #{order}"),
-                );
+                self.open_txn |= 1 << core;
+                let name = [Text("txn #"), Int(order.into())];
+                self.begin(TID_TM_BASE + core as u64, cycle, "tm", &name);
             }
             TraceEvent::TmCommit { cycle, core, lines } => {
-                if self.open_txn.remove(&core).is_some() {
+                if take_bit(&mut self.open_txn, core) {
                     self.end(TID_TM_BASE + core as u64, cycle);
                 }
-                self.instant(
-                    TID_TM_BASE + core as u64,
-                    cycle,
-                    "tm",
-                    &format!("commit ({lines} lines)"),
-                );
+                let name = [Text("commit ("), Int(lines as u64), Text(" lines)")];
+                self.instant(TID_TM_BASE + core as u64, cycle, "tm", &name);
             }
             TraceEvent::TmAbort { cycle, core } => {
-                if self.open_txn.remove(&core).is_some() {
+                if take_bit(&mut self.open_txn, core) {
                     self.end(TID_TM_BASE + core as u64, cycle);
                 }
-                self.instant(TID_TM_BASE + core as u64, cycle, "tm", "abort");
+                self.instant(TID_TM_BASE + core as u64, cycle, "tm", &[Text("abort")]);
             }
             TraceEvent::BarrierWait { cycle, core, mode } => {
-                self.instant(
-                    core as u64,
-                    cycle,
-                    "mode",
-                    &format!("at barrier (-> {})", mode_label(mode)),
-                );
+                let name = [Text("at barrier (-> "), Text(mode_label(mode)), Text(")")];
+                self.instant(core as u64, cycle, "mode", &name);
             }
             TraceEvent::ModeSwitch { cycle, mode } => {
                 // Close the previous residency span; before the first
                 // switch the machine was decoupled since cycle 0.
                 let (start, prev) = self.open_mode.take().unwrap_or((0, ExecMode::Decoupled));
-                self.complete(TID_MODE, start, cycle - start, "mode", mode_label(prev));
+                let name = [Text(mode_label(prev))];
+                self.complete(TID_MODE, start, cycle - start, "mode", &name);
                 self.open_mode = Some((cycle, mode));
             }
             TraceEvent::Bus {
@@ -251,13 +317,8 @@ impl Tracer for ChromeTracer {
                 core,
                 kind,
             } => {
-                self.complete(
-                    TID_BUS,
-                    start,
-                    finish - start,
-                    "bus",
-                    &format!("{kind} (core {core})"),
-                );
+                let name = [Text(kind), Text(" (core "), Int(core as u64), Text(")")];
+                self.complete(TID_BUS, start, finish - start, "bus", &name);
             }
             TraceEvent::MsgSend {
                 cycle,
@@ -271,13 +332,14 @@ impl Tracer for ChromeTracer {
                     .entry((from, to, tag))
                     .or_default()
                     .push_back(id);
-                self.instant(
-                    from as u64,
-                    cycle,
-                    "net",
-                    &format!("send tag {tag} -> {to}"),
-                );
-                self.flow(from as u64, cycle, id, 's');
+                let name = [
+                    Text("send tag "),
+                    Int(tag.into()),
+                    Text(" -> "),
+                    Int(to as u64),
+                ];
+                self.instant(from as u64, cycle, "net", &name);
+                self.flow(from as u64, cycle, id, false);
             }
             TraceEvent::MsgRecv {
                 cycle,
@@ -285,25 +347,27 @@ impl Tracer for ChromeTracer {
                 from,
                 tag,
             } => {
-                self.instant(
-                    core as u64,
-                    cycle,
-                    "net",
-                    &format!("recv tag {tag} <- {from}"),
-                );
+                let name = [
+                    Text("recv tag "),
+                    Int(tag.into()),
+                    Text(" <- "),
+                    Int(from as u64),
+                ];
+                self.instant(core as u64, cycle, "net", &name);
                 if let Some(id) = self
                     .pending_flows
                     .get_mut(&(from, core, tag))
                     .and_then(VecDeque::pop_front)
                 {
-                    self.flow(core as u64, cycle, id, 'f');
+                    self.flow(core as u64, cycle, id, true);
                 }
             }
             TraceEvent::ThreadStart { cycle, core, block } => {
-                self.instant(core as u64, cycle, "thread", &format!("spawn bb{block}"));
+                let name = [Text("spawn bb"), Int(block as u64)];
+                self.instant(core as u64, cycle, "thread", &name);
             }
             TraceEvent::Halt { cycle, core } => {
-                self.instant(core as u64, cycle, "thread", "halt");
+                self.instant(core as u64, cycle, "thread", &[Text("halt")]);
             }
             TraceEvent::Fault {
                 cycle,
@@ -311,54 +375,41 @@ impl Tracer for ChromeTracer {
                 site,
                 action,
             } => {
-                self.instant(
-                    TID_FAULT,
-                    cycle,
-                    "fault",
-                    &format!("{} {action} (core {core})", site.label()),
-                );
+                let name = [
+                    Text(site.label()),
+                    Text(" "),
+                    Text(action),
+                    Text(" (core "),
+                    Int(core as u64),
+                    Text(")"),
+                ];
+                self.instant(TID_FAULT, cycle, "fault", &name);
             }
         }
     }
 
-    /// Render `{"traceEvents":[...]}`, closing any spans still open at
-    /// the last observed cycle.
-    fn render(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96 + 64);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, e: &str| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(e);
-        };
-        for e in &self.events {
-            push(&mut out, e);
-        }
+    /// Close any spans still open at the last observed cycle, end the
+    /// `{"traceEvents":[...]}` document and hand it over.
+    fn render(&mut self) -> String {
         let close = self.max_ts;
-        for &core in self.open_stall.keys() {
-            push(&mut out, &render_end(core as u64, close));
+        for core in bits(self.open_stall) {
+            self.end(core as u64, close);
         }
-        if self.open_region.is_some() {
-            push(&mut out, &render_end(TID_REGION, close));
+        if self.open_region {
+            self.end(TID_REGION, close);
         }
-        for &core in self.open_txn.keys() {
-            push(&mut out, &render_end(TID_TM_BASE + core as u64, close));
+        for core in bits(self.open_txn) {
+            self.end(TID_TM_BASE + core as u64, close);
         }
         if let Some((start, mode)) = self.open_mode {
-            push(
-                &mut out,
-                &format!(
-                    "{{\"name\":\"{}\",\"cat\":\"mode\",\"ph\":\"X\",\"ts\":{start},\
-                     \"dur\":{},\"pid\":1,\"tid\":{TID_MODE}}}",
-                    mode_label(mode),
-                    close - start
-                ),
-            );
+            let name = [Text(mode_label(mode))];
+            self.complete(TID_MODE, start, close - start, "mode", &name);
         }
-        out.push_str("]}");
-        out
+        if self.doc.is_empty() {
+            self.doc.push_str(HEADER);
+        }
+        self.doc.push_str("]}");
+        std::mem::take(self).doc
     }
 }
 
@@ -495,8 +546,8 @@ impl ProbeSeries {
     /// (first difference of the cumulative busy counter over the
     /// period). Perfetto draws each as a stacked counter track above the
     /// span timeline. Returns the comma-separated records without
-    /// surrounding brackets so [`trace_with_counters`] can splice them
-    /// into a rendered trace; empty when the series has no samples.
+    /// surrounding brackets so [`append_counters`] can splice them into a
+    /// rendered trace; empty when the series has no samples.
     fn counter_events(&self) -> String {
         let mut out = String::new();
         let mut prev_busy = 0u64;
@@ -584,20 +635,30 @@ impl ProbeSeries {
 }
 
 /// Splice a probe series' counter tracks (`ProbeSeries::counter_events`)
-/// into a rendered Chrome trace (`{"traceEvents":[...]}`): the span
-/// timeline and the gauges land in one Perfetto document. Returns the
+/// into a rendered Chrome trace (`{"traceEvents":[...]}`) in place: the
+/// span timeline and the gauges land in one Perfetto document. Leaves the
 /// trace unchanged when the series has no samples or the document does
 /// not end in a trace-event array.
-pub fn trace_with_counters(trace: &str, series: &ProbeSeries) -> String {
+pub fn append_counters(trace: &mut String, series: &ProbeSeries) {
     let counters = series.counter_events();
-    if counters.is_empty() {
-        return trace.to_string();
+    if counters.is_empty() || !trace.ends_with("]}") {
+        return;
     }
-    let Some(body) = trace.strip_suffix("]}") else {
-        return trace.to_string();
-    };
-    let sep = if body.ends_with('[') { "" } else { "," };
-    format!("{body}{sep}{counters}]}}")
+    trace.truncate(trace.len() - 2);
+    if !trace.ends_with('[') {
+        trace.push(',');
+    }
+    trace.push_str(&counters);
+    trace.push_str("]}");
+}
+
+/// [`append_counters`] onto a copy of `trace`: copy, then append. Kept
+/// only because `benchmark/`'s staged replay calls it; a caller that owns
+/// the trace appends in place.
+pub fn trace_with_counters(trace: &str, series: &ProbeSeries) -> String {
+    let mut out = trace.to_string();
+    append_counters(&mut out, series);
+    out
 }
 
 #[cfg(test)]

@@ -66,11 +66,10 @@ impl StallReason {
             StallReason::Sync => 8,
         }
     }
-}
 
-impl fmt::Display for StallReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The reason's name, as displayed.
+    pub fn label(self) -> &'static str {
+        match self {
             StallReason::IFetch => "i-stall",
             StallReason::DMiss => "d-stall",
             StallReason::StoreBuf => "store-buf",
@@ -80,8 +79,13 @@ impl fmt::Display for StallReason {
             StallReason::RecvPred => "recv-pred",
             StallReason::SendFull => "send-full",
             StallReason::Sync => "sync",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for StallReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

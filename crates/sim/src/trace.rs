@@ -181,9 +181,17 @@ pub trait Tracer: Send {
     /// Called for every event, in cycle order.
     fn event(&mut self, e: TraceEvent<'_>);
 
-    /// Render whatever was captured (returned in
-    /// [`crate::machine::RunOutcome::trace`] after a traced run).
-    fn render(&self) -> String {
+    /// Whether [`TraceEvent::Issue`] is wanted, asked once when the
+    /// tracer is installed: a tracer answering `false` is never sent one,
+    /// so the machine skips an event per issued instruction.
+    fn wants_issues(&self) -> bool {
+        true
+    }
+
+    /// Hand over whatever was captured (returned in
+    /// [`crate::machine::RunOutcome::trace`] after a traced run, which
+    /// calls this once). A tracer may move its buffer out.
+    fn render(&mut self) -> String {
         String::new()
     }
 }
@@ -232,7 +240,7 @@ impl TextTracer {
 }
 
 impl Tracer for TextTracer {
-    fn render(&self) -> String {
+    fn render(&mut self) -> String {
         TextTracer::render(self)
     }
 

@@ -7,7 +7,8 @@
 //! A second, 16-core image (`common/mesh.rs`) does the same for the
 //! event-gated parts of the loop: cores parking and unparking, receive
 //! streams entering and leaving the network's stream-head index, and the
-//! all-core flush at every region change and mode switch.
+//! all-core flush at every region change and mode switch. Traced, the
+//! same machine may ask the heap only to grow the trace document.
 //!
 //! The same counter guards the static validator: what
 //! [`MachineProgram::validate`] asks of the heap depends on the network,
@@ -17,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use voltron_ir::{BlockId, CmpCc, DataSegment, Inst, MemWidth, Opcode, Operand, Reg, Signedness};
-use voltron_sim::{CoreImage, MBlock, Machine, MachineConfig, MachineProgram};
+use voltron_sim::{ChromeTracer, CoreImage, MBlock, Machine, MachineConfig, MachineProgram};
 
 #[path = "common/mesh.rs"]
 mod mesh;
@@ -163,6 +164,40 @@ fn parking_the_head_index_and_region_flushes_do_not_allocate() {
     assert_eq!(run.stats.mode_switches, 2 * iters as u64);
     assert_eq!(run.stats.regions.len(), 2);
     assert!(run.stats.cycles > 70_000, "the loop outlasts the window");
+}
+
+/// A traced tick writes its records straight into the one trace
+/// document: over a warm window the only heap requests are that buffer's
+/// doublings, however many records the window writes.
+#[test]
+fn a_warm_traced_tick_allocates_only_to_grow_the_document() {
+    let (p, _) = mesh::fork_join_loop(16, 4_000, 8);
+    let mut cfg = MachineConfig::scaled(16);
+    cfg.fast_forward = false;
+    let mut m = Machine::new(p, &cfg).unwrap();
+    m.set_tracer(Box::new(ChromeTracer::new()));
+    // Fast-forward is off, so tick `k` executes cycle `k`.
+    let window = 20_000..70_000u64;
+    for _ in 0..window.start {
+        m.tick().unwrap();
+    }
+    let before = HEAP_REQUESTS.with(Cell::get);
+    for _ in window.clone() {
+        m.tick().unwrap();
+    }
+    let during = HEAP_REQUESTS.with(Cell::get) - before;
+    let trace = m.run().unwrap().trace;
+    let written = trace
+        .split("\"ts\":")
+        .skip(1)
+        .filter_map(|rest| rest.split([',', '}']).next()?.parse::<u64>().ok())
+        .filter(|ts| window.contains(ts))
+        .count();
+    assert!(written >= 1_000, "{written} records in the window");
+    assert!(
+        during <= 32,
+        "{during} heap requests for {written} trace records in 50000 warm ticks"
+    );
 }
 
 #[test]

@@ -98,6 +98,33 @@ fn the_shown_defects_are_usage_errors() {
     assert_eq!(cli::main(&["fig13", "--bench", "nope"]), 2);
 }
 
+/// A traced `bench_one` writes a trace `trace_check` accepts — events on
+/// four core tracks, flows paired, spans balanced — and `trace_check`
+/// refuses an `E` that closes nothing and a `B` never closed.
+#[test]
+fn a_traced_run_passes_trace_check() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let trace = dir.join(format!("voltron-cli-{pid}.trace.json"));
+    let trace = trace.to_str().expect("a UTF-8 temp path");
+    cli::run(&["bench_one", "164.gzip", "--trace-out", trace]).expect("traced bench_one");
+    let checked = cli::run(&["trace_check", trace, "4"]);
+    std::fs::remove_file(trace).expect("the trace was written");
+    checked.expect("the trace passes trace_check");
+
+    let bad = dir.join(format!("voltron-cli-{pid}.unbalanced.json"));
+    let bad = bad.to_str().expect("a UTF-8 temp path");
+    let doc = r#"{"traceEvents":[{"name":"x","ph":"B","ts":1,"pid":1,"tid":0},
+        {"ph":"E","ts":2,"pid":1,"tid":1}]}"#;
+    std::fs::write(bad, doc).expect("temp file written");
+    let checked = cli::run(&["trace_check", bad, "1"]);
+    std::fs::remove_file(bad).expect("temp file removed");
+    match checked {
+        Err(CliError::Failed(m)) => assert!(m.contains("2 consistency error(s)"), "{m}"),
+        other => panic!("unbalanced spans passed trace_check: {other:?}"),
+    }
+}
+
 /// Today's seventeen names, each once.
 #[test]
 fn the_command_table_has_every_former_binary() {
