@@ -14,7 +14,7 @@ use crate::decode::{
 };
 use crate::fault::{FaultBudgetReport, FaultKind, FaultPort, FaultSite, FaultStats, SiteInjector};
 use crate::mcode::{MachineProgram, RegionId, REGION_OUTSIDE};
-use crate::memsys::{Completion, LoadOutcome, MemSys};
+use crate::memsys::{Completion, Fetch, LoadOutcome, MemSys};
 use crate::network::{bits, OperandNetwork, Payload};
 use crate::obs::{ProbeSample, ProbeSeries};
 use crate::sealed::SealedImage;
@@ -420,6 +420,16 @@ pub struct Machine {
     wait_bus: u64,
     /// Cores whose state changed since their decision was last evaluated.
     dirty: u64,
+    /// Running cores that sit out decoupled ticks on a stall only one
+    /// known event ends (DESIGN.md §14.1): a load fill, their own I-fill,
+    /// or a move of the commit token. Each holds its decision until that
+    /// event marks it `dirty`.
+    parked: u64,
+    /// The parked cores waiting at `XCOMMIT` for the commit token.
+    token_waiters: u64,
+    /// Per core, `ticked` at the tick that parked it: the ticks it sits
+    /// out after that are the L1I hits [`Machine::credit_parked`] owes.
+    parked_at: Vec<u64>,
     /// Run-length accounting: the bucket each core's cycles are being
     /// charged to and the first cycle of that run not yet charged.
     runs: Vec<(Decision, u64)>,
@@ -548,6 +558,9 @@ impl Machine {
             at_switch: 0,
             wait_bus: 0,
             dirty: 0,
+            parked: 0,
+            token_waiters: 0,
+            parked_at: Vec::with_capacity(n),
             runs: Vec::with_capacity(n),
             cur_slot: 0,
             span_since: 0,
@@ -590,6 +603,9 @@ impl Machine {
         (self.running, self.at_switch, self.wait_bus) = (0, 0, 0);
         self.set_state(0, CoreState::Running);
         self.dirty = self.all_cores();
+        (self.parked, self.token_waiters) = (0, 0);
+        self.parked_at.clear();
+        self.parked_at.resize(n, 0);
         self.decisions.clear();
         self.decisions.resize(n, Decision::Quiet);
         self.runs.clear();
@@ -792,6 +808,10 @@ impl Machine {
             grace += 1;
         }
         self.flush(self.cycle);
+        for i in bits(self.parked) {
+            self.credit_parked(i, self.ticked);
+        }
+        (self.parked, self.token_waiters) = (0, 0);
         self.cycle = exec_cycles;
         let stragglers: Vec<usize> = bits(self.active_cores()).collect();
         let outside_slot = self.region_table.len() - 1;
@@ -1060,10 +1080,33 @@ impl Machine {
         Ok(())
     }
 
-    /// Decide what core `i` does this cycle. The only error is a running
-    /// core whose last transfer (branch, spawn, rollback) landed past the
-    /// last instruction of its image.
+    /// Decide what core `i` does this cycle, fetching its instruction.
+    /// The only error is a running core whose last transfer (branch,
+    /// spawn, rollback) landed past the last instruction of its image.
     fn check_core(&mut self, i: usize) -> Result<Decision, SimError> {
+        let fetched = self
+            .fetch_addr(i)
+            .is_some_and(|addr| self.memsys.ifetch(i, addr));
+        self.decide(i, fetched)
+    }
+
+    /// Where core `i`'s front end fetches from this cycle: its current
+    /// instruction's address when it is running on one and no injected
+    /// fetch hiccup blocks it. A hiccup stalls fetch before it reaches the
+    /// I-cache, so no L1I access is made (the pending-fill behaviour
+    /// `fast_forward` assumes for `Stall(IFetch)` cores).
+    fn fetch_addr(&self, i: usize) -> Option<u64> {
+        let core = &self.cores[i];
+        let image = &self.decoded.cores[i];
+        let on_inst = (core.pc as usize) < image.insts.len();
+        (core.state == CoreState::Running && on_inst && self.cycle >= self.fetch_block[i])
+            .then(|| image.fetch_addr(core.pc))
+    }
+
+    /// The decision of [`Machine::check_core`] once the fetch is answered
+    /// (`fetched`: the instruction came out of the I-cache), without side
+    /// effects.
+    fn decide(&self, i: usize, fetched: bool) -> Result<Decision, SimError> {
         let now = self.cycle;
         let core = &self.cores[i];
         let decision = match core.state {
@@ -1081,11 +1124,7 @@ impl Machine {
                 let Some(d) = image.insts.get(core.pc as usize) else {
                     return Err(ran_off_end(i));
                 };
-                // An injected fetch hiccup blocks the front end before it
-                // reaches the I-cache (no L1I access is made, matching the
-                // pending-fill behaviour `fast_forward` assumes for
-                // `Stall(IFetch)` cores).
-                if now < self.fetch_block[i] || !self.memsys.ifetch(i, image.fetch_addr(core.pc)) {
+                if !fetched {
                     return Ok(Decision::Stall(StallReason::IFetch));
                 }
                 // Scoreboard: sources, guard, and destination (WAW).
@@ -1486,6 +1525,10 @@ impl Machine {
                 self.txn_irrevocable[i] = false;
                 self.tm_begin_cycle[i] = now;
                 self.tm.begin(i, order);
+                if order == 0 {
+                    // Order 0 resets the commit token.
+                    self.dirty |= self.token_waiters;
+                }
                 self.trace(TraceEvent::TmBegin {
                     cycle: now,
                     core: i,
@@ -1506,6 +1549,8 @@ impl Machine {
                 if let Some(e) = fault {
                     return Err(SimError::Mem(e));
                 }
+                // The token moved on.
+                self.dirty |= self.token_waiters;
                 self.cores[i].snapshot = None;
                 self.tm_streak[i] = 0;
                 self.trace(TraceEvent::TmCommit {
@@ -1561,6 +1606,9 @@ impl Machine {
         Ok(())
     }
 
+    /// Apply a memory-system completion. A load or I-cache fill for a
+    /// parked core is the event it waits on (any load fill, whatever its
+    /// epoch: a stale one only costs a re-evaluation).
     fn dispatch(&mut self, c: Completion) {
         match c {
             Completion::LoadFill { core, dst, epoch } => {
@@ -1569,12 +1617,76 @@ impl Machine {
                     self.cores[core].ready[slot as usize] = self.cycle + 1;
                     self.cores[core].pending_load = false;
                 }
+                self.dirty |= self.parked & 1 << core;
             }
+            Completion::IFillDone { core } => self.dirty |= self.parked & 1 << core,
             Completion::TmCommitDone { core } => {
                 if self.cores[core].state == CoreState::WaitBus {
                     self.set_state(core, CoreState::Running);
                 }
             }
+        }
+    }
+
+    /// Park running core `i` after a decoupled tick decided it stalls for
+    /// `reason`, when only one known event can end that stall: a pending
+    /// load (`DMiss`), a fetch the pending-fill guard will answer until
+    /// the line's own fill lands (`IFetch`), or an `XCOMMIT` without the
+    /// commit token (`Sync`). Other stalls end on timers or on traffic
+    /// that is cheaper to re-check than to track (DESIGN.md §14.1).
+    fn park(&mut self, i: usize, reason: StallReason) {
+        if self.cores[i].state != CoreState::Running {
+            return;
+        }
+        let bit = 1u64 << i;
+        match reason {
+            StallReason::DMiss => {}
+            StallReason::IFetch
+                if self
+                    .fetch_addr(i)
+                    .is_some_and(|addr| self.memsys.ifetch_peek(i, addr) == Fetch::Waiting) => {}
+            StallReason::Sync
+                if self
+                    .current(i)
+                    .is_some_and(|d| d.class == IssueClass::Xcommit) =>
+            {
+                self.token_waiters |= bit;
+            }
+            _ => return,
+        }
+        self.parked |= bit;
+        self.parked_at[i] = self.ticked;
+    }
+
+    /// Credit parked core `i` with the L1I hits of the ticks it sat out
+    /// up to tick `upto`. Each would have re-fetched its current line
+    /// through the last-line shortcut (DESIGN.md §14.3) — one hit, no
+    /// lookup — unless the fetch itself is what stalls it, which the
+    /// pending-fill guard answers without counting.
+    fn credit_parked(&mut self, i: usize, upto: u64) {
+        if self.decisions[i] != Decision::Stall(StallReason::IFetch) {
+            self.memsys.credit_ifetch_hits(i, upto - self.parked_at[i]);
+        }
+    }
+
+    /// The parked-core invariant, checked on every tick of a debug build:
+    /// each of `cores` (parked, and not woken this tick) re-derives the
+    /// decision it holds, with [`MemSys::ifetch_peek`] answering its
+    /// fetch.
+    #[cfg(debug_assertions)]
+    fn check_parked(&self, cores: u64) {
+        for i in bits(cores) {
+            let fetched = self
+                .fetch_addr(i)
+                .is_some_and(|addr| self.memsys.ifetch_peek(i, addr) == Fetch::Hit);
+            let now = self.decide(i, fetched).ok();
+            let held = self.decisions[i];
+            assert_eq!(
+                now,
+                Some(held),
+                "core {i} parked at cycle {} holds {held:?} but now decides {now:?}",
+                self.cycle
+            );
         }
     }
 
@@ -1633,22 +1745,37 @@ impl Machine {
         self.try_mode_switch()?;
 
         // Only cores whose decision can differ from the one they hold are
-        // evaluated. A decoupled core that is halted, asleep with no spawn
-        // buffered, or parked at a barrier or commit broadcast keeps its
-        // `Quiet` / `Stall(Sync)` until a state change marks it dirty or a
-        // spawn lands in its CAM. Coupled ticks evaluate every core: the
-        // stall bus couples their buckets, and a mode switch (which needs
-        // every core at the barrier) therefore never straddles a parked
-        // one. Ascending bit order is core order, which is issue order.
+        // evaluated (DESIGN.md §14.1). A decoupled core that is halted,
+        // asleep with no spawn buffered, or waiting at a barrier or commit
+        // broadcast keeps its `Quiet` / `Stall(Sync)` until a state change
+        // marks it dirty or a spawn lands in its CAM. A parked running
+        // core keeps its stall until the one event that can end it — its
+        // load fill, its I-fill, a move of the commit token — marks it
+        // dirty; its skipped re-fetches are credited when it is next
+        // evaluated. Coupled ticks evaluate every core: the stall bus
+        // couples their buckets, and a mode switch (which needs every core
+        // at the barrier) therefore never straddles a parked one.
+        // Ascending bit order is core order, which is issue order.
         let active = match self.mode {
             ExecMode::Coupled => self.all_cores(),
             ExecMode::Decoupled => {
-                self.running | (self.idle & self.net.spawn_pending()) | self.dirty
+                (self.running & !self.parked) | (self.idle & self.net.spawn_pending()) | self.dirty
             }
         };
         self.dirty = 0;
+        #[cfg(debug_assertions)]
+        self.check_parked(self.parked & !active);
+        for i in bits(self.parked & active) {
+            self.credit_parked(i, self.ticked - 1);
+        }
+        self.parked &= !active;
+        self.token_waiters &= !active;
         for i in bits(active) {
-            self.decisions[i] = self.check_core(i)?;
+            let d = self.check_core(i)?;
+            self.decisions[i] = d;
+            if let (Decision::Stall(reason), ExecMode::Decoupled) = (d, self.mode) {
+                self.park(i, reason);
+            }
         }
         // The coupled stall bus: any *running* member's stall stalls the
         // group. Cores already waiting at the mode-switch barrier (or on

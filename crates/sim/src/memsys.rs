@@ -96,6 +96,26 @@ pub enum Completion {
         /// The committing core.
         core: usize,
     },
+    /// An instruction-cache fill landed in `core`'s L1I.
+    IFillDone {
+        /// The core that requested the fill.
+        core: usize,
+    },
+}
+
+/// What an instruction fetch would be answered with
+/// ([`MemSys::ifetch_peek`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetch {
+    /// The line is in the I-cache.
+    Hit,
+    /// The line's own fill is in flight: the fetch counts nothing, and
+    /// every fetch of the line answers the same until
+    /// [`Completion::IFillDone`].
+    Waiting,
+    /// A miss would be counted (and a fill requested, unless another
+    /// line's is already pending).
+    Missed,
 }
 
 /// Result of a load lookup.
@@ -294,6 +314,9 @@ pub struct MemSys {
     stats_busy: u64,
     stats_c2c: u64,
     stats_mem: u64,
+    /// Overlapped transactions [`MemSys::tick`] found due, in grant
+    /// order (empty between ticks; kept for its allocation).
+    due: Vec<InFlight>,
     /// Grants made by the last [`MemSys::tick`] `(core, kind label,
     /// start, finish)`, for the machine's trace path (cleared at the top
     /// of every tick, drained via [`MemSys::take_grants`]). The snooping
@@ -334,6 +357,7 @@ impl MemSys {
             stats_busy: 0,
             stats_c2c: 0,
             stats_mem: 0,
+            due: Vec::new(),
             grants: Vec::new(),
             faults: cfg
                 .faults
@@ -506,9 +530,25 @@ impl MemSys {
         false
     }
 
+    /// What [`MemSys::ifetch`] would answer, without counting, filling or
+    /// remembering anything.
+    pub fn ifetch_peek(&self, core: usize, addr: u64) -> Fetch {
+        let line = self.line_of(addr);
+        if self.cfg.ideal.perfect_l1 || self.last_ifetch[core] == Some(line) {
+            Fetch::Hit
+        } else if self.ifill_pending[core] == Some(line) {
+            Fetch::Waiting
+        } else if self.l1i[core].peek(line).is_some() {
+            Fetch::Hit
+        } else {
+            Fetch::Missed
+        }
+    }
+
     /// Credit `n` repeat instruction-fetch hits on `core`'s L1I, for
-    /// the fast-forward engine: every skipped cycle, a running core
-    /// would have re-fetched its current (cached) instruction.
+    /// cycles the machine did not tick a running core through (skipped
+    /// by fast-forward, or parked): each would have re-fetched its
+    /// current (cached) instruction.
     pub fn credit_ifetch_hits(&mut self, core: usize, n: u64) {
         self.l1i[core].credit_hits(n);
     }
@@ -667,6 +707,7 @@ impl MemSys {
                     self.l2.fill(req.line, LineState::E);
                 }
                 self.ifill_pending[req.core] = None;
+                out.push(Completion::IFillDone { core: req.core });
             }
             BusKind::TmCommit { lines } => {
                 let mut all = lines;
@@ -771,19 +812,12 @@ impl MemSys {
             // never is.
             if self.cfg.ideal.infinite_bandwidth {
                 if !self.banks[b].extra.is_empty() {
-                    let mut due = Vec::new();
-                    let mut keep = Vec::new();
-                    for f in self.banks[b].extra.drain(..) {
-                        if now >= f.finish {
-                            due.push(f);
-                        } else {
-                            keep.push(f);
-                        }
-                    }
-                    self.banks[b].extra = keep;
-                    for f in due {
+                    let mut due = std::mem::take(&mut self.due);
+                    due.extend(self.banks[b].extra.extract_if(.., |f| now >= f.finish));
+                    for f in due.drain(..) {
                         self.complete(f, out);
                     }
+                    self.due = due;
                 }
                 while let Some(req) = self.banks[b].queue.pop_front() {
                     let (lat, others) = self.grant_latency(&req);

@@ -4,7 +4,7 @@
 
 use voltron_ir::{BlockId, DataSegment, ExecMode, Inst, MemWidth, Opcode, Operand, Reg};
 use voltron_sim::{
-    CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SimError, ValidateError,
+    CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SimError, StallReason, ValidateError,
 };
 
 fn gpr(i: u32) -> Reg {
@@ -763,4 +763,67 @@ fn core_counts_outside_1_to_64_are_rejected_at_boot_and_reset() {
     }
     m.reset(image(64), &cfg(64)).expect("the machine survives");
     assert_eq!(m.run_mut().expect("and runs again").stats, first.stats);
+}
+
+/// An `XBEGIN 0` resets the commit token, and that alone can hand it to a
+/// core waiting at `XCOMMIT`: here core 1 holds an order-0 transaction
+/// while core 0's order-0 commit moves the token to 1, so core 1 waits
+/// until core 0's next `XBEGIN 0` moves it back. Core 0 then aborts once
+/// (core 1's verdict) and re-begins, which resets the token for its own
+/// commit. A waiter the reset does not wake deadlocks the run (and, in a
+/// debug build, fails the parked-core check on the tick after it).
+#[test]
+fn a_token_reset_wakes_an_order_zero_waiter() {
+    let send =
+        |p: u32, to: u8| Inst::new(Opcode::Send, vec![Reg::pred(p).into(), Operand::Core(to)]);
+    let recv =
+        |p: u32, from: u8| Inst::with_dst(Opcode::Recv, Reg::pred(p), vec![Operand::Core(from)]);
+    let xbegin = || Inst::new(Opcode::Xbegin, vec![Operand::Imm(0)]);
+    let xcommit = || Inst::new(Opcode::Xcommit, vec![]);
+    let mut main = MBlock::new("main", 0);
+    main.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    // Wait for core 1's transaction, then commit one of order 0 first.
+    main.insts.push(recv(1, 1));
+    main.insts.push(xbegin());
+    main.insts.push(xcommit());
+    main.insts.push(send(1, 1));
+    // Give core 1 time to reach its `XCOMMIT` and wait there.
+    main.insts.extend((0..40).map(|_| ldi(3, 0)));
+    let mut body = MBlock::new("body", 0);
+    body.insts.push(xbegin());
+    body.insts.push(recv(0, 1));
+    body.insts
+        .push(Inst::new(Opcode::Xabort, vec![]).guarded(Reg::pred(0)));
+    body.insts.push(xcommit());
+    body.insts.push(halt());
+    let mut worker = MBlock::new("worker", 0);
+    worker.insts.push(xbegin());
+    worker.insts.push(false_pred(1));
+    worker.insts.push(send(1, 0));
+    worker.insts.push(recv(1, 0));
+    worker.insts.push(xcommit());
+    // Verdicts for core 0's two attempts: abort, then commit.
+    for verdict in [1, 2] {
+        worker.insts.push(Inst::with_dst(
+            Opcode::Cmp(voltron_ir::CmpCc::Eq),
+            Reg::pred(0),
+            vec![Operand::Imm(1), Operand::Imm(verdict)],
+        ));
+        worker.insts.push(send(0, 0));
+    }
+    worker.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(
+        vec![vec![main, body], vec![sleep_stub(), worker]],
+        DataSegment::default(),
+    );
+    let outcome = Machine::new(p, &MachineConfig::paper(2))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(outcome.stats.tm.commits, 3);
+    assert_eq!(outcome.stats.tm.aborts, 1);
+    assert!(outcome.stats.cores[1].stalls[StallReason::Sync.index()] > 20);
 }

@@ -18,7 +18,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use voltron_ir::{BlockId, CmpCc, DataSegment, Inst, MemWidth, Opcode, Operand, Reg, Signedness};
-use voltron_sim::{ChromeTracer, CoreImage, MBlock, Machine, MachineConfig, MachineProgram};
+use voltron_sim::{
+    ChromeTracer, CoreImage, IdealKnobs, MBlock, Machine, MachineConfig, MachineProgram,
+};
 
 #[path = "common/mesh.rs"]
 mod mesh;
@@ -131,6 +133,32 @@ fn a_warm_untraced_tick_does_not_allocate() {
     assert_eq!(during, 0, "heap requests in 50000 warm ticks");
     // The window really was the loop, misses included, and the run still
     // completes afterwards.
+    let out = m.run().unwrap();
+    assert!(out.stats.mem.mem_fetches > 1_000);
+    assert!(out.stats.dynamic_insts > 100_000);
+}
+
+/// The what-if path: under infinite bandwidth every request is granted
+/// on arrival and overlaps the others in flight, and a warm tick still
+/// finishes the due ones without touching the heap.
+#[test]
+fn a_warm_infinite_bandwidth_tick_does_not_allocate() {
+    let mut cfg = MachineConfig::paper(1);
+    cfg.fast_forward = false;
+    cfg.ideal = IdealKnobs {
+        infinite_bandwidth: true,
+        ..IdealKnobs::default()
+    };
+    let mut m = Machine::new(streaming_loop(1 << 15), &cfg).unwrap();
+    for _ in 0..200_000 {
+        m.tick().unwrap();
+    }
+    let before = HEAP_REQUESTS.with(Cell::get);
+    for _ in 0..50_000 {
+        m.tick().unwrap();
+    }
+    let during = HEAP_REQUESTS.with(Cell::get) - before;
+    assert_eq!(during, 0, "heap requests in 50000 warm ticks");
     let out = m.run().unwrap();
     assert!(out.stats.mem.mem_fetches > 1_000);
     assert!(out.stats.dynamic_insts > 100_000);

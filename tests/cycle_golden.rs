@@ -213,3 +213,73 @@ fn cycle_counts_and_stall_breakdowns_are_pinned() {
         failures.join("\n")
     );
 }
+
+/// FNV-1a over formatted text, fed straight from the formatter. Unlike
+/// `DefaultHasher`, its output is fixed by its definition.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Every field of `MachineStats` — the memory-system, network, TM and
+/// fault counters the fingerprints above omit included — over the
+/// matrix above and `scaling_golden.rs`'s programs at 8–64 cores on the
+/// directory, with fast-forward on and off, folded into one digest: each
+/// run's `Debug` text with its region maps sorted. A host-side change to
+/// the tick loop must leave it alone; a deliberate timing-model change
+/// updates it and says why.
+#[test]
+fn every_statistic_is_pinned() {
+    use std::fmt::Write;
+    use std::sync::Arc;
+    use voltron_compiler::{compile, CompileOptions};
+    use voltron_sim::{CoherenceBackend, Machine};
+    use voltron_workloads::{by_name, Scale};
+
+    const DIGEST: u64 = 0x9ea3_ae9b_91a7_8341;
+    let scaled = ["164.gzip", "rawcaudio"].into_iter().flat_map(|bench| {
+        [Strategy::Hybrid, Strategy::FineGrainTlp]
+            .into_iter()
+            .flat_map(move |s| [8, 16, 32, 64].map(|cores| (bench, s, cores)))
+    });
+    let configs = GOLDEN
+        .iter()
+        .map(|&(bench, strategy, cores, _)| (bench, strategy, MachineConfig::paper(cores)))
+        .chain(scaled.map(|(bench, strategy, cores)| {
+            let cfg =
+                MachineConfig::scaled(cores).with_backend(CoherenceBackend::directory_for(cores));
+            (bench, strategy, cfg)
+        }));
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (bench, strategy, cfg) in configs {
+        let label = format!("{bench}/{strategy}/{}/{}", cfg.cores, cfg.coherence.label());
+        let w = by_name(bench, Scale::Test).expect("benchmark registered");
+        let compiled = compile(&w.program, strategy, &cfg, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{label}: compile: {e}"));
+        let image = Arc::new(compiled.machine);
+        for fast_forward in [true, false] {
+            let cfg = MachineConfig {
+                fast_forward,
+                ..cfg.clone()
+            };
+            let mut stats = Machine::new_shared(Arc::clone(&image), &cfg)
+                .and_then(Machine::run)
+                .unwrap_or_else(|e| panic!("{label} (fast-forward {fast_forward}): {e}"))
+                .stats;
+            let mut region_cycles: Vec<_> = std::mem::take(&mut stats.region_cycles)
+                .into_iter()
+                .collect();
+            region_cycles.sort_unstable();
+            let mut regions: Vec<_> = std::mem::take(&mut stats.regions).into_iter().collect();
+            regions.sort_unstable_by_key(|&(r, _)| r);
+            write!(h, "{label}{stats:?}{region_cycles:?}{regions:?}").expect("hashing");
+        }
+    }
+    assert_eq!(h.0, DIGEST, "statistics digest {:#018x}", h.0);
+}

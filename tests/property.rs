@@ -11,7 +11,7 @@ use voltron_compiler::{compile, CompileOptions, Strategy as CompileStrategy};
 use voltron_ir::builder::{FunctionBuilder, ProgramBuilder};
 use voltron_ir::{CmpCc, Program, Reg};
 use voltron_sim::network::{OperandNetwork, Payload};
-use voltron_sim::{Machine, MachineConfig};
+use voltron_sim::{CoherenceBackend, Machine, MachineConfig};
 
 // ---------- random-program generation ----------
 
@@ -195,16 +195,24 @@ fn loop_program(ops: &[GenOp], seeds: &[i64], init: &[i64], trips: i64) -> Progr
     pb.finish()
 }
 
+/// Run `p` on the paper's 2- and 4-core machines under every strategy,
+/// and at scale — llp/16 and hybrid/64 on the banked directory, where the
+/// DOALL chunks wait on the commit token and the loads miss across the
+/// mesh — against the reference interpreter.
 fn check_program(p: &Program) {
     let golden = voltron_ir::interp::run(p, 500_000_000).expect("golden");
-    for (strategy, cores) in [
-        (CompileStrategy::Ilp, 4),
-        (CompileStrategy::FineGrainTlp, 4),
-        (CompileStrategy::Llp, 4),
-        (CompileStrategy::Hybrid, 4),
-        (CompileStrategy::Hybrid, 2),
+    let at_scale =
+        |cores| MachineConfig::scaled(cores).with_backend(CoherenceBackend::directory_for(cores));
+    for (strategy, cfg) in [
+        (CompileStrategy::Ilp, MachineConfig::paper(4)),
+        (CompileStrategy::FineGrainTlp, MachineConfig::paper(4)),
+        (CompileStrategy::Llp, MachineConfig::paper(4)),
+        (CompileStrategy::Hybrid, MachineConfig::paper(4)),
+        (CompileStrategy::Hybrid, MachineConfig::paper(2)),
+        (CompileStrategy::Llp, at_scale(16)),
+        (CompileStrategy::Hybrid, at_scale(64)),
     ] {
-        let cfg = MachineConfig::paper(cores);
+        let cores = cfg.cores;
         let compiled = compile(p, strategy, &cfg, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("{strategy}/{cores}: {e}"));
         let out = Machine::new(compiled.machine, &cfg)
