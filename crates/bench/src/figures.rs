@@ -454,8 +454,7 @@ pub fn table1() -> String {
     let c = MachineConfig::paper(4);
     let cache = |size: u64, assoc: usize| format!("{size} B, {assoc}-way");
     let cycles = |n: u64| format!("{n} cycles");
-    let direct = if c.direct_network { "" } else { " (DISABLED)" };
-    let direct = format!("{} cycle/hop{direct}", c.hop_latency);
+    let direct = format!("{} cycle/hop", c.hop_latency);
     let queue = format!("{} + hops cycles", c.queue_overhead);
     let commit = format!(
         "{} + {}/line cycles",

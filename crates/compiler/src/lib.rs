@@ -59,6 +59,7 @@ use dfg::DepGraphs;
 use liveness::Liveness;
 use std::collections::HashSet;
 use voltron_ir::cfg::{Cfg, Dominators};
+use voltron_ir::interp::GOLDEN_FUEL;
 use voltron_ir::loops::{LoopForest, LoopId};
 use voltron_ir::{profile, Function, Program};
 use voltron_sim::MachineConfig;
@@ -66,10 +67,7 @@ use voltron_sim::MachineConfig;
 /// Compilation options.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Interpreter fuel for the profiling run (default
-    /// [`voltron_ir::interp::GOLDEN_FUEL`], the oracle's budget).
-    pub profile_fuel: u64,
-    /// Planner thresholds.
+    /// Planner settings.
     pub plan: PlanParams,
     /// Emission options (ablation hooks).
     pub emit: codegen::EmitOptions,
@@ -82,7 +80,6 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> CompileOptions {
         CompileOptions {
-            profile_fuel: voltron_ir::interp::GOLDEN_FUEL,
             plan: PlanParams::default(),
             emit: codegen::EmitOptions::default(),
             unroll: Some(unroll::UnrollParams::default()),
@@ -149,7 +146,9 @@ impl FrontEnd {
         voltron_ir::verify::verify_program(program)?;
         let mut flat_program = inline::inline_program(program)?;
         voltron_ir::verify::verify_program(&flat_program)?;
-        let mut prof = profile::profile(&flat_program, opts.profile_fuel)?;
+        // The oracle's budget: a program the golden run finishes never
+        // runs out of fuel while it is profiled.
+        let mut prof = profile::profile(&flat_program, GOLDEN_FUEL)?;
         let main_id = flat_program.main;
         let mut flow = analyze_flow(flat_program.main_func());
 
@@ -175,7 +174,7 @@ impl FrontEnd {
             );
             if changed > 0 {
                 voltron_ir::verify::verify_program(&flat_program)?;
-                prof = profile::profile(&flat_program, opts.profile_fuel)?;
+                prof = profile::profile(&flat_program, GOLDEN_FUEL)?;
                 flow = analyze_flow(flat_program.main_func());
             }
         }
@@ -208,7 +207,7 @@ impl FrontEnd {
     /// blocks.
     #[cfg(test)]
     pub(crate) fn of_flat(p: &Program) -> FrontEnd {
-        let prof = profile::profile(p, voltron_ir::interp::GOLDEN_FUEL).expect("profiling run");
+        let prof = profile::profile(p, GOLDEN_FUEL).expect("profiling run");
         FrontEnd::assemble(p.clone(), prof, false, analyze_flow(p.main_func()))
     }
 

@@ -151,21 +151,22 @@ impl Plan {
     }
 }
 
-/// Planner thresholds.
+/// Minimum estimated serial cycles for a range to be worth
+/// parallelizing (amortizes spawn / mode-switch overhead).
+const HOT_THRESHOLD: u64 = 1_500;
+/// DSWP acceptance gate (the paper uses 1.25).
+const DSWP_GATE: f64 = 1.25;
+/// Fraction of estimated time in load misses above which a region
+/// prefers decoupled strands over coupled ILP.
+const MISS_FRACTION: f64 = 0.18;
+/// Minimum estimated ILP (latency-weighted work over critical path) for
+/// a coupled region to beat serial execution; below it the lock-step and
+/// distributed-branch overheads dominate.
+const MIN_ILP: f64 = 1.15;
+
+/// Planner settings.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanParams {
-    /// Minimum estimated serial cycles for a range to be worth
-    /// parallelizing (amortizes spawn / mode-switch overhead).
-    pub hot_threshold: u64,
-    /// DSWP acceptance gate (the paper uses 1.25).
-    pub dswp_gate: f64,
-    /// Fraction of estimated time in load misses above which a region
-    /// prefers decoupled strands over coupled ILP.
-    pub miss_fraction: f64,
-    /// Minimum estimated ILP (latency-weighted work over critical path)
-    /// for a coupled region to beat serial execution; below it the
-    /// lock-step and distributed-branch overheads dominate.
-    pub min_ilp: f64,
     /// Use the eBUG weights for strands (false = plain BUG, the paper's
     /// implicit baseline for the eBUG ablation).
     pub ebug_strands: bool,
@@ -173,13 +174,7 @@ pub struct PlanParams {
 
 impl Default for PlanParams {
     fn default() -> PlanParams {
-        PlanParams {
-            hot_threshold: 1_500,
-            dswp_gate: 1.25,
-            miss_fraction: 0.18,
-            min_ilp: 1.15,
-            ebug_strands: true,
-        }
+        PlanParams { ebug_strands: true }
     }
 }
 
@@ -332,7 +327,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
             return None;
         }
         let (est, _) = est_cycles(inp, first, last, 120);
-        if est < params.hot_threshold {
+        if est < HOT_THRESHOLD {
             return None;
         }
         Some((first, last))
@@ -386,7 +381,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
             // The range is contiguous, so the loop's blocks in layout
             // order are exactly `first..=last`.
             let accepted = partition::dswp_partition(inp, lp, cores)
-                .filter(|part| part.est_speedup >= params.dswp_gate)
+                .filter(|part| part.est_speedup >= DSWP_GATE)
                 .map(|part| chosen.push((first, last, RegionKind::Dswp(part.assignment))))
                 .is_some();
             if !accepted {
@@ -415,7 +410,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
             let parallel_ok =
                 candidate_end >= start && range_parallelizable(inp, start, candidate_end);
             let (est, miss) = est_cycles(inp, start, candidate_end.max(start), 120);
-            let hot = est >= params.hot_threshold;
+            let hot = est >= HOT_THRESHOLD;
             let ilp = est_ilp(inp, start, candidate_end.max(start));
             let coupled_kind = |inp: &PlanInputs<'_>| {
                 let blocks: Vec<BlockId> = (start..=candidate_end).map(BlockId).collect();
@@ -433,7 +428,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
                         // "Exploit ILP by itself": still only where the
                         // dataflow offers it (the paper's per-technique
                         // builds leave hopeless regions serial).
-                        if ilp >= params.min_ilp {
+                        if ilp >= MIN_ILP {
                             Some(coupled_kind(inp))
                         } else {
                             None
@@ -448,7 +443,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
                     )),
                     Strategy::Hybrid => {
                         let miss_frac = miss as f64 / est.max(1) as f64;
-                        if miss_frac > params.miss_fraction {
+                        if miss_frac > MISS_FRACTION {
                             Some(strands_kind(
                                 inp,
                                 start,
@@ -456,7 +451,7 @@ pub fn plan(inp: &PlanInputs<'_>, strategy: Strategy, cores: usize, params: &Pla
                                 cores,
                                 params.ebug_strands,
                             ))
-                        } else if ilp >= params.min_ilp {
+                        } else if ilp >= MIN_ILP {
                             Some(coupled_kind(inp))
                         } else {
                             None

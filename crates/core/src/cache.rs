@@ -153,7 +153,7 @@ impl MachinePool {
     }
 
     /// A machine booted on `image` under `cfg`: a parked one of that
-    /// shape, rebooted, or a new one; `true` when it was pooled.
+    /// shape or an empty one, rebooted; `true` when it was pooled.
     fn checkout(
         &self,
         image: &Arc<SealedImage>,
@@ -162,12 +162,10 @@ impl MachinePool {
         let mut parked = self.parked.lock().expect("pool lock");
         let machine = parked.get_mut(&shape(cfg)).and_then(Vec::pop);
         drop(parked);
-        if let Some(mut m) = machine {
-            m.reboot(image, cfg)?;
-            return Ok((m, note(&self.reuse, true)));
-        }
-        note(&self.reuse, false);
-        Ok((Machine::boot(image, cfg)?, false))
+        let pooled = note(&self.reuse, machine.is_some());
+        let mut machine = machine.unwrap_or_default();
+        machine.reboot(image, cfg)?;
+        Ok((machine, pooled))
     }
 
     /// Park a machine that finished a validated run under `cfg`.

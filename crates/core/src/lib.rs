@@ -952,13 +952,6 @@ mod tests {
     use super::*;
     use voltron_ir::builder::ProgramBuilder;
 
-    /// A program the oracle runs to completion must not run out of fuel
-    /// in the compiler's profiling pass.
-    #[test]
-    fn profiling_and_golden_runs_share_one_budget() {
-        assert_eq!(CompileOptions::default().profile_fuel, GOLDEN_FUEL);
-    }
-
     fn doall_program() -> Program {
         let mut pb = ProgramBuilder::new("t");
         let a = pb.data_mut().zeroed("a", 8 * 400);

@@ -34,7 +34,7 @@ impl std::error::Error for MemError {}
 /// corruption. The functional state is *eager*: stores apply immediately;
 /// the timing model (caches, coherence) lives entirely in `voltron-sim` and
 /// never holds data.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Memory {
     bytes: Vec<u8>,
 }

@@ -147,12 +147,14 @@ impl fmt::Display for Dir {
     }
 }
 
-/// Voltron execution mode, the operand of [`Opcode::ModeSwitch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Voltron execution mode, the operand of [`Opcode::ModeSwitch`]. A
+/// machine boots decoupled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Lock-step multicluster-VLIW execution (direct network).
     Coupled,
     /// Independent fine-grain threads (queue network).
+    #[default]
     Decoupled,
 }
 

@@ -39,8 +39,9 @@ struct Line {
     lru: u64,
 }
 
-/// A set-associative tag-state cache (LRU replacement).
-#[derive(Debug, Clone)]
+/// A set-associative tag-state cache (LRU replacement). The default is
+/// an empty cache with no sets, for [`TagCache::reset_to`] to shape.
+#[derive(Debug, Clone, Default)]
 pub struct TagCache {
     sets: Vec<Vec<Line>>,
     assoc: usize,
@@ -56,20 +57,33 @@ impl TagCache {
     /// lines.
     ///
     /// # Panics
-    /// Panics unless the geometry is a power-of-two split.
+    /// See [`TagCache::reset_to`].
     pub fn new(size: u64, assoc: usize, line: u64) -> TagCache {
+        let mut c = TagCache::default();
+        c.reset_to(size, assoc, line);
+        c
+    }
+
+    /// Empty the cache, zero its counters and give it `size` bytes in
+    /// `assoc` ways of `line`-byte lines, keeping the allocations of the
+    /// sets it already has.
+    ///
+    /// # Panics
+    /// Panics unless the geometry is a power-of-two split.
+    pub fn reset_to(&mut self, size: u64, assoc: usize, line: u64) {
         assert!(line.is_power_of_two() && size.is_power_of_two() && assoc > 0);
         let nsets = size / line / assoc as u64;
         assert!(nsets.is_power_of_two() && nsets > 0, "bad cache geometry");
-        TagCache {
-            sets: vec![Vec::new(); nsets as usize],
-            assoc,
-            line_shift: line.trailing_zeros(),
-            set_mask: nsets - 1,
-            tick: 0,
-            hits: 0,
-            misses: 0,
+        for set in &mut self.sets {
+            set.clear();
         }
+        self.sets.resize_with(nsets as usize, Vec::new);
+        self.assoc = assoc;
+        self.line_shift = line.trailing_zeros();
+        self.set_mask = nsets - 1;
+        self.tick = 0;
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// The line-aligned address containing `addr`.
@@ -177,19 +191,6 @@ impl TagCache {
         (self.hits, self.misses)
     }
 
-    /// Empty the cache and zero its counters, keeping every set's
-    /// allocated capacity. After `reset` the cache is indistinguishable
-    /// from a freshly built one with the same geometry (the machine pool
-    /// relies on this for reset-equals-fresh runs).
-    pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Credit `n` repeat hits without touching LRU state. Used by the
     /// fast-forward engine to replay a blocked core's per-cycle refetch
     /// of its current instruction: the last real [`TagCache::access`]
@@ -197,6 +198,13 @@ impl TagCache {
     /// change the eviction order, only this counter.
     pub fn credit_hits(&mut self, n: u64) {
         self.hits += n;
+    }
+
+    /// Credit `n` repeat misses. A lookup that misses changes no line,
+    /// and skipping its step of the LRU clock lowers every later stamp
+    /// alike, so only this counter moves.
+    pub fn credit_misses(&mut self, n: u64) {
+        self.misses += n;
     }
 }
 

@@ -21,11 +21,6 @@ pub struct Watchdogs {
     /// machine declares livelock: cores are issuing — so the deadlock
     /// window never closes — but only spinning on control flow.
     pub livelock_window: u64,
-    /// Observation window for interconnect forensics
-    /// ([`crate::memsys::MemSys::run_until_completion`] callers that
-    /// don't pick their own): cycles without a bus completion before a
-    /// [`crate::memsys::BusTimeout`] snapshot is taken.
-    pub bus_timeout_window: u64,
     /// Fault recovery: retries a single recovery path may take (flit
     /// resends, bank-request reissues) before giving up with
     /// [`crate::machine::SimError::FaultBudget`].
@@ -55,9 +50,6 @@ impl Watchdogs {
                 self.livelock_window, self.deadlock_window
             ));
         }
-        if self.bus_timeout_window == 0 {
-            return Err("bus_timeout_window must be nonzero".into());
-        }
         if self.fault_retry_budget == 0 {
             return Err(
                 "fault_retry_budget must be nonzero (retries are how faults recover)".into(),
@@ -84,7 +76,6 @@ impl Default for Watchdogs {
         Watchdogs {
             deadlock_window: 50_000,
             livelock_window: 1_000_000,
-            bus_timeout_window: 10_000,
             fault_retry_budget: 8,
             fault_backoff_base: 8,
         }
@@ -208,10 +199,6 @@ pub struct MachineConfig {
     pub queue_overhead: u64,
     /// Per-hop network latency (both modes), cycles.
     pub hop_latency: u64,
-    /// Whether the direct-mode (1 cycle/hop) network exists. Disabling it
-    /// is the dual-mode-network ablation: coupled-mode code then pays
-    /// queue-mode latency for every operand transfer.
-    pub direct_network: bool,
     /// Base bus occupancy of a transactional commit.
     pub tm_commit_base: u64,
     /// Extra bus occupancy per committed line.
@@ -325,7 +312,6 @@ impl MachineConfig {
             queue_depth: 16,
             queue_overhead: 2,
             hop_latency: 1,
-            direct_network: true,
             tm_commit_base: 6,
             tm_commit_per_line: 1,
             watchdogs: Watchdogs::default(),
@@ -597,11 +583,6 @@ mod tests {
             ..Watchdogs::default()
         };
         assert!(bad.validate().unwrap_err().contains("at least"));
-        let bad = Watchdogs {
-            bus_timeout_window: 0,
-            ..Watchdogs::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("bus_timeout_window"));
         let bad = Watchdogs {
             fault_retry_budget: 0,
             ..Watchdogs::default()

@@ -215,9 +215,6 @@ pub enum SimError {
     MaxCycles(u64),
     /// A memory access faulted.
     Mem(MemError),
-    /// The memory hierarchy made no forward progress (see
-    /// [`crate::memsys::BusTimeout`]).
-    Bus(crate::memsys::BusTimeout),
     /// The machine code is malformed.
     Malformed(String),
     /// An illegal network operation (e.g. PUT off the mesh).
@@ -257,7 +254,6 @@ impl fmt::Display for SimError {
             ),
             SimError::MaxCycles(c) => write!(f, "exceeded max cycles ({c})"),
             SimError::Mem(e) => write!(f, "memory fault: {e}"),
-            SimError::Bus(e) => write!(f, "bus timeout: {e}"),
             SimError::Malformed(m) => write!(f, "malformed machine code: {m}"),
             SimError::Network(m) => write!(f, "network error: {m}"),
             SimError::FaultBudget(r) => write!(f, "{r}"),
@@ -276,12 +272,6 @@ impl From<MemError> for SimError {
 impl From<ValidateError> for SimError {
     fn from(e: ValidateError) -> SimError {
         SimError::Validate(e)
-    }
-}
-
-impl From<crate::memsys::BusTimeout> for SimError {
-    fn from(e: crate::memsys::BusTimeout) -> SimError {
-        SimError::Bus(e)
     }
 }
 
@@ -387,7 +377,9 @@ enum Decision {
     Quiet,
 }
 
-/// The simulated machine.
+/// The simulated machine. The default is an empty machine of no cores,
+/// booted by [`Machine::reboot`].
+#[derive(Default)]
 pub struct Machine {
     cfg: MachineConfig,
     image: Arc<SealedImage>,
@@ -523,74 +515,17 @@ impl Machine {
         Machine::boot(&SealedImage::seal(program, cfg)?, cfg)
     }
 
-    /// Boot a machine on a sealed `image` under `cfg`. The image was
-    /// validated when it was sealed, and nothing is decoded until the
-    /// first tick, so boot does no per-instruction work.
+    /// Boot a machine on a sealed `image` under `cfg`: the
+    /// [`Machine::reboot`] of an empty machine. The image was validated
+    /// when it was sealed, and nothing is decoded until the first tick,
+    /// so boot does no per-instruction work.
     ///
     /// # Errors
     /// [`SimError::Malformed`] when `cfg` is not a machine of the core
     /// count `image` was sealed for, or its watchdogs are invalid.
     pub fn boot(image: &Arc<SealedImage>, cfg: &MachineConfig) -> Result<Machine, SimError> {
-        image.admit(cfg)?;
-        let n = cfg.cores;
-        // The "zero TM conflict aborts" idealization swaps the conflict
-        // predicate for value-based detection (crate::tm), which spares
-        // false sharing while still aborting true dependences — final
-        // memory stays correct under every knob.
-        let mut tm = TxnManager::new(n, cfg.line_size);
-        tm.set_value_conflicts(cfg.ideal.zero_tm_conflicts);
-        let mut m = Machine {
-            image: Arc::clone(image),
-            decoded: DecodedProgram::default(),
-            cores: (0..n).map(|_| Core::default()).collect(),
-            memsys: MemSys::new(cfg),
-            net: OperandNetwork::new(cfg),
-            tm,
-            memory: Memory::from_data(&image.program().data),
-            mode: ExecMode::Decoupled,
-            cycle: 0,
-            last_progress: 0,
-            last_arch_change: 0,
-            core_stats: vec![CoreStats::default(); n],
-            region_table: vec![RegionBreakdown::default(); image.region_slots()],
-            running: 0,
-            idle: 0,
-            at_switch: 0,
-            wait_bus: 0,
-            dirty: 0,
-            parked: 0,
-            token_waiters: 0,
-            parked_at: Vec::with_capacity(n),
-            runs: Vec::with_capacity(n),
-            cur_slot: 0,
-            span_since: 0,
-            coupled_cycles: 0,
-            decoupled_cycles: 0,
-            spawns: 0,
-            mode_switches: 0,
-            dynamic_insts: 0,
-            tracer: None,
-            trace_issues: false,
-            decisions: Vec::with_capacity(n),
-            completions: Vec::new(),
-            ticked: 0,
-            ff_eligible: false,
-            probes: cfg
-                .probe_period
-                .filter(|&p| p > 0)
-                .map(|p| ProbeSeries::new(p, n)),
-            obs_stall: vec![None; n],
-            obs_region: None,
-            fault_tm: cfg.faults.as_ref().map(|p| p.injector(FaultSite::TmAbort)),
-            fault_fetch: cfg.faults.as_ref().map(|p| p.injector(FaultSite::Fetch)),
-            fetch_block: vec![0; n],
-            tm_streak: vec![0; n],
-            txn_irrevocable: vec![false; n],
-            tm_begin_cycle: vec![0; n],
-            tm_wasted: 0,
-            cfg: cfg.clone(),
-        };
-        m.boot_cores();
+        let mut m = Machine::default();
+        m.reboot(image, cfg)?;
         Ok(m)
     }
 
@@ -666,16 +601,14 @@ impl Machine {
         self.reboot(&SealedImage::seal(program, cfg)?, cfg)
     }
 
-    /// Return the machine to the state [`Machine::boot`] would build for
-    /// (`image`, `cfg`), reusing the core, cache, network, and TM
-    /// allocations instead of rebuilding them. This is the machine pool's
-    /// hot path: a reboot-then-run is architecturally identical to a
-    /// fresh-boot-then-run (field-by-field, pinned by the serve
-    /// equivalence tests), only cheaper. A refused reboot leaves the
-    /// machine as it was.
+    /// Boot the machine on `image` under `cfg`, sizing every part for
+    /// `cfg` and keeping the core, cache, network and TM allocations it
+    /// already has: the machine pool's hot path. A refused reboot leaves
+    /// the machine as it was.
     ///
     /// # Errors
-    /// See [`Machine::boot`].
+    /// [`SimError::Malformed`] when `cfg` is not a machine of the core
+    /// count `image` was sealed for, or its watchdogs are invalid.
     pub fn reboot(
         &mut self,
         image: &Arc<SealedImage>,
@@ -691,6 +624,10 @@ impl Machine {
         self.memsys.reset(cfg);
         self.net.reset(cfg);
         self.tm.reset(n, cfg.line_size);
+        // The "zero TM conflict aborts" idealization swaps the conflict
+        // predicate for value-based detection (crate::tm), which spares
+        // false sharing while still aborting true dependences — final
+        // memory stays correct under every knob.
         self.tm.set_value_conflicts(cfg.ideal.zero_tm_conflicts);
         self.mode = ExecMode::Decoupled;
         self.cycle = 0;
@@ -782,6 +719,9 @@ impl Machine {
     /// # Errors
     /// See [`SimError`].
     pub fn run_mut(&mut self) -> Result<RunOutcome, SimError> {
+        if self.cores.is_empty() {
+            return Err(SimError::Malformed("the machine was never booted".into()));
+        }
         while self.cores[0].state != CoreState::Halted {
             if self.cycle >= self.cfg.max_cycles {
                 return Err(SimError::MaxCycles(self.cfg.max_cycles));
@@ -1093,8 +1033,7 @@ impl Machine {
     /// Where core `i`'s front end fetches from this cycle: its current
     /// instruction's address when it is running on one and no injected
     /// fetch hiccup blocks it. A hiccup stalls fetch before it reaches the
-    /// I-cache, so no L1I access is made (the pending-fill behaviour
-    /// `fast_forward` assumes for `Stall(IFetch)` cores).
+    /// I-cache, so no L1I access is made.
     fn fetch_addr(&self, i: usize) -> Option<u64> {
         let core = &self.cores[i];
         let image = &self.decoded.cores[i];
@@ -2088,14 +2027,12 @@ impl Machine {
         // The skipped span needs no accounting: every core's run stays
         // open across it and is charged, at its full length, when it next
         // closes. The one per-cycle side effect a blocked tick has is
-        // each running core re-fetching its current instruction; unless
-        // it is the fetch itself that stalls (the pending-fill guard in
-        // `MemSys::ifetch` counts nothing on those), that is one L1I hit
-        // per cycle.
+        // each running core re-fetching its current instruction, which
+        // answers the same on every skipped cycle.
         let n = wake - self.cycle;
         for i in bits(self.running) {
-            if self.decisions[i] != Decision::Stall(StallReason::IFetch) {
-                self.memsys.credit_ifetch_hits(i, n);
+            if let Some(addr) = self.fetch_addr(i) {
+                self.memsys.replay_ifetch(i, addr, n);
             }
         }
         // Interval probes: stop at every sampling boundary inside the

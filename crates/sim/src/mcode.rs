@@ -90,7 +90,7 @@ impl CoreImage {
 }
 
 /// A compiled program: one image per core plus the data segment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MachineProgram {
     /// Program name (reports).
     pub name: String,

@@ -26,7 +26,6 @@ use crate::fault::{
     FaultBudgetReport, FaultKind, FaultPlan, FaultPort, FaultSite, SiteFaults, SiteInjector,
 };
 use std::collections::VecDeque;
-use std::fmt;
 use voltron_ir::Reg;
 
 /// Bus occupancy of an ownership upgrade (S -> M invalidation round).
@@ -129,86 +128,6 @@ pub enum LoadOutcome {
     Miss,
 }
 
-/// Pending state of one interconnect bank at timeout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankStall {
-    /// Bank index (always 0 on the snooping backend's single bus).
-    pub bank: usize,
-    /// The transaction occupying the bank, if any.
-    pub in_flight: Option<BusReq>,
-    /// Requests still queued behind it.
-    pub queued: Vec<BusReq>,
-}
-
-impl BankStall {
-    /// True when anything is pending on this bank.
-    fn is_stalled(&self) -> bool {
-        self.in_flight.is_some() || !self.queued.is_empty()
-    }
-}
-
-/// The interconnect produced no completion within an observation window:
-/// the typed snapshot of everything still pending (in place of the panic
-/// this condition used to raise), so a wedged hierarchy is diagnosable.
-/// The snapshot is per bank, so on a directory machine the forensics
-/// name *which* bank wedged instead of assuming a single bus.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BusTimeout {
-    /// First cycle of the observation window.
-    pub start: u64,
-    /// Cycles observed.
-    pub window: u64,
-    /// Backend label (`"snooping"` or `"directory"`).
-    pub backend: &'static str,
-    /// Per-bank pending snapshots, indexed by bank id (one entry, the
-    /// bus, on the snooping backend).
-    pub banks: Vec<BankStall>,
-    /// Store-buffer occupancy per core.
-    pub store_buffered: Vec<usize>,
-}
-
-impl BusTimeout {
-    /// The banks with anything still pending — the segments that wedged.
-    fn stalled_banks(&self) -> Vec<&BankStall> {
-        self.banks.iter().filter(|b| b.is_stalled()).collect()
-    }
-}
-
-impl fmt::Display for BusTimeout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "no {} completion within {} cycles from {}: ",
-            self.backend, self.window, self.start
-        )?;
-        let stalled = self.stalled_banks();
-        if stalled.is_empty() {
-            write!(f, "all {} bank(s) idle", self.banks.len())?;
-        } else {
-            let segment = if self.backend == "snooping" {
-                "bus"
-            } else {
-                "bank"
-            };
-            for (i, b) in stalled.iter().enumerate() {
-                if i > 0 {
-                    write!(f, "; ")?;
-                }
-                write!(
-                    f,
-                    "{segment} {}: in-flight {:?}, {} queued",
-                    b.bank,
-                    b.in_flight,
-                    b.queued.len()
-                )?;
-            }
-        }
-        write!(f, ", store buffers {:?}", self.store_buffered)
-    }
-}
-
-impl std::error::Error for BusTimeout {}
-
 #[derive(Debug, Clone, Copy)]
 struct StoreEntry {
     addr: u64,
@@ -285,8 +204,9 @@ impl MemFaults {
     }
 }
 
-/// The full memory system.
-#[derive(Debug)]
+/// The full memory system. The default is an empty hierarchy of no
+/// cores, for [`MemSys::reset`] to size.
+#[derive(Debug, Default)]
 pub struct MemSys {
     cfg: MachineConfig,
     l1d: Vec<TagCache>,
@@ -329,83 +249,40 @@ pub struct MemSys {
 
 impl MemSys {
     /// Build the hierarchy for a machine configuration.
+    ///
+    /// # Panics
+    /// See [`MemSys::reset`].
     pub fn new(cfg: &MachineConfig) -> MemSys {
-        let n = cfg.cores;
-        let n_banks = cfg.coherence.bank_count();
-        let dir_penalty = match cfg.coherence {
-            CoherenceBackend::Snooping => 0,
-            CoherenceBackend::Directory { .. } => cfg.dir_latency,
-        };
-        MemSys {
-            l1d: (0..n)
-                .map(|_| TagCache::new(cfg.l1d_size, cfg.l1d_assoc, cfg.line_size))
-                .collect(),
-            l1i: (0..n)
-                .map(|_| TagCache::new(cfg.l1i_size, cfg.l1i_assoc, cfg.line_size))
-                .collect(),
-            l2: TagCache::new(cfg.l2_size, cfg.l2_assoc, cfg.line_size),
-            banks: (0..n_banks).map(|_| Bank::default()).collect(),
-            dir_penalty,
-            store_bufs: (0..n).map(|_| VecDeque::new()).collect(),
-            sb_entries: 0,
-            sb_waiting: vec![false; n],
-            outstanding: 0,
-            ifill_pending: vec![None; n],
-            last_ifetch: vec![None; n],
-            cfg: cfg.clone(),
-            stats_bus: 0,
-            stats_busy: 0,
-            stats_c2c: 0,
-            stats_mem: 0,
-            due: Vec::new(),
-            grants: Vec::new(),
-            faults: cfg
-                .faults
-                .as_ref()
-                .map(|plan| MemFaults::new(plan, cfg, n_banks)),
-        }
+        let mut m = MemSys::default();
+        m.reset(cfg);
+        m
     }
 
-    /// Return the hierarchy to its just-constructed state for `cfg`,
-    /// reusing the tag-cache, bank, and store-buffer allocations when the
-    /// geometry (core count, bank count, cache shapes) is unchanged.
-    /// Behaviourally equivalent to `*self = MemSys::new(cfg)` — the
-    /// machine pool's reset-equals-fresh tests pin this.
+    /// Empty the hierarchy and size it for `cfg`, keeping the tag-cache,
+    /// bank and store-buffer allocations it already has.
+    ///
+    /// # Panics
+    /// Panics unless every cache geometry is a power-of-two split.
     pub fn reset(&mut self, cfg: &MachineConfig) {
-        let same_geometry = self.cfg.cores == cfg.cores
-            && self.cfg.coherence.bank_count() == cfg.coherence.bank_count()
-            && (
-                self.cfg.l1d_size,
-                self.cfg.l1d_assoc,
-                self.cfg.l1i_size,
-                self.cfg.l1i_assoc,
-                self.cfg.l2_size,
-                self.cfg.l2_assoc,
-                self.cfg.line_size,
-            ) == (
-                cfg.l1d_size,
-                cfg.l1d_assoc,
-                cfg.l1i_size,
-                cfg.l1i_assoc,
-                cfg.l2_size,
-                cfg.l2_assoc,
-                cfg.line_size,
-            );
-        if !same_geometry {
-            *self = MemSys::new(cfg);
-            return;
-        }
+        let n = cfg.cores;
         let n_banks = cfg.coherence.bank_count();
-        for c in self.l1d.iter_mut().chain(&mut self.l1i) {
-            c.reset();
+        let line = cfg.line_size;
+        self.l1d.resize_with(n, TagCache::default);
+        for c in &mut self.l1d {
+            c.reset_to(cfg.l1d_size, cfg.l1d_assoc, line);
         }
-        self.l2.reset();
+        self.l1i.resize_with(n, TagCache::default);
+        for c in &mut self.l1i {
+            c.reset_to(cfg.l1i_size, cfg.l1i_assoc, line);
+        }
+        self.l2.reset_to(cfg.l2_size, cfg.l2_assoc, line);
         for b in &mut self.banks {
             b.queue.clear();
             b.current = None;
             b.extra.clear();
             b.busy = 0;
         }
+        self.banks.resize_with(n_banks, Bank::default);
         self.dir_penalty = match cfg.coherence {
             CoherenceBackend::Snooping => 0,
             CoherenceBackend::Directory { .. } => cfg.dir_latency,
@@ -413,15 +290,20 @@ impl MemSys {
         for q in &mut self.store_bufs {
             q.clear();
         }
+        self.store_bufs.resize_with(n, VecDeque::new);
         self.sb_entries = 0;
-        self.sb_waiting.iter_mut().for_each(|w| *w = false);
+        self.sb_waiting.clear();
+        self.sb_waiting.resize(n, false);
         self.outstanding = 0;
-        self.ifill_pending.iter_mut().for_each(|p| *p = None);
-        self.last_ifetch.iter_mut().for_each(|l| *l = None);
+        self.ifill_pending.clear();
+        self.ifill_pending.resize(n, None);
+        self.last_ifetch.clear();
+        self.last_ifetch.resize(n, None);
         self.stats_bus = 0;
         self.stats_busy = 0;
         self.stats_c2c = 0;
         self.stats_mem = 0;
+        self.due.clear();
         self.grants.clear();
         // Fault state is rebuilt rather than cleared: the plan is
         // per-request and cheap next to a run.
@@ -546,11 +428,23 @@ impl MemSys {
     }
 
     /// Credit `n` repeat instruction-fetch hits on `core`'s L1I, for
-    /// cycles the machine did not tick a running core through (skipped
-    /// by fast-forward, or parked): each would have re-fetched its
+    /// ticks a parked core sat out: each would have re-fetched its
     /// current (cached) instruction.
     pub fn credit_ifetch_hits(&mut self, core: usize, n: u64) {
         self.l1i[core].credit_hits(n);
+    }
+
+    /// Count `n` repeats of the fetch [`MemSys::ifetch_peek`] answers
+    /// for `addr`, for cycles fast-forward skips: hits on a `Hit`, misses
+    /// on a `Missed` (a blocked core keeps missing only while another
+    /// line's fill is pending, so no fill is requested), nothing on a
+    /// `Waiting`.
+    pub fn replay_ifetch(&mut self, core: usize, addr: u64, n: u64) {
+        match self.ifetch_peek(core, addr) {
+            Fetch::Hit => self.l1i[core].credit_hits(n),
+            Fetch::Missed => self.l1i[core].credit_misses(n),
+            Fetch::Waiting => {}
+        }
     }
 
     /// Enqueue a transactional-commit broadcast of `lines`.
@@ -956,49 +850,6 @@ impl MemSys {
         wake
     }
 
-    /// Tick from `start` until a completion arrives, returning the cycle
-    /// it arrived at and the completions. Intended for tests and drivers
-    /// that step the hierarchy in isolation; the machine's cycle loop
-    /// calls [`MemSys::tick`] directly and never blocks on the bus.
-    ///
-    /// # Errors
-    /// Returns a [`BusTimeout`] carrying the pending-request state when
-    /// `window` cycles pass without a completion.
-    pub fn run_until_completion(
-        &mut self,
-        start: u64,
-        window: u64,
-    ) -> Result<(u64, Vec<Completion>), BusTimeout> {
-        let mut done = Vec::new();
-        for t in start..start + window {
-            self.tick(t, &mut done);
-            if !done.is_empty() {
-                return Ok((t, done));
-            }
-        }
-        Err(self.timeout_snapshot(start, window))
-    }
-
-    /// Build the per-bank forensics snapshot for a [`BusTimeout`].
-    fn timeout_snapshot(&self, start: u64, window: u64) -> BusTimeout {
-        BusTimeout {
-            start,
-            window,
-            backend: self.cfg.coherence.label(),
-            banks: self
-                .banks
-                .iter()
-                .enumerate()
-                .map(|(i, b)| BankStall {
-                    bank: i,
-                    in_flight: b.current.as_ref().map(|c| c.req.clone()),
-                    queued: b.queue.iter().cloned().collect(),
-                })
-                .collect(),
-            store_buffered: self.store_bufs.iter().map(VecDeque::len).collect(),
-        }
-    }
-
     /// Drain the grants made by the last [`MemSys::tick`] (cleared at
     /// the top of every tick, so draining after each tick sees every
     /// grant exactly once). At most one per bank per tick: a single
@@ -1058,11 +909,18 @@ mod tests {
         Reg::gpr(0)
     }
 
-    /// Run ticks until a completion arrives (the typed path asserts one
-    /// comes within `cap` cycles).
+    /// Tick from `start` until a completion arrives, returning the cycle
+    /// it arrived at and the completions; panics if none comes within
+    /// `cap` cycles.
     fn run_until_completion(m: &mut MemSys, start: u64, cap: u64) -> (u64, Vec<Completion>) {
-        m.run_until_completion(start, cap)
-            .expect("a completion within the window")
+        let mut done = Vec::new();
+        for t in start..start + cap {
+            m.tick(t, &mut done);
+            if !done.is_empty() {
+                return (t, done);
+            }
+        }
+        panic!("no completion within {cap} cycles from {start}");
     }
 
     #[test]
@@ -1074,12 +932,12 @@ mod tests {
         m.load(0, 0x1_0000, r0(), 0);
         // The first grant attempt loses; the bank backs off 8 cycles and
         // regrants, so the fill completes one backoff later than clean.
-        let (t, c) = m.run_until_completion(0, 1000).unwrap();
+        let (t, c) = run_until_completion(&mut m, 0, 1000);
         assert!(matches!(c[0], Completion::LoadFill { core: 0, .. }));
         let clean = {
             let mut m = sys();
             m.load(0, 0x1_0000, r0(), 0);
-            m.run_until_completion(0, 1000).unwrap().0
+            run_until_completion(&mut m, 0, 1000).0
         };
         assert_eq!(t, clean + 8);
         let gl = m.fault_stats()[0].1;
@@ -1094,11 +952,11 @@ mod tests {
         cfg.faults = Some(FaultPlan::seeded(0, 0.0).with_event(0, FaultKind::Stall(11)));
         let mut m = MemSys::new(&cfg);
         m.load(0, 0x1_0000, r0(), 0);
-        let (t, _) = m.run_until_completion(0, 1000).unwrap();
+        let (t, _) = run_until_completion(&mut m, 0, 1000);
         let clean = {
             let mut m = sys();
             m.load(0, 0x1_0000, r0(), 0);
-            m.run_until_completion(0, 1000).unwrap().0
+            run_until_completion(&mut m, 0, 1000).0
         };
         assert_eq!(t, clean + 11);
         let st = m.fault_stats()[1].1;
@@ -1127,48 +985,9 @@ mod tests {
         assert_eq!(m.next_event(5000), None);
     }
 
-    #[test]
-    fn quiet_bus_times_out_with_pending_state() {
-        let mut m = sys();
-        // Nothing enqueued: the window lapses and the snapshot is empty.
-        let err = m.run_until_completion(0, 50).unwrap_err();
-        assert_eq!(err.start, 0);
-        assert_eq!(err.window, 50);
-        assert_eq!(err.backend, "snooping");
-        assert_eq!(err.banks.len(), 1);
-        assert!(err.stalled_banks().is_empty());
-        assert_eq!(err.store_buffered, vec![0; 4]);
-        assert!(err.to_string().contains("all 1 bank(s) idle"));
-        // A buffered store that cannot complete in one cycle shows up in
-        // the snapshot instead of a bare panic message.
-        assert!(m.store(2, 0x1_0000, 8));
-        let err = m.run_until_completion(100, 1).unwrap_err();
-        assert_eq!(err.store_buffered[2], 1);
-        // The snooping forensics name the single bus segment.
-        assert_eq!(err.stalled_banks()[0].bank, 0);
-        assert!(err.to_string().contains("bus 0:"), "{err}");
-    }
-
     fn dir_sys(cores: usize, banks: usize) -> MemSys {
         let cfg = MachineConfig::scaled(cores).with_backend(CoherenceBackend::Directory { banks });
         MemSys::new(&cfg)
-    }
-
-    #[test]
-    fn directory_timeout_names_the_stalled_bank() {
-        let mut m = dir_sys(16, 4);
-        // Two lines, line_size 32, interleaved: 0x1_0000 -> bank 0,
-        // 0x1_0020 -> bank 1. Load only the second; its home bank is the
-        // one the forensics must name.
-        m.load(3, 0x1_0020, r0(), 0);
-        let err = m.run_until_completion(0, 1).unwrap_err();
-        assert_eq!(err.backend, "directory");
-        assert_eq!(err.banks.len(), 4);
-        let stalled = err.stalled_banks();
-        assert_eq!(stalled.len(), 1);
-        assert_eq!(stalled[0].bank, 1);
-        assert!(err.to_string().contains("bank 1:"), "{err}");
-        assert!(!err.to_string().contains("bank 0:"), "{err}");
     }
 
     #[test]
@@ -1184,7 +1003,7 @@ mod tests {
             let (mut done, mut t, mut last) = (0usize, 0u64, 0u64);
             while done < 2 {
                 // Overlapping banks can deliver both fills in one tick.
-                let (tc, c) = m.run_until_completion(t, 1000).expect("fill");
+                let (tc, c) = run_until_completion(&mut m, t, 1000);
                 done += c.len();
                 last = tc;
                 t = tc + 1;
@@ -1210,8 +1029,8 @@ mod tests {
         let mut dir = dir_sys(4, 4);
         snoop.load(0, 0x1_0000, r0(), 0);
         dir.load(0, 0x1_0000, r0(), 0);
-        let (ts, _) = snoop.run_until_completion(0, 1000).unwrap();
-        let (td, _) = dir.run_until_completion(0, 1000).unwrap();
+        let (ts, _) = run_until_completion(&mut snoop, 0, 1000);
+        let (td, _) = run_until_completion(&mut dir, 0, 1000);
         assert_eq!(td - ts, MachineConfig::paper(4).dir_latency);
     }
 
@@ -1227,7 +1046,7 @@ mod tests {
         }
         assert_eq!(m.l1d[0].peek(0x1_0000), Some(LineState::M));
         m.load(1, 0x1_0000, r0(), 0);
-        m.run_until_completion(400, 1000).expect("c2c fill");
+        run_until_completion(&mut m, 400, 1000);
         assert_eq!(m.l1d[0].peek(0x1_0000), Some(LineState::O));
         assert_eq!(m.l1d[1].peek(0x1_0000), Some(LineState::S));
         // And a third core's store invalidates both through the home bank.
@@ -1243,6 +1062,14 @@ mod tests {
 
     #[test]
     fn per_bank_busy_cycles_sum_to_total() {
+        // Lines interleave across banks at line granularity: with 32-byte
+        // lines, 0x1_0020 is homed on bank 1 of 4, and only that bank
+        // works for it.
+        let mut m = dir_sys(16, 4);
+        m.load(3, 0x1_0020, r0(), 0);
+        run_until_completion(&mut m, 0, 1000);
+        let busy: Vec<bool> = m.stats().bank_busy_cycles.iter().map(|&b| b > 0).collect();
+        assert_eq!(busy, [false, true, false, false]);
         let mut m = dir_sys(16, 4);
         for i in 0..8 {
             m.load(i % 16, 0x1_0000 + i as u64 * 32, r0(), 0);
@@ -1358,6 +1185,34 @@ mod tests {
         }
         assert!(done);
         assert!(m.ifetch(0, 0x8000_001c)); // same 32B line
+    }
+
+    #[test]
+    fn replay_ifetch_counts_what_the_fetches_would() {
+        const A: u64 = 0x8000_0000;
+        const B: u64 = 0x8000_0040;
+        // Core 0 has fetched `A` once: its fill is pending, or has landed.
+        let driven = |landed: bool| {
+            let mut m = sys();
+            assert!(!m.ifetch(0, A));
+            if landed {
+                run_until_completion(&mut m, 0, 1000);
+            }
+            m
+        };
+        for (landed, addr, answer) in [
+            (true, A, Fetch::Hit),
+            (false, A, Fetch::Waiting),
+            (false, B, Fetch::Missed),
+        ] {
+            let (mut replayed, mut fetched) = (driven(landed), driven(landed));
+            assert_eq!(replayed.ifetch_peek(0, addr), answer);
+            replayed.replay_ifetch(0, addr, 5);
+            for _ in 0..5 {
+                fetched.ifetch(0, addr);
+            }
+            assert_eq!(replayed.stats().l1i, fetched.stats().l1i, "{answer:?}");
+        }
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub(crate) fn bits(mut word: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Per-receiver CAM state: an indexed MPMC queue set.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RecvSide {
     /// One FIFO per `(sender, tag)` stream: `data[from]` indexes the
     /// sender directly, the inner map hash-indexes the tag. Entries
@@ -154,15 +154,6 @@ struct RecvSide {
 }
 
 impl RecvSide {
-    fn new(cores: usize) -> RecvSide {
-        RecvSide {
-            data: (0..cores).map(|_| TagMap::default()).collect(),
-            spawns: (0..cores).map(|_| VecDeque::new()).collect(),
-            spawn_senders: Vec::new(),
-            buffered: 0,
-        }
-    }
-
     /// Drop `from` from the active-sender list once its FIFO drains.
     fn deactivate_spawn_sender(&mut self, from: usize) {
         if let Some(i) = self.spawn_senders.iter().position(|&s| s == from) {
@@ -235,8 +226,9 @@ pub struct NetStats {
     pub broadcasts: u64,
 }
 
-/// The operand network (both modes).
-#[derive(Debug)]
+/// The operand network (both modes). The default is an empty network of
+/// no cores, for [`OperandNetwork::reset`] to size.
+#[derive(Debug, Default)]
 pub struct OperandNetwork {
     cfg: MachineConfig,
     /// Mesh width, cached off the config (it recomputes per call).
@@ -275,37 +267,11 @@ impl OperandNetwork {
     /// Build the network for a machine configuration.
     ///
     /// # Panics
-    /// Panics above 64 cores: the pending-work sets are `u64` words
-    /// ([`crate::Machine`] rejects such a configuration with a typed
-    /// error before it gets here).
+    /// See [`OperandNetwork::reset`].
     pub fn new(cfg: &MachineConfig) -> OperandNetwork {
-        let n = cfg.cores;
-        assert!(n <= 64, "the operand network models at most 64 cores");
-        let mut neighbor = vec![None; n * LINKS];
-        for core in 0..n {
-            for d in [Dir::East, Dir::West, Dir::South, Dir::North] {
-                neighbor[core * LINKS + dir_index(d)] = cfg.neighbor(core, d);
-            }
-        }
-        let faults = cfg.faults.as_ref().map(|plan| NetFaults::new(plan, cfg));
-        OperandNetwork {
-            width: cfg.mesh_width(),
-            neighbor,
-            send_q: (0..n).map(|_| VecDeque::new()).collect(),
-            sending: 0,
-            recv: (0..n).map(|_| RecvSide::new(n)).collect(),
-            spawn_pending: 0,
-            heads: Vec::new(),
-            faults,
-            deliver_seq: 0,
-            link_free: vec![0; n * LINKS],
-            direct: vec![None; n * LINKS],
-            direct_occupied: 0,
-            bcast: vec![None; n],
-            bcast_occupied: 0,
-            cfg: cfg.clone(),
-            stats: NetStats::default(),
-        }
+        let mut net = OperandNetwork::default();
+        net.reset(cfg);
+        net
     }
 
     // ---- queue mode ----
@@ -775,19 +741,20 @@ impl OperandNetwork {
         self.stats
     }
 
-    /// Return the network to its just-constructed state for `cfg`,
-    /// reusing the queue, CAM, and latch allocations when the core count
-    /// is unchanged. Behaviourally equivalent to
-    /// `*self = OperandNetwork::new(cfg)` (the machine pool's
-    /// reset-equals-fresh tests pin this), but steady-state reuse keeps
-    /// every per-stream FIFO's capacity.
+    /// Empty the network and size it for `cfg`, keeping the queue, CAM
+    /// and latch allocations it already has: every per-stream FIFO keeps
+    /// its capacity.
+    ///
+    /// # Panics
+    /// Panics above 64 cores: the pending-work sets are `u64` words
+    /// ([`crate::Machine`] rejects such a configuration with a typed
+    /// error before it gets here).
     pub fn reset(&mut self, cfg: &MachineConfig) {
-        if cfg.cores != self.cfg.cores {
-            *self = OperandNetwork::new(cfg);
-            return;
-        }
         let n = cfg.cores;
+        assert!(n <= 64, "the operand network models at most 64 cores");
         self.width = cfg.mesh_width();
+        self.neighbor.clear();
+        self.neighbor.resize(n * LINKS, None);
         for core in 0..n {
             for d in [Dir::East, Dir::West, Dir::South, Dir::North] {
                 self.neighbor[core * LINKS + dir_index(d)] = cfg.neighbor(core, d);
@@ -796,18 +763,22 @@ impl OperandNetwork {
         for q in &mut self.send_q {
             q.clear();
         }
+        self.send_q.resize_with(n, VecDeque::new);
         self.sending = 0;
         self.spawn_pending = 0;
         self.heads.clear();
+        self.recv.resize_with(n, RecvSide::default);
         for side in &mut self.recv {
             for streams in &mut side.data {
                 for stream in streams.values_mut() {
                     stream.q.clear();
                 }
             }
+            side.data.resize_with(n, TagMap::default);
             for q in &mut side.spawns {
                 q.clear();
             }
+            side.spawns.resize_with(n, VecDeque::new);
             side.spawn_senders.clear();
             side.buffered = 0;
         }
@@ -815,10 +786,13 @@ impl OperandNetwork {
         // rates, sites) is per-request and cheap next to a run.
         self.faults = cfg.faults.as_ref().map(|plan| NetFaults::new(plan, cfg));
         self.deliver_seq = 0;
-        self.link_free.iter_mut().for_each(|c| *c = 0);
-        self.direct.iter_mut().for_each(|l| *l = None);
+        self.link_free.clear();
+        self.link_free.resize(n * LINKS, 0);
+        self.direct.clear();
+        self.direct.resize(n * LINKS, None);
         self.direct_occupied = 0;
-        self.bcast.iter_mut().for_each(|l| *l = None);
+        self.bcast.clear();
+        self.bcast.resize(n, None);
         self.bcast_occupied = 0;
         self.cfg = cfg.clone();
         self.stats = NetStats::default();

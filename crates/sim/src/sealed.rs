@@ -9,9 +9,11 @@ use crate::mcode::{MachineProgram, REGION_OUTSIDE};
 use std::sync::{Arc, OnceLock};
 
 /// A [`MachineProgram`] that passed validation for its core count.
-/// [`SealedImage::seal`] is the only constructor, so a machine booted on
-/// one has nothing left to validate.
-#[derive(Debug)]
+/// [`SealedImage::seal`] is the only constructor of a bootable image, so
+/// a machine booted on one has nothing left to validate. The default, a
+/// never-booted machine's placeholder, has no cores, and boot refuses it
+/// for every configuration.
+#[derive(Debug, Default)]
 pub struct SealedImage {
     program: Arc<MachineProgram>,
     /// Region-table slots: one per region id of the master core (region

@@ -50,8 +50,9 @@ pub struct TmStats {
     pub wasted_cycles: u64,
 }
 
-/// The transaction manager (one per machine).
-#[derive(Debug)]
+/// The transaction manager (one per machine). The default manages no
+/// cores until [`TxnManager::reset`] sizes it.
+#[derive(Debug, Default)]
 pub struct TxnManager {
     line_mask: u64,
     txns: Vec<Option<Txn>>,
@@ -84,16 +85,13 @@ fn retire(mut txn: Txn) -> Txn {
 impl TxnManager {
     /// Create a manager for `cores` cores and `line_size`-byte conflict
     /// granularity.
+    ///
+    /// # Panics
+    /// See [`TxnManager::reset`].
     pub fn new(cores: usize, line_size: u64) -> TxnManager {
-        assert!(line_size.is_power_of_two());
-        TxnManager {
-            line_mask: !(line_size - 1),
-            txns: vec![None; cores],
-            pool: Vec::new(),
-            expected: 0,
-            value_conflicts: false,
-            stats: TmStats::default(),
-        }
+        let mut tm = TxnManager::default();
+        tm.reset(cores, line_size);
+        tm
     }
 
     /// Switch conflict detection to value-based byte granularity (the
@@ -285,13 +283,11 @@ impl TxnManager {
         self.stats
     }
 
-    /// Return the manager to its just-constructed state for `cores` cores
-    /// and `line_size` granularity, retiring any live transactions into
-    /// the pool so their hash containers keep their capacity. Equivalent
-    /// to `*self = TxnManager::new(cores, line_size)` except for the
-    /// recycled allocations; callers re-apply
-    /// [`TxnManager::set_value_conflicts`] afterwards, exactly as after
-    /// `new`.
+    /// Empty the manager and size it for `cores` cores and `line_size`
+    /// granularity, retiring any live transactions into the pool so
+    /// their hash containers keep their capacity. Conflict detection goes
+    /// back to line granularity; callers re-apply
+    /// [`TxnManager::set_value_conflicts`].
     ///
     /// # Panics
     /// Panics unless `line_size` is a power of two.

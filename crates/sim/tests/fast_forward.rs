@@ -196,6 +196,95 @@ fn recv_across_cold_miss_matches() {
     assert!(on.ticked_cycles < on.stats.cycles);
 }
 
+/// A conflict abort moves the pc while an I-fill is pending. Core 1's
+/// order-1 transaction reads `x` and runs on through four more I-lines,
+/// which evict the `XBEGIN` line from its one-set, two-way L1I. Core 0
+/// writes `x`, counts down `delay`, and commits first, aborting core 1
+/// back to its evicted `XBEGIN` line: until the pending fill lands, core
+/// 1 misses on that line every cycle without requesting a fill, and a
+/// skip over those cycles must count each miss.
+#[test]
+fn rollback_during_an_ifill_counts_every_miss() {
+    let ldi = |r: u32, v: i64| Inst::with_dst(Opcode::Ldi, gpr(r), vec![Operand::Imm(v)]);
+    let add1 = |r: u32| Inst::with_dst(Opcode::Add, gpr(r), vec![gpr(r).into(), Operand::Imm(1)]);
+    let store = |addr: u32, v: u32| {
+        Inst::new(
+            Opcode::Store(voltron_ir::MemWidth::W8),
+            vec![gpr(addr).into(), Operand::Imm(0), gpr(v).into()],
+        )
+    };
+    let mut data = DataSegment::default();
+    let x = data.zeroed("x", 8) as i64;
+    let out = data.zeroed("out", 8) as i64;
+    let mut cfg = MachineConfig::paper(2);
+    cfg.l1i_size = 64;
+    let mut main = MBlock::new("main", 0);
+    main.insts
+        .push(Inst::new(Opcode::Xbegin, vec![Operand::Imm(0)]));
+    main.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    main.insts
+        .extend([ldi(0, x), ldi(1, 1), store(0, 1), ldi(2, 1)]);
+    let mut wait = MBlock::new("delay", 0);
+    wait.insts.push(Inst::with_dst(
+        Opcode::Sub,
+        gpr(2),
+        vec![gpr(2).into(), Operand::Imm(1)],
+    ));
+    wait.insts.push(Inst::with_dst(
+        Opcode::Cmp(voltron_ir::CmpCc::Gt),
+        Reg::pred(0),
+        vec![gpr(2).into(), Operand::Imm(0)],
+    ));
+    wait.insts.push(Inst::new(
+        Opcode::Br,
+        vec![Operand::Block(BlockId(1)), Reg::pred(0).into()],
+    ));
+    let mut commit = MBlock::new("commit", 0);
+    commit.insts.push(Inst::new(Opcode::Xcommit, vec![]));
+    commit.insts.push(Inst::with_dst(
+        Opcode::Recv,
+        gpr(3),
+        vec![Operand::Core(1), Operand::Imm(1)],
+    ));
+    commit.insts.extend([ldi(4, out), store(4, 3)]);
+    commit.insts.push(Inst::new(Opcode::Halt, vec![]));
+    let mut worker = MBlock::new("worker", 0);
+    worker
+        .insts
+        .push(Inst::new(Opcode::Xbegin, vec![Operand::Imm(1)]));
+    worker.insts.push(ldi(0, x));
+    worker.insts.push(Inst::with_dst(
+        Opcode::Load(voltron_ir::MemWidth::W8, voltron_ir::Signedness::Signed),
+        gpr(1),
+        vec![gpr(0).into(), Operand::Imm(0)],
+    ));
+    worker.insts.extend((0..32).map(|_| add1(2)));
+    worker.insts.push(Inst::new(Opcode::Xcommit, vec![]));
+    worker.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(1).into(), Operand::Core(0), Operand::Imm(1)],
+    ));
+    worker.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let mut p = program(
+        vec![vec![main, wait, commit], vec![sleep_stub(), worker]],
+        data,
+    );
+    let mut rollbacks = 0;
+    for delay in (1..=397).step_by(3) {
+        // The last instruction of core 0's entry block sets the delay.
+        *p.cores[0].blocks[0].insts.last_mut().unwrap() = ldi(2, delay);
+        let off = run_with(&p, &cfg, false).expect("tick-by-tick run failed");
+        let on = run_with(&p, &cfg, true).expect("fast-forwarded run failed");
+        assert_eq!(off.memory.load_i64(out as u64).unwrap(), 1, "delay {delay}");
+        rollbacks += off.stats.tm.aborts;
+        assert_equivalent(&off, &on);
+    }
+    assert!(rollbacks > 0, "no delay aborted core 1");
+}
+
 // ---------- proptest equivalence over random programs ----------
 //
 // Most generated programs wedge; the property checks that the

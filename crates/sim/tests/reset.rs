@@ -12,7 +12,7 @@ use std::sync::Arc;
 use voltron_ir::{CmpCc, DataSegment, Inst, MemWidth, Memory, Opcode, Operand, Reg};
 use voltron_sim::{
     CoherenceBackend, CoreImage, FaultPlan, MBlock, Machine, MachineConfig, MachineProgram,
-    MachineStats, RunOutcome,
+    MachineStats, RunOutcome, SealedImage, SimError,
 };
 
 /// A 1-core program that stores `base + count` into `out` after a
@@ -196,6 +196,44 @@ fn run_mut_then_reset_restores_memory_image() {
     let second = m.run_mut().expect("second run");
     assert_eq!(first.memory.bytes(), second.memory.bytes());
     assert_eq!(first.stats, second.stats);
+}
+
+#[test]
+fn one_machine_reboots_across_core_counts_and_geometries() {
+    let directory =
+        |cores| MachineConfig::scaled(cores).with_backend(CoherenceBackend::directory_for(cores));
+    let mut odd = MachineConfig::paper(2);
+    odd.l1d_size = 8 * 1024;
+    odd.faults = Some(FaultPlan::seeded(7, 0.01));
+    odd.probe_period = Some(16);
+    let steps = [
+        MachineConfig::paper(1),
+        directory(64),
+        MachineConfig::scaled(4),
+        directory(16),
+        odd,
+        MachineConfig::paper(1),
+    ];
+    let mut m = Machine::default();
+    for (i, cfg) in steps.iter().enumerate() {
+        let program = loop_program_for("p", 64, i as i64, cfg.cores);
+        let image = SealedImage::seal(Arc::new(program), cfg).expect("seal");
+        let fresh = Machine::boot(&image, cfg)
+            .expect("boot")
+            .run()
+            .expect("fresh run");
+        assert_eq!(fresh.stats.faults.any(), cfg.faults.is_some(), "step {i}");
+        m.reboot(&image, cfg).expect("reboot");
+        let reused = m.run_mut().expect("rebooted run");
+        assert_same(&fresh, &reused);
+        assert_eq!(fresh.probes, reused.probes, "step {i}");
+    }
+}
+
+#[test]
+fn an_unbooted_machine_refuses_to_run() {
+    let err = Machine::default().run_mut().expect_err("nothing to run");
+    assert!(matches!(err, SimError::Malformed(_)), "{err}");
 }
 
 #[test]
