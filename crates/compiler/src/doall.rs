@@ -282,7 +282,12 @@ pub fn detect(
     })
 }
 
-fn defined_in_loop<'a>(f: &Function, blocks: impl Iterator<Item = &'a BlockId>, r: Reg) -> bool {
+/// Whether an instruction of `blocks` defines `r`.
+pub(crate) fn defined_in_loop<'a>(
+    f: &Function,
+    blocks: impl Iterator<Item = &'a BlockId>,
+    r: Reg,
+) -> bool {
     for &b in blocks {
         for inst in &f.block(b).insts {
             if inst.def() == Some(r) {
@@ -293,7 +298,12 @@ fn defined_in_loop<'a>(f: &Function, blocks: impl Iterator<Item = &'a BlockId>, 
     false
 }
 
-fn count_defs<'a>(f: &Function, blocks: impl Iterator<Item = &'a BlockId>, r: Reg) -> usize {
+/// How many instructions of `blocks` define `r`.
+pub(crate) fn count_defs<'a>(
+    f: &Function,
+    blocks: impl Iterator<Item = &'a BlockId>,
+    r: Reg,
+) -> usize {
     let mut n = 0;
     for &b in blocks {
         for inst in &f.block(b).insts {

@@ -77,7 +77,8 @@ fn remap_inst_regs(inst: &mut Inst, offsets: &[u32; 4]) {
     }
 }
 
-fn shift_targets(block: &mut Block, map: impl Fn(BlockId) -> BlockId) {
+/// Rewrite `block`'s block references through `map`.
+pub(crate) fn shift_targets(block: &mut Block, map: impl Fn(BlockId) -> BlockId) {
     for inst in &mut block.insts {
         for s in &mut inst.srcs {
             if let Operand::Block(t) = s {

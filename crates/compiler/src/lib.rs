@@ -48,7 +48,7 @@ pub mod liveness;
 pub mod partition;
 pub mod plan;
 pub mod sched;
-pub mod unroll;
+mod unroll;
 
 pub use codegen::Compiled;
 pub use error::CompileError;
@@ -65,26 +65,12 @@ use voltron_ir::{profile, Function, Program};
 use voltron_sim::MachineConfig;
 
 /// Compilation options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
     /// Planner settings.
     pub plan: PlanParams,
     /// Emission options (ablation hooks).
     pub emit: codegen::EmitOptions,
-    /// Unroll hot non-DOALL counted loops before planning (None
-    /// disables). Widens blocks so the coupled-mode scheduler has slack,
-    /// standing in for Trimaran's unroll/trace formation (DESIGN.md).
-    pub unroll: Option<unroll::UnrollParams>,
-}
-
-impl Default for CompileOptions {
-    fn default() -> CompileOptions {
-        CompileOptions {
-            plan: PlanParams::default(),
-            emit: codegen::EmitOptions::default(),
-            unroll: Some(unroll::UnrollParams::default()),
-        }
-    }
 }
 
 /// The strategy-independent front half of [`compile`]: the inlined
@@ -133,7 +119,8 @@ fn analyze_flow(f: &Function) -> (Cfg, LoopForest, Liveness) {
 impl FrontEnd {
     /// Run the front end for the given configuration: verify, inline,
     /// profile, and — when [`FrontEnd::key`] is true for it — unroll hot
-    /// loops and re-profile.
+    /// loops and re-profile. No compile option reaches the front end;
+    /// `_opts` keeps the signature [`compile`] and callers share.
     ///
     /// # Errors
     /// Fails on malformed input, recursion, or a failing profiling run.
@@ -141,7 +128,7 @@ impl FrontEnd {
         program: &Program,
         strategy: Strategy,
         mcfg: &MachineConfig,
-        opts: &CompileOptions,
+        _opts: &CompileOptions,
     ) -> Result<FrontEnd, CompileError> {
         voltron_ir::verify::verify_program(program)?;
         let mut flat_program = inline::inline_program(program)?;
@@ -152,12 +139,13 @@ impl FrontEnd {
         let main_id = flat_program.main;
         let mut flow = analyze_flow(flat_program.main_func());
 
-        // Unrolling (skipped for serial / single-core builds, and never
-        // for loops the DOALL selector could claim — their canonical
-        // shape must survive).
-        let unrolled = FrontEnd::key(strategy, mcfg, opts);
+        // Unrolling hot non-DOALL counted loops widens blocks so the
+        // coupled-mode scheduler has slack, standing in for Trimaran's
+        // unroll/trace formation (DESIGN.md). Skipped for serial /
+        // single-core builds, and never for loops the DOALL selector
+        // could claim — their canonical shape must survive.
+        let unrolled = FrontEnd::key(strategy, mcfg);
         if unrolled {
-            let uparams = opts.unroll.as_ref().expect("key implies unroll");
             let (cfg, forest, liveness) = &flow;
             let f = flat_program.main_func();
             let exclude: HashSet<_> = (0..forest.loops.len())
@@ -170,7 +158,7 @@ impl FrontEnd {
                 main_id,
                 &prof,
                 &exclude,
-                uparams,
+                &unroll::UnrollParams::DEFAULT,
             );
             if changed > 0 {
                 voltron_ir::verify::verify_program(&flat_program)?;
@@ -227,11 +215,11 @@ impl FrontEnd {
     }
 
     /// Whether the front end for this configuration includes the unroll
-    /// pass. Configurations with equal keys (for the same program and
-    /// options) share an identical front end and may reuse one
-    /// [`FrontEnd`] across [`compile_prepared`] calls.
-    pub fn key(strategy: Strategy, mcfg: &MachineConfig, opts: &CompileOptions) -> bool {
-        opts.unroll.is_some() && mcfg.cores > 1 && strategy != Strategy::Serial
+    /// pass. Configurations with equal keys (for the same program) share
+    /// an identical front end and may reuse one [`FrontEnd`] across
+    /// [`compile_prepared`] calls.
+    pub fn key(strategy: Strategy, mcfg: &MachineConfig) -> bool {
+        mcfg.cores > 1 && strategy != Strategy::Serial
     }
 
     /// Whether this front end applied the unroll pass.

@@ -19,6 +19,8 @@
 //! per copy so the coupled scheduler can overlap the copies; carried
 //! registers (inductions, accumulators) keep their names and chain.
 
+use crate::doall::{count_defs, defined_in_loop};
+use crate::inline::shift_targets;
 use crate::liveness::Liveness;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use voltron_ir::cfg::Cfg;
@@ -28,33 +30,32 @@ use voltron_ir::{Block, BlockId, CmpCc, FuncId, Function, Inst, Opcode, Operand,
 
 /// Unrolling thresholds.
 #[derive(Debug, Clone, Copy)]
-pub struct UnrollParams {
+pub(crate) struct UnrollParams {
     /// Minimum profiled average trip count.
-    pub min_trip: f64,
+    min_trip: f64,
     /// Minimum dynamic cycles in the loop to bother.
-    pub hot_threshold: u64,
+    hot_threshold: u64,
     /// Body sizes up to this unroll by `factor_small`, larger by
     /// `factor_large` (0 disables).
-    pub small_body: usize,
+    small_body: usize,
     /// Unroll factor for small bodies.
-    pub factor_small: usize,
+    factor_small: usize,
     /// Unroll factor for larger bodies.
-    pub factor_large: usize,
+    factor_large: usize,
     /// Bodies above this many instructions are never unrolled.
-    pub max_body: usize,
+    max_body: usize,
 }
 
-impl Default for UnrollParams {
-    fn default() -> UnrollParams {
-        UnrollParams {
-            min_trip: 16.0,
-            hot_threshold: 2_000,
-            small_body: 16,
-            factor_small: 4,
-            factor_large: 2,
-            max_body: 48,
-        }
-    }
+impl UnrollParams {
+    /// The thresholds the front end unrolls with.
+    pub(crate) const DEFAULT: UnrollParams = UnrollParams {
+        min_trip: 16.0,
+        hot_threshold: 2_000,
+        small_body: 16,
+        factor_small: 4,
+        factor_large: 2,
+        max_body: 48,
+    };
 }
 
 /// A canonical counted loop eligible for unrolling.
@@ -74,7 +75,7 @@ struct Candidate {
 /// will parallelize as DOALL (their canonical shape must survive).
 /// Returns the number of loops unrolled. When it returns nonzero the
 /// caller must recompute every analysis (block ids shifted).
-pub fn unroll_hot_loops(
+pub(crate) fn unroll_hot_loops(
     f: &mut Function,
     func: FuncId,
     profile: &Profile,
@@ -143,7 +144,7 @@ fn candidate(
         return None;
     }
     if let Operand::Reg(r) = bound {
-        if defined_in(f, &l.blocks, r) {
+        if defined_in_loop(f, l.blocks.iter(), r) {
             return None;
         }
     } else if !matches!(bound, Operand::Imm(_)) {
@@ -170,7 +171,7 @@ fn candidate(
         }
         _ => return None,
     };
-    if count_defs(f, &l.blocks, iv) != 1 {
+    if count_defs(f, l.blocks.iter(), iv) != 1 {
         return None;
     }
     // Contiguous, starting at the header; no calls or machine ops.
@@ -197,7 +198,7 @@ fn candidate(
     // code. Allow the induction variable and reduction-shaped carries
     // (their copies still chain, but everything around them overlaps).
     for &r in lv.live_in_of(header) {
-        if r == iv || !defined_in(f, &l.blocks, r) {
+        if r == iv || !defined_in_loop(f, l.blocks.iter(), r) {
             continue;
         }
         let mut reduction_like = true;
@@ -255,36 +256,6 @@ fn candidate(
         bound,
         factor,
     })
-}
-
-fn defined_in(f: &Function, blocks: &BTreeSet<BlockId>, r: Reg) -> bool {
-    blocks
-        .iter()
-        .any(|&b| f.block(b).insts.iter().any(|i| i.def() == Some(r)))
-}
-
-fn count_defs(f: &Function, blocks: &std::collections::BTreeSet<BlockId>, r: Reg) -> usize {
-    blocks
-        .iter()
-        .map(|&b| {
-            f.block(b)
-                .insts
-                .iter()
-                .filter(|i| i.def() == Some(r))
-                .count()
-        })
-        .sum()
-}
-
-/// Rewrite block references through `map`.
-fn retarget_block(b: &mut Block, map: &impl Fn(BlockId) -> BlockId) {
-    for inst in &mut b.insts {
-        for s in &mut inst.srcs {
-            if let Operand::Block(t) = s {
-                *t = map(*t);
-            }
-        }
-    }
 }
 
 fn apply(f: &mut Function, c: &Candidate, lv: &Liveness) {
@@ -407,7 +378,7 @@ fn apply(f: &mut Function, c: &Candidate, lv: &Liveness) {
             }
             // Body-internal branches: map into this copy.
             let base_rel = 1 + (copy as u32) * nloop as u32;
-            retarget_block(&mut nb, &|t: BlockId| {
+            shift_targets(&mut nb, |t: BlockId| {
                 if t.0 >= c.first && t.0 <= c.last && (t != header) {
                     rel(base_rel + (t.0 - c.first))
                 } else {
@@ -468,7 +439,7 @@ fn apply(f: &mut Function, c: &Candidate, lv: &Liveness) {
             let chunk_base = out.len() as u32;
             guard_id = Some(chunk_base);
             for mut cb in chunk.drain(..) {
-                retarget_block(&mut cb, &|t: BlockId| {
+                shift_targets(&mut cb, |t: BlockId| {
                     if t.0 > u32::MAX - 2_000_000 {
                         // Chunk-relative sentinel.
                         let r = u32::MAX - t.0;
@@ -488,11 +459,11 @@ fn apply(f: &mut Function, c: &Candidate, lv: &Liveness) {
         if inside_old_loop {
             // The remainder loop keeps its internal structure (its latch
             // still targets the old header at its shifted position).
-            retarget_block(&mut b, &shift);
+            shift_targets(&mut b, shift);
         } else {
             // Everything else entering the loop must hit the guard.
             let g = guard_id;
-            retarget_block(&mut b, &|t: BlockId| {
+            shift_targets(&mut b, |t: BlockId| {
                 if t == header {
                     // Blocks before the splice point have not seen the
                     // guard yet; those after have.
@@ -537,7 +508,7 @@ mod tests {
     fn test_params() -> UnrollParams {
         UnrollParams {
             hot_threshold: 50,
-            ..UnrollParams::default()
+            ..UnrollParams::DEFAULT
         }
     }
 

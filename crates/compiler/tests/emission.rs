@@ -113,6 +113,14 @@ fn coupled_regions_use_distributed_branches_and_mode_switches() {
     }
     // Lock-step slots are NOP-padded somewhere.
     assert!(count_op_all(m, Opcode::Nop) > 0);
+    // The ILP/2 front end unrolls; a serial single-core one does not.
+    let opts = CompileOptions::default();
+    let unrolled = |s, n| {
+        FrontEnd::new(&p, s, &MachineConfig::paper(n), &opts)
+            .unwrap()
+            .unrolled()
+    };
+    assert!(unrolled(Strategy::Ilp, 2) && !unrolled(Strategy::Serial, 1));
 }
 
 #[test]
@@ -230,24 +238,6 @@ fn serial_strategy_uses_master_only() {
             .count();
         assert_eq!(useful, 0, "core {k} should be empty under Serial");
     }
-}
-
-#[test]
-fn unrolling_can_be_disabled() {
-    let p = ilp_program();
-    let cfg = MachineConfig::paper(2);
-    let no_unroll = CompileOptions {
-        unroll: None,
-        ..CompileOptions::default()
-    };
-    let a = compile(&p, Strategy::Ilp, &cfg, &no_unroll).unwrap();
-    let b = compile(&p, Strategy::Ilp, &cfg, &CompileOptions::default()).unwrap();
-    let static_a: usize = a.machine.cores.iter().map(|c| c.inst_count()).sum();
-    let static_b: usize = b.machine.cores.iter().map(|c| c.inst_count()).sum();
-    assert!(
-        static_b > static_a,
-        "unrolling should enlarge the image: {static_b} !> {static_a}"
-    );
 }
 
 /// An image with everything a per-core patch table would carry taken

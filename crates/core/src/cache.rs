@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use voltron_compiler::{CompileOptions, FrontEnd};
+use voltron_compiler::FrontEnd;
 use voltron_ir::{Memory, Program};
 use voltron_sim::{
     CoherenceBackend, FaultPlan, IdealKnobs, Machine, MachineConfig, SealedImage, SimError,
@@ -314,11 +314,7 @@ impl ProgramCache {
         // panics here, and a panic under the lock would poison this
         // program's front-end layer for every later caller.
         let geometry = machine_config(cores, CoherenceBackend::Snooping);
-        let idx = usize::from(FrontEnd::key(
-            strategy,
-            &geometry,
-            &CompileOptions::default(),
-        ));
+        let idx = usize::from(FrontEnd::key(strategy, &geometry));
         let mut slots = self.front_ends.lock().expect("front-end lock");
         let front_end_hit = note(&self.front_end_tally, slots[idx].is_some());
         let fe = match &slots[idx] {

@@ -1,10 +1,13 @@
-//! Edge-case tests of the machine through its public API: explicit
-//! aborts, guard nullification of network operations, f32 memory ops,
-//! error paths, and the mode-switch barrier.
+//! Tests of the machine through its public API: issue and latencies,
+//! spawns and both network modes, TM rollback, deadlock and livelock
+//! forensics, and edge cases — explicit aborts, guard nullification of
+//! network operations, f32 memory ops, error paths, and the mode-switch
+//! barrier.
 
-use voltron_ir::{BlockId, DataSegment, ExecMode, Inst, MemWidth, Opcode, Operand, Reg};
+use voltron_ir::{BlockId, DataSegment, Dir, ExecMode, Inst, MemWidth, Opcode, Operand, Reg};
 use voltron_sim::{
-    CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SimError, StallReason, ValidateError,
+    CoreImage, MBlock, Machine, MachineConfig, MachineProgram, SimError, StallReason,
+    ValidateError, WaitCause, Watchdogs,
 };
 
 fn gpr(i: u32) -> Reg {
@@ -826,4 +829,464 @@ fn a_token_reset_wakes_an_order_zero_waiter() {
     assert_eq!(outcome.stats.tm.commits, 3);
     assert_eq!(outcome.stats.tm.aborts, 1);
     assert!(outcome.stats.cores[1].stalls[StallReason::Sync.index()] > 20);
+}
+
+#[test]
+fn single_core_arithmetic_halts() {
+    let mut data = DataSegment::default();
+    let out = data.zeroed("out", 8);
+    let mut b = MBlock::new("entry", 0);
+    b.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(0), vec![Operand::Imm(6)]));
+    b.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(1), vec![Operand::Imm(7)]));
+    b.insts.push(Inst::with_dst(
+        Opcode::Mul,
+        gpr(2),
+        vec![gpr(0).into(), gpr(1).into()],
+    ));
+    b.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(3),
+        vec![Operand::Imm(out as i64)],
+    ));
+    b.insts.push(Inst::new(
+        Opcode::Store(voltron_ir::MemWidth::W8),
+        vec![gpr(3).into(), Operand::Imm(0), gpr(2).into()],
+    ));
+    b.insts.push(Inst::new(Opcode::Halt, vec![]));
+    let p = program(vec![vec![b]], data);
+    let m = Machine::new(p, &MachineConfig::paper(1)).unwrap();
+    let out_run = m.run().unwrap();
+    assert_eq!(out_run.memory.load_i64(out).unwrap(), 42);
+    assert!(out_run.stats.cycles >= 6);
+    assert!(out_run.stragglers.is_empty());
+}
+
+#[test]
+fn mul_latency_is_respected() {
+    // mul at cycle t; consumer must wait until t+3.
+    let mut data = DataSegment::default();
+    let out = data.zeroed("out", 8);
+    let mut b = MBlock::new("entry", 0);
+    b.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(0), vec![Operand::Imm(5)]));
+    b.insts.push(Inst::with_dst(
+        Opcode::Mul,
+        gpr(1),
+        vec![gpr(0).into(), gpr(0).into()],
+    ));
+    b.insts.push(Inst::with_dst(
+        Opcode::Add,
+        gpr(2),
+        vec![gpr(1).into(), Operand::Imm(1)],
+    ));
+    b.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(3),
+        vec![Operand::Imm(out as i64)],
+    ));
+    b.insts.push(Inst::new(
+        Opcode::Store(voltron_ir::MemWidth::W8),
+        vec![gpr(3).into(), Operand::Imm(0), gpr(2).into()],
+    ));
+    b.insts.push(Inst::new(Opcode::Halt, vec![]));
+    let p = program(vec![vec![b]], data);
+    let out_run = Machine::new(p, &MachineConfig::paper(1))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(out_run.memory.load_i64(out).unwrap(), 26);
+    let interlock = out_run.stats.cores[0].stalls_for(StallReason::Interlock);
+    assert!(interlock >= 2, "expected interlock stalls, got {interlock}");
+}
+
+/// Two cores in decoupled mode: master spawns a worker that computes
+/// and sends a value back.
+#[test]
+fn spawn_send_recv_roundtrip() {
+    let mut data = DataSegment::default();
+    let out = data.zeroed("out", 8);
+    // Core 0: spawn core1@bb1, recv from core 1, store, halt.
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    c0.insts
+        .push(Inst::with_dst(Opcode::Recv, gpr(0), vec![Operand::Core(1)]));
+    c0.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(1),
+        vec![Operand::Imm(out as i64)],
+    ));
+    c0.insts.push(Inst::new(
+        Opcode::Store(voltron_ir::MemWidth::W8),
+        vec![gpr(1).into(), Operand::Imm(0), gpr(0).into()],
+    ));
+    c0.insts.push(Inst::new(Opcode::Halt, vec![]));
+    // Core 1: bb0 unused (sleep stub), bb1: compute 99, send, sleep.
+    let mut c1_idle = MBlock::new("idle", 0);
+    c1_idle.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let mut c1 = MBlock::new("worker", 0);
+    c1.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(0), vec![Operand::Imm(99)]));
+    c1.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(0).into(), Operand::Core(0)],
+    ));
+    c1.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(vec![vec![c0], vec![c1_idle, c1]], data);
+    let out_run = Machine::new(p, &MachineConfig::paper(2))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(out_run.memory.load_i64(out).unwrap(), 99);
+    assert_eq!(out_run.stats.spawns, 1);
+    assert!(out_run.stats.cores[0].stalls_for(StallReason::RecvData) > 0);
+    assert!(out_run.stragglers.is_empty());
+}
+
+/// Coupled mode: two cores switch to lock-step, exchange a value over
+/// the direct network, switch back.
+#[test]
+fn coupled_put_get_lockstep() {
+    let mut data = DataSegment::default();
+    let out = data.zeroed("out", 8);
+    // Core 0: spawn worker into its switch stub; mode switch; PUT 7
+    // east; NOP; mode switch back; recv join; store; halt.
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    c0.insts.push(Inst::new(
+        Opcode::ModeSwitch,
+        vec![Operand::Mode(ExecMode::Coupled)],
+    ));
+    c0.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(0), vec![Operand::Imm(7)]));
+    c0.insts.push(Inst::new(
+        Opcode::Put,
+        vec![gpr(0).into(), Operand::Dir(Dir::East)],
+    ));
+    c0.insts.push(Inst::nop());
+    c0.insts.push(Inst::nop());
+    c0.insts.push(Inst::new(
+        Opcode::ModeSwitch,
+        vec![Operand::Mode(ExecMode::Decoupled)],
+    ));
+    c0.insts
+        .push(Inst::with_dst(Opcode::Recv, gpr(1), vec![Operand::Core(1)]));
+    c0.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(2),
+        vec![Operand::Imm(out as i64)],
+    ));
+    c0.insts.push(Inst::new(
+        Opcode::Store(voltron_ir::MemWidth::W8),
+        vec![gpr(2).into(), Operand::Imm(0), gpr(1).into()],
+    ));
+    c0.insts.push(Inst::new(Opcode::Halt, vec![]));
+    // Core 1: bb0 idle stub; bb1: switch, nops aligned, GET west,
+    // double it, switch back, send result, sleep.
+    let mut c1_idle = MBlock::new("idle", 0);
+    c1_idle.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let mut c1 = MBlock::new("worker", 0);
+    c1.insts.push(Inst::new(
+        Opcode::ModeSwitch,
+        vec![Operand::Mode(ExecMode::Coupled)],
+    ));
+    c1.insts.push(Inst::nop());
+    c1.insts.push(Inst::nop());
+    c1.insts.push(Inst::with_dst(
+        Opcode::Get,
+        gpr(0),
+        vec![Operand::Dir(Dir::West)],
+    ));
+    c1.insts.push(Inst::with_dst(
+        Opcode::Add,
+        gpr(1),
+        vec![gpr(0).into(), gpr(0).into()],
+    ));
+    c1.insts.push(Inst::nop());
+    c1.insts.push(Inst::new(
+        Opcode::ModeSwitch,
+        vec![Operand::Mode(ExecMode::Decoupled)],
+    ));
+    c1.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(1).into(), Operand::Core(0)],
+    ));
+    c1.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(vec![vec![c0], vec![c1_idle, c1]], data);
+    let out_run = Machine::new(p, &MachineConfig::paper(2))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(out_run.memory.load_i64(out).unwrap(), 14);
+    assert_eq!(out_run.stats.mode_switches, 2);
+    assert!(out_run.stats.coupled_cycles > 0);
+    assert!(out_run.stats.net.direct_transfers >= 1);
+}
+
+/// A RECV whose stream no SEND feeds is caught statically, before
+/// the cycle loop ever runs.
+#[test]
+fn orphan_recv_is_rejected_statically() {
+    let mut data = DataSegment::default();
+    data.zeroed("pad", 8);
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts
+        .push(Inst::with_dst(Opcode::Recv, gpr(0), vec![Operand::Core(1)]));
+    c0.insts.push(Inst::new(Opcode::Halt, vec![]));
+    let mut c1 = MBlock::new("idle", 0);
+    c1.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(vec![vec![c0], vec![c1]], data);
+    let err = Machine::new(p, &MachineConfig::paper(2)).unwrap_err();
+    match err {
+        SimError::Validate(ValidateError::OrphanRecv { site, from, tag }) => {
+            assert_eq!(site.core, 0);
+            assert_eq!(site.block, 0);
+            assert_eq!(from, 1);
+            assert_eq!(tag, 0);
+        }
+        other => panic!("expected orphan-recv rejection, got {other}"),
+    }
+}
+
+/// A statically valid program whose two cores each RECV what the
+/// other sends *afterwards*: a genuine runtime wait cycle. The
+/// forensics must name both waits and the 0 -> 1 -> 0 cycle.
+#[test]
+fn deadlocked_recv_is_reported() {
+    let mut data = DataSegment::default();
+    data.zeroed("pad", 8);
+    // Core 0: recv from core 1 (tag 0) *before* sending tag 1.
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    c0.insts.push(Inst::with_dst(
+        Opcode::Recv,
+        gpr(0),
+        vec![Operand::Core(1), Operand::Imm(0)],
+    ));
+    c0.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(1), vec![Operand::Imm(5)]));
+    c0.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(1).into(), Operand::Core(1), Operand::Imm(1)],
+    ));
+    c0.insts.push(Inst::new(Opcode::Halt, vec![]));
+    // Core 1: recv from core 0 (tag 1) *before* sending tag 0.
+    let mut c1_idle = MBlock::new("idle", 0);
+    c1_idle.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let mut c1 = MBlock::new("worker", 0);
+    c1.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(0), vec![Operand::Imm(7)]));
+    c1.insts.push(Inst::with_dst(
+        Opcode::Recv,
+        gpr(1),
+        vec![Operand::Core(0), Operand::Imm(1)],
+    ));
+    c1.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(0).into(), Operand::Core(0), Operand::Imm(0)],
+    ));
+    c1.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(vec![vec![c0], vec![c1_idle, c1]], data);
+    let err = Machine::new(p, &MachineConfig::paper(2))
+        .unwrap()
+        .run()
+        .unwrap_err();
+    match err {
+        SimError::Deadlock {
+            waits, cycle_path, ..
+        } => {
+            let w0 = waits.iter().find(|w| w.core == 0).expect("core 0 waits");
+            assert_eq!(
+                w0.cause,
+                WaitCause::Recv {
+                    from: 1,
+                    tag: 0,
+                    buffered: 0
+                }
+            );
+            let w1 = waits.iter().find(|w| w.core == 1).expect("core 1 waits");
+            assert_eq!(w1.block_name, "worker");
+            assert_eq!(
+                w1.cause,
+                WaitCause::Recv {
+                    from: 0,
+                    tag: 1,
+                    buffered: 0
+                }
+            );
+            let path = cycle_path.expect("cross-recv hang is a cycle");
+            assert_eq!(path, vec![0, 1, 0]);
+        }
+        other => panic!("expected deadlock, got {other}"),
+    }
+}
+
+/// A jump-to-self spin issues every cycle (so the deadlock window
+/// keeps resetting) but never changes architectural state: the
+/// livelock watchdog, not `MaxCycles`, must call it.
+#[test]
+fn control_spin_is_diagnosed_as_livelock() {
+    let mut data = DataSegment::default();
+    data.zeroed("pad", 8);
+    let mut b = MBlock::new("spin", 0);
+    b.insts
+        .push(Inst::new(Opcode::Jump, vec![Operand::Block(BlockId(0))]));
+    let p = program(vec![vec![b]], data);
+    let cfg = MachineConfig {
+        watchdogs: Watchdogs {
+            deadlock_window: 1_000,
+            livelock_window: 2_000,
+            ..Watchdogs::default()
+        },
+        ..MachineConfig::paper(1)
+    };
+    let err = Machine::new(p, &cfg).unwrap().run().unwrap_err();
+    match err {
+        SimError::Livelock { cycle, window, .. } => {
+            assert_eq!(window, 2_000);
+            assert!(cycle >= 2_000);
+        }
+        other => panic!("expected livelock, got {other}"),
+    }
+}
+
+/// Transactions: two chunks, the later one reads what the earlier one
+/// writes -> observe an abort and a sequentially-correct result.
+#[test]
+fn tm_conflict_rolls_back_and_reexecutes() {
+    let mut data = DataSegment::default();
+    let shared = data.array_i64("shared", &[5]);
+    let out = data.zeroed("out", 8);
+    // Core 0 (chunk 0): spawn worker; xbegin 0; long delay (nops);
+    // store 100 to shared; xcommit; recv join; halt.
+    let mut c0 = MBlock::new("main", 0);
+    // Codegen contract: the master's XBEGIN 0 precedes worker spawns.
+    c0.insts
+        .push(Inst::new(Opcode::Xbegin, vec![Operand::Imm(0)]));
+    c0.insts.push(Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    ));
+    for _ in 0..40 {
+        c0.insts.push(Inst::nop());
+    }
+    c0.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(0),
+        vec![Operand::Imm(shared as i64)],
+    ));
+    c0.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(1), vec![Operand::Imm(100)]));
+    c0.insts.push(Inst::new(
+        Opcode::Store(voltron_ir::MemWidth::W8),
+        vec![gpr(0).into(), Operand::Imm(0), gpr(1).into()],
+    ));
+    c0.insts.push(Inst::new(Opcode::Xcommit, vec![]));
+    c0.insts
+        .push(Inst::with_dst(Opcode::Recv, gpr(2), vec![Operand::Core(1)]));
+    c0.insts.push(Inst::new(Opcode::Halt, vec![]));
+    // Core 1 (chunk 1): xbegin 1; read shared; store it to out;
+    // xcommit; send join; sleep. It reads early (before core 0's
+    // store), so it must abort and re-run, ending with out == 100.
+    let mut c1_idle = MBlock::new("idle", 0);
+    c1_idle.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let mut c1 = MBlock::new("chunk1", 0);
+    c1.insts
+        .push(Inst::new(Opcode::Xbegin, vec![Operand::Imm(1)]));
+    c1.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(0),
+        vec![Operand::Imm(shared as i64)],
+    ));
+    c1.insts.push(Inst::with_dst(
+        Opcode::Load(voltron_ir::MemWidth::W8, voltron_ir::Signedness::Signed),
+        gpr(1),
+        vec![gpr(0).into(), Operand::Imm(0)],
+    ));
+    c1.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(2),
+        vec![Operand::Imm(out as i64)],
+    ));
+    c1.insts.push(Inst::new(
+        Opcode::Store(voltron_ir::MemWidth::W8),
+        vec![gpr(2).into(), Operand::Imm(0), gpr(1).into()],
+    ));
+    c1.insts.push(Inst::new(Opcode::Xcommit, vec![]));
+    c1.insts
+        .push(Inst::with_dst(Opcode::Ldi, gpr(3), vec![Operand::Imm(1)]));
+    c1.insts.push(Inst::new(
+        Opcode::Send,
+        vec![gpr(3).into(), Operand::Core(0)],
+    ));
+    c1.insts.push(Inst::new(Opcode::Sleep, vec![]));
+    let p = program(vec![vec![c0], vec![c1_idle, c1]], data);
+    let out_run = Machine::new(p, &MachineConfig::paper(2))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        out_run.memory.load_i64(out).unwrap(),
+        100,
+        "sequential semantics"
+    );
+    assert!(out_run.stats.tm.aborts >= 1, "expected at least one abort");
+    assert_eq!(
+        out_run.stats.tm.commits,
+        2 + out_run.stats.tm.aborts - out_run.stats.tm.aborts
+    );
+}
+
+#[test]
+fn load_miss_stalls_consumer_until_fill() {
+    let mut data = DataSegment::default();
+    let a = data.array_i64("a", &[11]);
+    let out = data.zeroed("out", 8);
+    let mut b = MBlock::new("entry", 0);
+    b.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(0),
+        vec![Operand::Imm(a as i64)],
+    ));
+    b.insts.push(Inst::with_dst(
+        Opcode::Load(voltron_ir::MemWidth::W8, voltron_ir::Signedness::Signed),
+        gpr(1),
+        vec![gpr(0).into(), Operand::Imm(0)],
+    ));
+    b.insts.push(Inst::with_dst(
+        Opcode::Add,
+        gpr(2),
+        vec![gpr(1).into(), Operand::Imm(1)],
+    ));
+    b.insts.push(Inst::with_dst(
+        Opcode::Ldi,
+        gpr(3),
+        vec![Operand::Imm(out as i64)],
+    ));
+    b.insts.push(Inst::new(
+        Opcode::Store(voltron_ir::MemWidth::W8),
+        vec![gpr(3).into(), Operand::Imm(0), gpr(2).into()],
+    ));
+    b.insts.push(Inst::new(Opcode::Halt, vec![]));
+    let p = program(vec![vec![b]], data);
+    let out_run = Machine::new(p, &MachineConfig::paper(1))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(out_run.memory.load_i64(out).unwrap(), 12);
+    let dstalls = out_run.stats.cores[0].stalls_for(StallReason::DMiss);
+    assert!(
+        dstalls > 50,
+        "cold miss should stall ~memory latency, got {dstalls}"
+    );
 }

@@ -9,10 +9,14 @@
 //! over randomized plans (proptest).
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use voltron_compiler::{compile, CompileOptions};
 use voltron_core::{outputs_equivalent, run_reference, Strategy};
 use voltron_ir::Program;
-use voltron_sim::{FaultKind, FaultPlan, FaultSite, Machine, MachineConfig, RunOutcome, SimError};
+use voltron_sim::{
+    ChromeTracer, FaultKind, FaultPlan, FaultSite, Machine, MachineConfig, RunOutcome, SealedImage,
+    SimError,
+};
 use voltron_workloads::{by_name, Scale};
 
 /// Run one (strategy, cores) configuration of `program` under `plan`.
@@ -250,6 +254,52 @@ fn disabled_fault_layer_is_invisible() {
         );
         assert!(!zero.stats.faults.any());
     }
+}
+
+/// A pooled machine carries no optional layer across a reboot: after a
+/// traced run on which both machine-side injectors fired (so the
+/// irrevocability latch, abort streaks and hiccup timers were live),
+/// rebooting onto the same image with no plan and no tracer reproduces a
+/// fresh boot exactly.
+#[test]
+fn a_reboot_after_a_traced_faulted_run_matches_a_fresh_boot() {
+    let w = by_name("gsmdecode", Scale::Test).expect("gsmdecode registered");
+    let plain = MachineConfig::paper(2);
+    let compiled = compile(
+        &w.program,
+        Strategy::Llp,
+        &plain,
+        &CompileOptions::default(),
+    )
+    .expect("gsmdecode llp/2 compiles");
+    let image = SealedImage::seal(Arc::new(compiled.machine), &plain).expect("seal");
+    let plan = FaultPlan {
+        sites: vec![FaultSite::TmAbort, FaultSite::Fetch],
+        ..FaultPlan::seeded(7, 0.3)
+    };
+    let faulted = MachineConfig {
+        faults: Some(plan),
+        ..plain.clone()
+    };
+    let mut m = Machine::boot(&image, &faulted).expect("boot");
+    m.set_tracer(Box::new(ChromeTracer::new()));
+    let out = m.run_mut().expect("the faulted run recovers");
+    for site in [FaultSite::TmAbort, FaultSite::Fetch] {
+        let injected = out.stats.faults.site(site).injected;
+        assert!(injected > 0, "{} never fired", site.label());
+    }
+    assert!(!out.trace.is_empty());
+
+    m.reboot(&image, &plain).expect("reboot");
+    let pooled = m.run_mut().expect("pooled run");
+    let fresh = Machine::boot(&image, &plain)
+        .expect("boot")
+        .run()
+        .expect("fresh run");
+    assert_eq!(pooled.memory, fresh.memory);
+    assert_eq!(pooled.stats, fresh.stats);
+    assert_eq!(pooled.ticked_cycles, fresh.ticked_cycles);
+    assert!(pooled.trace.is_empty(), "the reboot kept the tracer");
 }
 
 proptest! {

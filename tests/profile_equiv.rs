@@ -340,10 +340,7 @@ fn prepared_compiles_equal_fresh_compiles_in_every_configuration() {
         let fresh: Vec<_> = matrix
             .iter()
             .map(|(strategy, mcfg)| {
-                assert!(
-                    FrontEnd::key(*strategy, mcfg, &opts),
-                    "one key covers the matrix"
-                );
+                assert!(FrontEnd::key(*strategy, mcfg), "one key covers the matrix");
                 compile(&w.program, *strategy, mcfg, &opts)
                     .unwrap_or_else(|e| panic!("{} {strategy}/{}: fresh: {e}", w.name, mcfg.cores))
                     .machine
