@@ -143,8 +143,8 @@ pub struct Compiled {
 /// Emit a plan into a [`MachineProgram`].
 ///
 /// # Errors
-/// Returns [`CompileError::Internal`] if emission violates an invariant
-/// (unbound labels, malformed images).
+/// Returns [`CompileError::Internal`] on an unbound label. The image's
+/// shape is proven when the simulator seals it.
 pub fn emit(
     inp: &PlanInputs<'_>,
     plan: &Plan,
@@ -235,7 +235,6 @@ pub fn emit(
         cores,
         data: data.clone(),
     };
-    machine.check().map_err(CompileError::Internal)?;
 
     let region_kinds = plan.regions.iter().map(|r| (r.id, r.kind.name())).collect();
     let region_weights = plan

@@ -2,7 +2,7 @@
 //!
 //! The Voltron compiler partitions and schedules flat regions; calls are
 //! therefore inlined away before planning (the machine has no call
-//! support — `MachineProgram::check` rejects residual calls). Recursion is
+//! support — sealing a machine image rejects residual calls). Recursion is
 //! rejected.
 
 use crate::error::CompileError;

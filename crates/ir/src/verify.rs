@@ -102,14 +102,18 @@ pub fn verify_function(
 }
 
 /// Per-instruction shape and register-class check with no surrounding
-/// function or program context: exactly the subset of the grammar that is
-/// meaningful for lowered machine code, where calls are gone and branch
-/// targets are core-image block indices checked elsewhere. The simulator's
-/// mcode validator reuses this so the opcode grammar lives in one place.
+/// function or program context: the subset of the grammar meaningful for
+/// lowered machine code, where calls are gone (`CALL`/`RET` are errors) and
+/// branch targets are core-image block indices checked elsewhere. The
+/// simulator's mcode validator reuses this so the grammar lives in one place.
 ///
 /// # Errors
 /// Returns a description of the first shape or class violation.
 pub fn check_mcode_inst(inst: &Inst) -> Result<(), String> {
+    if matches!(inst.op, Opcode::Call | Opcode::Ret) {
+        let why = "survives lowering (calls must be inlined)";
+        return Err(format!("{} {why}", inst.op));
+    }
     check_inst(inst, None)
 }
 
@@ -356,6 +360,7 @@ fn check_inst(inst: &Inst, program: Option<&Program>) -> Result<(), String> {
         }
         Put => {
             expect_srcs(inst, 2)?;
+            class_of(inst.srcs[0]).ok_or("put value must be a register or immediate")?;
             if !matches!(inst.srcs[1], Operand::Dir(_)) {
                 return Err("put requires a direction".into());
             }
@@ -371,6 +376,7 @@ fn check_inst(inst: &Inst, program: Option<&Program>) -> Result<(), String> {
         }
         Bcast => {
             expect_srcs(inst, 1)?;
+            class_of(inst.srcs[0]).ok_or("bcast value must be a register or immediate")?;
         }
         GetB => {
             expect_srcs(inst, 0)?;
@@ -382,6 +388,7 @@ fn check_inst(inst: &Inst, program: Option<&Program>) -> Result<(), String> {
             if inst.srcs.len() != 2 && inst.srcs.len() != 3 {
                 return Err("send takes value, core, and an optional tag".into());
             }
+            class_of(inst.srcs[0]).ok_or("send value must be a register or immediate")?;
             if !matches!(inst.srcs[1], Operand::Core(_)) {
                 return Err("send requires a core operand".into());
             }

@@ -17,14 +17,14 @@
 //!   `check_core` must test beyond the scoreboard; for most instructions
 //!   there is none.
 //!
-//! Decoding is infallible. An instruction the machine cannot execute
-//! (one `MachineProgram::check`/`validate` would have rejected) becomes
-//! [`DOp::Trap`], which raises its `SimError::Malformed` only if issued.
+//! Decoding cannot fail: it runs on sealed images only, and every shape
+//! it could not lower breaks an invariant that
+//! [`MachineProgram::validate`] proved absent (each `expect` names it).
 
 use crate::mcode::{CoreImage, MachineProgram, RegionId};
 use crate::network::TAG_JOIN;
 use crate::stats::StallReason;
-use crate::validate::{recv_tag, send_tag};
+use crate::validate::{dir_operand, recv_tag, send_tag};
 use std::collections::HashMap;
 use std::sync::Arc;
 use voltron_ir::{
@@ -143,8 +143,6 @@ pub enum BrTarget {
     Flat(u32),
     /// A branch-target register slot holding a block id.
     Btr(u32),
-    /// Neither; raises "branch without target" if the branch is taken.
-    Missing,
 }
 
 /// A decoded operation with operands resolved to slots.
@@ -209,8 +207,6 @@ pub enum DOp {
     Xcommit,
     /// Abort.
     Xabort,
-    /// Not executable: raises `SimError::Malformed(traps[i])` if issued.
-    Trap(u32),
 }
 
 /// The structural hazard `check_core` tests after the scoreboard.
@@ -286,8 +282,6 @@ pub struct DecodedCore {
     pub class_base: [u32; 5],
     /// Constant-pool contents, living at slots `class_base[4]..`.
     pub consts: Vec<u64>,
-    /// Messages of [`DOp::Trap`] instructions.
-    pub traps: Vec<String>,
     /// Base of the core's instruction window.
     pub fetch_base: u64,
 }
@@ -319,8 +313,8 @@ impl DecodedCore {
         self.insts.len() as u32
     }
 
-    /// Flat index a transfer to block `b` lands on (the sentinel when `b`
-    /// is out of range or only empty blocks follow).
+    /// Flat index a BTR jump or spawn to block `b` lands on (the sentinel
+    /// when `b` is out of range or only empty blocks follow).
     pub fn entry(&self, b: BlockId) -> u32 {
         self.block_entry
             .get(b.idx())
@@ -350,7 +344,8 @@ pub struct DecodedProgram {
 }
 
 impl DecodedProgram {
-    /// Decode every image of `program`.
+    /// Decode every image of `program`, which must have passed
+    /// [`MachineProgram::validate`]; on any other image it may panic.
     pub fn new(program: &MachineProgram) -> DecodedProgram {
         DecodedProgram {
             cores: program
@@ -399,33 +394,30 @@ fn decode_core(core: usize, image: &CoreImage) -> DecodedCore {
         class_base[c + 1] = class_base[c] + counts[c];
     }
     let mut lower = Lowering {
-        core,
-        class_base,
-        block_entry,
-        total,
-        consts: vec![0, 1],
+        d: DecodedCore {
+            insts: Vec::with_capacity(total as usize),
+            block_entry,
+            class_base,
+            consts: vec![0, 1],
+            fetch_base: CoreImage::base(core),
+        },
         const_slots: HashMap::from([(0, 0), (1, 1)]),
-        traps: Vec::new(),
     };
-    let mut insts = Vec::with_capacity(total as usize);
     for (bi, b) in image.blocks.iter().enumerate() {
         for (si, inst) in b.insts.iter().enumerate() {
-            let (op, class) = lower.inst(inst).unwrap_or_else(|msg| {
-                lower.traps.push(msg);
-                (DOp::Trap(lower.traps.len() as u32 - 1), IssueClass::Plain)
-            });
-            let mut sb = [class_base[4]; SB_SLOTS];
-            // Only `CALL` (a trap) can name more registers than fit; the
-            // rest of its operands cannot delay an error that is already
-            // unreachable past `MachineProgram::check`.
+            let (op, class) = lower.inst(inst);
+            let d = &lower.d;
+            let mut sb = [d.zero_slot(); SB_SLOTS];
+            // The grammar (invariant 1) names at most `SB_SLOTS` registers.
             for (entry, r) in sb.iter_mut().zip(inst.uses().chain(inst.dst)) {
-                *entry = lower.slot(r);
+                *entry = d.slot(r);
             }
-            insts.push(DInst {
+            let guard = inst.guard.map_or(d.true_slot(), |g| d.slot(g));
+            lower.d.insts.push(DInst {
                 op,
                 class,
                 sb,
-                guard: inst.guard.map_or(lower.true_slot(), |g| lower.slot(g)),
+                guard,
                 latency: inst.op.latency(),
                 is_nop: inst.op == Opcode::Nop,
                 net_op: matches!(
@@ -439,287 +431,180 @@ fn decode_core(core: usize, image: &CoreImage) -> DecodedCore {
             });
         }
     }
-    DecodedCore {
-        insts,
-        block_entry: lower.block_entry,
-        class_base,
-        consts: lower.consts,
-        traps: lower.traps,
-        fetch_base: CoreImage::base(core),
-    }
+    lower.d
 }
 
-/// Per-core lowering state: the register layout, the constant pool being
-/// grown, and the block table targets resolve through.
+/// Per-core lowering state: the decoded core being built (its register
+/// layout and block table already final) and its constant pool's index.
 struct Lowering {
-    core: usize,
-    class_base: [u32; 5],
-    block_entry: Vec<u32>,
-    total: u32,
-    consts: Vec<u64>,
+    d: DecodedCore,
     const_slots: HashMap<u64, u32>,
-    traps: Vec<String>,
 }
+
+/// Why an operand or destination the lowering asks for is there.
+const GRAMMAR: &str = "invariant 1: the operand grammar holds";
 
 impl Lowering {
-    fn slot(&self, r: Reg) -> u32 {
-        self.class_base[r.class.index()] + r.index
-    }
-
-    /// Where `consts[1]` lives (see [`DecodedCore::true_slot`]).
-    fn true_slot(&self) -> u32 {
-        self.class_base[4] + 1
-    }
-
     fn konst(&mut self, bits: u64) -> u32 {
-        let next = self.consts.len() as u32;
+        let next = self.d.consts.len() as u32;
         let k = *self.const_slots.entry(bits).or_insert(next);
         if k == next {
-            self.consts.push(bits);
+            self.d.consts.push(bits);
         }
-        self.class_base[4] + k
+        self.d.zero_slot() + k
     }
 
-    /// Slot and class of an evaluable operand (what the interpreter's
-    /// `eval_operand` accepts).
-    fn operand(&mut self, inst: &Inst, i: usize) -> Result<(u32, RegClass), String> {
-        match inst.srcs.get(i) {
-            Some(Operand::Reg(r)) => Ok((self.slot(*r), r.class)),
-            Some(Operand::Imm(v)) => Ok((self.konst(*v as u64), RegClass::Gpr)),
-            Some(Operand::FImm(v)) => Ok((self.konst(v.to_bits()), RegClass::Fpr)),
-            Some(Operand::Block(b)) => Ok((self.konst(u64::from(b.0)), RegClass::Btr)),
-            Some(other) => Err(format!(
-                "core {}: bad program: operand {other:?} not evaluable in the interpreter",
-                self.core
-            )),
-            None => Err(format!(
-                "core {}: {} is missing source {i}",
-                self.core, inst.op
-            )),
+    /// Slot and class of value source `i`: a register or an immediate.
+    fn operand(&mut self, inst: &Inst, i: usize) -> (u32, RegClass) {
+        match inst.srcs[i] {
+            Operand::Reg(r) => (self.d.slot(r), r.class),
+            Operand::Imm(v) => (self.konst(v as u64), RegClass::Gpr),
+            Operand::FImm(v) => (self.konst(v.to_bits()), RegClass::Fpr),
+            Operand::Block(b) => (self.konst(u64::from(b.0)), RegClass::Btr),
+            other => unreachable!("{GRAMMAR}: {} source {i} is {other:?}", inst.op),
         }
     }
 
-    /// Slot of source `i`, which must be of `class`.
-    fn src(&mut self, inst: &Inst, i: usize, class: RegClass) -> Result<u32, String> {
-        let (slot, found) = self.operand(inst, i)?;
-        if found != class {
-            return Err(format!(
-                "core {}: {} source {i} must be {class}, found {found}",
-                self.core, inst.op
-            ));
-        }
-        Ok(slot)
+    /// Slot of value source `i` (the grammar fixed its class).
+    fn src(&mut self, inst: &Inst, i: usize) -> u32 {
+        self.operand(inst, i).0
     }
 
-    /// Slot of the destination, which must exist and be of `class`.
-    fn dst(&self, inst: &Inst, class: RegClass) -> Result<u32, String> {
-        match inst.dst {
-            Some(d) if d.class == class => Ok(self.slot(d)),
-            _ => Err(format!(
-                "core {}: {} requires a {class} destination",
-                self.core, inst.op
-            )),
-        }
+    /// Slot and class of the destination.
+    fn dst(&self, inst: &Inst) -> (u32, RegClass) {
+        let d = inst.dst.expect(GRAMMAR);
+        (self.d.slot(d), d.class)
     }
 
-    /// Slot and class of a destination of any class.
-    fn any_dst(&self, inst: &Inst) -> Result<(u32, RegClass), String> {
-        inst.dst
-            .map(|d| (self.slot(d), d.class))
-            .ok_or_else(|| format!("core {}: {} requires a destination", self.core, inst.op))
+    fn alu(&self, inst: &Inst, f: AluOp) -> (DOp, IssueClass) {
+        let dst = self.dst(inst).0;
+        (DOp::Alu { dst, f }, IssueClass::Plain)
     }
 
-    fn core_operand(&self, inst: &Inst, i: usize) -> Result<u8, String> {
-        inst.srcs
-            .get(i)
-            .and_then(Operand::as_core)
-            .ok_or_else(|| format!("core {}: {} requires a core operand", self.core, inst.op))
+    /// [`Lowering::alu`] of the op `f` builds from source 0.
+    fn alu1(&mut self, inst: &Inst, f: impl FnOnce(u32) -> AluOp) -> (DOp, IssueClass) {
+        let a = self.src(inst, 0);
+        self.alu(inst, f(a))
     }
 
-    fn alu(&self, inst: &Inst, class: RegClass, f: AluOp) -> Result<(DOp, IssueClass), String> {
-        let dst = self.dst(inst, class)?;
-        Ok((DOp::Alu { dst, f }, IssueClass::Plain))
+    /// [`Lowering::alu`] of the op `f` builds from sources 0 and 1.
+    fn alu2(&mut self, inst: &Inst, f: impl FnOnce(u32, u32) -> AluOp) -> (DOp, IssueClass) {
+        let (a, b) = (self.src(inst, 0), self.src(inst, 1));
+        self.alu(inst, f(a, b))
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn inst(&mut self, inst: &Inst) -> Result<(DOp, IssueClass), String> {
+    fn inst(&mut self, inst: &Inst) -> (DOp, IssueClass) {
         use Opcode::*;
-        use RegClass::{Btr, Fpr, Gpr, Pred};
         let op = inst.op;
         match op {
-            Nop => Ok((DOp::Nop, IssueClass::Plain)),
+            Nop => (DOp::Nop, IssueClass::Plain),
             Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Sar | Min | Max => {
-                let (a, b) = (self.src(inst, 0, Gpr)?, self.src(inst, 1, Gpr)?);
-                self.alu(inst, Gpr, AluOp::IntBin { op, a, b })
+                self.alu2(inst, |a, b| AluOp::IntBin { op, a, b })
             }
             Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax => {
-                let (a, b) = (self.src(inst, 0, Fpr)?, self.src(inst, 1, Fpr)?);
-                self.alu(inst, Fpr, AluOp::FloatBin { op, a, b })
+                self.alu2(inst, |a, b| AluOp::FloatBin { op, a, b })
             }
-            Fabs | Fneg | Fsqrt => {
-                let a = self.src(inst, 0, Fpr)?;
-                self.alu(inst, Fpr, AluOp::FloatUn { op, a })
-            }
-            Mov => {
-                let (_, class) = self.any_dst(inst)?;
-                let a = self.src(inst, 0, class)?;
-                self.alu(inst, class, AluOp::Copy { a })
-            }
-            Ldi => {
-                let a = self.src(inst, 0, Gpr)?;
-                self.alu(inst, Gpr, AluOp::Copy { a })
-            }
-            Fldi => {
-                let a = self.src(inst, 0, Fpr)?;
-                self.alu(inst, Fpr, AluOp::Copy { a })
-            }
-            Pbr => {
-                if !matches!(inst.srcs.first(), Some(Operand::Block(_))) {
-                    return Err(format!(
-                        "core {}: bad program: pbr without block",
-                        self.core
-                    ));
-                }
-                let a = self.src(inst, 0, Btr)?;
-                self.alu(inst, Btr, AluOp::Copy { a })
-            }
-            Cmp(cc) => {
-                let (a, b) = (self.src(inst, 0, Gpr)?, self.src(inst, 1, Gpr)?);
-                self.alu(inst, Pred, AluOp::Cmp { cc, a, b })
-            }
-            Fcmp(cc) => {
-                let (a, b) = (self.src(inst, 0, Fpr)?, self.src(inst, 1, Fpr)?);
-                self.alu(inst, Pred, AluOp::Fcmp { cc, a, b })
-            }
+            Fabs | Fneg | Fsqrt => self.alu1(inst, |a| AluOp::FloatUn { op, a }),
+            Mov | Ldi | Fldi | Pbr | PtoG => self.alu1(inst, |a| AluOp::Copy { a }),
+            Cmp(cc) => self.alu2(inst, |a, b| AluOp::Cmp { cc, a, b }),
+            Fcmp(cc) => self.alu2(inst, |a, b| AluOp::Fcmp { cc, a, b }),
             Sel | Fsel => {
-                let class = if op == Sel { Gpr } else { Fpr };
-                let p = self.src(inst, 0, Pred)?;
-                let (a, b) = (self.src(inst, 1, class)?, self.src(inst, 2, class)?);
-                self.alu(inst, class, AluOp::Select { p, a, b })
+                let p = self.src(inst, 0);
+                let (a, b) = (self.src(inst, 1), self.src(inst, 2));
+                self.alu(inst, AluOp::Select { p, a, b })
             }
-            PAnd | POr => {
-                let (a, b) = (self.src(inst, 0, Pred)?, self.src(inst, 1, Pred)?);
-                self.alu(inst, Pred, AluOp::PredBin { op, a, b })
-            }
-            PNot => {
-                let a = self.src(inst, 0, Pred)?;
-                self.alu(inst, Pred, AluOp::PredNot { a })
-            }
-            ItoF => {
-                let a = self.src(inst, 0, Gpr)?;
-                self.alu(inst, Fpr, AluOp::IntToFloat { a })
-            }
-            FtoI => {
-                let a = self.src(inst, 0, Fpr)?;
-                self.alu(inst, Gpr, AluOp::FloatToInt { a })
-            }
-            PtoG => {
-                let a = self.src(inst, 0, Pred)?;
-                self.alu(inst, Gpr, AluOp::Copy { a })
-            }
-            GtoP => {
-                let a = self.src(inst, 0, Gpr)?;
-                self.alu(inst, Pred, AluOp::IntToPred { a })
-            }
+            PAnd | POr => self.alu2(inst, |a, b| AluOp::PredBin { op, a, b }),
+            PNot => self.alu1(inst, |a| AluOp::PredNot { a }),
+            ItoF => self.alu1(inst, |a| AluOp::IntToFloat { a }),
+            FtoI => self.alu1(inst, |a| AluOp::FloatToInt { a }),
+            GtoP => self.alu1(inst, |a| AluOp::IntToPred { a }),
             Load(..) | Fload | Fload4 => {
-                let (kind, class) = match op {
-                    Load(w, s) => (MemKind::Int(w, s), Gpr),
-                    Fload => (MemKind::F64, Fpr),
-                    _ => (MemKind::F32, Fpr),
+                let kind = match op {
+                    Load(w, s) => MemKind::Int(w, s),
+                    Fload => MemKind::F64,
+                    _ => MemKind::F32,
                 };
                 let load = DOp::Load {
-                    dst: self.dst(inst, class)?,
-                    base: self.src(inst, 0, Gpr)?,
-                    off: self.src(inst, 1, Gpr)?,
+                    dst: self.dst(inst).0,
+                    base: self.src(inst, 0),
+                    off: self.src(inst, 1),
                     kind,
-                    reg: inst.dst.expect("dst() checked it"),
+                    reg: inst.dst.expect(GRAMMAR),
                 };
-                Ok((load, IssueClass::Load))
+                (load, IssueClass::Load)
             }
             Store(_) | Fstore | Fstore4 => {
-                let (kind, class) = match op {
-                    Store(w) => (MemKind::Int(w, Signedness::Unsigned), Gpr),
-                    Fstore => (MemKind::F64, Fpr),
-                    _ => (MemKind::F32, Fpr),
+                let kind = match op {
+                    Store(w) => MemKind::Int(w, Signedness::Unsigned),
+                    Fstore => MemKind::F64,
+                    _ => MemKind::F32,
                 };
                 let store = DOp::Store {
-                    base: self.src(inst, 0, Gpr)?,
-                    off: self.src(inst, 1, Gpr)?,
-                    val: self.src(inst, 2, class)?,
+                    base: self.src(inst, 0),
+                    off: self.src(inst, 1),
+                    val: self.src(inst, 2),
                     kind,
                 };
-                Ok((store, IssueClass::Store))
+                (store, IssueClass::Store)
             }
             Br | Jump => {
                 let pred = if op == Jump {
-                    self.true_slot()
+                    self.d.true_slot()
                 } else {
-                    self.src(inst, 1, Pred)?
+                    self.src(inst, 1)
                 };
-                let target = match inst.srcs.first() {
-                    Some(Operand::Block(t)) => {
-                        BrTarget::Flat(self.block_entry.get(t.idx()).copied().unwrap_or(self.total))
+                let target = match inst.srcs[0] {
+                    Operand::Block(t) => {
+                        let flat = self.d.block_entry.get(t.idx());
+                        BrTarget::Flat(*flat.expect("invariant 0: static targets index the image"))
                     }
-                    Some(Operand::Reg(r)) if r.class == Btr => BrTarget::Btr(self.slot(*r)),
-                    _ => BrTarget::Missing,
+                    Operand::Reg(r) => BrTarget::Btr(self.d.slot(r)),
+                    other => unreachable!("{GRAMMAR}: {op} targets {other:?}"),
                 };
-                Ok((DOp::Br { pred, target }, IssueClass::Plain))
+                (DOp::Br { pred, target }, IssueClass::Plain)
             }
-            Halt => Ok((DOp::Halt, IssueClass::Plain)),
-            Sleep => Ok((DOp::Sleep, IssueClass::Plain)),
-            ModeSwitch => match inst.srcs.first() {
-                Some(Operand::Mode(m)) => Ok((DOp::ModeSwitch(*m), IssueClass::Plain)),
-                _ => Err("mode switch without mode".into()),
+            Halt => (DOp::Halt, IssueClass::Plain),
+            Sleep => (DOp::Sleep, IssueClass::Plain),
+            ModeSwitch => match inst.srcs[0] {
+                Operand::Mode(m) => (DOp::ModeSwitch(m), IssueClass::Plain),
+                other => unreachable!("{GRAMMAR}: {op} to {other:?}"),
             },
-            Call | Ret => Err(format!(
-                "core {}: {op} in machine code (inliner bug)",
-                self.core
-            )),
+            Call | Ret => unreachable!("{GRAMMAR}: {op} survives lowering"),
             Put => {
-                let (val, class) = self.operand(inst, 0)?;
-                match inst.srcs.get(1) {
-                    Some(Operand::Dir(d)) => {
-                        let dir = *d;
-                        Ok((DOp::Put { val, class, dir }, IssueClass::Put(dir)))
-                    }
-                    _ => Err("put without direction".into()),
-                }
+                let (val, class) = self.operand(inst, 0);
+                let dir = dir_operand(inst.srcs[1]);
+                (DOp::Put { val, class, dir }, IssueClass::Put(dir))
             }
-            Get => match inst.srcs.first() {
-                Some(Operand::Dir(d)) => {
-                    let (dst, class) = self.any_dst(inst)?;
-                    let dir = *d;
-                    Ok((DOp::Get { dst, class, dir }, IssueClass::Get(dir)))
-                }
-                _ => Err("get without direction".into()),
-            },
+            Get => {
+                let (dst, class) = self.dst(inst);
+                let dir = dir_operand(inst.srcs[0]);
+                (DOp::Get { dst, class, dir }, IssueClass::Get(dir))
+            }
             Bcast => {
-                let (val, class) = self.operand(inst, 0)?;
-                Ok((DOp::Bcast { val, class }, IssueClass::Bcast))
+                let (val, class) = self.operand(inst, 0);
+                (DOp::Bcast { val, class }, IssueClass::Bcast)
             }
             GetB => {
-                let (dst, class) = self.any_dst(inst)?;
-                Ok((DOp::GetB { dst, class }, IssueClass::GetB))
+                let (dst, class) = self.dst(inst);
+                (DOp::GetB { dst, class }, IssueClass::GetB)
             }
             Send => {
-                let (val, class) = self.operand(inst, 0)?;
-                let to = self.core_operand(inst, 1)?;
-                let tag = send_tag(inst);
+                let (val, class) = self.operand(inst, 0);
                 let send = DOp::Send {
                     val,
                     class,
-                    to,
-                    tag,
+                    to: inst.srcs[1].as_core().expect(GRAMMAR),
+                    tag: send_tag(inst),
                 };
-                Ok((send, IssueClass::SendLike))
+                (send, IssueClass::SendLike)
             }
             Recv => {
-                let from = self.core_operand(inst, 0)?;
+                let from = inst.srcs[0].as_core().expect(GRAMMAR);
                 let tag = recv_tag(inst);
-                let (dst, class) = self.any_dst(inst)?;
+                let (dst, class) = self.dst(inst);
                 let stall = if tag == TAG_JOIN {
                     StallReason::Sync
-                } else if class == Pred {
+                } else if class == RegClass::Pred {
                     StallReason::RecvPred
                 } else {
                     StallReason::RecvData
@@ -730,23 +615,19 @@ impl Lowering {
                     from,
                     tag,
                 };
-                Ok((recv, IssueClass::Recv { from, tag, stall }))
+                (recv, IssueClass::Recv { from, tag, stall })
             }
             Spawn => {
-                let to = self.core_operand(inst, 0)?;
-                let block = inst
-                    .srcs
-                    .get(1)
-                    .and_then(Operand::as_block)
-                    .ok_or_else(|| format!("core {}: spawn requires a block", self.core))?;
-                Ok((DOp::Spawn { to, block }, IssueClass::SendLike))
+                let to = inst.srcs[0].as_core().expect(GRAMMAR);
+                let block = inst.srcs[1].as_block().expect(GRAMMAR);
+                (DOp::Spawn { to, block }, IssueClass::SendLike)
             }
             Xbegin => {
-                let order = self.src(inst, 0, Gpr)?;
-                Ok((DOp::Xbegin { order }, IssueClass::Plain))
+                let order = self.src(inst, 0);
+                (DOp::Xbegin { order }, IssueClass::Plain)
             }
-            Xcommit => Ok((DOp::Xcommit, IssueClass::Xcommit)),
-            Xabort => Ok((DOp::Xabort, IssueClass::Plain)),
+            Xcommit => (DOp::Xcommit, IssueClass::Xcommit),
+            Xabort => (DOp::Xabort, IssueClass::Plain),
         }
     }
 }
@@ -784,6 +665,50 @@ mod tests {
         assert_eq!(target(2), BrTarget::Flat(3));
         assert_eq!(d.fetch_addr(2), CoreImage::base(1) + 8);
         assert_eq!((d.insts[2].block, d.insts[2].slot), (2, 0));
+    }
+
+    /// The instructions decode once turned into traps are refused at
+    /// seal, at their own slot, so decode never sees them.
+    #[test]
+    fn unexecutable_instructions_decode_to_traps_with_the_issue_time_message() {
+        use crate::{MachineConfig, MachineProgram, SealedImage, SimError, ValidateError};
+        let call = Operand::Func(voltron_ir::FuncId(0));
+        let calls = "survives lowering (calls must be inlined)";
+        for (op, srcs, want) in [
+            (Opcode::Call, vec![call], format!("call {calls}")),
+            (Opcode::Ret, vec![], format!("ret {calls}")),
+            (
+                Opcode::ModeSwitch,
+                vec![],
+                "mode expects 1 sources, found 0".into(),
+            ),
+            (
+                Opcode::Put,
+                vec![Reg::gpr(0).into()],
+                "put expects 2 sources, found 1".into(),
+            ),
+            (
+                Opcode::Jump,
+                vec![Operand::Imm(3)],
+                "jump target must be a block or btr".into(),
+            ),
+        ] {
+            let mut b = MBlock::new("b", 0);
+            b.insts = vec![Inst::new(op, srcs), Inst::new(Opcode::Halt, vec![])];
+            let (cores, data) = (vec![image(vec![b])], Default::default());
+            let p = MachineProgram {
+                name: "t".into(),
+                cores,
+                data,
+            };
+            match SealedImage::seal(p.into(), &MachineConfig::paper(1)) {
+                Err(SimError::Validate(ValidateError::Shape { site, message })) => {
+                    let at = (site.core, site.block, site.inst);
+                    assert_eq!((at, message), ((0, 0, 0), want));
+                }
+                other => panic!("{want}: expected a Shape refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -832,37 +757,6 @@ mod tests {
             DOp::Alu {
                 dst: 0,
                 f: AluOp::Copy { a: 7 }
-            }
-        );
-    }
-
-    #[test]
-    fn unexecutable_instructions_decode_to_traps_with_the_issue_time_message() {
-        let mut b = MBlock::new("b", 0);
-        b.insts.push(Inst::new(
-            Opcode::Call,
-            vec![Operand::Func(voltron_ir::FuncId(0))],
-        ));
-        b.insts.push(Inst::new(Opcode::Ret, vec![]));
-        b.insts.push(Inst::new(Opcode::ModeSwitch, vec![]));
-        b.insts
-            .push(Inst::new(Opcode::Put, vec![Reg::gpr(0).into()]));
-        b.insts.push(Inst::new(Opcode::Jump, vec![Operand::Imm(3)]));
-        let d = decode_core(2, &image(vec![b]));
-        let trap = |pc: usize| match d.insts[pc].op {
-            DOp::Trap(t) => d.traps[t as usize].as_str(),
-            other => panic!("not a trap: {other:?}"),
-        };
-        assert_eq!(trap(0), "core 2: call in machine code (inliner bug)");
-        assert_eq!(trap(1), "core 2: ret in machine code (inliner bug)");
-        assert_eq!(trap(2), "mode switch without mode");
-        assert_eq!(trap(3), "put without direction");
-        // A targetless branch only fails if taken.
-        assert_eq!(
-            d.insts[4].op,
-            DOp::Br {
-                pred: d.true_slot(),
-                target: BrTarget::Missing
             }
         );
     }

@@ -263,14 +263,9 @@ impl Machine {
                     core.pc = match target {
                         BrTarget::Flat(t) => t,
                         BrTarget::Btr(r) => image.entry(BlockId(core.regs[r as usize] as u32)),
-                        BrTarget::Missing => {
-                            return Err(SimError::Malformed(format!(
-                                "core {i}: branch without target"
-                            )))
-                        }
                     };
-                    // Landing past the image's end is the next tick's
-                    // error (`check_core`).
+                    // A BTR jump past the image's end is the next tick's
+                    // error (`check_core`); invariant 0 rules out the rest.
                     return Ok(());
                 }
             }
@@ -294,11 +289,6 @@ impl Machine {
                     mode: m,
                 });
                 return Ok(()); // pc advances when the barrier resolves
-            }
-            DOp::Trap(t) => {
-                return Err(SimError::Malformed(
-                    self.decoded.cores[i].traps[t as usize].clone(),
-                ))
             }
 
             // ---- memory ----

@@ -170,7 +170,7 @@ impl Machine {
         Machine::boot(&SealedImage::seal(Arc::new(program), cfg)?, cfg)
     }
 
-    /// [`Machine::new`] for an already-shared program, sealed (so checked,
+    /// [`Machine::new`] for an already-shared program, sealed (so
     /// validated and later decoded) again on every call. Kept only because
     /// `benchmark/README.md`'s API list names it: a caller that boots one
     /// image more than once seals it once and calls [`Machine::boot`].
@@ -231,9 +231,9 @@ impl Machine {
         self.running | self.at_switch | self.wait_bus
     }
 
-    /// [`Machine::reboot`] onto `program`, sealed (so checked, validated
-    /// and, at the next tick, decoded) again on every call: slower than
-    /// the pool's `reboot` onto an image sealed once. Kept only because
+    /// [`Machine::reboot`] onto `program`, sealed (so validated and, at
+    /// the next tick, decoded) again on every call: slower than the
+    /// pool's `reboot` onto an image sealed once. Kept only because
     /// `benchmark/README.md`'s API list names it.
     ///
     /// # Errors
@@ -448,10 +448,8 @@ impl Machine {
 
     /// Step core `i` to the next instruction in image order.
     fn advance_pc(&mut self, i: usize) -> Result<(), SimError> {
-        // Fallthrough beyond a block that ends unconditionally is a
-        // malformed image; `MachineProgram::check` prevented targets out
-        // of range, and blocks that end a region end with jump/halt/sleep
-        // which never reach here.
+        // Invariant 0 ends the last block in a terminator, so only a
+        // nullified one steps onto the sentinel.
         let core = &mut self.cores[i];
         core.pc += 1;
         if core.pc == self.decoded.cores[i].off_end() {

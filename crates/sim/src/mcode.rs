@@ -34,6 +34,14 @@ impl MBlock {
             region,
         }
     }
+
+    /// Whether control can run past the block's end: it is empty or ends
+    /// in neither a terminator nor `SLEEP` (the core idles until a spawn).
+    pub(crate) fn falls_through(&self) -> bool {
+        self.insts
+            .last()
+            .is_none_or(|i| !i.op.ends_block() && i.op != Opcode::Sleep)
+    }
 }
 
 /// The instruction image of one core.
@@ -102,8 +110,9 @@ pub struct MachineProgram {
 }
 
 impl MachineProgram {
-    /// Verify structural sanity of the machine code: branch targets in
-    /// range and block-terminating rules, per image.
+    /// Invariant 0 of [`MachineProgram::validate`] and its `CALL`/`RET`
+    /// rule on their own, per image. Kept only because the benchmark's
+    /// staged pipeline calls it; sealing runs `validate`.
     ///
     /// # Errors
     /// Returns a description of the first problem.
@@ -126,13 +135,7 @@ impl MachineProgram {
                         ));
                     }
                 }
-                // `SLEEP` also ends a block in machine code: the core
-                // idles and only re-enters at a spawned block.
-                let falls = match b.insts.last() {
-                    Some(i) => !i.op.ends_block() && i.op != Opcode::Sleep,
-                    None => true,
-                };
-                if falls && bi + 1 == img.blocks.len() {
+                if bi + 1 == img.blocks.len() && b.falls_through() {
                     return Err(format!(
                         "core {ci}: last block {bi} ({}) falls off the image",
                         b.name

@@ -1,6 +1,6 @@
-//! The sealed image: a [`MachineProgram`] checked and validated once for
-//! its core count, and decoded once for every machine booted on it
-//! (DESIGN.md §13.2).
+//! The sealed image: a [`MachineProgram`] validated once for its core
+//! count, and decoded once for every machine booted on it (DESIGN.md
+//! §13.2).
 
 use crate::config::MachineConfig;
 use crate::decode::DecodedProgram;
@@ -24,21 +24,20 @@ pub struct SealedImage {
 }
 
 impl SealedImage {
-    /// Check and validate `program` for a machine of `cfg.cores` cores.
+    /// Validate `program` for a machine of `cfg.cores` cores
+    /// ([`MachineProgram::validate`]), so that decoding it cannot fail.
     /// Only what comes from the image is checked here; the watchdogs are
     /// the boot config's, checked by [`crate::Machine::boot`].
     ///
     /// # Errors
     /// [`SimError::Malformed`] when the image count mismatches the
-    /// configuration or the machine code fails its structural check;
-    /// [`SimError::Validate`] when the images fail the static cross-core
-    /// consistency pass.
+    /// configuration; [`SimError::Validate`] when the images break an
+    /// invariant of the catalogue, their shape included.
     pub fn seal(
         program: Arc<MachineProgram>,
         cfg: &MachineConfig,
     ) -> Result<Arc<SealedImage>, SimError> {
         check_shape(&program, cfg)?;
-        program.check().map_err(SimError::Malformed)?;
         program.validate(cfg)?;
         let region_slots = program.cores[0]
             .blocks

@@ -1,22 +1,24 @@
 //! Static validation of lowered machine programs.
 //!
-//! A Voltron program is only correct if its per-core images agree with
-//! each other: every coupled-mode `GET` needs a `PUT` filling the same
-//! latch, `SEND`/`RECV` tag streams must have both endpoints, `SPAWN`
-//! must land on a real block of a real core, broadcasts must be drained
-//! by every participating core, and mode switches must be reachable on
-//! every core or the switch barrier never forms. A violation of any of
-//! these invariants used to surface only at runtime, as a generic
-//! deadlock dump deep into the cycle loop; this pass rejects such images
-//! when the image is sealed ([`crate::SealedImage::seal`]), with
-//! coordinates.
+//! A Voltron program is only correct if each per-core image is well
+//! formed and the images agree with each other: every coupled-mode `GET`
+//! needs a `PUT` filling the same latch, `SEND`/`RECV` tag streams must
+//! have both endpoints, `SPAWN` must land on a real block of a real core,
+//! broadcasts must be drained by every participating core, and mode
+//! switches must be reachable on every core or the switch barrier never
+//! forms. This pass rejects an image that breaks any of these when the
+//! image is sealed ([`crate::SealedImage::seal`]), with coordinates, so
+//! decoding and the cycle loop can trust it.
 //!
 //! The invariant catalogue (see DESIGN.md for the derivations):
 //!
+//! 0. **Image shape** — every static target (the block operand of `BR`,
+//!    `JUMP` or `PBR`) indexes its image, and an image's last block does
+//!    not fall off the end.
 //! 1. **Shape** — every instruction satisfies the per-opcode operand
-//!    grammar ([`voltron_ir::verify::check_mcode_inst`]), `XBEGIN`
-//!    orders are integers, and `SEND`/`RECV`/`SPAWN` core operands name
-//!    cores that exist.
+//!    grammar ([`voltron_ir::verify::check_mcode_inst`]: no `CALL` or
+//!    `RET`, `XBEGIN` orders are integers), and `SEND`/`RECV`/`SPAWN`
+//!    core operands name cores that exist.
 //! 2. **Mesh** — `PUT`/`GET` directions have a neighbor; a `PUT` off the
 //!    mesh faults and a `GET` off the mesh waits on a latch that can
 //!    never fill.
@@ -42,7 +44,7 @@ use crate::config::MachineConfig;
 use crate::mcode::{MachineProgram, RegionId};
 use std::fmt;
 use voltron_ir::verify::check_mcode_inst;
-use voltron_ir::{Dir, ExecMode, Inst, Opcode, Operand, RegClass};
+use voltron_ir::{Dir, ExecMode, Inst, Opcode, Operand};
 
 /// Location of an offending instruction: core, block (index and name),
 /// and issue slot within the block.
@@ -68,10 +70,11 @@ impl fmt::Display for Site {
     }
 }
 
-/// A static cross-core consistency violation, with coordinates.
+/// A static violation of the invariant catalogue, with coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValidateError {
-    /// An instruction violates the per-opcode operand grammar.
+    /// An instruction violates the per-opcode operand grammar or targets
+    /// a block its image does not have, or the last block falls off.
     Shape {
         /// Offending instruction.
         site: Site,
@@ -318,11 +321,11 @@ fn cores_of(present: &[(RegionId, u32)], r: RegionId) -> impl Iterator<Item = u3
 }
 
 impl MachineProgram {
-    /// Statically validate cross-core consistency of the program's
-    /// images under `cfg`'s mesh geometry (see the module docs for the
-    /// invariant catalogue). [`crate::SealedImage::seal`] runs this after the
-    /// structural [`MachineProgram::check`], so a validated program's
-    /// network and thread instructions can rely on these invariants.
+    /// Statically validate the program's images, each on its own and
+    /// against each other under `cfg`'s mesh geometry (see the module docs
+    /// for the invariant catalogue). [`crate::SealedImage::seal`] runs
+    /// this, so a sealed program's decoder, network and thread
+    /// instructions can rely on these invariants.
     ///
     /// One walk over the instructions, recording coordinates of the
     /// network, latch, broadcast and switch sites only; the cross-core
@@ -336,7 +339,8 @@ impl MachineProgram {
     /// Returns the first violation found, with core/block/instruction
     /// coordinates. *First* is a contract (DESIGN.md, "Static mcode
     /// validation"): per-instruction violations in walk order (core,
-    /// block, slot), then orphan `RECV` streams and orphan `SEND`
+    /// block, slot; a last block that falls off names the slot past its
+    /// end), then orphan `RECV` streams and orphan `SEND`
     /// streams by ascending `(from, to, tag)`, unbalanced latches by
     /// `(region, owner, dir)`, broadcasts by `(region, core)`, and
     /// switches by `(region, coupled first, core)`; a cross-core
@@ -393,20 +397,28 @@ impl MachineProgram {
                             cores: n,
                         })
                     };
-                    match inst.op {
-                        Opcode::Send => sends.push(Endpoint {
+                    match (inst.op, inst.srcs.first()) {
+                        // 0. A static target indexes the image.
+                        (Opcode::Br | Opcode::Jump | Opcode::Pbr, Some(Operand::Block(t)))
+                            if t.idx() >= img.blocks.len() =>
+                        {
+                            let message = format!("{} targets {t}, past the image's end", inst.op);
+                            let site = self.site(at());
+                            return Err(ValidateError::Shape { site, message });
+                        }
+                        (Opcode::Send, _) => sends.push(Endpoint {
                             from: c,
                             to: in_range(core_operand(inst.srcs[1]))?,
                             tag: send_tag(inst),
                             at: at(),
                         }),
-                        Opcode::Recv => recvs.push(Endpoint {
+                        (Opcode::Recv, _) => recvs.push(Endpoint {
                             from: in_range(core_operand(inst.srcs[0]))?,
                             to: c,
                             tag: recv_tag(inst),
                             at: at(),
                         }),
-                        Opcode::Spawn => {
+                        (Opcode::Spawn, _) => {
                             let to = core_operand(inst.srcs[0]);
                             in_range(to)?;
                             if to == core {
@@ -425,7 +437,7 @@ impl MachineProgram {
                                 });
                             }
                         }
-                        Opcode::Put | Opcode::Get => {
+                        (Opcode::Put | Opcode::Get, _) => {
                             let put = inst.op == Opcode::Put;
                             let d = dir_operand(inst.srcs[usize::from(put)]);
                             let Some(peer) = geo.neighbor(core, d) else {
@@ -444,30 +456,24 @@ impl MachineProgram {
                                 put,
                             });
                         }
-                        Opcode::Bcast => bcasts.push((b.region, at())),
-                        Opcode::GetB => getbs.push((b.region, c)),
-                        Opcode::ModeSwitch => {
+                        (Opcode::Bcast, _) => bcasts.push((b.region, at())),
+                        (Opcode::GetB, _) => getbs.push((b.region, c)),
+                        (Opcode::ModeSwitch, _) => {
                             let coupled = matches!(inst.srcs[0], Operand::Mode(ExecMode::Coupled));
                             switches.push((b.region, !coupled, at()));
                         }
-                        Opcode::Xbegin => {
-                            let ok = matches!(
-                                inst.srcs[0],
-                                Operand::Imm(_)
-                                    | Operand::Reg(voltron_ir::Reg {
-                                        class: RegClass::Gpr,
-                                        ..
-                                    })
-                            );
-                            if !ok {
-                                return Err(ValidateError::Shape {
-                                    site: self.site(at()),
-                                    message: "xbegin order must be an integer (imm or gpr)".into(),
-                                });
-                            }
-                        }
                         _ => {}
                     }
+                }
+                if bi + 1 == img.blocks.len() && b.falls_through() {
+                    return Err(ValidateError::Shape {
+                        site: self.site(At {
+                            core: c,
+                            block: coord(bi),
+                            inst: coord(b.insts.len()),
+                        }),
+                        message: "the image's last block falls off its end".into(),
+                    });
                 }
             }
         }
@@ -588,7 +594,7 @@ fn core_operand(op: Operand) -> usize {
 }
 
 /// A shape-checked direction operand.
-fn dir_operand(op: Operand) -> Dir {
+pub(crate) fn dir_operand(op: Operand) -> Dir {
     match op {
         Operand::Dir(d) => d,
         _ => unreachable!("dir operand was shape-checked"),

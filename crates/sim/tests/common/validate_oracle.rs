@@ -129,6 +129,20 @@ pub fn validate_oracle(p: &MachineProgram, cfg: &MachineConfig) -> Result<(), Va
                     _ => {}
                 }
             }
+            // 0. The last block ends in HALT, JUMP or SLEEP.
+            let last = b.insts.last().map(|i| i.op);
+            let ends = matches!(last, Some(Opcode::Halt | Opcode::Jump | Opcode::Sleep));
+            if bi + 1 == img.blocks.len() && !ends {
+                return Err(ValidateError::Shape {
+                    site: Site {
+                        core,
+                        block: bi,
+                        block_name: b.name.clone(),
+                        inst: b.insts.len(),
+                    },
+                    message: "the image's last block falls off its end".into(),
+                });
+            }
         }
     }
 
@@ -227,8 +241,8 @@ pub fn validate_oracle(p: &MachineProgram, cfg: &MachineConfig) -> Result<(), Va
     Ok(())
 }
 
-/// Per-instruction checks beyond the shared opcode grammar: core
-/// ranges, mesh directions, spawn targets, XBEGIN order class.
+/// Per-instruction checks beyond the shared opcode grammar: static
+/// targets, core ranges, mesh directions, spawn targets, XBEGIN order class.
 fn check_one(
     p: &MachineProgram,
     inst: &Inst,
@@ -248,6 +262,14 @@ fn check_one(
         Ok(())
     };
     match inst.op {
+        // 0. Static targets index the image.
+        Opcode::Br | Opcode::Jump | Opcode::Pbr => {
+            let blocks = p.cores[core].blocks.len();
+            if let Some(t) = inst.static_target().filter(|t| t.idx() >= blocks) {
+                let message = format!("{} targets {t}, past the image's end", inst.op);
+                return Err(ValidateError::Shape { site, message });
+            }
+        }
         Opcode::Send => in_range(core_operand(inst.srcs[1]))?,
         Opcode::Recv => in_range(core_operand(inst.srcs[0]))?,
         Opcode::Spawn => {

@@ -13,12 +13,13 @@
 //!    register has its own slot below the constant pool;
 //! 4. the fetch address is `CoreImage::inst_addr`.
 
-use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use proptest::Strategy as _;
 use std::collections::{HashMap, HashSet};
 use voltron_compiler::{compile, CompileOptions, Strategy};
 use voltron_ir::BlockId;
 use voltron_sim::decode::{BrTarget, DOp, DecodedProgram};
-use voltron_sim::{CoreImage, MBlock, MachineConfig, MachineProgram};
+use voltron_sim::{CoreImage, MBlock, MachineConfig, MachineProgram, ValidateError};
 use voltron_workloads::{by_name, Scale};
 
 use crate::common::fuzz;
@@ -133,30 +134,47 @@ fn golden_matrix_images_satisfy_the_decode_invariants() {
     assert!(images > 44, "the grid covers the golden matrices");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 128, ..ProptestConfig::default()
-    })]
+/// Whether decode may run on `p`: it validates, or fails only a
+/// cross-core invariant (4–7), which the walk checks after every
+/// instruction passed invariants 0–3.
+fn decodable(p: &MachineProgram, cfg: &MachineConfig) -> bool {
+    use ValidateError::*;
+    matches!(
+        p.validate(cfg),
+        Ok(())
+            | Err(OrphanRecv { .. }
+                | OrphanSend { .. }
+                | LatchImbalance { .. }
+                | BcastImbalance { .. }
+                | SwitchMissing { .. })
+    )
+}
 
-    /// Random two-core programs — branches into any block, operands that
-    /// straddle the valid space, empty blocks spliced in front of, between
-    /// and behind the real ones — decode without panicking and satisfy the
-    /// same invariants.
-    #[test]
-    fn random_images_satisfy_the_decode_invariants(
-        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
-        spin_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-        empties in 0..8usize,
-    ) {
-        let (mut p, _) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
+/// Random two-core programs — branches into any block, operands that
+/// straddle the valid space, empty blocks spliced in front of and between
+/// the real ones — satisfy the same invariants whenever decode may run on
+/// them. Most random images break invariant 0 or 1, so the case count is
+/// what it takes for at least 100 of them to decode.
+#[test]
+fn random_images_satisfy_the_decode_invariants() {
+    let mut rng = TestRng::deterministic("decode::random_images_satisfy_the_decode_invariants");
+    let ops = |n| proptest::collection::vec(fuzz::fuzz_op(), 0..n);
+    let mut decoded = 0;
+    for _ in 0..2_000 {
+        let (main, spin, worker) = (ops(12), ops(8), ops(8)).sample(&mut rng);
+        let empties = (0..4usize).sample(&mut rng);
+        let (mut p, cfg) = fuzz::two_core_case(&main, &spin, &worker);
         for image in &mut p.cores {
-            for at in [2, 1, 0] {
+            for at in [1, 0] {
                 if empties & (1 << at) != 0 {
                     image.blocks.insert(at, MBlock::new("empty", 9));
                 }
             }
         }
-        assert_decode_invariants(&p);
+        if decodable(&p, &cfg) {
+            assert_decode_invariants(&p);
+            decoded += 1;
+        }
     }
+    assert!(decoded >= 100, "only {decoded} random images decoded");
 }

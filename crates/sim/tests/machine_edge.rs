@@ -218,8 +218,11 @@ fn residual_call_is_rejected() {
     b.insts.push(Inst::new(Opcode::Halt, vec![]));
     let p = program(vec![vec![b]], data);
     match Machine::new(p, &MachineConfig::paper(1)) {
-        Err(SimError::Malformed(m)) => assert!(m.contains("call"), "{m}"),
-        other => panic!("expected malformed, got {other:?}"),
+        Err(SimError::Validate(ValidateError::Shape { site, message })) => {
+            assert_eq!((site.core, site.block, site.inst), (0, 0, 0));
+            assert_eq!(message, "call survives lowering (calls must be inlined)");
+        }
+        other => panic!("expected a shape refusal, got {other:?}"),
     }
 }
 
@@ -426,9 +429,9 @@ fn expect_off_end(p: MachineProgram, cores: usize, core: usize) {
     }
 }
 
-/// `MachineProgram::check` refuses an image whose last block is empty or
-/// falls through, so the one way to *fall* off the end is a nullified
-/// terminator in the last slot.
+/// Sealing refuses an image whose last block is empty or falls through,
+/// so the one way to *fall* off the end is a nullified terminator in the
+/// last slot.
 #[test]
 fn nullified_final_terminator_runs_off_the_end() {
     let mut data = DataSegment::default();
@@ -945,6 +948,30 @@ fn spawn_send_recv_roundtrip() {
     assert_eq!(out_run.stats.spawns, 1);
     assert!(out_run.stats.cores[0].stalls_for(StallReason::RecvData) > 0);
     assert!(out_run.stragglers.is_empty());
+}
+
+/// Streams are matched by existence, not by register class, so a `SEND`
+/// of a GPR received into an FPR passes validation and fails at issue.
+#[test]
+fn a_network_value_of_the_wrong_class_fails_at_issue() {
+    let spawn = Inst::new(
+        Opcode::Spawn,
+        vec![Operand::Core(1), Operand::Block(BlockId(1))],
+    );
+    let recv = Inst::with_dst(Opcode::Recv, Reg::fpr(0), vec![Operand::Core(1)]);
+    let send = Inst::new(Opcode::Send, vec![gpr(0).into(), Operand::Core(0)]);
+    let mut c0 = MBlock::new("main", 0);
+    c0.insts = vec![spawn, recv, halt()];
+    let mut c1 = MBlock::new("worker", 0);
+    c1.insts = vec![ldi(0, 5), send, Inst::new(Opcode::Sleep, vec![])];
+    let data = DataSegment::default();
+    let p = program(vec![vec![c0], vec![sleep_stub(), c1]], data);
+    match Machine::new(p, &MachineConfig::paper(2)).unwrap().run() {
+        Err(SimError::Malformed(m)) => {
+            assert_eq!(m, "core 0: network value Int(5) written to f0 of class fpr");
+        }
+        other => panic!("expected a class mismatch at issue, got {other:?}"),
+    }
 }
 
 /// Coupled mode: two cores switch to lock-step, exchange a value over

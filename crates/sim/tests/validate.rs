@@ -421,10 +421,10 @@ proptest! {
 
     /// Random small two-core programs — most of them garbage — must be
     /// either rejected with a typed error or simulated to a typed
-    /// outcome. Nothing in `SealedImage::seal`, `Machine::boot`, or the
-    /// cycle loop (including the deadlock/livelock forensics most of these
-    /// programs will hit) may panic, and sealing fails closed with exactly
-    /// the error `check` and then `validate` report.
+    /// outcome. Nothing in `SealedImage::seal`, `Machine::boot`, decode or
+    /// the cycle loop (including the deadlock/livelock forensics most of
+    /// these programs will hit) may panic, and sealing fails closed with
+    /// exactly the error `validate` reports.
     #[test]
     fn random_programs_never_panic(
         main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
@@ -432,7 +432,7 @@ proptest! {
         worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
     ) {
         let (p, cfg) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
-        let want = p.check().map_err(SimError::Malformed).and_then(|()| Ok(p.validate(&cfg)?));
+        let want = p.validate(&cfg).map_err(SimError::Validate);
         let sealed = SealedImage::seal(Arc::new(p), &cfg);
         assert_eq!(format!("{:?}", sealed.as_ref().map(drop)), format!("{want:?}"));
         // Both arms are typed; reaching either (or a clean run) is a
@@ -570,8 +570,9 @@ fn named_site(e: &ValidateError) -> &voltron_sim::Site {
 }
 
 /// `validate()` and the oracle agree on `p` — and on what is left of it
-/// after deleting the instruction the rejection names, and so on until
-/// it validates. Returns the rejections in the order they surfaced.
+/// after deleting the instruction the rejection names (or ending a block
+/// that falls off with `HALT`), and so on until it validates. Returns the
+/// rejections in the order they surfaced.
 fn same_as_oracle_until_clean(mut p: MachineProgram, cfg: &MachineConfig) -> Vec<ValidateError> {
     let mut seen = Vec::new();
     loop {
@@ -579,7 +580,12 @@ fn same_as_oracle_until_clean(mut p: MachineProgram, cfg: &MachineConfig) -> Vec
         assert_eq!(got, validate_oracle(&p, cfg), "after {seen:?}");
         let Err(e) = got else { return seen };
         let at = named_site(&e);
-        p.cores[at.core].blocks[at.block].insts.remove(at.inst);
+        let insts = &mut p.cores[at.core].blocks[at.block].insts;
+        if at.inst < insts.len() {
+            insts.remove(at.inst);
+        } else {
+            insts.push(Inst::new(Opcode::Halt, vec![]));
+        }
         seen.push(e);
     }
 }
@@ -643,10 +649,7 @@ fn rewrite(p: &mut MachineProgram, core: usize, op: Opcode, f: impl FnOnce(&mut 
 /// One seeded corruption per rejection the walk can produce.
 type Corruption = (&'static str, fn(&mut MachineProgram));
 
-const CORRUPTIONS: [Corruption; 14] = [
-    ("shape", |p| {
-        rewrite(p, 0, Opcode::Recv, |i| i.srcs[0] = Operand::Imm(1));
-    }),
+const CORRUPTIONS: [Corruption; 23] = [
     ("core out of range", |p| {
         let off = p.cores.len() as u8;
         rewrite(p, 1, Opcode::Send, |i| i.srcs[1] = Operand::Core(off));
@@ -705,7 +708,85 @@ const CORRUPTIONS: [Corruption; 14] = [
     ("switch one core cannot reach", |p| {
         delete(p, 1, Opcode::ModeSwitch);
     }),
+    // Shapes (invariants 0 and 1), among them all decode could not lower,
+    // each at the site `shape_rows_name_their_site` expects.
+    ("shape", |p| {
+        rewrite(p, 0, Opcode::Recv, |i| i.srcs[0] = Operand::Imm(1));
+    }),
+    ("static target out of range on core 1", |p| {
+        let past = BlockId(p.cores[1].blocks.len() as u32);
+        let jump = Inst::new(Opcode::Jump, vec![Operand::Block(past)]);
+        p.cores[1].blocks[1].insts.insert(0, jump);
+    }),
+    ("empty last block", |p| {
+        let last = p.cores.last_mut().expect("cores");
+        last.blocks.push(MBlock::new("empty", 1));
+    }),
+    ("fall-through last block", |p| {
+        p.cores[0].blocks.last_mut().expect("blocks").insts.pop();
+    }),
+    ("residual call", |p| {
+        let call = Inst::new(Opcode::Call, vec![Operand::Func(voltron_ir::FuncId(0))]);
+        p.cores[0].blocks[0].insts.insert(0, call);
+    }),
+    ("residual ret", |p| {
+        let ret = Inst::new(Opcode::Ret, vec![]);
+        p.cores[1].blocks[1].insts.insert(1, ret);
+    }),
+    ("mode switch without a mode", |p| {
+        rewrite(p, 0, Opcode::ModeSwitch, |i| i.srcs.clear());
+    }),
+    ("put without a direction", |p| {
+        rewrite(p, 0, Opcode::Put, |i| i.srcs[1] = Operand::Imm(0));
+    }),
+    ("branch to an immediate", |p| {
+        rewrite(p, 0, Opcode::Br, |i| i.srcs[0] = Operand::Imm(3));
+    }),
+    ("put of a core operand", |p| {
+        rewrite(p, 0, Opcode::Put, |i| i.srcs[0] = Operand::Core(0));
+    }),
 ];
+
+/// The shape rows of [`CORRUPTIONS`] are refused as `Shape` at the
+/// instruction they corrupt, or at the slot past a last block that falls
+/// off.
+#[test]
+fn shape_rows_name_their_site() {
+    for cores in [2usize, 16, 64] {
+        let cfg = MachineConfig::scaled(cores);
+        let base = every_mechanism(cores);
+        let master = |op| {
+            let (b, i) = find(&base, 0, op).expect("the master holds one");
+            (0, b, i)
+        };
+        let falls_off = "the image's last block falls off its end";
+        let (switch, put) = (master(Opcode::ModeSwitch), master(Opcode::Put));
+        let sites = [
+            (master(Opcode::Recv), "recv requires a core operand"),
+            ((1, 1, 0), "jump targets bb2, past the image's end"),
+            ((cores - 1, 2, 0), falls_off),
+            ((0, 3, 2), falls_off),
+            ((0, 0, 0), "call survives lowering (calls must be inlined)"),
+            ((1, 1, 1), "ret survives lowering (calls must be inlined)"),
+            (switch, "mode expects 1 sources, found 0"),
+            (put, "put requires a direction"),
+            (master(Opcode::Br), "br target must be a block or btr"),
+            (put, "put value must be a register or immediate"),
+        ];
+        let rows = &CORRUPTIONS[CORRUPTIONS.len() - sites.len()..];
+        for ((name, corrupt), want) in rows.iter().zip(sites) {
+            let mut p = base.clone();
+            corrupt(&mut p);
+            match reject_on(p, &cfg) {
+                ValidateError::Shape { site, message } => {
+                    let got = ((site.core, site.block, site.inst), message.as_str());
+                    assert_eq!(got, want, "{cores}: {name}");
+                }
+                other => panic!("{cores}: {name}: expected Shape, got {other:?}"),
+            }
+        }
+    }
+}
 
 #[test]
 fn seeded_corruptions_match_the_oracle_on_2_16_and_64_core_meshes() {

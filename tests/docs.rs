@@ -13,8 +13,9 @@
 //! belongs to the benchmark package, which a product PR may not edit.
 //!
 //! CHANGES.md gets a size rule instead (ROADMAP 3(e)): an entry numbered
-//! 24 or later is a headline, at most 15 lines, and its benchmark table;
-//! the mechanism belongs in DESIGN.md, once.
+//! 24 or later is a headline, at most 15 lines, and its benchmark table,
+//! which from PR 36 on holds at most 4 data rows; the mechanism belongs in
+//! DESIGN.md, once.
 
 use std::path::{Path, PathBuf};
 
@@ -190,18 +191,28 @@ fn entry_number(line: &str) -> Option<u32> {
 
 /// Entries that exceed [`MAX_ENTRY_LINES`] lines of at most
 /// [`MAX_LINE_BYTES`] bytes outside their table, among those numbered
-/// `from` or later.
+/// `from` or later, or (from PR 36 on) [`MAX_ROWS`] data rows: table
+/// lines below a table's header and `|---|` rule.
 fn oversized_entries(changes: &str, from: u32) -> Vec<String> {
     const MAX_ENTRY_LINES: usize = 15;
     const MAX_LINE_BYTES: usize = 400;
+    const MAX_ROWS: usize = 4;
+    const TABLE_RULE_FROM: u32 = 36;
     let mut broken = Vec::new();
-    let (mut number, mut lines) = (0, 0);
+    let (mut number, mut lines, mut rows, mut table_lines) = (0, 0, 0, 0);
     for line in changes.lines() {
         if let Some(n) = entry_number(line) {
-            (number, lines) = (n, 0);
+            (number, lines, rows) = (n, 0, 0);
         }
-        let prose = !line.trim().is_empty() && !line.trim_start().starts_with('|');
-        if number < from || !prose {
+        let row = line.trim_start().starts_with('|');
+        table_lines = if row { table_lines + 1 } else { 0 };
+        if row && table_lines > 2 && number >= from.max(TABLE_RULE_FROM) {
+            rows += 1;
+            if rows == MAX_ROWS + 1 {
+                broken.push(format!("PR {number}: more than {MAX_ROWS} table rows"));
+            }
+        }
+        if number < from || row || line.trim().is_empty() {
             continue;
         }
         lines += 1;
@@ -225,6 +236,13 @@ fn changes_entries_from_pr_24_on_are_a_headline_fifteen_lines_and_a_table() {
     assert!(!oversized_entries(&changes, 15).is_empty());
     let long = format!("- **PR 30 (x): y.**\n{}| a | b |\n", "  line\n".repeat(15));
     assert_eq!(oversized_entries(&long, 24), ["PR 30: more than 15 lines"]);
+    let table = |n, rows| format!("- **PR {n}: y.**\n| a |\n|---|\n{}", "| 1 |\n".repeat(rows));
+    assert_eq!(
+        oversized_entries(&table(36, 5), 24),
+        ["PR 36: more than 4 table rows"]
+    );
+    assert!(oversized_entries(&table(36, 4), 24).is_empty());
+    assert!(oversized_entries(&table(35, 5), 24).is_empty());
     assert_eq!(entry_number("- **PR 24 (simplicity): one**"), Some(24));
     assert_eq!(entry_number("  | fig_sweep | pass_s |"), None);
 }
