@@ -16,12 +16,13 @@
 //!   `RunSpec` taken through `ProgramCache::run`, so served == direct is
 //!   shared code and shared rules. The engine adds program lookup, the
 //!   request counters and the translation to and from the wire.
-//! * **A work-stealing scheduler** ([`Server`]): requests land in bounded
-//!   per-worker queues; idle workers steal from the back of busy ones. A
-//!   worker runs its request's simulations — a what-if's five included —
-//!   on its own thread. Each request runs under `catch_unwind`, so one
-//!   poisoned request becomes a typed error row (its machine dropped with
-//!   the unwound frame, never re-pooled) while the daemon keeps serving.
+//! * **One bounded FIFO** ([`Server`]): requests wait in one queue that
+//!   every worker pops from, oldest first; a submitter blocks while it is
+//!   full. A worker runs its request's simulations — a what-if's five
+//!   included — on its own thread. Each request runs under
+//!   `catch_unwind`, so one poisoned request becomes a typed error row
+//!   (its machine dropped with the unwound frame, never re-pooled) while
+//!   the daemon keeps serving.
 //!
 //! The wire protocol is line-delimited JSON over TCP or stdin (see
 //! [`parse_request`] / [`Response::to_json`]); a run row is an envelope
@@ -31,10 +32,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use voltron_core::report::{
     cache_json, parse, probe_summary_json, schema, whatif_json, Json, RunRecord,
@@ -505,7 +506,7 @@ impl Engine {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing server
+// Server
 // ---------------------------------------------------------------------------
 
 /// Server sizing knobs.
@@ -513,8 +514,9 @@ impl Engine {
 pub struct ServerConfig {
     /// Worker threads (default: host parallelism).
     pub workers: usize,
-    /// Bounded depth of each worker's queue; submitters block when every
-    /// queue is full, which is the backpressure a TCP client feels.
+    /// Queued jobs per worker: the one FIFO holds `workers × queue_depth`,
+    /// and submitters block while it is full, which is the backpressure a
+    /// TCP client feels.
     pub queue_depth: usize,
     /// Machines kept per (cores, backend) free-list.
     pub pool_cap: usize,
@@ -544,24 +546,20 @@ struct Job {
     submitted: Instant,
 }
 
-struct Queue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-}
-
 struct Shared {
     engine: Engine,
-    queues: Vec<Queue>,
-    /// Submitters park here when every queue is at capacity; workers
-    /// signal after each pop.
+    /// The one bounded FIFO every worker pops from.
+    jobs: Mutex<VecDeque<Job>>,
+    /// Signalled on each push; workers wait here while `jobs` is empty.
+    ready: Condvar,
+    /// Signalled on each pop; submitters wait here while `jobs` is full.
     space: Condvar,
-    space_lock: Mutex<()>,
-    cursor: AtomicUsize,
+    capacity: usize,
+    /// Written only under the `jobs` lock, so no waiter misses it.
     stop: AtomicBool,
-    queue_depth: usize,
 }
 
-/// The daemon: an [`Engine`] behind a pool of work-stealing workers.
+/// The daemon: an [`Engine`] behind a pool of workers sharing one FIFO.
 /// In-process callers use [`Server::call`]; the TCP/stdin front ends use
 /// [`serve_connection`].
 pub struct Server {
@@ -575,24 +573,18 @@ impl Server {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             engine: Engine::new(cfg.pool_cap),
-            queues: (0..workers)
-                .map(|_| Queue {
-                    jobs: Mutex::new(VecDeque::new()),
-                    ready: Condvar::new(),
-                })
-                .collect(),
+            jobs: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
             space: Condvar::new(),
-            space_lock: Mutex::new(()),
-            cursor: AtomicUsize::new(0),
+            capacity: workers * cfg.queue_depth.max(1),
             stop: AtomicBool::new(false),
-            queue_depth: cfg.queue_depth.max(1),
         });
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
@@ -607,9 +599,10 @@ impl Server {
         &self.shared.engine
     }
 
-    /// Enqueue a request; the response lands on `reply`. Blocks while
-    /// every worker queue is full (bounded-queue backpressure). Submitting
-    /// after [`Server::shutdown`] sends an immediate typed error instead.
+    /// Enqueue a request; the response lands on `reply`. Blocks while the
+    /// queue is full (bounded-queue backpressure). A submit that finds the
+    /// server stopped by [`Server::shutdown`], or is still blocked when it
+    /// is called, sends an immediate typed error instead.
     pub fn submit(&self, req: Request, reply: Sender<Response>) {
         self.enqueue(Op::Run(req), reply);
     }
@@ -621,48 +614,29 @@ impl Server {
 
     fn enqueue(&self, op: Op, reply: Sender<Response>) {
         let shared = &self.shared;
-        let refuse = |op: &Op, reply: &Sender<Response>| {
-            let (id, workload) = match op {
+        let stopped = || shared.stop.load(Ordering::Acquire);
+        let jobs = shared.jobs.lock().expect("queue lock");
+        let mut jobs = shared
+            .space
+            .wait_while(jobs, |jobs| !stopped() && jobs.len() >= shared.capacity)
+            .expect("queue lock");
+        if stopped() {
+            drop(jobs);
+            let (id, workload) = match &op {
                 Op::Run(r) => (r.id, r.workload.as_str()),
                 Op::Stats { id } => (*id, ""),
             };
-            let _ = reply.send(Response::bad_request(
-                id,
-                workload,
-                "server is shutting down".into(),
-            ));
-        };
-        if shared.stop.load(Ordering::Acquire) {
-            return refuse(&op, &reply);
+            let message = "server is shutting down".into();
+            let _ = reply.send(Response::bad_request(id, workload, message));
+            return;
         }
-        let job = Job {
+        jobs.push_back(Job {
             op,
             reply,
             submitted: Instant::now(),
-        };
-        loop {
-            let n = shared.queues.len();
-            let start = shared.cursor.fetch_add(1, Ordering::Relaxed) % n;
-            for off in 0..n {
-                let q = &shared.queues[(start + off) % n];
-                let mut jobs = q.jobs.lock().expect("queue lock");
-                if jobs.len() < shared.queue_depth {
-                    jobs.push_back(job);
-                    drop(jobs);
-                    q.ready.notify_one();
-                    return;
-                }
-            }
-            // Every queue is full: wait for a worker to pop, then retry.
-            let guard = shared.space_lock.lock().expect("space lock");
-            let _unused = shared
-                .space
-                .wait_timeout(guard, Duration::from_millis(5))
-                .expect("space wait");
-            if shared.stop.load(Ordering::Acquire) {
-                return refuse(&job.op, &job.reply);
-            }
-        }
+        });
+        drop(jobs);
+        shared.ready.notify_one();
     }
 
     /// Synchronous round-trip: submit and wait for the response. This is
@@ -675,11 +649,13 @@ impl Server {
 
     /// Stop accepting work, finish queued jobs, and join the workers.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        for q in &self.shared.queues {
-            q.ready.notify_all();
+        let shared = &self.shared;
+        {
+            let _jobs = shared.jobs.lock().expect("queue lock");
+            shared.stop.store(true, Ordering::Release);
         }
-        self.shared.space.notify_all();
+        shared.ready.notify_all();
+        shared.space.notify_all();
         let mut handles = self.handles.lock().expect("handles lock");
         for h in handles.drain(..) {
             let _ = h.join();
@@ -693,54 +669,23 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
+/// Pop jobs oldest-first until the queue is empty and the server stopped.
+fn worker_loop(shared: &Shared) {
     loop {
-        if let Some(job) = pop_job(shared, me) {
-            shared.space.notify_one();
-            run_job(shared, job);
-            continue;
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        // Park briefly on the own-queue condvar; the timeout bounds how
-        // stale a steal opportunity can get without routing wakeups.
-        let q = &shared.queues[me];
-        let jobs = q.jobs.lock().expect("queue lock");
-        if jobs.is_empty() {
-            let _ = q
-                .ready
-                .wait_timeout(jobs, Duration::from_millis(1))
-                .expect("queue wait");
-        }
+        let mut jobs = shared.jobs.lock().expect("queue lock");
+        let job = loop {
+            if let Some(job) = jobs.pop_front() {
+                break job;
+            }
+            if shared.stop.load(Ordering::Acquire) {
+                return;
+            }
+            jobs = shared.ready.wait(jobs).expect("queue lock");
+        };
+        drop(jobs);
+        shared.space.notify_one();
+        run_job(shared, job);
     }
-}
-
-/// Pop from the worker's own queue front, else steal from the *back* of
-/// another's (oldest-first for the owner, newest-first for thieves, the
-/// classic locality split).
-fn pop_job(shared: &Shared, me: usize) -> Option<Job> {
-    if let Some(j) = shared.queues[me]
-        .jobs
-        .lock()
-        .expect("queue lock")
-        .pop_front()
-    {
-        return Some(j);
-    }
-    let n = shared.queues.len();
-    for off in 1..n {
-        let victim = (me + off) % n;
-        if let Some(j) = shared.queues[victim]
-            .jobs
-            .lock()
-            .expect("queue lock")
-            .pop_back()
-        {
-            return Some(j);
-        }
-    }
-    None
 }
 
 fn run_job(shared: &Shared, job: Job) {

@@ -889,3 +889,129 @@ fn post_shutdown_submit_gets_typed_error() {
         ),
     }
 }
+
+/// `shutdown` stops intake but finishes what is queued: a full queue of
+/// requests submitted just before it is called is served, none refused.
+#[test]
+fn shutdown_finishes_every_queued_request() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 8,
+        pool_cap: 1,
+    });
+    let strategies = [
+        Strategy::Ilp,
+        Strategy::FineGrainTlp,
+        Strategy::Llp,
+        Strategy::Hybrid,
+    ];
+    // Eight distinct configurations: every parallel strategy at 2 and 4 cores.
+    let configs = strategies.into_iter().flat_map(|s| [(s, 2), (s, 4)]);
+    let (tx, rx) = channel();
+    for ((strategy, cores), id) in configs.zip(1..) {
+        let req = Request {
+            id,
+            ..Request::new("rawcaudio", strategy, cores)
+        };
+        server.submit(req, tx.clone());
+    }
+    drop(tx);
+    server.shutdown();
+    // The workers are joined, so every row is already on the channel; an
+    // error row, a "shutting down" refusal included, fails `unwrap_run`.
+    let mut ids: Vec<u64> = rx
+        .try_iter()
+        .map(|row| {
+            let id = row.id();
+            unwrap_run(row);
+            id
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (1..=8).collect::<Vec<_>>(), "one ok row per request");
+}
+
+/// A submitter blocked on a full queue is answered when the server shuts
+/// down: one full-scale request runs, one waits in the queue, a third
+/// blocks in `submit`. Each of the three gets exactly one row — served, or the
+/// typed refusal — and no reply channel is dropped unanswered.
+#[test]
+fn a_submitter_blocked_on_a_full_queue_is_answered_at_shutdown() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        pool_cap: 1,
+    });
+    let slow = Request {
+        id: 1,
+        scale: Scale::Full,
+        ..Request::new("rawcaudio", Strategy::Hybrid, 4)
+    };
+    let queued = Request {
+        id: 2,
+        ..Request::new("rawcaudio", Strategy::Serial, 1)
+    };
+    let blocked = Request {
+        id: 3,
+        ..Request::new("rawcaudio", Strategy::Hybrid, 2)
+    };
+    let (slow_tx, slow_rx) = channel();
+    let (queued_tx, queued_rx) = channel();
+    let (blocked_tx, blocked_rx) = channel();
+    std::thread::scope(|scope| {
+        let server = &server;
+        server.submit(slow, slow_tx);
+        server.submit(queued, queued_tx);
+        scope.spawn(move || server.submit(blocked, blocked_tx));
+        // Give the third submit time to block behind the queued one.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        server.shutdown();
+    });
+    // The workers and the blocked submitter are joined: a row that is not
+    // on its channel now never comes.
+    for (id, rx) in (1..).zip([slow_rx, queued_rx, blocked_rx]) {
+        let row = rx.try_recv().expect("every submit is answered");
+        assert_eq!(row.id(), id);
+        if let Response::Run { result: Err(e), .. } = &row {
+            let why = format!("request {id}: {}: {}", e.kind(), e.message());
+            assert!(e.message().contains("shutting down"), "{why}");
+            assert_eq!(id, 3, "only the blocked submit may be refused: {why}");
+        }
+        assert!(rx.try_recv().is_err(), "request {id}: one row only");
+    }
+}
+
+/// One worker pops the one queue oldest-first, so a connection's rows
+/// come back in submission order even when a later request (a result-cache
+/// hit) is faster than an earlier one.
+#[test]
+fn one_worker_answers_in_submission_order() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 2,
+        pool_cap: 1,
+    });
+    let input: String = [
+        r#"{"id": 1, "workload": "rawcaudio", "cores": 4, "whatif": true}"#,
+        r#"{"id": 2, "workload": "rawcaudio", "cores": 4}"#,
+        r#"{"id": 3, "workload": "rawcaudio", "strategy": "llp", "cores": 2, "fresh": true}"#,
+        r#"{"id": 4, "workload": "rawcaudio", "cores": 4}"#,
+        r#"{"id": 5, "stats": true}"#,
+        r#"{"id": 6, "workload": "epic", "strategy": "serial", "cores": 1}"#,
+    ]
+    .map(|line| format!("{line}\n"))
+    .concat();
+    let mut out = Vec::new();
+    serve_connection(&server, Cursor::new(input.as_bytes()), &mut out);
+    server.shutdown();
+    let text = String::from_utf8(out).expect("utf8 output");
+    let ids: Vec<f64> = text
+        .lines()
+        .map(|l| {
+            let row = parse(l).expect("every response row parses");
+            assert_eq!(row.get("ok").and_then(Json::as_num), Some(1.0), "{l}");
+            row.get("id").and_then(Json::as_num).expect("id")
+        })
+        .collect();
+    assert_eq!(ids, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "{text}");
+}

@@ -13,7 +13,6 @@
 
 use crate::fault::FaultSite;
 use crate::stats::StallReason;
-use std::fmt::Write as _;
 use voltron_ir::{ExecMode, Inst};
 
 /// One trace event.
@@ -175,8 +174,8 @@ pub enum TraceEvent<'a> {
 }
 
 /// Receiver of trace events. `Send` so a machine carrying a tracer can
-/// live in the serve daemon's cross-thread machine pool (both provided
-/// tracers are plain data).
+/// live in the serve daemon's cross-thread machine pool (the provided
+/// `ChromeTracer` is plain data).
 pub trait Tracer: Send {
     /// Called for every event, in cycle order.
     fn event(&mut self, e: TraceEvent<'_>);
@@ -193,225 +192,5 @@ pub trait Tracer: Send {
     /// calls this once). A tracer may move its buffer out.
     fn render(&mut self) -> String {
         String::new()
-    }
-}
-
-/// A tracer that renders events as text lines, with a cap so hot loops
-/// cannot balloon memory.
-#[derive(Debug)]
-pub struct TextTracer {
-    lines: Vec<String>,
-    suppressed: u64,
-    /// Stop recording after this many events (issues included).
-    pub limit: usize,
-    /// Record instruction issues and per-cycle span events (very verbose)
-    /// or only the structural events.
-    pub issues: bool,
-}
-
-impl TextTracer {
-    /// A tracer capturing up to `limit` events; `issues` selects whether
-    /// per-instruction lines are included.
-    pub fn new(limit: usize, issues: bool) -> TextTracer {
-        TextTracer {
-            lines: Vec::new(),
-            suppressed: 0,
-            limit,
-            issues,
-        }
-    }
-
-    /// The captured lines.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Render the whole trace.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        for l in &self.lines {
-            let _ = writeln!(s, "{l}");
-        }
-        if self.suppressed > 0 {
-            let _ = writeln!(s, "... {} events suppressed", self.suppressed);
-        }
-        s
-    }
-}
-
-impl Tracer for TextTracer {
-    fn render(&mut self) -> String {
-        TextTracer::render(self)
-    }
-
-    fn event(&mut self, e: TraceEvent<'_>) {
-        // Fine-grained span/flow events ride the `issues` verbosity knob:
-        // a default text trace stays structural.
-        let wanted = match e {
-            TraceEvent::Issue { .. }
-            | TraceEvent::StallBegin { .. }
-            | TraceEvent::StallEnd { .. }
-            | TraceEvent::RegionEnter { .. }
-            | TraceEvent::RegionExit { .. }
-            | TraceEvent::Bus { .. }
-            | TraceEvent::MsgSend { .. }
-            | TraceEvent::MsgRecv { .. } => self.issues,
-            _ => true,
-        };
-        if !wanted {
-            return;
-        }
-        if self.lines.len() >= self.limit {
-            self.suppressed += 1;
-            return;
-        }
-        let line = match e {
-            TraceEvent::Issue {
-                cycle,
-                core,
-                block,
-                inst,
-            } => {
-                format!("[{cycle:>8}] core{core} <{block}> {inst}")
-            }
-            TraceEvent::ThreadStart { cycle, core, block } => {
-                format!("[{cycle:>8}] core{core} SPAWNED at bb{block}")
-            }
-            TraceEvent::ModeSwitch { cycle, mode } => {
-                format!("[{cycle:>8}] MODE -> {mode}")
-            }
-            TraceEvent::TmCommit { cycle, core, lines } => {
-                format!("[{cycle:>8}] core{core} XCOMMIT ({lines} lines)")
-            }
-            TraceEvent::TmAbort { cycle, core } => {
-                format!("[{cycle:>8}] core{core} ABORTED (replaying chunk)")
-            }
-            TraceEvent::Halt { cycle, core } => {
-                format!("[{cycle:>8}] core{core} HALT")
-            }
-            TraceEvent::StallBegin {
-                cycle,
-                core,
-                reason,
-            } => {
-                format!("[{cycle:>8}] core{core} STALL {reason}")
-            }
-            TraceEvent::StallEnd { cycle, core } => {
-                format!("[{cycle:>8}] core{core} UNSTALL")
-            }
-            TraceEvent::RegionEnter { cycle, region } => {
-                format!("[{cycle:>8}] REGION -> r{region}")
-            }
-            TraceEvent::RegionExit { cycle, region } => {
-                format!("[{cycle:>8}] REGION <- r{region}")
-            }
-            TraceEvent::TmBegin { cycle, core, order } => {
-                format!("[{cycle:>8}] core{core} XBEGIN (order {order})")
-            }
-            TraceEvent::BarrierWait { cycle, core, mode } => {
-                format!("[{cycle:>8}] core{core} AT BARRIER (-> {mode})")
-            }
-            TraceEvent::Bus {
-                start,
-                finish,
-                core,
-                kind,
-            } => {
-                format!("[{start:>8}] core{core} BUS {kind} until {finish}")
-            }
-            TraceEvent::MsgSend {
-                cycle,
-                from,
-                to,
-                tag,
-            } => {
-                format!("[{cycle:>8}] core{from} SEND -> core{to} tag {tag}")
-            }
-            TraceEvent::MsgRecv {
-                cycle,
-                core,
-                from,
-                tag,
-            } => {
-                format!("[{cycle:>8}] core{core} RECV <- core{from} tag {tag}")
-            }
-            TraceEvent::Fault {
-                cycle,
-                core,
-                site,
-                action,
-            } => {
-                format!("[{cycle:>8}] core{core} FAULT {} {action}", site.label())
-            }
-        };
-        self.lines.push(line);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use voltron_ir::Opcode;
-
-    #[test]
-    fn text_tracer_respects_limit_and_issue_filter() {
-        let nop = Inst::new(Opcode::Nop, vec![]);
-        let mut t = TextTracer::new(2, false);
-        t.event(TraceEvent::Issue {
-            cycle: 1,
-            core: 0,
-            block: "b",
-            inst: &nop,
-        });
-        assert!(t.lines().is_empty(), "issues filtered out");
-        t.event(TraceEvent::ModeSwitch {
-            cycle: 2,
-            mode: ExecMode::Coupled,
-        });
-        t.event(TraceEvent::Halt { cycle: 3, core: 0 });
-        t.event(TraceEvent::Halt { cycle: 4, core: 1 });
-        assert_eq!(t.lines().len(), 2, "limit enforced");
-        assert!(t.render().contains("MODE -> coupled"));
-    }
-
-    #[test]
-    fn truncated_traces_report_the_suppressed_count() {
-        let mut t = TextTracer::new(1, false);
-        t.event(TraceEvent::Halt { cycle: 1, core: 0 });
-        t.event(TraceEvent::Halt { cycle: 2, core: 1 });
-        t.event(TraceEvent::Halt { cycle: 3, core: 2 });
-        // Filtered events (issues off) are not "suppressed" — they were
-        // never wanted.
-        let nop = Inst::new(Opcode::Nop, vec![]);
-        t.event(TraceEvent::Issue {
-            cycle: 4,
-            core: 0,
-            block: "b",
-            inst: &nop,
-        });
-        assert_eq!(t.lines().len(), 1);
-        assert_eq!(t.suppressed, 2);
-        assert!(t.render().ends_with("... 2 events suppressed\n"));
-
-        let mut clean = TextTracer::new(8, false);
-        clean.event(TraceEvent::Halt { cycle: 1, core: 0 });
-        assert!(
-            !clean.render().contains("suppressed"),
-            "no trailer when nothing was dropped"
-        );
-    }
-
-    #[test]
-    fn issue_lines_render_the_borrowed_instruction() {
-        let nop = Inst::new(Opcode::Nop, vec![]);
-        let mut t = TextTracer::new(8, true);
-        t.event(TraceEvent::Issue {
-            cycle: 7,
-            core: 1,
-            block: "entry",
-            inst: &nop,
-        });
-        assert_eq!(t.lines().len(), 1);
-        assert!(t.lines()[0].contains("<entry>"));
     }
 }

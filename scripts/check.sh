@@ -70,6 +70,35 @@ grep '"id":2,' target/smoke/serve.ndjson | grep -q '"result":"hit"' || {
     exit 1
 }
 
+echo "== serve smoke: two workers on one queue"
+# Two workers pop one FIFO: a burst of repeats, fresh runs, a what-if and
+# a directory request comes back as one good row per request, each id once.
+printf '%s\n' \
+    '{"id":1,"workload":"rawcaudio","strategy":"hybrid","cores":4}' \
+    '{"id":2,"workload":"rawcaudio","strategy":"hybrid","cores":4}' \
+    '{"id":3,"workload":"rawcaudio","strategy":"hybrid","cores":4,"fresh":true}' \
+    '{"id":4,"workload":"rawcaudio","strategy":"llp","cores":2}' \
+    '{"id":5,"workload":"rawcaudio","strategy":"llp","cores":2,"fresh":true}' \
+    '{"id":6,"workload":"rawcaudio","strategy":"hybrid","cores":4,"whatif":true}' \
+    '{"id":7,"workload":"164.gzip","strategy":"hybrid","cores":4,"backend":"directory"}' \
+    '{"id":8,"workload":"rawcaudio","strategy":"llp","cores":2}' \
+    | voltron serve --stdin --workers 2 \
+    > target/smoke/serve2.ndjson
+if grep -q '"ok":0' target/smoke/serve2.ndjson; then
+    echo "two-worker serve smoke returned an error row:" >&2
+    cat target/smoke/serve2.ndjson >&2
+    exit 1
+fi
+test "$(wc -l < target/smoke/serve2.ndjson)" -eq 8 || {
+    echo "two-worker serve smoke expected 8 response rows" >&2
+    exit 1
+}
+ids=$(sed 's/^{"id":\([0-9]*\),.*/\1/' target/smoke/serve2.ndjson | sort -n | tr '\n' ' ')
+test "$ids" = "1 2 3 4 5 6 7 8 " || {
+    echo "two-worker serve smoke expected ids 1-8 once each, got: $ids" >&2
+    exit 1
+}
+
 echo "== chaos smoke: fixed-seed fault plan + retries, no hard failures"
 # The whole figure path under fire (DESIGN.md §10): a seeded fault plan
 # across every site, failed workloads retried under reseeded plans. Any
