@@ -529,7 +529,7 @@ impl Default for ServerConfig {
             .unwrap_or(4);
         ServerConfig {
             workers,
-            queue_depth: 4 * workers,
+            queue_depth: 4,
             pool_cap: workers,
         }
     }

@@ -934,9 +934,12 @@ fn shutdown_finishes_every_queued_request() {
 /// A submitter blocked on a full queue is answered when the server shuts
 /// down: one full-scale request runs, one waits in the queue, a third
 /// blocks in `submit`. Each of the three gets exactly one row — served, or the
-/// typed refusal — and no reply channel is dropped unanswered.
+/// typed refusal — and no reply channel is dropped unanswered. By
+/// default the queue holds 4 jobs per worker, so its bound grows linearly
+/// with the host.
 #[test]
 fn a_submitter_blocked_on_a_full_queue_is_answered_at_shutdown() {
+    assert_eq!(ServerConfig::default().queue_depth, 4);
     let server = Server::start(ServerConfig {
         workers: 1,
         queue_depth: 1,

@@ -1,12 +1,15 @@
 //! Offline stand-in for the `rand` crate.
 //!
 //! The build environment has no crates-io access, so this workspace-local
-//! crate provides the (small) API subset the workload generators use:
-//! [`rngs::StdRng`], [`SeedableRng::seed_from_u64`], [`Rng::gen`] and
-//! [`Rng::gen_range`]. The generator is xoshiro256** seeded via splitmix64
-//! — deterministic across platforms and runs, which is all the workloads
-//! require (the real `rand` makes no cross-version stream guarantees
-//! either, so nothing depended on the exact StdRng stream).
+//! crate provides the (small) API subset the workload generators, the
+//! fault plans and the randomized tests use: [`rngs::StdRng`],
+//! [`SeedableRng::seed_from_u64`], [`Rng::gen`] and [`Rng::gen_range`].
+//! The generator is xoshiro256** seeded via splitmix64 — deterministic
+//! across platforms and runs, which is all its users require (the real
+//! `rand` makes no cross-version stream guarantees either, so nothing
+//! depended on the exact StdRng stream). Each randomized test draws case
+//! `i` from `StdRng::seed_from_u64(seed + i)` and prints that seed when the
+//! case fails.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -104,7 +107,7 @@ macro_rules! impl_int_range {
     )*};
 }
 
-impl_int_range!(i16, i32, i64, u32, u64, usize);
+impl_int_range!(i16, i32, i64, u8, u32, u64, usize);
 
 impl SampleRange<f64> for Range<f64> {
     fn sample_single(self, rng: &mut dyn RngCore) -> f64 {
@@ -198,6 +201,8 @@ mod tests {
             assert!((-1.0..1.0).contains(&f));
             let s = r.gen_range(0i16..300);
             assert!((0..300).contains(&s));
+            let b = r.gen_range(1u8..128);
+            assert!((1..128).contains(&b));
         }
     }
 

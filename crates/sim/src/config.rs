@@ -148,8 +148,8 @@ impl CoherenceBackend {
     /// Parse a `--backend` flag value.
     pub fn parse(s: &str) -> Option<CoherenceBackend> {
         match s {
-            "snooping" | "bus" => Some(CoherenceBackend::Snooping),
-            "directory" | "dir" => Some(CoherenceBackend::Directory { banks: 4 }),
+            "snooping" => Some(CoherenceBackend::Snooping),
+            "directory" => Some(CoherenceBackend::Directory { banks: 4 }),
             _ => None,
         }
     }
@@ -549,7 +549,9 @@ mod tests {
             CoherenceBackend::parse("directory"),
             Some(CoherenceBackend::Directory { banks: 4 })
         );
-        assert_eq!(CoherenceBackend::parse("mesi"), None);
+        for refused in ["mesi", "bus", "dir"] {
+            assert_eq!(CoherenceBackend::parse(refused), None, "{refused}");
+        }
         let dir = CoherenceBackend::parse("directory").unwrap();
         assert_eq!(dir.sized_for(4), CoherenceBackend::directory_for(4));
         assert_eq!(dir.sized_for(64).bank_count(), 16);

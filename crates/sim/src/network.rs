@@ -885,7 +885,7 @@ impl OperandNetwork {
     /// send queue, latch, `(receiver, sender, tag)` stream and spawn FIFO
     /// visited, no index consulted. The reference the indexed version is
     /// checked against (on every call in debug builds, and by the
-    /// `accounting` suite's proptest).
+    /// `accounting` suite's random traffic).
     #[doc(hidden)]
     pub fn next_event_by_scan(&self, now: u64) -> Option<u64> {
         if self

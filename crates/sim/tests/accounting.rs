@@ -11,9 +11,8 @@
 //! The matrix suite sweeps the four {fast-forward on, off} × {plain,
 //! `ChromeTracer` + interval probes} corners itself.
 
-use proptest::prelude::*;
-// The compiler's `Strategy` takes the name; the trait's methods stay usable.
-use proptest::Strategy as _;
+use rand::rngs::StdRng;
+use rand::Rng;
 use voltron_compiler::{compile, CompileOptions, Strategy};
 use voltron_ir::{BlockId, Dir, Value};
 use voltron_sim::network::{OperandNetwork, Payload};
@@ -23,6 +22,7 @@ use voltron_sim::{
 };
 use voltron_workloads::{by_name, Scale};
 
+use crate::common::cases::{cases, vec_of};
 use crate::common::mesh;
 
 const ALL_FOUR: &[Strategy] = &[
@@ -216,28 +216,31 @@ const CORES: usize = 4;
 const TAGS: u32 = 2;
 const DIRS: [Dir; 4] = [Dir::East, Dir::West, Dir::South, Dir::North];
 
-fn net_op() -> impl proptest::Strategy<Value = NetOp> {
-    let core = || 0..CORES;
-    prop_oneof![
-        (core(), core(), 0..TAGS, 1..5usize).prop_map(|(f, t, g, n)| NetOp::Burst(f, t, g, n)),
-        (core(), core(), 0..TAGS, 1..5usize).prop_map(|(f, t, g, n)| NetOp::Burst(f, t, g, n)),
-        (core(), core()).prop_map(|(f, t)| NetOp::Spawn(f, t)),
-        core().prop_map(NetOp::Drain),
-        core().prop_map(NetOp::Drain),
-        core().prop_map(NetOp::TakeSpawn),
-        (core(), 0..4usize).prop_map(|(c, d)| NetOp::Put(c, d)),
-        (core(), 0..4usize).prop_map(|(c, d)| NetOp::Get(c, d)),
-        core().prop_map(NetOp::Bcast),
-        core().prop_map(NetOp::GetB),
-        (1..4u64).prop_map(NetOp::Tick),
-        (1..4u64).prop_map(NetOp::Tick),
-        (1..4u64).prop_map(NetOp::Tick),
-    ]
+/// One random operation; `Burst`, `Drain` and `Tick` are listed more
+/// than once to weight the mix towards traffic that queues up.
+fn net_op(rng: &mut StdRng) -> NetOp {
+    let core = |rng: &mut StdRng| rng.gen_range(0..CORES);
+    match rng.gen_range(0..13) {
+        0 | 1 => NetOp::Burst(
+            core(rng),
+            core(rng),
+            rng.gen_range(0..TAGS),
+            rng.gen_range(1..5),
+        ),
+        2 => NetOp::Spawn(core(rng), core(rng)),
+        3 | 4 => NetOp::Drain(core(rng)),
+        5 => NetOp::TakeSpawn(core(rng)),
+        6 => NetOp::Put(core(rng), rng.gen_range(0..4)),
+        7 => NetOp::Get(core(rng), rng.gen_range(0..4)),
+        8 => NetOp::Bcast(core(rng)),
+        9 => NetOp::GetB(core(rng)),
+        _ => NetOp::Tick(rng.gen_range(1..4)),
+    }
 }
 
 /// Drive `ops` through a network and compare the indexed `next_event`
 /// with the exhaustive scan after every one of them.
-fn check_next_event(ops: &[NetOp], faults: Option<FaultPlan>) -> Result<(), String> {
+fn check_next_event(ops: &[NetOp], faults: Option<FaultPlan>) {
     let mut cfg = MachineConfig::scaled(CORES);
     cfg.faults = faults;
     let mut net = OperandNetwork::new(&cfg);
@@ -289,43 +292,28 @@ fn check_next_event(ops: &[NetOp], faults: Option<FaultPlan>) -> Result<(), Stri
         // tick for `now` ran) and the current one.
         for at in [now.saturating_sub(1), now] {
             let (indexed, scanned) = (net.next_event(at), net.next_event_by_scan(at));
-            if indexed != scanned {
-                return Err(format!(
-                    "after step {step} ({op:?}) at cycle {at}: indexed {indexed:?}, scan {scanned:?}"
-                ));
-            }
+            assert_eq!(indexed, scanned, "after step {step} ({op:?}) at cycle {at}");
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 96, ..ProptestConfig::default()
-    })]
+/// Random queue- and direct-mode traffic on a 2x2 mesh: the stream-head
+/// list, the sending and pending-spawn sets and the latch counters always
+/// describe exactly the heads a scan of every queue, latch and stream
+/// finds.
+#[test]
+fn next_event_equals_a_scan_of_every_head() {
+    let sample = |rng: &mut StdRng| vec_of(rng, 1..120, net_op);
+    cases(600_000, 96, sample, |ops| check_next_event(ops, None));
+}
 
-    /// Random queue- and direct-mode traffic on a 2x2 mesh: the
-    /// stream-head list, the sending and pending-spawn sets and the latch
-    /// counters always describe exactly the heads a scan of every queue,
-    /// latch and stream finds.
-    #[test]
-    fn next_event_equals_a_scan_of_every_head(
-        ops in proptest::collection::vec(net_op(), 1..120),
-    ) {
-        prop_assert_eq!(check_next_event(&ops, None), Ok(()));
-    }
-
-    /// The same under a fault plan that drops, delays and duplicates
-    /// about one injection in five: backing-off and parked heads, late
-    /// arrivals and deduplicated resends all go through the same indexes.
-    #[test]
-    fn next_event_equals_a_scan_of_every_head_under_faults(
-        ops in proptest::collection::vec(net_op(), 1..120),
-        seed in 0..1000u64,
-    ) {
-        prop_assert_eq!(
-            check_next_event(&ops, Some(FaultPlan::seeded(seed, 0.2))),
-            Ok(())
-        );
-    }
+/// The same under a fault plan that drops, delays and duplicates about
+/// one injection in five: backing-off and parked heads, late arrivals and
+/// deduplicated resends all go through the same indexes.
+#[test]
+fn next_event_equals_a_scan_of_every_head_under_faults() {
+    let sample = |rng: &mut StdRng| (vec_of(rng, 1..120, net_op), rng.gen_range(0..1000u64));
+    cases(700_000, 96, sample, |(ops, seed)| {
+        check_next_event(ops, Some(FaultPlan::seeded(*seed, 0.2)));
+    });
 }

@@ -3,9 +3,12 @@
 //! that is the point: they wedge, spin, fault and fall off their images
 //! in every way the cycle loop must survive.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use voltron_ir::{BlockId, CmpCc, DataSegment, Dir, ExecMode, Inst, Opcode, Operand, Reg};
 use voltron_sim::{CoreImage, MBlock, MachineConfig, MachineProgram};
+
+use super::cases::vec_of;
 
 fn gpr(i: u32) -> Reg {
     Reg::gpr(i)
@@ -33,25 +36,36 @@ pub enum FuzzOp {
     Load(u8, u8),
 }
 
-/// One random instruction of the alphabet.
-pub fn fuzz_op() -> impl Strategy<Value = FuzzOp> {
-    prop_oneof![
-        (0..4u8, any::<i8>()).prop_map(|(d, v)| FuzzOp::Ldi(d, v)),
-        (0..4u8, 0..4u8, 0..4u8).prop_map(|(d, a, b)| FuzzOp::Add(d, a, b)),
-        (0..4u8, 0..4u8).prop_map(|(a, b)| FuzzOp::Cmp(a, b)),
-        (0..4u8, 0..4u8, 0..3u8).prop_map(|(v, c, t)| FuzzOp::Send(v, c, t)),
-        (0..4u8, 0..4u8, 0..3u8).prop_map(|(d, c, t)| FuzzOp::Recv(d, c, t)),
-        (0..4u8, 0..4u8).prop_map(|(c, b)| FuzzOp::Spawn(c, b)),
-        (0..4u8, 0..4u8).prop_map(|(v, d)| FuzzOp::Put(v, d)),
-        (0..4u8, 0..4u8).prop_map(|(r, d)| FuzzOp::Get(r, d)),
-        (0..4u8).prop_map(FuzzOp::Bcast),
-        (0..4u8).prop_map(FuzzOp::GetB),
-        any::<bool>().prop_map(FuzzOp::ModeSwitch),
-        (0..4u8).prop_map(FuzzOp::Jump),
-        (0..4u8).prop_map(FuzzOp::Br),
-        (0..4u8, 0..4u8).prop_map(|(a, v)| FuzzOp::Store(a, v)),
-        (0..4u8, 0..4u8).prop_map(|(d, a)| FuzzOp::Load(d, a)),
-    ]
+/// One random instruction of the alphabet, each kind equally likely.
+pub fn fuzz_op(rng: &mut StdRng) -> FuzzOp {
+    let r = |rng: &mut StdRng| rng.gen_range(0..4u8);
+    match rng.gen_range(0..15) {
+        0 => FuzzOp::Ldi(r(rng), rng.gen::<u8>() as i8),
+        1 => FuzzOp::Add(r(rng), r(rng), r(rng)),
+        2 => FuzzOp::Cmp(r(rng), r(rng)),
+        3 => FuzzOp::Send(r(rng), r(rng), rng.gen_range(0..3)),
+        4 => FuzzOp::Recv(r(rng), r(rng), rng.gen_range(0..3)),
+        5 => FuzzOp::Spawn(r(rng), r(rng)),
+        6 => FuzzOp::Put(r(rng), r(rng)),
+        7 => FuzzOp::Get(r(rng), r(rng)),
+        8 => FuzzOp::Bcast(r(rng)),
+        9 => FuzzOp::GetB(r(rng)),
+        10 => FuzzOp::ModeSwitch(rng.gen()),
+        11 => FuzzOp::Jump(r(rng)),
+        12 => FuzzOp::Br(r(rng)),
+        13 => FuzzOp::Store(r(rng), r(rng)),
+        _ => FuzzOp::Load(r(rng), r(rng)),
+    }
+}
+
+/// Fewer than `max` random instructions.
+pub fn fuzz_ops(rng: &mut StdRng, max: usize) -> Vec<FuzzOp> {
+    vec_of(rng, 0..max, fuzz_op)
+}
+
+/// Random `main`, `spin` and `worker` op lists for [`two_core_case`].
+pub fn fuzz_case(rng: &mut StdRng) -> (Vec<FuzzOp>, Vec<FuzzOp>, Vec<FuzzOp>) {
+    (fuzz_ops(rng, 12), fuzz_ops(rng, 8), fuzz_ops(rng, 8))
 }
 
 const FUZZ_DIRS: [Dir; 4] = [Dir::East, Dir::West, Dir::South, Dir::North];

@@ -13,8 +13,8 @@
 //!    register has its own slot below the constant pool;
 //! 4. the fetch address is `CoreImage::inst_addr`.
 
-use proptest::test_runner::TestRng;
-use proptest::Strategy as _;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::{HashMap, HashSet};
 use voltron_compiler::{compile, CompileOptions, Strategy};
 use voltron_ir::BlockId;
@@ -22,6 +22,7 @@ use voltron_sim::decode::{BrTarget, DOp, DecodedProgram};
 use voltron_sim::{CoreImage, MBlock, MachineConfig, MachineProgram, ValidateError};
 use voltron_workloads::{by_name, Scale};
 
+use crate::common::cases::cases;
 use crate::common::fuzz;
 
 /// Where a transfer to block `b` lands: the first `(block, slot)` at or
@@ -157,13 +158,10 @@ fn decodable(p: &MachineProgram, cfg: &MachineConfig) -> bool {
 /// what it takes for at least 100 of them to decode.
 #[test]
 fn random_images_satisfy_the_decode_invariants() {
-    let mut rng = TestRng::deterministic("decode::random_images_satisfy_the_decode_invariants");
-    let ops = |n| proptest::collection::vec(fuzz::fuzz_op(), 0..n);
+    let sample = |rng: &mut StdRng| (fuzz::fuzz_case(rng), rng.gen_range(0..4usize));
     let mut decoded = 0;
-    for _ in 0..2_000 {
-        let (main, spin, worker) = (ops(12), ops(8), ops(8)).sample(&mut rng);
-        let empties = (0..4usize).sample(&mut rng);
-        let (mut p, cfg) = fuzz::two_core_case(&main, &spin, &worker);
+    cases(500_000, 2_000, sample, |((main, spin, worker), empties)| {
+        let (mut p, cfg) = fuzz::two_core_case(main, spin, worker);
         for image in &mut p.cores {
             for at in [1, 0] {
                 if empties & (1 << at) != 0 {
@@ -175,6 +173,6 @@ fn random_images_satisfy_the_decode_invariants() {
             assert_decode_invariants(&p);
             decoded += 1;
         }
-    }
+    });
     assert!(decoded >= 100, "only {decoded} random images decoded");
 }

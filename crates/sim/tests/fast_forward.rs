@@ -5,18 +5,19 @@
 //! off produces the *same* [`voltron_sim::MachineStats`] field by
 //! field, the same final memory, the same stragglers — or the same
 //! typed error at the same cycle. Only `ticked_cycles` (host work) may
-//! differ. The proptest drives the same random-program generator as
+//! differ. The random cases drive the same random-program generator as
 //! the validator fuzz smoke (`common/fuzz.rs`), which hits deadlocks, livelocks, send/recv
 //! waits, mode barriers, and cycle-cap overruns — exactly the blocked
 //! shapes fast-forward skips over.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
 use voltron_ir::{BlockId, DataSegment, Inst, Opcode, Operand, Reg};
 use voltron_sim::{
     CoreImage, MBlock, Machine, MachineConfig, MachineProgram, RunOutcome, SimError,
 };
 
-use crate::common::fuzz;
+use crate::common::cases::cases;
+use crate::common::fuzz::{self, fuzz_ops};
 
 fn gpr(i: u32) -> Reg {
     Reg::gpr(i)
@@ -285,65 +286,49 @@ fn rollback_during_an_ifill_counts_every_miss() {
     assert!(rollbacks > 0, "no delay aborted core 1");
 }
 
-// ---------- proptest equivalence over random programs ----------
+// ---------- equivalence over random programs ----------
 //
 // Most generated programs wedge; the property checks that the
 // deadlock/livelock watchdogs fire at the *same cycle* with fast-forward
 // on, and that clean runs match stat for stat.
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 48, ..ProptestConfig::default()
-    })]
-
-    /// Fast-forward on vs. off over random two-core programs: same
-    /// stats, same memory, same stragglers — or the same error
-    /// rendered the same way (deadlock/livelock reports carry the
-    /// firing cycle and the full wait-for graph, so a skip landing one
-    /// cycle off shows up as a text diff here).
-    #[test]
-    fn fast_forward_is_invisible(
-        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
-        spin_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-    ) {
-        let (p, cfg) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
-        match (run_with(&p, &cfg, false), run_with(&p, &cfg, true)) {
-            (Ok(off), Ok(on)) => assert_equivalent(&off, &on),
-            (Err(off), Err(on)) => prop_assert_eq!(
-                format!("{off:?}"),
-                format!("{on:?}"),
-                "errors diverged"
-            ),
-            (Ok(_), Err(on)) => prop_assert!(false, "only fast-forward failed: {on:?}"),
-            (Err(off), Ok(_)) => prop_assert!(false, "only tick-by-tick failed: {off:?}"),
-        }
+/// Run `p` tick by tick and fast-forwarded: the same typed error, as a
+/// string compare (deadlock/livelock reports carry the firing cycle and
+/// the full wait-for graph, so a skip landing one cycle off shows up as a
+/// text diff), or two clean runs that `same` compares.
+fn both_ways(p: &MachineProgram, cfg: &MachineConfig, same: impl FnOnce(&RunOutcome, &RunOutcome)) {
+    match (run_with(p, cfg, false), run_with(p, cfg, true)) {
+        (Ok(off), Ok(on)) => same(&off, &on),
+        (Err(off), Err(on)) => assert_eq!(format!("{off:?}"), format!("{on:?}"), "errors diverged"),
+        (Ok(_), Err(on)) => panic!("only fast-forward failed: {on:?}"),
+        (Err(off), Ok(_)) => panic!("only tick-by-tick failed: {off:?}"),
     }
+}
 
-    /// The interval probe series is part of the equivalence contract:
-    /// with a period deliberately coprime to nothing in particular
-    /// (7), skipped spans cross sample boundaries constantly, and the
-    /// series sampled inside them must still match the tick-by-tick one
-    /// sample for sample.
-    #[test]
-    fn probe_series_is_fast_forward_invariant(
-        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
-        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-    ) {
-        let (p, mut cfg) = fuzz::two_core_case(&main_ops, &[], &worker_ops);
+/// Fast-forward on vs. off over random two-core programs: same stats,
+/// same memory, same stragglers — or the same error rendered the same
+/// way.
+#[test]
+fn fast_forward_is_invisible() {
+    cases(100_000, 48, fuzz::fuzz_case, |(main, spin, worker)| {
+        let (p, cfg) = fuzz::two_core_case(main, spin, worker);
+        both_ways(&p, &cfg, assert_equivalent);
+    });
+}
+
+/// The interval probe series is part of the equivalence contract: with a
+/// period deliberately coprime to nothing in particular (7), skipped
+/// spans cross sample boundaries constantly, and the series sampled
+/// inside them must still match the tick-by-tick one sample for sample.
+#[test]
+fn probe_series_is_fast_forward_invariant() {
+    let sample = |rng: &mut StdRng| (fuzz_ops(rng, 12), fuzz_ops(rng, 8));
+    cases(200_000, 48, sample, |(main, worker)| {
+        let (p, mut cfg) = fuzz::two_core_case(main, &[], worker);
         cfg.probe_period = Some(7);
-        match (run_with(&p, &cfg, false), run_with(&p, &cfg, true)) {
-            (Ok(off), Ok(on)) => {
-                assert_equivalent(&off, &on);
-                prop_assert_eq!(&off.probes, &on.probes, "probe series diverged");
-            }
-            (Err(off), Err(on)) => prop_assert_eq!(
-                format!("{off:?}"),
-                format!("{on:?}"),
-                "errors diverged"
-            ),
-            (Ok(_), Err(on)) => prop_assert!(false, "only fast-forward failed: {on:?}"),
-            (Err(off), Ok(_)) => prop_assert!(false, "only tick-by-tick failed: {off:?}"),
-        }
-    }
+        both_ways(&p, &cfg, |off, on| {
+            assert_equivalent(off, on);
+            assert_eq!(off.probes, on.probes, "probe series diverged");
+        });
+    });
 }

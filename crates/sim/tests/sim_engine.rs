@@ -7,6 +7,7 @@
 
 /// Helpers the suites share.
 mod common {
+    pub mod cases;
     pub mod fuzz;
     pub mod mesh;
     pub mod validate_oracle;

@@ -5,7 +5,7 @@
 //! and asserts that [`MachineProgram::validate`] (via [`Machine::new`])
 //! rejects it with the right [`ValidateError`] variant *and* the right
 //! coordinates — core, block, instruction slot, and stream tag where
-//! applicable. A final proptest smoke drives random small programs
+//! applicable. A final fuzz smoke drives random small programs
 //! through `validate()` + `Machine::run` and asserts the pipeline only
 //! ever produces typed results, never panics.
 //!
@@ -22,7 +22,6 @@
 //! with thousands of streams, dozens of regions and a real rejection to
 //! order.
 
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -34,8 +33,10 @@ use voltron_sim::{
 };
 use voltron_workloads::{all, Scale};
 
+use crate::common::cases::cases;
+use crate::common::fuzz::{self, fuzz_case};
+use crate::common::mesh;
 use crate::common::validate_oracle::validate_oracle;
-use crate::common::{fuzz, mesh};
 
 fn gpr(i: u32) -> Reg {
     Reg::gpr(i)
@@ -412,29 +413,24 @@ fn runtime_cross_recv_reports_a_wait_cycle() {
     }
 }
 
-// ---------- proptest fuzz smoke ----------
+// ---------- fuzz smoke ----------
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 64, ..ProptestConfig::default()
-    })]
-
-    /// Random small two-core programs — most of them garbage — must be
-    /// either rejected with a typed error or simulated to a typed
-    /// outcome. Nothing in `SealedImage::seal`, `Machine::boot`, decode or
-    /// the cycle loop (including the deadlock/livelock forensics most of
-    /// these programs will hit) may panic, and sealing fails closed with
-    /// exactly the error `validate` reports.
-    #[test]
-    fn random_programs_never_panic(
-        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
-        spin_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-    ) {
-        let (p, cfg) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
+/// Random small two-core programs — most of them garbage — must be
+/// either rejected with a typed error or simulated to a typed outcome.
+/// Nothing in `SealedImage::seal`, `Machine::boot`, decode or the cycle
+/// loop (including the deadlock/livelock forensics most of these
+/// programs will hit) may panic, and sealing fails closed with exactly
+/// the error `validate` reports.
+#[test]
+fn random_programs_never_panic() {
+    cases(300_000, 64, fuzz_case, |(main, spin, worker)| {
+        let (p, cfg) = fuzz::two_core_case(main, spin, worker);
         let want = p.validate(&cfg).map_err(SimError::Validate);
         let sealed = SealedImage::seal(Arc::new(p), &cfg);
-        assert_eq!(format!("{:?}", sealed.as_ref().map(drop)), format!("{want:?}"));
+        assert_eq!(
+            format!("{:?}", sealed.as_ref().map(drop)),
+            format!("{want:?}")
+        );
         // Both arms are typed; reaching either (or a clean run) is a
         // pass. A panic anywhere in the pipeline fails the property.
         match sealed.and_then(|image| Machine::boot(&image, &cfg)) {
@@ -445,7 +441,7 @@ proptest! {
                 let _ = e.to_string();
             }
         }
-    }
+    });
 }
 
 /// A sealed image boots only machines of the core count it was sealed
@@ -848,28 +844,19 @@ fn the_seeded_corpus_reaches_every_rejection() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 96, ..ProptestConfig::default()
-    })]
-
-    /// The fuzz alphabet spread over 2-, 16- and 64-core meshes (the
-    /// master image on core 0, the worker image on every other core):
-    /// the identical verdict from `validate()` and the oracle, down to
-    /// the clean image.
-    #[test]
-    fn random_programs_match_the_oracle_on_every_mesh(
-        main_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..12),
-        spin_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-        worker_ops in proptest::collection::vec(fuzz::fuzz_op(), 0..8),
-    ) {
-        let (two, _) = fuzz::two_core_case(&main_ops, &spin_ops, &worker_ops);
+/// The fuzz alphabet spread over 2-, 16- and 64-core meshes (the master
+/// image on core 0, the worker image on every other core): the identical
+/// verdict from `validate()` and the oracle, down to the clean image.
+#[test]
+fn random_programs_match_the_oracle_on_every_mesh() {
+    cases(400_000, 96, fuzz_case, |(main, spin, worker)| {
+        let (two, _) = fuzz::two_core_case(main, spin, worker);
         for cores in [2usize, 16, 64] {
             let mut p = two.clone();
             p.cores.resize(cores, two.cores[1].clone());
             same_as_oracle_until_clean(p, &MachineConfig::scaled(cores));
         }
-    }
+    });
 }
 
 /// Every `(core, block, slot)` holding an `op`.

@@ -1,12 +1,13 @@
 //! Docs that cannot rot silently. README.md, DESIGN.md, EXPERIMENTS.md,
 //! docs/WALKTHROUGH.md and the verify notes name source files, items in
-//! them and command lines; this test extracts every back-ticked `path.rs` and
-//! `path.rs::symbol` token, every `--bin name [-- subcommand]` mention
-//! and every `voltron <command>` line, and fails on one that no longer
-//! resolves — to a file in the tree, to a `fn`/`struct`/`const` (or
-//! `enum`/`trait`/`type`/`static`/`mod`) of that name in that file, to a
-//! `src/bin/<name>.rs`, or to an entry of the `voltron` binary's
-//! `COMMANDS` table.
+//! them and command lines; this test extracts every back-ticked `path.rs`,
+//! `path.rs::symbol` and `voltron-<crate>::<module>[::symbol]` token,
+//! every `--bin name [-- subcommand]` mention and every `voltron <command>`
+//! line, and fails on one that no longer resolves — to a file in the tree
+//! (a module to `crates/<crate>/src/<module>.rs` or `<module>/mod.rs`), to
+//! a `fn`/`struct`/`const` (or `enum`/`trait`/`type`/`static`/`mod`) of
+//! that name in that file, to a `src/bin/<name>.rs`, or to an entry of the
+//! `voltron` binary's `COMMANDS` table.
 //!
 //! Two documents are excluded on purpose: ROADMAP.md narrates files and
 //! items that PRs deleted (that is its job), and benchmark/README.md
@@ -70,6 +71,15 @@ fn path_token(token: &str) -> Option<(&str, Option<&str>)> {
     shaped.then_some((path, symbol))
 }
 
+/// `token` as `(crates/<crate>/src/<module>, symbol)`, when it names a
+/// module of a workspace crate: `voltron-<crate>::<module>[::symbol]`.
+fn module_token(token: &str) -> Option<(String, Option<&str>)> {
+    let mut parts = token.strip_prefix("voltron-")?.split("::");
+    let (krate, module, symbol) = (parts.next()?, parts.next()?, parts.next());
+    let shaped = parts.next().is_none() && [krate, module].into_iter().chain(symbol).all(is_ident);
+    shaped.then(|| (format!("crates/{krate}/src/{module}"), symbol))
+}
+
 /// Whether `source` declares an item called `symbol`.
 fn declares(source: &str, symbol: &str) -> bool {
     const KINDS: [&str; 8] = [
@@ -119,17 +129,22 @@ fn every_path_symbol_and_command_the_docs_name_resolves() {
             }
             // Back-ticked spans are the odd pieces of a split on '`'.
             for token in line.split('`').skip(1).step_by(2) {
-                let Some((path, symbol)) = path_token(token) else {
+                let (files, symbol) = if let Some((path, symbol)) = path_token(token) {
+                    (files_named(path), symbol)
+                } else if let Some((module, symbol)) = module_token(token) {
+                    let mut files = files_named(&format!("{module}.rs"));
+                    files.extend(files_named(&format!("{module}/mod.rs")));
+                    (files, symbol)
+                } else {
                     continue;
                 };
                 checked += 1;
-                let files = files_named(path);
                 if files.is_empty() {
-                    broken.push(format!("{at}: `{token}`: no file {path}"));
+                    broken.push(format!("{at}: `{token}`: no such file"));
                 } else if let Some(symbol) = symbol {
                     let read = |f: &&String| std::fs::read_to_string(root.join(f)).ok();
                     if !files.iter().filter_map(read).any(|s| declares(&s, symbol)) {
-                        broken.push(format!("{at}: `{token}`: no item {symbol} in {path}"));
+                        broken.push(format!("{at}: `{token}`: no item {symbol}"));
                     }
                 }
             }
@@ -177,6 +192,16 @@ fn the_extractor_recognises_the_three_token_shapes() {
     assert_eq!(shape("src/bin/fig*.rs"), None, "globs are not paths");
     assert_eq!(shape("Experiment::run_on"), None);
     assert_eq!(shape("cargo test --test docs.rs"), None);
+    for (token, module) in [
+        ("voltron-ir::hash", Some("crates/ir/src/hash")),
+        ("voltron-ir::cfg::Cfg", Some("crates/ir/src/cfg")),
+        ("voltron-sim", None),
+        ("voltron-sim::a::b::c", None),
+        ("voltron-sim::cache.rs", None),
+    ] {
+        assert_eq!(module_token(token).map(|m| m.0).as_deref(), module);
+    }
+    assert_eq!(module_token("voltron-ir::cfg::Cfg").unwrap().1, Some("Cfg"));
     let source = "pub fn run() {}\nconst COMMANDS: [u8; 0] = [];";
     assert!(declares(source, "run") && declares(source, "COMMANDS"));
     assert!(!declares(source, "pub") && !declares(source, "missing"));

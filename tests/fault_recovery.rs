@@ -6,9 +6,10 @@
 //! `SimError::FaultBudget`. These tests pin that contract per injection
 //! site (directed), across fast-forward modes (the RNG draws happen at
 //! architectural opportunities, so the schedules must coincide), and
-//! over randomized plans (proptest).
+//! over randomized plans.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::sync::Arc;
 use voltron_compiler::{compile, CompileOptions};
 use voltron_core::{outputs_equivalent, run_reference, Strategy};
@@ -18,6 +19,10 @@ use voltron_sim::{
     SimError,
 };
 use voltron_workloads::{by_name, Scale};
+
+#[path = "../crates/sim/tests/common/cases.rs"]
+mod cases;
+use cases::cases;
 
 /// Run one (strategy, cores) configuration of `program` under `plan`.
 fn run_with(
@@ -302,43 +307,47 @@ fn a_reboot_after_a_traced_faulted_run_matches_a_fresh_boot() {
     assert!(pooled.trace.is_empty(), "the reboot kept the tracer");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
-
-    /// Randomized chaos: any seeded plan over any site subset either
-    /// completes on the reference memory or fails closed with a typed
-    /// error. Panics and silent divergence are the only losing moves.
-    #[test]
-    fn random_fault_plans_never_diverge(
-        seed in any::<u64>(),
-        rate_pm in 0u32..30,   // per-mille, the shim has no f64 ranges
-        site_mask in 1u8..128,
-        combo in 0usize..COMBOS.len(),
-        gzip in any::<bool>(),
-    ) {
-        let rate = rate_pm as f64 / 1000.0;
-        let name = if gzip { "164.gzip" } else { "rawcaudio" };
-        let w = by_name(name, Scale::Test).expect("benchmark registered");
-        let golden = run_reference(&w.program).expect("reference run");
-        let mut plan = FaultPlan::seeded(seed, rate);
-        plan.sites = FaultSite::ALL
-            .into_iter()
-            .filter(|s| site_mask & (1 << s.index()) != 0)
-            .collect();
-        let (strategy, cores) = COMBOS[combo];
-        match run_with(&w.program, strategy, cores, Some(plan), true) {
-            Ok(out) => {
-                prop_assert!(
+/// Randomized chaos: any seeded plan over any site subset either
+/// completes on the reference memory or fails closed with a typed error.
+/// Panics and silent divergence are the only losing moves.
+#[test]
+fn random_fault_plans_never_diverge() {
+    let sample = |rng: &mut StdRng| {
+        // The rate in per mille, so a failing one prints exactly.
+        let plan = (
+            rng.gen::<u64>(),
+            rng.gen_range(0u32..30),
+            rng.gen_range(1u8..128),
+        );
+        (plan, rng.gen_range(0..COMBOS.len()), rng.gen::<bool>())
+    };
+    cases(
+        1_500_000,
+        12,
+        sample,
+        |&((seed, rate_pm, site_mask), combo, gzip)| {
+            let rate = rate_pm as f64 / 1000.0;
+            let name = if gzip { "164.gzip" } else { "rawcaudio" };
+            let w = by_name(name, Scale::Test).expect("benchmark registered");
+            let golden = run_reference(&w.program).expect("reference run");
+            let mut plan = FaultPlan::seeded(seed, rate);
+            plan.sites = FaultSite::ALL
+                .into_iter()
+                .filter(|s| site_mask & (1 << s.index()) != 0)
+                .collect();
+            let (strategy, cores) = COMBOS[combo];
+            match run_with(&w.program, strategy, cores, Some(plan), true) {
+                Ok(out) => assert!(
                     outputs_equivalent(&golden.memory, &out.memory).is_ok(),
                     "{strategy}/{cores} seed {seed} rate {rate} diverged"
-                );
+                ),
+                // Fail-closed outcomes: the budget gave out, or the fault
+                // pressure tripped a watchdog. All typed, all attributable.
+                Err(SimError::FaultBudget(_))
+                | Err(SimError::Deadlock { .. })
+                | Err(SimError::Livelock { .. }) => {}
+                Err(e) => panic!("untyped failure: {e}"),
             }
-            // Fail-closed outcomes: the budget gave out, or the fault
-            // pressure tripped a watchdog. All typed, all attributable.
-            Err(SimError::FaultBudget(_))
-            | Err(SimError::Deadlock { .. })
-            | Err(SimError::Livelock { .. }) => {}
-            Err(e) => prop_assert!(false, "untyped failure: {e}"),
-        }
-    }
+        },
+    );
 }

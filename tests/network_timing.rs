@@ -8,10 +8,15 @@
 //! * delivery is FIFO per (sender, tag) even when a sender interleaves
 //!   tags and a receiver interleaves senders.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use voltron_ir::Value;
 use voltron_sim::network::{OperandNetwork, Payload};
 use voltron_sim::MachineConfig;
+
+#[path = "../crates/sim/tests/common/cases.rs"]
+mod cases;
+use cases::{cases, vec_of};
 
 /// A machine wider than the paper's 4 cores (same parameters), as the
 /// scaling experiments build it: 8 cores form a 4x2 mesh.
@@ -59,16 +64,14 @@ fn the_same_route_uncontended_meets_the_paper_latency() {
     assert!(n.can_recv(3, 1, 9, 4));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
-
-    /// Under arbitrary traffic the source-to-receive-queue latency of
-    /// every message is at least `queue_overhead + hops` — contention
-    /// can only push deliveries later, never earlier.
-    #[test]
-    fn latency_is_bounded_below_by_overhead_plus_hops(
-        traffic in proptest::collection::vec((0u8..8, 0u8..8), 1..10),
-    ) {
+/// Under arbitrary traffic the source-to-receive-queue latency of every
+/// message is at least `queue_overhead + hops` — contention can only push
+/// deliveries later, never earlier.
+#[test]
+fn latency_is_bounded_below_by_overhead_plus_hops() {
+    let pair = |rng: &mut StdRng| (rng.gen_range(0u8..8), rng.gen_range(0u8..8));
+    let sample = |rng: &mut StdRng| vec_of(rng, 1..10, pair);
+    cases(1_800_000, 24, sample, |traffic| {
         let cfg = scaled(8);
         let mut n = OperandNetwork::new(&cfg);
         // Unique tag per message so each can be probed independently.
@@ -79,7 +82,7 @@ proptest! {
             .map(|(i, &(f, t))| (f as usize, t as usize, i as u32))
             .collect();
         for &(from, to, tag) in &msgs {
-            prop_assert!(n.send(from, to, tag, Payload::Data(Value::Int(tag as i64)), 0));
+            assert!(n.send(from, to, tag, Payload::Data(Value::Int(tag as i64)), 0));
         }
         const HORIZON: u64 = 1_000;
         for t in 1..HORIZON {
@@ -89,28 +92,33 @@ proptest! {
             let arrived = (0..HORIZON).find(|&t| n.can_recv(to, from, tag, t));
             let at = arrived.expect("message never became available");
             let floor = cfg.queue_overhead + cfg.hops(from, to);
-            prop_assert!(
+            assert!(
                 at >= floor,
                 "{from}->{to} available at {at}, below the {floor} floor"
             );
         }
-    }
+    });
+}
 
-    /// FIFO holds independently per (sender, tag) stream even when the
-    /// streams interleave arbitrarily at both ends.
-    #[test]
-    fn interleaved_streams_stay_fifo_per_sender_and_tag(
-        stream in proptest::collection::vec((0u8..2, 0u8..2, -1000i64..1000), 1..24),
-    ) {
+/// FIFO holds independently per (sender, tag) stream even when the
+/// streams interleave arbitrarily at both ends.
+#[test]
+fn interleaved_streams_stay_fifo_per_sender_and_tag() {
+    let send = |rng: &mut StdRng| {
+        let (sender, tag) = (rng.gen_range(0u8..2), rng.gen_range(0u8..2));
+        (sender, tag, rng.gen_range(-1000i64..1000))
+    };
+    let sample = |rng: &mut StdRng| vec_of(rng, 1..24, send);
+    cases(1_900_000, 24, sample, |stream| {
         let mut n = OperandNetwork::new(&MachineConfig::paper(4));
         let mut sent: Vec<Vec<i64>> = vec![Vec::new(); 4];
         let mut now = 0u64;
-        for &(sender, tag, v) in &stream {
+        for &(sender, tag, v) in stream {
             let (sender, tag) = (sender as usize, tag as u32);
             while !n.send(sender, 3, tag, Payload::Data(Value::Int(v)), now) {
                 n.tick(now);
                 now += 1;
-                prop_assert!(now < 100_000, "send queue never drained");
+                assert!(now < 100_000, "send queue never drained");
             }
             sent[sender * 2 + tag as usize].push(v);
         }
@@ -124,9 +132,12 @@ proptest! {
                 while let Some(Value::Int(v)) = n.recv(3, sender, tag, end) {
                     got.push(v);
                 }
-                prop_assert_eq!(&got, &sent[sender * 2 + tag as usize],
-                    "stream ({}, {})", sender, tag);
+                assert_eq!(
+                    got,
+                    sent[sender * 2 + tag as usize],
+                    "stream ({sender}, {tag})"
+                );
             }
         }
-    }
+    });
 }

@@ -9,11 +9,10 @@
 //! here. Every field of `Profile` must be equal on all 25 workloads at
 //! both scales, original and inlined, and on random access mixes.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::HashMap;
-use voltron_compiler::{
-    compile, compile_prepared, inline, CompileOptions, FrontEnd, Strategy as CompileStrategy,
-};
+use voltron_compiler::{compile, compile_prepared, inline, CompileOptions, FrontEnd, Strategy};
 use voltron_ir::builder::{FunctionBuilder, ProgramBuilder};
 use voltron_ir::interp::{self, InterpError, Observer};
 use voltron_ir::loops::{LoopForest, LoopId};
@@ -21,6 +20,10 @@ use voltron_ir::profile::{loop_forests, profile, Profile};
 use voltron_ir::{BlockId, FuncId, InstRef, Program, Reg, RegClass};
 use voltron_sim::MachineConfig;
 use voltron_workloads::{all, Scale};
+
+#[path = "../crates/sim/tests/common/cases.rs"]
+mod cases;
+use cases::{cases, vec_of};
 
 // ---------- the oracle ----------
 
@@ -203,15 +206,13 @@ struct Access {
     coef: [u8; 3],
 }
 
-fn gen_access() -> impl Strategy<Value = Access> {
-    (any::<bool>(), 0u8..4, any::<u8>(), (0u8..5, 0u8..5, 0u8..5)).prop_map(
-        |(store, w, base, (ci, cj, ck))| Access {
-            store,
-            width: 1 << w,
-            base,
-            coef: [ci, cj, ck],
-        },
-    )
+fn gen_access(rng: &mut StdRng) -> Access {
+    Access {
+        store: rng.gen(),
+        width: 1 << rng.gen_range(0u8..4),
+        base: rng.gen(),
+        coef: [0; 3].map(|_| rng.gen_range(0u8..5)),
+    }
 }
 
 fn emit_accesses(f: &mut FunctionBuilder, seg: Reg, ivs: [Reg; 3], accesses: &[Access]) {
@@ -273,22 +274,25 @@ fn nest_program(levels: &[Vec<Access>; 3], trips: [i64; 3], outline: bool) -> Pr
     pb.finish()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
-
-    #[test]
-    fn flat_profiler_equals_the_map_oracle_on_random_access_mixes(
-        outer in proptest::collection::vec(gen_access(), 0..3),
-        mid in proptest::collection::vec(gen_access(), 0..3),
-        inner in proptest::collection::vec(gen_access(), 1..4),
-        trips in (1i64..4, 1i64..4, 1i64..5),
-        outline in any::<bool>(),
-    ) {
-        let p = nest_program(&[outer, mid, inner], [trips.0, trips.1, trips.2], outline);
+#[test]
+fn flat_profiler_equals_the_map_oracle_on_random_access_mixes() {
+    let sample = |rng: &mut StdRng| {
+        let outer = vec_of(rng, 0..3, gen_access);
+        let mid = vec_of(rng, 0..3, gen_access);
+        let inner = vec_of(rng, 1..4, gen_access);
+        let trips = [
+            rng.gen_range(1i64..4),
+            rng.gen_range(1..4),
+            rng.gen_range(1..5),
+        ];
+        ([outer, mid, inner], trips, rng.gen::<bool>())
+    };
+    cases(1_700_000, 96, sample, |(levels, trips, outline)| {
+        let p = nest_program(levels, *trips, *outline);
         let got = profile(&p, 1_000_000).expect("profile");
         let want = oracle_profile(&p, 1_000_000).expect("oracle");
         assert_profiles_equal("random nest", &got, &want);
-    }
+    });
 }
 
 /// The verdicts the random mixes must actually exercise: both outcomes,
@@ -327,12 +331,12 @@ fn random_access_mixes_reach_both_verdicts() {
 fn prepared_compiles_equal_fresh_compiles_in_every_configuration() {
     let opts = CompileOptions::default();
     let strategies = [
-        CompileStrategy::Ilp,
-        CompileStrategy::FineGrainTlp,
-        CompileStrategy::Llp,
-        CompileStrategy::Hybrid,
+        Strategy::Ilp,
+        Strategy::FineGrainTlp,
+        Strategy::Llp,
+        Strategy::Hybrid,
     ];
-    let matrix: Vec<(CompileStrategy, MachineConfig)> = strategies
+    let matrix: Vec<(Strategy, MachineConfig)> = strategies
         .into_iter()
         .flat_map(|s| [2usize, 4, 16, 64].map(|n| (s, MachineConfig::scaled(n))))
         .collect();

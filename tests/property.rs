@@ -1,4 +1,4 @@
-//! Property-based tests (proptest) on the core invariants:
+//! Property-based tests, seeded random cases, on the core invariants:
 //!
 //! * randomly generated programs compile under every strategy and
 //!   reproduce the reference interpreter's memory exactly;
@@ -6,12 +6,17 @@
 //! * the tag cache behaves like a naive LRU reference model;
 //! * ordered transactions serialize to the chunk order.
 
-use proptest::prelude::*;
-use voltron_compiler::{compile, CompileOptions, Strategy as CompileStrategy};
+use rand::rngs::StdRng;
+use rand::Rng;
+use voltron_compiler::{compile, CompileOptions, Strategy};
 use voltron_ir::builder::{FunctionBuilder, ProgramBuilder};
 use voltron_ir::{CmpCc, Program, Reg};
 use voltron_sim::network::{OperandNetwork, Payload};
 use voltron_sim::{CoherenceBackend, Machine, MachineConfig};
+
+#[path = "../crates/sim/tests/common/cases.rs"]
+mod cases;
+use cases::{cases, vec_of};
 
 // ---------- random-program generation ----------
 
@@ -33,21 +38,23 @@ enum GenOp {
     GuardedStoreB(u8, u8, u8),
 }
 
-fn gen_op() -> impl Strategy<Value = GenOp> {
-    prop_oneof![
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| GenOp::Add(a, b)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| GenOp::Sub(a, b)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| GenOp::Mul(a, b)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| GenOp::Xor(a, b)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| GenOp::Min(a, b)),
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(p, a, b)| GenOp::Sel(p, a, b)),
-        any::<u8>().prop_map(GenOp::LoadA),
-        any::<u8>().prop_map(GenOp::LoadB),
-        (any::<u8>(), any::<u8>()).prop_map(|(i, v)| GenOp::StoreA(i, v)),
-        (any::<u8>(), any::<u8>()).prop_map(|(i, v)| GenOp::StoreB(i, v)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| GenOp::Fma(a, b)),
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(i, v, g)| GenOp::GuardedStoreB(i, v, g)),
-    ]
+/// One random op, each kind equally likely, over full-width `u8` operands.
+fn gen_op(rng: &mut StdRng) -> GenOp {
+    let u = |rng: &mut StdRng| rng.gen::<u8>();
+    match rng.gen_range(0..12) {
+        0 => GenOp::Add(u(rng), u(rng)),
+        1 => GenOp::Sub(u(rng), u(rng)),
+        2 => GenOp::Mul(u(rng), u(rng)),
+        3 => GenOp::Xor(u(rng), u(rng)),
+        4 => GenOp::Min(u(rng), u(rng)),
+        5 => GenOp::Sel(u(rng), u(rng), u(rng)),
+        6 => GenOp::LoadA(u(rng)),
+        7 => GenOp::LoadB(u(rng)),
+        8 => GenOp::StoreA(u(rng), u(rng)),
+        9 => GenOp::StoreB(u(rng), u(rng)),
+        10 => GenOp::Fma(u(rng), u(rng)),
+        _ => GenOp::GuardedStoreB(u(rng), u(rng), u(rng)),
+    }
 }
 
 const ARR: i64 = 32;
@@ -204,13 +211,13 @@ fn check_program(p: &Program) {
     let at_scale =
         |cores| MachineConfig::scaled(cores).with_backend(CoherenceBackend::directory_for(cores));
     for (strategy, cfg) in [
-        (CompileStrategy::Ilp, MachineConfig::paper(4)),
-        (CompileStrategy::FineGrainTlp, MachineConfig::paper(4)),
-        (CompileStrategy::Llp, MachineConfig::paper(4)),
-        (CompileStrategy::Hybrid, MachineConfig::paper(4)),
-        (CompileStrategy::Hybrid, MachineConfig::paper(2)),
-        (CompileStrategy::Llp, at_scale(16)),
-        (CompileStrategy::Hybrid, at_scale(64)),
+        (Strategy::Ilp, MachineConfig::paper(4)),
+        (Strategy::FineGrainTlp, MachineConfig::paper(4)),
+        (Strategy::Llp, MachineConfig::paper(4)),
+        (Strategy::Hybrid, MachineConfig::paper(4)),
+        (Strategy::Hybrid, MachineConfig::paper(2)),
+        (Strategy::Llp, at_scale(16)),
+        (Strategy::Hybrid, at_scale(64)),
     ] {
         let cores = cfg.cores;
         let compiled = compile(p, strategy, &cfg, &CompileOptions::default())
@@ -227,33 +234,42 @@ fn check_program(p: &Program) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
+/// Initial contents of array `a`.
+fn init_array(rng: &mut StdRng) -> Vec<i64> {
+    (0..ARR).map(|_| rng.gen_range(-1000i64..1000)).collect()
+}
 
-    #[test]
-    fn random_straightline_programs_are_equivalent(
-        ops in proptest::collection::vec(gen_op(), 4..40),
-        seeds in proptest::collection::vec(-100i64..100, 2..6),
-        init in proptest::collection::vec(-1000i64..1000, ARR as usize),
-    ) {
-        check_program(&straightline_program(&ops, &seeds, &init));
-    }
+#[test]
+fn random_straightline_programs_are_equivalent() {
+    let sample = |rng: &mut StdRng| {
+        let ops = vec_of(rng, 4..40, gen_op);
+        let seeds = vec_of(rng, 2..6, |rng| rng.gen_range(-100i64..100));
+        (ops, seeds, init_array(rng))
+    };
+    cases(1_000_000, 16, sample, |(ops, seeds, init)| {
+        check_program(&straightline_program(ops, seeds, init));
+    });
+}
 
-    #[test]
-    fn random_loop_programs_are_equivalent(
-        ops in proptest::collection::vec(gen_op(), 3..16),
-        seeds in proptest::collection::vec(-50i64..50, 2..5),
-        init in proptest::collection::vec(-1000i64..1000, ARR as usize),
-        trips in 5i64..60,
-    ) {
-        check_program(&loop_program(&ops, &seeds, &init, trips));
-    }
+#[test]
+fn random_loop_programs_are_equivalent() {
+    let sample = |rng: &mut StdRng| {
+        let ops = vec_of(rng, 3..16, gen_op);
+        let seeds = vec_of(rng, 2..5, |rng| rng.gen_range(-50i64..50));
+        (ops, seeds, init_array(rng), rng.gen_range(5i64..60))
+    };
+    cases(1_100_000, 16, sample, |(ops, seeds, init, trips)| {
+        check_program(&loop_program(ops, seeds, init, *trips));
+    });
+}
 
-    #[test]
-    fn network_is_fifo_per_sender_and_tag(
-        values in proptest::collection::vec(-1000i64..1000, 1..24),
-        tag in 1u32..5,
-    ) {
+#[test]
+fn network_is_fifo_per_sender_and_tag() {
+    let sample = |rng: &mut StdRng| {
+        let values = vec_of(rng, 1..24, |rng| rng.gen_range(-1000i64..1000));
+        (values, rng.gen_range(1u32..5))
+    };
+    cases(1_200_000, 16, sample, |(values, tag)| {
         let cfg = MachineConfig::paper(4);
         let mut net = OperandNetwork::new(&cfg);
         let mut now = 0u64;
@@ -261,34 +277,41 @@ proptest! {
         let mut got: Vec<i64> = Vec::new();
         while got.len() < values.len() {
             if sent < values.len()
-                && net.send(0, 3, tag, Payload::Data(voltron_ir::Value::Int(values[sent])), now)
+                && net.send(
+                    0,
+                    3,
+                    *tag,
+                    Payload::Data(voltron_ir::Value::Int(values[sent])),
+                    now,
+                )
             {
                 sent += 1;
             }
             net.tick(now);
-            if let Some(voltron_ir::Value::Int(v)) = net.recv(3, 0, tag, now) {
+            if let Some(voltron_ir::Value::Int(v)) = net.recv(3, 0, *tag, now) {
                 got.push(v);
             }
             now += 1;
-            prop_assert!(now < 100_000, "network failed to drain");
+            assert!(now < 100_000, "network failed to drain");
         }
-        prop_assert_eq!(got, values);
-    }
+        assert_eq!(&got, values);
+    });
+}
 
-    #[test]
-    fn tag_cache_matches_naive_lru(
-        addrs in proptest::collection::vec(0u64..4096, 1..400),
-    ) {
-        use voltron_sim::cache::{LineState, TagCache};
+#[test]
+fn tag_cache_matches_naive_lru() {
+    use voltron_sim::cache::{LineState, TagCache};
+    let sample = |rng: &mut StdRng| vec_of(rng, 1..400, |rng| rng.gen_range(0u64..4096));
+    cases(1_300_000, 16, sample, |addrs| {
         let mut cache = TagCache::new(512, 2, 32); // 8 sets, 2 ways
-        // Naive model: per set, a vector in MRU order.
+                                                   // Naive model: per set, a vector in MRU order.
         let mut model: Vec<Vec<u64>> = vec![Vec::new(); 8];
-        for addr in addrs {
+        for &addr in addrs {
             let line = addr >> 5;
             let set = (line & 7) as usize;
             let hit_model = model[set].contains(&line);
             let hit_cache = cache.access(addr).is_some();
-            prop_assert_eq!(hit_model, hit_cache, "line {} set {}", line, set);
+            assert_eq!(hit_model, hit_cache, "line {line} set {set}");
             if hit_model {
                 let pos = model[set].iter().position(|l| *l == line).unwrap();
                 let l = model[set].remove(pos);
@@ -299,14 +322,19 @@ proptest! {
                 model[set].truncate(2);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn transactions_serialize_in_chunk_order(
-        writes in proptest::collection::vec((0u64..16, 0u64..255), 1..32),
-    ) {
-        use std::collections::HashMap;
-        use voltron_sim::tm::TxnManager;
+#[test]
+fn transactions_serialize_in_chunk_order() {
+    use std::collections::HashMap;
+    use voltron_sim::tm::TxnManager;
+    let sample = |rng: &mut StdRng| {
+        vec_of(rng, 1..32, |rng| {
+            (rng.gen_range(0u64..16), rng.gen_range(0u64..255))
+        })
+    };
+    cases(1_400_000, 16, sample, |writes| {
         // Split the write stream across two ordered transactions; the
         // committed memory must equal applying chunk 0 then chunk 1.
         let mid = writes.len() / 2;
@@ -318,17 +346,21 @@ proptest! {
             tm.write(core, 0x1_0000 + slot * 8, 8, v);
         }
         let mut mem: HashMap<u64, u8> = HashMap::new();
-        prop_assert!(!tm.can_commit(1));
-        tm.commit(0, |a, b| { mem.insert(a, b); });
-        prop_assert!(tm.can_commit(1));
-        tm.commit(1, |a, b| { mem.insert(a, b); });
+        assert!(!tm.can_commit(1));
+        tm.commit(0, |a, b| {
+            mem.insert(a, b);
+        });
+        assert!(tm.can_commit(1));
+        tm.commit(1, |a, b| {
+            mem.insert(a, b);
+        });
         // Reference: sequential application.
         let mut reference: HashMap<u64, u8> = HashMap::new();
-        for &(slot, v) in &writes {
+        for &(slot, v) in writes {
             for (bi, byte) in v.to_le_bytes().iter().enumerate() {
                 reference.insert(0x1_0000 + slot * 8 + bi as u64, *byte);
             }
         }
-        prop_assert_eq!(mem, reference);
-    }
+        assert_eq!(mem, reference);
+    });
 }

@@ -10,13 +10,18 @@
 //! record reads back what it writes and refuses any other schema, and
 //! the JSON writer and parser are inverses.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use voltron_bench::cli::bench_one;
 use voltron_bench::harness::HarnessArgs;
 use voltron_core::report::{parse, Json, RunRecord};
 use voltron_core::{FaultSite, FaultStats, Strategy as Technique};
 use voltron_sim::StallReason;
 use voltron_workloads::Scale;
+
+#[path = "../crates/sim/tests/common/cases.rs"]
+mod cases;
+use cases::{cases, vec_of};
 
 const GOLDEN: &str = include_str!("golden/bench_one_sidecar.json");
 
@@ -131,13 +136,12 @@ fn value(tape: &mut impl Iterator<Item = u64>, depth: u32) -> Json {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
-
-    /// The writer and the parser are inverses on every finite value.
-    #[test]
-    fn parse_inverts_render(tape in collection::vec(any::<u64>(), 1..160)) {
-        let v = value(&mut tape.into_iter(), 3);
-        prop_assert_eq!(parse(&v.render()), Ok(v));
-    }
+/// The writer and the parser are inverses on every finite value.
+#[test]
+fn parse_inverts_render() {
+    let sample = |rng: &mut StdRng| vec_of(rng, 1..160, |rng| rng.gen::<u64>());
+    cases(1_600_000, 512, sample, |tape| {
+        let v = value(&mut tape.iter().copied(), 3);
+        assert_eq!(parse(&v.render()), Ok(v));
+    });
 }
