@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 use voltron_core::report::{parse, Json};
 use voltron_core::{
-    front_end, prepare, CycleStack, Experiment, ProbeSummary, StallCategory, Strategy, SystemError,
-    WhatIfReport,
+    CycleStack, Experiment, ProbeSummary, StallCategory, Strategy, SystemError, WhatIfReport,
 };
 use voltron_sim::{StallReason, REGION_OUTSIDE};
 use voltron_workloads::{all, Scale, Workload};
@@ -440,8 +439,8 @@ fn bottleneck(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
             "{:>8} {:<10} {:>9} cycles ({:>5.1}%)  bound by {}",
             region_name(d.region),
             d.kind,
-            d.stack.cycles,
-            100.0 * d.stack.cycles as f64 / measured.max(1) as f64,
+            d.cycles,
+            100.0 * d.cycles as f64 / measured.max(1) as f64,
             d.bound_by
         );
     }
@@ -468,10 +467,9 @@ fn inspect(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
     let (strategy, cores, backend) = config;
     let mut exp = Experiment::new(&w.program)?;
     args.observe("inspect", w.name, &mut exp, config)?;
-    let run = exp.run_on(strategy, cores, backend)?;
-    // The code that run executed: compilation is deterministic.
-    let sealed = prepare(&front_end(&w.program, strategy, cores)?, config)?.image;
+    let sealed = exp.image(config)?;
     let image = sealed.program();
+    let run = exp.run_on(strategy, cores, backend)?;
 
     println!("== {} / {strategy} / {cores} cores ==", w.name);
     let mut kinds: Vec<_> = run.region_kinds.iter().collect();
@@ -494,7 +492,7 @@ fn inspect(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
         let share = 100.0 * rb.cycles as f64 / run.cycles.max(1) as f64;
         let mut stalls: Vec<(StallReason, u64)> = StallReason::ALL
             .iter()
-            .map(|&r| (r, rb.stalls[r.index()]))
+            .map(|&r| (r, rb.buckets.stalls_for(r)))
             .filter(|&(_, n)| n > 0)
             .collect();
         stalls.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
@@ -507,8 +505,8 @@ fn inspect(cmd: &Command, argv: &[&str]) -> Result<(), CliError> {
             "{:>8} {kind:<10} {:>9} cycles ({share:>5.1}%)  issued {:>9}  idle {:>8}  stalls: {}",
             region_name(id),
             rb.cycles,
-            rb.issued,
-            rb.idle,
+            rb.buckets.issued,
+            rb.buckets.idle,
             if top.is_empty() {
                 "none".into()
             } else {

@@ -60,7 +60,7 @@ pub use voltron_compiler::Strategy;
 pub use voltron_ir::interp::GOLDEN_FUEL;
 pub use voltron_sim::{
     BoundBy, CycleStack, FaultBudgetReport, FaultEvent, FaultKind, FaultPlan, FaultSite,
-    FaultStats, KnobId, ProbeSeries, ProbeSummary, RegionStack,
+    FaultStats, KnobId, ProbeSeries, ProbeSummary,
 };
 
 /// The machine configuration for one experiment run: geometry from
@@ -364,7 +364,7 @@ pub type Config = (Strategy, usize, CoherenceBackend);
 ///
 /// # Errors
 /// Fails if the program does not verify or its profiling run fails.
-pub fn front_end(
+pub(crate) fn front_end(
     program: &Program,
     strategy: Strategy,
     cores: usize,
@@ -399,7 +399,10 @@ pub struct Prepared {
 ///
 /// # Errors
 /// Propagates compile and validation failures.
-pub fn prepare(fe: &FrontEnd, (strategy, cores, backend): Config) -> Result<Prepared, SystemError> {
+pub(crate) fn prepare(
+    fe: &FrontEnd,
+    (strategy, cores, backend): Config,
+) -> Result<Prepared, SystemError> {
     let mcfg = machine_config(cores, backend);
     let compiled = compile_prepared(fe, strategy, &mcfg, &CompileOptions::default())?;
     Ok(Prepared {
@@ -537,8 +540,10 @@ pub struct RegionDiagnosis {
     pub region: u32,
     /// Planner technique for the region (`"outside"` for the remainder).
     pub kind: &'static str,
-    /// Where this region's cycles went.
-    pub stack: RegionStack,
+    /// Cycles the master core spent inside the region.
+    pub cycles: u64,
+    /// Where this region's core-cycles went (`total = cycles * cores`).
+    pub stack: CycleStack,
     /// The dominant cycle class — what the region is bound by.
     pub bound_by: BoundBy,
 }
@@ -577,15 +582,16 @@ impl WhatIfReport {
         let stack = CycleStack::of(&run.stats);
         let regions = region_stacks(&run.stats)
             .into_iter()
-            .map(|rs| RegionDiagnosis {
-                region: rs.region,
-                kind: if rs.region == voltron_sim::REGION_OUTSIDE {
+            .map(|(region, cycles, stack)| RegionDiagnosis {
+                region,
+                kind: if region == voltron_sim::REGION_OUTSIDE {
                     "outside"
                 } else {
-                    run.region_kinds.get(&rs.region).copied().unwrap_or("?")
+                    run.region_kinds.get(&region).copied().unwrap_or("?")
                 },
-                bound_by: rs.bound_by(),
-                stack: rs,
+                cycles,
+                bound_by: stack.bound_by(),
+                stack,
             })
             .collect();
         WhatIfReport {
@@ -788,6 +794,16 @@ impl<'a> Experiment<'a> {
         self.run_all_on(&[config])?;
         let spec = self.settings.plain(config);
         Ok(self.cache.cached_mut(&spec).expect("just run"))
+    }
+
+    /// The sealed image `config` compiles to, from the image layer: the
+    /// code every run of it simulates (compiled here if none has run).
+    ///
+    /// # Errors
+    /// Propagates front-end and compile failures.
+    pub fn image(&self, config: Config) -> Result<Arc<SealedImage>, SystemError> {
+        let (prepared, _) = self.cache.prepared(self.program, config)?;
+        Ok(Arc::clone(&prepared.image))
     }
 
     /// Run a configuration with observability attached, returning the

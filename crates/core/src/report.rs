@@ -363,7 +363,7 @@ impl RunRecord {
             cycles: r.cycles,
             ticked_cycles: r.ticked_cycles,
             speedup: r.speedup,
-            dominant_stall: r.stats.dominant_stall().map(|(reason, _)| reason),
+            dominant_stall: r.stats.summed().dominant_stall().map(|(reason, _)| reason),
             shared_with: r.shared_with,
             faults: r.stats.faults,
         }
@@ -529,7 +529,7 @@ pub fn whatif_json(r: &WhatIfReport) -> Json {
         Json::obj([
             ("region", region),
             ("kind", Json::Str(d.kind.into())),
-            ("cycles", Json::UInt(d.stack.cycles)),
+            ("cycles", Json::UInt(d.cycles)),
             ("bound_by", Json::Str(d.bound_by.to_string())),
         ])
     });

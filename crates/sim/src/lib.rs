@@ -63,7 +63,7 @@ pub use obs::{
 pub use sealed::SealedImage;
 pub use stats::{CoreStats, MachineStats, RegionBreakdown, StallReason};
 pub use validate::{Site, ValidateError};
-pub use whatif::{BoundBy, CycleStack, KnobId, RegionStack};
+pub use whatif::{BoundBy, CycleStack, KnobId};
 
 #[cfg(test)]
 mod tests {

@@ -386,16 +386,13 @@ impl Machine {
                 slot as RegionId
             }
         };
-        let (region_cycles, regions) = self
+        let regions = self
             .region_table
             .iter()
             .enumerate()
             .filter(|(_, rb)| rb.cycles > 0)
-            .map(|(slot, rb)| {
-                let region = slot_region(slot);
-                ((region, rb.cycles), (region, rb.clone()))
-            })
-            .unzip();
+            .map(|(slot, rb)| (slot_region(slot), rb.clone()))
+            .collect();
         let mut tm_stats = self.tm.stats();
         tm_stats.wasted_cycles = self.tm_wasted;
         let stats = MachineStats {
@@ -403,7 +400,6 @@ impl Machine {
             drained_cycles: u64::from(grace),
             coupled_cycles: self.coupled_cycles,
             decoupled_cycles: self.decoupled_cycles,
-            region_cycles,
             regions,
             cores: std::mem::take(&mut self.core_stats),
             mem: self.memsys.stats(),
@@ -738,15 +734,16 @@ impl Machine {
     }
 
     /// The one accounting path: close core `i`'s open run at cycle `upto`,
-    /// charging its length to the core's stats and the current region.
-    /// Issue runs reach [`CoreStats`] per instruction instead (`exec_core`
-    /// splits them into useful operations and NOPs).
+    /// charging its length to the core's buckets and the current region's.
+    /// Issue runs reach the core's buckets per instruction instead
+    /// (`exec_core` splits them into useful operations and NOPs); the
+    /// region's `issued` takes the whole run, NOPs included.
     fn charge(&mut self, i: usize, upto: u64) {
         let (bucket, since) = self.runs[i];
         self.runs[i].1 = upto;
         let n = upto - since;
         let cs = &mut self.core_stats[i];
-        let rb = &mut self.region_table[self.cur_slot];
+        let rb = &mut self.region_table[self.cur_slot].buckets;
         match bucket {
             Decision::Issue => rb.issued += n,
             Decision::Stall(r) => {

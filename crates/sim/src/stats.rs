@@ -52,19 +52,10 @@ impl StallReason {
         StallReason::Sync,
     ];
 
-    /// Dense index for table storage.
+    /// Dense index for table storage: the position in [`StallReason::ALL`],
+    /// which lists the variants in declaration order.
     pub fn index(self) -> usize {
-        match self {
-            StallReason::IFetch => 0,
-            StallReason::DMiss => 1,
-            StallReason::StoreBuf => 2,
-            StallReason::Interlock => 3,
-            StallReason::DirectWait => 4,
-            StallReason::RecvData => 5,
-            StallReason::RecvPred => 6,
-            StallReason::SendFull => 7,
-            StallReason::Sync => 8,
-        }
+        self as usize
     }
 
     /// The reason's name, as displayed.
@@ -89,16 +80,24 @@ impl fmt::Display for StallReason {
     }
 }
 
-/// Per-core cycle accounting.
+/// The one cycle-accounting record: where a set of core-cycles went,
+/// every core-cycle in exactly one bucket. One core's run
+/// ([`MachineStats::cores`]), one region's share of every core
+/// ([`RegionBreakdown::buckets`]) and the whole machine
+/// ([`MachineStats::summed`], `crate::whatif::CycleStack`) are each one of
+/// these.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreStats {
-    /// Cycles that issued a useful (non-NOP) operation.
+    /// Cycles that issued a useful (non-NOP) operation. A region's count
+    /// holds its NOPs too: the tick loop charges issue runs to the region
+    /// without splitting them.
     pub issued: u64,
-    /// Cycles that issued a NOP (coupled-mode schedule padding).
+    /// Cycles that issued a NOP (coupled-mode schedule padding); always 0
+    /// for a region.
     pub nops: u64,
     /// Cycles spent idle awaiting a spawn.
     pub idle: u64,
-    /// Stall cycles by reason.
+    /// Stall cycles, indexed by [`StallReason::index`].
     pub stalls: [u64; 9],
     /// Cycles consumed starting a spawned thread (the wake-up cycle a
     /// `StartThread` decision burns before the first issue). Kept as its
@@ -123,62 +122,44 @@ impl CoreStats {
         self.stalls[r.index()]
     }
 
-    /// Every accounted core-cycle: issue + NOPs + idle + stalls +
-    /// spawn-start cycles. Equals the cycles this core was simulated for
-    /// (including the post-halt drain; see `MachineStats::drained_cycles`).
+    /// Every accounted cycle: issue + NOPs + idle + stalls + spawn-start
+    /// cycles. For a core, the cycles it was simulated for (including
+    /// the post-halt drain; see `MachineStats::drained_cycles`); for a
+    /// region, `cycles * cores`.
     pub fn accounted(&self) -> u64 {
         self.issued + self.nops + self.idle + self.total_stalls() + self.spawn_starts
+    }
+
+    /// The stall reason costing the most cycles, if any stall was
+    /// recorded.
+    pub fn dominant_stall(&self) -> Option<(StallReason, u64)> {
+        StallReason::ALL
+            .iter()
+            .map(|&r| (r, self.stalls_for(r)))
+            .max_by_key(|&(_, n)| n)
+            .filter(|&(_, n)| n > 0)
     }
 }
 
 /// Per-region occupancy attribution: where every core-cycle spent while
 /// the master core was inside the region went.
 ///
-/// Classification matches [`CoreStats`] accounting exactly — the same
-/// coupled stall-bus grouping, the same idle/issue arms — so summing a
-/// field over all regions reproduces the machine-wide total.
+/// Classification matches per-core accounting exactly — the same coupled
+/// stall-bus grouping, the same idle/issue arms — so summing a bucket
+/// over all regions reproduces the machine-wide total (NOPs inside
+/// `issued`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionBreakdown {
     /// Cycles the master core spent inside the region.
     pub cycles: u64,
-    /// Core-cycles that issued (useful ops and NOPs alike).
-    pub issued: u64,
-    /// Core-cycles spent idle awaiting a spawn.
-    pub idle: u64,
-    /// Core-cycles stalled, indexed by [`StallReason::index`].
-    pub stalls: [u64; 9],
-    /// Core-cycles consumed starting spawned threads (see
-    /// [`CoreStats::spawn_starts`]).
-    pub spawn_starts: u64,
+    /// Every core's cycles in the region; they sum to `cycles * cores`
+    /// (the per-region exact-sum invariant).
+    pub buckets: CoreStats,
     /// Core-cycles spent in transactions that later aborted, attributed
-    /// to the region current at abort time. An *overlay* on the primary
-    /// categories (those cycles were already classified as issue/stall),
-    /// not a term of the exact-sum decomposition.
+    /// to the region current at abort time. An *overlay* on the buckets
+    /// (those cycles were already classified as issue/stall), not a term
+    /// of the exact-sum decomposition.
     pub tm_wasted: u64,
-}
-
-impl RegionBreakdown {
-    /// Total stalled core-cycles in the region.
-    fn total_stalls(&self) -> u64 {
-        self.stalls.iter().sum()
-    }
-
-    /// Every accounted core-cycle in the region (spawn-start cycles
-    /// included, the `tm_wasted` overlay excluded). Equals
-    /// `cycles * cores` — the per-region exact-sum invariant.
-    pub fn accounted(&self) -> u64 {
-        self.issued + self.idle + self.total_stalls() + self.spawn_starts
-    }
-
-    /// The stall reason costing the most core-cycles, if any stall was
-    /// recorded.
-    pub fn dominant_stall(&self) -> Option<(StallReason, u64)> {
-        StallReason::ALL
-            .iter()
-            .map(|&r| (r, self.stalls[r.index()]))
-            .max_by_key(|&(_, n)| n)
-            .filter(|&(_, n)| n > 0)
-    }
 }
 
 /// Whole-machine statistics for one run.
@@ -201,11 +182,9 @@ pub struct MachineStats {
     pub coupled_cycles: u64,
     /// Cycles spent in decoupled mode.
     pub decoupled_cycles: u64,
-    /// Cycles attributed to each planner region (by the master core's
-    /// current block).
-    pub region_cycles: HashMap<u32, u64>,
-    /// Full per-region occupancy/stall attribution (same keys as
-    /// `region_cycles`; `regions[r].cycles == region_cycles[r]`).
+    /// Per-region occupancy/stall attribution, keyed by planner region
+    /// (the master core's current block), regions with no cycles left
+    /// out.
     pub regions: HashMap<u32, RegionBreakdown>,
     /// Per-core accounting.
     pub cores: Vec<CoreStats>,
@@ -227,9 +206,25 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
+    /// Every core's buckets summed: the machine-wide record
+    /// `crate::whatif::CycleStack::of` is built on.
+    pub fn summed(&self) -> CoreStats {
+        let mut all = CoreStats::default();
+        for c in &self.cores {
+            all.issued += c.issued;
+            all.nops += c.nops;
+            all.idle += c.idle;
+            all.spawn_starts += c.spawn_starts;
+            for (acc, n) in all.stalls.iter_mut().zip(c.stalls) {
+                *acc += n;
+            }
+        }
+        all
+    }
+
     /// Sum of a stall reason across cores.
     pub fn total_stall(&self, r: StallReason) -> u64 {
-        self.cores.iter().map(|c| c.stalls_for(r)).sum()
+        self.summed().stalls_for(r)
     }
 
     /// Average per-core stall cycles for a reason (the paper's Fig. 12
@@ -242,25 +237,11 @@ impl MachineStats {
         }
     }
 
-    /// Total stalled core-cycles across all cores and reasons.
-    fn total_stalls(&self) -> u64 {
-        self.cores.iter().map(|c| c.total_stalls()).sum()
-    }
-
-    /// The stall reason costing the most core-cycles machine-wide, if any
-    /// stall was recorded.
-    pub fn dominant_stall(&self) -> Option<(StallReason, u64)> {
-        StallReason::ALL
-            .iter()
-            .map(|&r| (r, self.total_stall(r)))
-            .max_by_key(|&(_, n)| n)
-            .filter(|&(_, n)| n > 0)
-    }
-
     /// One-line human summary.
     pub fn summary(&self) -> String {
-        let stall = match self.dominant_stall() {
-            Some((r, n)) => format!("{} stall cycles (top: {r} {n})", self.total_stalls()),
+        let all = self.summed();
+        let stall = match all.dominant_stall() {
+            Some((r, n)) => format!("{} stall cycles (top: {r} {n})", all.total_stalls()),
             None => "0 stall cycles".to_string(),
         };
         format!(
@@ -319,18 +300,21 @@ mod tests {
         m.cores[0].stall(StallReason::RecvData);
         m.cores[0].stall(StallReason::RecvData);
         m.cores[1].stall(StallReason::Sync);
-        assert_eq!(m.total_stalls(), 3);
-        assert_eq!(m.dominant_stall(), Some((StallReason::RecvData, 2)));
+        assert_eq!(m.summed().total_stalls(), 3);
+        assert_eq!(
+            m.summed().dominant_stall(),
+            Some((StallReason::RecvData, 2))
+        );
         assert!(m.summary().contains("3 stall cycles (top: recv-data 2)"));
     }
 
     #[test]
     fn region_breakdown_reports_its_dominant_reason() {
         let mut r = RegionBreakdown::default();
-        assert_eq!(r.dominant_stall(), None);
-        r.stalls[StallReason::Sync.index()] = 5;
-        r.stalls[StallReason::DMiss.index()] = 7;
-        assert_eq!(r.total_stalls(), 12);
-        assert_eq!(r.dominant_stall(), Some((StallReason::DMiss, 7)));
+        assert_eq!(r.buckets.dominant_stall(), None);
+        r.buckets.stalls[StallReason::Sync.index()] = 5;
+        r.buckets.stalls[StallReason::DMiss.index()] = 7;
+        assert_eq!(r.buckets.total_stalls(), 12);
+        assert_eq!(r.buckets.dominant_stall(), Some((StallReason::DMiss, 7)));
     }
 }

@@ -3,9 +3,9 @@
 //! Two halves of one question — *what is this run bound by, and what
 //! would fixing it buy?*
 //!
-//! * [`CycleStack`] / [`RegionStack`] decompose a finished run's
-//!   core-cycles into issue, per-[`StallReason`], idle, and spawn-start
-//!   components, machine-wide and per region, under an **exact-sum
+//! * [`CycleStack`] decomposes a finished run's core-cycles into issue,
+//!   per-[`StallReason`], idle, and spawn-start components, machine-wide
+//!   and per region ([`region_stacks`]), under an **exact-sum
 //!   invariant**: the components add to `(cycles + drained_cycles) *
 //!   cores` with no residue (asserted by `tests/whatif_ceilings.rs`).
 //!   TM-abort wasted work is carried as an *overlay* — those cycles were
@@ -27,8 +27,9 @@
 
 use crate::config::IdealKnobs;
 use crate::mcode::{RegionId, REGION_OUTSIDE};
-use crate::stats::{MachineStats, RegionBreakdown, StallReason};
+use crate::stats::{CoreStats, MachineStats, StallReason};
 use std::fmt;
+use std::ops::Deref;
 
 /// The cost class a run (or region) is dominated by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,108 +63,87 @@ impl fmt::Display for BoundBy {
     }
 }
 
-/// Pick the dominant cost class from pre-bucketed core-cycle counts.
-/// Ties break toward the earlier class in the listing order (compute
-/// first), which makes the classification deterministic.
-fn classify(compute: u64, memory: u64, comm: u64, sync: u64, idle: u64, tm_wasted: u64) -> BoundBy {
-    let buckets = [
-        (BoundBy::Compute, compute),
-        (BoundBy::Memory, memory),
-        (BoundBy::Communication, comm),
-        (BoundBy::Synchronization, sync),
-        (BoundBy::Idle, idle),
-        (BoundBy::TmConflicts, tm_wasted),
-    ];
-    let mut best = buckets[0];
-    for &b in &buckets[1..] {
-        if b.1 > best.1 {
-            best = b;
-        }
-    }
-    best.0
-}
-
-/// Bucket a stall array into the memory / communication / sync classes
-/// used by [`BoundBy`]. Returns `(memory, comm, sync, interlock)`.
-fn bucket_stalls(stalls: &[u64; 9]) -> (u64, u64, u64, u64) {
-    let s = |r: StallReason| stalls[r.index()];
-    let memory = s(StallReason::IFetch) + s(StallReason::DMiss) + s(StallReason::StoreBuf);
-    let comm = s(StallReason::RecvData) + s(StallReason::DirectWait) + s(StallReason::SendFull);
-    let sync = s(StallReason::Sync) + s(StallReason::RecvPred);
-    (memory, comm, sync, s(StallReason::Interlock))
-}
-
-/// Machine-wide CPI stack: where every core-cycle of a run went.
+/// A CPI stack: where every core-cycle of a run, or of one region of
+/// it, went.
 ///
-/// Built by [`CycleStack::of`] from a finished run's [`MachineStats`];
-/// pure post-processing, the run is never touched.
+/// Built by [`CycleStack::of`] (machine-wide) or [`region_stacks`] from a
+/// finished run's [`MachineStats`]; pure post-processing, the run is
+/// never touched. It derefs to its [`CoreStats`] buckets, so
+/// `stack.issued`, `stack.stalls` and `stack.accounted()` read the one
+/// accounting record directly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleStack {
     /// Core count the totals are summed over.
     pub cores: usize,
-    /// The exact-sum denominator:
-    /// `(cycles + drained_cycles) * cores` — every core is accounted on
-    /// every simulated cycle, including the post-halt drain.
+    /// The exact-sum denominator: `(cycles + drained_cycles) * cores`
+    /// for a run (every core is accounted on every simulated cycle,
+    /// including the post-halt drain), `cycles * cores` for a region.
     pub total: u64,
-    /// Core-cycles that issued a useful (non-NOP) operation.
-    pub issued: u64,
-    /// Core-cycles that issued schedule-padding NOPs.
-    pub nops: u64,
-    /// Core-cycles spent idle awaiting a spawn.
-    pub idle: u64,
-    /// Core-cycles stalled, indexed by [`StallReason::index`].
-    pub stalls: [u64; 9],
-    /// Core-cycles consumed starting spawned threads.
-    pub spawn_starts: u64,
+    /// The core-cycles, bucketed. A region's NOPs are inside `issued`.
+    pub buckets: CoreStats,
     /// Overlay: core-cycles inside transactions that later aborted.
     /// Already counted in `issued`/`stalls`; **not** an exact-sum term.
     pub tm_wasted: u64,
+}
+
+impl Deref for CycleStack {
+    type Target = CoreStats;
+
+    fn deref(&self) -> &CoreStats {
+        &self.buckets
+    }
 }
 
 impl CycleStack {
     /// Decompose a run's statistics into its machine-wide stack.
     pub fn of(stats: &MachineStats) -> CycleStack {
         let cores = stats.cores.len();
-        let mut stack = CycleStack {
+        CycleStack {
             cores,
             total: (stats.cycles + stats.drained_cycles) * cores as u64,
+            buckets: stats.summed(),
             tm_wasted: stats.tm.wasted_cycles,
-            ..CycleStack::default()
-        };
-        for c in &stats.cores {
-            stack.issued += c.issued;
-            stack.nops += c.nops;
-            stack.idle += c.idle;
-            stack.spawn_starts += c.spawn_starts;
-            for (i, s) in c.stalls.iter().enumerate() {
-                stack.stalls[i] += s;
-            }
         }
-        stack
     }
 
-    /// Sum of the primary components (the overlay excluded).
-    pub fn accounted(&self) -> u64 {
-        self.issued + self.nops + self.idle + self.stalls.iter().sum::<u64>() + self.spawn_starts
-    }
-
-    /// The exact-sum invariant: components add to `total` with no
+    /// The exact-sum invariant: the buckets add to `total` with no
     /// residue.
     pub fn is_exact(&self) -> bool {
         self.accounted() == self.total
     }
 
-    /// Dominant cost class of the whole run.
+    /// Dominant cost class. Ties break toward the earlier class in
+    /// [`BoundBy`]'s listing order (compute first), which makes the
+    /// classification deterministic.
     pub fn bound_by(&self) -> BoundBy {
-        let (memory, comm, sync, interlock) = bucket_stalls(&self.stalls);
-        classify(
-            self.issued + self.nops + interlock,
-            memory,
-            comm,
-            sync + self.spawn_starts,
-            self.idle,
-            self.tm_wasted,
-        )
+        let s = |r: StallReason| self.stalls_for(r);
+        let classes = [
+            (
+                BoundBy::Compute,
+                self.issued + self.nops + s(StallReason::Interlock),
+            ),
+            (
+                BoundBy::Memory,
+                s(StallReason::IFetch) + s(StallReason::DMiss) + s(StallReason::StoreBuf),
+            ),
+            (
+                BoundBy::Communication,
+                s(StallReason::RecvData) + s(StallReason::DirectWait) + s(StallReason::SendFull),
+            ),
+            (
+                BoundBy::Synchronization,
+                s(StallReason::Sync) + s(StallReason::RecvPred) + self.spawn_starts,
+            ),
+            (BoundBy::Idle, self.idle),
+            (BoundBy::TmConflicts, self.tm_wasted),
+        ];
+        let mut best = classes[0];
+        for c in classes {
+            if c.1 > best.1 {
+                best = c;
+            }
+        }
+        best.0
     }
 
     /// Display rows `(label, core-cycles)` in stack order: issue first,
@@ -175,7 +155,7 @@ impl CycleStack {
             ("nop".to_string(), self.nops),
         ];
         for r in StallReason::ALL {
-            rows.push((r.to_string(), self.stalls[r.index()]));
+            rows.push((r.to_string(), self.stalls_for(r)));
         }
         rows.push(("spawn-start".to_string(), self.spawn_starts));
         rows.push(("idle".to_string(), self.idle));
@@ -183,89 +163,25 @@ impl CycleStack {
     }
 }
 
-/// Per-region CPI stack: [`RegionBreakdown`] recast with its exact-sum
-/// denominator (`cycles * cores`) and [`BoundBy`] classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionStack {
-    /// Planner region id ([`REGION_OUTSIDE`] for unattributed cycles).
-    pub region: RegionId,
-    /// Core count the totals are summed over.
-    pub cores: usize,
-    /// Cycles the master core spent inside the region.
-    pub cycles: u64,
-    /// The exact-sum denominator: `cycles * cores`.
-    pub total: u64,
-    /// Core-cycles that issued (useful ops and NOPs alike — the region
-    /// table does not split them).
-    pub issued: u64,
-    /// Core-cycles spent idle awaiting a spawn.
-    pub idle: u64,
-    /// Core-cycles stalled, indexed by [`StallReason::index`].
-    pub stalls: [u64; 9],
-    /// Core-cycles consumed starting spawned threads.
-    pub spawn_starts: u64,
-    /// Overlay: wasted work of transactions aborted while the master
-    /// was in this region. Not an exact-sum term.
-    pub tm_wasted: u64,
-}
-
-impl RegionStack {
-    /// Recast one region's breakdown.
-    pub fn of(region: RegionId, cores: usize, rb: &RegionBreakdown) -> RegionStack {
-        RegionStack {
-            region,
-            cores,
-            cycles: rb.cycles,
-            total: rb.cycles * cores as u64,
-            issued: rb.issued,
-            idle: rb.idle,
-            stalls: rb.stalls,
-            spawn_starts: rb.spawn_starts,
-            tm_wasted: rb.tm_wasted,
-        }
-    }
-
-    /// Sum of the primary components (the overlay excluded).
-    pub fn accounted(&self) -> u64 {
-        self.issued + self.idle + self.stalls.iter().sum::<u64>() + self.spawn_starts
-    }
-
-    /// The per-region exact-sum invariant: components add to
-    /// `cycles * cores`.
-    pub fn is_exact(&self) -> bool {
-        self.accounted() == self.total
-    }
-
-    /// Dominant cost class of this region.
-    pub fn bound_by(&self) -> BoundBy {
-        let (memory, comm, sync, interlock) = bucket_stalls(&self.stalls);
-        classify(
-            self.issued + interlock,
-            memory,
-            comm,
-            sync + self.spawn_starts,
-            self.idle,
-            self.tm_wasted,
-        )
-    }
-}
-
-/// All region stacks of a run, planner regions in id order with
+/// Every region's stack, `(region, cycles the master spent in it, its
+/// stack over cycles * cores)`: planner regions in id order,
 /// [`REGION_OUTSIDE`] last.
-pub fn region_stacks(stats: &MachineStats) -> Vec<RegionStack> {
+pub fn region_stacks(stats: &MachineStats) -> Vec<(RegionId, u64, CycleStack)> {
     let cores = stats.cores.len();
-    let mut out: Vec<RegionStack> = stats
+    let mut out: Vec<_> = stats
         .regions
         .iter()
-        .map(|(&r, rb)| RegionStack::of(r, cores, rb))
+        .map(|(&r, rb)| {
+            let stack = CycleStack {
+                cores,
+                total: rb.cycles * cores as u64,
+                buckets: rb.buckets.clone(),
+                tm_wasted: rb.tm_wasted,
+            };
+            (r, rb.cycles, stack)
+        })
         .collect();
-    out.sort_by_key(|s| {
-        if s.region == REGION_OUTSIDE {
-            u64::from(u32::MAX) + 1
-        } else {
-            u64::from(s.region)
-        }
-    });
+    out.sort_by_key(|&(r, ..)| (r == REGION_OUTSIDE, r));
     out
 }
 
@@ -342,7 +258,7 @@ impl fmt::Display for KnobId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::CoreStats;
+    use crate::stats::RegionBreakdown;
 
     fn synthetic_stats() -> MachineStats {
         let mut m = MachineStats {
@@ -413,26 +329,32 @@ mod tests {
         let mut stats = synthetic_stats();
         let mut r0 = RegionBreakdown {
             cycles: 10,
-            issued: 12,
-            idle: 5,
-            spawn_starts: 1,
+            buckets: CoreStats {
+                issued: 12,
+                idle: 5,
+                spawn_starts: 1,
+                ..CoreStats::default()
+            },
             ..RegionBreakdown::default()
         };
-        r0.stalls[StallReason::Sync.index()] = 2;
+        r0.buckets.stalls[StallReason::Sync.index()] = 2;
         let outside = RegionBreakdown {
             cycles: 3,
-            issued: 6,
+            buckets: CoreStats {
+                issued: 6,
+                ..CoreStats::default()
+            },
             ..RegionBreakdown::default()
         };
         stats.regions.insert(2, r0);
         stats.regions.insert(REGION_OUTSIDE, outside);
         let stacks = region_stacks(&stats);
         assert_eq!(stacks.len(), 2);
-        assert_eq!(stacks[0].region, 2);
-        assert_eq!(stacks[1].region, REGION_OUTSIDE);
-        assert_eq!(stacks[0].total, 20);
-        assert!(stacks[0].is_exact());
-        assert!(stacks[1].is_exact());
+        assert_eq!((stacks[0].0, stacks[0].1), (2, 10));
+        assert_eq!((stacks[1].0, stacks[1].1), (REGION_OUTSIDE, 3));
+        assert_eq!(stacks[0].2.total, 20);
+        assert!(stacks[0].2.is_exact());
+        assert!(stacks[1].2.is_exact());
     }
 
     #[test]

@@ -87,8 +87,7 @@ fn assert_exact_accounting(tag: &str, out: &RunOutcome) {
     assert_eq!(s.coupled_cycles + s.decoupled_cycles, simulated, "{tag}");
     let n = s.cores.len() as u64;
     for (r, rb) in &s.regions {
-        assert_eq!(rb.accounted(), rb.cycles * n, "{tag}: region {r}");
-        assert_eq!(s.region_cycles[r], rb.cycles, "{tag}: region {r}");
+        assert_eq!(rb.buckets.accounted(), rb.cycles * n, "{tag}: region {r}");
     }
     let regions = |f: &dyn Fn(&voltron_sim::RegionBreakdown) -> u64| -> u64 {
         s.regions.values().map(f).sum()
@@ -96,20 +95,24 @@ fn assert_exact_accounting(tag: &str, out: &RunOutcome) {
     let cores = |f: &dyn Fn(&voltron_sim::CoreStats) -> u64| -> u64 { s.cores.iter().map(f).sum() };
     assert_eq!(regions(&|r| r.cycles), simulated, "{tag}: region cycles");
     assert_eq!(
-        regions(&|r| r.issued),
+        regions(&|r| r.buckets.issued),
         cores(&|c| c.issued + c.nops),
         "{tag}: issued"
     );
-    assert_eq!(regions(&|r| r.idle), cores(&|c| c.idle), "{tag}: idle");
     assert_eq!(
-        regions(&|r| r.spawn_starts),
+        regions(&|r| r.buckets.idle),
+        cores(&|c| c.idle),
+        "{tag}: idle"
+    );
+    assert_eq!(
+        regions(&|r| r.buckets.spawn_starts),
         cores(&|c| c.spawn_starts),
         "{tag}: spawn starts"
     );
     for reason in StallReason::ALL {
         let i = reason.index();
         assert_eq!(
-            regions(&|r| r.stalls[i]),
+            regions(&|r| r.buckets.stalls[i]),
             cores(&|c| c.stalls[i]),
             "{tag}: {reason}"
         );

@@ -55,7 +55,7 @@ fn assert_equivalent(off: &RunOutcome, on: &RunOutcome) {
     assert_eq!(a.cycles, b.cycles, "cycles");
     assert_eq!(a.coupled_cycles, b.coupled_cycles, "coupled_cycles");
     assert_eq!(a.decoupled_cycles, b.decoupled_cycles, "decoupled_cycles");
-    assert_eq!(a.region_cycles, b.region_cycles, "region_cycles");
+    assert_eq!(a.regions, b.regions, "per-region stats");
     assert_eq!(a.cores, b.cores, "per-core stats");
     assert_eq!(a.mem, b.mem, "memory-system stats");
     assert_eq!(a.net, b.net, "network stats");
