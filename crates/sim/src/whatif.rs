@@ -7,7 +7,8 @@
 //!   per-[`StallReason`], idle, and spawn-start components, machine-wide
 //!   and per region ([`region_stacks`]), under an **exact-sum
 //!   invariant**: the components add to `(cycles + drained_cycles) *
-//!   cores` with no residue (asserted by `tests/whatif_ceilings.rs`).
+//!   cores` for the run, `cycles * cores` for a region, with no residue
+//!   (asserted by `tests/whatif_ceilings.rs`).
 //!   TM-abort wasted work is carried as an *overlay* — those cycles were
 //!   already classified as issue or stall while the doomed transaction
 //!   ran, so adding them as a component would double-count.
