@@ -1317,3 +1317,191 @@ fn load_miss_stalls_consumer_until_fill() {
         "cold miss should stall ~memory latency, got {dstalls}"
     );
 }
+
+/// A four-core coupled loop, eight times round, built so that the
+/// padding NOPs of the lock-step schedule meet every case the issue path
+/// has to get right around them: core 3 is all NOPs, in runs that cross
+/// the 32-byte line boundaries; core 1's loads miss while the others sit
+/// in NOP runs, and its consumer raises the stall bus mid-run; core 2's
+/// compare waits on a missing load, and the `NOP` after it is guarded by
+/// that compare's predicate (a guard cannot be a load's destination); and
+/// a probe period of 23 cycles samples in the middle of the runs. Every
+/// per-core count and every probe sample is pinned, fast-forward on and
+/// off alike.
+#[test]
+fn coupled_nop_runs_are_counted_exactly() {
+    const BODY: usize = 20;
+    let mut data = DataSegment::default();
+    let a = data.zeroed("a", 256);
+    let b = data.array_i64("b", &[1; 32]);
+    let nops = |n: usize| (0..n).map(|_| Inst::nop());
+    let add = |dst: u32, src: u32, imm: i64| {
+        Inst::with_dst(
+            Opcode::Add,
+            gpr(dst),
+            vec![gpr(src).into(), Operand::Imm(imm)],
+        )
+    };
+    // Every core's loop body: `work` at its slots, NOPs elsewhere, then
+    // the shared counter, compare and back edge.
+    let body = |work: Vec<(usize, Inst)>| {
+        let mut blk = MBlock::new("loop", 0);
+        blk.insts.extend(nops(BODY));
+        for (s, inst) in work {
+            blk.insts[s] = inst;
+        }
+        blk.insts[16] = add(9, 9, -1);
+        blk.insts[17] = Inst::with_dst(
+            Opcode::Cmp(voltron_ir::CmpCc::Ne),
+            Reg::pred(0),
+            vec![gpr(9).into(), Operand::Imm(0)],
+        );
+        blk.insts[19] = Inst::new(
+            Opcode::Br,
+            vec![Operand::Block(BlockId(2)), Reg::pred(0).into()],
+        );
+        blk
+    };
+    let switch = |m: ExecMode| Inst::new(Opcode::ModeSwitch, vec![Operand::Mode(m)]);
+    let load = |dst: Reg, base: u32| {
+        Inst::with_dst(
+            Opcode::Load(MemWidth::W8, voltron_ir::Signedness::Signed),
+            dst,
+            vec![gpr(base).into(), Operand::Imm(0)],
+        )
+    };
+    // Block 1 enters the loop (block 2); block 3 leaves it.
+    let core = |entry: Vec<Inst>, work: Vec<(usize, Inst)>, last: Inst| {
+        let mut head = MBlock::new("entry", 0);
+        head.insts.extend(entry);
+        head.insts.push(ldi(9, 8));
+        head.insts.push(switch(ExecMode::Coupled));
+        let mut exit = MBlock::new("exit", 0);
+        exit.insts.push(switch(ExecMode::Decoupled));
+        exit.insts.push(last);
+        vec![sleep_stub(), head, body(work), exit]
+    };
+    let spawn = |c: u8| {
+        Inst::new(
+            Opcode::Spawn,
+            vec![Operand::Core(c), Operand::Block(BlockId(1))],
+        )
+    };
+    let sleep = || Inst::new(Opcode::Sleep, vec![]);
+    let mut master = core(vec![spawn(1), spawn(2), spawn(3)], vec![], halt());
+    // The master boots into block 0, so its entry is the first block.
+    master.remove(0);
+    master[1] = body(vec![]);
+    master[1].insts[19] = Inst::new(
+        Opcode::Br,
+        vec![Operand::Block(BlockId(1)), Reg::pred(0).into()],
+    );
+    let p = program(
+        vec![
+            master,
+            core(
+                vec![ldi(0, a as i64)],
+                vec![(0, load(gpr(1), 0)), (1, add(0, 0, 8)), (5, add(2, 1, 1))],
+                sleep(),
+            ),
+            core(
+                vec![ldi(3, b as i64)],
+                vec![
+                    (8, load(gpr(4), 3)),
+                    (
+                        9,
+                        Inst::with_dst(
+                            Opcode::Cmp(voltron_ir::CmpCc::Ne),
+                            Reg::pred(1),
+                            vec![gpr(4).into(), Operand::Imm(0)],
+                        ),
+                    ),
+                    (10, Inst::nop().guarded(Reg::pred(1))),
+                    (11, add(3, 3, 16)),
+                ],
+                sleep(),
+            ),
+            core(vec![], vec![], sleep()),
+        ],
+        data,
+    );
+    let run = |fast_forward: bool| {
+        let cfg = MachineConfig {
+            probe_period: Some(23),
+            fast_forward,
+            ..MachineConfig::paper(4)
+        };
+        Machine::new(p.clone(), &cfg).unwrap().run().unwrap()
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(on.stats, off.stats);
+    assert_eq!(on.probes, off.probes);
+    assert!(on.stragglers.is_empty());
+    let st = &on.stats;
+    assert_eq!((st.cycles, st.coupled_cycles), (2700, 2211));
+    let counts: Vec<_> = st
+        .cores
+        .iter()
+        .map(|c| (c.issued, c.nops, c.idle))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            (31, 136, 121),
+            (53, 112, 245),
+            (53, 112, 246),
+            (28, 136, 127)
+        ]
+    );
+    let stalls: Vec<_> = st.cores.iter().map(|c| c.stalls).collect();
+    assert_eq!(
+        stalls,
+        [
+            [1566, 596, 0, 9, 0, 0, 0, 0, 362],
+            [1566, 596, 0, 9, 0, 0, 0, 0, 239],
+            [1685, 596, 0, 9, 0, 0, 0, 0, 119],
+            [1924, 596, 0, 9, 0, 0, 0, 0, 0],
+        ]
+    );
+    assert_eq!(st.mem.l1i, [(1737, 4), (1852, 4), (1492, 4), (1972, 4)]);
+    // The samples are a step function of the cycle: pin the count and
+    // each sample whose `issued` differs from the one before.
+    let samples = &on.probes.as_ref().expect("probes were asked for").samples;
+    assert_eq!(samples.len(), 122);
+    let mut steps = Vec::new();
+    for s in samples {
+        if steps.last().is_none_or(|(_, last)| *last != s.issued) {
+            steps.push((s.cycle, s.issued.clone()));
+        }
+    }
+    let expect: [(u64, [u64; 4]); 26] = [
+        (23, [0, 0, 0, 0]),
+        (138, [5, 0, 0, 0]),
+        (253, [5, 3, 0, 0]),
+        (368, [5, 3, 2, 0]),
+        (391, [5, 3, 3, 0]),
+        (506, [8, 6, 6, 5]),
+        (736, [9, 7, 7, 6]),
+        (989, [10, 8, 8, 7]),
+        (1104, [14, 12, 12, 11]),
+        (1219, [15, 13, 13, 12]),
+        (1242, [16, 14, 14, 13]),
+        (1357, [17, 15, 15, 14]),
+        (1587, [18, 16, 16, 15]),
+        (1725, [24, 22, 22, 21]),
+        (1840, [32, 30, 30, 29]),
+        (1863, [54, 52, 52, 51]),
+        (2001, [71, 69, 69, 68]),
+        (2024, [90, 88, 88, 87]),
+        (2139, [91, 89, 89, 88]),
+        (2162, [94, 92, 92, 91]),
+        (2277, [108, 106, 106, 105]),
+        (2300, [130, 128, 128, 127]),
+        (2323, [134, 132, 132, 131]),
+        (2438, [147, 145, 145, 144]),
+        (2461, [165, 163, 163, 162]),
+        (2714, [167, 165, 165, 163]),
+    ];
+    let expect: Vec<_> = expect.iter().map(|(c, v)| (*c, v.to_vec())).collect();
+    assert_eq!(steps, expect);
+}
