@@ -3,10 +3,10 @@
 //! and the execution of the instruction a core issues, transactional
 //! memory included.
 
-use super::{ran_off_end, CoreState, Machine, SimError};
+use super::{ran_off_end, CoreState, Machine, SimError, RIDE_SLOTS};
 use crate::decode::{bits_value, value_bits, BrTarget, DInst, DOp, DecodedCore, IssueClass};
 use crate::memsys::{Completion, LoadOutcome};
-use crate::network::Payload;
+use crate::network::{bits, Payload};
 use crate::stats::StallReason;
 use crate::trace::TraceEvent;
 use voltron_ir::{BlockId, MemError, Reg, RegClass, Value};
@@ -174,6 +174,7 @@ impl Machine {
     }
 
     pub(super) fn restore_core(&mut self, i: usize) {
+        self.end_ride(i);
         let snap = self.cores[i]
             .snapshot
             .take()
@@ -185,6 +186,86 @@ impl Machine {
         core.pending_load = false;
         core.epoch += 1;
         self.set_state(i, CoreState::Running);
+    }
+
+    /// Put coupled core `i`, which has just issued, on a ride through
+    /// the NOPs that follow in the line it fetched (DESIGN.md §14.1): the
+    /// longest run, up to `RIDE_SLOTS - 1`, of NOPs in that line that
+    /// are not its last instruction and whose guards are ready by next
+    /// cycle. Every fetch of the run is then a last-line shortcut hit and
+    /// every decision `Issue`. Not the master, whose pc drives region
+    /// attribution, nor a core inside a transaction or under a fault plan,
+    /// whose issues draw from the injectors.
+    pub(super) fn start_ride(&mut self, i: usize) {
+        if i == 0 || self.faults.is_some() || self.tm.active(i) {
+            return;
+        }
+        let Some(addr) = self.fetch_addr(i) else {
+            return;
+        };
+        if !self.memsys.fetch_line_held(i, addr) {
+            return;
+        }
+        let line = self.memsys.line_of(addr);
+        let image = &self.decoded.cores[i];
+        let core = &self.cores[i];
+        let next = self.cycle + 1;
+        let len = (core.pc..)
+            .take(RIDE_SLOTS - 1)
+            .take_while(|&pc| {
+                let d = &image.insts[pc as usize];
+                pc + 1 < image.off_end()
+                    && d.is_nop
+                    && self.memsys.line_of(image.fetch_addr(pc)) == line
+                    && core.operands_ready_at(d) <= next
+            })
+            .count() as u64;
+        if len > 0 {
+            let end = self.ride_clock + len;
+            self.riders |= 1 << i;
+            self.rides[i] = (self.ride_clock, end);
+            self.ride_ends[end as usize % RIDE_SLOTS] |= 1 << i;
+        }
+    }
+
+    /// Bring rider `i` up to date: the NOPs it issued since it was last
+    /// synced advance its pc and count as they would have one by one,
+    /// each fetch a last-line shortcut hit.
+    pub(super) fn sync_rider(&mut self, i: usize) {
+        let n = self.ride_clock - self.rides[i].0;
+        self.rides[i].0 = self.ride_clock;
+        self.cores[i].pc += n as u32;
+        self.core_stats[i].nops += n;
+        self.dynamic_insts += n;
+        self.memsys.credit_ifetch_hits(i, n);
+    }
+
+    /// End core `i`'s ride, if it is riding, and bring it up to date.
+    pub(super) fn end_ride(&mut self, i: usize) {
+        let bit = 1u64 << i;
+        if self.riders & bit != 0 {
+            self.sync_rider(i);
+            self.riders &= !bit;
+            self.ride_ends[self.rides[i].1 as usize % RIDE_SLOTS] &= !bit;
+        }
+    }
+
+    /// End every ride.
+    pub(super) fn end_rides(&mut self) {
+        for i in bits(self.riders) {
+            self.end_ride(i);
+        }
+    }
+
+    /// Bring back, at the start of a coupled tick, the riders whose ride
+    /// ended on the last tick: from here they are evaluated again.
+    pub(super) fn land_riders(&mut self) {
+        let slot = self.ride_clock as usize % RIDE_SLOTS;
+        let landed = std::mem::take(&mut self.ride_ends[slot]);
+        for i in bits(landed) {
+            self.sync_rider(i);
+        }
+        self.riders &= !landed;
     }
 
     /// Execute a load's functional read (through the TM when live).
@@ -508,5 +589,67 @@ impl Machine {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{CoreImage, MBlock, Machine, MachineConfig, MachineProgram};
+    use voltron_ir::{BlockId, CmpCc, DataSegment, ExecMode, Inst, Opcode, Operand, Reg};
+
+    /// A NOP whose guard is still pending does not ride. No validated
+    /// image builds one — a guard is a predicate, and every predicate is
+    /// written with a one-cycle latency — so the scoreboard is doctored
+    /// under a core that has just started a ride.
+    #[test]
+    fn a_nop_whose_guard_is_pending_does_not_ride() {
+        let switch = |m| Inst::new(Opcode::ModeSwitch, vec![Operand::Mode(m)]);
+        let p0 = Reg::pred(0);
+        let mut master = MBlock::new("main", 0);
+        master.insts.push(Inst::new(
+            Opcode::Spawn,
+            vec![Operand::Core(1), Operand::Block(BlockId(1))],
+        ));
+        master.insts.push(switch(ExecMode::Coupled));
+        master.insts.extend((0..8).map(|_| Inst::nop()));
+        master.insts.push(switch(ExecMode::Decoupled));
+        master.insts.push(Inst::new(Opcode::Halt, vec![]));
+        let mut idle = MBlock::new("idle", 0);
+        idle.insts.push(Inst::new(Opcode::Sleep, vec![]));
+        let mut worker = MBlock::new("worker", 0);
+        worker.insts.push(switch(ExecMode::Coupled));
+        worker.insts.push(Inst::with_dst(
+            Opcode::Cmp(CmpCc::Eq),
+            p0,
+            vec![Operand::Imm(1), Operand::Imm(1)],
+        ));
+        worker.insts.extend((0..7).map(|_| Inst::nop().guarded(p0)));
+        worker.insts.push(switch(ExecMode::Decoupled));
+        worker.insts.push(Inst::new(Opcode::Sleep, vec![]));
+        let program = MachineProgram {
+            name: "ride".into(),
+            cores: vec![
+                CoreImage {
+                    blocks: vec![master],
+                },
+                CoreImage {
+                    blocks: vec![idle, worker],
+                },
+            ],
+            data: DataSegment::default(),
+        };
+        let mut m = Machine::new(program, &MachineConfig::paper(2)).unwrap();
+        while m.riders == 0 {
+            assert!(m.cycle < 10_000, "the worker never rode");
+            m.tick().unwrap();
+        }
+        m.end_ride(1);
+        let guard = m.current(1).unwrap().guard as usize;
+        m.cores[1].ready[guard] = u64::MAX;
+        m.start_ride(1);
+        assert_eq!(m.riders, 0);
+        m.cores[1].ready[guard] = 0;
+        m.start_ride(1);
+        assert_eq!(m.riders, 1 << 1);
     }
 }

@@ -36,6 +36,10 @@ use std::fmt;
 use std::sync::Arc;
 use voltron_ir::{ExecMode, Memory};
 
+/// Slots of the ring that files riders by the tick their ride ends at; a
+/// ride is at most `RIDE_SLOTS - 1` NOPs long.
+const RIDE_SLOTS: usize = 16;
+
 /// Result of a successful run.
 #[derive(Debug)]
 pub struct RunOutcome {
@@ -117,6 +121,20 @@ pub struct Machine {
     /// Per core, `ticked` at the tick that parked it: the ticks it sits
     /// out after that are the L1I hits [`Machine::credit_parked`] owes.
     parked_at: Vec<u64>,
+    /// Coupled cores riding the group through a run of NOPs in the I-line
+    /// they last fetched (DESIGN.md §14.1): out of the per-core loop, each
+    /// issues one NOP on every coupled tick whose stall bus is low, and
+    /// [`Machine::sync_rider`] brings it up to date when asked.
+    riders: u64,
+    /// Coupled ticks whose stall bus was low while someone rode: the
+    /// clock riders issue by.
+    ride_clock: u64,
+    /// Per core, the `ride_clock` its ridden NOPs were last synced at and
+    /// the one its ride ends at.
+    rides: Vec<(u64, u64)>,
+    /// Riders filed by the `ride_clock` their ride ends at, modulo
+    /// [`RIDE_SLOTS`].
+    ride_ends: [u64; RIDE_SLOTS],
     /// Run-length accounting: the bucket each core's cycles are being
     /// charged to and the first cycle of that run not yet charged.
     runs: Vec<(Decision, u64)>,
@@ -201,6 +219,7 @@ impl Machine {
     /// The single writer of a core's state: keeps the per-state core sets
     /// in step and queues the core for re-evaluation.
     fn set_state(&mut self, i: usize, state: CoreState) {
+        self.end_ride(i);
         let bit = 1u64 << i;
         for set in [
             &mut self.running,
@@ -274,6 +293,10 @@ impl Machine {
         (self.parked, self.token_waiters) = (0, 0);
         self.parked_at.clear();
         self.parked_at.resize(n, 0);
+        (self.riders, self.ride_clock) = (0, 0);
+        self.rides.clear();
+        self.rides.resize(n, (0, 0));
+        self.ride_ends = [0; RIDE_SLOTS];
         self.decisions.clear();
         self.decisions.resize(n, Decision::Quiet);
         self.runs.clear();
@@ -562,11 +585,46 @@ impl Machine {
         }
     }
 
+    /// The rider invariant, checked on every coupled tick of a debug
+    /// build: each rider, synced, sits on a NOP in the line its last
+    /// fetch hit, and [`Machine::decide`] issues it.
+    #[cfg(debug_assertions)]
+    fn check_riders(&mut self) {
+        for i in bits(self.riders) {
+            let (synced, end) = self.rides[i];
+            assert!(self.ride_clock < end, "core {i} rides past its end");
+            let pc = self.cores[i].pc;
+            let at = pc + (self.ride_clock - synced) as u32;
+            self.cores[i].pc = at;
+            let held = self
+                .fetch_addr(i)
+                .is_some_and(|addr| self.memsys.fetch_line_held(i, addr));
+            let nop = self.current(i).is_some_and(|d| d.is_nop);
+            let now = self.decide(i, held).ok();
+            self.cores[i].pc = pc;
+            assert!(
+                held && nop && now == Some(Decision::Issue),
+                "core {i} rides at cycle {} but at pc {at} decides {now:?} \
+                 (line held: {held}, NOP: {nop})",
+                self.cycle
+            );
+        }
+    }
+
     /// Advance the machine one cycle.
     ///
     /// # Errors
     /// See [`SimError`].
     pub fn tick(&mut self) -> Result<(), SimError> {
+        let ticked = self.step();
+        if ticked.is_err() {
+            // An error reports the machine as it stands.
+            self.end_rides();
+        }
+        ticked
+    }
+
+    fn step(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
         self.ticked += 1;
         self.ff_eligible = false;
@@ -605,19 +663,26 @@ impl Machine {
         // core keeps its stall until the one event that can end it — its
         // load fill, its I-fill, a move of the commit token — marks it
         // dirty; its skipped re-fetches are credited when it is next
-        // evaluated. Coupled ticks evaluate every core: the stall bus
-        // couples their buckets, and a mode switch (which needs every core
-        // at the barrier) therefore never straddles a parked one.
+        // evaluated. Coupled ticks evaluate every core but the riders: a
+        // rider's next NOP is in the line its last fetch hit, with its
+        // guard ready, so it decides `Issue` and cannot raise the stall
+        // bus, and it issues whenever the bus is low. When another member
+        // raises the bus, every ride ends and the riders are evaluated
+        // with the rest, so their stall is charged as before.
         // Ascending bit order is core order, which is issue order.
-        let active = match self.mode {
-            ExecMode::Coupled => self.all_cores(),
-            ExecMode::Decoupled => {
-                (self.running & !self.parked) | (self.idle & self.net.spawn_pending()) | self.dirty
-            }
+        let coupled = self.mode == ExecMode::Coupled;
+        let mut active = if coupled {
+            self.land_riders();
+            self.all_cores() & !self.riders
+        } else {
+            (self.running & !self.parked) | (self.idle & self.net.spawn_pending()) | self.dirty
         };
         self.dirty = 0;
         #[cfg(debug_assertions)]
-        self.check_parked(self.parked & !active);
+        {
+            self.check_parked(self.parked & !active);
+            self.check_riders();
+        }
         for i in bits(self.parked & active) {
             self.credit_parked(i, self.ticked - 1);
         }
@@ -636,13 +701,29 @@ impl Machine {
         // one-slot schedule misalignment at a region exit would wedge the
         // whole group.
         let group_stall = match self.mode {
-            ExecMode::Coupled => bits(self.running).find_map(|i| match self.decisions[i] {
-                Decision::Stall(r) => Some(r),
-                _ => None,
-            }),
+            ExecMode::Coupled => {
+                bits(self.running & active).find_map(|i| match self.decisions[i] {
+                    Decision::Stall(r) => Some(r),
+                    _ => None,
+                })
+            }
             ExecMode::Decoupled => None,
         };
         let mut progress = false;
+        if self.riders != 0 {
+            if group_stall.is_some() {
+                let riders = self.riders;
+                for i in bits(riders) {
+                    self.end_ride(i);
+                    self.decisions[i] = self.check_core(i)?;
+                }
+                active |= riders;
+            } else {
+                // Every rider issues its next NOP.
+                self.ride_clock += 1;
+                progress = true;
+            }
+        }
         for i in bits(active) {
             let d = match (group_stall, self.decisions[i]) {
                 (Some(_), own @ Decision::Stall(_)) => own,
@@ -656,6 +737,9 @@ impl Machine {
             match d {
                 Decision::Issue => {
                     self.exec_core(i)?;
+                    if coupled {
+                        self.start_ride(i);
+                    }
                     progress = true;
                 }
                 // Spawns only start in decoupled mode; a pending one in
@@ -713,6 +797,7 @@ impl Machine {
         if now - self.last_arch_change > self.cfg.watchdogs.livelock_window
             && self.active_cores() != 0
         {
+            self.end_rides();
             return Err(SimError::Livelock {
                 cycle: now,
                 window: self.cfg.watchdogs.livelock_window,
@@ -767,6 +852,9 @@ impl Machine {
     /// reads the counters (a probe sample, the end of the run) — so a
     /// span of any length, ticked or fast-forwarded, is charged once.
     fn flush(&mut self, upto: u64) {
+        for i in bits(self.riders) {
+            self.sync_rider(i);
+        }
         for i in 0..self.cores.len() {
             self.charge(i, upto);
         }
@@ -789,6 +877,7 @@ impl Machine {
     /// `max_cycles` cap fire at exactly the cycle a tick-by-tick run
     /// fires them.
     fn fast_forward(&mut self) {
+        debug_assert_eq!(self.riders, 0, "riders issued on the tick before");
         // The cycle whose (cached) decisions describe the blocked state;
         // `self.cycle` is already the next tick's cycle.
         let prev = self.cycle - 1;

@@ -166,7 +166,7 @@ pub struct MemStats {
 /// One interconnect bank: a request queue and at most one transaction in
 /// flight. The snooping backend is exactly one bank, which reproduces
 /// the old single-bus `queue`/`current` pair field for field.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Bank {
     queue: VecDeque<BusReq>,
     current: Option<InFlight>,
@@ -175,6 +175,22 @@ struct Bank {
     /// so the hot path never scans it).
     extra: Vec<InFlight>,
     busy: u64,
+    /// The first cycle at which [`MemSys::tick`] has work here
+    /// ([`MemSys::bank_due`]), kept up to date at every visit and
+    /// enqueue; `u64::MAX` while the bank is idle.
+    due_at: u64,
+}
+
+impl Default for Bank {
+    fn default() -> Bank {
+        Bank {
+            queue: VecDeque::new(),
+            current: None,
+            extra: Vec::new(),
+            busy: 0,
+            due_at: u64::MAX,
+        }
+    }
 }
 
 /// Runtime fault state for the interconnect's two sites (grant loss and
@@ -213,6 +229,9 @@ pub struct MemSys {
     l1i: Vec<TagCache>,
     l2: TagCache,
     banks: Vec<Bank>,
+    /// The least `Bank::due_at`: [`MemSys::tick`] skips the bank loop
+    /// before it.
+    next_due: u64,
     /// Directory-indirection latency per grant (0 on snooping).
     dir_penalty: u64,
     store_bufs: Vec<VecDeque<StoreEntry>>,
@@ -281,8 +300,10 @@ impl MemSys {
             b.current = None;
             b.extra.clear();
             b.busy = 0;
+            b.due_at = u64::MAX;
         }
         self.banks.resize_with(n_banks, Bank::default);
+        self.next_due = u64::MAX;
         self.dir_penalty = match cfg.coherence {
             CoherenceBackend::Snooping => 0,
             CoherenceBackend::Directory { .. } => cfg.dir_latency,
@@ -328,6 +349,26 @@ impl MemSys {
         let b = self.bank_of(req.line);
         self.banks[b].queue.push_back(req);
         self.outstanding += 1;
+        let due = self.bank_due(b);
+        self.banks[b].due_at = due;
+        self.next_due = self.next_due.min(due);
+    }
+
+    /// The first cycle at which a visit to bank `b` does anything: its
+    /// in-flight transaction's (or, under infinite bandwidth, an
+    /// overlapped one's) finish, or — with nothing in flight — a queued
+    /// head's grant, at once unless the bank backs off after a lost
+    /// grant. `u64::MAX` when the bank is idle or parked for good.
+    fn bank_due(&self, b: usize) -> u64 {
+        let bank = &self.banks[b];
+        let mut due = bank.current.as_ref().map_or(u64::MAX, |c| c.finish);
+        for f in &bank.extra {
+            due = due.min(f.finish);
+        }
+        if bank.current.is_none() && !bank.queue.is_empty() {
+            due = due.min(self.faults.as_deref().map_or(0, |f| f.blocked_until[b]));
+        }
+        due
     }
 
     /// Line-align an address.
@@ -425,6 +466,13 @@ impl MemSys {
         } else {
             Fetch::Missed
         }
+    }
+
+    /// Whether every fetch `core` makes from `addr`'s line answers
+    /// through the last-line shortcut until it fetches another line: its
+    /// last fetch hit that line, and no fill into its L1I is pending.
+    pub fn fetch_line_held(&self, core: usize, addr: u64) -> bool {
+        self.last_ifetch[core] == Some(self.line_of(addr)) && self.ifill_pending[core].is_none()
     }
 
     /// Credit `n` repeat instruction-fetch hits on `core`'s L1I, for
@@ -682,121 +730,138 @@ impl MemSys {
     /// Advance one cycle: finish due transactions, grant the next per
     /// bank, drain store buffers. Completions for the machine to dispatch
     /// are appended to `out` — a caller-owned buffer, so the per-cycle
-    /// path reuses one allocation. Banks are visited in index order, so
-    /// completion and grant order is deterministic; with a single bank
-    /// (snooping) this is the old one-bus loop unchanged.
+    /// path reuses one allocation. Only banks with work due are visited
+    /// (DESIGN.md §14.4), in index order, so completion and grant order
+    /// is deterministic; with a single bank (snooping) this is the old
+    /// one-bus loop unchanged.
     pub fn tick(&mut self, now: u64, out: &mut Vec<Completion>) {
         self.grants.clear();
-        // With nothing queued or in flight every bank is idle.
-        let banks = if self.outstanding == 0 {
-            0
-        } else {
-            self.banks.len()
-        };
-        for b in 0..banks {
-            if let Some(cur) = &self.banks[b].current {
-                if now >= cur.finish {
-                    let cur = self.banks[b].current.take().expect("checked above");
-                    self.complete(cur, out);
+        #[cfg(debug_assertions)]
+        for (b, bank) in self.banks.iter().enumerate() {
+            assert!(
+                bank.due_at <= now || self.bank_due(b) > now,
+                "bank {b} has work at cycle {now} but is not due until {}",
+                bank.due_at
+            );
+        }
+        if now >= self.next_due {
+            let mut next = u64::MAX;
+            for b in 0..self.banks.len() {
+                if self.banks[b].due_at <= now {
+                    self.visit_bank(b, now, out);
+                    self.banks[b].due_at = self.bank_due(b);
                 }
+                next = next.min(self.banks[b].due_at);
             }
-            // Infinite-bandwidth idealization: complete due overlapped
-            // transactions (grant order preserved for determinism), then
-            // grant *everything* queued — latency is still paid, queueing
-            // never is.
-            if self.cfg.ideal.infinite_bandwidth {
-                if !self.banks[b].extra.is_empty() {
-                    let mut due = std::mem::take(&mut self.due);
-                    due.extend(self.banks[b].extra.extract_if(.., |f| now >= f.finish));
-                    for f in due.drain(..) {
-                        self.complete(f, out);
-                    }
-                    self.due = due;
-                }
-                while let Some(req) = self.banks[b].queue.pop_front() {
-                    let (lat, others) = self.grant_latency(&req);
-                    self.stats_busy += lat;
-                    self.banks[b].busy += lat;
-                    self.grants
-                        .push((req.core, req.kind.label(), now, now + lat));
-                    self.banks[b].extra.push(InFlight {
-                        req,
-                        finish: now + lat,
-                        others_had_copy: others,
-                    });
-                }
-                continue;
-            }
-            if self.banks[b].current.is_none() {
-                // A bank backing off after a lost grant may not regrant
-                // until its retry slot (checked before any RNG draw so
-                // the draw sequence is fast-forward safe).
-                if self
-                    .faults
-                    .as_deref()
-                    .is_some_and(|f| f.blocked_until[b] > now)
-                {
-                    continue;
-                }
-                if let Some(req) = self.banks[b].queue.pop_front() {
-                    // Consult the injectors at the grant — the
-                    // architectural event. A lost grant reissues the
-                    // request at the head of the queue after backoff; a
-                    // transient stall just inflates this grant's latency.
-                    let mut extra = 0;
-                    if let Some(f) = self.faults.as_deref_mut() {
-                        if f.grant_loss.fire(now).is_some() {
-                            let attempts = f.lost[b] + 1;
-                            if attempts > f.port.budget() {
-                                f.grant_loss.note_gave_up();
-                                f.blocked_until[b] = u64::MAX;
-                                f.port.fail(FaultBudgetReport {
-                                    cycle: now,
-                                    site: FaultSite::GrantLoss,
-                                    attempts,
-                                    budget: f.port.budget(),
-                                    detail: format!(
-                                        "bank {b} {} request from core {}",
-                                        req.kind.label(),
-                                        req.core
-                                    ),
-                                });
-                                f.port.log(now, req.core, FaultSite::GrantLoss, "gave-up");
-                            } else {
-                                f.grant_loss.note_retried(1);
-                                f.lost[b] = attempts;
-                                f.blocked_until[b] = now + f.port.backoff(attempts);
-                                f.port.log(now, req.core, FaultSite::GrantLoss, "lost");
-                            }
-                            self.banks[b].queue.push_front(req);
-                            continue;
-                        }
-                        if f.lost[b] > 0 {
-                            f.lost[b] = 0;
-                            f.grant_loss.note_recovered();
-                            f.port.log(now, req.core, FaultSite::GrantLoss, "recovered");
-                        }
-                        if let Some(FaultKind::Stall(d)) = f.stall.fire(now) {
-                            extra = d;
-                            f.stall.note_recovered();
-                            f.port.log(now, req.core, FaultSite::BankStall, "stalled");
-                        }
-                    }
-                    let (lat, others) = self.grant_latency(&req);
-                    let lat = lat + extra;
-                    self.stats_busy += lat;
-                    self.banks[b].busy += lat;
-                    self.grants
-                        .push((req.core, req.kind.label(), now, now + lat));
-                    self.banks[b].current = Some(InFlight {
-                        req,
-                        finish: now + lat,
-                        others_had_copy: others,
-                    });
-                }
-            }
+            self.next_due = next;
         }
         self.drain_store_buffers();
+    }
+
+    /// Bank `b`'s share of [`MemSys::tick`]: finish its due transaction,
+    /// then grant its queue's head.
+    fn visit_bank(&mut self, b: usize, now: u64, out: &mut Vec<Completion>) {
+        if let Some(cur) = &self.banks[b].current {
+            if now >= cur.finish {
+                let cur = self.banks[b].current.take().expect("checked above");
+                self.complete(cur, out);
+            }
+        }
+        // Infinite-bandwidth idealization: complete due overlapped
+        // transactions (grant order preserved for determinism), then
+        // grant *everything* queued — latency is still paid, queueing
+        // never is.
+        if self.cfg.ideal.infinite_bandwidth {
+            if !self.banks[b].extra.is_empty() {
+                let mut due = std::mem::take(&mut self.due);
+                due.extend(self.banks[b].extra.extract_if(.., |f| now >= f.finish));
+                for f in due.drain(..) {
+                    self.complete(f, out);
+                }
+                self.due = due;
+            }
+            while let Some(req) = self.banks[b].queue.pop_front() {
+                let (lat, others) = self.grant_latency(&req);
+                self.stats_busy += lat;
+                self.banks[b].busy += lat;
+                self.grants
+                    .push((req.core, req.kind.label(), now, now + lat));
+                self.banks[b].extra.push(InFlight {
+                    req,
+                    finish: now + lat,
+                    others_had_copy: others,
+                });
+            }
+            return;
+        }
+        if self.banks[b].current.is_none() {
+            // A bank backing off after a lost grant may not regrant
+            // until its retry slot (checked before any RNG draw so
+            // the draw sequence is fast-forward safe).
+            if self
+                .faults
+                .as_deref()
+                .is_some_and(|f| f.blocked_until[b] > now)
+            {
+                return;
+            }
+            if let Some(req) = self.banks[b].queue.pop_front() {
+                // Consult the injectors at the grant — the
+                // architectural event. A lost grant reissues the
+                // request at the head of the queue after backoff; a
+                // transient stall just inflates this grant's latency.
+                let mut extra = 0;
+                if let Some(f) = self.faults.as_deref_mut() {
+                    if f.grant_loss.fire(now).is_some() {
+                        let attempts = f.lost[b] + 1;
+                        if attempts > f.port.budget() {
+                            f.grant_loss.note_gave_up();
+                            f.blocked_until[b] = u64::MAX;
+                            f.port.fail(FaultBudgetReport {
+                                cycle: now,
+                                site: FaultSite::GrantLoss,
+                                attempts,
+                                budget: f.port.budget(),
+                                detail: format!(
+                                    "bank {b} {} request from core {}",
+                                    req.kind.label(),
+                                    req.core
+                                ),
+                            });
+                            f.port.log(now, req.core, FaultSite::GrantLoss, "gave-up");
+                        } else {
+                            f.grant_loss.note_retried(1);
+                            f.lost[b] = attempts;
+                            f.blocked_until[b] = now + f.port.backoff(attempts);
+                            f.port.log(now, req.core, FaultSite::GrantLoss, "lost");
+                        }
+                        self.banks[b].queue.push_front(req);
+                        return;
+                    }
+                    if f.lost[b] > 0 {
+                        f.lost[b] = 0;
+                        f.grant_loss.note_recovered();
+                        f.port.log(now, req.core, FaultSite::GrantLoss, "recovered");
+                    }
+                    if let Some(FaultKind::Stall(d)) = f.stall.fire(now) {
+                        extra = d;
+                        f.stall.note_recovered();
+                        f.port.log(now, req.core, FaultSite::BankStall, "stalled");
+                    }
+                }
+                let (lat, others) = self.grant_latency(&req);
+                let lat = lat + extra;
+                self.stats_busy += lat;
+                self.banks[b].busy += lat;
+                self.grants
+                    .push((req.core, req.kind.label(), now, now + lat));
+                self.banks[b].current = Some(InFlight {
+                    req,
+                    finish: now + lat,
+                    others_had_copy: others,
+                });
+            }
+        }
     }
 
     /// Earliest future cycle at which [`MemSys::tick`] would do anything
