@@ -5,7 +5,7 @@
 //! all of it, and the rules are written here only: *which runs are cached*
 //! is [`RunSpec::key`]; *a failed run caches nothing* because only a
 //! [`RunResult`] can be stored; *which machines are reused* is
-//! [`simulate`]. `Experiment` (batching, host fan-out) and the serve
+//! `simulate`. `Experiment` (batching, host fan-out) and the serve
 //! engine (program lookup, request counters, the wire) are two views of
 //! these types (DESIGN.md §12.2).
 
@@ -262,10 +262,11 @@ pub struct ProgramCache {
 
 impl ProgramCache {
     /// The golden memory and the serial baseline, computed once: the
-    /// reference interpreter, then one [`BASELINE`] run — fault-free,
-    /// capped at `cycle_budget` so a hanging program cannot hold its
-    /// first caller, through the image layer and the pool like any other
-    /// run, but never stored as a result. `true` when already resident.
+    /// reference interpreter, then one `BASELINE` run (serial, one core,
+    /// snooping) — fault-free, capped at `cycle_budget` so a hanging
+    /// program cannot hold its first caller, through the image layer and
+    /// the pool like any other run, but never stored as a result. `true`
+    /// when already resident.
     ///
     /// # Errors
     /// Fails if the reference run or the baseline build or run fails;
@@ -395,7 +396,7 @@ impl ProgramCache {
 
     /// Run one specification: answer it from the result layer when
     /// [`RunSpec::key`] allows and a result is there, else compile through
-    /// the front-end and image layers, [`simulate`] on a pooled machine,
+    /// the front-end and image layers, `simulate` on a pooled machine,
     /// and store the result when the key allows.
     ///
     /// # Errors
