@@ -197,7 +197,13 @@ impl Machine {
     /// attribution, nor a core inside a transaction or under a fault plan,
     /// whose issues draw from the injectors.
     pub(super) fn start_ride(&mut self, i: usize) {
-        if i == 0 || self.faults.is_some() || self.tm.active(i) {
+        // Most issues are followed by work, not padding: test that first.
+        let pc = self.cores[i].pc as usize;
+        let on_nop = self.decoded.cores[i]
+            .insts
+            .get(pc)
+            .is_some_and(|d| d.is_nop);
+        if !on_nop || i == 0 || self.faults.is_some() || self.tm.active(i) {
             return;
         }
         let Some(addr) = self.fetch_addr(i) else {

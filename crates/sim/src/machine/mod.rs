@@ -616,15 +616,6 @@ impl Machine {
     /// # Errors
     /// See [`SimError`].
     pub fn tick(&mut self) -> Result<(), SimError> {
-        let ticked = self.step();
-        if ticked.is_err() {
-            // An error reports the machine as it stands.
-            self.end_rides();
-        }
-        ticked
-    }
-
-    fn step(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
         self.ticked += 1;
         self.ff_eligible = false;
@@ -783,6 +774,8 @@ impl Machine {
         } else if self.active_cores() != 0
             && now - self.last_progress > self.cfg.watchdogs.deadlock_window
         {
+            // A dump shows every core where it stands.
+            self.end_rides();
             let (waits, cycle_path) = self.diagnose();
             return Err(SimError::Deadlock {
                 cycle: now,
